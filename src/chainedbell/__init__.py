@@ -41,7 +41,6 @@ from .distributions import (
 from .experiment import (
     EstimateReport,
     MissingSettingPairError,
-    ShotRecord,
     chain_pairs,
     estimate_chain_value,
     estimate_from_counts,

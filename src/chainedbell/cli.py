@@ -214,11 +214,11 @@ def cmd_experiment(args) -> tuple[dict, int]:
         reference = evaluate_chain(
             ConditionalDistribution((args.n, args.n), (2, 2), table), args.n
         ).value
-    records = simulate_shots(source, args.n, args.shots, seed)
+    blocks = simulate_shots(source, args.n, args.shots, seed)
     if args.out:
-        write_shots_csv(records, args.out)
-        records = read_shots_csv(args.out)
-    report = estimate_chain_value(records, args.n, args.confidence)
+        write_shots_csv(blocks, args.out)
+        blocks = read_shots_csv(args.out)
+    report = estimate_chain_value(blocks, args.n, args.confidence)
     payload = {
         "seed": seed,
         "source": str(args.source),

@@ -1,9 +1,13 @@
-"""Finite-statistics front end: simulate shot records, estimate the chain
-value with an upper confidence bound, and derive the locality cap."""
+"""Finite-statistics front end: simulate shots, estimate the chain value
+with an upper confidence bound, and derive the locality cap.
+
+Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
+``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
+plus ``u, v`` (hidden-variable indices) for simulated models, in the order
+of the shot CSV header."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,11 +17,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .distributions import ConditionalDistribution
-from .hvm import HiddenVariableModel
+from .hvm import HiddenVariableModel, _inverse_cdf
 
 __all__ = [
     "MissingSettingPairError",
-    "ShotRecord",
     "EstimateReport",
     "chain_pairs",
     "simulate_shots",
@@ -29,21 +32,13 @@ __all__ = [
 ]
 
 
+_COLUMNS = ("a", "b", "x", "y", "u", "v")
+_CHUNK_ROWS = 65536
+_WRITE_ROWS = 4096
+
+
 class MissingSettingPairError(RuntimeError):
-    """A chain-relevant setting pair never occurred in the record stream."""
-
-
-@dataclass(slots=True)
-class ShotRecord:
-    """One trial: settings, outcome bits, and (for simulated models) the
-    hidden-variable indices behind the outcome."""
-
-    a: int
-    b: int
-    x: int
-    y: int
-    u: int | None = None
-    v: int | None = None
+    """A chain-relevant setting pair never occurred in the shot stream."""
 
 
 @dataclass(frozen=True)
@@ -90,19 +85,17 @@ def _source_cdfs(source, n: int):
     if isinstance(source, HiddenVariableModel):
         if source.n_settings != n:
             raise ValueError("model chain length does not match n")
-        if not source.has_exact_support:
-            raise ValueError("shot simulation needs a finite-support model")
         joint = np.einsum("uv,abuvxy->abxyuv", source.p_uv, source.kernels)
         shape = joint.shape[2:]
         flat = joint.reshape(n, n, -1)
-        return flat.cumsum(axis=-1), shape, True
+        return flat.cumsum(axis=-1), shape
     if isinstance(source, ConditionalDistribution):
         if source.input_sizes != (n, n) or source.output_sizes != (2, 2):
             raise ValueError(
                 "expected a two-party binary table with n settings per side"
             )
         flat = source.table.reshape(n, n, 4)
-        return flat.cumsum(axis=-1), (2, 2), False
+        return flat.cumsum(axis=-1), (2, 2)
     raise TypeError("source must be a conditional table or a hidden-variable model")
 
 
@@ -111,17 +104,19 @@ def simulate_shots(
     n: int,
     shots: int,
     seed: int,
-    chunk: int = 65536,
-) -> Iterator[ShotRecord]:
-    """Generate a reproducible stream of shot records.
+    chunk: int = _CHUNK_ROWS,
+) -> Iterator[np.ndarray]:
+    """Generate a reproducible stream of shot blocks.
 
     Settings are drawn uniformly and independently for each shot; outcomes
-    follow the source table (or model, in which case records carry the
-    hidden-variable indices).  The same seed always yields the same stream.
+    follow the source table.  A model source adds the hidden-variable
+    columns ``u, v``.  Each block holds at most ``chunk`` shots (fewer when
+    the outcome alphabet is large).  The same seed always yields the same
+    stream.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    cdfs, shape, annotated = _source_cdfs(source, n)
+    cdfs, shape = _source_cdfs(source, n)
     m = cdfs.shape[-1]
     chunk = max(1, min(chunk, max(1, 4_000_000 // m)))
     rng = np.random.default_rng(seed)
@@ -132,20 +127,20 @@ def simulate_shots(
         a = rng.integers(0, n, size=k)
         b = rng.integers(0, n, size=k)
         r = rng.random(k)
-        rows = cdfs[a, b]  # (k, m)
-        idx = np.minimum((r[:, None] >= rows).sum(axis=1), m - 1)
-        parts = np.unravel_index(idx, shape)
-        if annotated:
-            xs, ys, us, vs = parts
-            for i in range(k):
-                yield ShotRecord(
-                    int(a[i]), int(b[i]), int(xs[i]), int(ys[i]),
-                    int(us[i]), int(vs[i]),
-                )
-        else:
-            xs, ys = parts
-            for i in range(k):
-                yield ShotRecord(int(a[i]), int(b[i]), int(xs[i]), int(ys[i]))
+        idx = _inverse_cdf(cdfs[a, b], r)
+        yield np.column_stack((a, b, *np.unravel_index(idx, shape)))
+
+
+def _check_block(block) -> np.ndarray:
+    """The block as an integer array with the 4 or 6 shot columns."""
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] not in (4, 6) \
+            or not np.issubdtype(block.dtype, np.integer):
+        raise ValueError(
+            "a shot block must be an integer array of shape (k, 4) or (k, 6), "
+            f"got {block.dtype} {block.shape}"
+        )
+    return block
 
 
 def estimate_from_counts(
@@ -184,17 +179,37 @@ def estimate_from_counts(
     return EstimateReport(n, point, upper, confidence, int(min(per_pair)))
 
 
+def _fold_counts(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair shot and mismatch counts, each of shape (n, n), of a block
+    stream.  Raises ``ValueError`` for a setting outside ``[0, n)`` or an
+    outcome outside ``{0, 1}``."""
+    cells = n * n
+    counts = np.zeros(cells, dtype=np.int64)
+    mism = np.zeros(cells, dtype=np.int64)
+    for block in blocks:
+        block = _check_block(block)
+        if not len(block):
+            continue
+        lo = block[:, :4].min(axis=0)
+        hi = block[:, :4].max(axis=0)
+        if lo[:2].min() < 0 or hi[:2].max() >= n:
+            raise ValueError(f"shot setting outside [0, {n})")
+        if lo[2:].min() < 0 or hi[2:].max() > 1:
+            raise ValueError("shot outcome outside {0, 1}")
+        pair = block[:, 0] * n + block[:, 1]
+        counts += np.bincount(pair, minlength=cells)
+        mism += np.bincount(pair[block[:, 2] != block[:, 3]], minlength=cells)
+    return counts.reshape(n, n), mism.reshape(n, n)
+
+
 def estimate_chain_value(
-    records: Iterable[ShotRecord], n: int, confidence: float
+    blocks: Iterable[np.ndarray], n: int, confidence: float
 ) -> EstimateReport:
-    """Fold a record stream into per-pair counts and estimate the chain
-    value; single pass, constant memory per setting pair."""
-    counts = np.zeros((n, n), dtype=np.int64)
-    mism = np.zeros((n, n), dtype=np.int64)
-    for rec in records:
-        counts[rec.a, rec.b] += 1
-        if rec.x != rec.y:
-            mism[rec.a, rec.b] += 1
+    """Fold a stream of shot blocks into per-pair counts and estimate the
+    chain value; single pass, constant memory per setting pair.  A setting
+    outside ``[0, n)`` or an outcome outside ``{0, 1}`` raises
+    ``ValueError``."""
+    counts, mism = _fold_counts(blocks, n)
     return estimate_from_counts(counts, mism, n, confidence)
 
 
@@ -204,39 +219,49 @@ def max_locality_bound(report: EstimateReport) -> float:
     return 0.5 * report.upper_bound
 
 
-def write_shots_csv(records: Iterable[ShotRecord], path: str | Path) -> int:
-    """Stream records to CSV (integer columns ``a,b,x,y`` plus ``u,v`` when
-    the first record carries annotations).  Returns the row count."""
-    it = iter(records)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("no records to write") from None
-    annotated = first.u is not None
+def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
+    """Stream shot blocks to CSV: integer columns ``a,b,x,y``, plus ``u,v``
+    when the blocks carry them, and CRLF line ends.  Returns the row
+    count."""
+    it = iter(blocks)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("no records to write")
+    width = _check_block(first).shape[1]
+    row = ",".join(["%d"] * width) + "\r\n"
     rows = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "x", "y", "u", "v"] if annotated else ["a", "b", "x", "y"])
-        for rec in itertools.chain([first], it):
-            if annotated:
-                writer.writerow([rec.a, rec.b, rec.x, rec.y, rec.u, rec.v])
-            else:
-                writer.writerow([rec.a, rec.b, rec.x, rec.y])
-            rows += 1
+        fh.write(",".join(_COLUMNS[:width]) + "\r\n")
+        for block in itertools.chain([first], it):
+            block = _check_block(block)
+            if block.shape[1] != width:
+                raise ValueError("shot blocks of one stream must share their columns")
+            # Format a few thousand rows per write to bound the transient
+            # strings and tuples.
+            for start in range(0, len(block), _WRITE_ROWS):
+                part = block[start:start + _WRITE_ROWS]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            rows += len(block)
     return rows
 
 
-def read_shots_csv(path: str | Path) -> Iterator[ShotRecord]:
-    """Stream records back from a CSV written by :func:`write_shots_csv`."""
+def read_shots_csv(path: str | Path) -> Iterator[np.ndarray]:
+    """Stream shot blocks back from a CSV written by :func:`write_shots_csv`,
+    at most 65 536 rows at a time.  A malformed row raises ``ValueError``."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["a", "b", "x", "y"]:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if tuple(header) not in (_COLUMNS[:4], _COLUMNS):
             raise ValueError(f"unexpected shot CSV header: {header}")
-        annotated = len(header) == 6
-        for row in reader:
-            if annotated:
-                yield ShotRecord(*(int(c) for c in row))
-            else:
-                a, b, x, y = (int(c) for c in row)
-                yield ShotRecord(a, b, x, y)
+        # Each block starts at the line the loop takes; loadtxt reads the
+        # rest of the block from the handle, line by line.  Calling loadtxt
+        # only when a line is left avoids its warning on empty input.
+        for first in fh:
+            block = np.loadtxt(
+                itertools.chain([first], fh), dtype=np.int64, delimiter=",",
+                comments=None, ndmin=2, max_rows=_CHUNK_ROWS,
+            )
+            if block.shape[1] != len(header):
+                raise ValueError(
+                    f"shot CSV rows must have {len(header)} columns, got {block.shape[1]}"
+                )
+            yield block

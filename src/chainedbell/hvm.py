@@ -76,22 +76,16 @@ class HiddenVariableModel:
     with joint weights ``p_uv``); any additional shared variable has
     already been averaged into the response ``kernels``: entry
     ``kernels[a, b, u, v]`` is the joint outcome table P(x, y | a, b, u, v).
-
-    A model may instead be sampler-only (``kernels is None``): it then
-    supports Monte Carlo evaluation but not exact tables.
     """
 
-    __slots__ = ("n_settings", "p_uv", "kernels", "sampler", "u_labels", "v_labels", "kind")
+    __slots__ = ("n_settings", "p_uv", "kernels", "u_labels", "v_labels", "kind")
 
     def __init__(
         self,
         n_settings: int,
         *,
-        p_uv: np.ndarray | None = None,
-        kernels: np.ndarray | None = None,
-        sampler: Callable | None = None,
-        n_u: int | None = None,
-        n_v: int | None = None,
+        p_uv: np.ndarray,
+        kernels: np.ndarray,
         u_labels: Sequence | None = None,
         v_labels: Sequence | None = None,
         kind: str = "custom",
@@ -99,46 +93,36 @@ class HiddenVariableModel:
         n_settings = int(n_settings)
         if n_settings < 2:
             raise ValueError("chain parameter must be at least 2")
-        if kernels is None and sampler is None:
-            raise ValueError("model needs response kernels or a sampler")
-        if kernels is not None:
-            kernels = np.asarray(kernels, dtype=float)
-            if kernels.ndim != 6 or kernels.shape[:2] != (n_settings, n_settings) \
-                    or kernels.shape[4:] != (2, 2):
-                raise ValueError(
-                    f"kernels must have shape (N, N, n_u, n_v, 2, 2), got {kernels.shape}"
-                )
-            if kernels.min() < -NORM_TOL:
-                raise ValueError("kernel entries must be non-negative")
-            kernels = np.clip(kernels, 0.0, None)
-            sums = kernels.sum(axis=(4, 5))
-            if np.abs(sums - 1.0).max() > NORM_TOL:
-                raise ValueError("each response kernel must be normalized")
-            kernels = kernels / sums[..., None, None]
-            if p_uv is None:
-                raise ValueError("kernel models need hidden-variable weights p_uv")
-            p_uv = np.asarray(p_uv, dtype=float)
-            if p_uv.shape != kernels.shape[2:4]:
-                raise ValueError("p_uv shape must match the kernel hidden alphabets")
-            if p_uv.min() < -NORM_TOL:
-                raise ValueError("hidden-variable weights must be non-negative")
-            p_uv = np.clip(p_uv, 0.0, None)
-            total = float(p_uv.sum())
-            if abs(total - 1.0) > NORM_TOL:
-                raise ValueError(f"hidden-variable weights must sum to 1, got {total}")
-            p_uv = p_uv / total
-            self._check_local_parts(kernels)
-            kernels.setflags(write=False)
-            p_uv.setflags(write=False)
-            n_u, n_v = kernels.shape[2], kernels.shape[3]
-        else:
-            if n_u is None or n_v is None:
-                raise ValueError("sampler-only models must declare n_u and n_v")
-            n_u, n_v = int(n_u), int(n_v)
+        kernels = np.asarray(kernels, dtype=float)
+        if kernels.ndim != 6 or kernels.shape[:2] != (n_settings, n_settings) \
+                or kernels.shape[4:] != (2, 2):
+            raise ValueError(
+                f"kernels must have shape (N, N, n_u, n_v, 2, 2), got {kernels.shape}"
+            )
+        if kernels.min() < -NORM_TOL:
+            raise ValueError("kernel entries must be non-negative")
+        kernels = np.clip(kernels, 0.0, None)
+        sums = kernels.sum(axis=(4, 5))
+        if np.abs(sums - 1.0).max() > NORM_TOL:
+            raise ValueError("each response kernel must be normalized")
+        kernels = kernels / sums[..., None, None]
+        p_uv = np.asarray(p_uv, dtype=float)
+        if p_uv.shape != kernels.shape[2:4]:
+            raise ValueError("p_uv shape must match the kernel hidden alphabets")
+        if p_uv.min() < -NORM_TOL:
+            raise ValueError("hidden-variable weights must be non-negative")
+        p_uv = np.clip(p_uv, 0.0, None)
+        total = float(p_uv.sum())
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"hidden-variable weights must sum to 1, got {total}")
+        p_uv = p_uv / total
+        self._check_local_parts(kernels)
+        kernels.setflags(write=False)
+        p_uv.setflags(write=False)
+        n_u, n_v = kernels.shape[2], kernels.shape[3]
         object.__setattr__(self, "n_settings", n_settings)
         object.__setattr__(self, "p_uv", p_uv)
         object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "u_labels", tuple(u_labels) if u_labels is not None else tuple(range(n_u)))
         object.__setattr__(self, "v_labels", tuple(v_labels) if v_labels is not None else tuple(range(n_v)))
         object.__setattr__(self, "kind", str(kind))
@@ -169,15 +153,9 @@ class HiddenVariableModel:
     def n_v(self) -> int:
         return len(self.v_labels)
 
-    @property
-    def has_exact_support(self) -> bool:
-        return self.kernels is not None
-
     def induced_table(self) -> ConditionalDistribution:
         """Exact four-party table P(x, y, u, v | a, b); parties 2 and 3
         carry the hidden indices as outputs and have no inputs."""
-        if not self.has_exact_support:
-            raise ValueError("exact evaluation requires finite hidden support")
         n, nu, nv = self.n_settings, self.n_u, self.n_v
         t = np.einsum("uv,abuvxy->abxyuv", self.p_uv, self.kernels)
         table = t.reshape(n, n, 1, 1, 2, 2, nu, nv)
@@ -185,29 +163,31 @@ class HiddenVariableModel:
 
     def sample_outcomes(self, a: int, b: int, size: int, rng: np.random.Generator):
         """Draw ``size`` outcome tuples (x, y, u, v) for one setting pair."""
-        if self.has_exact_support:
-            joint = self.p_uv[:, :, None, None] * self.kernels[a, b]
-            # joint indexed (u, v, x, y); reorder to (x, y, u, v)
-            joint = np.moveaxis(joint, (0, 1), (2, 3))
-            flat = joint.reshape(-1)
-            cdf = np.cumsum(flat)
-            r = rng.random(size)
-            idx = np.minimum(np.searchsorted(cdf, r, side="right"), flat.size - 1)
-            x, y, u, v = np.unravel_index(idx, joint.shape)
-            return x, y, u, v
-        xs = np.empty(size, dtype=np.int64)
-        ys = np.empty(size, dtype=np.int64)
-        us = np.empty(size, dtype=np.int64)
-        vs = np.empty(size, dtype=np.int64)
-        for i in range(size):
-            xs[i], ys[i], us[i], vs[i] = self.sampler(a, b, rng)
-        return xs, ys, us, vs
+        joint = self.p_uv[:, :, None, None] * self.kernels[a, b]
+        # joint indexed (u, v, x, y); reorder to (x, y, u, v)
+        joint = np.moveaxis(joint, (0, 1), (2, 3))
+        idx = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(size))
+        x, y, u, v = np.unravel_index(idx, joint.shape)
+        return x, y, u, v
 
     def __repr__(self) -> str:
         return (
             f"HiddenVariableModel(kind={self.kind!r}, N={self.n_settings}, "
-            f"n_u={self.n_u}, n_v={self.n_v}, exact={self.has_exact_support})"
+            f"n_u={self.n_u}, n_v={self.n_v})"
         )
+
+
+def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Outcome index for each uniform draw ``r``: the number of cumulative
+    probabilities at or below it, capped at the last outcome (rounding can
+    leave the final cumulative value just under 1).  ``cdf`` is one
+    cumulative table of shape (m,) shared by every draw, or one row per
+    draw, shape (k, m)."""
+    if cdf.ndim == 1:
+        idx = np.searchsorted(cdf, r, side="right")
+    else:
+        idx = (r[:, None] >= cdf).sum(axis=1)
+    return np.minimum(idx, cdf.shape[-1] - 1)
 
 
 def _unit_vectors(vectors, name: str) -> np.ndarray:
@@ -460,11 +440,12 @@ def induced_distribution(
         raise ValueError("sampled mode needs shots >= 1 and a seed")
     n, nu, nv = model.n_settings, model.n_u, model.n_v
     rng = np.random.default_rng(seed)
-    table = np.zeros((n, n, 2, 2, nu, nv))
+    shape = (2, 2, nu, nv)
+    table = np.zeros((n, n) + shape)
     for a in range(n):
         for b in range(n):
-            x, y, u, v = model.sample_outcomes(a, b, shots, rng)
-            np.add.at(table[a, b], (x, y, u, v), 1.0)
+            cells = np.ravel_multi_index(model.sample_outcomes(a, b, shots, rng), shape)
+            table[a, b] = np.bincount(cells, minlength=table[a, b].size).reshape(shape)
     table /= float(shots)
     return ConditionalDistribution(
         (n, n, 1, 1), (2, 2, nu, nv), table.reshape(n, n, 1, 1, 2, 2, nu, nv)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from chainedbell import (
     qm_chained_distribution,
     read_json_file,
 )
+from chainedbell import cli
 from chainedbell.cli import main
 
 
@@ -275,6 +277,105 @@ class TestExperiment:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["2,0,0,1\r\n", "0,0,1,1\r\n-1,1,0,1\r\n", "0,1,0,1\r\n0,0.5,0,1\r\n"],
+        ids=["a_equals_n", "negative_a", "non_integer_cell"],
+    )
+    def test_malformed_shot_csv_is_usage_error(self, capsys, tmp_path, monkeypatch, rows):
+        # Replace the CSV the run writes with a hand-written one, so the
+        # read-back and fold see it.
+        def write_by_hand(blocks, path):
+            path.write_text("a,b,x,y\r\n" + rows, newline="")
+            return rows.count("\n")
+
+        monkeypatch.setattr(cli, "write_shots_csv", write_by_hand)
+        code, payload = run_cli(
+            capsys,
+            "experiment", "--source", "qm", "--n", "2", "--shots", "100",
+            "--seed", "1", "--out", str(tmp_path / "shots.csv"),
+        )
+        assert code == 2
+        assert payload["error"]
+
+
+class TestGoldenStreams:
+    """Values recorded from the per-shot implementation; the same seed must
+    keep giving the same shots, estimates and CSV bytes."""
+
+    NONLOCAL_QM = {"type": "nonlocal_qm", "n": 2, "visibility": 0.9, "n_u": 3, "n_v": 3}
+
+    @pytest.mark.parametrize(
+        "source, args, report, csv_sha256",
+        [
+            (
+                "qm",
+                ("--n", "3", "--shots", "100000", "--seed", "7", "--visibility", "0.9"),
+                (0.6630852727871007, 0.7702566760968744, 10972),
+                "1b260744fca4ddc4ce109b08985e2f10b231827db53bc1454cefafaa523aa568",
+            ),
+            (
+                "model",
+                ("--n", "2", "--shots", "100000", "--seed", "11"),
+                (0.7224179087868057, 0.7686685497244454, 24909),
+                "794a90bd35874e2b8d9f25325f89ab8bf51a7afe87be4481cf82f49f76564eb7",
+            ),
+        ],
+        ids=["qm", "nonlocal_qm"],
+    )
+    def test_experiment(self, capsys, tmp_path, source, args, report, csv_sha256):
+        if source == "model":
+            source = tmp_path / "model.json"
+            source.write_text(json.dumps(self.NONLOCAL_QM))
+        out = tmp_path / "shots.csv"
+        payloads = []
+        for extra in ((), ("--out", str(out))):
+            code, payload = run_cli(capsys, "experiment", "--source", str(source), *args, *extra)
+            assert code == 0
+            got = payload["report"]
+            assert (got["point_estimate"], got["upper_bound"], got["shots_per_pair"]) == report
+            payloads.append(payload)
+        payloads[1].pop("out")
+        assert payloads[0] == payloads[1]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
+    @pytest.mark.parametrize(
+        "model, args, distances, stat_tolerance",
+        [
+            (
+                NONLOCAL_QM,
+                ("--shots", "20000", "--seed", "5"),
+                [[0, 0.00312500000000001], [1, 0.005075000000000027]],
+                0.0336846185194316,
+            ),
+            (
+                {"type": "leggett", "n": 2, "grid": 360},
+                ("--shots", "3000", "--seed", "4"),
+                [[0, 0.3228333333333333], [1, 0.33066666666666666]],
+                12.674054173894437,
+            ),
+        ],
+        ids=["nonlocal_qm", "leggett_grid_360"],
+    )
+    def test_falsify_monte_carlo(self, capsys, tmp_path, model, args, distances, stat_tolerance):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *args)
+        assert code == 0
+        assert payload == {
+            "n": 2,
+            "model_type": model["type"],
+            "seed": int(args[-1]),
+            "mode": "monte_carlo",
+            "shots_per_pair": int(args[1]),
+            "per_setting_distance": distances,
+            "bound": 0.2928932188134525,
+            "max_distance": distances[1][1],
+            "falsified": False,
+            "stat_tolerance": stat_tolerance,
+        }
 
 
 class TestBruteforceAndLp:

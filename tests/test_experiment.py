@@ -1,9 +1,15 @@
 """Shot simulation, the chain-value estimator, and its confidence bound."""
 
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chainedbell import (
     DeterministicStrategy,
@@ -20,6 +26,12 @@ from chainedbell import (
     simulate_shots,
     write_shots_csv,
 )
+from chainedbell.experiment import _fold_counts
+
+
+def concat(blocks, width=4):
+    """All shots of a block stream as one (k, width) array."""
+    return np.concatenate([np.empty((0, width), dtype=np.int64), *blocks])
 
 
 class TestChainPairs:
@@ -34,22 +46,23 @@ class TestChainPairs:
 class TestSimulateShots:
     def test_deterministic_table_gives_constant_records(self):
         table = DeterministicStrategy((0, 0), (0, 0)).distribution()
-        for rec in simulate_shots(table, 2, 500, seed=0):
-            assert rec.x == 0 and rec.y == 0
-            assert rec.u is None and rec.v is None
+        for block in simulate_shots(table, 2, 500, seed=0):
+            assert block.dtype == np.int64
+            assert (block[:, 2] == 0).all() and (block[:, 3] == 0).all()
+            assert block.shape[1] == 4  # no hidden-variable columns
 
     def test_fixed_seed_reproduces_the_stream(self):
         table = qm_chained_distribution(2)
-        first = list(simulate_shots(table, 2, 2000, seed=42))
-        second = list(simulate_shots(table, 2, 2000, seed=42))
-        assert first == second
+        first = concat(simulate_shots(table, 2, 2000, seed=42))
+        second = concat(simulate_shots(table, 2, 2000, seed=42))
+        assert np.array_equal(first, second)
 
     def test_settings_uniform_within_sampling_error(self):
         table = qm_chained_distribution(2)
         counts = np.zeros((2, 2))
         shots = 40000
-        for rec in simulate_shots(table, 2, shots, seed=1):
-            counts[rec.a, rec.b] += 1
+        for block in simulate_shots(table, 2, shots, seed=1):
+            np.add.at(counts, (block[:, 0], block[:, 1]), 1)
         # 5 sigma on a fair four-way split.
         sigma = math.sqrt(shots * 0.25 * 0.75)
         assert np.abs(counts - shots / 4).max() < 5 * sigma
@@ -60,9 +73,10 @@ class TestSimulateShots:
         shots = 10**5
         seen = np.zeros((n, n))
         mism = np.zeros((n, n))
-        for rec in simulate_shots(table, n, shots, seed=2):
-            seen[rec.a, rec.b] += 1
-            mism[rec.a, rec.b] += rec.x != rec.y
+        for block in simulate_shots(table, n, shots, seed=2):
+            a, b, x, y = block.T
+            np.add.at(seen, (a, b), 1)
+            np.add.at(mism, (a, b), x != y)
         p = math.sin(math.pi / (4 * n)) ** 2
         for a, b, kind in chain_pairs(n):
             if kind != "differ":
@@ -73,13 +87,12 @@ class TestSimulateShots:
 
     def test_model_records_carry_hidden_indices(self):
         m = local_deterministic_model(2, [[0, 1], [1, 0]], [[0, 0], [1, 1]])
-        recs = list(simulate_shots(m, 2, 200, seed=3))
-        assert all(rec.u in (0, 1) and rec.v in (0, 1) for rec in recs)
+        a, b, x, y, u, v = concat(simulate_shots(m, 2, 200, seed=3), 6).T
+        assert np.isin(u, (0, 1)).all() and np.isin(v, (0, 1)).all()
         # Outcomes must follow the sampled strategies exactly:
         # alice table u gives x = u XOR a, bob table v gives y = v.
-        for rec in recs:
-            assert rec.x == (rec.u + rec.a) % 2
-            assert rec.y == rec.v
+        assert np.array_equal(x, (u + a) % 2)
+        assert np.array_equal(y, v)
 
     def test_invalid_sources_rejected(self):
         with pytest.raises(TypeError):
@@ -172,20 +185,107 @@ class TestLocalityCap:
 class TestShotCsv:
     def test_round_trip_plain(self, tmp_path):
         table = qm_chained_distribution(2)
-        records = list(simulate_shots(table, 2, 300, seed=5))
+        records = concat(simulate_shots(table, 2, 300, seed=5))
         path = tmp_path / "shots.csv"
-        assert write_shots_csv(records, path) == 300
+        assert write_shots_csv([records], path) == 300
         assert path.read_text().splitlines()[0] == "a,b,x,y"
-        assert list(read_shots_csv(path)) == records
+        assert np.array_equal(concat(read_shots_csv(path)), records)
 
     def test_round_trip_annotated(self, tmp_path):
         m = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-        records = list(simulate_shots(m, 2, 100, seed=6))
+        records = concat(simulate_shots(m, 2, 100, seed=6), 6)
         path = tmp_path / "shots.csv"
-        write_shots_csv(records, path)
+        write_shots_csv([records], path)
         assert path.read_text().splitlines()[0] == "a,b,x,y,u,v"
-        assert list(read_shots_csv(path)) == records
+        assert np.array_equal(concat(read_shots_csv(path), 6), records)
 
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):
             write_shots_csv([], tmp_path / "shots.csv")
+
+    @pytest.mark.parametrize("shots", [70_000, 2 * 65536])
+    def test_round_trip_spans_several_chunks(self, tmp_path, shots):
+        # 2 * 65536 rows end exactly on a reader chunk boundary.
+        n = 3
+        table = qm_chained_distribution(n)
+        path = tmp_path / "shots.csv"
+        assert write_shots_csv(simulate_shots(table, n, shots, seed=8), path) == shots
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(read_shots_csv(path))
+        assert len(blocks) == 2
+        in_memory = _fold_counts(simulate_shots(table, n, shots, seed=8), n)
+        read_back = _fold_counts(blocks, n)
+        assert np.array_equal(read_back[0], in_memory[0])
+        assert np.array_equal(read_back[1], in_memory[1])
+        assert read_back[0].sum() == shots
+
+
+class TestFoldChecks:
+    @pytest.mark.parametrize(
+        "row",
+        [(3, 0, 0, 0), (-1, 0, 0, 0), (0, 3, 1, 1), (0, -1, 1, 1), (0, 0, 2, 0), (0, 0, 0, -1)],
+    )
+    def test_out_of_range_shot_rejected(self, row):
+        block = np.array([[0, 0, 0, 1], row], dtype=np.int64)
+        with pytest.raises(ValueError, match="outside"):
+            estimate_chain_value([block], 3, 0.99)
+
+    def test_non_shot_blocks_rejected(self, tmp_path):
+        for block in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64),
+                      np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="shot block"):
+                estimate_chain_value([block], 2, 0.99)
+            with pytest.raises(ValueError, match="shot block"):
+                write_shots_csv([block], tmp_path / "shots.csv")
+            assert not (tmp_path / "shots.csv").exists()
+
+    def test_mixed_widths_rejected(self, tmp_path):
+        blocks = [np.zeros((1, 4), dtype=np.int64), np.zeros((1, 6), dtype=np.int64)]
+        with pytest.raises(ValueError, match="share their columns"):
+            write_shots_csv(blocks, tmp_path / "shots.csv")
+
+
+def cut(draw, block):
+    """The block split at up to five random row indices."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(block)), max_size=5)))
+    return np.split(block, cuts)
+
+
+def int64_blocks(width):
+    return st.integers(0, 200).flatmap(
+        lambda k: hnp.arrays(np.int64, (k, width), elements=st.integers(-(2**63), 2**63 - 1))
+    )
+
+
+def report_or_error(blocks, n):
+    try:
+        return estimate_chain_value(blocks, n, 0.95)
+    except MissingSettingPairError as exc:
+        return type(exc)
+
+
+class TestBlockProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 6), int64_blocks(6))
+    def test_fold_is_independent_of_block_cuts(self, data, n, raw):
+        # Map raw integers into range: settings mod n, outcomes mod 2.
+        whole = raw % np.array([n, n, 2, 2, 1 << 62, 1 << 62])
+        pieces = cut(data.draw, whole)
+        counts, mism = _fold_counts([whole], n)
+        cut_counts, cut_mism = _fold_counts(pieces, n)
+        assert np.array_equal(cut_counts, counts)
+        assert np.array_equal(cut_mism, mism)
+        assert report_or_error(pieces, n) == report_or_error([whole], n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.one_of(int64_blocks(4), int64_blocks(6)))
+    def test_csv_round_trip_returns_the_concatenated_block(self, data, whole):
+        width = whole.shape[1]
+        pieces = cut(data.draw, whole)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "shots.csv"
+            assert write_shots_csv(pieces, path) == len(whole)
+            back = concat(read_shots_csv(path), width)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, whole)

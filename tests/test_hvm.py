@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from chainedbell import (
     ConditionalDistribution,
     Distribution,
-    HiddenVariableModel,
     MeasurementSetup,
     PlanarMeasurement,
     assert_nonsignaling,
@@ -154,12 +153,6 @@ class TestInducedDistribution:
                 oracle = leggett_marginal(setup.alice[a], vectors[u]).probs
                 assert cond == pytest.approx(list(oracle), abs=1e-12)
 
-    def test_exact_mode_requires_kernels(self):
-        sampler = lambda a, b, rng: (0, 0, 0, 0)
-        m = HiddenVariableModel(2, sampler=sampler, n_u=1, n_v=1)
-        with pytest.raises(ValueError, match="finite hidden support"):
-            induced_distribution(m)
-
     def test_sampled_mode_is_seeded(self):
         m = leggett_model(2, inplane_grid(4))
         p1 = induced_distribution(m, mode="sampled", shots=500, seed=3)
@@ -173,19 +166,6 @@ class TestInducedDistribution:
         sampled = induced_distribution(m, mode="sampled", shots=shots, seed=11)
         envelope = 3 * math.sqrt(math.log(2 / 1e-3) / (2 * shots))
         assert np.abs(exact.table - sampled.table).max() < envelope
-
-    def test_sampler_only_monte_carlo(self):
-        # A sampler-only model behaves like its kernel twin under sampling.
-        twin = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-
-        def sampler(a, b, rng):
-            x, y, u, v = twin.sample_outcomes(a, b, 1, rng)
-            return int(x[0]), int(y[0]), int(u[0]), int(v[0])
-
-        m = HiddenVariableModel(2, sampler=sampler, n_u=1, n_v=1)
-        sampled = induced_distribution(m, mode="sampled", shots=400, seed=5)
-        exact = induced_distribution(twin)
-        assert np.abs(sampled.table - exact.table).max() < 0.1
 
     def test_sampled_needs_shots_and_seed(self):
         m = nonlocal_qm_model(2)
