@@ -3,7 +3,8 @@
 Subcommands: qm, check, falsify, scan, experiment, bruteforce, lp.
 JSON goes to stdout; CSV and distribution files go to ``--out`` paths.
 Exit codes: 0 success, 1 falsified / violation found (a valid analysis
-with a negative verdict), 2 usage error, 3 numerical failure.
+with a negative verdict), 2 usage error (bad arguments or input, or a
+file or stdout that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import secrets
 import sys
 from dataclasses import asdict
@@ -179,14 +181,15 @@ def cmd_scan(args) -> tuple[dict, int]:
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
     v = 1.0 if args.visibility is None else args.visibility
+    # Build every row before opening --out, so a bad argument leaves no file.
+    rows = []
+    for n in range(2, args.n_max + 1):
+        value = noisy_chain_closed_form(n, v)
+        rows.append([n, repr(value), repr(0.5 * value), repr(math.pi**2 / (8.0 * n))])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "chain_value", "locality_bound", "qm_asymptote"])
-        for n in range(2, args.n_max + 1):
-            value = noisy_chain_closed_form(n, v)
-            writer.writerow(
-                [n, repr(value), repr(0.5 * value), repr(math.pi**2 / (8.0 * n))]
-            )
+        writer.writerows(rows)
     return {"rows": args.n_max - 1, "visibility": v, "out": str(args.out)}, 0
 
 
@@ -321,13 +324,23 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         payload, code = args.func(args)
-    except (MissingSettingPairError, SimplexError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 3
+    except (
+        MissingSettingPairError, SimplexError, ArithmeticError, AssertionError
+    ) as exc:
+        # AssertionError: a library identity cross-check failed numerically.
+        text, code = json.dumps({"error": str(exc)}), 3
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}))
+        text, code = json.dumps({"error": str(exc)}), 2
+    else:
+        text = json.dumps(payload, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    print(json.dumps(payload, indent=2))
     return code
 
 

@@ -54,6 +54,10 @@ _RENORM_TRIGGER = 1e-12
 # bounding the party count keeps that exhaustive check exact and cheap.
 MAX_PARTIES = 4
 
+# Scratch budget, in float64 elements, for one block of pairwise slice
+# differences in :func:`_max_pairwise_tv` (2 MiB).
+_PAIRWISE_BLOCK_ELEMS = 1 << 18
+
 
 class ConditionalDistribution:
     """A table P(x_1 .. x_n | a_1 .. a_n) over finite per-party alphabets.
@@ -258,6 +262,64 @@ def marginalize(
     return ConditionalDistribution(p.input_sizes, new_outputs, table)
 
 
+def _max_pairwise_tv(arr: np.ndarray) -> float:
+    """Largest statistical distance between two context slices.
+
+    ``arr`` has shape (c, s, o): c contexts, s fixed input tuples, o
+    outcomes.  Returns the max over context pairs c, c' and over s of
+    0.5 * sum_o |arr[c, s, o] - arr[c', s, o]|.  Scratch memory is at most
+    one copy of ``arr`` plus a block of ``_PAIRWISE_BLOCK_ELEMS`` elements
+    (or of one (s, o) slice, if that is larger); it does not grow with c^2.
+
+    The result is bit-identical to the all-pairs broadcast
+    ``0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)`` evaluated on
+    a C-ordered copy of ``arr``, and so on ``arr`` itself whenever its o
+    axis varies fastest in memory, as it does for every caller here.
+    (NumPy sums o >= 8 terms in a different order along a slow axis.)
+    """
+    c, s, o = arr.shape
+    if o == 1:
+        # Float subtraction is monotone, so no pair rounds above max - min.
+        return 0.5 * float((arr.max(axis=0) - arr.min(axis=0)).max())
+    if o == 2:
+        # Two contiguous column planes; adding the two |differences| is one
+        # float add, which rounds exactly like the length-2 ``sum(axis=-1)``.
+        x0 = np.ascontiguousarray(arr[..., 0])
+        x1 = np.ascontiguousarray(arr[..., 1])
+
+        def block_max(rows: slice, cols: slice) -> float:
+            d = x0[rows, None] - x0[None, cols]
+            np.abs(d, out=d)
+            d1 = x1[rows, None] - x1[None, cols]
+            np.abs(d1, out=d1)
+            d += d1
+            return float(d.max())
+
+    else:
+
+        def block_max(rows: slice, cols: slice) -> float:
+            # Keep NumPy's own reduction: it does not sum o >= 3 terms left
+            # to right, so per-column accumulation would round differently.
+            d = np.subtract(arr[rows, None], arr[None, cols], order="C")
+            np.abs(d, out=d)
+            return float(d.sum(axis=-1).max())
+
+    per_block = max(1, _PAIRWISE_BLOCK_ELEMS // (s * o))  # pairs per block
+    worst = 0.0
+    i = 0
+    while i < c - 1:
+        # Rows i .. i+rows-1 against every later context, in column chunks
+        # of ``width``.  Pairs j <= row inside a block repeat a pair or are
+        # the zero diagonal (|x - y| == |y - x| exactly), so they cannot
+        # raise the maximum.
+        rows = max(1, per_block // (c - i - 1))
+        width = max(1, per_block // rows)
+        for j in range(i + 1, c, width):
+            worst = max(worst, block_max(slice(i, i + rows), slice(j, j + width)))
+        i += rows
+    return 0.5 * worst
+
+
 def assert_nonsignaling(
     p: ConditionalDistribution, tol: float = NORM_TOL
 ) -> NonSignalingReport:
@@ -288,8 +350,7 @@ def assert_nonsignaling(
             s_size = int(np.prod([p.input_sizes[i] for i in subset]))
             o_size = int(np.prod([p.output_sizes[i] for i in subset]))
             arr = arr.reshape(c_size, s_size, o_size)
-            diffs = 0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)
-            v = float(diffs.max())
+            v = _max_pairwise_tv(arr)
             if v > worst:
                 worst, worst_subset = v, subset
     return NonSignalingReport(worst, worst <= tol, tol, worst_subset)
@@ -363,7 +424,7 @@ def drop_input(
     if k > 1:
         o = int(np.prod(p.output_sizes))
         arr = np.moveaxis(p.table, party, 0).reshape(k, -1, o)
-        dev = float((0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)).max())
+        dev = _max_pairwise_tv(arr)
         if dev > tol:
             raise ValueError(
                 f"table depends on party {party}'s input (deviation {dev})"

@@ -27,6 +27,7 @@ from .distributions import (
     NORM_TOL,
     ConditionalDistribution,
     Distribution,
+    _max_pairwise_tv,
     assert_nonsignaling,
     stat_distance,
 )
@@ -335,6 +336,8 @@ def nonlocal_qm_model(
     """Entirely non-local model reproducing the (optionally noisy) quantum
     table: the shared variable carries all outcome correlations, and any
     declared local variables are dummies the responses ignore."""
+    if n_u < 1 or n_v < 1:
+        raise ValueError("n_u and n_v must be at least 1")
     base = qm_chained_distribution(n)
     if visibility < 1.0:
         base = mix_with_noise(base, visibility)
@@ -519,11 +522,11 @@ def locality_measure(
     if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1:
         raise ValueError("expected parties (setting -> outcome, none -> hidden)")
     n = p_xu.input_sizes[0]
-    ox, nu = p_xu.output_sizes
+    ox = p_xu.output_sizes[0]
     t = p_xu.table  # (N, 1, ox, nu)
     pu = t.sum(axis=2)[:, 0, :]  # (N, nu)
     if n > 1:
-        dev = float((0.5 * np.abs(pu[:, None] - pu[None, :]).sum(axis=-1)).max())
+        dev = _max_pairwise_tv(pu[:, None, :])
         if dev > marginal_tol:
             raise ValueError(
                 f"hidden-variable marginal depends on the setting (deviation {dev})"
@@ -532,13 +535,11 @@ def locality_measure(
     for a in range(n):
         joint = t[a, 0]  # (ox, nu)
         w = pu[a]
-        terms = []
-        for u in range(nu):
-            if w[u] <= 0.0:
-                continue
-            cond = joint[:, u] / w[u]
-            terms.append(w[u] * 0.5 * float(np.abs(cond - 1.0 / ox).sum()))
-        avg = math.fsum(terms)
+        live = w > 0.0
+        wl = w[live]
+        cond = joint.T[live] / wl[:, None]  # (k, ox): P(x | a, u) per live u
+        dist_u = np.abs(cond - 1.0 / ox).sum(axis=-1)
+        avg = math.fsum((wl * 0.5) * dist_u)
         direct = stat_distance(
             Distribution(joint), Distribution(np.full((ox, 1), 1.0 / ox) * w[None, :])
         )

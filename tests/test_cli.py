@@ -173,6 +173,15 @@ class TestFalsify:
         assert payload["seed"] == 9
         assert payload["max_distance"] == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("field", ["n_u", "n_v"])
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    def test_empty_hidden_alphabet_is_usage_error(self, capsys, tmp_path, field, shots):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"type": "nonlocal_qm", "n": 2, field: 0}))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *shots)
+        assert code == 2
+        assert "at least 1" in payload["error"]
+
     def test_shape_mismatch_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nl.json"
         path.write_text(json.dumps({"type": "nonlocal_qm", "n": 3}))
@@ -203,6 +212,14 @@ class TestScan:
             values = [float(r["chain_value"]) for r in csv.DictReader(fh)]
         best = values.index(min(values))
         assert 0 < best < len(values) - 1
+
+    @pytest.mark.parametrize("args", [["--visibility", "-1"], ["--visibility", "nan"]])
+    def test_bad_visibility_leaves_no_file(self, capsys, tmp_path, args):
+        out = tmp_path / "scan.csv"
+        code, payload = run_cli(capsys, "scan", "--n-max", "5", *args, "--out", str(out))
+        assert code == 2
+        assert "visibility" in payload["error"]
+        assert not out.exists()
 
     def test_small_n_max_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "scan", "--n-max", "1", "--out", str(tmp_path / "x.csv"))
@@ -405,6 +422,35 @@ class TestHarness:
     def test_usage_error_exit_code(self, capsys):
         assert main(["qm"]) == 2  # missing argument
         capsys.readouterr()
+
+    def test_failed_identity_check_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("distance identity violated: 0.1 vs 0.2")
+
+        monkeypatch.setattr(cli, "assert_nonsignaling", broken)
+        path = tmp_path / "qm.json"
+        assert main(["qm", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 3
+        assert payload == {"error": "distance identity violated: 0.1 vs 0.2"}
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # The payload (about 360 kB) is far larger than a pipe buffer, so
+        # writing it fails once the reader has gone.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chainedbell", "qm", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert stderr == b""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,8 +1,15 @@
 """Distribution table invariants and the distance toolbox."""
 
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainedbell import distributions
 from chainedbell import (
     ConditionalDistribution,
     Distribution,
@@ -12,8 +19,10 @@ from chainedbell import (
     coupling_distance_bound,
     drop_input,
     drop_party,
+    locality_bound_check,
     marginalize,
     product_distribution,
+    qm_chained_distribution,
     read_json_file,
     stat_distance,
     uniform_distribution,
@@ -171,6 +180,81 @@ class TestNonSignaling:
         p = uniform_distribution((2,) * 5)
         with pytest.raises(ValueError, match="at most"):
             assert_nonsignaling(p)
+
+
+def broadcast_max_tv(arr):
+    """The all-pairs expression the pairwise kernel replaced."""
+    return float((0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)).max())
+
+
+@st.composite
+def context_arrays(draw):
+    """(c, s, o) arrays in one of several memory layouts, plus a flag saying
+    whether the o axis is still the fastest-varying one."""
+    c = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 4))
+    o = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = np.random.default_rng(seed).random((c, s, o))
+    if draw(st.booleans()):
+        base /= base.sum(axis=-1, keepdims=True)  # conditional slices
+    layout = draw(st.sampled_from(["c", "inputs_transposed", "strided", "reversed"]))
+    if layout == "inputs_transposed":  # as assert_nonsignaling's reshape makes
+        return np.ascontiguousarray(base.transpose(1, 0, 2)).transpose(1, 0, 2), True
+    if layout == "strided":
+        big = np.zeros((c, 2 * s, 3 * o))
+        big[:, ::2, ::3] = base
+        return big[:, ::2, ::3], True
+    if layout == "reversed":
+        return np.ascontiguousarray(base.transpose(2, 1, 0)).transpose(2, 1, 0), False
+    return base, True
+
+
+class TestMaxPairwiseTV:
+    @settings(max_examples=300, deadline=None)
+    @given(context_arrays(), st.sampled_from([1 << 18, 1, 7, 64]))
+    def test_equals_the_broadcast_exactly(self, drawn, budget):
+        arr, o_fastest = drawn
+        with mock.patch.object(distributions, "_PAIRWISE_BLOCK_ELEMS", budget):
+            got = distributions._max_pairwise_tv(arr)
+        # Bit-identical to the broadcast on a C-ordered copy, and on the
+        # array itself when its o axis varies fastest (every caller's case).
+        assert got == broadcast_max_tv(np.ascontiguousarray(arr))
+        if o_fastest:
+            assert got == broadcast_max_tv(arr)
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = fn()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak, elapsed
+
+    def test_two_party_memory_scales_with_the_table(self):
+        # The broadcast allocated two (N, N, N, 2) arrays here, 4 GB; the
+        # bound is two tables plus 16 MB.
+        p = qm_chained_distribution(500)
+        rep, peak, _ = self._peak_bytes(lambda: assert_nonsignaling(p, 1e-12))
+        assert rep.passed
+        assert peak < 2 * p.table.nbytes + 16 * 2**20
+
+    def test_three_party_locality_bound_memory_and_time(self):
+        # N^2 = 90 000 contexts for the hidden party's marginal: the
+        # broadcast would have needed about 130 GB.
+        n = 300
+        table = qm_chained_distribution(n).table.reshape(n, n, 1, 2, 2, 1)
+        p3 = ConditionalDistribution((n, n, 1), (2, 2, 1), table)
+        rep, peak, elapsed = self._peak_bytes(
+            lambda: locality_bound_check(p3, Distribution([1.0]))
+        )
+        assert rep.applicable and rep.passed
+        assert peak < 2 * p3.table.nbytes + 16 * 2**20
+        assert elapsed < 5.0
 
 
 class TestAverageConditionalDistance:

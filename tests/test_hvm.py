@@ -222,6 +222,42 @@ class TestLocalityMeasure:
             assert measured == pytest.approx(oracle, abs=1e-4)
         assert 1 / math.pi == pytest.approx(report.max_distance, abs=1e-4)
 
+    @staticmethod
+    def _loop_per_setting(p_xu):
+        """The per-hidden-value loop that locality_measure vectorised."""
+        t = p_xu.table
+        ox, nu = p_xu.output_sizes
+        pu = t.sum(axis=2)[:, 0, :]
+        out = []
+        for a in range(p_xu.input_sizes[0]):
+            joint, w = t[a, 0], pu[a]
+            terms = []
+            for u in range(nu):
+                if w[u] <= 0.0:
+                    continue
+                cond = joint[:, u] / w[u]
+                terms.append(w[u] * 0.5 * float(np.abs(cond - 1.0 / ox).sum()))
+            out.append(math.fsum(terms))
+        return tuple(out)
+
+    @pytest.mark.parametrize("n, grid", [(2, 360), (7, 97), (50, 3600)])
+    def test_matches_the_loop_on_leggett_grids(self, n, grid):
+        vectors = np.concatenate([inplane_grid(grid), orthogonal_grid()])
+        weights = np.random.default_rng(n).random(len(vectors))
+        weights[::5] = 0.0  # zero-weight hidden values are skipped
+        weights /= weights.sum()
+        bloch = np.array([m.bloch_vector() for m in MeasurementSetup.chained(n).alice])
+        p0 = np.clip(0.5 * (1.0 + bloch @ vectors.T), 0.0, 1.0)  # (N, k)
+        table = np.stack([weights * p0, weights * (1.0 - p0)], axis=1)
+        p_xu = ConditionalDistribution((n, 1), (2, len(vectors)), table[:, None])
+        lm = locality_measure(p_xu)
+        assert lm.per_setting == self._loop_per_setting(p_xu)
+
+    def test_matches_the_loop_on_a_model_table(self):
+        m = leggett_model(3, inplane_grid(12))
+        p_xu = xu_conditional(induced_distribution(m))
+        assert locality_measure(p_xu).per_setting == self._loop_per_setting(p_xu)
+
     def test_setting_dependent_hidden_marginal_rejected(self):
         table = np.zeros((2, 1, 2, 2))
         table[0, 0, :, 0] = 0.5  # u pinned to 0 under setting 0
