@@ -13,6 +13,7 @@ from .chained import (
     ChainScore,
     DeterministicStrategy,
     NoiseScanResult,
+    chain_pairs,
     classical_min_chain_value,
     evaluate_chain,
     lp_min_chain_given_bias,
@@ -29,10 +30,7 @@ from .distributions import (
     average_conditional_distance,
     as_distribution,
     coupling_distance_bound,
-    drop_input,
-    drop_party,
     marginalize,
-    product_distribution,
     read_json_file,
     stat_distance,
     uniform_distribution,
@@ -41,7 +39,6 @@ from .distributions import (
 from .experiment import (
     EstimateReport,
     MissingSettingPairError,
-    chain_pairs,
     estimate_chain_value,
     estimate_from_counts,
     max_locality_bound,

@@ -19,6 +19,7 @@ __all__ = [
     "BruteForceResult",
     "BiasedChainLP",
     "NoiseScanResult",
+    "chain_pairs",
     "evaluate_chain",
     "quantum_chain_closed_form",
     "noisy_chain_closed_form",
@@ -97,6 +98,26 @@ class NoiseScanResult:
     best_value: float
 
 
+# Outcome cells (x, y) that each kind of chain term counts.
+_TERM_CELLS = {"differ": ((0, 1), (1, 0)), "match": ((0, 0), (1, 1))}
+
+# Largest chain length the biased-marginal LP accepts: the dense simplex
+# takes seconds on the 801 x 401 program at N = 100.
+_LP_MAX_N = 100
+
+
+def chain_pairs(n: int) -> list[tuple[int, int, str]]:
+    """The 2N chain-relevant setting pairs with their term kind:
+    ``differ`` terms count unequal outcomes, the ``match`` wrap term counts
+    equal outcomes."""
+    if n < 2:
+        raise ValueError("chain parameter must be at least 2")
+    pairs = [(i, i, "differ") for i in range(n)]
+    pairs += [(i + 1, i, "differ") for i in range(n - 1)]
+    pairs.append((0, n - 1, "match"))
+    return pairs
+
+
 def evaluate_chain(p: ConditionalDistribution, n: int) -> ChainScore:
     """Sum the 2N chained probabilities of a two-party binary table.
 
@@ -105,23 +126,17 @@ def evaluate_chain(p: ConditionalDistribution, n: int) -> ChainScore:
     wrap term pairs Alice 0 with Bob N-1 using the equal-outcome
     probability.
     """
-    if n < 2:
-        raise ValueError("chain parameter must be at least 2")
+    pairs = chain_pairs(n)
     if p.input_sizes != (n, n) or p.output_sizes != (2, 2):
         raise ValueError(
             f"expected a 2-party binary table with {n} settings per side, "
             f"got inputs {p.input_sizes} and outputs {p.output_sizes}"
         )
     t = p.table
-    terms: list[tuple[int, int, float]] = []
-    for i in range(n):
-        q = t[i, i]
-        terms.append((2 * i, 2 * i + 1, float(q[0, 1] + q[1, 0])))
-    for i in range(n - 1):
-        q = t[i + 1, i]
-        terms.append((2 * i + 2, 2 * i + 1, float(q[0, 1] + q[1, 0])))
-    q = t[0, n - 1]
-    terms.append((0, 2 * n - 1, float(q[0, 0] + q[1, 1])))
+    terms = []
+    for a, b, kind in pairs:
+        (x0, y0), (x1, y1) = _TERM_CELLS[kind]
+        terms.append((2 * a, 2 * b + 1, float(t[a, b, x0, y0] + t[a, b, x1, y1])))
     value = math.fsum(c for _, _, c in terms)
     return ChainScore(n, value, tuple(terms))
 
@@ -168,56 +183,36 @@ def classical_min_chain_value(n: int) -> BruteForceResult:
     return BruteForceResult(float(totals[s, t]), witness)
 
 
-def _var(a: int, b: int, x: int, y: int, n: int) -> int:
-    return ((a * n + b) * 2 + x) * 2 + y
+def _chain_pair_lp(n: int, delta: float, branch_x: int):
+    """Equality-form LP data over the 2N chain-pair joints (pair k of
+    :func:`chain_pairs` at columns 4k + 2x + y) plus one surplus variable.
 
-
-def _biased_chain_lp(n: int, delta: float, branch_x: int):
-    """Equality-form LP data: table entries plus one surplus variable."""
-    nv = 4 * n * n + 1
-    c = np.zeros(nv)
-    for i in range(n):
-        for x in (0, 1):
-            c[_var(i, i, x, 1 - x, n)] += 1.0
-    for i in range(n - 1):
-        for x in (0, 1):
-            c[_var(i + 1, i, x, 1 - x, n)] += 1.0
-    for x in (0, 1):
-        c[_var(0, n - 1, x, x, n)] += 1.0
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for a in range(n):  # normalization per setting pair
-        for b in range(n):
-            r = np.zeros(nv)
-            for x in (0, 1):
-                for y in (0, 1):
-                    r[_var(a, b, x, y, n)] = 1.0
-            rows.append(r)
-            rhs.append(1.0)
-    for a in range(n):  # Alice marginal independent of b (x = 0 suffices)
-        for b in range(1, n):
-            r = np.zeros(nv)
-            for y in (0, 1):
-                r[_var(a, b, 0, y, n)] += 1.0
-                r[_var(a, 0, 0, y, n)] -= 1.0
-            rows.append(r)
-            rhs.append(0.0)
-    for b in range(n):  # Bob marginal independent of a (y = 0 suffices)
-        for a in range(1, n):
-            r = np.zeros(nv)
-            for x in (0, 1):
-                r[_var(a, b, x, 0, n)] += 1.0
-                r[_var(0, b, x, 0, n)] -= 1.0
-            rows.append(r)
-            rhs.append(0.0)
-    r = np.zeros(nv)  # bias: P(X = branch_x | A = 0) - surplus = 1/2 + delta
-    for y in (0, 1):
-        r[_var(0, 0, branch_x, y, n)] = 1.0
-    r[-1] = -1.0
-    rows.append(r)
-    rhs.append(0.5 + delta)
-    return c, np.array(rows), np.array(rhs)
+    Rows: one normalisation per pair, one marginal equality per setting
+    (each setting sits in exactly two chain pairs), and the bias row."""
+    pairs = chain_pairs(n)
+    m = len(pairs)
+    c = np.zeros(4 * m + 1)
+    A = np.zeros((2 * m + 1, 4 * m + 1))
+    rhs = np.zeros(2 * m + 1)
+    rhs[:m] = 1.0
+    seen: dict[tuple[int, int], int] = {}
+    row = m
+    for k, (a, b, kind) in enumerate(pairs):
+        for x, y in _TERM_CELLS[kind]:
+            c[4 * k + 2 * x + y] = 1.0
+        A[k, 4 * k : 4 * k + 4] = 1.0
+        # Outcome-0 marginal of each side (x = 0 cells, then y = 0 cells).
+        for side, setting, cols in ((0, a, (0, 1)), (1, b, (0, 2))):
+            first = seen.setdefault((side, setting), k)
+            if first != k:
+                A[row, [4 * k + j for j in cols]] = 1.0
+                A[row, [4 * first + j for j in cols]] = -1.0
+                row += 1
+    # Bias: P(X = branch_x | A = 0) - surplus = 1/2 + delta, read on pair (0, 0).
+    A[-1, 2 * branch_x : 2 * branch_x + 2] = 1.0
+    A[-1, -1] = -1.0
+    rhs[-1] = 0.5 + delta
+    return c, A, rhs
 
 
 def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
@@ -231,20 +226,30 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     both branches are solved and their optima must agree.  The analytic
     lower bound for the optimum is 2*delta.
     """
-    if n not in (2, 3, 4):
-        raise ValueError("LP probe supports N in {2, 3, 4}")
+    if not 2 <= n <= _LP_MAX_N:
+        raise ValueError(f"LP probe supports 2 <= N <= {_LP_MAX_N}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError("delta must lie in [0, 1/2]")
     values: list[float] = []
     solutions: list[np.ndarray] = []
     for branch_x in (0, 1):
-        c, A, b = _biased_chain_lp(n, delta, branch_x)
+        c, A, b = _chain_pair_lp(n, delta, branch_x)
         x, val = solve_equality_lp(c, A, b)
         values.append(val)
         solutions.append(x)
     if abs(values[0] - values[1]) > 1e-9:
         raise ArithmeticError(f"bias branch optima disagree: {values}")
-    table = solutions[0][: 4 * n * n].reshape(n, n, 2, 2)
+    # Off-chain pairs get the product of their two marginals, which keeps
+    # the table non-signaling; chain pairs get their optimal joints.
+    pairs = chain_pairs(n)
+    joints = solutions[0][:-1].reshape(len(pairs), 2, 2)
+    pa = np.empty((n, 2))
+    pb = np.empty((n, 2))
+    for (a, b, _), q in zip(pairs, joints):
+        pa[a], pb[b] = q.sum(axis=1), q.sum(axis=0)
+    table = pa[:, None, :, None] * pb[None, :, None, :]
+    for (a, b, _), q in zip(pairs, joints):
+        table[a, b] = q
     argmin = ConditionalDistribution((n, n), (2, 2), table)
     return BiasedChainLP(
         values[0], values[0] - 2.0 * delta, argmin, (values[0], values[1])

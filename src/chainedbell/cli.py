@@ -4,7 +4,8 @@ Subcommands: qm, check, falsify, scan, experiment, bruteforce, lp.
 JSON goes to stdout; CSV and distribution files go to ``--out`` paths.
 Exit codes: 0 success, 1 falsified / violation found (a valid analysis
 with a negative verdict), 2 usage error (bad arguments or input, or a
-file or stdout that cannot be written), 3 numerical failure.
+file or stdout that cannot be written), 3 numerical failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .experiment import (
     write_shots_csv,
 )
 from .hvm import (
+    _leggett_document,
     falsify_leggett,
     hidden_joint_form,
     induced_distribution,
-    inplane_grid,
     locality_bound_check,
     locality_measure,
     make_locality_report,
@@ -133,17 +134,16 @@ def cmd_check(args) -> tuple[dict, int]:
 
 def cmd_falsify(args) -> tuple[dict, int]:
     raw = json.loads(Path(args.model).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError("model document must be a JSON object")
     n = args.n
     if n < 2:
         raise ValueError("n must be at least 2")
     payload: dict = {"n": n, "model_type": raw.get("type")}
     if args.shots is None and raw.get("type") == "leggett":
-        # Falsification needs only the marginal rule, not the completion.
-        if "vectors" in raw:
-            vectors = np.asarray(raw["vectors"], dtype=float)
-        else:
-            vectors = inplane_grid(int(raw.get("grid", 360)))
-        report = falsify_leggett(n, vectors, raw.get("weights"))
+        # Falsification needs only Alice's marginal rule and weights.
+        vectors, _, _, weights = _leggett_document(raw)
+        report = falsify_leggett(n, vectors, weights)
         payload["mode"] = "exact"
     else:
         model = model_from_json_file(args.model)
@@ -329,6 +329,8 @@ def main(argv=None) -> int:
     ) as exc:
         # AssertionError: a library identity cross-check failed numerically.
         text, code = json.dumps({"error": str(exc)}), 3
+    except MemoryError as exc:
+        text, code = json.dumps({"error": f"out of memory: {exc}"}), 3
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         text, code = json.dumps({"error": str(exc)}), 2
     else:

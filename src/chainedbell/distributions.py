@@ -31,10 +31,7 @@ __all__ = [
     "average_conditional_distance",
     "coupling_distance_bound",
     "as_distribution",
-    "drop_input",
-    "drop_party",
     "uniform_distribution",
-    "product_distribution",
     "read_json_file",
     "write_json_file",
 ]
@@ -243,8 +240,7 @@ def marginalize(
     """Sum out the outputs of every party not in ``keep_outputs``.
 
     Dropped parties keep their inputs and are left with the trivial
-    (size-1) output alphabet; stripping now-redundant inputs is a separate
-    step (see :func:`drop_input`).
+    (size-1) output alphabet.
     """
     keep = sorted({int(i) for i in keep_outputs})
     if not keep:
@@ -411,53 +407,10 @@ def as_distribution(p: ConditionalDistribution) -> Distribution:
     return Distribution(_unconditional_probs(p))
 
 
-def drop_input(
-    p: ConditionalDistribution, party: int, tol: float = NORM_TOL
-) -> ConditionalDistribution:
-    """Remove one party's input axis after checking it is redundant.
-
-    The conditional output table must not depend on that input: the
-    maximum statistical distance between slices across its values (for any
-    other fixed inputs) must stay within ``tol``.
-    """
-    k = p.input_sizes[party]
-    if k > 1:
-        o = int(np.prod(p.output_sizes))
-        arr = np.moveaxis(p.table, party, 0).reshape(k, -1, o)
-        dev = _max_pairwise_tv(arr)
-        if dev > tol:
-            raise ValueError(
-                f"table depends on party {party}'s input (deviation {dev})"
-            )
-    table = np.take(p.table, [0], axis=party)
-    sizes = list(p.input_sizes)
-    sizes[party] = 1
-    return ConditionalDistribution(tuple(sizes), p.output_sizes, table)
-
-
-def drop_party(p: ConditionalDistribution, party: int) -> ConditionalDistribution:
-    """Remove a party whose input and output alphabets are both trivial."""
-    if p.input_sizes[party] != 1 or p.output_sizes[party] != 1:
-        raise ValueError("party still carries a non-trivial input or output")
-    if p.n_parties == 1:
-        raise ValueError("cannot drop the last party")
-    table = np.squeeze(p.table, axis=(party, p.n_parties + party))
-    ins = p.input_sizes[:party] + p.input_sizes[party + 1 :]
-    outs = p.output_sizes[:party] + p.output_sizes[party + 1 :]
-    return ConditionalDistribution(ins, outs, table)
-
-
 def uniform_distribution(sizes: Sequence[int]) -> Distribution:
     """Uniform distribution over the product of the given alphabets."""
     sizes = tuple(int(s) for s in sizes)
     return Distribution(np.full(sizes, 1.0 / float(np.prod(sizes))))
-
-
-def product_distribution(p: Distribution, q: Distribution) -> Distribution:
-    """Independent product; components are concatenated."""
-    pp = _unconditional_probs(p)
-    qq = _unconditional_probs(q)
-    return Distribution(np.multiply.outer(pp, qq))
 
 
 def write_json_file(p: ConditionalDistribution, path: str | Path) -> None:

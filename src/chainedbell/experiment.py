@@ -16,13 +16,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .chained import chain_pairs
 from .distributions import ConditionalDistribution
 from .hvm import HiddenVariableModel, _inverse_cdf
 
 __all__ = [
     "MissingSettingPairError",
     "EstimateReport",
-    "chain_pairs",
     "simulate_shots",
     "estimate_chain_value",
     "estimate_from_counts",
@@ -66,18 +66,6 @@ class EstimateReport:
             "shots_per_pair": self.shots_per_pair,
             "method": self.method,
         }
-
-
-def chain_pairs(n: int) -> list[tuple[int, int, str]]:
-    """The 2N chain-relevant setting pairs with their term kind:
-    ``differ`` terms count unequal outcomes, the ``match`` wrap term counts
-    equal outcomes."""
-    if n < 2:
-        raise ValueError("chain parameter must be at least 2")
-    pairs = [(i, i, "differ") for i in range(n)]
-    pairs += [(i + 1, i, "differ") for i in range(n - 1)]
-    pairs.append((0, n - 1, "match"))
-    return pairs
 
 
 def _source_cdfs(source, n: int):

@@ -235,6 +235,13 @@ def leggett_marginal(measurement, u_vec) -> Distribution:
     return Distribution([p0, 1.0 - p0])
 
 
+def _malus_p0(measurements, vectors: np.ndarray) -> np.ndarray:
+    """P(outcome 0) of :func:`leggett_marginal` for every measurement and
+    hidden unit vector at once, shape (len(measurements), len(vectors))."""
+    bloch = np.array([m.bloch_vector() for m in measurements])
+    return np.clip(0.5 * (1.0 + bloch @ vectors.T), 0.0, 1.0)
+
+
 def inplane_grid(n_points: int = 360) -> np.ndarray:
     """Unit vectors evenly spaced in the measurement (x-z) plane."""
     if n_points < 1:
@@ -249,20 +256,15 @@ def orthogonal_grid() -> np.ndarray:
 
 
 def leggett_model(
-    n: int,
-    u_vectors,
-    v_vectors=None,
-    uv_weights=None,
-    completion: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    n: int, u_vectors, v_vectors=None, uv_weights=None
 ) -> HiddenVariableModel:
     """Leggett-type model bound to the chained layout.
 
     Each side's outcome marginal given its hidden vector follows the
-    squared-overlap rule at that side's chained angles.  ``completion``
-    supplies the joint outcome table for a pair of fixed marginals and
-    exists only to make the model executable shot by shot; the default is
-    the product of the two marginals, which deliberately carries no
-    correlations (it does not reproduce quantum statistics).
+    squared-overlap rule at that side's chained angles.  The joint outcome
+    table is the product of the two marginals: it exists only to make the
+    model executable shot by shot, and deliberately carries no correlations
+    (it does not reproduce quantum statistics).
     """
     setup = MeasurementSetup.chained(n)
     uvecs = _unit_vectors(u_vectors, "u_vectors")
@@ -274,21 +276,11 @@ def leggett_model(
         p_uv = np.asarray(uv_weights, dtype=float)
         if p_uv.shape != (nu, nv):
             raise ValueError("uv_weights shape must match the vector grids")
-    bloch_a = np.array([m.bloch_vector() for m in setup.alice])  # (N, 3)
-    bloch_b = np.array([m.bloch_vector() for m in setup.bob])
-    pa0 = np.clip(0.5 * (1.0 + bloch_a @ uvecs.T), 0.0, 1.0)  # (N, nu)
-    pb0 = np.clip(0.5 * (1.0 + bloch_b @ vvecs.T), 0.0, 1.0)  # (N, nv)
+    pa0 = _malus_p0(setup.alice, uvecs)  # (N, nu)
+    pb0 = _malus_p0(setup.bob, vvecs)  # (N, nv)
     ma = np.stack([pa0, 1.0 - pa0], axis=-1)  # (N, nu, 2)
     mb = np.stack([pb0, 1.0 - pb0], axis=-1)
-    if completion is None:
-        kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    else:
-        kernels = np.empty((n, n, nu, nv, 2, 2))
-        for a in range(n):
-            for b in range(n):
-                for u in range(nu):
-                    for v in range(nv):
-                        kernels[a, b, u, v] = completion(ma[a, u], mb[b, v])
+    kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
     labels_u = [tuple(round(c, 12) for c in vec) for vec in uvecs]
     labels_v = [tuple(round(c, 12) for c in vec) for vec in vvecs]
     return HiddenVariableModel(
@@ -669,11 +661,9 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     distance of about 1/pi per setting, which already exceeds the cap at
     N = 2; vectors orthogonal to the measurement plane contribute nothing.
     """
-    setup = MeasurementSetup.chained(n)
     vecs = _unit_vectors(vectors, "vectors")
     w = _weights(weights, len(vecs), "weights")
-    bloch = np.array([m.bloch_vector() for m in setup.alice])  # (N, 3)
-    p0 = np.clip(0.5 * (1.0 + bloch @ vecs.T), 0.0, 1.0)  # (N, k)
+    p0 = _malus_p0(MeasurementSetup.chained(n).alice, vecs)  # (N, k)
     table = np.empty((n, 1, 2, len(vecs)))
     table[:, 0, 0, :] = w[None, :] * p0
     table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
@@ -681,6 +671,36 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     lm = locality_measure(p_xu)
     bound = 0.5 * quantum_chain_closed_form(n)
     return make_locality_report(lm, bound, 1e-9)
+
+
+def _leggett_document(data: dict):
+    """Hidden-vector grids and weights of a ``leggett`` model document.
+
+    Returns ``(vectors, v_vectors, uv_weights, alice_weights)``: Alice's
+    grid, Bob's grid (None: Alice's), the joint weights and Alice's weights
+    over her grid (None: uniform).  ``uv_weights`` takes precedence over
+    ``weights``, which weigh Alice's grid and Bob's too when he has none of
+    his own.
+    """
+    if "vectors" in data:
+        vectors = np.asarray(data["vectors"], dtype=float)
+    else:
+        vectors = inplane_grid(int(data.get("grid", 360)))
+    v_vectors = (
+        np.asarray(data["v_vectors"], dtype=float) if "v_vectors" in data else None
+    )
+    nv = len(vectors) if v_vectors is None else len(v_vectors)
+    if "uv_weights" in data:
+        uv = np.asarray(data["uv_weights"], dtype=float)
+        if uv.shape != (len(vectors), nv):
+            raise ValueError("uv_weights shape must match the vector grids")
+        return vectors, v_vectors, uv, uv.sum(axis=1)
+    weights = data.get("weights")
+    if weights is None:
+        return vectors, v_vectors, None, None
+    w = _weights(np.asarray(weights, dtype=float), len(vectors), "weights")
+    wv = w if v_vectors is None else np.full(nv, 1.0 / nv)
+    return vectors, v_vectors, np.outer(w, wv), weights
 
 
 def model_from_dict(data: dict) -> HiddenVariableModel:
@@ -695,24 +715,8 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
     except (KeyError, TypeError) as exc:
         raise ValueError("model document needs a 'type' field") from exc
     if kind == "leggett":
-        n = int(data["n"])
-        if "vectors" in data:
-            vectors = np.asarray(data["vectors"], dtype=float)
-        else:
-            vectors = inplane_grid(int(data.get("grid", 360)))
-        v_vectors = (
-            np.asarray(data["v_vectors"], dtype=float) if "v_vectors" in data else None
-        )
-        weights = data.get("weights")
-        uv = None
-        if "uv_weights" in data:
-            uv = np.asarray(data["uv_weights"], dtype=float)
-        elif weights is not None:
-            w = _weights(np.asarray(weights, dtype=float), len(vectors), "weights")
-            nv = len(v_vectors) if v_vectors is not None else len(vectors)
-            wv = w if v_vectors is None else np.full(nv, 1.0 / nv)
-            uv = np.outer(w, wv)
-        return leggett_model(n, vectors, v_vectors, uv)
+        vectors, v_vectors, uv, _ = _leggett_document(data)
+        return leggett_model(int(data["n"]), vectors, v_vectors, uv)
     if kind == "local_deterministic":
         n = int(data["n"])
         uv = np.asarray(data["uv_weights"], dtype=float) if "uv_weights" in data else None

@@ -2,8 +2,8 @@
 
 Bland's smallest-index rule is used for both the entering and the leaving
 variable, so runs are deterministic and cycling is impossible.  Intended
-for the toolkit's programs of at most ~100 variables; no sparsity, no
-presolve.
+for the toolkit's chain-pair programs of at most 801 variables and 401 rows
+(N = 100); no sparsity, no presolve.
 """
 
 from __future__ import annotations

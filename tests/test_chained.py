@@ -20,7 +20,66 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
 )
-from chainedbell.chained import _biased_chain_lp
+from chainedbell.chained import _chain_pair_lp
+
+
+def full_table_lp(n, delta, branch_x):
+    """Reference program over the whole table: all 4N^2 entries plus one
+    surplus variable, with normalisation per setting pair, marginal
+    independence across every pair, and the bias row."""
+
+    def var(a, b, x, y):
+        return ((a * n + b) * 2 + x) * 2 + y
+
+    nv = 4 * n * n + 1
+    c = np.zeros(nv)
+    for i in range(n):
+        for x in (0, 1):
+            c[var(i, i, x, 1 - x)] += 1.0
+    for i in range(n - 1):
+        for x in (0, 1):
+            c[var(i + 1, i, x, 1 - x)] += 1.0
+    for x in (0, 1):
+        c[var(0, n - 1, x, x)] += 1.0
+    rows, rhs = [], []
+    for a in range(n):
+        for b in range(n):
+            r = np.zeros(nv)
+            for x in (0, 1):
+                for y in (0, 1):
+                    r[var(a, b, x, y)] = 1.0
+            rows.append(r)
+            rhs.append(1.0)
+    for a in range(n):
+        for b in range(1, n):
+            r = np.zeros(nv)
+            for y in (0, 1):
+                r[var(a, b, 0, y)] += 1.0
+                r[var(a, 0, 0, y)] -= 1.0
+            rows.append(r)
+            rhs.append(0.0)
+    for b in range(n):
+        for a in range(1, n):
+            r = np.zeros(nv)
+            for x in (0, 1):
+                r[var(a, b, x, 0)] += 1.0
+                r[var(0, b, x, 0)] -= 1.0
+            rows.append(r)
+            rhs.append(0.0)
+    r = np.zeros(nv)
+    for y in (0, 1):
+        r[var(0, 0, branch_x, y)] = 1.0
+    r[-1] = -1.0
+    rows.append(r)
+    rhs.append(0.5 + delta)
+    return c, np.array(rows), np.array(rhs)
+
+
+def scipy_min(program):
+    c, A, b = program
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
 
 
 def brute_force_oracle(n):
@@ -166,17 +225,46 @@ class TestBiasedLP:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_scipy(self, n):
-        # Same program through an independent solver.
+        # The full-table program, through an independent solver.
         for delta in (0.15, 0.35):
-            c, A, b = _biased_chain_lp(n, delta, 0)
-            ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-            assert ref.status == 0
             result = lp_min_chain_given_bias(n, delta)
-            assert result.min_value == pytest.approx(ref.fun, abs=1e-7)
+            for branch_x in (0, 1):
+                ref = scipy_min(full_table_lp(n, delta, branch_x))
+                assert result.branch_values[branch_x] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n, delta", [(5, 0.15), (10, 0.35), (25, 0.05), (50, 0.45)])
+    def test_chain_pair_program_matches_scipy(self, n, delta):
+        result = lp_min_chain_given_bias(n, delta)
+        for branch_x in (0, 1):
+            ref = scipy_min(_chain_pair_lp(n, delta, branch_x))
+            assert result.branch_values[branch_x] == pytest.approx(ref, abs=1e-9)
+        assert result.min_value == pytest.approx(2 * delta, abs=1e-9)
+
+    @pytest.mark.parametrize("n, shape", [(2, (9, 17)), (4, (17, 33)), (100, (401, 801))])
+    def test_program_size_is_linear_in_n(self, n, shape):
+        c, A, b = _chain_pair_lp(n, 0.2, 0)
+        assert A.shape == shape and c.shape == (shape[1],) and b.shape == (shape[0],)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_argmin_completes_off_chain_pairs(self, n):
+        # Off-chain pairs hold the product of their marginals: the table is
+        # non-signaling, meets the bias and scores the optimum.
+        delta = 0.3
+        result = lp_min_chain_given_bias(n, delta)
+        argmin = result.argmin
+        assert assert_nonsignaling(argmin, 1e-12).passed
+        assert argmin.table[0, 0, 0, :].sum() - 0.5 >= delta - 1e-12
+        assert evaluate_chain(argmin, n).value == pytest.approx(result.min_value, abs=1e-12)
+
+    def test_tight_at_n_100(self):
+        result = lp_min_chain_given_bias(100, 0.3)
+        assert abs(result.gap) <= 1e-9
+        assert abs(result.branch_values[0] - result.branch_values[1]) <= 1e-9
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            lp_min_chain_given_bias(5, 0.1)
+        for n in (1, 101):
+            with pytest.raises(ValueError):
+                lp_min_chain_given_bias(n, 0.1)
         with pytest.raises(ValueError):
             lp_min_chain_given_bias(2, 0.6)
 

@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,14 @@ from chainedbell import (
 )
 from chainedbell import cli
 from chainedbell.cli import main
+
+
+def module_env():
+    """Environment for a ``python -m chainedbell`` child that imports the
+    same package as the tests, whether or not it is installed."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +197,43 @@ class TestFalsify:
         path.write_text(json.dumps({"type": "nonlocal_qm", "n": 3}))
         code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
         assert code == 2
+
+    def test_exact_leggett_reads_uv_weights(self, capsys, tmp_path):
+        # All of Alice's weight sits on the in-plane vector; exact mode must
+        # see it as the model and Monte-Carlo routes do.
+        path = tmp_path / "uv.json"
+        path.write_text(json.dumps({
+            "type": "leggett", "n": 2, "vectors": [[0, 0, 1], [0, 1, 0]],
+            "uv_weights": [[0.5, 0.5], [0, 0]],
+        }))
+        code, exact = run_cli(capsys, "falsify", str(path), "--n", "2")
+        assert code == 1
+        assert exact["mode"] == "exact"
+        assert exact["max_distance"] == pytest.approx(0.5, abs=1e-12)
+        code, sampled = run_cli(
+            capsys, "falsify", str(path), "--n", "2", "--shots", "200000", "--seed", "3"
+        )
+        assert code == 1
+        assert sampled["max_distance"] == pytest.approx(0.5, abs=1e-2)
+
+    def test_uv_weights_shape_mismatch_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "uv.json"
+        path.write_text(json.dumps({
+            "type": "leggett", "n": 2, "vectors": [[0, 0, 1], [0, 1, 0]],
+            "uv_weights": [[1.0]],
+        }))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
+        assert code == 2
+        assert "uv_weights" in payload["error"]
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    @pytest.mark.parametrize("document", [[1, 2], "leggett", 3, None])
+    def test_non_object_document_is_usage_error(self, capsys, tmp_path, document, shots):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *shots)
+        assert code == 2
+        assert "JSON object" in payload["error"]
 
 
 class TestScan:
@@ -416,6 +463,57 @@ class TestBruteforceAndLp:
     def test_lp_domain_error(self, capsys):
         code, _ = run_cli(capsys, "lp", "--n", "2", "--delta", "0.7")
         assert code == 2
+        code, payload = run_cli(capsys, "lp", "--n", "101", "--delta", "0.3")
+        assert code == 2
+        assert "2 <= N <= 100" in payload["error"]
+
+
+class TestGoldenLp:
+    """Values recorded from the full-table program; the chain-pair program
+    must reproduce them bit for bit.  At N >= 3 the solver may return
+    another optimal vertex, so only N = 2 pins the argmin."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "delta, min_value, gap",
+        [
+            ("0.1", 0.19999999999999996, -5.551115123125783e-17),
+            ("0.3", 0.6000000000000001, 1.1102230246251565e-16),
+            ("0.4567", 0.9134, 0.0),
+        ],
+    )
+    def test_values(self, capsys, n, delta, min_value, gap):
+        code, payload = run_cli(capsys, "lp", "--n", str(n), "--delta", delta)
+        assert code == 0
+        assert payload["min_value"] == min_value
+        assert payload["gap"] == gap
+        assert payload["branch_values"] == [min_value, min_value]
+
+    @pytest.mark.parametrize(
+        "delta, table",
+        [
+            (
+                "0.3",
+                [0.8, 0.0, 0.0, 0.19999999999999996,
+                 0.6000000000000001, 0.19999999999999996, 0.19999999999999996, 0.0,
+                 0.8, 0.0, 0.0, 0.19999999999999996,
+                 0.8, 0.0, 0.0, 0.19999999999999996],
+            ),
+            (
+                "0.4567",
+                [0.9567, 0.0, 0.0, 0.043300000000000005,
+                 0.9134, 0.043300000000000005, 0.043300000000000005, 0.0,
+                 0.9567, 0.0, 0.0, 0.043300000000000005,
+                 0.9567, 0.0, 0.0, 0.043300000000000005],
+            ),
+        ],
+    )
+    def test_argmin_at_n_2(self, capsys, delta, table):
+        code, payload = run_cli(capsys, "lp", "--n", "2", "--delta", delta)
+        assert code == 0
+        assert payload["argmin"] == {
+            "parties": 2, "outputs": [2, 2], "inputs": [2, 2], "table": table,
+        }
 
 
 class TestHarness:
@@ -435,6 +533,15 @@ class TestHarness:
         assert code == 3
         assert payload == {"error": "distance identity violated: 0.1 vs 0.2"}
 
+    def test_out_of_memory_is_numerical_failure(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 38.6 GiB")
+
+        monkeypatch.setattr(cli, "lp_min_chain_given_bias", exhausted)
+        code, payload = run_cli(capsys, "lp", "--n", "2", "--delta", "0.1")
+        assert code == 3
+        assert payload == {"error": "out of memory: Unable to allocate 38.6 GiB"}
+
     def test_closed_stdout_exits_two_without_traceback(self):
         # The payload (about 360 kB) is far larger than a pipe buffer, so
         # writing it fails once the reader has gone.
@@ -442,6 +549,7 @@ class TestHarness:
             [sys.executable, "-m", "chainedbell", "qm", "60"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=module_env(),
         )
         try:
             assert proc.stdout.readline() == b"{\n"
@@ -457,6 +565,7 @@ class TestHarness:
             [sys.executable, "-m", "chainedbell", "qm", "2"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)

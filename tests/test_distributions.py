@@ -17,11 +17,8 @@ from chainedbell import (
     average_conditional_distance,
     as_distribution,
     coupling_distance_bound,
-    drop_input,
-    drop_party,
     locality_bound_check,
     marginalize,
-    product_distribution,
     qm_chained_distribution,
     read_json_file,
     stat_distance,
@@ -318,30 +315,6 @@ class TestCouplingBound:
 
 
 class TestHelpers:
-    def test_drop_input_checks_dependence(self):
-        rng = np.random.default_rng(9)
-        pa = random_conditional(rng, (3,), (2,))
-        table = np.repeat(pa.table[:, None, :], 4, axis=1).reshape(3, 4, 2, 1)
-        p = ConditionalDistribution((3, 4), (2, 1), table)
-        q = drop_input(p, 1)
-        assert q.input_sizes == (3, 1)
-        dependent = random_conditional(rng, (3, 4), (2, 1))
-        with pytest.raises(ValueError, match="depends"):
-            drop_input(dependent, 1)
-
-    def test_drop_party(self):
-        p = ConditionalDistribution((2, 1), (2, 1), np.full((2, 1, 2, 1), 0.5))
-        q = drop_party(p, 1)
-        assert q.input_sizes == (2,) and q.output_sizes == (2,)
-        with pytest.raises(ValueError, match="non-trivial"):
-            drop_party(p, 0)
-
-    def test_product_distribution(self):
-        p = Distribution([0.2, 0.8])
-        q = Distribution([0.5, 0.5])
-        pq = product_distribution(p, q)
-        assert pq.probs[0, 1] == pytest.approx(0.1, abs=1e-15)
-
     def test_conditional_accessor(self):
         rng = np.random.default_rng(12)
         p = random_conditional(rng, (3, 2), (2, 2))
