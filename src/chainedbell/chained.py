@@ -3,7 +3,6 @@ brute-force minimum, and the biased-marginal linear program."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -158,6 +157,24 @@ def noisy_chain_closed_form(n: int, visibility: float) -> float:
     return visibility * quantum_chain_closed_form(n) + (1.0 - visibility) * n
 
 
+def _strategy_scores(n: int) -> np.ndarray:
+    """Chain values of all 4^N deterministic strategy pairs, as a
+    ``(2^N, 2^N)`` array indexed by (Alice index, Bob index).
+
+    Each score is ``popcount(s ^ t) + popcount(r ^ t)``, where ``r`` is
+    ``s`` rotated left by one within N bits with bit 0 flipped; see
+    :func:`classical_min_chain_value` for the terms this counts."""
+    size = 1 << n
+    idx = np.arange(size, dtype=np.uint16)
+    pop = np.zeros(size, dtype=np.uint8)
+    for k in range(n):
+        pop[1 << k : 2 << k] = pop[: 1 << k] + 1
+    r = (((idx << 1) | (idx >> (n - 1))) & (size - 1)) ^ 1
+    scores = np.take(pop, np.bitwise_xor.outer(idx, idx))
+    scores += np.take(pop, np.bitwise_xor.outer(r, idx))
+    return scores
+
+
 def classical_min_chain_value(n: int) -> BruteForceResult:
     """Exhaustively minimize the chain value over the 4^N deterministic
     local strategy pairs.
@@ -165,22 +182,30 @@ def classical_min_chain_value(n: int) -> BruteForceResult:
     The chain value is linear in the table, so its minimum over shared-
     randomness mixtures is attained at a deterministic pair; ties break to
     the smallest (alice, bob) assignment index.
+
+    Strategy index ``s`` (row-major ``itertools.product`` order) maps
+    setting ``i`` to bit ``(s >> (N-1-i)) & 1``.  The pair ``(s, t)``
+    (Alice ``f``, Bob ``g``) then scores three popcount terms:
+
+    - ``popcount(s ^ t)``: the N terms ``f[i] != g[i]``;
+    - ``popcount(((s << 1) ^ t) & (2^N - 2))``: the N-1 terms
+      ``f[i+1] != g[i]``;
+    - ``1 - (((s >> (N-1)) ^ t) & 1)``: the wrap term ``f[0] == g[N-1]``.
+
+    The last two read bits 1..N-1 and bit 0 of one word, ``s`` rotated left
+    by one with bit 0 flipped, so every pair costs two XORs and two table
+    lookups.  Every pair is scored.
     """
     if not 2 <= n <= 10:
         raise ValueError("brute force supports 2 <= N <= 10")
-    bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
-    f = bits[:, None, :]  # Alice assignments
-    g = bits[None, :, :]  # Bob assignments
-    adj_same = (f != g).sum(axis=2)
-    adj_next = (f[:, :, 1:] != g[:, :, :-1]).sum(axis=2)
-    wrap = (f[:, :, 0] == g[:, :, n - 1]).astype(np.int64)
-    totals = adj_same + adj_next + wrap
-    flat = int(np.argmin(totals))  # first minimum in row-major order
-    s, t = divmod(flat, totals.shape[1])
+    scores = _strategy_scores(n)
+    flat = int(np.argmin(scores))  # first minimum in row-major order
+    s, t = divmod(flat, scores.shape[1])
     witness = DeterministicStrategy(
-        tuple(int(x) for x in bits[s]), tuple(int(x) for x in bits[t])
+        tuple((s >> (n - 1 - i)) & 1 for i in range(n)),
+        tuple((t >> (n - 1 - i)) & 1 for i in range(n)),
     )
-    return BruteForceResult(float(totals[s, t]), witness)
+    return BruteForceResult(float(scores[s, t]), witness)
 
 
 def _chain_pair_lp(n: int, delta: float, branch_x: int):

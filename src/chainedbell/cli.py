@@ -142,7 +142,9 @@ def cmd_falsify(args) -> tuple[dict, int]:
     payload: dict = {"n": n, "model_type": raw.get("type")}
     if args.shots is None and raw.get("type") == "leggett":
         # Falsification needs only Alice's marginal rule and weights.
-        vectors, _, _, weights = _leggett_document(raw)
+        doc_n, vectors, _, _, weights = _leggett_document(raw)
+        if doc_n != n:
+            raise ValueError("model chain length does not match --n")
         report = falsify_leggett(n, vectors, weights)
         payload["mode"] = "exact"
     else:

@@ -674,14 +674,16 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
 
 
 def _leggett_document(data: dict):
-    """Hidden-vector grids and weights of a ``leggett`` model document.
+    """Chain length, hidden-vector grids and weights of a ``leggett`` model
+    document.
 
-    Returns ``(vectors, v_vectors, uv_weights, alice_weights)``: Alice's
-    grid, Bob's grid (None: Alice's), the joint weights and Alice's weights
-    over her grid (None: uniform).  ``uv_weights`` takes precedence over
-    ``weights``, which weigh Alice's grid and Bob's too when he has none of
-    his own.
+    Returns ``(n, vectors, v_vectors, uv_weights, alice_weights)``: the
+    document's N, Alice's grid, Bob's grid (None: Alice's), the joint
+    weights and Alice's weights over her grid (None: uniform).
+    ``uv_weights`` takes precedence over ``weights``, which weigh Alice's
+    grid and Bob's too when he has none of his own.
     """
+    n = int(data["n"])
     if "vectors" in data:
         vectors = np.asarray(data["vectors"], dtype=float)
     else:
@@ -694,13 +696,16 @@ def _leggett_document(data: dict):
         uv = np.asarray(data["uv_weights"], dtype=float)
         if uv.shape != (len(vectors), nv):
             raise ValueError("uv_weights shape must match the vector grids")
-        return vectors, v_vectors, uv, uv.sum(axis=1)
+        # Row sums can be valid weights while an entry is negative.
+        if not np.all(uv >= -NORM_TOL):
+            raise ValueError("uv_weights must be non-negative")
+        return n, vectors, v_vectors, uv, uv.sum(axis=1)
     weights = data.get("weights")
     if weights is None:
-        return vectors, v_vectors, None, None
+        return n, vectors, v_vectors, None, None
     w = _weights(np.asarray(weights, dtype=float), len(vectors), "weights")
     wv = w if v_vectors is None else np.full(nv, 1.0 / nv)
-    return vectors, v_vectors, np.outer(w, wv), weights
+    return n, vectors, v_vectors, np.outer(w, wv), weights
 
 
 def model_from_dict(data: dict) -> HiddenVariableModel:
@@ -715,8 +720,8 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
     except (KeyError, TypeError) as exc:
         raise ValueError("model document needs a 'type' field") from exc
     if kind == "leggett":
-        vectors, v_vectors, uv, _ = _leggett_document(data)
-        return leggett_model(int(data["n"]), vectors, v_vectors, uv)
+        n, vectors, v_vectors, uv, _ = _leggett_document(data)
+        return leggett_model(n, vectors, v_vectors, uv)
     if kind == "local_deterministic":
         n = int(data["n"])
         uv = np.asarray(data["uv_weights"], dtype=float) if "uv_weights" in data else None

@@ -20,7 +20,7 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
 )
-from chainedbell.chained import _chain_pair_lp
+from chainedbell.chained import _chain_pair_lp, _strategy_scores
 
 
 def full_table_lp(n, delta, branch_x):
@@ -93,6 +93,18 @@ def brute_force_oracle(n):
             if best is None or total < best[0]:
                 best = (total, f, g)
     return best
+
+
+def broadcast_scores(n):
+    """Reference scores of all strategy pairs: an int8 broadcast of the
+    ``itertools.product`` bits with one ``sum`` per kind of chain term."""
+    bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
+    f = bits[:, None, :]  # Alice assignments
+    g = bits[None, :, :]  # Bob assignments
+    adj_same = (f != g).sum(axis=2)
+    adj_next = (f[:, :, 1:] != g[:, :, :-1]).sum(axis=2)
+    wrap = (f[:, :, 0] == g[:, :, n - 1]).astype(np.int64)
+    return bits, adj_same + adj_next + wrap
 
 
 class TestEvaluateChain:
@@ -170,6 +182,22 @@ class TestClassicalMinimum:
         # Smallest-index tie break reproduces the oracle's first witness.
         assert result.witness.alice_map == f
         assert result.witness.bob_map == g
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_scores_match_broadcast_reference(self, n):
+        _, reference = broadcast_scores(n)
+        scores = _strategy_scores(n)
+        assert scores.shape == (2**n, 2**n)
+        assert np.array_equal(scores, reference)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_broadcast_argmin(self, n):
+        bits, reference = broadcast_scores(n)
+        s, t = divmod(int(np.argmin(reference)), reference.shape[1])
+        result = classical_min_chain_value(n)
+        assert result.min_value == float(reference[s, t])
+        assert result.witness.alice_map == tuple(int(x) for x in bits[s])
+        assert result.witness.bob_map == tuple(int(x) for x in bits[t])
 
     def test_witness_achieves_the_minimum(self):
         result = classical_min_chain_value(5)

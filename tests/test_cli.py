@@ -227,6 +227,26 @@ class TestFalsify:
         assert "uv_weights" in payload["error"]
 
     @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    def test_leggett_chain_length_mismatch_is_usage_error(self, capsys, tmp_path, shots):
+        path = tmp_path / "n3.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 3, "vectors": [[0, 0, 1]]}))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *shots)
+        assert code == 2
+        assert "does not match --n" in payload["error"]
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    def test_negative_uv_weight_is_usage_error(self, capsys, tmp_path, shots):
+        # Row sums (0, 1) are valid Alice weights; the -1 entry is not.
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({
+            "type": "leggett", "n": 2, "vectors": [[0, 0, 1], [1, 0, 0]],
+            "uv_weights": [[1, -1], [0, 1]],
+        }))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *shots)
+        assert code == 2
+        assert "non-negative" in payload["error"]
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
     @pytest.mark.parametrize("document", [[1, 2], "leggett", 3, None])
     def test_non_object_document_is_usage_error(self, capsys, tmp_path, document, shots):
         path = tmp_path / "m.json"
@@ -466,6 +486,37 @@ class TestBruteforceAndLp:
         code, payload = run_cli(capsys, "lp", "--n", "101", "--delta", "0.3")
         assert code == 2
         assert "2 <= N <= 100" in payload["error"]
+
+
+class TestGoldenBruteforce:
+    """Full stdout of ``bruteforce --n k`` recorded from the broadcast
+    implementation, as sha256 of the bytes; the witness tie-break (first
+    row-major minimum) is part of the contract."""
+
+    @pytest.mark.parametrize(
+        "n, stdout_sha256",
+        [
+            (2, "ca7be129d377c3968d5de9df2ac2aeb7c655a0fd6b55ea4bddc7432089304b70"),
+            (3, "b82a980706f8a8597f7bf9b79a7a7d8ebf11f477c6d40fcb15f2ab8d83bf156c"),
+            (4, "5d864e0bb2525635abd36509a404f4521812b7dd621dd32fb967508db7f0346f"),
+            (5, "71442bd214634262edc476e4fd048e4ca5e6452cbb9771367e51a41dcf3818f9"),
+            (6, "6950abb228ecb9c3c1ad32f2ce7cf76ab94ccd6c0c4a87b17bbeb604fbd601cb"),
+            (7, "81f3265aa7444dd46d3bc88bad26f6604de6b3b160098c7b338efdda30ec901a"),
+            (8, "ba251b26720f82167d94d1f906aa56ad7f78e5031c00c092108a6c55a81dc4c4"),
+            (9, "5693600da824780851cd64f5aac204ad53f7e59d51f3b328e702dcf8cf3e1c14"),
+            (10, "e5c0a5c51055166e7c4508f274de7ec12a19bf50d17d58f872f8100b737a49fb"),
+        ],
+    )
+    def test_stdout(self, capsys, n, stdout_sha256):
+        code = main(["bruteforce", "--n", str(n)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out) == {
+            "n": n,
+            "min_value": 1.0,
+            "witness": {"alice_map": [0] * n, "bob_map": [0] * n},
+        }
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
 
 
 class TestGoldenLp:
