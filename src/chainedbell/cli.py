@@ -32,6 +32,7 @@ from .chained import (
 from .distributions import (
     ConditionalDistribution,
     Distribution,
+    _load_json,
     assert_nonsignaling,
     read_json_file,
     write_json_file,
@@ -52,6 +53,7 @@ from .hvm import (
     locality_bound_check,
     locality_measure,
     make_locality_report,
+    model_from_dict,
     model_from_json_file,
     xu_conditional,
 )
@@ -133,7 +135,7 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_falsify(args) -> tuple[dict, int]:
-    raw = json.loads(Path(args.model).read_text())
+    raw = _load_json(args.model)
     if not isinstance(raw, dict):
         raise ValueError("model document must be a JSON object")
     n = args.n
@@ -148,7 +150,7 @@ def cmd_falsify(args) -> tuple[dict, int]:
         report = falsify_leggett(n, vectors, weights)
         payload["mode"] = "exact"
     else:
-        model = model_from_json_file(args.model)
+        model = model_from_dict(raw)
         if model.n_settings != n:
             raise ValueError("model chain length does not match --n")
         if args.shots is None:

@@ -122,14 +122,16 @@ class ConditionalDistribution:
             raise ValueError("need one input value per party")
         return Distribution(self.table[inputs])
 
-    def to_dict(self) -> dict:
-        """JSON-ready form: sizes plus the flat row-major table."""
+    def _size_fields(self) -> dict:
         return {
             "parties": self.n_parties,
             "outputs": list(self.output_sizes),
             "inputs": list(self.input_sizes),
-            "table": self.table.ravel().tolist(),
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready form: sizes plus the flat row-major table."""
+        return {**self._size_fields(), "table": self.table.ravel().tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConditionalDistribution":
@@ -138,7 +140,8 @@ class ConditionalDistribution:
             outputs = [int(s) for s in data["outputs"]]
             inputs = [int(s) for s in data["inputs"]]
             flat = np.asarray(data["table"], dtype=float)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
+            # OverflowError: a size of 1e400 parses as infinity.
             raise ValueError(f"malformed distribution document: {exc}") from exc
         if len(outputs) != n or len(inputs) != n:
             raise ValueError("party count does not match the size lists")
@@ -413,9 +416,40 @@ def uniform_distribution(sizes: Sequence[int]) -> Distribution:
     return Distribution(np.full(sizes, 1.0 / float(np.prod(sizes))))
 
 
+def _json_float_list(flat: np.ndarray) -> str:
+    """``json.dumps(flat.tolist())`` for a 1-d float64 array, without the
+    brackets, formatting each distinct value once.
+
+    Values are keyed by their bits, so ``0.0`` and ``-0.0`` keep their own
+    text.  Table entries are finite by construction (the table constructor
+    rejects NaN and infinities), so json's ``NaN``/``Infinity`` spellings
+    never arise and need no branch here.
+    """
+    keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = np.fromiter(map(repr, keys.view(np.float64).tolist()), object, len(keys))
+    return ", ".join(text[inverse].tolist())
+
+
 def write_json_file(p: ConditionalDistribution, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(p.to_dict()) + "\n")
+    """Write ``json.dumps(p.to_dict()) + "\\n"``, byte for byte.
+
+    A chained table holds few distinct values (an N=200 quantum table has
+    1 607 among 160 000 entries), so the table is formatted by
+    :func:`_json_float_list` and spliced after the size fields.
+    """
+    head = json.dumps(p._size_fields())[:-1]  # drop the closing brace
+    table = _json_float_list(p.table.ravel())
+    Path(path).write_text(f'{head}, "table": [{table}]}}\n')
+
+
+def _load_json(path: str | Path):
+    """Parse a JSON file.  A document nested too deeply for the parser is a
+    malformed input (ValueError), not a crash."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON document nested too deeply") from exc
 
 
 def read_json_file(path: str | Path) -> ConditionalDistribution:
-    return ConditionalDistribution.from_dict(json.loads(Path(path).read_text()))
+    return ConditionalDistribution.from_dict(_load_json(path))

@@ -14,7 +14,6 @@ orthogonal vectors deterministic, which is not the intended physics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ from .distributions import (
     NORM_TOL,
     ConditionalDistribution,
     Distribution,
+    _load_json,
     _max_pairwise_tv,
     assert_nonsignaling,
     stat_distance,
@@ -100,6 +100,9 @@ class HiddenVariableModel:
             raise ValueError(
                 f"kernels must have shape (N, N, n_u, n_v, 2, 2), got {kernels.shape}"
             )
+        # NaN compares false against every bound below, so reject it first.
+        if not np.all(np.isfinite(kernels)):
+            raise ValueError("kernel entries must be finite")
         if kernels.min() < -NORM_TOL:
             raise ValueError("kernel entries must be non-negative")
         kernels = np.clip(kernels, 0.0, None)
@@ -110,6 +113,8 @@ class HiddenVariableModel:
         p_uv = np.asarray(p_uv, dtype=float)
         if p_uv.shape != kernels.shape[2:4]:
             raise ValueError("p_uv shape must match the kernel hidden alphabets")
+        if not np.all(np.isfinite(p_uv)):
+            raise ValueError("hidden-variable weights must be finite")
         if p_uv.min() < -NORM_TOL:
             raise ValueError("hidden-variable weights must be non-negative")
         p_uv = np.clip(p_uv, 0.0, None)
@@ -195,6 +200,8 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
         raise ValueError(f"{name} must be a non-empty (k, 3) array of vectors")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     norms = np.sqrt((arr * arr).sum(axis=1))
     if np.abs(norms - 1.0).max() > VECTOR_TOL:
         raise ValueError(f"{name} must contain unit vectors")
@@ -207,6 +214,8 @@ def _weights(weights, k: int, name: str) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (k,):
         raise ValueError(f"{name} must have length {k}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
     if w.min() < -NORM_TOL:
         raise ValueError(f"{name} must be non-negative")
     w = np.clip(w, 0.0, None)
@@ -297,8 +306,11 @@ def local_deterministic_model(
     Hidden index u picks Alice's lookup table and v picks Bob's;
     ``uv_weights`` (default uniform product) may correlate the two.
     """
-    at = np.asarray(alice_tables, dtype=np.int64)
-    bt = np.asarray(bob_tables, dtype=np.int64)
+    try:
+        at = np.asarray(alice_tables, dtype=np.int64)
+        bt = np.asarray(bob_tables, dtype=np.int64)
+    except OverflowError as exc:  # 1e400 or 10**30 in a table
+        raise ValueError("strategy outputs must be bits") from exc
     if at.ndim != 2 or at.shape[1] != n or bt.ndim != 2 or bt.shape[1] != n:
         raise ValueError("strategy tables must have shape (k, N)")
     if not (np.isin(at, (0, 1)).all() and np.isin(bt, (0, 1)).all()):
@@ -331,7 +343,7 @@ def nonlocal_qm_model(
     if n_u < 1 or n_v < 1:
         raise ValueError("n_u and n_v must be at least 1")
     base = qm_chained_distribution(n)
-    if visibility < 1.0:
+    if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
         base = mix_with_noise(base, visibility)
     wu = _weights(u_weights, n_u, "u_weights")
     wv = _weights(v_weights, n_v, "v_weights")
@@ -673,6 +685,15 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     return make_locality_report(lm, bound, 1e-9)
 
 
+def _int_field(data: dict, key: str, default: int | None = None) -> int:
+    """Integer field of a model document.  ``int`` raises OverflowError on
+    an infinite number (``1e400`` parses as one); that is a usage error."""
+    try:
+        return int(data[key] if default is None else data.get(key, default))
+    except OverflowError as exc:
+        raise ValueError(f"{key} must be a finite integer") from exc
+
+
 def _leggett_document(data: dict):
     """Chain length, hidden-vector grids and weights of a ``leggett`` model
     document.
@@ -683,11 +704,11 @@ def _leggett_document(data: dict):
     ``uv_weights`` takes precedence over ``weights``, which weigh Alice's
     grid and Bob's too when he has none of his own.
     """
-    n = int(data["n"])
+    n = _int_field(data, "n")
     if "vectors" in data:
         vectors = np.asarray(data["vectors"], dtype=float)
     else:
-        vectors = inplane_grid(int(data.get("grid", 360)))
+        vectors = inplane_grid(_int_field(data, "grid", 360))
     v_vectors = (
         np.asarray(data["v_vectors"], dtype=float) if "v_vectors" in data else None
     )
@@ -723,7 +744,7 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
         n, vectors, v_vectors, uv, _ = _leggett_document(data)
         return leggett_model(n, vectors, v_vectors, uv)
     if kind == "local_deterministic":
-        n = int(data["n"])
+        n = _int_field(data, "n")
         uv = np.asarray(data["uv_weights"], dtype=float) if "uv_weights" in data else None
         if uv is None and "u_weights" in data:
             uv = np.outer(
@@ -735,10 +756,10 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
         )
     if kind == "nonlocal_qm":
         return nonlocal_qm_model(
-            int(data["n"]),
+            _int_field(data, "n"),
             float(data.get("visibility", 1.0)),
-            int(data.get("n_u", 1)),
-            int(data.get("n_v", 1)),
+            _int_field(data, "n_u", 1),
+            _int_field(data, "n_v", 1),
         )
     if kind == "custom_table":
         dist = ConditionalDistribution.from_dict(data["distribution"])
@@ -747,4 +768,4 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
 
 
 def model_from_json_file(path: str | Path) -> HiddenVariableModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(_load_json(path))

@@ -256,6 +256,97 @@ class TestFalsify:
         assert "JSON object" in payload["error"]
 
 
+class TestHostileDocuments:
+    """Inputs that once got a verdict or a traceback; every mode that reads
+    the document must call them a usage error (exit 2)."""
+
+    MODES = {
+        "falsify": ("falsify", "{}", "--n", "2"),
+        "falsify_shots": ("falsify", "{}", "--n", "2", "--shots", "1000", "--seed", "1"),
+        "experiment": ("experiment", "--source", "{}", "--n", "2", "--shots", "1000",
+                       "--seed", "1"),
+    }
+    NAN = float("nan")
+    NON_FINITE = {
+        "u_weights": {"type": "local_deterministic", "n": 2,
+                      "alice_tables": [[0, 0], [1, 1]], "bob_tables": [[0, 0]],
+                      "u_weights": [NAN, 1], "v_weights": [1]},
+        "uv_weights": {"type": "local_deterministic", "n": 2,
+                       "alice_tables": [[0, 0], [1, 1]], "bob_tables": [[0, 0]],
+                       "uv_weights": [[NAN], [1]]},
+        "vectors": {"type": "leggett", "n": 2, "vectors": [[NAN, 0, 0], [0, 0, 1]]},
+        "weights": {"type": "leggett", "n": 2, "vectors": [[1, 0, 0], [0, 0, 1]],
+                    "weights": [NAN, 1]},
+        "visibility": {"type": "nonlocal_qm", "n": 2, "visibility": NAN},
+    }
+
+    def run_mode(self, capsys, mode, path):
+        return run_cli(capsys, *(arg.format(path) for arg in self.MODES[mode]))
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("field", list(NON_FINITE))
+    def test_non_finite_model_input_is_usage_error(self, capsys, tmp_path, mode, field):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(self.NON_FINITE[field]))  # writes a bare NaN
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert "finite" in payload["error"] or "visibility" in payload["error"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ('{"type": "nonlocal_qm", "n": 1e400}', "finite integer"),
+            ('{"type": "local_deterministic", "n": 2, "alice_tables": [[1e400, 0]],'
+             ' "bob_tables": [[0, 0]]}', "bits"),
+            ('{"type": "local_deterministic", "n": 2, "alice_tables": [[0, 0]],'
+             ' "bob_tables": [[1000000000000000000000000000000, 0]]}', "bits"),
+        ],
+        ids=["n", "table_infinity", "table_big_int"],
+    )
+    def test_integer_overflow_is_usage_error(self, capsys, tmp_path, mode, document, error):
+        # int() and int64 casts raise OverflowError, an ArithmeticError that
+        # would otherwise exit 3.
+        path = tmp_path / "big.json"
+        path.write_text(document)
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert error in payload["error"]
+
+    @pytest.mark.parametrize("mode", [*MODES, "check"])
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_deep_nesting_is_usage_error(self, capsys, tmp_path, mode, opener):
+        path = tmp_path / "deep.json"
+        path.write_text(opener * 100_000)
+        if mode == "check":
+            code, payload = run_cli(capsys, "check", str(path))
+        else:
+            code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert "nested too deeply" in payload["error"]
+
+    def test_infinite_table_size_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"parties": 2, "outputs": [2, 2], "inputs": [1e400, 2], "table": []}'
+        )
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert "malformed distribution document" in payload["error"]
+
+    @pytest.mark.parametrize("mode", ["falsify", "falsify_shots"])
+    def test_falsify_reads_the_model_file_once(self, capsys, tmp_path, monkeypatch, mode):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"type": "nonlocal_qm", "n": 2}))
+        reads = []
+        load = cli._load_json
+        monkeypatch.setattr(cli, "_load_json", lambda p: reads.append(p) or load(p))
+        monkeypatch.setattr(cli, "model_from_json_file", None)
+        code, _ = self.run_mode(capsys, mode, path)
+        assert code == 0
+        assert reads == [path]
+
+
 class TestScan:
     def test_rows_and_values(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
@@ -565,6 +656,39 @@ class TestGoldenLp:
         assert payload["argmin"] == {
             "parties": 2, "outputs": [2, 2], "inputs": [2, 2], "table": table,
         }
+
+
+class TestGoldenFiles:
+    """sha256 of the table files that ``qm --out`` and ``lp --out`` wrote
+    when every entry was formatted by ``json.dumps``; the memoised writer
+    must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, file_sha256",
+        [
+            (("qm", "2"), "32a9a6155fa6eeb8e5fb2b84b71f85fde131a1daaa014e47dd39d86837615d14"),
+            (("qm", "2", "--visibility", "0.93"),
+             "f0aecb395e9bd3a6248875078146fe7b54ef1023f143c5565ab00f00ae76dbc5"),
+            (("qm", "23"), "9a5d4b3544c73b89663f643e630153af666ed44a5e7dbab1b47599f34ca7d040"),
+            (("qm", "23", "--visibility", "0.93"),
+             "8e0aee8d1f9a3e49f361889cbd38014502e21fd8f1dc23d3b27cd5bd92849361"),
+            (("qm", "101"), "20f28ca0603e8f0d816326bf84f5680b7362b0205db7995b4c9921f83219993c"),
+            (("qm", "101", "--visibility", "0.93"),
+             "aa8d97bbcbe58b474c3376974b2341dedbd7b03483cade0f15b21e0d8b780edd"),
+            (("qm", "200"), "496d44e3fe870b4607b49d480061cc3098cc965dc0b3bd87bba10dea3c34f1fc"),
+            (("qm", "200", "--visibility", "0.93"),
+             "3ee95e57f5a37a6a2b3ec3946ba33b8b8fea4c17146d697879b6cdfa1dd3daa1"),
+            (("lp", "--n", "3", "--delta", "0.2"),
+             "d9ec2b27f9388124210c2d2f8b8505bbef835c3cee0e4cc83292a10bc920b354"),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_out_file(self, capsys, tmp_path, argv, file_sha256):
+        out = tmp_path / "table.json"
+        code, payload = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert payload["out"] == str(out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha256
 
 
 class TestHarness:

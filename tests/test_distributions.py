@@ -1,5 +1,7 @@
 """Distribution table invariants and the distance toolbox."""
 
+import json
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -349,6 +351,24 @@ class TestJsonRoundTrip:
         assert doc["parties"] == 2
         assert doc["table"] == [0.25, 0.25, 0.25, 0.25]
 
+    def test_infinite_size_is_malformed(self):
+        # 1e400 parses as infinity; int() raises OverflowError on it.
+        with pytest.raises(ValueError, match="malformed"):
+            ConditionalDistribution.from_dict(
+                {"parties": 2, "outputs": [2, 2], "inputs": [1e400, 2], "table": []}
+            )
+
+    def test_deeply_nested_file_is_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            read_json_file(path)
+
+    def test_signed_zeros_keep_their_text(self):
+        flat = np.array([0.0, -0.0, 0.0, 5e-324, -0.0, 1.0])
+        assert distributions._json_float_list(flat) == json.dumps(flat.tolist())[1:-1]
+        assert distributions._json_float_list(flat) == "0.0, -0.0, 0.0, 5e-324, -0.0, 1.0"
+
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             ConditionalDistribution.from_dict({"parties": 2})
@@ -356,3 +376,59 @@ class TestJsonRoundTrip:
             ConditionalDistribution.from_dict(
                 {"parties": 1, "outputs": [2], "inputs": [1], "table": [1.0]}
             )
+
+
+# Values whose text a value-keyed memo could get wrong: both zeros (equal
+# as floats, different text) and subnormals, down to the smallest one.
+_TINY = [0.0, -0.0, 5e-324, 1e-320, 2.225073858507201e-308]
+
+
+@st.composite
+def table_slices(draw):
+    """A valid conditional table in which every slice is one of: a 1.0 among
+    zeros and subnormals, a dyadic split with repeated exact values, or
+    random (all-distinct) entries."""
+    n_parties = draw(st.integers(1, 2))
+    inputs = tuple(draw(st.integers(1, 4)) for _ in range(n_parties))
+    outputs = tuple(draw(st.integers(1, 4)) for _ in range(n_parties))
+    o = math.prod(outputs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slices = []
+    for _ in range(math.prod(inputs)):
+        kind = draw(st.sampled_from(["one", "dyadic", "random"]))
+        if kind == "random":
+            row = rng.random(o) + 0.01
+            row /= row.sum()
+        else:
+            mass = [1.0]
+            while kind == "dyadic" and len(mass) < o and rng.random() < 0.7:
+                half = mass.pop(rng.integers(len(mass))) / 2
+                mass += [half, half]
+            row = np.array(mass + [_TINY[k] for k in rng.integers(len(_TINY), size=o - len(mass))])
+            rng.shuffle(row)
+        slices.append(row)
+    return ConditionalDistribution(inputs, outputs, np.array(slices).reshape(inputs + outputs))
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(table_slices())
+    def test_bytes_and_bits_match_json_dumps(self, tmp_path_factory, p):
+        path = tmp_path_factory.mktemp("writer") / "dist.json"
+        write_json_file(p, path)
+        assert path.read_text() == json.dumps(p.to_dict()) + "\n"
+        back = read_json_file(path).table
+        assert np.array_equal(back.view(np.uint64), p.table.view(np.uint64))
+
+    def test_each_distinct_value_is_formatted_once(self, tmp_path, monkeypatch):
+        # Six distinct values (as bits: 0.0 and -0.0 differ) among 24 entries.
+        table = np.array([
+            [1.0, 0.0, -0.0, 0.0], [0.5, 0.5, 0.0, -0.0], [0.25, 0.25, 0.25, 0.25],
+            [5e-324, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, -0.0], [0.5, 0.0, 0.5, -0.0],
+        ])
+        p = ConditionalDistribution((6,), (4,), table)
+        calls = []
+        monkeypatch.setattr(distributions, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        write_json_file(p, tmp_path / "t.json")
+        assert len(calls) == 6
+        assert (tmp_path / "t.json").read_text() == json.dumps(p.to_dict()) + "\n"

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from chainedbell import (
     ConditionalDistribution,
     Distribution,
+    HiddenVariableModel,
     MeasurementSetup,
     PlanarMeasurement,
     assert_nonsignaling,
@@ -117,6 +118,33 @@ class TestModelConstruction:
                 response_x=lambda a, b, u, v, w: b % 2,
                 response_y=lambda a, b, u, v, w: 0,
             )
+
+    def test_non_finite_kernels_and_weights_rejected(self):
+        # NaN compares false against every bound, so it needs its own check.
+        kernels = np.full((2, 2, 1, 1, 2, 2), 0.25)
+        bad = kernels.copy()
+        bad[0, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            HiddenVariableModel(2, p_uv=np.ones((1, 1)), kernels=bad)
+        with pytest.raises(ValueError, match="finite"):
+            HiddenVariableModel(2, p_uv=np.full((1, 1), np.nan), kernels=kernels)
+        with pytest.raises(ValueError, match="finite"):
+            local_deterministic_model(2, [[0, 1], [1, 1]], [[0, 0]], [[np.nan], [1.0]])
+
+    def test_non_finite_vectors_and_weights_rejected(self):
+        with pytest.raises(ValueError, match="u_vectors must be finite"):
+            leggett_model(2, [[np.nan, 0, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            falsify_leggett(2, [[0, 0, np.inf], [0, 0, 1]])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            falsify_leggett(2, [[1, 0, 0], [0, 0, 1]], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="u_weights must be finite"):
+            nonlocal_qm_model(2, n_u=2, u_weights=[np.nan, 1.0])
+
+    @pytest.mark.parametrize("visibility", [float("nan"), 1.5])
+    def test_visibility_off_the_unit_interval_rejected(self, visibility):
+        with pytest.raises(ValueError, match="visibility"):
+            nonlocal_qm_model(2, visibility)
 
     def test_nonbit_responses_rejected(self):
         with pytest.raises(ValueError, match="bits"):
@@ -406,6 +434,28 @@ class TestModelJson:
         doc = {"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict()}
         m = model_from_dict(doc)
         assert m.kind == "custom_table"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "nonlocal_qm", "n": 1e400},
+            {"type": "nonlocal_qm", "n": 2, "n_u": -1e400},
+            {"type": "leggett", "n": 2, "grid": 1e400},
+            {"type": "local_deterministic", "n": 1e400,
+             "alice_tables": [[0, 0]], "bob_tables": [[0, 0]]},
+        ],
+        ids=["n", "n_u", "grid", "local_deterministic_n"],
+    )
+    def test_infinite_integer_field_is_value_error(self, doc):
+        # 1e400 parses as infinity; int() raises OverflowError on it.
+        with pytest.raises(ValueError, match="finite integer"):
+            model_from_dict(doc)
+
+    def test_deeply_nested_file_is_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            model_from_json_file(path)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown model type"):
