@@ -106,21 +106,38 @@ def simulate_shots(
         raise ValueError("shots must be at least 1")
     cdfs, shape = _source_cdfs(source, n)
     m = cdfs.shape[-1]
+    rows = cdfs.reshape(n * n, m)
     chunk = max(1, min(chunk, max(1, 4_000_000 // m)))
     rng = np.random.default_rng(seed)
     remaining = shots
     while remaining > 0:
         k = min(chunk, remaining)
         remaining -= k
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        r = rng.random(k)
-        idx = _inverse_cdf(cdfs[a, b], r)
-        yield np.column_stack((a, b, *np.unravel_index(idx, shape)))
+        yield _draw_block(rng, rows, n, k, shape)
+
+
+def _draw_block(rng, rows: np.ndarray, n: int, k: int, shape: tuple) -> np.ndarray:
+    """One block of ``k`` shots: settings, then outcome indices drawn
+    from ``rows[a*n + b]`` (cumulative tables over ``shape``).  A function
+    of its own, so that none of its arrays outlives the block it returns."""
+    a = rng.integers(0, n, size=k)
+    b = rng.integers(0, n, size=k)
+    r = rng.random(k)
+    idx = _inverse_cdf(rows.take(a * n + b, axis=0), r)
+    # Allocated after the search, so that it never coexists with the
+    # gathered (k, m) rows.
+    block = np.empty((k, 2 + len(shape)), dtype=np.int64)
+    block[:, 0] = a
+    block[:, 1] = b
+    for j, col in enumerate(np.unravel_index(idx, shape), start=2):
+        block[:, j] = col
+    return block
 
 
 def _check_block(block) -> np.ndarray:
-    """The block as an integer array with the 4 or 6 shot columns."""
+    """The block as an int64 array with the 4 or 6 shot columns.  Narrower
+    integer blocks are widened, so that index arithmetic on them cannot
+    wrap; a uint64 entry beyond the int64 range raises ``ValueError``."""
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[1] not in (4, 6) \
             or not np.issubdtype(block.dtype, np.integer):
@@ -128,7 +145,10 @@ def _check_block(block) -> np.ndarray:
             "a shot block must be an integer array of shape (k, 4) or (k, 6), "
             f"got {block.dtype} {block.shape}"
         )
-    return block
+    if not np.can_cast(block.dtype, np.int64) and len(block) \
+            and block.max() > np.iinfo(np.int64).max:
+        raise ValueError("shot block entries must fit in int64")
+    return block.astype(np.int64, copy=False)
 
 
 def estimate_from_counts(
@@ -170,24 +190,26 @@ def estimate_from_counts(
 def _fold_counts(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair shot and mismatch counts, each of shape (n, n), of a block
     stream.  Raises ``ValueError`` for a setting outside ``[0, n)`` or an
-    outcome outside ``{0, 1}``."""
-    cells = n * n
-    counts = np.zeros(cells, dtype=np.int64)
-    mism = np.zeros(cells, dtype=np.int64)
+    outcome outside ``{0, 1}``.
+
+    One ``bincount`` per block counts the 4n² cells
+    ``((a*n + b)*2 + x)*2 + y``; every check and index reads whole columns,
+    with no reduction along the short column axis (NumPy would run it one
+    4-wide row at a time)."""
+    cells = np.zeros(4 * n * n, dtype=np.int64)
     for block in blocks:
         block = _check_block(block)
         if not len(block):
             continue
-        lo = block[:, :4].min(axis=0)
-        hi = block[:, :4].max(axis=0)
-        if lo[:2].min() < 0 or hi[:2].max() >= n:
+        a, b, x, y = (block[:, j] for j in range(4))
+        if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n:
             raise ValueError(f"shot setting outside [0, {n})")
-        if lo[2:].min() < 0 or hi[2:].max() > 1:
+        if min(x.min(), y.min()) < 0 or max(x.max(), y.max()) > 1:
             raise ValueError("shot outcome outside {0, 1}")
-        pair = block[:, 0] * n + block[:, 1]
-        counts += np.bincount(pair, minlength=cells)
-        mism += np.bincount(pair[block[:, 2] != block[:, 3]], minlength=cells)
-    return counts.reshape(n, n), mism.reshape(n, n)
+        cells += np.bincount(((a * n + b) * 2 + x) * 2 + y, minlength=cells.size)
+    by_pair = cells.reshape(n, n, 4)
+    c00, c01, c10, c11 = (by_pair[..., j] for j in range(4))
+    return ((c00 + c01) + c10) + c11, c01 + c10
 
 
 def estimate_chain_value(

@@ -106,7 +106,10 @@ class HiddenVariableModel:
         if kernels.min() < -NORM_TOL:
             raise ValueError("kernel entries must be non-negative")
         kernels = np.clip(kernels, 0.0, None)
-        sums = kernels.sum(axis=(4, 5))
+        # The four outcome planes added one by one: NumPy runs a reduction
+        # along a size-2 axis one two-element row at a time.
+        sums = ((kernels[..., 0, 0] + kernels[..., 0, 1]) + kernels[..., 1, 0]) \
+            + kernels[..., 1, 1]
         if np.abs(sums - 1.0).max() > NORM_TOL:
             raise ValueError("each response kernel must be normalized")
         kernels = kernels / sums[..., None, None]
@@ -140,10 +143,15 @@ class HiddenVariableModel:
 
     @staticmethod
     def _check_local_parts(kernels: np.ndarray) -> None:
-        xm = kernels.sum(axis=5)  # (N, N, nu, nv, x)
-        dev_x = float((0.5 * np.abs(xm - xm[:, :1, :, :1, :]).sum(axis=-1)).max())
-        ym = kernels.sum(axis=4)  # (N, N, nu, nv, y)
-        dev_y = float((0.5 * np.abs(ym - ym[:1, :, :1, :, :]).sum(axis=-1)).max())
+        k00, k01, k10, k11 = (kernels[..., x, y] for x in (0, 1) for y in (0, 1))
+        x0, x1 = k00 + k01, k10 + k11  # Alice's outcome marginal, (N, N, nu, nv)
+        dev_x = float((0.5 * (
+            np.abs(x0 - x0[:, :1, :, :1]) + np.abs(x1 - x1[:, :1, :, :1])
+        )).max())
+        y0, y1 = k00 + k10, k01 + k11  # Bob's
+        dev_y = float((0.5 * (
+            np.abs(y0 - y0[:1, :, :1, :]) + np.abs(y1 - y1[:1, :, :1, :])
+        )).max())
         if max(dev_x, dev_y) > LOCAL_PART_TOL:
             raise ValueError(
                 "averaged responses leak across sides: one side's outcome "
@@ -167,15 +175,6 @@ class HiddenVariableModel:
         table = t.reshape(n, n, 1, 1, 2, 2, nu, nv)
         return ConditionalDistribution((n, n, 1, 1), (2, 2, nu, nv), table)
 
-    def sample_outcomes(self, a: int, b: int, size: int, rng: np.random.Generator):
-        """Draw ``size`` outcome tuples (x, y, u, v) for one setting pair."""
-        joint = self.p_uv[:, :, None, None] * self.kernels[a, b]
-        # joint indexed (u, v, x, y); reorder to (x, y, u, v)
-        joint = np.moveaxis(joint, (0, 1), (2, 3))
-        idx = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(size))
-        x, y, u, v = np.unravel_index(idx, joint.shape)
-        return x, y, u, v
-
     def __repr__(self) -> str:
         return (
             f"HiddenVariableModel(kind={self.kind!r}, N={self.n_settings}, "
@@ -184,16 +183,20 @@ class HiddenVariableModel:
 
 
 def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Outcome index for each uniform draw ``r``: the number of cumulative
-    probabilities at or below it, capped at the last outcome (rounding can
-    leave the final cumulative value just under 1).  ``cdf`` is one
-    cumulative table of shape (m,) shared by every draw, or one row per
-    draw, shape (k, m)."""
+    """Outcome index for each uniform draw ``r``: the first outcome whose
+    cumulative probability exceeds it, or the last outcome when none does
+    (rounding can leave the final cumulative value just under 1).
+
+    ``cdf`` is either one cumulative table of shape (m,) shared by every
+    draw, searched with ``searchsorted``, or one row per draw, shape
+    (k, m), searched by ``argmax`` over the row's ``cdf > r`` flags with
+    the last flag forced true.  A cumulative table never decreases, so both
+    equal the number of entries at or below ``r``, capped at m - 1."""
     if cdf.ndim == 1:
-        idx = np.searchsorted(cdf, r, side="right")
-    else:
-        idx = (r[:, None] >= cdf).sum(axis=1)
-    return np.minimum(idx, cdf.shape[-1] - 1)
+        return np.minimum(np.searchsorted(cdf, r, side="right"), cdf.shape[-1] - 1)
+    hit = cdf > r[:, None]
+    hit[:, -1] = True
+    return hit.argmax(axis=1)
 
 
 def _unit_vectors(vectors, name: str) -> np.ndarray:
@@ -451,8 +454,10 @@ def induced_distribution(
     table = np.zeros((n, n) + shape)
     for a in range(n):
         for b in range(n):
-            cells = np.ravel_multi_index(model.sample_outcomes(a, b, shots, rng), shape)
-            table[a, b] = np.bincount(cells, minlength=table[a, b].size).reshape(shape)
+            # The joint laid out (x, y, u, v): a flat index is a table cell.
+            joint = np.einsum("uv,uvxy->xyuv", model.p_uv, model.kernels[a, b])
+            cells = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(shots))
+            table[a, b] = np.bincount(cells, minlength=joint.size).reshape(shape)
     table /= float(shots)
     return ConditionalDistribution(
         (n, n, 1, 1), (2, 2, nu, nv), table.reshape(n, n, 1, 1, 2, 2, nu, nv)

@@ -552,6 +552,43 @@ class TestGoldenStreams:
             "stat_tolerance": stat_tolerance,
         }
 
+    @pytest.mark.parametrize(
+        "model, args, report, csv_sha256",
+        [
+            (
+                {
+                    "type": "local_deterministic", "n": 3,
+                    "alice_tables": [[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 1]],
+                    "bob_tables": [[0, 1, 0], [1, 1, 0], [0, 0, 0]],
+                    "u_weights": [0.1, 0.2, 0.3, 0.4], "v_weights": [0.5, 0.25, 0.25],
+                },
+                ("--n", "3", "--shots", "50000", "--seed", "13"),
+                (3.0840746681988076, 3.235518589752653, 5509, 3.100000000000001),
+                "242f8f73edfac130ad4c14d724fd3638715f844598f44ebc16c7e034693d0cd7",
+            ),
+            (
+                # 4 * 24 * 24 = 2304 outcomes: chunks of 1736 rows, six of them.
+                {"type": "leggett", "n": 2, "grid": 24},
+                ("--n", "2", "--shots", "10000", "--seed", "17"),
+                (1.9952584651570247, 2.1415190966524595, 2479, 1.9999999999999993),
+                "e1c688863e8eb1a016c1519f8d6a6ae2639b5d7088f162f631989a0cd3575818",
+            ),
+        ],
+        ids=["local_deterministic", "leggett_grid_24"],
+    )
+    def test_experiment_wide_alphabet(self, capsys, tmp_path, model, args, report, csv_sha256):
+        source = tmp_path / "model.json"
+        source.write_text(json.dumps(model))
+        out = tmp_path / "shots.csv"
+        code, payload = run_cli(capsys, "experiment", "--source", str(source), *args,
+                                "--out", str(out))
+        assert code == 0
+        got = payload["report"]
+        assert (got["point_estimate"], got["upper_bound"], got["shots_per_pair"],
+                payload["reference_chain_value"]) == report
+        assert payload["max_locality_bound"] == 0.5 * report[1]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
 
 class TestBruteforceAndLp:
     def test_bruteforce(self, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,14 +19,19 @@ from chainedbell import (
     estimate_chain_value,
     estimate_from_counts,
     evaluate_chain,
+    inplane_grid,
+    leggett_model,
     local_deterministic_model,
     max_locality_bound,
+    mix_with_noise,
+    nonlocal_qm_model,
     qm_chained_distribution,
     read_shots_csv,
     simulate_shots,
     write_shots_csv,
 )
-from chainedbell.experiment import _fold_counts
+from chainedbell.experiment import _fold_counts, _source_cdfs
+from chainedbell.hvm import _inverse_cdf
 
 
 def concat(blocks, width=4):
@@ -289,3 +294,223 @@ class TestBlockProperties:
             back = concat(read_shots_csv(path), width)
         assert back.dtype == np.int64
         assert np.array_equal(back, whole)
+
+
+# Reference forms of the shot kernels, written with row sums, fancy indexing
+# and axis-0 reductions; the library must agree with them exactly.
+
+
+def reference_inverse_cdf(cdf, r):
+    """Row-sum inverse CDF: the count of cumulative entries at or below each
+    draw, capped at the last outcome."""
+    return np.minimum((r[:, None] >= cdf).sum(axis=1), cdf.shape[-1] - 1)
+
+
+def reference_stream(source, n, shots, seed, chunk=65536):
+    """Shot blocks from fancy-indexed CDF rows, the row-sum inverse CDF and
+    ``column_stack``."""
+    cdfs, shape = _source_cdfs(source, n)
+    chunk = max(1, min(chunk, max(1, 4_000_000 // cdfs.shape[-1])))
+    rng = np.random.default_rng(seed)
+    remaining = shots
+    while remaining > 0:
+        k = min(chunk, remaining)
+        remaining -= k
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        r = rng.random(k)
+        idx = reference_inverse_cdf(cdfs[a, b], r)
+        yield np.column_stack((a, b, *np.unravel_index(idx, shape)))
+
+
+def reference_fold(blocks, n):
+    """Two ``bincount`` calls per block after axis-0 min/max validation, in
+    the block's own dtype."""
+    cells = n * n
+    counts = np.zeros(cells, dtype=np.int64)
+    mism = np.zeros(cells, dtype=np.int64)
+    for block in blocks:
+        if not len(block):
+            continue
+        lo = block[:, :4].min(axis=0)
+        hi = block[:, :4].max(axis=0)
+        if lo[:2].min() < 0 or hi[:2].max() >= n:
+            raise ValueError(f"shot setting outside [0, {n})")
+        if lo[2:].min() < 0 or hi[2:].max() > 1:
+            raise ValueError("shot outcome outside {0, 1}")
+        pair = block[:, 0] * n + block[:, 1]
+        counts += np.bincount(pair, minlength=cells)
+        mism += np.bincount(pair[block[:, 2] != block[:, 3]], minlength=cells)
+    return counts.reshape(n, n), mism.reshape(n, n)
+
+
+@st.composite
+def cdf_rows_and_draws(draw):
+    """Cumulative rows of width 1 to 64 with flat steps (zero-probability
+    outcomes) and a final value at or just under 1, and draws that include
+    0.0, cumulative entries themselves and their neighbours."""
+    m = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 12))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    w = draw(hnp.arrays(np.float64, (k, m), elements=weight))
+    w[w.sum(axis=1) == 0.0, -1] = 1.0
+    shrink = draw(st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-6]))
+    cdf = (w / w.sum(axis=1, keepdims=True)).cumsum(axis=1) * shrink
+    r = np.empty(k)
+    for i in range(k):
+        entry = float(cdf[i, draw(st.integers(0, m - 1))])
+        r[i] = draw(st.one_of(
+            st.just(0.0),
+            st.just(entry),
+            st.just(float(np.nextafter(entry, 0.0))),
+            st.just(float(np.nextafter(entry, 1.0))),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ))
+    return cdf, r
+
+
+# A flat step, and a final cumulative value just under 1 with draws on and
+# above it: these must land on the last outcome.
+FINAL_UNDER_ONE = (
+    np.array([[0.25, 0.25, 1.0 - 2.0**-53]] * 4),
+    np.array([0.0, 0.25, 1.0 - 2.0**-53, np.nextafter(1.0, 0.0)]),
+)
+
+
+class TestInverseCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(cdf_rows_and_draws())
+    @example(FINAL_UNDER_ONE)
+    def test_per_draw_rows_match_the_row_sum(self, case):
+        cdf, r = case
+        before = cdf.copy()
+        got = _inverse_cdf(cdf, r)
+        assert np.array_equal(got, reference_inverse_cdf(cdf, r))
+        assert np.array_equal(cdf, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cdf_rows_and_draws())
+    @example(FINAL_UNDER_ONE)
+    def test_shared_row_matches_the_row_sum(self, case):
+        cdf, r = case
+        shared = cdf[0]
+        expected = reference_inverse_cdf(np.broadcast_to(shared, cdf.shape), r)
+        assert np.array_equal(_inverse_cdf(shared, r), expected)
+
+
+class TestSamplerMatchesReference:
+    @pytest.mark.parametrize(
+        "source, n, shots, chunk",
+        [
+            (qm_chained_distribution(3), 3, 20_000, 65536),
+            (mix_with_noise(qm_chained_distribution(5), 0.9), 5, 7_000, 1000),
+            (nonlocal_qm_model(2, 0.9, n_u=3, n_v=2), 2, 9_000, 4096),
+            (local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]), 3, 5_000, 65536),
+            (leggett_model(2, inplane_grid(24)), 2, 5_000, 65536),  # m = 2304: chunks of 1736
+        ],
+        ids=["qm", "noisy_qm_small_chunks", "nonlocal_qm", "local_deterministic", "leggett_24"],
+    )
+    def test_stream_is_identical(self, source, n, shots, chunk):
+        got = list(simulate_shots(source, n, shots, seed=29, chunk=chunk))
+        ref = list(reference_stream(source, n, shots, seed=29, chunk=chunk))
+        assert [len(block) for block in got] == [len(block) for block in ref]
+        for mine, theirs in zip(got, ref):
+            assert mine.dtype == np.int64 and mine.flags.c_contiguous
+            assert np.array_equal(mine, theirs)
+
+
+def shot_blocks(n):
+    """Valid (k, 4) or (k, 6) int64 shot blocks for N settings."""
+    return st.integers(0, 300).flatmap(lambda k: st.tuples(
+        hnp.arrays(np.int64, (k, 2), elements=st.integers(0, n - 1)),
+        hnp.arrays(np.int64, (k, 2), elements=st.integers(0, 1)),
+        st.sampled_from([4, 6]),
+    )).map(lambda parts: np.concatenate(
+        [parts[0], parts[1], np.zeros((len(parts[0]), parts[2] - 4), dtype=np.int64)], axis=1
+    ))
+
+
+class TestFoldMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(shot_blocks(n), max_size=4),
+        st.sampled_from(["C", "F", "strided", "int32", "uint16"]),
+    )))
+    def test_counts_match(self, case):
+        n, blocks, layout = case
+        if layout == "F":
+            blocks = [np.asfortranarray(block) for block in blocks]
+        elif layout == "strided":
+            blocks = [block[::2] for block in blocks]
+        elif layout != "C":
+            blocks = [block.astype(layout) for block in blocks]
+        counts, mism = _fold_counts(blocks, n)
+        ref_counts, ref_mism = reference_fold(blocks, n)
+        assert counts.dtype == np.int64 and mism.dtype == np.int64
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(mism, ref_mism)
+
+    def test_empty_blocks_count_nothing(self):
+        blocks = [np.empty((0, 4), dtype=np.int64), np.empty((0, 6), dtype=np.int32)]
+        for got, ref in zip(_fold_counts(blocks, 3), reference_fold(blocks, 3)):
+            assert np.array_equal(got, ref) and not got.any()
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(c, v) for c in (0, 1) for v in (-1, 4, 9)] + [(c, v) for c in (2, 3) for v in (-1, 2, 5)],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("both_kinds", [False, True], ids=["one_fault", "both_kinds"])
+    def test_bad_value_in_each_column_gives_the_same_error(self, column, bad, dtype, both_kinds):
+        block = np.array([[0, 1, 0, 1], [2, 3, 1, 1], [1, 0, 1, 0]], dtype=dtype)
+        block[1, column] = bad
+        if both_kinds:  # a fault of the other kind in a later row: settings are checked first
+            block[2, 3 - column] = -1
+        with pytest.raises(ValueError) as expected:
+            reference_fold([block], 4)
+        with pytest.raises(ValueError) as got:
+            _fold_counts([block], 4)
+        assert str(got.value) == str(expected.value)
+
+    def test_uint16_bad_values_give_the_same_error(self):
+        for column in range(4):
+            block = np.array([[0, 1, 0, 1], [1, 1, 1, 1]], dtype=np.uint16)
+            block[0, column] = 7
+            with pytest.raises(ValueError) as expected:
+                reference_fold([block], 3)
+            with pytest.raises(ValueError) as got:
+                _fold_counts([block], 3)
+            assert str(got.value) == str(expected.value)
+
+
+class TestNarrowIntegerBlocks:
+    """Settings index arithmetic runs in int64 whatever the block's dtype."""
+
+    def test_int8_block_keeps_the_last_pair(self):
+        # 16 * 17 + 16 = 288 wraps to 32 = 1 * 17 + 15 in int8.
+        block = np.tile(np.array([[16, 16, 0, 1]], dtype=np.int8), (5, 1))
+        counts, mism = _fold_counts([block], 17)
+        assert counts[16, 16] == 5 and counts.sum() == 5
+        assert mism[16, 16] == 5 and mism.sum() == 5
+
+    def test_int16_block_at_n_201(self):
+        # 200 * 201 + 200 = 40 400 wraps negative in int16.
+        block = np.array([[200, 200, 1, 1], [200, 199, 0, 1], [3, 4, 0, 0]], dtype=np.int16)
+        counts, mism = _fold_counts([block], 201)
+        assert counts[200, 200] == 1 and counts[200, 199] == 1 and counts[3, 4] == 1
+        assert mism[200, 199] == 1 and mism.sum() == 1
+
+    def test_uint64_beyond_int64_is_rejected(self, tmp_path):
+        block = np.array([[0, 0, 0, 1], [2**64 - 1, 0, 0, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64"):
+            _fold_counts([block], 2)
+        with pytest.raises(ValueError, match="int64"):
+            write_shots_csv([block], tmp_path / "shots.csv")
+        ok = np.array([[1, 0, 0, 1]], dtype=np.uint64)
+        assert _fold_counts([ok], 2)[0][1, 0] == 1
+
+    def test_narrow_blocks_write_the_same_csv(self, tmp_path):
+        block = np.array([[1, 2, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
+        write_shots_csv([block], tmp_path / "wide.csv")
+        write_shots_csv([block.astype(np.uint8)], tmp_path / "narrow.csv")
+        assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "narrow.csv").read_bytes()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from chainedbell import (
     table_model,
     xu_conditional,
 )
+from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf
 
 
 class TestLeggettMarginal:
@@ -462,3 +464,111 @@ class TestModelJson:
             model_from_dict({"type": "telepathy"})
         with pytest.raises(ValueError, match="type"):
             model_from_dict({})
+
+
+# Reference forms of the model kernels and the sampled table, written with
+# NumPy reductions over the size-2 outcome axes and an unravel/ravel round
+# trip; the library must agree with them bit for bit.
+
+
+def reference_kernels(raw):
+    k = np.clip(np.asarray(raw, dtype=float), 0.0, None)
+    return k / k.sum(axis=(4, 5))[..., None, None]
+
+
+def reference_local_deviation(kernels):
+    xm = kernels.sum(axis=5)
+    dev_x = float((0.5 * np.abs(xm - xm[:, :1, :, :1, :]).sum(axis=-1)).max())
+    ym = kernels.sum(axis=4)
+    dev_y = float((0.5 * np.abs(ym - ym[:1, :, :1, :, :]).sum(axis=-1)).max())
+    return max(dev_x, dev_y)
+
+
+def reference_sampled(model, shots, seed):
+    n, nu, nv = model.n_settings, model.n_u, model.n_v
+    rng = np.random.default_rng(seed)
+    shape = (2, 2, nu, nv)
+    table = np.zeros((n, n) + shape)
+    for a in range(n):
+        for b in range(n):
+            joint = np.moveaxis(model.p_uv[:, :, None, None] * model.kernels[a, b], (0, 1), (2, 3))
+            idx = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(shots))
+            cells = np.ravel_multi_index(np.unravel_index(idx, joint.shape), shape)
+            table[a, b] = np.bincount(cells, minlength=table[a, b].size).reshape(shape)
+    return table / float(shots)
+
+
+def product_kernels(rng, n, nu, nv, jitter=0.0):
+    """Local kernels from random per-side marginals, each entry scaled by
+    up to ``jitter`` so the sums miss 1 by a few ulps or more."""
+    ma = rng.random((n, nu, 1))
+    mb = rng.random((n, nv, 1))
+    ma = np.concatenate([ma, 1.0 - ma], axis=-1)
+    mb = np.concatenate([mb, 1.0 - mb], axis=-1)
+    raw = np.einsum("aux,bvy->abuvxy", ma, mb)
+    return raw * (1.0 + jitter * rng.uniform(-1.0, 1.0, raw.shape))
+
+
+def random_vector_grid(rng, k):
+    vecs = rng.normal(size=(k, 3))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+class TestKernelReferences:
+    def raw_kernel_cases(self):
+        rng = np.random.default_rng(41)
+        yield leggett_model(2, inplane_grid(360)).kernels
+        yield leggett_model(5, inplane_grid(12)).kernels
+        yield leggett_model(3, random_vector_grid(rng, 7), random_vector_grid(rng, 5)).kernels
+        yield nonlocal_qm_model(4, 0.8, n_u=2, n_v=3).kernels
+        yield local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]).kernels
+        yield qm_chained_distribution(7).table[:, :, None, None, :, :]
+        for jitter in (0.0, 1e-16, 1e-13, 0.9 * NORM_TOL / 4):
+            yield product_kernels(rng, 3, 4, 2, jitter)
+
+    def test_normalised_kernels_are_bit_equal(self):
+        for raw in self.raw_kernel_cases():
+            n, _, nu, nv = raw.shape[:4]
+            model = HiddenVariableModel(n, p_uv=np.full((nu, nv), 1.0 / (nu * nv)), kernels=raw)
+            ref = reference_kernels(raw)
+            assert model.kernels.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("leak", [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-3])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_local_part_check_rejects_the_same_kernels(self, leak, side):
+        rng = np.random.default_rng(43)
+        kernels = reference_kernels(product_kernels(rng, 3, 2, 2))
+        # Move weight between outcome cells of one context so that one
+        # side's marginal there depends on the other side's setting.
+        cells = ((0, 0), (1, 0)) if side == "x" else ((0, 0), (0, 1))
+        kernels[1, 2, 1, 0][cells[0]] += leak
+        kernels[1, 2, 1, 0][cells[1]] -= leak
+        deviation = reference_local_deviation(kernels)
+        if deviation > LOCAL_PART_TOL:
+            with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
+                HiddenVariableModel._check_local_parts(kernels)
+        else:
+            HiddenVariableModel._check_local_parts(kernels)
+
+    def test_local_part_deviation_matches_on_leaking_kernels(self):
+        rng = np.random.default_rng(47)
+        for shape in ((2, 2, 1, 1), (3, 4, 2, 3), (5, 5, 3, 1)):
+            kernels = rng.random(shape + (2, 2))
+            kernels /= kernels.sum(axis=(4, 5))[..., None, None]
+            deviation = reference_local_deviation(kernels)
+            with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
+                HiddenVariableModel._check_local_parts(kernels)
+
+    @pytest.mark.parametrize(
+        "model, shots",
+        [
+            (leggett_model(2, inplane_grid(6), inplane_grid(4)), 3000),
+            (nonlocal_qm_model(3, 0.9, n_u=2, n_v=3), 2000),
+            (local_deterministic_model(2, [[0, 1], [1, 1], [0, 0]], [[1, 0]]), 500),
+        ],
+        ids=["leggett_6x4", "nonlocal_qm", "local_deterministic"],
+    )
+    def test_sampled_table_is_bit_equal(self, model, shots):
+        got = induced_distribution(model, mode="sampled", shots=shots, seed=53)
+        ref = reference_sampled(model, shots, seed=53)
+        assert got.table.tobytes() == ref.reshape(got.table.shape).tobytes()
