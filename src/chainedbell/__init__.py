@@ -12,13 +12,11 @@ from .chained import (
     BruteForceResult,
     ChainScore,
     DeterministicStrategy,
-    NoiseScanResult,
     chain_pairs,
     classical_min_chain_value,
     evaluate_chain,
     lp_min_chain_given_bias,
     noisy_chain_closed_form,
-    optimal_chain_length,
     quantum_chain_closed_form,
 )
 from .distributions import (
@@ -55,24 +53,17 @@ from .hvm import (
     hidden_joint_form,
     induced_distribution,
     inplane_grid,
-    leggett_marginal,
     leggett_model,
     local_deterministic_model,
     locality_bound_check,
     locality_measure,
     model_from_dict,
     model_from_json_file,
-    model_from_responses,
     nonlocal_qm_model,
-    orthogonal_grid,
     table_model,
     xu_conditional,
 )
 from .quantum import (
-    MeasurementSetup,
-    PlanarMeasurement,
-    PureTwoQubitState,
-    born_joint,
     mix_with_noise,
     qm_chained_distribution,
 )

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NORM_TOL, ConditionalDistribution
-from .quantum import mix_with_noise, qm_chained_distribution
+from .distributions import ConditionalDistribution
 from .simplex import solve_equality_lp
 
 __all__ = [
@@ -17,14 +16,12 @@ __all__ = [
     "DeterministicStrategy",
     "BruteForceResult",
     "BiasedChainLP",
-    "NoiseScanResult",
     "chain_pairs",
     "evaluate_chain",
     "quantum_chain_closed_form",
     "noisy_chain_closed_form",
     "classical_min_chain_value",
     "lp_min_chain_given_bias",
-    "optimal_chain_length",
 ]
 
 
@@ -89,12 +86,6 @@ class BiasedChainLP:
     gap: float
     argmin: ConditionalDistribution
     branch_values: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class NoiseScanResult:
-    best_n: int
-    best_value: float
 
 
 # Outcome cells (x, y) that each kind of chain term counts.
@@ -279,39 +270,3 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     return BiasedChainLP(
         values[0], values[0] - 2.0 * delta, argmin, (values[0], values[1])
     )
-
-
-# Above this the cross-check table (N^2 * 4 entries) is not worth building.
-_CROSSCHECK_MAX_N = 512
-
-
-def optimal_chain_length(
-    visibility: float, n_range: tuple[int, int]
-) -> NoiseScanResult:
-    """Scan chain lengths for the smallest noisy chain value.
-
-    Ties break to the smallest N.  The winning closed-form value is
-    cross-checked against a full table evaluation whenever the table is
-    small enough to build.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    lo, hi = (int(n_range[0]), int(n_range[1]))
-    if lo > hi:
-        raise ValueError("empty chain-length range")
-    if lo < 2 or hi > 10_000:
-        raise ValueError("chain-length range must lie within [2, 10000]")
-    best_n, best_value = lo, noisy_chain_closed_form(lo, visibility)
-    for n in range(lo + 1, hi + 1):
-        v = noisy_chain_closed_form(n, visibility)
-        if v < best_value:
-            best_n, best_value = n, v
-    if best_n <= _CROSSCHECK_MAX_N:
-        direct = evaluate_chain(
-            mix_with_noise(qm_chained_distribution(best_n), visibility), best_n
-        ).value
-        if abs(direct - best_value) > NORM_TOL:
-            raise ArithmeticError(
-                f"closed form {best_value} disagrees with table value {direct}"
-            )
-    return NoiseScanResult(best_n, best_value)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .distributions import (
     assert_nonsignaling,
     stat_distance,
 )
-from .quantum import MeasurementSetup, mix_with_noise, qm_chained_distribution
+from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
 
 __all__ = [
     "VECTOR_TOL",
@@ -41,12 +40,10 @@ __all__ = [
     "LocalityMeasurement",
     "LocalityBoundReport",
     "LocalityReport",
-    "leggett_marginal",
     "leggett_model",
     "local_deterministic_model",
     "nonlocal_qm_model",
     "table_model",
-    "model_from_responses",
     "induced_distribution",
     "hidden_joint_form",
     "xu_conditional",
@@ -55,7 +52,6 @@ __all__ = [
     "falsify_leggett",
     "make_locality_report",
     "inplane_grid",
-    "orthogonal_grid",
     "model_from_dict",
     "model_from_json_file",
 ]
@@ -79,18 +75,9 @@ class HiddenVariableModel:
     ``kernels[a, b, u, v]`` is the joint outcome table P(x, y | a, b, u, v).
     """
 
-    __slots__ = ("n_settings", "p_uv", "kernels", "u_labels", "v_labels", "kind")
+    __slots__ = ("n_settings", "p_uv", "kernels")
 
-    def __init__(
-        self,
-        n_settings: int,
-        *,
-        p_uv: np.ndarray,
-        kernels: np.ndarray,
-        u_labels: Sequence | None = None,
-        v_labels: Sequence | None = None,
-        kind: str = "custom",
-    ):
+    def __init__(self, n_settings: int, *, p_uv: np.ndarray, kernels: np.ndarray):
         n_settings = int(n_settings)
         if n_settings < 2:
             raise ValueError("chain parameter must be at least 2")
@@ -128,15 +115,9 @@ class HiddenVariableModel:
         self._check_local_parts(kernels)
         kernels.setflags(write=False)
         p_uv.setflags(write=False)
-        n_u, n_v = kernels.shape[2], kernels.shape[3]
         object.__setattr__(self, "n_settings", n_settings)
         object.__setattr__(self, "p_uv", p_uv)
         object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "u_labels", tuple(u_labels) if u_labels is not None else tuple(range(n_u)))
-        object.__setattr__(self, "v_labels", tuple(v_labels) if v_labels is not None else tuple(range(n_v)))
-        object.__setattr__(self, "kind", str(kind))
-        if len(self.u_labels) != n_u or len(self.v_labels) != n_v:
-            raise ValueError("label lists must match the hidden alphabet sizes")
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
@@ -161,11 +142,11 @@ class HiddenVariableModel:
 
     @property
     def n_u(self) -> int:
-        return len(self.u_labels)
+        return self.kernels.shape[2]
 
     @property
     def n_v(self) -> int:
-        return len(self.v_labels)
+        return self.kernels.shape[3]
 
     def induced_table(self) -> ConditionalDistribution:
         """Exact four-party table P(x, y, u, v | a, b); parties 2 and 3
@@ -177,7 +158,7 @@ class HiddenVariableModel:
 
     def __repr__(self) -> str:
         return (
-            f"HiddenVariableModel(kind={self.kind!r}, N={self.n_settings}, "
+            f"HiddenVariableModel(N={self.n_settings}, "
             f"n_u={self.n_u}, n_v={self.n_v})"
         )
 
@@ -228,29 +209,12 @@ def _weights(weights, k: int, name: str) -> np.ndarray:
     return w / total
 
 
-def leggett_marginal(measurement, u_vec) -> Distribution:
-    """Squared-overlap outcome marginal for one side.
-
-    P(0) = (1 + a.u)/2 in Bloch coordinates, where ``a`` is the
-    measurement's outcome-0 Bloch direction (see the module docstring for
-    why the rule is expressed this way).
-    """
-    u = np.asarray(u_vec, dtype=float)
-    if u.shape != (3,):
-        raise ValueError("hidden vector must have 3 components")
-    norm = math.sqrt(float(u @ u))
-    if abs(norm - 1.0) > VECTOR_TOL:
-        raise ValueError(f"hidden vector must be unit length, |u| = {norm}")
-    a = np.asarray(measurement.bloch_vector())
-    p0 = 0.5 * (1.0 + float(a @ u))
-    p0 = min(max(p0, 0.0), 1.0)
-    return Distribution([p0, 1.0 - p0])
-
-
-def _malus_p0(measurements, vectors: np.ndarray) -> np.ndarray:
-    """P(outcome 0) of :func:`leggett_marginal` for every measurement and
-    hidden unit vector at once, shape (len(measurements), len(vectors))."""
-    bloch = np.array([m.bloch_vector() for m in measurements])
+def _malus_p0(angles, vectors: np.ndarray) -> np.ndarray:
+    """P(outcome 0) = (1 + a.u)/2 for every measurement angle and hidden
+    unit vector u at once, shape (len(angles), len(vectors)); ``a`` is the
+    outcome-0 Bloch direction (sin t, 0, cos t) of the measurement at
+    angle t (see the module docstring for why the rule reads this way)."""
+    bloch = np.array([(math.sin(t), 0.0, math.cos(t)) for t in angles])
     return np.clip(0.5 * (1.0 + bloch @ vectors.T), 0.0, 1.0)
 
 
@@ -260,11 +224,6 @@ def inplane_grid(n_points: int = 360) -> np.ndarray:
         raise ValueError("need at least one grid point")
     phi = 2.0 * math.pi * np.arange(n_points) / n_points
     return np.stack([np.sin(phi), np.zeros(n_points), np.cos(phi)], axis=1)
-
-
-def orthogonal_grid() -> np.ndarray:
-    """The two unit vectors orthogonal to the measurement plane."""
-    return np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
 
 
 def leggett_model(
@@ -278,7 +237,7 @@ def leggett_model(
     model executable shot by shot, and deliberately carries no correlations
     (it does not reproduce quantum statistics).
     """
-    setup = MeasurementSetup.chained(n)
+    alice, bob = _chained_angles(n)
     uvecs = _unit_vectors(u_vectors, "u_vectors")
     vvecs = uvecs if v_vectors is None else _unit_vectors(v_vectors, "v_vectors")
     nu, nv = len(uvecs), len(vvecs)
@@ -288,17 +247,12 @@ def leggett_model(
         p_uv = np.asarray(uv_weights, dtype=float)
         if p_uv.shape != (nu, nv):
             raise ValueError("uv_weights shape must match the vector grids")
-    pa0 = _malus_p0(setup.alice, uvecs)  # (N, nu)
-    pb0 = _malus_p0(setup.bob, vvecs)  # (N, nv)
+    pa0 = _malus_p0(alice, uvecs)  # (N, nu)
+    pb0 = _malus_p0(bob, vvecs)  # (N, nv)
     ma = np.stack([pa0, 1.0 - pa0], axis=-1)  # (N, nu, 2)
     mb = np.stack([pb0, 1.0 - pb0], axis=-1)
     kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    labels_u = [tuple(round(c, 12) for c in vec) for vec in uvecs]
-    labels_v = [tuple(round(c, 12) for c in vec) for vec in vvecs]
-    return HiddenVariableModel(
-        n, p_uv=p_uv, kernels=kernels, u_labels=labels_u, v_labels=labels_v,
-        kind="leggett",
-    )
+    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
 
 
 def local_deterministic_model(
@@ -329,7 +283,7 @@ def local_deterministic_model(
     ma = eye[at].transpose(1, 0, 2)  # (N, nu, 2): one-hot responses
     mb = eye[bt].transpose(1, 0, 2)
     kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels, kind="local_deterministic")
+    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
 
 
 def nonlocal_qm_model(
@@ -354,7 +308,7 @@ def nonlocal_qm_model(
     kernels = np.broadcast_to(
         base.table[:, :, None, None, :, :], (n, n, n_u, n_v, 2, 2)
     ).copy()
-    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels, kind="nonlocal_qm")
+    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
 
 
 def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
@@ -367,67 +321,7 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     if dist.input_sizes != (n, n) or n < 2:
         raise ValueError("expected N >= 2 settings on both sides")
     kernels = dist.table[:, :, None, None, :, :]
-    return HiddenVariableModel(
-        n, p_uv=np.ones((1, 1)), kernels=kernels, kind="custom_table"
-    )
-
-
-def model_from_responses(
-    n: int,
-    support: Iterable[tuple],
-    response_x: Callable,
-    response_y: Callable,
-) -> HiddenVariableModel:
-    """Build a model from deterministic response functions and a finite
-    joint weight list over the hidden variables.
-
-    ``support`` yields ``(u_label, v_label, w, weight)`` entries; the
-    responses map (a, b, u_label, v_label, w) to an output bit.  The
-    shared variable w is averaged out into response kernels, and the
-    construction then validates that each side's averaged response depends
-    only on its own setting and local variable.
-    """
-    entries = list(support)
-    if not entries:
-        raise ValueError("support must be non-empty")
-    u_labels: list = []
-    v_labels: list = []
-    for u, v, _, _ in entries:
-        if u not in u_labels:
-            u_labels.append(u)
-        if v not in v_labels:
-            v_labels.append(v)
-    nu, nv = len(u_labels), len(v_labels)
-    u_index = {u: i for i, u in enumerate(u_labels)}
-    v_index = {v: i for i, v in enumerate(v_labels)}
-    p_uv = np.zeros((nu, nv))
-    raw = np.zeros((n, n, nu, nv, 2, 2))
-    for u, v, w, weight in entries:
-        weight = float(weight)
-        if weight < 0.0:
-            raise ValueError("support weights must be non-negative")
-        ui, vi = u_index[u], v_index[v]
-        p_uv[ui, vi] += weight
-        for a in range(n):
-            for b in range(n):
-                x = int(response_x(a, b, u, v, w))
-                y = int(response_y(a, b, u, v, w))
-                if x not in (0, 1) or y not in (0, 1):
-                    raise ValueError("responses must return bits")
-                raw[a, b, ui, vi, x, y] += weight
-    total = float(p_uv.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"support weights must sum to 1, got {total}")
-    occupied = p_uv > 0.0
-    kernels = np.empty_like(raw)
-    kernels[...] = 0.25  # unreachable (u, v) contexts get a flat placeholder
-    kernels[:, :, occupied, :, :] = (
-        raw[:, :, occupied, :, :] / p_uv[occupied][None, None, :, None, None]
-    )
-    return HiddenVariableModel(
-        n, p_uv=p_uv, kernels=kernels, u_labels=u_labels, v_labels=v_labels,
-        kind="responses",
-    )
+    return HiddenVariableModel(n, p_uv=np.ones((1, 1)), kernels=kernels)
 
 
 def induced_distribution(
@@ -680,7 +574,7 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     """
     vecs = _unit_vectors(vectors, "vectors")
     w = _weights(weights, len(vecs), "weights")
-    p0 = _malus_p0(MeasurementSetup.chained(n).alice, vecs)  # (N, k)
+    p0 = _malus_p0(_chained_angles(n)[0], vecs)  # (N, k)
     table = np.empty((n, 1, 2, len(vecs)))
     table[:, 0, 0, :] = w[None, :] * p0
     table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
@@ -715,7 +609,7 @@ def _leggett_document(data: dict):
     else:
         vectors = inplane_grid(_int_field(data, "grid", 360))
     v_vectors = (
-        np.asarray(data["v_vectors"], dtype=float) if "v_vectors" in data else None
+        _unit_vectors(data["v_vectors"], "v_vectors") if "v_vectors" in data else None
     )
     nv = len(vectors) if v_vectors is None else len(v_vectors)
     if "uv_weights" in data:
@@ -751,7 +645,10 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
     if kind == "local_deterministic":
         n = _int_field(data, "n")
         uv = np.asarray(data["uv_weights"], dtype=float) if "uv_weights" in data else None
-        if uv is None and "u_weights" in data:
+        if uv is None and ("u_weights" in data or "v_weights" in data):
+            missing = "v_weights" if "u_weights" in data else "u_weights"
+            if missing not in data:
+                raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
             uv = np.outer(
                 np.asarray(data["u_weights"], dtype=float),
                 np.asarray(data["v_weights"], dtype=float),

@@ -1,153 +1,53 @@
-"""Two-qubit pure states, one-plane projective measurements, and the
-Born-rule tables of the chained measurement layout."""
+"""Born-rule tables of the chained measurement layout on the maximally
+correlated two-qubit state (|00> + |11>)/sqrt(2)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConditionalDistribution, Distribution
+from .distributions import ConditionalDistribution
 
 __all__ = [
-    "STATE_TOL",
-    "PureTwoQubitState",
-    "PlanarMeasurement",
-    "MeasurementSetup",
-    "born_joint",
     "qm_chained_distribution",
     "mix_with_noise",
 ]
 
-STATE_TOL = 1e-12
+
+def _chained_angles(n: int) -> tuple[list[float], list[float]]:
+    """Measurement angles of the chained layout in the x-z plane of the
+    Bloch sphere: Alice's setting i at 2i*pi/(2N), Bob's at (2i+1)*pi/(2N).
+    Setting indices are 0-based per side."""
+    if n < 2:
+        raise ValueError("chain parameter must be at least 2")
+    step = math.pi / (2.0 * n)
+    return [2 * i * step for i in range(n)], [(2 * i + 1) * step for i in range(n)]
 
 
-@dataclass(frozen=True)
-class PureTwoQubitState:
-    """State vector on two qubits, basis order |00>, |01>, |10>, |11>."""
-
-    amplitudes: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
-        if len(amps) != 4:
-            raise ValueError("a two-qubit state needs exactly 4 amplitudes")
-        object.__setattr__(self, "amplitudes", amps)
-        norm2 = math.fsum(abs(a) ** 2 for a in amps)
-        if abs(norm2 - 1.0) > STATE_TOL:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
-
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes as a 2x2 array indexed [alice_bit, bob_bit]."""
-        return np.array(self.amplitudes, dtype=complex).reshape(2, 2)
-
-    @classmethod
-    def maximally_correlated(cls) -> "PureTwoQubitState":
-        """(|00> + |11>)/sqrt(2), the state behind the chained layout."""
-        s = 1.0 / math.sqrt(2.0)
-        return cls((s, 0.0, 0.0, s))
+def _outcome_states(angles) -> np.ndarray:
+    """(k, 2, 2) array: row x of entry k is the state the outcome-x
+    projector at angle t projects onto, cos(t/2)|0> + sin(t/2)|1> for
+    outcome 0 and sin(t/2)|0> - cos(t/2)|1> for outcome 1."""
+    states = []
+    for t in angles:
+        h = 0.5 * t
+        states.append([[math.cos(h), math.sin(h)], [math.sin(h), -math.cos(h)]])
+    return np.array(states)
 
 
-@dataclass(frozen=True)
-class PlanarMeasurement:
-    """Projective qubit measurement in the x-z plane of the Bloch sphere.
-
-    Outcome 0 projects onto cos(t/2)|0> + sin(t/2)|1>, outcome 1 onto
-    sin(t/2)|0> - cos(t/2)|1>, where t is ``angle``.  Angles are reduced
-    into [0, 2*pi).
-    """
-
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % (2.0 * math.pi))
-
-    def outcome_states(self) -> np.ndarray:
-        """(2, 2) array whose row x is the outcome-x projector's state."""
-        h = 0.5 * self.angle
-        return np.array(
-            [[math.cos(h), math.sin(h)], [math.sin(h), -math.cos(h)]]
-        )
-
-    def bloch_vector(self) -> tuple[float, float, float]:
-        """Bloch coordinates of the outcome-0 direction: (sin t, 0, cos t)."""
-        return (math.sin(self.angle), 0.0, math.cos(self.angle))
-
-    def completeness_defect(self) -> float:
-        """Max |entry| of (P0 + P1 - identity); vanishes up to rounding."""
-        states = self.outcome_states()
-        total = sum(np.outer(s, s) for s in states)
-        return float(np.abs(total - np.eye(2)).max())
-
-
-@dataclass(frozen=True)
-class MeasurementSetup:
-    """Chained layout: N settings per side at angles i*pi/(2N).
-
-    Alice uses the even multiples (i = 0, 2, ..., 2N-2) and Bob the odd
-    ones (i = 1, 3, ..., 2N-1); setting indices are 0-based per side.
-    """
-
-    n_settings: int
-    alice: tuple[PlanarMeasurement, ...]
-    bob: tuple[PlanarMeasurement, ...]
-    state: PureTwoQubitState
-
-    def __post_init__(self):
-        if self.n_settings < 2:
-            raise ValueError("chain parameter must be at least 2")
-        if len(self.alice) != self.n_settings or len(self.bob) != self.n_settings:
-            raise ValueError("need exactly N measurements per side")
-
-    @classmethod
-    def chained(
-        cls, n: int, state: PureTwoQubitState | None = None
-    ) -> "MeasurementSetup":
-        if n < 2:
-            raise ValueError("chain parameter must be at least 2")
-        state = state or PureTwoQubitState.maximally_correlated()
-        step = math.pi / (2.0 * n)
-        alice = tuple(PlanarMeasurement(2 * i * step) for i in range(n))
-        bob = tuple(PlanarMeasurement((2 * i + 1) * step) for i in range(n))
-        return cls(n, alice, bob, state)
-
-    @property
-    def alice_angles(self) -> tuple[float, ...]:
-        return tuple(m.angle for m in self.alice)
-
-    @property
-    def bob_angles(self) -> tuple[float, ...]:
-        return tuple(m.angle for m in self.bob)
-
-
-def born_joint(
-    state: PureTwoQubitState, alice: PlanarMeasurement, bob: PlanarMeasurement
-) -> Distribution:
-    """Joint outcome distribution for one measurement pair, by direct
-    contraction of the projector states with the 4-amplitude vector.
-
-    On the maximally correlated state the outcomes differ with
-    probability sin^2((ta - tb) / 2).
-    """
-    psi = state.as_matrix()
-    av = alice.outcome_states()
-    bv = bob.outcome_states()
-    amps = np.einsum("xi,yj,ij->xy", av, bv, psi)
-    return Distribution(np.abs(amps) ** 2)
-
-
-def qm_chained_distribution(
-    n: int, state: PureTwoQubitState | None = None
-) -> ConditionalDistribution:
+def qm_chained_distribution(n: int) -> ConditionalDistribution:
     """Chained-layout table P(x, y | a, b): N settings per side, binary
     outcomes, every entry given by the Born rule for that setting pair."""
-    setup = MeasurementSetup.chained(n, state)
-    av = np.stack([m.outcome_states() for m in setup.alice])  # (N, x, i)
-    bv = np.stack([m.outcome_states() for m in setup.bob])  # (N, y, j)
-    psi = setup.state.as_matrix()
+    alice, bob = _chained_angles(n)
+    av = _outcome_states(alice)  # (N, x, i)
+    # Bob's settings contiguous: einsum's inner loop then runs along them
+    # rather than along the two amplitudes.  psi has two nonzero entries,
+    # so every order of summation gives the same bits.
+    bv = np.asfortranarray(_outcome_states(bob))  # (N, y, j)
+    psi = np.eye(2) / math.sqrt(2.0)  # amplitudes indexed [alice_bit, bob_bit]
     amps = np.einsum("axi,byj,ij->abxy", av, bv, psi)
-    return ConditionalDistribution((n, n), (2, 2), np.abs(amps) ** 2)
+    return ConditionalDistribution((n, n), (2, 2), amps * amps)
 
 
 def mix_with_noise(

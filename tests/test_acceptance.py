@@ -31,7 +31,6 @@ from chainedbell import (
     marginalize,
     max_locality_bound,
     nonlocal_qm_model,
-    orthogonal_grid,
     qm_chained_distribution,
     quantum_chain_closed_form,
     simulate_shots,
@@ -154,7 +153,7 @@ def test_07_leggett_falsification():
         assert report.bound == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
         assert report.max_distance > report.bound
         assert report.falsified
-        ortho = falsify_leggett(2, orthogonal_grid())
+        ortho = falsify_leggett(2, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
         assert ortho.max_distance < 1e-9
         assert not ortho.falsified
 

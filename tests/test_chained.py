@@ -1,4 +1,4 @@
-"""Chain score, classical bound, LP probe, and the noise scan."""
+"""Chain score, classical bound, LP probe, and the noisy closed form."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from chainedbell import (
     lp_min_chain_given_bias,
     mix_with_noise,
     noisy_chain_closed_form,
-    optimal_chain_length,
     qm_chained_distribution,
     quantum_chain_closed_form,
 )
@@ -298,33 +297,8 @@ class TestBiasedLP:
 
 
 class TestNoiseScan:
-    def test_noiseless_prefers_longest_chain(self):
-        result = optimal_chain_length(1.0, (2, 40))
-        assert result.best_n == 40
-
-    def test_pure_noise_prefers_shortest_chain(self):
-        result = optimal_chain_length(0.0, (2, 20))
-        assert result.best_n == 2
-        assert result.best_value == pytest.approx(2.0, abs=1e-12)
-
-    def test_high_visibility_interior_optimum(self):
-        # Scan oracle: independent argmin over the same closed form.
-        v = 0.99
-        values = {n: noisy_chain_closed_form(n, v) for n in range(2, 101)}
-        oracle_n = min(values, key=lambda n: (values[n], n))
-        result = optimal_chain_length(v, (2, 100))
-        assert result.best_n == oracle_n
-        assert 2 < result.best_n < 100
-        assert result.best_value == pytest.approx(values[oracle_n], abs=1e-12)
-
     def test_closed_form_matches_direct_evaluation(self):
         for v in (1.0, 0.9, 0.4):
             for n in (2, 5):
                 direct = evaluate_chain(mix_with_noise(qm_chained_distribution(n), v), n).value
                 assert noisy_chain_closed_form(n, v) == pytest.approx(direct, abs=1e-9)
-
-    def test_empty_or_bad_range(self):
-        with pytest.raises(ValueError):
-            optimal_chain_length(0.5, (5, 4))
-        with pytest.raises(ValueError):
-            optimal_chain_length(0.5, (1, 4))

@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, and file round-trips."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainedbell import (
     ConditionalDistribution,
@@ -333,6 +337,44 @@ class TestHostileDocuments:
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 2
         assert "malformed distribution document" in payload["error"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_empty_v_vectors_is_usage_error(self, capsys, tmp_path, mode):
+        # Bob's uniform weights were 1 / len(v_vectors), a division by zero.
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 2, "grid": 4,
+                                    "weights": [0.25, 0.25, 0.25, 0.25], "v_vectors": []}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert "v_vectors must be a non-empty" in payload["error"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "given, missing", [("u_weights", "v_weights"), ("v_weights", "u_weights")]
+    )
+    def test_one_side_weights_alone_is_usage_error(self, capsys, tmp_path, mode, given, missing):
+        # A lone v_weights was once dropped without a word, and a lone
+        # u_weights failed with the bare message "'v_weights'".
+        doc = {"type": "local_deterministic", "n": 2,
+               "alice_tables": [[0, 0]], "bob_tables": [[0, 0], [1, 1]],
+               given: [1] if given == "u_weights" else [1, 0]}
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps(doc))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload["error"].startswith(f"{missing} is missing")
+
+    def test_both_side_weights_are_read(self, capsys, tmp_path):
+        # Bob always plays table [0, 0]: every chain term but the wrap one
+        # is 0, so the chain value is 1 (uniform over both tables: 2).
+        doc = {"type": "local_deterministic", "n": 2,
+               "alice_tables": [[0, 0]], "bob_tables": [[0, 0], [1, 1]],
+               "u_weights": [1], "v_weights": [1, 0]}
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc))
+        code, payload = self.run_mode(capsys, "experiment", path)
+        assert code == 0
+        assert payload["reference_chain_value"] == 1.0
 
     @pytest.mark.parametrize("mode", ["falsify", "falsify_shots"])
     def test_falsify_reads_the_model_file_once(self, capsys, tmp_path, monkeypatch, mode):
@@ -782,3 +824,183 @@ class TestHarness:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["chain_value"] == pytest.approx(2 - math.sqrt(2), abs=1e-9)
+
+
+# -- exit 1 is a verdict ---------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+# Hidden unit vectors in the plane, orthogonal to it and off both, and
+# vectors no model may take.
+UNIT_VECTORS = [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0], [0, -1, 0],
+                [0.6, 0.8, 0], [0.48, 0.6, 0.64]]
+BAD_VECTORS = [[1, 1, 0], [0, 0, 0], [NAN, 0, 1]]
+
+
+def rarely(draw) -> bool:
+    """True one time in eight (a middle value: Hypothesis favours the ends)."""
+    return draw(st.integers(1, 8)) == 5
+
+
+def vector_lists(draw, max_size):
+    vectors = draw(st.lists(st.sampled_from(UNIT_VECTORS), min_size=1, max_size=max_size))
+    if rarely(draw):
+        vectors = draw(st.sampled_from([[], vectors + [draw(st.sampled_from(BAD_VECTORS))]]))
+    return vectors
+
+
+def weight_list(draw, size):
+    """Weights of the given length, now and then off."""
+    k = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    weights = [c / sum(k) for c in k] if sum(k) else [1.0 / size] * size
+    if rarely(draw):
+        weights = draw(st.sampled_from([weights[1:], weights + [0.5], [-0.25] + weights,
+                                        [NAN] + weights[1:], [INF] + weights[1:]]))
+    return weights
+
+
+@st.composite
+def model_documents(draw, n):
+    if rarely(draw):
+        return draw(st.sampled_from([[], "leggett", None]))
+    doc = {"type": draw(st.sampled_from(["leggett", "local_deterministic", "nonlocal_qm",
+                                         "custom_table"] * 3 + ["telepathy"]))}
+    doc["n"] = draw(st.sampled_from([n] * 7 + [n + 1]))
+    if rarely(draw):
+        del doc["n"]
+    if doc["type"] == "leggett":
+        if draw(st.booleans()):
+            doc["vectors"] = vector_lists(draw, 4)
+            k = len(doc["vectors"])
+        else:
+            k = doc["grid"] = draw(st.integers(1, 6))
+        if draw(st.integers(0, 3)) == 0:
+            doc["v_vectors"] = vector_lists(draw, 3)
+        if draw(st.booleans()):
+            doc["weights"] = weight_list(draw, max(k, 1))
+        if draw(st.integers(0, 3)) == 0:
+            kv = len(doc.get("v_vectors", [None] * k))
+            flat = weight_list(draw, max(k * kv, 1))
+            doc["uv_weights"] = [flat[i * kv:(i + 1) * kv] for i in range(k)]
+    elif doc["type"] == "local_deterministic":
+        for tables in ("alice_tables", "bob_tables"):
+            rows = draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+                                 min_size=1, max_size=3))
+            if rarely(draw):
+                rows[0][0] = draw(st.sampled_from([2, -1, 0.5]))
+            doc[tables] = rows
+        nu, nv = len(doc["alice_tables"]), len(doc["bob_tables"])
+        fields = draw(st.sampled_from([(), (), ("u_weights", "v_weights"), ("uv_weights",),
+                                       ("u_weights",), ("v_weights",)]))
+        if "u_weights" in fields:
+            doc["u_weights"] = weight_list(draw, nu)
+        if "v_weights" in fields:
+            doc["v_weights"] = weight_list(draw, nv)
+        if "uv_weights" in fields:
+            flat = weight_list(draw, nu * nv)
+            doc["uv_weights"] = [flat[i * nv:(i + 1) * nv] for i in range(nu)]
+    elif doc["type"] == "nonlocal_qm":
+        doc["visibility"] = draw(st.sampled_from([1.0, 0.7, 0.0, 1.0, 0.7, 0.0, -0.1, NAN]))
+        doc["n_u"] = draw(st.sampled_from([1, 2, 3, 0]))
+    elif doc["type"] == "custom_table":
+        doc["distribution"] = draw(distribution_documents(n, parties=2))
+    return doc
+
+
+@st.composite
+def distribution_documents(draw, n, parties=None):
+    """Two- or three-party tables with N chain settings: non-signaling
+    (quantum, product or local deterministic chain outcomes with a hidden
+    party that reads only its own input), nearly or plainly signaling, or
+    malformed."""
+    parties = parties or draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c, o_z = (1, 1) if parties == 2 else (draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    form = draw(st.sampled_from(["quantum", "product", "deterministic", "signaling"]))
+    if form == "quantum":
+        v = draw(st.sampled_from([1.0, 0.5, 0.0]))
+        xy = v * qm_chained_distribution(n).table + (1 - v) * 0.25
+    elif form == "product":
+        ma, mb = rng.random((n, 2)), rng.random((n, 2))
+        ma /= ma.sum(axis=1, keepdims=True)
+        mb /= mb.sum(axis=1, keepdims=True)
+        xy = ma[:, None, :, None] * mb[None, :, None, :]
+    elif form == "deterministic":
+        f, g = rng.integers(0, 2, size=n), rng.integers(0, 2, size=n)
+        xy = np.zeros((n, n, 2, 2))
+        xy[np.arange(n)[:, None], np.arange(n)[None, :], f[:, None], g[None, :]] = 1.0
+    else:
+        xy = rng.random((n, n, 2, 2))
+        xy /= xy.sum(axis=(2, 3), keepdims=True)
+    # The hidden party answers its input c with z = c mod o_z or at random.
+    z = np.zeros((n_c, o_z))
+    if draw(st.booleans()):
+        z[np.arange(n_c), np.arange(n_c) % o_z] = 1.0
+    else:
+        z = rng.random((n_c, o_z))
+        z /= z.sum(axis=1, keepdims=True)
+    table = xy[:, :, None, :, :, None] * z[None, None, :, None, None, :]
+    # Move some of Alice's mass at one context: she signals by that much.
+    eps = draw(st.sampled_from([0.0, 0.0, 1e-10, 1e-8, 0.1]))
+    eps = min(eps, table[0, 0, 0, 0, 0, 0])
+    table[0, 0, 0, 0, 0, 0] -= eps
+    table[0, 0, 0, 1, 0, 0] += eps
+    doc = {"parties": parties, "outputs": [2, 2] + [o_z] * (parties - 2),
+           "inputs": [n, n] + [n_c] * (parties - 2), "table": table.ravel().tolist()}
+    if rarely(draw):
+        doc["table"] = draw(st.sampled_from([doc["table"][1:], [-1.0] + doc["table"][1:]]))
+    return doc
+
+
+def run_in_process(argv):
+    """Exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def one_document(stdout):
+    """The single JSON document a run printed (json.loads rejects a second)."""
+    assert stdout.endswith("\n")
+    payload = json.loads(stdout)
+    assert isinstance(payload, dict)
+    return payload
+
+
+class TestExitCodeMeansVerdict:
+    """Exit 1 is a verdict and nothing else: a falsified model, a failed
+    non-signaling check or a failed locality bound; an error is 2 or 3."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 3), st.booleans())
+    def test_falsify(self, tmp_path_factory, data, n, shots):
+        doc = data.draw(model_documents(n))
+        path = tmp_path_factory.mktemp("falsify") / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["falsify", str(path), "--n", str(n)]
+        argv += ["--shots", "64", "--seed", "5"] if shots else []
+        code, stdout = run_in_process(argv)
+        payload = one_document(stdout)
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert list(payload) == ["error"]
+        else:
+            assert (code == 1) == (payload["falsified"] is True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(distribution_documents), st.booleans())
+    def test_check(self, tmp_path_factory, doc, locality_bound):
+        path = tmp_path_factory.mktemp("check") / "dist.json"
+        path.write_text(json.dumps(doc))
+        argv = ["check", str(path)] + (["--locality-bound"] if locality_bound else [])
+        code, stdout = run_in_process(argv)
+        payload = one_document(stdout)
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert list(payload) == ["error"]
+            return
+        failed = payload["nonsignaling"]["passed"] is False
+        if locality_bound:
+            failed |= payload["locality_bound"]["passed"] is False
+            assert payload["locality_bound"]["applicable"] == payload["nonsignaling"]["passed"]
+        assert (code == 1) == failed

@@ -13,61 +13,76 @@ from chainedbell import (
     ConditionalDistribution,
     Distribution,
     HiddenVariableModel,
-    MeasurementSetup,
-    PlanarMeasurement,
     assert_nonsignaling,
     evaluate_chain,
     falsify_leggett,
     hidden_joint_form,
     induced_distribution,
     inplane_grid,
-    leggett_marginal,
     leggett_model,
     local_deterministic_model,
     locality_bound_check,
     locality_measure,
     model_from_dict,
     model_from_json_file,
-    model_from_responses,
     nonlocal_qm_model,
-    orthogonal_grid,
     qm_chained_distribution,
     quantum_chain_closed_form,
     table_model,
     xu_conditional,
 )
-from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf
+from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf, _malus_p0
+from chainedbell.quantum import _chained_angles
+
+# The two unit vectors orthogonal to the measurement (x-z) plane.
+ORTHOGONAL = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+def bloch(angle):
+    """Outcome-0 Bloch direction of the x-z-plane measurement at ``angle``."""
+    return np.array([math.sin(angle), 0.0, math.cos(angle)])
+
+
+def leggett_marginal(angle, u_vec):
+    """Scalar oracle for the squared-overlap rule: (P(0), P(1)) with
+    P(0) = (1 + a.u)/2, ``a`` the measurement's Bloch direction."""
+    p0 = 0.5 * (1.0 + float(bloch(angle) @ np.asarray(u_vec, dtype=float)))
+    p0 = min(max(p0, 0.0), 1.0)
+    return [p0, 1.0 - p0]
 
 
 class TestLeggettMarginal:
     def test_aligned_vector_is_deterministic(self):
-        m = PlanarMeasurement(0.7)
-        p = leggett_marginal(m, np.array(m.bloch_vector()))
-        assert p.probs == pytest.approx([1.0, 0.0], abs=1e-12)
+        p0 = _malus_p0([0.7], bloch(0.7)[None, :])
+        assert p0[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_vector_is_uniform(self):
-        m = PlanarMeasurement(1.3)
-        p = leggett_marginal(m, np.array([0.0, 1.0, 0.0]))
-        assert p.probs == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert _malus_p0([1.3], ORTHOGONAL).tolist() == [[0.5, 0.5]]
 
     def test_antipodal_vector_flips(self):
-        m = PlanarMeasurement(0.7)
-        p = leggett_marginal(m, -np.array(m.bloch_vector()))
-        assert p.probs == pytest.approx([0.0, 1.0], abs=1e-12)
+        p0 = _malus_p0([0.7], -bloch(0.7)[None, :])
+        assert p0[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(0)
-        m = PlanarMeasurement(2.2)
-        for _ in range(20):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            p_plus = leggett_marginal(m, u)
-            p_minus = leggett_marginal(m, -u)
-            assert p_plus.probs[0] + p_minus.probs[0] == pytest.approx(1.0, abs=1e-12)
+        u = rng.normal(size=(20, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        p_plus, p_minus = _malus_p0([2.2], u), _malus_p0([2.2], -u)
+        assert p_plus + p_minus == pytest.approx(np.ones((1, 20)), abs=1e-12)
+
+    def test_matches_the_scalar_oracle(self):
+        rng = np.random.default_rng(1)
+        angles = rng.uniform(0, 2 * math.pi, size=5)
+        u = rng.normal(size=(7, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        p0 = _malus_p0(angles, u)
+        for i, t in enumerate(angles):
+            for k in range(7):
+                assert p0[i, k] == pytest.approx(leggett_marginal(t, u[k])[0], abs=1e-15)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
-            leggett_marginal(PlanarMeasurement(0.0), np.array([1.0, 1.0, 0.0]))
+            leggett_model(2, [[1.0, 1.0, 0.0]])
 
 
 class TestModelConstruction:
@@ -89,37 +104,6 @@ class TestModelConstruction:
     def test_nonsignaling_table_accepted(self):
         m = table_model(qm_chained_distribution(3))
         assert m.n_settings == 3
-        assert m.kind == "custom_table"
-
-    def test_response_function_construction(self):
-        # Local deterministic responses written in the response-function
-        # form: x = u XOR (a parity), y = v, with a fair shared coin for w
-        # that the responses ignore.
-        support = [
-            (u, v, w, 0.25 * 0.5)
-            for u in (0, 1)
-            for v in (0, 1)
-            for w in ("heads", "tails")
-        ]
-        m = model_from_responses(
-            2,
-            support,
-            response_x=lambda a, b, u, v, w: (u + a) % 2,
-            response_y=lambda a, b, u, v, w: v,
-        )
-        assert m.n_u == 2 and m.n_v == 2
-        p4 = induced_distribution(m)
-        assert assert_nonsignaling(p4, 1e-12).passed
-
-    def test_response_functions_must_be_local_on_average(self):
-        # x copies b: no valid local/non-local split exists.
-        support = [(0, 0, None, 1.0)]
-        with pytest.raises(ValueError, match="leak"):
-            model_from_responses(
-                2, support,
-                response_x=lambda a, b, u, v, w: b % 2,
-                response_y=lambda a, b, u, v, w: 0,
-            )
 
     def test_non_finite_kernels_and_weights_rejected(self):
         # NaN compares false against every bound, so it needs its own check.
@@ -148,14 +132,6 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="visibility"):
             nonlocal_qm_model(2, visibility)
 
-    def test_nonbit_responses_rejected(self):
-        with pytest.raises(ValueError, match="bits"):
-            model_from_responses(
-                2, [(0, 0, None, 1.0)],
-                response_x=lambda a, b, u, v, w: 2,
-                response_y=lambda a, b, u, v, w: 0,
-            )
-
 
 class TestInducedDistribution:
     def test_nonlocal_model_ignores_hidden_variables(self):
@@ -175,13 +151,12 @@ class TestInducedDistribution:
         vectors = inplane_grid(8)
         m = leggett_model(n, vectors)
         p4 = induced_distribution(m)
-        setup = MeasurementSetup.chained(n)
+        alice, _ = _chained_angles(n)
         x_given_au = p4.table.sum(axis=(5, 7))[:, 0, 0, 0]  # (a, x, u)
         for a in range(n):
             for u in range(8):
                 cond = x_given_au[a, :, u] / x_given_au[a, :, u].sum()
-                oracle = leggett_marginal(setup.alice[a], vectors[u]).probs
-                assert cond == pytest.approx(list(oracle), abs=1e-12)
+                assert cond == pytest.approx(leggett_marginal(alice[a], vectors[u]), abs=1e-12)
 
     def test_sampled_mode_is_seeded(self):
         m = leggett_model(2, inplane_grid(4))
@@ -240,9 +215,9 @@ class TestLocalityMeasure:
         # of |cos(t - phi)| / 2, which equals 1/pi for every t.
         n = 2
         report = falsify_leggett(n, inplane_grid(360))
-        setup = MeasurementSetup.chained(n)
+        alice, _ = _chained_angles(n)
         for a, measured in report.per_setting_distance:
-            theta = setup.alice_angles[a]
+            theta = alice[a]
             oracle, err = quad(
                 lambda phi: abs(math.cos(theta - phi)) / 2 / (2 * math.pi),
                 0.0,
@@ -272,12 +247,12 @@ class TestLocalityMeasure:
 
     @pytest.mark.parametrize("n, grid", [(2, 360), (7, 97), (50, 3600)])
     def test_matches_the_loop_on_leggett_grids(self, n, grid):
-        vectors = np.concatenate([inplane_grid(grid), orthogonal_grid()])
+        vectors = np.concatenate([inplane_grid(grid), ORTHOGONAL])
         weights = np.random.default_rng(n).random(len(vectors))
         weights[::5] = 0.0  # zero-weight hidden values are skipped
         weights /= weights.sum()
-        bloch = np.array([m.bloch_vector() for m in MeasurementSetup.chained(n).alice])
-        p0 = np.clip(0.5 * (1.0 + bloch @ vectors.T), 0.0, 1.0)  # (N, k)
+        directions = np.array([bloch(t) for t in _chained_angles(n)[0]])
+        p0 = np.clip(0.5 * (1.0 + directions @ vectors.T), 0.0, 1.0)  # (N, k)
         table = np.stack([weights * p0, weights * (1.0 - p0)], axis=1)
         p_xu = ConditionalDistribution((n, 1), (2, len(vectors)), table[:, None])
         lm = locality_measure(p_xu)
@@ -378,7 +353,7 @@ class TestFalsifyLeggett:
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_orthogonal_vectors_never_falsified(self, n):
-        report = falsify_leggett(n, orthogonal_grid())
+        report = falsify_leggett(n, ORTHOGONAL)
         assert not report.falsified
         assert report.max_distance < 1e-9
 
@@ -404,7 +379,7 @@ class TestModelJson:
     def test_leggett_document(self, tmp_path):
         doc = {"type": "leggett", "n": 2, "grid": 12}
         m = model_from_dict(doc)
-        assert m.kind == "leggett" and m.n_u == 12
+        assert m.n_u == 12
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         m2 = model_from_json_file(path)
@@ -435,7 +410,7 @@ class TestModelJson:
     def test_custom_table_document(self):
         doc = {"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict()}
         m = model_from_dict(doc)
-        assert m.kind == "custom_table"
+        assert m.n_settings == 2 and (m.n_u, m.n_v) == (1, 1)
 
     @pytest.mark.parametrize(
         "doc",

@@ -6,93 +6,99 @@ import numpy as np
 import pytest
 
 from chainedbell import (
-    MeasurementSetup,
-    PlanarMeasurement,
-    PureTwoQubitState,
     assert_nonsignaling,
-    born_joint,
     evaluate_chain,
     mix_with_noise,
     qm_chained_distribution,
 )
+from chainedbell.quantum import _chained_angles, _outcome_states
+
+# (|00> + |11>)/sqrt(2) as complex amplitudes indexed [alice_bit, bob_bit].
+MAX_CORRELATED = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-class TestStatesAndMeasurements:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="normalized"):
-            PureTwoQubitState((1.0, 1.0, 0.0, 0.0))
+def outcome_states(angle):
+    """Rows: the states cos(t/2)|0> + sin(t/2)|1> and sin(t/2)|0> - cos(t/2)|1>
+    the two outcomes of an x-z-plane measurement at angle t project onto."""
+    h = 0.5 * angle
+    return np.array([[math.cos(h), math.sin(h)], [math.sin(h), -math.cos(h)]])
+
+
+def born_joint(ta, tb):
+    """Oracle P(x, y) for one measurement pair on the maximally correlated
+    state: contract both outcome states with the complex amplitudes and
+    take squared moduli."""
+    amps = np.einsum("xi,yj,ij->xy", outcome_states(ta), outcome_states(tb), MAX_CORRELATED)
+    return np.abs(amps) ** 2
+
+
+class TestChainedAngles:
+    def test_chained_angles(self):
+        alice, bob = _chained_angles(3)
+        step = math.pi / 6
+        assert alice == pytest.approx([0.0, 2 * step, 4 * step])
+        assert bob == pytest.approx([step, 3 * step, 5 * step])
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            _chained_angles(1)
 
     def test_projector_completeness(self):
         rng = np.random.default_rng(0)
-        for angle in rng.uniform(0, 2 * math.pi, size=50):
-            assert PlanarMeasurement(angle).completeness_defect() < 1e-12
-
-    def test_angle_reduced(self):
-        m = PlanarMeasurement(-math.pi / 2)
-        assert m.angle == pytest.approx(1.5 * math.pi, abs=1e-15)
-
-    def test_chained_setup_angles(self):
-        setup = MeasurementSetup.chained(3)
-        step = math.pi / 6
-        assert setup.alice_angles == pytest.approx((0.0, 2 * step, 4 * step))
-        assert setup.bob_angles == pytest.approx((step, 3 * step, 5 * step))
-
-    def test_chained_rejects_small_n(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            MeasurementSetup.chained(1)
+        for states in _outcome_states(rng.uniform(0, 2 * math.pi, size=50)):
+            total = sum(np.outer(s, s) for s in states)
+            assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
-class TestBornJoint:
+class TestBornOracle:
     def test_equal_angles_never_differ(self):
-        state = PureTwoQubitState.maximally_correlated()
         for angle in (0.0, 0.3, 2.0):
-            p = born_joint(state, PlanarMeasurement(angle), PlanarMeasurement(angle))
-            assert p.probs[0, 1] + p.probs[1, 0] == pytest.approx(0.0, abs=1e-15)
-
-    @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_adjacent_pair_mismatch_probability(self, n):
-        setup = MeasurementSetup.chained(n)
-        p = born_joint(setup.state, setup.alice[0], setup.bob[0])
-        expected = math.sin(math.pi / (4 * n)) ** 2
-        assert p.probs[0, 1] + p.probs[1, 0] == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 7])
-    def test_wrap_pair_match_probability(self, n):
-        setup = MeasurementSetup.chained(n)
-        p = born_joint(setup.state, setup.alice[0], setup.bob[n - 1])
-        expected = math.sin(math.pi / (4 * n)) ** 2
-        assert p.probs[0, 0] + p.probs[1, 1] == pytest.approx(expected, abs=1e-12)
+            p = born_joint(angle, angle)
+            assert p[0, 1] + p[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_mismatch_closed_form_random_angles(self):
         # P[X != Y] = sin^2((ta - tb)/2) on the maximally correlated state.
-        state = PureTwoQubitState.maximally_correlated()
         rng = np.random.default_rng(1)
         for _ in range(100):
             ta, tb = rng.uniform(0, 2 * math.pi, size=2)
-            p = born_joint(state, PlanarMeasurement(ta), PlanarMeasurement(tb))
+            p = born_joint(ta, tb)
             expected = math.sin((ta - tb) / 2) ** 2
-            assert p.probs[0, 1] + p.probs[1, 0] == pytest.approx(expected, abs=1e-12)
-
-    def test_outputs_are_distributions(self):
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        state = PureTwoQubitState(tuple(amps))
-        p = born_joint(state, PlanarMeasurement(0.7), PlanarMeasurement(2.1))
-        assert p.probs.min() >= 0.0
-        assert p.probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert p[0, 1] + p[1, 0] == pytest.approx(expected, abs=1e-12)
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChainedDistribution:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_adjacent_pair_mismatch_probability(self, n):
+        p = qm_chained_distribution(n).table[0, 0]
+        expected = math.sin(math.pi / (4 * n)) ** 2
+        assert p[0, 1] + p[1, 0] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_wrap_pair_match_probability(self, n):
+        p = qm_chained_distribution(n).table[0, n - 1]
+        expected = math.sin(math.pi / (4 * n)) ** 2
+        assert p[0, 0] + p[1, 1] == pytest.approx(expected, abs=1e-12)
+
     def test_matches_born_joint_entrywise(self):
         n = 5
         dist = qm_chained_distribution(n)
-        setup = MeasurementSetup.chained(n)
+        alice, bob = _chained_angles(n)
         rng = np.random.default_rng(3)
         for _ in range(10):
             a, b = rng.integers(0, n, size=2)
-            direct = born_joint(setup.state, setup.alice[a], setup.bob[b])
-            assert np.abs(dist.table[a, b] - direct.probs).max() < 1e-15
+            direct = born_joint(alice[a], bob[b])
+            assert np.abs(dist.table[a, b] - direct).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    def test_bit_equal_to_the_complex_contraction(self, n):
+        # The table the library built from complex amplitudes and |amp|^2,
+        # contracted over all setting pairs at once.
+        alice, bob = _chained_angles(n)
+        av = np.stack([outcome_states(t) for t in alice])
+        bv = np.stack([outcome_states(t) for t in bob])
+        amps = np.einsum("axi,byj,ij->abxy", av, bv, MAX_CORRELATED)
+        assert qm_chained_distribution(n).table.tobytes() == (np.abs(amps) ** 2).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
     def test_nonsignaling(self, n):

@@ -1,0 +1,72 @@
+"""The benchmark's tracer contract and the README's worked example."""
+
+import contextlib
+import importlib.util
+import inspect
+import io
+import re
+import sys
+from pathlib import Path
+
+import chainedbell
+from chainedbell import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings():
+    """Every name bound in a chainedbell module, and the constructors the
+    tracer wraps, as (owner, name) -> object."""
+    out = {}
+    for key, module in list(sys.modules.items()):
+        if key == "chainedbell" or key.startswith("chainedbell."):
+            out.update({(key, name): obj for name, obj in vars(module).items()})
+    for cls in (chainedbell.ConditionalDistribution, chainedbell.HiddenVariableModel):
+        out[(cls.__name__, "__init__")] = cls.__dict__["__init__"]
+    return out
+
+
+class TestTracerContract:
+    def test_patch_records_spans_and_unpatch_restores(self):
+        tracer_mod = load_tracer()
+        # Every layer the tracer names is a module with public functions.
+        for layer in tracer_mod.LAYERS:
+            module = sys.modules[f"chainedbell.{layer}"]
+            assert any(inspect.isfunction(getattr(module, n, None)) for n in module.__all__)
+        before = bindings()
+        tracer = tracer_mod.Tracer()
+        tracer.patch()
+        try:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["qm", "2"])
+        finally:
+            tracer.unpatch()
+        assert code == 0
+        assert tracer.stats["quantum.qm_chained_distribution"].calls == 1
+        assert tracer.stats["chained.evaluate_chain"].calls == 1
+        assert tracer.stats["distributions.ConditionalDistribution"].calls >= 1
+        after = bindings()
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] is not before[k]] == []
+
+
+class TestReadme:
+    def test_worked_example_runs(self):
+        text = (ROOT / "README.md").read_text()
+        section = text[text.index("## Worked example"):]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), {})
+        lines = out.getvalue().splitlines()
+        assert [line.split()[0] for line in lines[:3]] == ["2", "10", "100"]
+        assert lines[3].endswith("-> True")  # the in-plane model is falsified
+        assert lines[4] == "True"  # and its own statistics obey the cap
