@@ -584,11 +584,19 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     return make_locality_report(lm, bound, 1e-9)
 
 
+def _field(data: dict, key: str):
+    """Required field of a model document; a missing one is named."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{key} is missing from the model document") from None
+
+
 def _int_field(data: dict, key: str, default: int | None = None) -> int:
     """Integer field of a model document.  ``int`` raises OverflowError on
     an infinite number (``1e400`` parses as one); that is a usage error."""
     try:
-        return int(data[key] if default is None else data.get(key, default))
+        return int(_field(data, key) if default is None else data.get(key, default))
     except OverflowError as exc:
         raise ValueError(f"{key} must be a finite integer") from exc
 
@@ -649,12 +657,14 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
             missing = "v_weights" if "u_weights" in data else "u_weights"
             if missing not in data:
                 raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
-            uv = np.outer(
-                np.asarray(data["u_weights"], dtype=float),
-                np.asarray(data["v_weights"], dtype=float),
-            )
+            u, v = (np.asarray(data[k], dtype=float) for k in ("u_weights", "v_weights"))
+            # 0 * inf in the product would be NaN, with a RuntimeWarning.
+            for name, w in (("u_weights", u), ("v_weights", v)):
+                if not np.all(np.isfinite(w)):
+                    raise ValueError(f"{name} must be finite")
+            uv = np.outer(u, v)
         return local_deterministic_model(
-            n, data["alice_tables"], data["bob_tables"], uv
+            n, _field(data, "alice_tables"), _field(data, "bob_tables"), uv
         )
     if kind == "nonlocal_qm":
         return nonlocal_qm_model(
@@ -664,7 +674,7 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
             _int_field(data, "n_v", 1),
         )
     if kind == "custom_table":
-        dist = ConditionalDistribution.from_dict(data["distribution"])
+        dist = ConditionalDistribution.from_dict(_field(data, "distribution"))
         return table_model(dist)
     raise ValueError(f"unknown model type {kind!r}")
 

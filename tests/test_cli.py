@@ -93,6 +93,27 @@ class TestCheck:
         assert code == 1
         assert payload["nonsignaling"]["max_violation"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("locality", [[], ["--locality-bound"]])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tol, locality):
+        # NaN and -1 once failed every table (exit 1, and NaN printed bare
+        # NaN); inf passed every table.
+        out = tmp_path / "qm.json"
+        run_cli(capsys, "qm", "3", "--out", str(out))
+        code, stdout = run_in_process(["check", str(out), f"--tol={tol}", *locality])
+        assert code == 2
+        assert one_document(stdout) == {"error": "--tol must be finite and non-negative"}
+
+    @pytest.mark.parametrize("locality", [[], ["--locality-bound"]])
+    def test_zero_tolerance_is_allowed(self, capsys, tmp_path, locality):
+        out = tmp_path / "det.json"
+        table = np.zeros((2, 2, 2, 2))
+        table[:, :, 0, 0] = 1.0  # both sides always answer 0: exactly non-signaling
+        out.write_text(json.dumps(ConditionalDistribution((2, 2), (2, 2), table).to_dict()))
+        code, payload = run_cli(capsys, "check", str(out), "--tol", "0", *locality)
+        assert code == 0
+        assert payload["nonsignaling"] == {"max_violation": 0.0, "passed": True, "tol": 0.0}
+
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -270,11 +291,16 @@ class TestHostileDocuments:
         "experiment": ("experiment", "--source", "{}", "--n", "2", "--shots", "1000",
                        "--seed", "1"),
     }
-    NAN = float("nan")
+    NAN, INF = float("nan"), float("inf")
     NON_FINITE = {
         "u_weights": {"type": "local_deterministic", "n": 2,
                       "alice_tables": [[0, 0], [1, 1]], "bob_tables": [[0, 0]],
                       "u_weights": [NAN, 1], "v_weights": [1]},
+        # 0 * inf in the u_weights x v_weights product would warn.
+        "v_weights": {"type": "local_deterministic", "n": 2,
+                      "alice_tables": [[0, 0], [1, 1], [0, 1]],
+                      "bob_tables": [[0, 0], [1, 1], [1, 0]],
+                      "u_weights": [0.0, 0.0, 1.0], "v_weights": [INF, 1 / 3, 1 / 3]},
         "uv_weights": {"type": "local_deterministic", "n": 2,
                        "alice_tables": [[0, 0], [1, 1]], "bob_tables": [[0, 0]],
                        "uv_weights": [[NAN], [1]]},
@@ -364,6 +390,28 @@ class TestHostileDocuments:
         assert code == 2
         assert payload["error"].startswith(f"{missing} is missing")
 
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"type": "nonlocal_qm"}, "n"),
+            ({"type": "leggett", "grid": 4}, "n"),
+            ({"type": "local_deterministic", "n": 2, "bob_tables": [[0, 0]]},
+             "alice_tables"),
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 0]]},
+             "bob_tables"),
+            ({"type": "custom_table", "n": 2}, "distribution"),
+        ],
+        ids=["nonlocal_qm", "leggett", "alice_tables", "bob_tables", "custom_table"],
+    )
+    def test_missing_field_is_named(self, capsys, tmp_path, mode, document, field):
+        # These once failed with the bare KeyError text, e.g. "'n'".
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": f"{field} is missing from the model document"}
+
     def test_both_side_weights_are_read(self, capsys, tmp_path):
         # Bob always plays table [0, 0]: every chain term but the wrap one
         # is 0, so the chain value is 1 (uniform over both tables: 2).
@@ -424,6 +472,36 @@ class TestScan:
     def test_small_n_max_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "scan", "--n-max", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+
+class TestGoldenScan:
+    """sha256 of the CSV files that ``scan --out`` wrote through
+    ``csv.writer``; the one-pass writer must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize(
+        "n_max, visibility, file_sha256",
+        [
+            ("2", None, "51ffb16c22bece2e5d6b80fe5c1758ca2d2b18e35a60889bf430e9412a229c04"),
+            ("2", "0.93", "dd9956213f80c64e30f88314260de972c789ed70fd4e93399f11cefc23b4ba16"),
+            ("2", "0.0", "98e9f3ed8f0cc7d30457306fa1856b3530c86163843d8e824458c8f63dda8895"),
+            ("5", None, "cf59aa81bbf988c56d6c01f9bca636894a5c9b293cd47039e5dcf89c88ce2001"),
+            ("5", "0.93", "4c3ada8d20f7fd9ee4bcdc3c880f1ce7a0fb4c871e6186a338135657d540691b"),
+            ("5", "0.0", "3bf069078353346c1619e3dee3650a21c28b27f04c508f818f553c3429b02705"),
+            ("100", None, "77988b9638b01329e66be5f451274bc03dfa83f13c7d236dc440d42c403c5379"),
+            ("100", "0.93", "6811250ff2b67a7ea92c76944ee506f00fe8decd2579517134a43c19d55ec0e1"),
+            ("100", "0.0", "afc4e1ae8c32fd099e40a3b61ae57b3b6a4b9d0f195b347cf1a523012bfbd8a3"),
+            ("5000", None, "5e376ae8cb3f6f14a328bff1482897cf7b14a4616776db35bb0ce1fb076100e4"),
+            ("5000", "0.93", "9f88c8aef42f05c010b373362990b28c527b906b5fc7917b071d9a5a29e2ded3"),
+            ("5000", "0.0", "367535cae7f1cb2ab528de115333dccaa06a612dd545c051a944f8d52a29d947"),
+        ],
+    )
+    def test_out_file(self, capsys, tmp_path, n_max, visibility, file_sha256):
+        out = tmp_path / "scan.csv"
+        extra = [] if visibility is None else ["--visibility", visibility]
+        code, payload = run_cli(capsys, "scan", "--n-max", n_max, *extra, "--out", str(out))
+        assert code == 0
+        assert payload["rows"] == int(n_max) - 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha256
 
 
 class TestExperiment:
@@ -774,6 +852,34 @@ class TestHarness:
     def test_usage_error_exit_code(self, capsys):
         assert main(["qm"]) == 2  # missing argument
         capsys.readouterr()
+
+    def test_parser_is_built_once(self, capsys):
+        main(["qm", "2"])
+        before = cli.build_parser.cache_info()
+        for _ in range(10):
+            assert main(["bruteforce", "--n", "2"]) == 0
+        after = cli.build_parser.cache_info()
+        capsys.readouterr()
+        assert after.misses == before.misses == 1
+        assert after.hits == before.hits + 10
+
+    def test_shared_parser_keeps_no_option_between_calls(self, capsys):
+        code, payload = run_cli(capsys, "qm", "3", "--visibility", "0.5")
+        assert (code, payload["visibility"]) == (0, 0.5)
+        code, payload = run_cli(capsys, "qm", "3")
+        assert (code, payload["visibility"]) == (0, 1.0)
+        assert payload["chain_value"] == pytest.approx(6 * math.sin(math.pi / 12) ** 2)
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["qm", "--bogus"], 2), (["lp"], 2), (["--help"], 0), (["qm", "-h"], 0)]
+    )
+    def test_exit_from_parser_leaves_next_call_correct(self, capsys, argv, code):
+        assert main(argv) == code
+        capsys.readouterr()
+        again, payload = run_cli(capsys, "lp", "--n", "2", "--delta", "0.1")
+        assert again == 0
+        assert (payload["n"], payload["delta"]) == (2, 0.1)
+        assert "out" not in payload and "argmin" in payload
 
     def test_failed_identity_check_is_numerical_failure(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

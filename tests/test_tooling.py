@@ -1,10 +1,12 @@
-"""The benchmark's tracer contract and the README's worked example."""
+"""The benchmark's tracer contract, the README's worked example and the
+suite's warning filters."""
 
 import contextlib
 import importlib.util
 import inspect
 import io
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,25 @@ class TestReadme:
         assert [line.split()[0] for line in lines[:3]] == ["2", "10", "100"]
         assert lines[3].endswith("-> True")  # the in-plane model is falsified
         assert lines[4] == "True"  # and its own statistics obey the cap
+
+
+class TestWarningFilters:
+    def test_falsifying_example_is_a_test_failure(self, tmp_path):
+        # Explaining a falsifying example imports libcst, whose third-party
+        # DeprecationWarning must not turn into a pytest INTERNALERROR.
+        test = tmp_path / "test_falsified.py"
+        test.write_text(
+            "from hypothesis import given, settings, strategies as st\n\n"
+            "@settings(database=None)\n"
+            "@given(st.integers())\n"
+            "def test_small(x):\n"
+            "    assert x < 5\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(test)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        )
+        assert "INTERNALERROR" not in proc.stdout + proc.stderr
+        assert proc.returncode == 1  # tests failed; 3 is an internal error
+        assert "Falsifying example" in proc.stdout
