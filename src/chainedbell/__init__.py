@@ -21,17 +21,11 @@ from .chained import (
 )
 from .distributions import (
     ConditionalDistribution,
-    CouplingReport,
     Distribution,
     NonSignalingReport,
     assert_nonsignaling,
-    average_conditional_distance,
-    as_distribution,
-    coupling_distance_bound,
-    marginalize,
     read_json_file,
     stat_distance,
-    uniform_distribution,
     write_json_file,
 )
 from .experiment import (

@@ -5,7 +5,8 @@ JSON goes to stdout; CSV and distribution files go to ``--out`` paths.
 Exit codes: 0 success, 1 falsified / violation found (a valid analysis
 with a negative verdict), 2 usage error (bad arguments or input, or a
 file or stdout that cannot be written), 3 numerical failure or out of
-memory.
+memory.  Every error, an argument the parser rejects included, prints one
+JSON object ``{"error": ...}``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .chained import (
     classical_min_chain_value,
     evaluate_chain,
@@ -31,7 +30,6 @@ from .chained import (
 )
 from .distributions import (
     ConditionalDistribution,
-    Distribution,
     _load_json,
     assert_nonsignaling,
     read_json_file,
@@ -58,7 +56,6 @@ from .hvm import (
     xu_conditional,
 )
 from .quantum import mix_with_noise, qm_chained_distribution
-from .simplex import SimplexError
 
 
 def _resolve_seed(args) -> int:
@@ -103,13 +100,7 @@ def cmd_check(args) -> tuple[dict, int]:
         raise ValueError("--tol must be finite and non-negative")
     dist = read_json_file(args.distribution)
     report = assert_nonsignaling(dist, args.tol)
-    payload: dict = {
-        "nonsignaling": {
-            "max_violation": report.max_violation,
-            "passed": report.passed,
-            "tol": report.tol,
-        }
-    }
+    payload: dict = {"nonsignaling": asdict(report)}
     code = 0 if report.passed else 1
     if args.locality_bound:
         if dist.n_parties == 2:
@@ -122,16 +113,8 @@ def cmd_check(args) -> tuple[dict, int]:
             dist3 = dist
         else:
             raise ValueError("locality bound needs a 2- or 3-party table")
-        c_dist = Distribution(np.full(dist3.input_sizes[2], 1.0 / dist3.input_sizes[2]))
-        bound = locality_bound_check(dist3, c_dist, args.tol)
-        payload["locality_bound"] = {
-            "applicable": bound.applicable,
-            "ns_violation": bound.ns_violation,
-            "lhs_x": list(bound.lhs_x),
-            "lhs_y": list(bound.lhs_y),
-            "bound": bound.bound,
-            "passed": bound.passed,
-        }
+        bound = locality_bound_check(dist3, args.tol)
+        payload["locality_bound"] = asdict(bound)
         if bound.passed is not True:
             code = 1
     return payload, code
@@ -234,7 +217,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         "seed": seed,
         "source": str(args.source),
         "shots": args.shots,
-        "report": report.to_dict(),
+        "report": asdict(report),
         "max_locality_bound": max_locality_bound(report),
         "reference_chain_value": reference,
     }
@@ -270,12 +253,21 @@ def cmd_lp(args) -> tuple[dict, int]:
     return payload, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so that ``main``
+    prints them as one JSON error instead of usage text on stderr.
+    Subparsers are built with the same class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and shared after it: each
     ``add_argument`` sets up a help formatter, which costs more than a
     whole ``parse_args``, and parsing leaves the parser unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainedbell",
         description="Chained Bell experiment simulator and hidden-variable model tester",
     )
@@ -329,16 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         payload, code = args.func(args)
-    except (
-        MissingSettingPairError, SimplexError, ArithmeticError, AssertionError
-    ) as exc:
+    except SystemExit:  # --help printed its text
+        return 0
+    except (MissingSettingPairError, ArithmeticError, AssertionError) as exc:
         # AssertionError: a library identity cross-check failed numerically.
         text, code = json.dumps({"error": str(exc)}), 3
     except MemoryError as exc:

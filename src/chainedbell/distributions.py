@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +23,8 @@ __all__ = [
     "ConditionalDistribution",
     "Distribution",
     "NonSignalingReport",
-    "CouplingReport",
     "stat_distance",
-    "marginalize",
     "assert_nonsignaling",
-    "average_conditional_distance",
-    "coupling_distance_bound",
-    "as_distribution",
-    "uniform_distribution",
     "read_json_file",
     "write_json_file",
 ]
@@ -115,13 +108,6 @@ class ConditionalDistribution:
     def n_parties(self) -> int:
         return len(self.input_sizes)
 
-    def conditional(self, inputs: Sequence[int]) -> "Distribution":
-        """Output distribution for one full input assignment."""
-        inputs = tuple(int(i) for i in inputs)
-        if len(inputs) != self.n_parties:
-            raise ValueError("need one input value per party")
-        return Distribution(self.table[inputs])
-
     def _size_fields(self) -> dict:
         return {
             "parties": self.n_parties,
@@ -193,16 +179,6 @@ class NonSignalingReport:
     max_violation: float
     passed: bool
     tol: float
-    worst_subset: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    """Marginal distance versus disagreement probability of one coupling."""
-
-    lhs: float
-    rhs: float
-    passed: bool
 
 
 def _unconditional_probs(p: ConditionalDistribution) -> np.ndarray:
@@ -235,30 +211,6 @@ def stat_distance(p: ConditionalDistribution, q: ConditionalDistribution) -> flo
             f"distance identity violated: {half_l1} vs {excess}"
         )
     return half_l1
-
-
-def marginalize(
-    p: ConditionalDistribution, keep_outputs: Iterable[int]
-) -> ConditionalDistribution:
-    """Sum out the outputs of every party not in ``keep_outputs``.
-
-    Dropped parties keep their inputs and are left with the trivial
-    (size-1) output alphabet.
-    """
-    keep = sorted({int(i) for i in keep_outputs})
-    if not keep:
-        raise ValueError("keep_outputs must be a non-empty party subset")
-    if keep[0] < 0 or keep[-1] >= p.n_parties:
-        raise ValueError("party index out of range")
-    drop = [i for i in range(p.n_parties) if i not in keep]
-    if not drop:
-        return p
-    axes = tuple(p.n_parties + i for i in drop)
-    table = p.table.sum(axis=axes, keepdims=True)
-    new_outputs = tuple(
-        1 if i in set(drop) else s for i, s in enumerate(p.output_sizes)
-    )
-    return ConditionalDistribution(p.input_sizes, new_outputs, table)
 
 
 def _max_pairwise_tv(arr: np.ndarray) -> float:
@@ -333,7 +285,6 @@ def assert_nonsignaling(
     if n > MAX_PARTIES:
         raise ValueError(f"non-signaling check supports at most {MAX_PARTIES} parties")
     worst = 0.0
-    worst_subset: tuple[int, ...] | None = None
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
             comp = tuple(i for i in range(n) if i not in subset)
@@ -349,71 +300,8 @@ def assert_nonsignaling(
             s_size = int(np.prod([p.input_sizes[i] for i in subset]))
             o_size = int(np.prod([p.output_sizes[i] for i in subset]))
             arr = arr.reshape(c_size, s_size, o_size)
-            v = _max_pairwise_tv(arr)
-            if v > worst:
-                worst, worst_subset = v, subset
-    return NonSignalingReport(worst, worst <= tol, tol, worst_subset)
-
-
-def average_conditional_distance(
-    p: ConditionalDistribution, q: ConditionalDistribution
-) -> float:
-    """Distance between two (X, Z) joints as the Z-average of conditional
-    distances, valid when the Z-marginals agree within ``NORM_TOL``.
-
-    The average form must reproduce the direct joint distance within
-    ``NORM_TOL``; a mismatch indicates numerical corruption and raises.
-    """
-    pj = _unconditional_probs(p)
-    qj = _unconditional_probs(q)
-    if pj.ndim != 2 or qj.ndim != 2 or pj.shape != qj.shape:
-        raise ValueError("expected two (X, Z) joints with matching shapes")
-    pz = pj.sum(axis=0)
-    qz = qj.sum(axis=0)
-    if 0.5 * float(np.abs(pz - qz).sum()) > NORM_TOL:
-        raise ValueError("Z-marginals differ beyond tolerance")
-    terms = []
-    for z in range(pj.shape[1]):
-        wz = float(pz[z])
-        if wz <= 0.0:
-            continue
-        px = pj[:, z] / wz
-        qx = qj[:, z] / float(qz[z]) if qz[z] > 0.0 else np.zeros_like(px)
-        terms.append(wz * 0.5 * float(np.abs(px - qx).sum()))
-    avg = math.fsum(terms)
-    joint = stat_distance(p, q)
-    if abs(avg - joint) > NORM_TOL:
-        raise AssertionError(
-            f"conditional-average distance {avg} disagrees with joint {joint}"
-        )
-    return avg
-
-
-def coupling_distance_bound(p_xy: ConditionalDistribution) -> CouplingReport:
-    """Marginal distance versus disagreement probability of a coupling.
-
-    For a joint P(X, Y) on a shared alphabet, D(P_X, P_Y) is at most the
-    probability that X != Y.
-    """
-    pj = _unconditional_probs(p_xy)
-    if pj.ndim != 2 or pj.shape[0] != pj.shape[1]:
-        raise ValueError("expected a joint over a shared alphabet (square table)")
-    px = pj.sum(axis=1)
-    py = pj.sum(axis=0)
-    lhs = 0.5 * float(np.abs(px - py).sum())
-    rhs = float(pj.sum() - np.trace(pj))
-    return CouplingReport(lhs, rhs, lhs <= rhs + IDENTITY_TOL)
-
-
-def as_distribution(p: ConditionalDistribution) -> Distribution:
-    """View an all-trivial-input conditional as a plain distribution."""
-    return Distribution(_unconditional_probs(p))
-
-
-def uniform_distribution(sizes: Sequence[int]) -> Distribution:
-    """Uniform distribution over the product of the given alphabets."""
-    sizes = tuple(int(s) for s in sizes)
-    return Distribution(np.full(sizes, 1.0 / float(np.prod(sizes))))
+            worst = max(worst, _max_pairwise_tv(arr))
+    return NonSignalingReport(worst, worst <= tol, tol)
 
 
 def _json_float_list(flat: np.ndarray) -> str:

@@ -57,16 +57,6 @@ class EstimateReport:
     shots_per_pair: int
     method: str = "hoeffding-union"
 
-    def to_dict(self) -> dict:
-        return {
-            "n_settings": self.n_settings,
-            "point_estimate": self.point_estimate,
-            "upper_bound": self.upper_bound,
-            "confidence_level": self.confidence_level,
-            "shots_per_pair": self.shots_per_pair,
-            "method": self.method,
-        }
-
 
 def _source_cdfs(source, n: int):
     """Per-setting-pair cumulative outcome tables plus decode shape."""

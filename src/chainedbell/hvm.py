@@ -70,14 +70,14 @@ class HiddenVariableModel:
     """Finite model of two-party outcomes driven by hidden variables.
 
     ``u`` and ``v`` index the per-side local variables (finite alphabets
-    with joint weights ``p_uv``); any additional shared variable has
-    already been averaged into the response ``kernels``: entry
+    with joint weights ``p_uv``, uniform by default); any additional shared
+    variable has already been averaged into the response ``kernels``: entry
     ``kernels[a, b, u, v]`` is the joint outcome table P(x, y | a, b, u, v).
     """
 
     __slots__ = ("n_settings", "p_uv", "kernels")
 
-    def __init__(self, n_settings: int, *, p_uv: np.ndarray, kernels: np.ndarray):
+    def __init__(self, n_settings: int, *, p_uv=None, kernels: np.ndarray):
         n_settings = int(n_settings)
         if n_settings < 2:
             raise ValueError("chain parameter must be at least 2")
@@ -100,18 +100,10 @@ class HiddenVariableModel:
         if np.abs(sums - 1.0).max() > NORM_TOL:
             raise ValueError("each response kernel must be normalized")
         kernels = kernels / sums[..., None, None]
-        p_uv = np.asarray(p_uv, dtype=float)
-        if p_uv.shape != kernels.shape[2:4]:
-            raise ValueError("p_uv shape must match the kernel hidden alphabets")
-        if not np.all(np.isfinite(p_uv)):
-            raise ValueError("hidden-variable weights must be finite")
-        if p_uv.min() < -NORM_TOL:
-            raise ValueError("hidden-variable weights must be non-negative")
-        p_uv = np.clip(p_uv, 0.0, None)
-        total = float(p_uv.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"hidden-variable weights must sum to 1, got {total}")
-        p_uv = p_uv / total
+        nu, nv = kernels.shape[2:4]
+        if p_uv is None:
+            p_uv = np.full((nu, nv), 1.0 / (nu * nv))
+        p_uv = _weights(p_uv, (nu, nv), "uv_weights")
         self._check_local_parts(kernels)
         kernels.setflags(write=False)
         p_uv.setflags(write=False)
@@ -147,14 +139,6 @@ class HiddenVariableModel:
     @property
     def n_v(self) -> int:
         return self.kernels.shape[3]
-
-    def induced_table(self) -> ConditionalDistribution:
-        """Exact four-party table P(x, y, u, v | a, b); parties 2 and 3
-        carry the hidden indices as outputs and have no inputs."""
-        n, nu, nv = self.n_settings, self.n_u, self.n_v
-        t = np.einsum("uv,abuvxy->abxyuv", self.p_uv, self.kernels)
-        table = t.reshape(n, n, 1, 1, 2, 2, nu, nv)
-        return ConditionalDistribution((n, n, 1, 1), (2, 2, nu, nv), table)
 
     def __repr__(self) -> str:
         return (
@@ -192,12 +176,13 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
     return arr
 
 
-def _weights(weights, k: int, name: str) -> np.ndarray:
-    if weights is None:
-        return np.full(k, 1.0 / k)
+def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``weights`` checked to have ``shape``, to be finite and non-negative
+    and to sum to 1 within ``NORM_TOL``; returned clipped at 0 and divided
+    by their sum."""
     w = np.asarray(weights, dtype=float)
-    if w.shape != (k,):
-        raise ValueError(f"{name} must have length {k}")
+    if w.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{name} must be finite")
     if w.min() < -NORM_TOL:
@@ -240,19 +225,12 @@ def leggett_model(
     alice, bob = _chained_angles(n)
     uvecs = _unit_vectors(u_vectors, "u_vectors")
     vvecs = uvecs if v_vectors is None else _unit_vectors(v_vectors, "v_vectors")
-    nu, nv = len(uvecs), len(vvecs)
-    if uv_weights is None:
-        p_uv = np.full((nu, nv), 1.0 / (nu * nv))
-    else:
-        p_uv = np.asarray(uv_weights, dtype=float)
-        if p_uv.shape != (nu, nv):
-            raise ValueError("uv_weights shape must match the vector grids")
     pa0 = _malus_p0(alice, uvecs)  # (N, nu)
     pb0 = _malus_p0(bob, vvecs)  # (N, nv)
     ma = np.stack([pa0, 1.0 - pa0], axis=-1)  # (N, nu, 2)
     mb = np.stack([pb0, 1.0 - pb0], axis=-1)
     kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
+    return HiddenVariableModel(n, p_uv=uv_weights, kernels=kernels)
 
 
 def local_deterministic_model(
@@ -272,18 +250,11 @@ def local_deterministic_model(
         raise ValueError("strategy tables must have shape (k, N)")
     if not (np.isin(at, (0, 1)).all() and np.isin(bt, (0, 1)).all()):
         raise ValueError("strategy outputs must be bits")
-    nu, nv = at.shape[0], bt.shape[0]
-    if uv_weights is None:
-        p_uv = np.full((nu, nv), 1.0 / (nu * nv))
-    else:
-        p_uv = np.asarray(uv_weights, dtype=float)
-        if p_uv.shape != (nu, nv):
-            raise ValueError("uv_weights shape must match the strategy counts")
     eye = np.eye(2)
     ma = eye[at].transpose(1, 0, 2)  # (N, nu, 2): one-hot responses
     mb = eye[bt].transpose(1, 0, 2)
     kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
+    return HiddenVariableModel(n, p_uv=uv_weights, kernels=kernels)
 
 
 def nonlocal_qm_model(
@@ -291,20 +262,16 @@ def nonlocal_qm_model(
     visibility: float = 1.0,
     n_u: int = 1,
     n_v: int = 1,
-    u_weights=None,
-    v_weights=None,
 ) -> HiddenVariableModel:
     """Entirely non-local model reproducing the (optionally noisy) quantum
     table: the shared variable carries all outcome correlations, and any
-    declared local variables are dummies the responses ignore."""
+    declared local variables are uniform dummies the responses ignore."""
     if n_u < 1 or n_v < 1:
         raise ValueError("n_u and n_v must be at least 1")
     base = qm_chained_distribution(n)
     if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
         base = mix_with_noise(base, visibility)
-    wu = _weights(u_weights, n_u, "u_weights")
-    wv = _weights(v_weights, n_v, "v_weights")
-    p_uv = np.outer(wu, wv)
+    p_uv = np.outer(np.full(n_u, 1.0 / n_u), np.full(n_v, 1.0 / n_v))
     kernels = np.broadcast_to(
         base.table[:, :, None, None, :, :], (n, n, n_u, n_v, 2, 2)
     ).copy()
@@ -320,8 +287,7 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     n = dist.input_sizes[0]
     if dist.input_sizes != (n, n) or n < 2:
         raise ValueError("expected N >= 2 settings on both sides")
-    kernels = dist.table[:, :, None, None, :, :]
-    return HiddenVariableModel(n, p_uv=np.ones((1, 1)), kernels=kernels)
+    return HiddenVariableModel(n, kernels=dist.table[:, :, None, None, :, :])
 
 
 def induced_distribution(
@@ -335,14 +301,18 @@ def induced_distribution(
     ``mode="exact"`` computes the table from the hidden-variable weights
     and response kernels; ``mode="sampled"`` estimates it with ``shots``
     Monte Carlo draws per setting pair (seed required, reproducible).
+    Parties 2 and 3 carry the hidden indices as outputs and have no inputs.
     """
+    n, nu, nv = model.n_settings, model.n_u, model.n_v
     if mode == "exact":
-        return model.induced_table()
+        t = np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
+        return ConditionalDistribution(
+            (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
+        )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if shots is None or shots < 1 or seed is None:
         raise ValueError("sampled mode needs shots >= 1 and a seed")
-    n, nu, nv = model.n_settings, model.n_u, model.n_v
     rng = np.random.default_rng(seed)
     shape = (2, 2, nu, nv)
     table = np.zeros((n, n) + shape)
@@ -471,15 +441,13 @@ class LocalityBoundReport:
 
 
 def locality_bound_check(
-    p: ConditionalDistribution,
-    c_dist: Distribution,
-    tol: float = NORM_TOL,
+    p: ConditionalDistribution, tol: float = NORM_TOL
 ) -> LocalityBoundReport:
     """Check that hidden-side information stays within half the chain value.
 
     ``p`` is a three-party table: party 0 is Alice (binary outcome given a
     chain setting), party 1 Bob, party 2 an extra output Z given an input C
-    drawn with ``c_dist`` independently of the settings.  For every setting
+    drawn uniformly and independently of the settings.  For every setting
     a, the statistical distance of P(x, z, c | a) from (uniform x) times
     the (z, c) marginal must be at most half the chain value of the (x, y)
     table; symmetrically for every b.
@@ -492,9 +460,7 @@ def locality_bound_check(
     if p.input_sizes[1] != n or n < 2:
         raise ValueError("chain parties must share N >= 2 settings")
     n_c = p.input_sizes[2]
-    pc = np.asarray(c_dist.probs, dtype=float).reshape(-1)
-    if pc.size != n_c:
-        raise ValueError("c_dist must match party 2's input alphabet")
+    pc = np.full(n_c, 1.0 / n_c)
     ns = assert_nonsignaling(p, tol)
     if not ns.passed:
         return LocalityBoundReport(False, ns.max_violation, (), (), math.nan, None)
@@ -573,12 +539,13 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     N = 2; vectors orthogonal to the measurement plane contribute nothing.
     """
     vecs = _unit_vectors(vectors, "vectors")
-    w = _weights(weights, len(vecs), "weights")
+    k = len(vecs)
+    w = np.full(k, 1.0 / k) if weights is None else _weights(weights, (k,), "weights")
     p0 = _malus_p0(_chained_angles(n)[0], vecs)  # (N, k)
-    table = np.empty((n, 1, 2, len(vecs)))
+    table = np.empty((n, 1, 2, k))
     table[:, 0, 0, :] = w[None, :] * p0
     table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
-    p_xu = ConditionalDistribution((n, 1), (2, len(vecs)), table)
+    p_xu = ConditionalDistribution((n, 1), (2, k), table)
     lm = locality_measure(p_xu)
     bound = 0.5 * quantum_chain_closed_form(n)
     return make_locality_report(lm, bound, 1e-9)
@@ -593,10 +560,14 @@ def _field(data: dict, key: str):
 
 
 def _int_field(data: dict, key: str, default: int | None = None) -> int:
-    """Integer field of a model document.  ``int`` raises OverflowError on
-    an infinite number (``1e400`` parses as one); that is a usage error."""
+    """Integer field of a model document.  A fractional number is a usage
+    error, not truncated (``int(2.7)`` is 2); so is an infinite one, on
+    which ``int`` raises OverflowError (``1e400`` parses as one)."""
+    value = _field(data, key) if default is None else data.get(key, default)
+    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     try:
-        return int(_field(data, key) if default is None else data.get(key, default))
+        return int(value)
     except OverflowError as exc:
         raise ValueError(f"{key} must be a finite integer") from exc
 
@@ -622,16 +593,15 @@ def _leggett_document(data: dict):
     nv = len(vectors) if v_vectors is None else len(v_vectors)
     if "uv_weights" in data:
         uv = np.asarray(data["uv_weights"], dtype=float)
-        if uv.shape != (len(vectors), nv):
-            raise ValueError("uv_weights shape must match the vector grids")
-        # Row sums can be valid weights while an entry is negative.
-        if not np.all(uv >= -NORM_TOL):
-            raise ValueError("uv_weights must be non-negative")
+        # Checked entry by entry, as row sums can be valid weights while an
+        # entry is negative.  The raw entries are returned: the model and
+        # falsify_leggett each divide them by their sum once.
+        _weights(uv, (len(vectors), nv), "uv_weights")
         return n, vectors, v_vectors, uv, uv.sum(axis=1)
     weights = data.get("weights")
     if weights is None:
         return n, vectors, v_vectors, None, None
-    w = _weights(np.asarray(weights, dtype=float), len(vectors), "weights")
+    w = _weights(weights, (len(vectors),), "weights")
     wv = w if v_vectors is None else np.full(nv, 1.0 / nv)
     return n, vectors, v_vectors, np.outer(w, wv), weights
 

@@ -24,8 +24,9 @@ _FEAS_TOL = 1e-7
 _RATIO_TIE = 1e-12
 
 
-class SimplexError(RuntimeError):
-    """Solver failure (iteration cap hit); treated as numerical failure."""
+class SimplexError(ArithmeticError):
+    """Solver failure (iteration cap hit): a numerical failure, exit 3 in
+    the CLI."""
 
 
 class InfeasibleError(SimplexError):

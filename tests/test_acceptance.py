@@ -15,9 +15,7 @@ from chainedbell import (
     Distribution,
     EstimateReport,
     assert_nonsignaling,
-    average_conditional_distance,
     classical_min_chain_value,
-    coupling_distance_bound,
     estimate_chain_value,
     evaluate_chain,
     falsify_leggett,
@@ -28,7 +26,6 @@ from chainedbell import (
     local_deterministic_model,
     locality_bound_check,
     lp_min_chain_given_bias,
-    marginalize,
     max_locality_bound,
     nonlocal_qm_model,
     qm_chained_distribution,
@@ -36,6 +33,7 @@ from chainedbell import (
     simulate_shots,
     stat_distance,
 )
+from lemmas import average_conditional_distance, coupling_distance_bound, marginalize
 
 CHSH_VALUE = 2 - math.sqrt(2)
 
@@ -97,7 +95,6 @@ def test_04_nonsignaling():
 def test_05_locality_bound_model_sweep():
     def run():
         rng = np.random.default_rng(2024)
-        trivial_c = Distribution([1.0])
         for trial in range(200):
             n = int(rng.integers(2, 4))
             family = trial % 3
@@ -123,7 +120,7 @@ def test_05_locality_bound_model_sweep():
                 )
             p4 = induced_distribution(model)
             assert assert_nonsignaling(p4, 1e-9).passed
-            rep = locality_bound_check(hidden_joint_form(p4), trivial_c)
+            rep = locality_bound_check(hidden_joint_form(p4))
             assert rep.applicable
             assert rep.passed, f"bound violated on trial {trial}: {rep}"
 

@@ -21,8 +21,9 @@ from chainedbell import (
     qm_chained_distribution,
     read_json_file,
 )
-from chainedbell import cli
+from chainedbell import chained, cli
 from chainedbell.cli import main
+from chainedbell.simplex import SimplexError
 
 
 def module_env():
@@ -423,6 +424,46 @@ class TestHostileDocuments:
         code, payload = self.run_mode(capsys, "experiment", path)
         assert code == 0
         assert payload["reference_chain_value"] == 1.0
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"type": "nonlocal_qm", "n": 2.7}, "n"),
+            ({"type": "local_deterministic", "n": 2.5, "alice_tables": [[0, 0]],
+              "bob_tables": [[0, 0]]}, "n"),
+            ({"type": "leggett", "n": 2, "grid": 12.5}, "grid"),
+            ({"type": "nonlocal_qm", "n": 2, "n_u": 1.5}, "n_u"),
+            ({"type": "nonlocal_qm", "n": 2, "n_v": 2.5}, "n_v"),
+        ],
+        ids=["n", "n_local_deterministic", "grid", "n_u", "n_v"],
+    )
+    def test_fractional_size_is_usage_error(self, capsys, tmp_path, mode, document, field):
+        # int() truncated these: "n": 2.7 was analysed as N = 2 (exit 0).
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": f"{field} must be an integer, got {document[field]!r}"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_integral_float_size_is_read(self, capsys, tmp_path, mode):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"type": "nonlocal_qm", "n": 2.0, "n_u": 3.0}))
+        code, _ = self.run_mode(capsys, mode, path)
+        assert code == 0
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_nan_uv_weight_is_named_non_finite(self, capsys, tmp_path, mode):
+        # The NaN entry was reported as "uv_weights must be non-negative".
+        path = tmp_path / "nan_uv.json"
+        path.write_text(json.dumps({
+            "type": "leggett", "n": 2, "vectors": [[0, 0, 1], [1, 0, 0]],
+            "uv_weights": [[self.NAN, 0], [0, 1]],
+        }))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": "uv_weights must be finite"}
 
     @pytest.mark.parametrize("mode", ["falsify", "falsify_shots"])
     def test_falsify_reads_the_model_file_once(self, capsys, tmp_path, monkeypatch, mode):
@@ -930,6 +971,71 @@ class TestHarness:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["chain_value"] == pytest.approx(2 - math.sqrt(2), abs=1e-9)
+
+
+class TestUsageErrorsAreJson:
+    """An argument the parser rejects prints one JSON error on stdout and
+    nothing on stderr, and exits 2, like every other usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["check", "t.json", "--tol", "-inf"],
+             "chainedbell check: argument --tol: expected one argument"),
+            (["falsify", "m.json"],
+             "chainedbell falsify: the following arguments are required: --n"),
+            (["experiment", "--source", "qm", "--n", "2"],
+             "chainedbell experiment: the following arguments are required: --shots"),
+            (["qm", "two"], "chainedbell qm: argument n: invalid int value: 'two'"),
+            (["qm", "2", "--extra"], "chainedbell: unrecognized arguments: --extra"),
+            ([], "chainedbell: the following arguments are required: command"),
+        ],
+    )
+    def test_parser_error(self, capsys, argv, error):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert one_document(out) == {"error": error}
+        assert err == ""
+
+    def test_unknown_subcommand(self, capsys):
+        code = main(["bogus"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert one_document(out)["error"].startswith(
+            "chainedbell: argument command: invalid choice: 'bogus'"
+        )
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["falsify", "-h"]])
+    def test_help_still_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: chainedbell")
+        assert err == ""
+
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainedbell", "falsify", "m.json"],
+            capture_output=True, text=True, env=module_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "--n" in one_document(proc.stdout)["error"]
+
+
+class TestSolverFailure:
+    def test_lp_solver_error_is_numerical_failure(self, capsys, monkeypatch):
+        # The CLI catches ArithmeticError; a simplex failure is one.
+        assert issubclass(SimplexError, ArithmeticError)
+
+        def stuck(*args, **kwargs):
+            raise SimplexError("simplex iteration limit reached")
+
+        monkeypatch.setattr(chained, "solve_equality_lp", stuck)
+        code, payload = run_cli(capsys, "lp", "--n", "2", "--delta", "0.1")
+        assert code == 3
+        assert payload == {"error": "simplex iteration limit reached"}
 
 
 # -- exit 1 is a verdict ---------------------------------------------------

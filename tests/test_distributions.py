@@ -16,16 +16,19 @@ from chainedbell import (
     ConditionalDistribution,
     Distribution,
     assert_nonsignaling,
-    average_conditional_distance,
-    as_distribution,
-    coupling_distance_bound,
     locality_bound_check,
-    marginalize,
     qm_chained_distribution,
     read_json_file,
     stat_distance,
-    uniform_distribution,
     write_json_file,
+)
+from lemmas import (
+    as_distribution,
+    average_conditional_distance,
+    conditional,
+    coupling_distance_bound,
+    marginalize,
+    uniform_distribution,
 )
 
 
@@ -249,7 +252,7 @@ class TestMaxPairwiseTV:
         table = qm_chained_distribution(n).table.reshape(n, n, 1, 2, 2, 1)
         p3 = ConditionalDistribution((n, n, 1), (2, 2, 1), table)
         rep, peak, elapsed = self._peak_bytes(
-            lambda: locality_bound_check(p3, Distribution([1.0]))
+            lambda: locality_bound_check(p3)
         )
         assert rep.applicable and rep.passed
         assert peak < 2 * p3.table.nbytes + 16 * 2**20
@@ -320,10 +323,10 @@ class TestHelpers:
     def test_conditional_accessor(self):
         rng = np.random.default_rng(12)
         p = random_conditional(rng, (3, 2), (2, 2))
-        d = p.conditional((1, 0))
+        d = conditional(p, (1, 0))
         assert np.array_equal(d.probs, p.table[1, 0])
         with pytest.raises(ValueError, match="per party"):
-            p.conditional((1,))
+            conditional(p, (1,))
 
 
 class TestJsonRoundTrip:

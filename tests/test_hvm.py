@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from chainedbell import (
     ConditionalDistribution,
-    Distribution,
     HiddenVariableModel,
     assert_nonsignaling,
     evaluate_chain,
@@ -124,8 +123,10 @@ class TestModelConstruction:
             falsify_leggett(2, [[0, 0, np.inf], [0, 0, 1]])
         with pytest.raises(ValueError, match="weights must be finite"):
             falsify_leggett(2, [[1, 0, 0], [0, 0, 1]], [np.nan, 1.0])
-        with pytest.raises(ValueError, match="u_weights must be finite"):
-            nonlocal_qm_model(2, n_u=2, u_weights=[np.nan, 1.0])
+        with pytest.raises(ValueError, match="uv_weights must be finite"):
+            HiddenVariableModel(
+                2, p_uv=[[np.nan], [1.0]], kernels=nonlocal_qm_model(2, n_u=2).kernels
+            )
 
     @pytest.mark.parametrize("visibility", [float("nan"), 1.5])
     def test_visibility_off_the_unit_interval_rejected(self, visibility):
@@ -137,7 +138,8 @@ class TestInducedDistribution:
     def test_nonlocal_model_ignores_hidden_variables(self):
         # Dummy local variables: the (x, u) joint factorizes exactly into
         # uniform times the hidden marginal.
-        m = nonlocal_qm_model(2, n_u=3, u_weights=[0.2, 0.3, 0.5])
+        kernels = nonlocal_qm_model(2, n_u=3).kernels
+        m = HiddenVariableModel(2, p_uv=[[0.2], [0.3], [0.5]], kernels=kernels)
         p_xu = xu_conditional(induced_distribution(m))
         lm = locality_measure(p_xu)
         assert lm.max_distance < 1e-12
@@ -277,7 +279,7 @@ class TestLocalityBound:
         p = qm_chained_distribution(3)
         table = p.table.reshape(3, 3, 1, 2, 2, 1)
         p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), table)
-        rep = locality_bound_check(p3, Distribution([1.0]))
+        rep = locality_bound_check(p3)
         assert rep.applicable and rep.passed
         assert max(rep.lhs_x + rep.lhs_y) < 1e-12
 
@@ -288,7 +290,7 @@ class TestLocalityBound:
             for g in itertools.product((0, 1), repeat=2):
                 m = local_deterministic_model(2, [list(f)], [list(g)])
                 p3 = hidden_joint_form(induced_distribution(m))
-                rep = locality_bound_check(p3, Distribution([1.0]))
+                rep = locality_bound_check(p3)
                 assert rep.applicable and rep.passed
                 assert rep.lhs_x == pytest.approx((0.5, 0.5), abs=1e-12)
                 assert rep.bound >= 0.5 - 1e-12
@@ -302,7 +304,7 @@ class TestLocalityBound:
         for c in range(2):
             table[:, :, c, :, :, c] = base.table
         p3 = ConditionalDistribution((n, n, 2), (2, 2, 2), table)
-        rep = locality_bound_check(p3, Distribution([0.5, 0.5]))
+        rep = locality_bound_check(p3)
         assert rep.applicable and rep.passed
         assert max(rep.lhs_x + rep.lhs_y) < 1e-12
 
@@ -312,7 +314,7 @@ class TestLocalityBound:
             for b in range(2):
                 table[a, b, 0, b, 0, 0] = 1.0
         p3 = ConditionalDistribution((2, 2, 1), (2, 2, 1), table)
-        rep = locality_bound_check(p3, Distribution([1.0]))
+        rep = locality_bound_check(p3)
         assert not rep.applicable
         assert rep.passed is None
         assert rep.ns_violation == pytest.approx(1.0, abs=1e-12)
@@ -339,7 +341,7 @@ class TestLocalityBound:
                 m = nonlocal_qm_model(n, visibility=float(rng.uniform(0.5, 1.0)))
             p4 = induced_distribution(m)
             assert assert_nonsignaling(p4, 1e-9).passed
-            rep = locality_bound_check(hidden_joint_form(p4), Distribution([1.0]))
+            rep = locality_bound_check(hidden_joint_form(p4))
             assert rep.applicable and rep.passed
 
 
@@ -406,6 +408,23 @@ class TestModelJson:
         p = ConditionalDistribution((3, 3), (2, 2), table)
         expected = 0.8 * quantum_chain_closed_form(3) + 0.2 * 3
         assert evaluate_chain(p, 3).value == pytest.approx(expected, abs=1e-9)
+
+    def test_leggett_uv_weights_are_divided_once(self):
+        # A total 5e-10 off 1 is within NORM_TOL and divided out exactly
+        # once, by the model; the document reader only checks the entries.
+        uv = np.array([[0.3, 0.2], [0.1, 0.4 + 5e-10]])
+        doc = {"type": "leggett", "n": 2, "vectors": [[0, 0, 1], [1, 0, 0]],
+               "uv_weights": uv.tolist()}
+        m = model_from_dict(doc)
+        assert np.array_equal(m.p_uv, uv / uv.sum())
+
+    def test_model_weights_default_and_shape(self):
+        kernels = nonlocal_qm_model(2, n_u=2, n_v=3).kernels
+        m = HiddenVariableModel(2, kernels=kernels)
+        uniform = np.full((2, 3), 1.0 / 6.0)  # sums to 1 only within rounding
+        assert np.array_equal(m.p_uv, uniform / uniform.sum())
+        with pytest.raises(ValueError, match=re.escape("uv_weights must have shape (2, 3)")):
+            HiddenVariableModel(2, p_uv=np.full((3, 2), 1.0 / 6.0), kernels=kernels)
 
     def test_custom_table_document(self):
         doc = {"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict()}

@@ -1,6 +1,7 @@
-"""The benchmark's tracer contract, the README's worked example and the
-suite's warning filters."""
+"""The benchmark's tracer contract, the README's worked example, the
+suite's warning filters and the package's imports."""
 
+import ast
 import contextlib
 import importlib.util
 import inspect
@@ -94,3 +95,52 @@ class TestWarningFilters:
         assert "INTERNALERROR" not in proc.stdout + proc.stderr
         assert proc.returncode == 1  # tests failed; 3 is an internal error
         assert "Falsifying example" in proc.stdout
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, as "line N: name".  A name
+    read only in a quoted annotation, or listed in ``__all__``, is read."""
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read.update(ast.literal_eval(node.value))
+        # A parameter's or assignment's annotation, or a return annotation.
+        ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            quoted = ast.walk(ast.parse(ann.value, mode="eval"))
+            read.update(n.id for n in quoted if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+class TestImports:
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # __init__ imports names only to re-export them.
+        package = ROOT / "src" / "chainedbell"
+        found = {
+            path.name: unused
+            for path in sorted(package.glob("*.py"))
+            if path.name != "__init__.py"
+            and (unused := unused_imports(path.read_text()))
+        }
+        assert found == {}
+
+    def test_the_check_sees_an_unused_import(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import math  # math is named only in comments and strings\n"
+            "import numpy as np\n"
+            "from typing import Iterable, Sequence\n"
+            "from .x import Table, y\n"
+            "__all__ = ['y']\n"
+            "def f(a: 'Sequence[int]') -> 'Table':\n"
+            "    return np.zeros(1), 'Iterable, math'\n"
+        )
+        assert unused_imports(source) == ["line 2: math", "line 4: Iterable"]
