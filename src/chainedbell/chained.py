@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConditionalDistribution
-from .simplex import solve_equality_lp
+from .distributions import IDENTITY_TOL, ConditionalDistribution
 
 __all__ = [
     "ChainScore",
@@ -78,21 +77,25 @@ class BiasedChainLP:
     """Outcome of the biased-marginal minimization.
 
     ``gap`` is ``min_value - 2*delta``, the slack over the analytic lower
-    bound; ``branch_values`` are the optima of the two outcome-relabeled
-    bias branches, which must agree.
+    bound; ``branch_values`` are the certified optima of the two
+    outcome-relabeled bias branches.  ``dual_certificate`` holds each
+    branch's integer dual vector, in the row order of the program
+    :func:`_chain_pair_lp` builds: its ``b . y`` is the lower bound that
+    ``min_value`` meets.
     """
 
     min_value: float
     gap: float
     argmin: ConditionalDistribution
     branch_values: tuple[float, float]
+    dual_certificate: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 # Outcome cells (x, y) that each kind of chain term counts.
 _TERM_CELLS = {"differ": ((0, 1), (1, 0)), "match": ((0, 0), (1, 1))}
 
-# Largest chain length the biased-marginal LP accepts: the dense simplex
-# takes seconds on the 801 x 401 program at N = 100.
+# Largest chain length the biased-marginal LP accepts: its argmin is a
+# dense table of 4N^2 entries that goes to stdout (40 000 at N = 100).
 _LP_MAX_N = 100
 
 
@@ -200,11 +203,20 @@ def classical_min_chain_value(n: int) -> BruteForceResult:
 
 
 def _chain_pair_lp(n: int, delta: float, branch_x: int):
-    """Equality-form LP data over the 2N chain-pair joints (pair k of
-    :func:`chain_pairs` at columns 4k + 2x + y) plus one surplus variable.
+    """Equality-form LP data ``(c, A, b)``: minimize ``c . x`` subject to
+    ``A x = b``, ``x >= 0``, over the 2N chain-pair joints (pair k of
+    :func:`chain_pairs` at columns 4k + 2x + y) plus one surplus variable
+    (the last column).
 
-    Rows: one normalisation per pair, one marginal equality per setting
-    (each setting sits in exactly two chain pairs), and the bias row."""
+    Each setting sits in exactly two chain pairs.  Rows, with m = 2N:
+
+    - rows 0 .. m-1: the normalisation of pair k, in row k;
+    - rows m .. 2m-1: the marginal equalities, two for each pair after the
+      first N (pairs (i+1, i), then the wrap pair (0, N-1)): Alice's
+      outcome-0 marginal equals the one of the first pair with her
+      setting, then Bob's does the same;
+    - row 2m: the bias row.
+    """
     pairs = chain_pairs(n)
     m = len(pairs)
     c = np.zeros(4 * m + 1)
@@ -217,12 +229,13 @@ def _chain_pair_lp(n: int, delta: float, branch_x: int):
         for x, y in _TERM_CELLS[kind]:
             c[4 * k + 2 * x + y] = 1.0
         A[k, 4 * k : 4 * k + 4] = 1.0
-        # Outcome-0 marginal of each side (x = 0 cells, then y = 0 cells).
-        for side, setting, cols in ((0, a, (0, 1)), (1, b, (0, 2))):
+        # Outcome-0 marginal of each side: the x = 0 cells (columns 0, 1 of
+        # the pair), then the y = 0 cells (columns 0, 2).
+        for side, setting, step in ((0, a, 1), (1, b, 2)):
             first = seen.setdefault((side, setting), k)
             if first != k:
-                A[row, [4 * k + j for j in cols]] = 1.0
-                A[row, [4 * first + j for j in cols]] = -1.0
+                A[row, 4 * k : 4 * k + 2 * step : step] = 1.0
+                A[row, 4 * first : 4 * first + 2 * step : step] = -1.0
                 row += 1
     # Bias: P(X = branch_x | A = 0) - surplus = 1/2 + delta, read on pair (0, 0).
     A[-1, 2 * branch_x : 2 * branch_x + 2] = 1.0
@@ -231,42 +244,112 @@ def _chain_pair_lp(n: int, delta: float, branch_x: int):
     return c, A, rhs
 
 
+def _chain_pair_primal(n: int, delta: float, branch_x: int) -> np.ndarray:
+    """A point of :func:`_chain_pair_lp` of value ``2*delta``: every chain
+    pair holds ``2*delta`` times the deterministic pair X = Y = branch_x
+    plus ``1 - 2*delta`` times the chained PR box, and the surplus is 0
+    (Barrett, Kent & Pironio, PRL 97, 170409, 2006).
+
+    The box puts 1/2 on the equal cells of each ``differ`` pair and on the
+    unequal cells of the ``match`` wrap pair, so it scores 0 with uniform
+    marginals; the deterministic pair scores 1, on the wrap term."""
+    x = np.zeros(8 * n + 1)
+    cells = x[:-1].reshape(2 * n, 4)  # pair k's cell (x, y) in column 2x + y
+    cells[:-1, ::3] = 0.5  # the box: equal cells of the differ pairs
+    cells[-1, 1:3] = 0.5  # and unequal cells of the wrap pair
+    cells *= 1.0 - 2.0 * delta
+    cells[:, 3 * branch_x] += 2.0 * delta
+    return x
+
+
+def _chain_pair_dual(n: int, branch_x: int) -> np.ndarray:
+    """An integer dual point of :func:`_chain_pair_lp` with
+    ``b . y = 2*delta``, in its row order (m = 2N):
+
+    - normalisation rows: 0, except -1 on the wrap pair for branch 0, and
+      -2 on pair 0 and +1 on the wrap pair for branch 1;
+    - marginal rows: -1, +1 for each pair (i+1, i) and +1, +1 for the wrap
+      pair, negated for branch 1;
+    - bias row: 2.
+    """
+    m = 2 * n
+    sign = 1 - 2 * branch_x
+    y = np.zeros(2 * m + 1, dtype=np.int64)
+    y[m : 2 * m : 2] = -sign
+    y[m + 1 : 2 * m : 2] = sign
+    y[2 * m - 2] = sign
+    y[-1] = 2
+    if branch_x == 0:
+        y[m - 1] = -1
+    else:
+        y[0], y[m - 1] = -2, 1
+    return y
+
+
+def _certified_value(c, A, b, x: np.ndarray, y: np.ndarray) -> float:
+    """``c . x`` once ``x`` and ``y`` are checked to be an optimal
+    primal-dual pair of min ``c . x`` subject to ``A x = b``, ``x >= 0``.
+
+    Checks: ``x >= 0``, ``|A x - b| <= IDENTITY_TOL``, ``A^T y <= c``
+    (exact for an integer ``y``) and ``|c . x - b . y| <= IDENTITY_TOL``.
+    Weak duality then puts the optimum in ``[b . y, c . x]``.  A failed
+    check raises ArithmeticError."""
+    value = float(c @ x)
+    residual = float(np.abs(A @ x - b).max())
+    if x.min() < 0.0 or residual > IDENTITY_TOL:
+        raise ArithmeticError(
+            f"LP certificate: primal point infeasible "
+            f"(least entry {x.min():.3g}, residual {residual:.3g})"
+        )
+    excess = float((A.T @ y - c).max())
+    if excess > 0.0:
+        raise ArithmeticError(f"LP certificate: dual point infeasible (A^T y - c = {excess:.3g})")
+    gap = value - float(b @ y)
+    if abs(gap) > IDENTITY_TOL:
+        raise ArithmeticError(f"LP certificate: duality gap {gap:.3g} above {IDENTITY_TOL}")
+    return value
+
+
 def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     """Minimize the chain value over non-signaling two-party binary tables
     whose Alice marginal at setting 0 is biased away from uniform by at
     least ``delta`` in statistical distance.
 
     The bias constraint is linearized by fixing an outcome branch,
-    P(X=0 | A=0) >= 1/2 + delta; relabeling x -> 1-x maps the feasible set
-    of the opposite branch onto this one while permuting chain terms, so
-    both branches are solved and their optima must agree.  The analytic
-    lower bound for the optimum is 2*delta.
+    P(X = branch_x | A = 0) >= 1/2 + delta; relabeling x -> 1-x maps the
+    feasible set of one branch onto the other's, so both branches are
+    solved.  No solver runs: each branch's optimum, ``2*delta``, is
+    written in closed form as a primal point and an integer dual point,
+    and the pair is checked against the program :func:`_chain_pair_lp`
+    builds (see :func:`_certified_value`).  A failed check raises
+    ArithmeticError; nothing falls back to an iterative solver.
     """
     if not 2 <= n <= _LP_MAX_N:
         raise ValueError(f"LP probe supports 2 <= N <= {_LP_MAX_N}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError("delta must lie in [0, 1/2]")
     values: list[float] = []
-    solutions: list[np.ndarray] = []
+    duals: list[tuple[int, ...]] = []
     for branch_x in (0, 1):
         c, A, b = _chain_pair_lp(n, delta, branch_x)
-        x, val = solve_equality_lp(c, A, b)
-        values.append(val)
-        solutions.append(x)
-    if abs(values[0] - values[1]) > 1e-9:
-        raise ArithmeticError(f"bias branch optima disagree: {values}")
-    # Off-chain pairs get the product of their two marginals, which keeps
-    # the table non-signaling; chain pairs get their optimal joints.
+        x = _chain_pair_primal(n, delta, branch_x)
+        y = _chain_pair_dual(n, branch_x)
+        values.append(_certified_value(c, A, b, x, y))
+        duals.append(tuple(y.tolist()))
+        if branch_x == 0:
+            joints = x[:-1].reshape(-1, 2, 2)
+    # Off-chain pairs get the product of their two marginals, read on the
+    # last chain pair holding each setting, which keeps the table
+    # non-signaling; chain pairs get branch 0's optimal joints.
     pairs = chain_pairs(n)
-    joints = solutions[0][:-1].reshape(len(pairs), 2, 2)
-    pa = np.empty((n, 2))
-    pb = np.empty((n, 2))
-    for (a, b, _), q in zip(pairs, joints):
-        pa[a], pb[b] = q.sum(axis=1), q.sum(axis=0)
+    alice = {a: k for k, (a, _, _) in enumerate(pairs)}
+    bob = {b: k for k, (_, b, _) in enumerate(pairs)}
+    pa = joints[[alice[a] for a in range(n)]].sum(axis=2)
+    pb = joints[[bob[b] for b in range(n)]].sum(axis=1)
     table = pa[:, None, :, None] * pb[None, :, None, :]
-    for (a, b, _), q in zip(pairs, joints):
-        table[a, b] = q
+    a_idx, b_idx, _ = zip(*pairs)
+    table[a_idx, b_idx] = joints
     argmin = ConditionalDistribution((n, n), (2, 2), table)
     return BiasedChainLP(
-        values[0], values[0] - 2.0 * delta, argmin, (values[0], values[1])
+        values[0], values[0] - 2.0 * delta, argmin, (values[0], values[1]), (duals[0], duals[1])
     )

@@ -244,6 +244,7 @@ def cmd_lp(args) -> tuple[dict, int]:
         "lower_bound": 2.0 * args.delta,
         "gap": result.gap,
         "branch_values": list(result.branch_values),
+        "dual_certificate": [list(y) for y in result.dual_certificate],
     }
     if args.out:
         write_json_file(result.argmin, args.out)

@@ -632,6 +632,13 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
             for name, w in (("u_weights", u), ("v_weights", v)):
                 if not np.all(np.isfinite(w)):
                     raise ValueError(f"{name} must be finite")
+            # One weight per strategy; a table field that is not a list
+            # fails the table check instead.
+            sides = (("u_weights", u, "alice_tables"), ("v_weights", v, "bob_tables"))
+            for name, w, side in sides:
+                tables = _field(data, side)
+                if isinstance(tables, list) and w.shape != (len(tables),):
+                    raise ValueError(f"{name} must have length {len(tables)}")
             uv = np.outer(u, v)
         return local_deterministic_model(
             n, _field(data, "alice_tables"), _field(data, "bob_tables"), uv

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chainedbell import (
     ConditionalDistribution,
     DeterministicStrategy,
     assert_nonsignaling,
+    chain_pairs,
     classical_min_chain_value,
     evaluate_chain,
     lp_min_chain_given_bias,
@@ -19,7 +22,8 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
 )
-from chainedbell.chained import _chain_pair_lp, _strategy_scores
+from chainedbell.chained import _certified_value, _chain_pair_lp, _strategy_scores
+from chainedbell.distributions import IDENTITY_TOL
 
 
 def full_table_lp(n, delta, branch_x):
@@ -294,6 +298,44 @@ class TestBiasedLP:
                 lp_min_chain_given_bias(n, 0.1)
         with pytest.raises(ValueError):
             lp_min_chain_given_bias(2, 0.6)
+
+
+def check_closed_form_optimum(n, delta):
+    """The optimum is 2*delta bit for bit, each branch's dual certificate
+    proves it against the one LP builder, and the argmin is a feasible
+    table that scores it."""
+    result = lp_min_chain_given_bias(n, delta)
+    assert result.min_value == 2.0 * delta
+    assert result.branch_values == (2.0 * delta, 2.0 * delta)
+    assert result.gap == 0.0
+    for branch_x, y in enumerate(result.dual_certificate):
+        c, A, b = _chain_pair_lp(n, delta, branch_x)
+        y = np.array(y)
+        assert y.dtype.kind == "i" and y.shape == b.shape
+        assert np.all(A.T @ y <= c)
+        assert abs(b @ y - 2.0 * delta) <= IDENTITY_TOL
+    # Branch 0's chain-pair joints, read back from the table, pass the check.
+    table = result.argmin.table
+    x = np.array([table[a, b] for a, b, _ in chain_pairs(n)]).ravel()
+    c, A, b = _chain_pair_lp(n, delta, 0)
+    y = np.array(result.dual_certificate[0])
+    assert _certified_value(c, A, b, np.append(x, 0.0), y) == 2.0 * delta
+    argmin = result.argmin
+    assert assert_nonsignaling(argmin, 1e-12).passed
+    assert table[0, 0, 0, :].sum() - 0.5 >= delta - 1e-12
+    assert evaluate_chain(argmin, n).value == pytest.approx(result.min_value, abs=1e-12)
+
+
+class TestClosedFormOptimum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 100), st.floats(0.0, 0.5))
+    def test_certified_at_any_size_and_bias(self, n, delta):
+        check_closed_form_optimum(n, delta)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 100])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_bias_at_the_ends(self, n, delta):
+        check_closed_form_optimum(n, delta)
 
 
 class TestNoiseScan:

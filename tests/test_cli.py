@@ -23,7 +23,6 @@ from chainedbell import (
 )
 from chainedbell import chained, cli
 from chainedbell.cli import main
-from chainedbell.simplex import SimplexError
 
 
 def module_env():
@@ -390,6 +389,26 @@ class TestHostileDocuments:
         code, payload = self.run_mode(capsys, mode, path)
         assert code == 2
         assert payload["error"].startswith(f"{missing} is missing")
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ({"u_weights": [1], "v_weights": [1]}, "u_weights must have length 2"),
+            ({"u_weights": [0.5, 0.5], "v_weights": [0.5, 0.5]}, "v_weights must have length 1"),
+        ],
+        ids=["u_weights", "v_weights"],
+    )
+    def test_side_weights_length_is_named(self, capsys, tmp_path, mode, weights, error):
+        # These were reported as "uv_weights must have shape (2, 1)", a
+        # field the document does not have.
+        doc = {"type": "local_deterministic", "n": 2,
+               "alice_tables": [[0, 0], [1, 1]], "bob_tables": [[0, 0]], **weights}
+        path = tmp_path / "length.json"
+        path.write_text(json.dumps(doc))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": error}
 
     @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize(
@@ -809,35 +828,38 @@ class TestGoldenBruteforce:
 
 
 class TestGoldenLp:
-    """Values recorded from the full-table program; the chain-pair program
-    must reproduce them bit for bit.  At N >= 3 the solver may return
-    another optimal vertex, so only N = 2 pins the argmin."""
+    """Values of the certified closed-form optimum: ``min_value`` is
+    ``2*delta`` bit for bit, so the gap is exactly 0."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize(
-        "delta, min_value, gap",
-        [
-            ("0.1", 0.19999999999999996, -5.551115123125783e-17),
-            ("0.3", 0.6000000000000001, 1.1102230246251565e-16),
-            ("0.4567", 0.9134, 0.0),
-        ],
+        "delta, min_value", [("0.1", 0.2), ("0.3", 0.6), ("0.4567", 0.9134)]
     )
-    def test_values(self, capsys, n, delta, min_value, gap):
+    def test_values(self, capsys, n, delta, min_value):
         code, payload = run_cli(capsys, "lp", "--n", str(n), "--delta", delta)
         assert code == 0
-        assert payload["min_value"] == min_value
-        assert payload["gap"] == gap
+        assert payload["min_value"] == min_value == 2.0 * float(delta)
+        assert payload["gap"] == 0.0
         assert payload["branch_values"] == [min_value, min_value]
+
+    def test_dual_certificate_at_n_2(self, capsys):
+        # Rows: 4 pair normalisations, 4 marginal equalities, the bias row.
+        code, payload = run_cli(capsys, "lp", "--n", "2", "--delta", "0.3")
+        assert code == 0
+        assert payload["dual_certificate"] == [
+            [0, 0, 0, -1, -1, 1, 1, 1, 2],
+            [-2, 0, 0, 1, 1, -1, -1, -1, 2],
+        ]
 
     @pytest.mark.parametrize(
         "delta, table",
         [
             (
                 "0.3",
-                [0.8, 0.0, 0.0, 0.19999999999999996,
-                 0.6000000000000001, 0.19999999999999996, 0.19999999999999996, 0.0,
-                 0.8, 0.0, 0.0, 0.19999999999999996,
-                 0.8, 0.0, 0.0, 0.19999999999999996],
+                [0.8, 0.0, 0.0, 0.2,
+                 0.6, 0.2, 0.2, 0.0,
+                 0.8, 0.0, 0.0, 0.2,
+                 0.8, 0.0, 0.0, 0.2],
             ),
             (
                 "0.4567",
@@ -877,7 +899,7 @@ class TestGoldenFiles:
             (("qm", "200", "--visibility", "0.93"),
              "3ee95e57f5a37a6a2b3ec3946ba33b8b8fea4c17146d697879b6cdfa1dd3daa1"),
             (("lp", "--n", "3", "--delta", "0.2"),
-             "d9ec2b27f9388124210c2d2f8b8505bbef835c3cee0e4cc83292a10bc920b354"),
+             "a86c7a5845cb67c0408e1cbac0ef074fd0d73016c11429f59b0cdc3e86dda084"),
         ],
         ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
     )
@@ -1024,18 +1046,45 @@ class TestUsageErrorsAreJson:
         assert "--n" in one_document(proc.stdout)["error"]
 
 
-class TestSolverFailure:
-    def test_lp_solver_error_is_numerical_failure(self, capsys, monkeypatch):
-        # The CLI catches ArithmeticError; a simplex failure is one.
-        assert issubclass(SimplexError, ArithmeticError)
+class TestCertificateFailure:
+    """A closed-form point that fails its check is a numerical failure:
+    exit 3 and one JSON error, with no solver to fall back on."""
 
-        def stuck(*args, **kwargs):
-            raise SimplexError("simplex iteration limit reached")
+    def raise_surplus(x):
+        x[-1] += 1e-9  # breaks the bias row by 1e-9
 
-        monkeypatch.setattr(chained, "solve_equality_lp", stuck)
-        code, payload = run_cli(capsys, "lp", "--n", "2", "--delta", "0.1")
+    def raise_bias_dual(y):
+        y[-1] += 1  # A^T y then exceeds c on a cell of pair 0
+
+    def lower_bias_dual(y):
+        y[-1] -= 1  # still dual feasible, but b . y = delta - 1/2
+
+    @pytest.mark.parametrize(
+        "builder, tweak, error",
+        [
+            ("_chain_pair_primal", raise_surplus,
+             "LP certificate: primal point infeasible (least entry 0, residual 1e-09)"),
+            ("_chain_pair_dual", raise_bias_dual,
+             "LP certificate: dual point infeasible (A^T y - c = 1)"),
+            ("_chain_pair_dual", lower_bias_dual,
+             "LP certificate: duality gap 0.6 above 1e-12"),
+        ],
+        ids=["primal", "dual", "gap"],
+    )
+    def test_failed_check_is_numerical_failure(self, capsys, monkeypatch, builder, tweak, error):
+        build = getattr(chained, builder)
+
+        def wrong(*args):
+            point = build(*args)
+            tweak(point)
+            return point
+
+        monkeypatch.setattr(chained, builder, wrong)
+        code = main(["lp", "--n", "2", "--delta", "0.1"])
+        captured = capsys.readouterr()
         assert code == 3
-        assert payload == {"error": "simplex iteration limit reached"}
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"error": error}
 
 
 # -- exit 1 is a verdict ---------------------------------------------------
