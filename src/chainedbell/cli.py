@@ -136,9 +136,7 @@ def cmd_falsify(args) -> tuple[dict, int]:
         report = falsify_leggett(n, vectors, weights)
         payload["mode"] = "exact"
     else:
-        model = model_from_dict(raw)
-        if model.n_settings != n:
-            raise ValueError("model chain length does not match --n")
+        model = model_from_dict(raw, n)
         if args.shots is None:
             p4 = induced_distribution(model)
             p_xu = xu_conditional(p4)
@@ -200,7 +198,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
     else:
         if args.visibility is not None:
             raise ValueError("--visibility applies only to the qm source")
-        model = model_from_json_file(args.source)
+        model = model_from_json_file(args.source, args.n)
         source = model
         p4 = induced_distribution(model)
         xy = hidden_joint_form(p4)

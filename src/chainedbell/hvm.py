@@ -22,6 +22,7 @@ import numpy as np
 
 from .chained import evaluate_chain, quantum_chain_closed_form
 from .distributions import (
+    IDENTITY_TOL,
     NORM_TOL,
     ConditionalDistribution,
     Distribution,
@@ -241,15 +242,15 @@ def local_deterministic_model(
     Hidden index u picks Alice's lookup table and v picks Bob's;
     ``uv_weights`` (default uniform product) may correlate the two.
     """
-    try:
-        at = np.asarray(alice_tables, dtype=np.int64)
-        bt = np.asarray(bob_tables, dtype=np.int64)
-    except OverflowError as exc:  # 1e400 or 10**30 in a table
-        raise ValueError("strategy outputs must be bits") from exc
+    # Read as floats and checked before the cast: casting to int would turn
+    # 0.5 into the bit 0 and 10**30 into an OverflowError.
+    at = np.asarray(alice_tables, dtype=float)
+    bt = np.asarray(bob_tables, dtype=float)
     if at.ndim != 2 or at.shape[1] != n or bt.ndim != 2 or bt.shape[1] != n:
         raise ValueError("strategy tables must have shape (k, N)")
     if not (np.isin(at, (0, 1)).all() and np.isin(bt, (0, 1)).all()):
         raise ValueError("strategy outputs must be bits")
+    at, bt = at.astype(np.int64), bt.astype(np.int64)
     eye = np.eye(2)
     ma = eye[at].transpose(1, 0, 2)  # (N, nu, 2): one-hot responses
     mb = eye[bt].transpose(1, 0, 2)
@@ -386,41 +387,62 @@ def locality_measure(
 ) -> LocalityMeasurement:
     """Measure how much one side's outcome leans on its hidden variable.
 
-    Input: two-party table with party 0 = (setting -> outcome) and party 1
-    = (no input -> hidden index).  The hidden marginal must not depend on
-    the setting beyond ``marginal_tol``.  Each setting's distance is the
-    hidden-average of the conditional outcome distances from uniform,
-    cross-checked against the direct joint distance.
+    Input: two-party table with party 0 = (setting -> binary outcome) and
+    party 1 = (no input -> hidden index).  The hidden marginal must not
+    depend on the setting beyond ``marginal_tol``: the gate checks the
+    distance between its entrywise max and min rows, which bounds every
+    pair's, and runs the all-pairs max only when that bound is above the
+    tolerance.  Each setting's distance is the hidden-average of the
+    conditional outcome distances from uniform, all N settings in one pass
+    over the two outcome planes.  On every setting it is cross-checked
+    against the direct joint distance, whose half-L1 and excess forms are
+    cross-checked against each other.
     """
-    if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1:
-        raise ValueError("expected parties (setting -> outcome, none -> hidden)")
-    n = p_xu.input_sizes[0]
-    ox = p_xu.output_sizes[0]
-    t = p_xu.table  # (N, 1, ox, nu)
-    pu = t.sum(axis=2)[:, 0, :]  # (N, nu)
-    if n > 1:
-        dev = _max_pairwise_tv(pu[:, None, :])
-        if dev > marginal_tol:
-            raise ValueError(
-                f"hidden-variable marginal depends on the setting (deviation {dev})"
-            )
-    distances = []
-    for a in range(n):
-        joint = t[a, 0]  # (ox, nu)
-        w = pu[a]
-        live = w > 0.0
-        wl = w[live]
-        cond = joint.T[live] / wl[:, None]  # (k, ox): P(x | a, u) per live u
-        dist_u = np.abs(cond - 1.0 / ox).sum(axis=-1)
-        avg = math.fsum((wl * 0.5) * dist_u)
-        direct = stat_distance(
-            Distribution(joint), Distribution(np.full((ox, 1), 1.0 / ox) * w[None, :])
-        )
+    if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1 or p_xu.output_sizes[0] != 2:
+        raise ValueError("expected parties (setting -> binary outcome, none -> hidden)")
+    t = p_xu.table[:, 0]  # (N, 2, nu)
+    x0, x1 = t[:, 0], t[:, 1]  # outcome planes, (N, nu)
+    pu = x0 + x1  # hidden marginal per setting
+    if len(pu) > 1:
+        # Rounding is monotone, so no pair's distance rounds above the
+        # max/min rows' under the same kernel.
+        bound = _max_pairwise_tv(np.stack([pu.max(axis=0), pu.min(axis=0)])[:, None, :])
+        if bound > marginal_tol:
+            dev = _max_pairwise_tv(pu[:, None, :])
+            if dev > marginal_tol:
+                raise ValueError(
+                    f"hidden-variable marginal depends on the setting (deviation {dev})"
+                )
+    # |P(x | a, u) - 1/2| summed over the outcome planes, then weighted by
+    # P(u)/2.  Where P(u) = 0 the division is skipped; the finite value left
+    # there times P(u)/2 = 0 adds a +0.0 term, which fsum ignores.
+    live = pu > 0.0
+    terms = np.zeros_like(pu)
+    cond = np.zeros_like(pu)
+    for plane in (x0, x1):
+        np.divide(plane, pu, out=cond, where=live)
+        cond -= 0.5
+        terms += np.abs(cond, out=cond)
+    q = np.multiply(pu, 0.5, out=cond)  # (uniform outcome) x (hidden marginal)
+    terms *= q
+    # fsum reads each row's floats through a memoryview, with no list.
+    distances = [math.fsum(memoryview(row)) for row in terms]
+    # Direct joint distance from q, as half the L1 difference and as the
+    # excess sum of max(0, q - p), one outcome plane at a time.
+    half_l1 = np.zeros(len(pu))
+    excess = np.zeros(len(pu))
+    for plane in (x0, x1):
+        d = np.subtract(plane, q, out=terms)
+        half_l1 += np.abs(d).sum(axis=1)
+        excess -= np.minimum(d, 0.0, out=d).sum(axis=1)
+    half_l1 *= 0.5
+    for avg, direct, ex in zip(distances, half_l1.tolist(), excess.tolist()):
+        if abs(direct - ex) > IDENTITY_TOL:
+            raise AssertionError(f"distance identity violated: {direct} vs {ex}")
         if abs(avg - direct) > NORM_TOL:
             raise AssertionError(
                 f"average-form distance {avg} disagrees with joint form {direct}"
             )
-        distances.append(avg)
     return LocalityMeasurement(tuple(distances), max(distances))
 
 
@@ -606,17 +628,31 @@ def _leggett_document(data: dict):
     return n, vectors, v_vectors, np.outer(w, wv), weights
 
 
-def model_from_dict(data: dict) -> HiddenVariableModel:
+def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
     """Build a model from its JSON description.
 
     Types: ``leggett`` (vector grids and weights), ``local_deterministic``
     (strategy tables and weights), ``nonlocal_qm`` (N and visibility), and
-    ``custom_table`` (an inline distribution document).
+    ``custom_table`` (an inline distribution document).  With ``n`` given
+    (the CLI's ``--n``), a model of another chain length is rejected; a
+    document's own ``n`` is compared before any table is built, so that a
+    huge one allocates nothing.
     """
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError("model document needs a 'type' field") from exc
+    if n is not None and kind in ("leggett", "local_deterministic", "nonlocal_qm") \
+            and _int_field(data, "n") != n:
+        raise ValueError("model chain length does not match --n")
+    model = _model_of_kind(kind, data)
+    if n is not None and model.n_settings != n:
+        raise ValueError("model chain length does not match --n")
+    return model
+
+
+def _model_of_kind(kind, data: dict) -> HiddenVariableModel:
+    """The model of a document whose ``type`` field reads ``kind``."""
     if kind == "leggett":
         n, vectors, v_vectors, uv, _ = _leggett_document(data)
         return leggett_model(n, vectors, v_vectors, uv)
@@ -656,5 +692,5 @@ def model_from_dict(data: dict) -> HiddenVariableModel:
     raise ValueError(f"unknown model type {kind!r}")
 
 
-def model_from_json_file(path: str | Path) -> HiddenVariableModel:
-    return model_from_dict(_load_json(path))
+def model_from_json_file(path: str | Path, n: int | None = None) -> HiddenVariableModel:
+    return model_from_dict(_load_json(path), n)

@@ -21,7 +21,7 @@ from chainedbell import (
     qm_chained_distribution,
     read_json_file,
 )
-from chainedbell import chained, cli
+from chainedbell import chained, cli, hvm
 from chainedbell.cli import main
 
 
@@ -335,13 +335,40 @@ class TestHostileDocuments:
         ids=["n", "table_infinity", "table_big_int"],
     )
     def test_integer_overflow_is_usage_error(self, capsys, tmp_path, mode, document, error):
-        # int() and int64 casts raise OverflowError, an ArithmeticError that
-        # would otherwise exit 3.
+        # int() raises OverflowError, an ArithmeticError that would
+        # otherwise exit 3; table entries that large are not bits.
         path = tmp_path / "big.json"
         path.write_text(document)
         code, payload = self.run_mode(capsys, mode, path)
         assert code == 2
         assert error in payload["error"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("entry", [0.5, 1.5, -0.25])
+    def test_fractional_strategy_output_is_usage_error(self, capsys, tmp_path, mode, entry):
+        # An int64 cast once made 0.5 the bit 0 and 1.5 the bit 1: a verdict.
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"type": "local_deterministic", "n": 2,
+                                    "alice_tables": [[entry, 1]], "bob_tables": [[0, 1]]}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": "strategy outputs must be bits"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("kind", ["leggett", "local_deterministic", "nonlocal_qm"])
+    def test_huge_chain_length_is_rejected_before_any_table(self, capsys, tmp_path,
+                                                            monkeypatch, mode, kind):
+        # The document's n is compared with --n first: a model of N = 10**12
+        # was once built (or its chained angles listed) before the check.
+        def build(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(hvm, "_model_of_kind", build)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": kind, "n": 10**12}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": "model chain length does not match --n"}
 
     @pytest.mark.parametrize("mode", [*MODES, "check"])
     @pytest.mark.parametrize("opener", ["[", '{"a": '])
@@ -911,6 +938,58 @@ class TestGoldenFiles:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha256
 
 
+class TestGoldenFalsify:
+    """Exit code and sha256 of the full stdout of ``falsify`` on fixed model
+    documents, recorded when ``locality_measure`` looped over the settings
+    one at a time; measuring them all in one pass must keep every byte."""
+
+    ZERO_ROWS_UV = [[0.1, 0.0, 0.2, 0.05], [0.0] * 4, [0.15, 0.1, 0.0, 0.4], [0.0] * 4]
+
+    @pytest.mark.parametrize(
+        "document, args, code, stdout_sha256",
+        [
+            ({"type": "leggett", "n": 50, "grid": 3600}, (), 1,
+             "51148b93cacd65d8f5adafa58db5b972e7a2973f99b4f2f44ab7a5e06e6790ab"),
+            ({"type": "leggett", "n": 50, "grid": 720}, (), 1,
+             "cf6d32d558d95a27761ab770e59f9d083b4df351e48385f11bf166ebed9ef28a"),
+            ({"type": "leggett", "n": 30, "grid": 1200}, (), 1,
+             "02f1edcfb43ea9917b428030e87043d312eb28d0ffab36fd6352247aba4935c1"),
+            ({"type": "leggett", "n": 4, "vectors": [[0, 1, 0], [0, -1, 0]]}, (), 0,
+             "5bd3b1a725069fb12f61da8f1d97fb2a40ae6140c1da8cf86e276dd071a8c82f"),
+            ({"type": "leggett", "n": 3,
+              "vectors": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]],
+              "uv_weights": ZERO_ROWS_UV}, (), 0,
+             "5427b378356a2fdfb619dfdf8566420f079c781e1bff3be5aa14bdf03fb2fd0c"),
+            ({"type": "nonlocal_qm", "n": 3, "visibility": 0.8, "n_u": 2, "n_v": 3}, (), 0,
+             "d3be187797249c7249f2f2df354972a11d25bf4bcbc47599be87319357973986"),
+            ({"type": "local_deterministic", "n": 3,
+              "alice_tables": [[0, 1, 1], [1, 0, 0], [0, 0, 1]],
+              "bob_tables": [[1, 0, 1], [0, 0, 0]],
+              "u_weights": [0.5, 0.0, 0.5], "v_weights": [0.25, 0.75]}, (), 1,
+             "30ed79c19fec662160de03b250bfc4a9c999f5db2f41bdb14052d64d22069f1c"),
+            ({"type": "custom_table", "n": 3}, (), 0,
+             "8236158134f13399819fe5f658296b9893ecd41533f2c8f4e8a7254fd4e72c5c"),
+            ({"type": "leggett", "n": 2, "grid": 360}, ("--shots", "2000", "--seed", "3"), 0,
+             "c2b81e381e4241b47fc5220138a2f7982f7df989629af6dcd8e6e2d776512781"),
+            ({"type": "nonlocal_qm", "n": 2, "n_u": 4, "n_v": 4},
+             ("--shots", "5000", "--seed", "9"), 0,
+             "102f8c26fe03d67a6052419e820b1dae09fc39a14576c33280ee978e91660b27"),
+        ],
+        ids=["leggett_grid_3600_n50", "leggett_grid_720_n50", "leggett_grid_1200_n30",
+             "leggett_orthogonal", "leggett_zero_weight_rows", "nonlocal_qm",
+             "local_deterministic", "custom_table", "shots_leggett_grid_360",
+             "shots_nonlocal_qm_4x4"],
+    )
+    def test_stdout(self, capsys, tmp_path, document, args, code, stdout_sha256):
+        if document["type"] == "custom_table":
+            document = {**document, "distribution": qm_chained_distribution(3).to_dict()}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        got = main(["falsify", str(path), "--n", str(document["n"]), *args])
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, stdout_sha256)
+
+
 class TestHarness:
     def test_usage_error_exit_code(self, capsys):
         assert main(["qm"]) == 2  # missing argument
@@ -1087,6 +1166,33 @@ class TestCertificateFailure:
         assert json.loads(captured.out) == {"error": error}
 
 
+class TestCrossCheckFailure:
+    """A per-setting locality distance whose average form disagrees with
+    the joint form is a numerical failure, whichever setting it is on:
+    exit 3 and one JSON error, with no traceback."""
+
+    @pytest.mark.parametrize("shifted", [0, 3])
+    def test_failed_cross_check_is_numerical_failure(self, capsys, tmp_path, monkeypatch,
+                                                     shifted):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 4, "grid": 12}))
+        fsum, calls = math.fsum, []
+
+        def shifting_fsum(values):
+            calls.append(None)
+            return fsum(values) + (1e-6 if len(calls) - 1 == shifted else 0.0)
+
+        monkeypatch.setattr(hvm.math, "fsum", shifting_fsum)
+        code = main(["falsify", str(path), "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        payload = one_document(captured.out)
+        assert list(payload) == ["error"]
+        assert payload["error"].startswith("average-form distance ")
+        assert len(calls) == 4
+
+
 # -- exit 1 is a verdict ---------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
@@ -1212,6 +1318,17 @@ def distribution_documents(draw, n, parties=None):
     return doc
 
 
+# Bytes that are not a JSON document, or not UTF-8: truncated, doubled or
+# bare documents, byte-order marks, invalid UTF-8 sequences and JSON
+# values of every type.
+RAW_DOCUMENTS = st.sampled_from([
+    b"", b" ", b"{", b'{"type": "leggett", "n": 2', b"{}{}", b"nul", b"NaN", b"1", b"-0",
+    b"[]", b'"leggett"', b"true", b"null", b"1e400", b"\xef\xbb\xbf{}", b"\xff\xfe{\x00}\x00",
+    b"\x80", b'{"type": "\xc3"}', b'{"type": "leggett", "n": 2, "grid": 4}\xff',
+    b"\x00" * 8, b'{"parties": 2}', b'{"type": "custom_table", "n": 2, "distribution": 7}',
+])
+
+
 def run_in_process(argv):
     """Exit code and stdout of one in-process CLI run."""
     out = io.StringIO()
@@ -1247,6 +1364,33 @@ class TestExitCodeMeansVerdict:
             assert list(payload) == ["error"]
         else:
             assert (code == 1) == (payload["falsified"] is True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(2, 3))
+    def test_experiment_on_a_model(self, tmp_path_factory, data, n):
+        doc = data.draw(model_documents(n))
+        path = tmp_path_factory.mktemp("experiment") / "model.json"
+        path.write_text(json.dumps(doc))
+        code, stdout = run_in_process(
+            ["experiment", "--source", str(path), "--n", str(n), "--shots", "64", "--seed", "5"]
+        )
+        payload = one_document(stdout)
+        assert code in (0, 2, 3)
+        if code:
+            assert list(payload) == ["error"]
+        else:
+            assert (payload["shots"], payload["seed"]) == (64, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), RAW_DOCUMENTS), st.sampled_from(
+        [["falsify", "--n", "2"], ["falsify", "--n", "2", "--shots", "8", "--seed", "1"],
+         ["check"], ["check", "--locality-bound"]]))
+    def test_raw_bytes(self, tmp_path_factory, raw, argv):
+        path = tmp_path_factory.mktemp("raw") / "input.json"
+        path.write_bytes(raw)
+        code, stdout = run_in_process([argv[0], str(path), *argv[1:]])
+        assert code in (2, 3)
+        assert list(one_document(stdout)) == ["error"]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 3).flatmap(distribution_documents), st.booleans())

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chainedbell import (
@@ -30,6 +32,8 @@ from chainedbell import (
     table_model,
     xu_conditional,
 )
+from chainedbell import hvm
+from chainedbell.distributions import _max_pairwise_tv
 from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf, _malus_p0
 from chainedbell.quantum import _chained_angles
 
@@ -231,7 +235,9 @@ class TestLocalityMeasure:
 
     @staticmethod
     def _loop_per_setting(p_xu):
-        """The per-hidden-value loop that locality_measure vectorised."""
+        """Reference for the one-pass locality_measure: a loop over settings
+        and hidden values that skips hidden values of weight 0 and adds the
+        rest with fsum."""
         t = p_xu.table
         ox, nu = p_xu.output_sizes
         pu = t.sum(axis=2)[:, 0, :]
@@ -272,6 +278,83 @@ class TestLocalityMeasure:
         p = ConditionalDistribution((2, 1), (2, 2), table)
         with pytest.raises(ValueError, match="marginal depends"):
             locality_measure(p)
+
+    def test_non_binary_outcomes_rejected(self):
+        p = ConditionalDistribution((2, 1), (3, 2), np.full((2, 1, 3, 2), 1.0 / 6))
+        with pytest.raises(ValueError, match="binary outcome"):
+            locality_measure(p)
+
+    @pytest.mark.parametrize("shifted", [0, 2, 4])
+    def test_cross_check_runs_on_every_setting(self, monkeypatch, shifted):
+        n = 5
+        p_xu = xu_conditional(induced_distribution(leggett_model(n, inplane_grid(12))))
+        fsum, calls = math.fsum, []
+
+        def shifting_fsum(values):
+            calls.append(None)
+            return fsum(values) + (1e-6 if len(calls) - 1 == shifted else 0.0)
+
+        monkeypatch.setattr(hvm.math, "fsum", shifting_fsum)
+        with pytest.raises(AssertionError, match="average-form distance .* disagrees"):
+            locality_measure(p_xu)
+        assert len(calls) == n
+
+
+def envelope_tv(arr):
+    """Distance between the entrywise max and min rows of a (c, s, o) array
+    under the pairwise kernel: the bound the hidden-marginal gate checks
+    before it runs the all-pairs max."""
+    return _max_pairwise_tv(np.stack([arr.max(axis=0), arr.min(axis=0)]))
+
+
+@st.composite
+def marginal_rows(draw):
+    """(c, 1, o) arrays of normalized rows, with duplicated rows and rows
+    one ulp away from another now and then."""
+    c = draw(st.integers(2, 60))
+    o = draw(st.sampled_from([1, 2, 3, 8, 9, 500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random(o) + 0.01
+    base /= base.sum()
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.3]))
+    rows = np.abs(base + spread * rng.standard_normal((c, o)))
+    rows /= rows.sum(axis=1, keepdims=True)
+    for i in range(1, c):
+        kind = draw(st.sampled_from(["own", "own", "duplicate", "ulp"]))
+        if kind != "own":
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+        if kind == "ulp":
+            j = draw(st.integers(0, o - 1))
+            rows[i, j] = np.nextafter(rows[i, j], draw(st.sampled_from([0.0, 1.0])))
+    return rows[:, None, :]
+
+
+class TestMarginalGate:
+    @settings(max_examples=300, deadline=None)
+    @given(marginal_rows())
+    def test_envelope_bounds_every_pair(self, arr):
+        assert envelope_tv(arr) >= _max_pairwise_tv(arr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(marginal_rows(), st.data())
+    def test_gate_decides_as_the_all_pairs_max(self, arr, data):
+        # Split each hidden weight over the two outcomes; the gate sees the
+        # planes' sum, as the reference below does.
+        split = np.random.default_rng(arr.shape[0]).random(arr.shape)
+        table = np.stack([arr * split, arr * (1.0 - split)], axis=2)  # (c, 1, 2, o)
+        p_xu = ConditionalDistribution((arr.shape[0], 1), (2, arr.shape[2]), table)
+        pu = p_xu.table[:, 0, 0] + p_xu.table[:, 0, 1]
+        dev = _max_pairwise_tv(pu[:, None, :])
+        bound = envelope_tv(pu[:, None, :])
+        tol = data.draw(st.sampled_from([
+            dev, np.nextafter(dev, 0.0), np.nextafter(dev, 1.0), 0.5 * (dev + bound),
+            bound, np.nextafter(bound, 0.0), 0.999 * dev, 1.001 * bound, 0.0,
+        ]))
+        if dev > tol:
+            with pytest.raises(ValueError, match=re.escape(f"(deviation {dev})")):
+                locality_measure(p_xu, marginal_tol=tol)
+        else:
+            locality_measure(p_xu, marginal_tol=tol)
 
 
 class TestLocalityBound:
