@@ -21,11 +21,9 @@ from .chained import (
 )
 from .distributions import (
     ConditionalDistribution,
-    Distribution,
     NonSignalingReport,
     assert_nonsignaling,
     read_json_file,
-    stat_distance,
     write_json_file,
 )
 from .experiment import (

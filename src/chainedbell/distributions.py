@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,9 +22,7 @@ __all__ = [
     "IDENTITY_TOL",
     "MAX_PARTIES",
     "ConditionalDistribution",
-    "Distribution",
     "NonSignalingReport",
-    "stat_distance",
     "assert_nonsignaling",
     "read_json_file",
     "write_json_file",
@@ -153,25 +152,6 @@ class ConditionalDistribution:
         )
 
 
-class Distribution(ConditionalDistribution):
-    """Unconditional joint distribution: every party has the trivial input.
-
-    ``probs`` exposes the table shaped over the output components only.
-    """
-
-    def __init__(self, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim == 0:
-            raise ValueError("a distribution needs at least one component")
-        super().__init__(
-            (1,) * probs.ndim, probs.shape, probs.reshape((1,) * probs.ndim + probs.shape)
-        )
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.table.reshape(self.output_sizes)
-
-
 @dataclass(frozen=True)
 class NonSignalingReport:
     """Worst marginal dependence on the other parties' inputs."""
@@ -181,62 +161,40 @@ class NonSignalingReport:
     tol: float
 
 
-def _unconditional_probs(p: ConditionalDistribution) -> np.ndarray:
-    if any(s != 1 for s in p.input_sizes):
-        raise ValueError("expected an unconditional distribution (all inputs trivial)")
-    return p.table.reshape(p.output_sizes)
+def _pair_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_o |x - y|`` over the last axis of two broadcastable arrays:
+    NumPy's reduction of the C-ordered difference, the order in which the
+    all-pairs broadcast adds it."""
+    d = np.subtract(x, y, order="C")
+    np.abs(d, out=d)
+    return d.sum(axis=-1)
 
 
-def _essential_shape(sizes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(s for s in sizes if s != 1)
+def _l1_upper_bounds(arr: np.ndarray) -> np.ndarray:
+    """For each slice s of a (c, s, o) array, a value that no context
+    pair's ``sum_o |arr[c, s, o] - arr[c', s, o]|`` exceeds, as NumPy
+    computes that sum: the same sum between the slice's entrywise max and
+    min rows.
+
+    Rounding is monotone, so each ``|max - min|`` rounds to at least every
+    pair's ``|difference|`` at that outcome, and each float add in the same
+    order rounds to at least the pair's partial sum."""
+    return _pair_l1(arr.max(axis=0), arr.min(axis=0))
 
 
-def stat_distance(p: ConditionalDistribution, q: ConditionalDistribution) -> float:
-    """Statistical (total-variation) distance between two distributions.
+def _all_pairs_max_l1(arr: np.ndarray, keep: np.ndarray) -> float:
+    """Largest ``sum_o |arr[c, s, o] - arr[c', s, o]|`` over context pairs
+    c, c' and over the slices s listed in ``keep``, block by block.
 
-    Computed as half the L1 difference and cross-checked against the
-    one-sided excess form sum_x max(0, Q(x) - P(x)); the two must agree
-    within ``IDENTITY_TOL``.
-    """
-    pv = _unconditional_probs(p).ravel()
-    qv = _unconditional_probs(q).ravel()
-    if _essential_shape(p.output_sizes) != _essential_shape(q.output_sizes):
-        raise ValueError(
-            f"alphabet mismatch: {p.output_sizes} vs {q.output_sizes}"
-        )
-    half_l1 = 0.5 * float(np.abs(pv - qv).sum())
-    excess = float(np.maximum(qv - pv, 0.0).sum())
-    if abs(half_l1 - excess) > IDENTITY_TOL:
-        raise AssertionError(
-            f"distance identity violated: {half_l1} vs {excess}"
-        )
-    return half_l1
-
-
-def _max_pairwise_tv(arr: np.ndarray) -> float:
-    """Largest statistical distance between two context slices.
-
-    ``arr`` has shape (c, s, o): c contexts, s fixed input tuples, o
-    outcomes.  Returns the max over context pairs c, c' and over s of
-    0.5 * sum_o |arr[c, s, o] - arr[c', s, o]|.  Scratch memory is at most
-    one copy of ``arr`` plus a block of ``_PAIRWISE_BLOCK_ELEMS`` elements
-    (or of one (s, o) slice, if that is larger); it does not grow with c^2.
-
-    The result is bit-identical to the all-pairs broadcast
-    ``0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)`` evaluated on
-    a C-ordered copy of ``arr``, and so on ``arr`` itself whenever its o
-    axis varies fastest in memory, as it does for every caller here.
-    (NumPy sums o >= 8 terms in a different order along a slow axis.)
-    """
-    c, s, o = arr.shape
-    if o == 1:
-        # Float subtraction is monotone, so no pair rounds above max - min.
-        return 0.5 * float((arr.max(axis=0) - arr.min(axis=0)).max())
+    Scratch memory is one copy of the kept slices plus a block of
+    ``_PAIRWISE_BLOCK_ELEMS`` elements (or of one kept (s, o) slice, if that
+    is larger); it does not grow with c^2."""
+    c, _, o = arr.shape
     if o == 2:
         # Two contiguous column planes; adding the two |differences| is one
         # float add, which rounds exactly like the length-2 ``sum(axis=-1)``.
-        x0 = np.ascontiguousarray(arr[..., 0])
-        x1 = np.ascontiguousarray(arr[..., 1])
+        x0 = arr[:, keep, 0]
+        x1 = arr[:, keep, 1]
 
         def block_max(rows: slice, cols: slice) -> float:
             d = x0[rows, None] - x0[None, cols]
@@ -247,15 +205,14 @@ def _max_pairwise_tv(arr: np.ndarray) -> float:
             return float(d.max())
 
     else:
+        # Keep NumPy's own reduction: for o >= 8 it sums pairwise, so
+        # per-column accumulation would round differently.
+        kept = arr[:, keep]
 
         def block_max(rows: slice, cols: slice) -> float:
-            # Keep NumPy's own reduction: it does not sum o >= 3 terms left
-            # to right, so per-column accumulation would round differently.
-            d = np.subtract(arr[rows, None], arr[None, cols], order="C")
-            np.abs(d, out=d)
-            return float(d.sum(axis=-1).max())
+            return float(_pair_l1(kept[rows, None], kept[None, cols]).max())
 
-    per_block = max(1, _PAIRWISE_BLOCK_ELEMS // (s * o))  # pairs per block
+    per_block = max(1, _PAIRWISE_BLOCK_ELEMS // (len(keep) * o))  # pairs per block
     worst = 0.0
     i = 0
     while i < c - 1:
@@ -268,7 +225,94 @@ def _max_pairwise_tv(arr: np.ndarray) -> float:
         for j in range(i + 1, c, width):
             worst = max(worst, block_max(slice(i, i + rows), slice(j, j + width)))
         i += rows
-    return 0.5 * worst
+    return worst
+
+
+def _max_pairwise_tv(arr: np.ndarray) -> float:
+    """Largest statistical distance between two context slices.
+
+    ``arr`` has shape (c, s, o): c contexts, s fixed input tuples, o
+    outcomes.  Returns the max over context pairs c, c' and over s of
+    0.5 * sum_o |arr[c, s, o] - arr[c', s, o]|.
+
+    Most slices are settled without visiting any pair.  Each slice's upper
+    bound U_s (:func:`_l1_upper_bounds`, the sum between its entrywise max
+    and min rows) is at least every pair's sum in that slice, and its lower
+    bound L_s is the sum of one real pair: the contexts with the largest
+    and the smallest first outcome.  Let best = max_s L_s, a value some
+    pair attains.  A slice with U_s <= best holds no pair above best, so
+    the blocked all-pairs sweep (:func:`_all_pairs_max_l1`) runs only on
+    the slices with U_s > best, and the larger of its result and best is
+    the maximum.  For o = 1 the two bounds coincide and no slice is swept;
+    on the quantum tables no slice is swept either.
+
+    The work runs on a C-ordered copy of ``arr`` (made only if ``arr`` is
+    not one already), where the reductions over contexts are fast.  Both
+    bounds and the sweep add each pair's terms as NumPy's reduction does,
+    so the result is bit-identical to the all-pairs broadcast
+    ``0.5 * np.abs(arr[:, None] - arr[None, :]).sum(axis=-1)`` evaluated on
+    that copy, and so on ``arr`` itself whenever its o axis varies fastest
+    in memory, as it does for every caller here.  (NumPy sums o >= 8 terms
+    in a different order along a slow axis.)  Scratch memory is that copy,
+    a few (s, o) rows and what the sweep needs; it does not grow with c^2.
+    """
+    arr = np.ascontiguousarray(arr)
+    c, s, o = arr.shape
+    upper = _l1_upper_bounds(arr)
+    first = arr[:, :, 0]
+    each = np.arange(s)
+    lower = _pair_l1(arr[first.argmax(axis=0), each], arr[first.argmin(axis=0), each])
+    best = float(lower.max())
+    keep = np.flatnonzero(upper > best)
+    if len(keep):
+        best = max(best, _all_pairs_max_l1(arr, keep))
+    return 0.5 * best
+
+
+def _output_marginal(table: np.ndarray, drop_axes: tuple[int, ...]) -> np.ndarray:
+    """``table.sum(axis=drop_axes)`` for a C-ordered table, bit for bit, by
+    adding whole output planes.
+
+    NumPy's reduction starts each result at 0.0 and walks the dropped
+    indices in C order.  Axes of size 1 drop out, and the dropped axes that
+    end the table form one contiguous run, which it reduces per result with
+    its pairwise sum; below 8 terms that sum adds them left to right,
+    starting from -0.0.  Every other dropped index adds its run's sum to
+    the result.  Adding the same planes in the same order gives the same
+    bits.  The 0.0 start is added last instead: either way it only turns a
+    sum of -0.0 terms into 0.0.
+    """
+    axes = [(size, i in drop_axes) for i, size in enumerate(table.shape) if size != 1]
+    sizes = [size for size, _ in axes]
+    k = len(axes)
+    while k and axes[k - 1][1]:
+        k -= 1
+    run = math.prod(sizes[k:])
+    # A leading axis of size 1 keeps every plane an array, not a scalar.
+    t = table.reshape([1] + sizes[:k] + [run])
+    outer = [j for j in range(k) if axes[j][1]]
+    total, fresh = None, False
+    for idx in itertools.product(*(range(sizes[j]) for j in outer)):
+        at = [slice(None)] * (k + 2)
+        for j, v in zip(outer, idx):
+            at[j + 1] = v
+        block = t[tuple(at)]
+        if run == 1:
+            part = block[..., 0]
+        elif run < 8:
+            part = block[..., 0] + block[..., 1]
+            for q in range(2, run):
+                part += block[..., q]
+        else:
+            part = block.sum(axis=-1)
+        if total is None:
+            total, fresh = part, run > 1
+        elif fresh:
+            total += part
+        else:
+            total, fresh = total + part, True
+    total = np.add(total, 0.0, out=total if fresh else None)
+    return total.reshape([s for i, s in enumerate(table.shape) if i not in drop_axes])
 
 
 def assert_nonsignaling(
@@ -290,8 +334,7 @@ def assert_nonsignaling(
             comp = tuple(i for i in range(n) if i not in subset)
             if not comp or all(p.input_sizes[i] == 1 for i in comp):
                 continue
-            drop_axes = tuple(n + i for i in comp)
-            marg = p.table.sum(axis=drop_axes)
+            marg = _output_marginal(p.table, tuple(n + i for i in comp))
             # Remaining axes: all n inputs, then the kept outputs in
             # ascending party order.
             perm = comp + subset + tuple(range(n, n + len(subset)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chained import chain_pairs
 from .distributions import ConditionalDistribution
-from .hvm import HiddenVariableModel, _inverse_cdf
+from .hvm import HiddenVariableModel, _inverse_cdf, _weighted_joint
 
 __all__ = [
     "MissingSettingPairError",
@@ -63,7 +63,7 @@ def _source_cdfs(source, n: int):
     if isinstance(source, HiddenVariableModel):
         if source.n_settings != n:
             raise ValueError("model chain length does not match n")
-        joint = np.einsum("uv,abuvxy->abxyuv", source.p_uv, source.kernels)
+        joint = _weighted_joint(source)
         shape = joint.shape[2:]
         flat = joint.reshape(n, n, -1)
         return flat.cumsum(axis=-1), shape
@@ -247,18 +247,21 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
 
 def read_shots_csv(path: str | Path) -> Iterator[np.ndarray]:
     """Stream shot blocks back from a CSV written by :func:`write_shots_csv`,
-    at most 65 536 rows at a time.  A malformed row raises ``ValueError``."""
+    at most 65 536 rows at a time.  Empty lines are skipped; a malformed
+    row raises ``ValueError``."""
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if tuple(header) not in (_COLUMNS[:4], _COLUMNS):
             raise ValueError(f"unexpected shot CSV header: {header}")
-        # Each block starts at the line the loop takes; loadtxt reads the
-        # rest of the block from the handle, line by line.  Calling loadtxt
-        # only when a line is left avoids its warning on empty input.
+        # Each block starts at a row the loop takes, so that loadtxt never
+        # sees input without data (it would warn); loadtxt reads at most
+        # the next _CHUNK_ROWS - 1 lines, skipping empty ones.
         for first in fh:
+            if not first.strip("\r\n"):
+                continue
             block = np.loadtxt(
-                itertools.chain([first], fh), dtype=np.int64, delimiter=",",
-                comments=None, ndmin=2, max_rows=_CHUNK_ROWS,
+                itertools.chain([first], itertools.islice(fh, _CHUNK_ROWS - 1)),
+                dtype=np.int64, delimiter=",", comments=None, ndmin=2,
             )
             if block.shape[1] != len(header):
                 raise ValueError(

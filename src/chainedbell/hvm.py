@@ -22,14 +22,14 @@ import numpy as np
 
 from .chained import evaluate_chain, quantum_chain_closed_form
 from .distributions import (
+    _RENORM_TRIGGER,
     IDENTITY_TOL,
     NORM_TOL,
     ConditionalDistribution,
-    Distribution,
+    _l1_upper_bounds,
     _load_json,
     _max_pairwise_tv,
     assert_nonsignaling,
-    stat_distance,
 )
 from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
 
@@ -291,6 +291,12 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     return HiddenVariableModel(n, kernels=dist.table[:, :, None, None, :, :])
 
 
+def _weighted_joint(model: HiddenVariableModel) -> np.ndarray:
+    """P(x, y, u, v | a, b) of a model, laid out (a, b, x, y, u, v): each
+    response kernel times its hidden-variable weight."""
+    return np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
+
+
 def induced_distribution(
     model: HiddenVariableModel,
     mode: str = "exact",
@@ -306,7 +312,7 @@ def induced_distribution(
     """
     n, nu, nv = model.n_settings, model.n_u, model.n_v
     if mode == "exact":
-        t = np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
+        t = _weighted_joint(model)
         return ConditionalDistribution(
             (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
         )
@@ -404,9 +410,8 @@ def locality_measure(
     x0, x1 = t[:, 0], t[:, 1]  # outcome planes, (N, nu)
     pu = x0 + x1  # hidden marginal per setting
     if len(pu) > 1:
-        # Rounding is monotone, so no pair's distance rounds above the
-        # max/min rows' under the same kernel.
-        bound = _max_pairwise_tv(np.stack([pu.max(axis=0), pu.min(axis=0)])[:, None, :])
+        # No pair's distance rounds above the max/min rows' bound.
+        bound = 0.5 * float(_l1_upper_bounds(pu[:, None, :])[0])
         if bound > marginal_tol:
             dev = _max_pairwise_tv(pu[:, None, :])
             if dev > marginal_tol:
@@ -472,7 +477,8 @@ def locality_bound_check(
     drawn uniformly and independently of the settings.  For every setting
     a, the statistical distance of P(x, z, c | a) from (uniform x) times
     the (z, c) marginal must be at most half the chain value of the (x, y)
-    table; symmetrically for every b.
+    table; symmetrically for every b.  All 2N settings are measured in one
+    pass, and each distance is cross-checked against its excess form.
     """
     if p.n_parties != 3:
         raise ValueError("expected a three-party table")
@@ -487,7 +493,6 @@ def locality_bound_check(
     if not ns.passed:
         return LocalityBoundReport(False, ns.max_violation, (), (), math.nan, None)
     t = p.table  # (N, N, n_c, 2, 2, oz)
-    oz = p.output_sizes[2]
     xy = t[:, :, 0].sum(axis=-1)  # chain table at the first C value
     bound = 0.5 * evaluate_chain(
         ConditionalDistribution((n, n), (2, 2), xy), n
@@ -495,22 +500,49 @@ def locality_bound_check(
     # Hidden-side marginal over (c, z); independent of a and b by the
     # non-signaling check above.
     p_zc = t[0, 0].sum(axis=(1, 2)) * pc[:, None]  # (n_c, oz)
-    uniform_half = np.broadcast_to(0.5 * p_zc[:, None, :], (n_c, 2, oz)).copy()
-    lhs_x = []
-    for a in range(n):
-        m = t[a, 0].sum(axis=2)  # (n_c, 2, oz), Bob's outcome summed out
-        joint = m * pc[:, None, None]
-        lhs_x.append(stat_distance(Distribution(joint), Distribution(uniform_half)))
-    lhs_y = []
-    for b in range(n):
-        m = t[0, b].sum(axis=1)  # (n_c, 2, oz), Alice's outcome summed out
-        joint = m * pc[:, None, None]
-        lhs_y.append(stat_distance(Distribution(joint), Distribution(uniform_half)))
-    worst = max(lhs_x + lhs_y)
+    uniform_half = np.repeat(0.5 * p_zc[:, None, :], 2, axis=1)  # (n_c, 2, oz)
+    # One (c, x, z) joint per setting, the other side's outcome summed out:
+    # Alice's settings at Bob's first, then Bob's at Alice's first.
+    joints = np.empty((2, n) + uniform_half.shape)
+    np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0])
+    np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1])
+    joints *= pc[:, None, None]
+    q = _distribution_rows(uniform_half.reshape(1, -1))
+    rows = _distribution_rows(joints.reshape(2 * n, -1))
+    # Each setting's distance from the uniform reference, as half the L1
+    # difference and as the excess sum of max(0, q - p), row by row.
+    half_l1 = 0.5 * np.abs(rows - q).sum(axis=1)
+    excess = np.maximum(q - rows, 0.0).sum(axis=1)
+    lhs = half_l1.tolist()
+    for direct, ex in zip(lhs, excess.tolist()):
+        if abs(direct - ex) > IDENTITY_TOL:
+            raise AssertionError(f"distance identity violated: {direct} vs {ex}")
     return LocalityBoundReport(
-        True, ns.max_violation, tuple(lhs_x), tuple(lhs_y), bound,
-        worst <= bound + NORM_TOL,
+        True, ns.max_violation, tuple(lhs[:n]), tuple(lhs[n:]), bound,
+        max(lhs) <= bound + NORM_TOL,
     )
+
+
+def _distribution_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, each row checked and normalized in place as the table
+    constructor treats one distribution: negative dust clamped to 0 and
+    anything below ``-NORM_TOL`` rejected, a row off normalization by more
+    than ``NORM_TOL`` rejected and one off by more than 1e-12 divided by its
+    sum.  The first failing row names the error."""
+    lo = rows.min(axis=1)
+    dust = lo < 0.0
+    rows[dust] = np.clip(rows[dust], 0.0, None)
+    sums = rows.sum(axis=1)
+    drift = np.abs(sums - 1.0)
+    bad = (lo < -NORM_TOL) | (drift > NORM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if lo[i] < -NORM_TOL:
+            raise ValueError(f"negative entry {lo[i]} below -{NORM_TOL}")
+        raise ValueError(f"conditional slices must sum to 1 (off by {drift[i]})")
+    far = drift > _RENORM_TRIGGER
+    rows[far] /= sums[far, None]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -573,6 +605,32 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     return make_locality_report(lm, bound, 1e-9)
 
 
+# Model document fields that hold numbers or nested lists of numbers.
+_NUMERIC_FIELDS = (
+    "n", "grid", "n_u", "n_v", "visibility", "vectors", "v_vectors", "weights",
+    "uv_weights", "u_weights", "v_weights", "alice_tables", "bob_tables",
+)
+
+
+def _check_numeric_fields(data: dict) -> None:
+    """Reject a JSON string or boolean in a numeric field of a model
+    document, naming the field: ``int`` and NumPy would read ``"2"``,
+    ``" 4 "`` and ``true`` as numbers."""
+    for key in _NUMERIC_FIELDS:
+        pending = [data.get(key)]
+        while pending:
+            value = pending.pop()
+            if type(value) is list:
+                # One set of entry types per list: a table row is one pass.
+                kinds = set(map(type, value))
+                if list in kinds:
+                    pending += [v for v in value if type(v) is list]
+                if str in kinds or bool in kinds:
+                    value = next(v for v in value if type(v) in (str, bool))
+            if type(value) in (str, bool):
+                raise ValueError(f"{key} must be numeric, got {value!r}")
+
+
 def _field(data: dict, key: str):
     """Required field of a model document; a missing one is named."""
     try:
@@ -604,6 +662,7 @@ def _leggett_document(data: dict):
     ``uv_weights`` takes precedence over ``weights``, which weigh Alice's
     grid and Bob's too when he has none of his own.
     """
+    _check_numeric_fields(data)
     n = _int_field(data, "n")
     if "vectors" in data:
         vectors = np.asarray(data["vectors"], dtype=float)
@@ -642,6 +701,7 @@ def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError("model document needs a 'type' field") from exc
+    _check_numeric_fields(data)
     if n is not None and kind in ("leggett", "local_deterministic", "nonlocal_qm") \
             and _int_field(data, "n") != n:
         raise ValueError("model chain length does not match --n")

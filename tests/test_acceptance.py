@@ -12,7 +12,6 @@ import pytest
 
 from chainedbell import (
     ConditionalDistribution,
-    Distribution,
     EstimateReport,
     assert_nonsignaling,
     classical_min_chain_value,
@@ -31,9 +30,14 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
     simulate_shots,
+)
+from lemmas import (
+    Distribution,
+    average_conditional_distance,
+    coupling_distance_bound,
+    marginalize,
     stat_distance,
 )
-from lemmas import average_conditional_distance, coupling_distance_bound, marginalize
 
 CHSH_VALUE = 2 - math.sqrt(2)
 

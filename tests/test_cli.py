@@ -344,6 +344,34 @@ class TestHostileDocuments:
         assert error in payload["error"]
 
     @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [["1", True]],
+              "bob_tables": [[0, 0]]}, "alice_tables"),
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 1]],
+              "bob_tables": [[0, True]]}, "bob_tables"),
+            ({"type": "nonlocal_qm", "n": "2", "n_u": 3}, "n"),
+            ({"type": "nonlocal_qm", "n": True}, "n"),
+            ({"type": "nonlocal_qm", "n": 2, "n_u": "3"}, "n_u"),
+            ({"type": "leggett", "n": 2, "grid": " 4 "}, "grid"),
+            ({"type": "nonlocal_qm", "n": 2, "visibility": "0.9"}, "visibility"),
+            ({"type": "leggett", "n": 2, "vectors": [[0, 0, 1], [1, 0, "0"]]}, "vectors"),
+        ],
+        ids=["alice_tables", "bob_tables", "n_string", "n_bool", "n_u", "grid",
+             "visibility", "vectors"],
+    )
+    def test_strings_and_booleans_are_usage_errors(self, capsys, tmp_path, mode, document,
+                                                   field):
+        # NumPy and int() read "1", " 4 " and true as numbers: the first
+        # document was once falsified (exit 1), the others got a verdict.
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload["error"].startswith(f"{field} must be numeric, got ")
+
+    @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("entry", [0.5, 1.5, -0.25])
     def test_fractional_strategy_output_is_usage_error(self, capsys, tmp_path, mode, entry):
         # An int64 cast once made 0.5 the bit 0 and 1.5 the bit 1: a verdict.
@@ -990,6 +1018,114 @@ class TestGoldenFalsify:
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, stdout_sha256)
 
 
+class TestGoldenCheck:
+    """Exit code and sha256 of the full stdout of ``check`` and ``check
+    --locality-bound``, recorded when the non-signaling check visited every
+    context pair and summed its marginals with ``table.sum``, and the
+    locality bound built two distributions per setting.  Pruning the pairs,
+    adding output planes and measuring every setting in one pass must keep
+    every byte: ``max_violation``, ``lhs_x`` and ``lhs_y`` included."""
+
+    @staticmethod
+    def write_table(name, path):
+        """Write the named input table to ``path``."""
+        from chainedbell import (
+            DeterministicStrategy, hidden_joint_form, induced_distribution,
+            inplane_grid, leggett_model,
+        )
+
+        if name.startswith("qm_"):
+            n, *noisy = name[3:].split("_v")
+            argv = ["qm", n, "--out", str(path)]
+            if noisy:
+                argv += ["--visibility", "0.9"]
+            assert main(argv) == 0
+            return
+        if name == "deterministic":
+            dist = DeterministicStrategy((0, 0), (0, 0)).distribution()
+        elif name == "signaling":  # Alice's output copies Bob's input
+            table = np.zeros((2, 2, 2, 2))
+            for b in range(2):
+                table[:, b, b, 0] = 1.0
+            dist = ConditionalDistribution((2, 2), (2, 2), table)
+        else:  # three-party Leggett exports; the hidden output has 4, 9 or 100 values
+            vectors = {
+                "leggett3": [[0, 0, 1], [1, 0, 0]],
+                "leggett3_wide": [[0, 0, 1], [1, 0, 0], [0.6, 0, 0.8]],
+                "leggett3_grid": inplane_grid(10),
+            }[name]
+            n = 3 if name == "leggett3_wide" else 2
+            dist = hidden_joint_form(induced_distribution(leggett_model(n, vectors)))
+        path.write_text(json.dumps(dist.to_dict()))
+
+    @pytest.mark.parametrize(
+        "name, locality, code, stdout_sha256",
+        [
+            ("qm_2", False, 0,
+             "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
+            ("qm_2", True, 0,
+             "7a6fcd284e72911a8b0149a72d7485c3f0f03bb004dc7f7695d9af3382c4ebbf"),
+            ("qm_2_v09", False, 0,
+             "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
+            ("qm_2_v09", True, 0,
+             "83e55ac1033c0b3980c746e2f01f88da6bc732dc804a95907dd4084d44b1aff6"),
+            ("qm_3", False, 0,
+             "6169a647fefd5dc7afdcbbab9f8560865e138b0df174217cb2edd53f6a9ffdae"),
+            ("qm_3", True, 0,
+             "023eed0ed4cc3c46eb8a0455f7809c1208c7fc55b79efc74bd50a043be95d9e0"),
+            ("qm_3_v09", False, 0,
+             "f8958588ee65c1cee66e701c43a418ff0741029a3fe779e34530c3ea2f49325b"),
+            ("qm_3_v09", True, 0,
+             "6eee4d244318e6d115718907ea5919f9cd5d7406423cd3c959ea13e458f3b9d5"),
+            ("qm_24", False, 0,
+             "ac0c6bcef9049b4fb9560b49db4d112c63888d2a0ea52730846b67895afca52f"),
+            ("qm_24", True, 0,
+             "a865ce49579b4aa63bda80ece9f6d566ef0d11a25d7ff6defa586f8bc1fc2494"),
+            ("qm_24_v09", False, 0,
+             "ac0c6bcef9049b4fb9560b49db4d112c63888d2a0ea52730846b67895afca52f"),
+            ("qm_24_v09", True, 0,
+             "113760cf2c8ae003d0470b72204255ffc9c65d17215b70e006f134de2be29c87"),
+            ("qm_100", False, 0,
+             "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
+            ("qm_100", True, 0,
+             "e44d13f64ab031cd3a805e3ac43d1490082ca43d9f8f552aba032d88a3a2245b"),
+            ("qm_100_v09", False, 0,
+             "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
+            ("qm_100_v09", True, 0,
+             "8c24984b6f523481bfd7406f8398147fe9f9d1773d5a59826bc959dfa08e0c11"),
+            ("qm_200_v09", False, 0,
+             "fa645876070bf29f9a964c69cc3963ae46a7d7a3cc662734f42f7f69767585d7"),
+            ("deterministic", False, 0,
+             "a1ede72274aa1ea6fc962adc6f85b85d92f9c527c52cbdc97e3cebd57d7ecdbe"),
+            ("deterministic", True, 0,
+             "e32f814e04b2bcce52b14def99f1d8f041b0441f9c7b196b086da216b69a73ab"),
+            ("leggett3", False, 0,
+             "a1ede72274aa1ea6fc962adc6f85b85d92f9c527c52cbdc97e3cebd57d7ecdbe"),
+            ("leggett3", True, 0,
+             "3207be2d5804ec71945a697516f625be2239e794272ac1ab75cf91a6a9c03577"),
+            ("leggett3_wide", False, 0,
+             "62c3f5c7c2f07de74754581c5b18c494fe37a8a735af1dbc00f259fa034db12c"),
+            ("leggett3_wide", True, 0,
+             "bde803c21d4f36ac91621bd2c5002771e0693ca3f9b92fc4253173185915575e"),
+            ("leggett3_grid", False, 0,
+             "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
+            ("leggett3_grid", True, 0,
+             "f15d79811472b891d5c30d0acb497cc98501f46f101b9519fd5ef8748fd79e53"),
+            ("signaling", False, 1,
+             "5b57618b40851c7d3c5d64e8df118071a1956fa7ca94d469f99b8d04d85e71da"),
+            ("signaling", True, 1,
+             "a3fbd4c5a829c8584996f1fd07486c0f4ceb84eb30a79b52510befd8bdfea4bf"),
+        ],
+    )
+    def test_stdout(self, capsys, tmp_path, name, locality, code, stdout_sha256):
+        path = tmp_path / "table.json"
+        self.write_table(name, path)
+        capsys.readouterr()
+        got = main(["check", str(path)] + (["--locality-bound"] if locality else []))
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, stdout_sha256)
+
+
 class TestHarness:
     def test_usage_error_exit_code(self, capsys):
         assert main(["qm"]) == 2  # missing argument
@@ -1167,9 +1303,10 @@ class TestCertificateFailure:
 
 
 class TestCrossCheckFailure:
-    """A per-setting locality distance whose average form disagrees with
-    the joint form is a numerical failure, whichever setting it is on:
-    exit 3 and one JSON error, with no traceback."""
+    """A per-setting locality distance whose two forms disagree (average
+    and joint in ``falsify``, half-L1 and excess in ``check
+    --locality-bound``) is a numerical failure, whichever setting it is
+    on: exit 3 and one JSON error, with no traceback."""
 
     @pytest.mark.parametrize("shifted", [0, 3])
     def test_failed_cross_check_is_numerical_failure(self, capsys, tmp_path, monkeypatch,
@@ -1191,6 +1328,22 @@ class TestCrossCheckFailure:
         assert list(payload) == ["error"]
         assert payload["error"].startswith("average-form distance ")
         assert len(calls) == 4
+
+    def test_failed_locality_bound_cross_check_is_numerical_failure(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        # Every half-L1 distance then misses its excess form by more than
+        # the identity tolerance.
+        path = tmp_path / "qm.json"
+        assert main(["qm", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(hvm, "IDENTITY_TOL", -1.0)
+        code = main(["check", str(path), "--locality-bound"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        payload = one_document(captured.out)
+        assert list(payload) == ["error"]
+        assert payload["error"].startswith("distance identity violated: ")
 
 
 # -- exit 1 is a verdict ---------------------------------------------------

@@ -14,20 +14,20 @@ from hypothesis import strategies as st
 from chainedbell import distributions
 from chainedbell import (
     ConditionalDistribution,
-    Distribution,
     assert_nonsignaling,
     locality_bound_check,
     qm_chained_distribution,
     read_json_file,
-    stat_distance,
     write_json_file,
 )
 from lemmas import (
+    Distribution,
     as_distribution,
     average_conditional_distance,
     conditional,
     coupling_distance_bound,
     marginalize,
+    stat_distance,
     uniform_distribution,
 )
 
@@ -212,6 +212,56 @@ def context_arrays(draw):
     return base, True
 
 
+@st.composite
+def tied_arrays(draw):
+    """(c, s, o) arrays of values a few ulps around 1/2, 0.5 + k*eps for k
+    in -2..2, with some contexts copied from others: ties everywhere, so
+    the bounds' argmax and argmin pick among equals, and many slices
+    survive them."""
+    c = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 4))
+    o = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = 0.5 + rng.integers(-2, 3, (c, s, o)) * np.finfo(float).eps
+    for i in range(1, c):
+        if draw(st.booleans()):
+            arr[i] = arr[draw(st.integers(0, i - 1))]
+    return arr
+
+
+@st.composite
+def signed_tables(draw):
+    """Tables of 2 to 4 parties with inputs of 1 to 3 values and outputs of
+    1 to 9, some entries -0.0 or negative, plus the output axes of a
+    non-empty party subset to sum out."""
+    n = draw(st.integers(2, 4))
+    inputs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.random(inputs + outputs)
+    kind = draw(st.sampled_from(["plain", "zeros", "negative_zeros", "signs"]))
+    if kind == "zeros":
+        table[rng.random(table.shape) < 0.5] = 0.0
+    elif kind == "negative_zeros":
+        table[rng.random(table.shape) < draw(st.sampled_from([0.5, 1.0]))] = -0.0
+    elif kind == "signs":
+        table[rng.random(table.shape) < 0.5] *= -1.0
+    comp = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return table, tuple(sorted(n + i for i in comp))
+
+
+class TestOutputMarginal:
+    @settings(max_examples=400, deadline=None)
+    @given(signed_tables())
+    def test_equals_numpy_sum_bit_for_bit(self, drawn):
+        table, drop_axes = drawn
+        got = distributions._output_marginal(table, drop_axes)
+        want = table.sum(axis=drop_axes)
+        assert got.shape == want.shape
+        # Compared as bits, so that -0.0 and 0.0 differ.
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMaxPairwiseTV:
     @settings(max_examples=300, deadline=None)
     @given(context_arrays(), st.sampled_from([1 << 18, 1, 7, 64]))
@@ -224,6 +274,32 @@ class TestMaxPairwiseTV:
         assert got == broadcast_max_tv(np.ascontiguousarray(arr))
         if o_fastest:
             assert got == broadcast_max_tv(arr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_arrays())
+    def test_ties_duplicates_and_survivors_equal_the_broadcast(self, arr):
+        assert distributions._max_pairwise_tv(arr) == broadcast_max_tv(arr)
+
+    def test_a_slice_that_survives_the_bounds_is_swept(self):
+        # The contexts with the largest and the smallest first outcome are
+        # 0.1 apart in L1; the third context is 1.05 from each.
+        arr = np.array([[1.0, 0.0], [0.9, 0.0], [0.95, 1.0]])[:, None, :]
+        sweep = mock.Mock(wraps=distributions._all_pairs_max_l1)
+        with mock.patch.object(distributions, "_all_pairs_max_l1", sweep):
+            got = distributions._max_pairwise_tv(arr)
+        assert sweep.call_count == 1
+        assert got == broadcast_max_tv(arr)
+        assert got == pytest.approx(0.525, abs=1e-15)
+
+    def test_quantum_table_sweeps_no_pair(self):
+        # The bounds settle every slice of a quantum table; a change that
+        # sends it back to the all-pairs sweep fails here, not silently.
+        p = qm_chained_distribution(50)
+        sweep = mock.Mock(wraps=distributions._all_pairs_max_l1)
+        with mock.patch.object(distributions, "_all_pairs_max_l1", sweep):
+            rep = assert_nonsignaling(p)
+        assert rep.passed
+        assert sweep.call_count == 0
 
     @staticmethod
     def _peak_bytes(fn):

@@ -226,6 +226,53 @@ class TestShotCsv:
         assert read_back[0].sum() == shots
 
 
+# Pieces of shot CSV text, well-formed and not: digits, signs, separators,
+# the three line ends, a blank, a NUL, an invalid UTF-8 byte, an int64
+# overflow and a fraction.
+CSV_PIECES = [b"0", b"1", b"7", b"-1", b",", b"\r\n", b"\n", b"\r", b" ", b"\x00", b"\xff",
+              b"99999999999999999999", b"1.5", b"0,1,0,1", b"1,0,1,1,2,3"]
+
+
+class TestShotCsvFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([b"a,b,x,y", b"a,b,x,y,u,v", b"a,b,x", b""]),
+        st.sampled_from([b"\r\n", b"\n"]),
+        st.one_of(st.binary(max_size=300),
+                  st.lists(st.sampled_from(CSV_PIECES), max_size=60).map(b"".join)),
+    )
+    def test_raw_bytes_give_blocks_or_value_error(self, header, eol, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "shots.csv"
+            path.write_bytes(header + eol + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    blocks = list(read_shots_csv(path))
+                except ValueError:
+                    return
+        width = header.count(b",") + 1
+        for block in blocks:
+            assert block.dtype == np.int64
+            assert block.ndim == 2 and block.shape[1] == width and len(block) >= 1
+
+    @pytest.mark.parametrize(
+        "body, rows",
+        [(b"", []), (b"\r\n", []), (b"0,1,0,1\r\n\r\n1,1,0,0\r\n", [[0, 1, 0, 1], [1, 1, 0, 0]]),
+         (b"\r\n\r\n0,0,1,1", [[0, 0, 1, 1]])],
+        ids=["header_only", "blank_line", "blank_inside", "blank_first"],
+    )
+    def test_empty_lines_are_skipped_without_a_warning(self, tmp_path, body, rows):
+        # A header and one empty line once raised "rows must have 4 columns,
+        # got 1" with two UserWarnings, and an empty line inside warned.
+        path = tmp_path / "shots.csv"
+        path.write_bytes(b"a,b,x,y\r\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(read_shots_csv(path))
+        assert [row for block in blocks for row in block.tolist()] == rows
+
+
 class TestFoldChecks:
     @pytest.mark.parametrize(
         "row",

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,10 @@ from chainedbell import (
     xu_conditional,
 )
 from chainedbell import hvm
-from chainedbell.distributions import _max_pairwise_tv
+from chainedbell.distributions import _l1_upper_bounds, _max_pairwise_tv
 from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf, _malus_p0
 from chainedbell.quantum import _chained_angles
+from lemmas import per_setting_locality_bound
 
 # The two unit vectors orthogonal to the measurement (x-z) plane.
 ORTHOGONAL = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
@@ -301,10 +303,10 @@ class TestLocalityMeasure:
 
 
 def envelope_tv(arr):
-    """Distance between the entrywise max and min rows of a (c, s, o) array
-    under the pairwise kernel: the bound the hidden-marginal gate checks
-    before it runs the all-pairs max."""
-    return _max_pairwise_tv(np.stack([arr.max(axis=0), arr.min(axis=0)]))
+    """Distance between the entrywise max and min rows of a (c, s, o) array,
+    from the pairwise kernel's per-slice bound: the bound the hidden-marginal
+    gate checks before it runs the all-pairs max."""
+    return 0.5 * float(_l1_upper_bounds(arr).max())
 
 
 @st.composite
@@ -357,7 +359,58 @@ class TestMarginalGate:
             locality_measure(p_xu, marginal_tol=tol)
 
 
+@st.composite
+def local_three_party_tables(draw):
+    """Non-signaling three-party tables P(x, y, z | a, b, c) of local
+    models: a shared variable picks each party's response, some responses
+    deterministic (exact zeros and ties).  The hidden output z takes up to
+    70 values, so that per-setting sums run past NumPy's 8- and 128-term
+    pairwise blocks."""
+    n = draw(st.integers(2, 5))
+    n_c = draw(st.integers(1, 3))
+    oz = draw(st.sampled_from([1, 2, 3, 5, 9, 70]))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def responses(settings, outcomes):
+        r = rng.random((settings, k, outcomes))
+        if draw(st.booleans()):
+            r = np.eye(outcomes)[rng.integers(0, outcomes, (settings, k))]
+        return r / r.sum(axis=-1, keepdims=True)
+
+    w = rng.random(k)
+    table = np.einsum("l,alx,bly,clz->abcxyz", w / w.sum(), responses(n, 2),
+                      responses(n, 2), responses(n_c, oz))
+    return ConditionalDistribution((n, n, n_c), (2, 2, oz), table)
+
+
 class TestLocalityBound:
+    @settings(max_examples=200, deadline=None)
+    @given(local_three_party_tables())
+    def test_equals_the_per_setting_distances_bit_for_bit(self, p3):
+        rep = locality_bound_check(p3)
+        assert rep.applicable and rep.passed
+        assert (rep.lhs_x, rep.lhs_y) == per_setting_locality_bound(p3)
+
+    @pytest.mark.parametrize("setting", [0, 2, 5])
+    def test_cross_check_fails_on_any_setting(self, setting):
+        # An excess sum pushed 1e-9 off on one of the six settings (Alice's
+        # three, then Bob's) must fail the identity cross-check.
+        p = qm_chained_distribution(3)
+        p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), p.table.reshape(3, 3, 1, 2, 2, 1))
+        maximum = np.maximum
+
+        def shifted(a, b):
+            out = maximum(a, b)
+            if out.ndim == 2 and out.shape[0] == 6:
+                out[setting, 0] += 1e-9
+            return out
+
+        with mock.patch.object(np, "maximum", shifted):
+            with pytest.raises(AssertionError, match="distance identity violated"):
+                locality_bound_check(p3)
+        locality_bound_check(p3)  # and passes unshifted
+
     def test_quantum_with_trivial_hidden_parties(self):
         p = qm_chained_distribution(3)
         table = p.table.reshape(3, 3, 1, 2, 2, 1)
