@@ -46,7 +46,6 @@ from .experiment import (
 from .hvm import (
     _leggett_document,
     falsify_leggett,
-    hidden_joint_form,
     induced_distribution,
     locality_bound_check,
     locality_measure,
@@ -198,11 +197,9 @@ def cmd_experiment(args) -> tuple[dict, int]:
     else:
         if args.visibility is not None:
             raise ValueError("--visibility applies only to the qm source")
-        model = model_from_json_file(args.source, args.n)
-        source = model
-        p4 = induced_distribution(model)
-        xy = hidden_joint_form(p4)
-        table = xy.table.sum(axis=-1)[:, :, 0]  # drop hidden output, trivial input
+        # The induced table is sampled, and its chain value is the reference.
+        source = induced_distribution(model_from_json_file(args.source, args.n))
+        table = source.table.sum(axis=(6, 7))[:, :, 0, 0]  # drop u, v and their inputs
         reference = evaluate_chain(
             ConditionalDistribution((args.n, args.n), (2, 2), table), args.n
         ).value

@@ -34,9 +34,9 @@ __all__ = [
 NORM_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
-# Only renormalize conditional slices that stray beyond this.  Reloading an
-# exported table then leaves every float untouched, which is what makes
-# JSON round-trips bit-exact.
+# Only renormalize conditional slices that stray beyond this, each on its
+# own.  Reloading an exported table then leaves every float untouched, which
+# is what makes JSON round-trips bit-exact.
 _RENORM_TRIGGER = 1e-12
 
 # The non-signaling check enumerates all 2^n - 1 non-empty output subsets;
@@ -56,10 +56,9 @@ class ConditionalDistribution:
     is indexed ``[a_1, ..., a_n, x_1, ..., x_n]`` in row-major order and
     every conditional slice sums to 1 within ``NORM_TOL``.
 
-    Construction clamps negative dust (entries in [-NORM_TOL, 0), as
-    produced by LP solvers and float subtraction) to zero and rejects
-    anything more negative; slices that are off normalization by more than
-    ``NORM_TOL`` are rejected, smaller drift is divided out.
+    Construction checks, clamps and normalises the table by the rule of
+    :func:`_normalised`, which model kernels follow too.  A C-ordered float
+    table that needs no change is kept, not copied, and made read-only.
     """
 
     __slots__ = ("input_sizes", "output_sizes", "table")
@@ -80,21 +79,7 @@ class ConditionalDistribution:
         expected = input_sizes + output_sizes
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} does not match {expected}")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("table entries must be finite")
-        lo = float(table.min())
-        if lo < -NORM_TOL:
-            raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
-        if lo < 0.0:
-            table = np.clip(table, 0.0, None)
-        out_axes = tuple(range(len(input_sizes), table.ndim))
-        sums = table.sum(axis=out_axes)
-        drift = float(np.abs(sums - 1.0).max())
-        if drift > NORM_TOL:
-            raise ValueError(f"conditional slices must sum to 1 (off by {drift})")
-        if drift > _RENORM_TRIGGER:
-            table = table / sums[(...,) + (None,) * len(output_sizes)]
-        table = np.ascontiguousarray(table)
+        table = _normalised(table, len(output_sizes))
         table.setflags(write=False)
         object.__setattr__(self, "input_sizes", input_sizes)
         object.__setattr__(self, "output_sizes", output_sizes)
@@ -120,6 +105,8 @@ class ConditionalDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConditionalDistribution":
+        if isinstance(data, dict):
+            _check_numeric_fields(data, ("parties", "outputs", "inputs", "table"))
         try:
             n = int(data["parties"])
             outputs = [int(s) for s in data["outputs"]]
@@ -150,6 +137,76 @@ class ConditionalDistribution:
             f"{type(self).__name__}(inputs={self.input_sizes}, "
             f"outputs={self.output_sizes})"
         )
+
+
+def _slice_sums(flat: np.ndarray) -> np.ndarray:
+    """``flat.sum(axis=1)`` of a C-ordered (k, run) array, bit for bit, and
+    so a table's ``sum(axis=out_axes)`` over its trailing run of outputs.
+
+    NumPy reduces each row with its pairwise sum, which below 8 terms adds
+    them left to right; whole-column adds repeat that without NumPy's
+    per-row loop, which costs more than the adds on short rows.  NumPy's
+    0.0 start, added first here, only turns a sum of -0.0 terms into 0.0.
+    """
+    run = flat.shape[1]
+    if run >= 8:
+        return flat.sum(axis=1)
+    sums = flat[:, 0] + 0.0
+    for q in range(1, run):
+        sums += flat[:, q]
+    return sums
+
+
+def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
+    """The one check-clamp-normalise rule for tables, model kernels and
+    per-setting rows, applied to the slices over the last ``n_out`` axes of
+    a float array, which is never written.
+
+    Entries must be finite; negative dust down to ``-NORM_TOL`` (as LP
+    solvers and float subtraction leave it) is clamped to 0.  A slice off 1
+    by more than ``NORM_TOL`` is rejected, and one off by more than
+    ``_RENORM_TRIGGER`` is divided by its sum; every other slice keeps its
+    bits.  The result is C-ordered: ``table`` itself when nothing changed.
+    """
+    if not np.all(np.isfinite(table)):
+        raise ValueError("table entries must be finite")
+    lo = float(table.min())
+    if lo < -NORM_TOL:
+        raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
+    if lo < 0.0:
+        table = np.clip(table, 0.0, None)
+    table = np.ascontiguousarray(table)
+    flat = table.reshape(-1, math.prod(table.shape[table.ndim - n_out:]))
+    sums = _slice_sums(flat)
+    drift = np.abs(sums - 1.0)
+    worst = float(drift.max())
+    if worst > NORM_TOL:
+        raise ValueError(f"conditional slices must sum to 1 (off by {worst})")
+    if worst > _RENORM_TRIGGER:
+        far = drift > _RENORM_TRIGGER
+        flat = flat.copy()
+        flat[far] /= sums[far, None]
+        table = flat.reshape(table.shape)
+    return table
+
+
+def _check_numeric_fields(data: dict, fields: Sequence[str]) -> None:
+    """Reject a JSON string or boolean in the numeric ``fields`` of a
+    document, naming the field: ``int``, ``float`` and NumPy would read
+    ``"2"``, ``" 4 "`` and ``true`` as numbers."""
+    for key in fields:
+        pending = [data.get(key)]
+        while pending:
+            value = pending.pop()
+            if type(value) is list:
+                # One set of entry types per list: a table row is one pass.
+                kinds = set(map(type, value))
+                if list in kinds:
+                    pending += [v for v in value if type(v) is list]
+                if str in kinds or bool in kinds:
+                    value = next(v for v in value if type(v) in (str, bool))
+            if type(value) in (str, bool):
+                raise ValueError(f"{key} must be numeric, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ with an upper confidence bound, and derive the locality cap.
 
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
-plus ``u, v`` (hidden-variable indices) for simulated models, in the order
-of the shot CSV header."""
+plus ``u, v`` (hidden-variable indices) for a model's induced table, in the
+order of the shot CSV header."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .chained import chain_pairs
 from .distributions import ConditionalDistribution
-from .hvm import HiddenVariableModel, _inverse_cdf, _weighted_joint
+from .hvm import _inverse_cdf
 
 __all__ = [
     "MissingSettingPairError",
@@ -58,23 +58,20 @@ class EstimateReport:
     method: str = "hoeffding-union"
 
 
-def _source_cdfs(source, n: int):
-    """Per-setting-pair cumulative outcome tables plus decode shape."""
-    if isinstance(source, HiddenVariableModel):
-        if source.n_settings != n:
-            raise ValueError("model chain length does not match n")
-        joint = _weighted_joint(source)
-        shape = joint.shape[2:]
-        flat = joint.reshape(n, n, -1)
-        return flat.cumsum(axis=-1), shape
-    if isinstance(source, ConditionalDistribution):
-        if source.input_sizes != (n, n) or source.output_sizes != (2, 2):
-            raise ValueError(
-                "expected a two-party binary table with n settings per side"
-            )
-        flat = source.table.reshape(n, n, 4)
-        return flat.cumsum(axis=-1), (2, 2)
-    raise TypeError("source must be a conditional table or a hidden-variable model")
+def _source_cdfs(source: ConditionalDistribution, n: int):
+    """Per-setting-pair cumulative outcome tables plus decode shape: the
+    outcomes ``(x, y)`` of a two-party binary table, or ``(x, y, u, v)`` of
+    a model's four-party induced table."""
+    if not isinstance(source, ConditionalDistribution):
+        raise TypeError("source must be a conditional table")
+    shape = source.output_sizes
+    if source.input_sizes not in ((n, n), (n, n, 1, 1)) or shape[:2] != (2, 2) \
+            or len(shape) != len(source.input_sizes):
+        raise ValueError(
+            "expected a two-party binary table or a four-party induced table "
+            "with n settings per side"
+        )
+    return source.table.reshape(n, n, -1).cumsum(axis=-1), shape
 
 
 def simulate_shots(
@@ -87,7 +84,8 @@ def simulate_shots(
     """Generate a reproducible stream of shot blocks.
 
     Settings are drawn uniformly and independently for each shot; outcomes
-    follow the source table.  A model source adds the hidden-variable
+    follow the source table.  A model enters as its induced table
+    (``induced_distribution(model)``), whose hidden outputs become the
     columns ``u, v``.  Each block holds at most ``chunk`` shots (fewer when
     the outcome alphabet is large).  The same seed always yields the same
     stream.

@@ -22,13 +22,14 @@ import numpy as np
 
 from .chained import evaluate_chain, quantum_chain_closed_form
 from .distributions import (
-    _RENORM_TRIGGER,
     IDENTITY_TOL,
     NORM_TOL,
     ConditionalDistribution,
+    _check_numeric_fields,
     _l1_upper_bounds,
     _load_json,
     _max_pairwise_tv,
+    _normalised,
     assert_nonsignaling,
 )
 from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
@@ -74,6 +75,8 @@ class HiddenVariableModel:
     with joint weights ``p_uv``, uniform by default); any additional shared
     variable has already been averaged into the response ``kernels``: entry
     ``kernels[a, b, u, v]`` is the joint outcome table P(x, y | a, b, u, v).
+    Kernels follow the table rule (:func:`_normalised`); as with a table,
+    an array that needs no change is kept, not copied, and made read-only.
     """
 
     __slots__ = ("n_settings", "p_uv", "kernels")
@@ -88,19 +91,7 @@ class HiddenVariableModel:
             raise ValueError(
                 f"kernels must have shape (N, N, n_u, n_v, 2, 2), got {kernels.shape}"
             )
-        # NaN compares false against every bound below, so reject it first.
-        if not np.all(np.isfinite(kernels)):
-            raise ValueError("kernel entries must be finite")
-        if kernels.min() < -NORM_TOL:
-            raise ValueError("kernel entries must be non-negative")
-        kernels = np.clip(kernels, 0.0, None)
-        # The four outcome planes added one by one: NumPy runs a reduction
-        # along a size-2 axis one two-element row at a time.
-        sums = ((kernels[..., 0, 0] + kernels[..., 0, 1]) + kernels[..., 1, 0]) \
-            + kernels[..., 1, 1]
-        if np.abs(sums - 1.0).max() > NORM_TOL:
-            raise ValueError("each response kernel must be normalized")
-        kernels = kernels / sums[..., None, None]
+        kernels = _normalised(kernels, 2)
         nu, nv = kernels.shape[2:4]
         if p_uv is None:
             p_uv = np.full((nu, nv), 1.0 / (nu * nv))
@@ -291,12 +282,6 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     return HiddenVariableModel(n, kernels=dist.table[:, :, None, None, :, :])
 
 
-def _weighted_joint(model: HiddenVariableModel) -> np.ndarray:
-    """P(x, y, u, v | a, b) of a model, laid out (a, b, x, y, u, v): each
-    response kernel times its hidden-variable weight."""
-    return np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
-
-
 def induced_distribution(
     model: HiddenVariableModel,
     mode: str = "exact",
@@ -305,14 +290,14 @@ def induced_distribution(
 ) -> ConditionalDistribution:
     """Four-party table P(x, y, u, v | a, b) of a model.
 
-    ``mode="exact"`` computes the table from the hidden-variable weights
-    and response kernels; ``mode="sampled"`` estimates it with ``shots``
+    ``mode="exact"`` computes the table as each response kernel times its
+    hidden-variable weight; ``mode="sampled"`` estimates it with ``shots``
     Monte Carlo draws per setting pair (seed required, reproducible).
     Parties 2 and 3 carry the hidden indices as outputs and have no inputs.
     """
     n, nu, nv = model.n_settings, model.n_u, model.n_v
     if mode == "exact":
-        t = _weighted_joint(model)
+        t = np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
         return ConditionalDistribution(
             (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
         )
@@ -507,8 +492,8 @@ def locality_bound_check(
     np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0])
     np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1])
     joints *= pc[:, None, None]
-    q = _distribution_rows(uniform_half.reshape(1, -1))
-    rows = _distribution_rows(joints.reshape(2 * n, -1))
+    q = _normalised(uniform_half.reshape(1, -1), 1)
+    rows = _normalised(joints.reshape(2 * n, -1), 1)
     # Each setting's distance from the uniform reference, as half the L1
     # difference and as the excess sum of max(0, q - p), row by row.
     half_l1 = 0.5 * np.abs(rows - q).sum(axis=1)
@@ -521,28 +506,6 @@ def locality_bound_check(
         True, ns.max_violation, tuple(lhs[:n]), tuple(lhs[n:]), bound,
         max(lhs) <= bound + NORM_TOL,
     )
-
-
-def _distribution_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows``, each row checked and normalized in place as the table
-    constructor treats one distribution: negative dust clamped to 0 and
-    anything below ``-NORM_TOL`` rejected, a row off normalization by more
-    than ``NORM_TOL`` rejected and one off by more than 1e-12 divided by its
-    sum.  The first failing row names the error."""
-    lo = rows.min(axis=1)
-    dust = lo < 0.0
-    rows[dust] = np.clip(rows[dust], 0.0, None)
-    sums = rows.sum(axis=1)
-    drift = np.abs(sums - 1.0)
-    bad = (lo < -NORM_TOL) | (drift > NORM_TOL)
-    if bad.any():
-        i = int(bad.argmax())
-        if lo[i] < -NORM_TOL:
-            raise ValueError(f"negative entry {lo[i]} below -{NORM_TOL}")
-        raise ValueError(f"conditional slices must sum to 1 (off by {drift[i]})")
-    far = drift > _RENORM_TRIGGER
-    rows[far] /= sums[far, None]
-    return rows
 
 
 @dataclass(frozen=True)
@@ -612,25 +575,6 @@ _NUMERIC_FIELDS = (
 )
 
 
-def _check_numeric_fields(data: dict) -> None:
-    """Reject a JSON string or boolean in a numeric field of a model
-    document, naming the field: ``int`` and NumPy would read ``"2"``,
-    ``" 4 "`` and ``true`` as numbers."""
-    for key in _NUMERIC_FIELDS:
-        pending = [data.get(key)]
-        while pending:
-            value = pending.pop()
-            if type(value) is list:
-                # One set of entry types per list: a table row is one pass.
-                kinds = set(map(type, value))
-                if list in kinds:
-                    pending += [v for v in value if type(v) is list]
-                if str in kinds or bool in kinds:
-                    value = next(v for v in value if type(v) in (str, bool))
-            if type(value) in (str, bool):
-                raise ValueError(f"{key} must be numeric, got {value!r}")
-
-
 def _field(data: dict, key: str):
     """Required field of a model document; a missing one is named."""
     try:
@@ -662,7 +606,7 @@ def _leggett_document(data: dict):
     ``uv_weights`` takes precedence over ``weights``, which weigh Alice's
     grid and Bob's too when he has none of his own.
     """
-    _check_numeric_fields(data)
+    _check_numeric_fields(data, _NUMERIC_FIELDS)
     n = _int_field(data, "n")
     if "vectors" in data:
         vectors = np.asarray(data["vectors"], dtype=float)
@@ -701,7 +645,7 @@ def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError("model document needs a 'type' field") from exc
-    _check_numeric_fields(data)
+    _check_numeric_fields(data, _NUMERIC_FIELDS)
     if n is not None and kind in ("leggett", "local_deterministic", "nonlocal_qm") \
             and _int_field(data, "n") != n:
         raise ValueError("model chain length does not match --n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainedbell import distributions
+from chainedbell.distributions import NORM_TOL
 from chainedbell import (
     ConditionalDistribution,
+    HiddenVariableModel,
     assert_nonsignaling,
     locality_bound_check,
     qm_chained_distribution,
@@ -260,6 +263,109 @@ class TestOutputMarginal:
         assert got.shape == want.shape
         # Compared as bits, so that -0.0 and 0.0 differ.
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def slice_stacks(draw):
+    """Stacks of slices over 1 to 3 input axes and 1 to 3 output axes,
+    whose trailing output run spans 1 to 9 entries or up to 125, each slice
+    off 1 by nothing, by ulps or by up to 5e-10; some with zeros, or with
+    -0.0 or negative dust in their place, some whole slices -0.0.  Returns
+    the stack and its output-axis count."""
+    inputs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    outputs = draw(st.one_of(
+        st.lists(st.integers(1, 9), min_size=1, max_size=1),
+        st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(inputs + outputs)
+    out_axes = tuple(range(len(inputs), len(shape)))
+    table = rng.random(shape)
+    kind = draw(st.sampled_from(["plain", "zeros", "negative_zeros", "dust", "zero_slices"]))
+    zero = rng.random(shape) < (0.0 if kind == "plain" else 0.5)
+    table[zero] = 0.0
+    table[table.sum(axis=out_axes) == 0.0] = 1.0  # every slice keeps some mass
+    table /= table.sum(axis=out_axes, keepdims=True)
+    drift = draw(st.sampled_from([0.0, 1e-16, 1e-13, 5e-12, 5e-10]))
+    table *= 1.0 + drift * rng.uniform(-1.0, 1.0, shape)
+    if kind == "negative_zeros":
+        table[table == 0.0] = -0.0
+    elif kind == "dust":
+        table[zero & (rng.random(shape) < 0.5)] = -0.5 * NORM_TOL
+    elif kind == "zero_slices":  # these sum to 0.0 and are rejected
+        table[rng.random(tuple(inputs)) < 0.5] = -0.0
+    return table, len(outputs)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestNormalised:
+    @settings(max_examples=400, deadline=None)
+    @given(slice_stacks())
+    def test_slice_sums_equal_numpy_sum_bit_for_bit(self, drawn):
+        table, n_out = drawn
+        run = math.prod(table.shape[table.ndim - n_out:])
+        got = distributions._slice_sums(table.reshape(-1, run))
+        want = table.sum(axis=tuple(range(table.ndim - n_out, table.ndim))).ravel()
+        # Compared as bits, so that -0.0 and 0.0 differ.
+        assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=400, deadline=None)
+    @given(slice_stacks())
+    def test_equals_the_reference_rule(self, drawn):
+        # The rule written with NumPy's own reductions: clamp negative dust,
+        # reject a slice off 1 by more than NORM_TOL, and divide each slice
+        # off by more than 1e-12 by its sum.
+        table, n_out = drawn
+        before = table.copy()
+        clamped = np.clip(table, 0.0, None) if table.min() < 0.0 else table
+        sums = clamped.sum(axis=tuple(range(table.ndim - n_out, table.ndim)), keepdims=True)
+        drift = np.abs(sums - 1.0)
+        if drift.max() > NORM_TOL:
+            with pytest.raises(ValueError, match="must sum to 1"):
+                distributions._normalised(table, n_out)
+        else:
+            got = distributions._normalised(table, n_out)
+            want = np.where(drift > 1e-12, clamped / sums, clamped)
+            assert got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(table), bits(before))  # the input is never written
+
+    def test_only_a_drifting_slice_is_divided(self):
+        # Slice 0 is off 1 by about 5e-12, slice 1 by about 1e-13: only
+        # slice 0 is divided; slice 1 keeps its bits.
+        table = np.array([[0.5, 0.5 + 5e-12], [0.25, 0.75 + 1e-13]])
+        sums = table.sum(axis=1)
+        assert abs(sums[0] - 1.0) > 1e-12 and 0.0 < abs(sums[1] - 1.0) < 1e-12
+        d = ConditionalDistribution((2,), (2,), table)
+        assert np.array_equal(bits(d.table[0]), bits(table[0] / sums[0]))
+        assert np.array_equal(bits(d.table[1]), bits(table[1]))
+        # Model kernels follow the same rule, kernel by kernel.
+        kernels = np.full((2, 2, 1, 1, 2, 2), 0.25)
+        kernels[0, 0, 0, 0, 0, 0] += 5e-12
+        kernels[1, 1, 0, 0, 0, 0] += 1e-13
+        model = HiddenVariableModel(2, kernels=kernels)
+        assert np.array_equal(bits(model.kernels[0, 0]),
+                              bits(kernels[0, 0] / kernels[0, 0].sum()))
+        assert np.array_equal(bits(model.kernels[1, 1]), bits(kernels[1, 1]))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([np.nan, 1.0], "table entries must be finite"),
+            ([np.inf, 0.0], "table entries must be finite"),
+            ([1.0 + 2e-9, -2e-9], "negative entry -2e-09 below -1e-09"),
+            ([0.6, 0.6], "conditional slices must sum to 1 (off by 0.19999999999999996)"),
+        ],
+        ids=["nan", "inf", "negative", "drift"],
+    )
+    def test_error_messages(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConditionalDistribution((1,), (2,), np.array([entries]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            distributions._normalised(np.array([entries]), 1)
 
 
 class TestMaxPairwiseTV:

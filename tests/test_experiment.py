@@ -19,6 +19,7 @@ from chainedbell import (
     estimate_chain_value,
     estimate_from_counts,
     evaluate_chain,
+    induced_distribution,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
@@ -92,7 +93,7 @@ class TestSimulateShots:
 
     def test_model_records_carry_hidden_indices(self):
         m = local_deterministic_model(2, [[0, 1], [1, 0]], [[0, 0], [1, 1]])
-        a, b, x, y, u, v = concat(simulate_shots(m, 2, 200, seed=3), 6).T
+        a, b, x, y, u, v = concat(simulate_shots(induced_distribution(m), 2, 200, seed=3), 6).T
         assert np.isin(u, (0, 1)).all() and np.isin(v, (0, 1)).all()
         # Outcomes must follow the sampled strategies exactly:
         # alice table u gives x = u XOR a, bob table v gives y = v.
@@ -198,7 +199,7 @@ class TestShotCsv:
 
     def test_round_trip_annotated(self, tmp_path):
         m = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-        records = concat(simulate_shots(m, 2, 100, seed=6), 6)
+        records = concat(simulate_shots(induced_distribution(m), 2, 100, seed=6), 6)
         path = tmp_path / "shots.csv"
         write_shots_csv([records], path)
         assert path.read_text().splitlines()[0] == "a,b,x,y,u,v"
@@ -451,9 +452,11 @@ class TestSamplerMatchesReference:
         [
             (qm_chained_distribution(3), 3, 20_000, 65536),
             (mix_with_noise(qm_chained_distribution(5), 0.9), 5, 7_000, 1000),
-            (nonlocal_qm_model(2, 0.9, n_u=3, n_v=2), 2, 9_000, 4096),
-            (local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]), 3, 5_000, 65536),
-            (leggett_model(2, inplane_grid(24)), 2, 5_000, 65536),  # m = 2304: chunks of 1736
+            (induced_distribution(nonlocal_qm_model(2, 0.9, n_u=3, n_v=2)), 2, 9_000, 4096),
+            (induced_distribution(
+                local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]])), 3, 5_000, 65536),
+            # m = 2304: chunks of 1736
+            (induced_distribution(leggett_model(2, inplane_grid(24))), 2, 5_000, 65536),
         ],
         ids=["qm", "noisy_qm_small_chunks", "nonlocal_qm", "local_deterministic", "leggett_24"],
     )

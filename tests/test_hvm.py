@@ -602,8 +602,12 @@ class TestModelJson:
 
 
 def reference_kernels(raw):
+    """The table rule on each kernel: negative dust clamped, a kernel whose
+    sum is off 1 by more than 1e-12 divided by its sum, and every other
+    kernel left with its bits."""
     k = np.clip(np.asarray(raw, dtype=float), 0.0, None)
-    return k / k.sum(axis=(4, 5))[..., None, None]
+    sums = k.sum(axis=(4, 5))[..., None, None]
+    return np.where(np.abs(sums - 1.0) > 1e-12, k / sums, k)
 
 
 def reference_local_deviation(kernels):
@@ -653,7 +657,8 @@ class TestKernelReferences:
         yield nonlocal_qm_model(4, 0.8, n_u=2, n_v=3).kernels
         yield local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]).kernels
         yield qm_chained_distribution(7).table[:, :, None, None, :, :]
-        for jitter in (0.0, 1e-16, 1e-13, 0.9 * NORM_TOL / 4):
+        # At 3e-12 some kernels drift above 1e-12 and are divided, the rest not.
+        for jitter in (0.0, 1e-16, 1e-13, 3e-12, 0.9 * NORM_TOL / 4):
             yield product_kernels(rng, 3, 4, 2, jitter)
 
     def test_normalised_kernels_are_bit_equal(self):

@@ -1,5 +1,6 @@
 """The benchmark's tracer contract, the README's worked example, the
-suite's warning filters and the package's imports."""
+suite's warning filters, the package's imports and where its
+normalisation rule lives."""
 
 import ast
 import contextlib
@@ -144,3 +145,41 @@ class TestImports:
             "    return np.zeros(1), 'Iterable, math'\n"
         )
         assert unused_imports(source) == ["line 2: math", "line 4: Iterable"]
+
+
+def renorm_trigger_readers(source: str) -> list[str]:
+    """Lines of a module that import or read ``_RENORM_TRIGGER``, as
+    "line N"."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "_RENORM_TRIGGER" for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "_RENORM_TRIGGER" \
+                or isinstance(node, ast.Attribute) and node.attr == "_RENORM_TRIGGER":
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+class TestOneNormalisationRule:
+    def test_only_distributions_reads_the_renormalisation_trigger(self):
+        # Tables, model kernels and locality rows share one clamp-and-
+        # normalise function; a second module deciding when to divide
+        # would be a second rule.
+        package = ROOT / "src" / "chainedbell"
+        found = {
+            path.name: readers
+            for path in sorted(package.glob("*.py"))
+            if path.name != "distributions.py"
+            and (readers := renorm_trigger_readers(path.read_text()))
+        }
+        assert found == {}
+
+    def test_the_check_sees_a_reader(self):
+        source = (
+            "from .distributions import NORM_TOL, _RENORM_TRIGGER\n"
+            "from . import distributions\n"
+            "x = distributions._RENORM_TRIGGER\n"
+            "y = NORM_TOL\n"
+        )
+        assert renorm_trigger_readers(source) == ["line 1", "line 3"]
