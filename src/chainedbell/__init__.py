@@ -41,9 +41,7 @@ from .hvm import (
     LocalityBoundReport,
     LocalityMeasurement,
     LocalityReport,
-    falsify_leggett,
-    hidden_joint_form,
-    induced_distribution,
+    chain_table,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
@@ -52,8 +50,9 @@ from .hvm import (
     model_from_dict,
     model_from_json_file,
     nonlocal_qm_model,
+    sampled_xu_table,
     table_model,
-    xu_conditional,
+    xu_table,
 )
 from .quantum import (
     mix_with_noise,

@@ -44,15 +44,14 @@ from .experiment import (
     write_shots_csv,
 )
 from .hvm import (
-    _leggett_document,
-    falsify_leggett,
-    induced_distribution,
+    chain_table,
     locality_bound_check,
     locality_measure,
     make_locality_report,
     model_from_dict,
     model_from_json_file,
-    xu_conditional,
+    sampled_xu_table,
+    xu_table,
 )
 from .quantum import mix_with_noise, qm_chained_distribution
 
@@ -127,39 +126,29 @@ def cmd_falsify(args) -> tuple[dict, int]:
     if n < 2:
         raise ValueError("n must be at least 2")
     payload: dict = {"n": n, "model_type": raw.get("type")}
-    if args.shots is None and raw.get("type") == "leggett":
-        # Falsification needs only Alice's marginal rule and weights.
-        doc_n, vectors, _, _, weights = _leggett_document(raw)
-        if doc_n != n:
-            raise ValueError("model chain length does not match --n")
-        report = falsify_leggett(n, vectors, weights)
+    model = model_from_dict(raw, n)
+    p_xu = xu_table(model)
+    if args.shots is None:
+        lm = locality_measure(p_xu)
+        stat_tol = 1e-9
         payload["mode"] = "exact"
     else:
-        model = model_from_dict(raw, n)
-        if args.shots is None:
-            p4 = induced_distribution(model)
-            p_xu = xu_conditional(p4)
-            lm = locality_measure(p_xu)
-            stat_tol = 1e-9
-            payload["mode"] = "exact"
-        else:
-            if args.shots < 1:
-                raise ValueError("shots must be at least 1")
-            seed = _resolve_seed(args)
-            payload["seed"] = seed
-            p4 = induced_distribution(model, mode="sampled", shots=args.shots, seed=seed)
-            # Sampled tables are noisy: skip the b-dependence gate and pool
-            # over Bob's settings instead.
-            p_xu = xu_conditional(p4, tol=1.0, average_b=True)
-            cells = 2 * model.n_u
-            samples = args.shots * n
-            radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
-            stat_tol = 0.5 * cells * radius
-            lm = locality_measure(p_xu, marginal_tol=max(1e-6, cells * radius))
-            payload["mode"] = "monte_carlo"
-            payload["shots_per_pair"] = args.shots
-        bound = 0.5 * quantum_chain_closed_form(n)
-        report = make_locality_report(lm, bound, stat_tol)
+        if args.shots < 1:
+            raise ValueError("shots must be at least 1")
+        seed = _resolve_seed(args)
+        payload["seed"] = seed
+        # --shots counts shots per setting pair: each of Alice's settings
+        # pools N pairs' shots, drawn at once as one multinomial.
+        samples = args.shots * n
+        p_xu = sampled_xu_table(p_xu, samples, seed)
+        cells = 2 * model.n_u
+        radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
+        stat_tol = 0.5 * cells * radius
+        lm = locality_measure(p_xu, marginal_tol=max(1e-6, cells * radius))
+        payload["mode"] = "monte_carlo"
+        payload["shots_per_pair"] = args.shots
+    bound = 0.5 * quantum_chain_closed_form(n)
+    report = make_locality_report(lm, bound, stat_tol)
     payload.update(report.to_dict())
     return payload, (1 if report.falsified else 0)
 
@@ -197,12 +186,10 @@ def cmd_experiment(args) -> tuple[dict, int]:
     else:
         if args.visibility is not None:
             raise ValueError("--visibility applies only to the qm source")
-        # The induced table is sampled, and its chain value is the reference.
-        source = induced_distribution(model_from_json_file(args.source, args.n))
-        table = source.table.sum(axis=(6, 7))[:, :, 0, 0]  # drop u, v and their inputs
-        reference = evaluate_chain(
-            ConditionalDistribution((args.n, args.n), (2, 2), table), args.n
-        ).value
+        # The model is sampled, and its outcome table's chain value is the
+        # reference.
+        source = model_from_json_file(args.source, args.n)
+        reference = evaluate_chain(chain_table(source), args.n).value
     blocks = simulate_shots(source, args.n, args.shots, seed)
     if args.out:
         write_shots_csv(blocks, args.out)

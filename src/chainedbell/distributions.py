@@ -168,9 +168,10 @@ def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
     ``_RENORM_TRIGGER`` is divided by its sum; every other slice keeps its
     bits.  The result is C-ordered: ``table`` itself when nothing changed.
     """
-    if not np.all(np.isfinite(table)):
+    # NaN propagates through min and max, and an infinity ends up in one.
+    lo, hi = float(table.min()), float(table.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("table entries must be finite")
-    lo = float(table.min())
     if lo < -NORM_TOL:
         raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
     if lo < 0.0:
@@ -178,12 +179,12 @@ def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
     table = np.ascontiguousarray(table)
     flat = table.reshape(-1, math.prod(table.shape[table.ndim - n_out:]))
     sums = _slice_sums(flat)
-    drift = np.abs(sums - 1.0)
-    worst = float(drift.max())
+    # The largest |sum - 1| bit for bit (rounding is monotone), unallocated.
+    worst = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
     if worst > NORM_TOL:
         raise ValueError(f"conditional slices must sum to 1 (off by {worst})")
     if worst > _RENORM_TRIGGER:
-        far = drift > _RENORM_TRIGGER
+        far = np.abs(sums - 1.0) > _RENORM_TRIGGER
         flat = flat.copy()
         flat[far] /= sums[far, None]
         table = flat.reshape(table.shape)
@@ -337,7 +338,7 @@ def _output_marginal(table: np.ndarray, drop_axes: tuple[int, ...]) -> np.ndarra
     starting from -0.0.  Every other dropped index adds its run's sum to
     the result.  Adding the same planes in the same order gives the same
     bits.  The 0.0 start is added last instead: either way it only turns a
-    sum of -0.0 terms into 0.0.
+    sum of -0.0 terms into 0.0.  The result may be a strided view.
     """
     axes = [(size, i in drop_axes) for i, size in enumerate(table.shape) if size != 1]
     sizes = [size for size, _ in axes]
@@ -367,7 +368,13 @@ def _output_marginal(table: np.ndarray, drop_axes: tuple[int, ...]) -> np.ndarra
         elif fresh:
             total += part
         else:
-            total, fresh = total + part, True
+            # Strided views whose innermost axes are the few kept outputs:
+            # moved to the front of a C-ordered sum (the same elementwise sums).
+            inner = k - 1 - outer[-1]
+            back, front = list(range(-inner, 0)), list(range(inner))
+            total = np.moveaxis(np.add(np.moveaxis(total, back, front),
+                                       np.moveaxis(part, back, front), order="C"), front, back)
+            fresh = True
     total = np.add(total, 0.0, out=total if fresh else None)
     return total.reshape([s for i, s in enumerate(table.shape) if i not in drop_axes])
 

@@ -3,8 +3,8 @@ with an upper confidence bound, and derive the locality cap.
 
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
-plus ``u, v`` (hidden-variable indices) for a model's induced table, in the
-order of the shot CSV header."""
+plus ``u, v`` (hidden-variable indices) for a model source, in the order
+of the shot CSV header."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .chained import chain_pairs
 from .distributions import ConditionalDistribution
-from .hvm import _inverse_cdf
+from .hvm import HiddenVariableModel
 
 __all__ = [
     "MissingSettingPairError",
@@ -58,20 +58,21 @@ class EstimateReport:
     method: str = "hoeffding-union"
 
 
-def _source_cdfs(source: ConditionalDistribution, n: int):
-    """Per-setting-pair cumulative outcome tables plus decode shape: the
-    outcomes ``(x, y)`` of a two-party binary table, or ``(x, y, u, v)`` of
-    a model's four-party induced table."""
-    if not isinstance(source, ConditionalDistribution):
-        raise TypeError("source must be a conditional table")
-    shape = source.output_sizes
-    if source.input_sizes not in ((n, n), (n, n, 1, 1)) or shape[:2] != (2, 2) \
-            or len(shape) != len(source.input_sizes):
-        raise ValueError(
-            "expected a two-party binary table or a four-party induced table "
-            "with n settings per side"
-        )
-    return source.table.reshape(n, n, -1).cumsum(axis=-1), shape
+def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Outcome index for each uniform draw ``r``: the first outcome whose
+    cumulative probability exceeds it, or the last outcome when none does
+    (rounding can leave the final cumulative value just under 1).
+
+    ``cdf`` is either one cumulative table of shape (m,) shared by every
+    draw, searched with ``searchsorted``, or one row per draw, shape
+    (k, m), searched by ``argmax`` over the row's ``cdf > r`` flags with
+    the last flag forced true.  A cumulative table never decreases, so both
+    equal the number of entries at or below ``r``, capped at m - 1."""
+    if cdf.ndim == 1:
+        return np.minimum(np.searchsorted(cdf, r, side="right"), cdf.shape[-1] - 1)
+    hit = cdf > r[:, None]
+    hit[:, -1] = True
+    return hit.argmax(axis=1)
 
 
 def simulate_shots(
@@ -81,45 +82,61 @@ def simulate_shots(
     seed: int,
     chunk: int = _CHUNK_ROWS,
 ) -> Iterator[np.ndarray]:
-    """Generate a reproducible stream of shot blocks.
+    """Generate a reproducible stream of shot blocks, at most ``chunk``
+    shots each, with settings drawn uniformly and independently per shot.
 
-    Settings are drawn uniformly and independently for each shot; outcomes
-    follow the source table.  A model enters as its induced table
-    (``induced_distribution(model)``), whose hidden outputs become the
-    columns ``u, v``.  Each block holds at most ``chunk`` shots (fewer when
-    the outcome alphabet is large).  The same seed always yields the same
-    stream.
+    A two-party binary table gives both outcomes from its row.  A
+    :class:`HiddenVariableModel` first draws the hidden pair (u, v), the
+    columns ``u, v``, from the cumulative weights of each side or of
+    ``p_uv``; an outcome of a per-side response is then 1 exactly when its
+    uniform draw reaches P(0 | setting, hidden value), and a model table
+    gives both outcomes from its row.  The same seed yields the same stream.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    cdfs, shape = _source_cdfs(source, n)
-    m = cdfs.shape[-1]
-    rows = cdfs.reshape(n * n, m)
-    chunk = max(1, min(chunk, max(1, 4_000_000 // m)))
+    model = source if isinstance(source, HiddenVariableModel) else None
+    if model is not None:
+        if model.n_settings != n:
+            raise ValueError(f"the model has {model.n_settings} settings per side, not {n}")
+        table = model.table
+        # One cumulative table per side, or one over p_uv (flat u * n_v + v).
+        cdfs = [np.cumsum(w) for w in ((model.p_u, model.p_v) if model.p_uv is None
+                                       else (model.p_uv,))]
+    elif isinstance(source, ConditionalDistribution):
+        if source.input_sizes != (n, n) or source.output_sizes != (2, 2):
+            raise ValueError("expected a two-party binary table with n settings per side")
+        table = source.table
+    else:
+        raise TypeError("source must be a two-party table or a hidden-variable model")
+    rows = None if table is None else table.reshape(n * n, 4).cumsum(axis=1)
+
+    def draw(rng, k: int) -> np.ndarray:
+        """One block of ``k`` shots, in a call of its own, so that none of
+        its arrays outlives the block."""
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        cols = [a, b]
+        if model is not None:
+            hidden = [_inverse_cdf(cdf, rng.random(k)) for cdf in cdfs]
+            u, v = hidden if len(hidden) == 2 else np.divmod(hidden[0], model.n_v)
+        if rows is None:
+            cols += [rng.random(k) >= model.alice[a, u, 0], rng.random(k) >= model.bob[b, v, 0]]
+        else:
+            idx = _inverse_cdf(rows.take(a * n + b, axis=0), rng.random(k))
+            cols += [idx >> 1, idx & 1]
+        if model is not None:
+            cols += [u, v]
+        block = np.empty((k, len(cols)), dtype=np.int64)
+        for j, col in enumerate(cols):
+            block[:, j] = col
+        return block
+
     rng = np.random.default_rng(seed)
     remaining = shots
     while remaining > 0:
         k = min(chunk, remaining)
         remaining -= k
-        yield _draw_block(rng, rows, n, k, shape)
-
-
-def _draw_block(rng, rows: np.ndarray, n: int, k: int, shape: tuple) -> np.ndarray:
-    """One block of ``k`` shots: settings, then outcome indices drawn
-    from ``rows[a*n + b]`` (cumulative tables over ``shape``).  A function
-    of its own, so that none of its arrays outlives the block it returns."""
-    a = rng.integers(0, n, size=k)
-    b = rng.integers(0, n, size=k)
-    r = rng.random(k)
-    idx = _inverse_cdf(rows.take(a * n + b, axis=0), r)
-    # Allocated after the search, so that it never coexists with the
-    # gathered (k, m) rows.
-    block = np.empty((k, 2 + len(shape)), dtype=np.int64)
-    block[:, 0] = a
-    block[:, 1] = b
-    for j, col in enumerate(np.unravel_index(idx, shape), start=2):
-        block[:, j] = col
-    return block
+        yield draw(rng, k)
 
 
 def _check_block(block) -> np.ndarray:

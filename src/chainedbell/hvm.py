@@ -1,6 +1,6 @@
-"""Hidden-variable models for the chained layout: local/non-local structure,
-Leggett-type marginal rules, locality measurement, and the non-signaling
-locality bound.
+"""Hidden-variable models for the chained layout: per-side Leggett-type
+responses or one non-local table, each side's (outcome, hidden) table,
+locality measurement, and the non-signaling locality bound.
 
 Vector convention.  The squared-overlap ("Malus-law") marginal rule for a
 direction measurement on a qubit is implemented in Bloch coordinates,
@@ -14,13 +14,14 @@ orthogonal vectors deterministic, which is not the intended physics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chained import evaluate_chain, quantum_chain_closed_form
+from .chained import evaluate_chain
 from .distributions import (
     IDENTITY_TOL,
     NORM_TOL,
@@ -38,6 +39,7 @@ __all__ = [
     "VECTOR_TOL",
     "LOCAL_PART_TOL",
     "MARGINAL_INDEPENDENCE_TOL",
+    "MAX_MODEL_ENTRIES",
     "HiddenVariableModel",
     "LocalityMeasurement",
     "LocalityBoundReport",
@@ -46,12 +48,11 @@ __all__ = [
     "local_deterministic_model",
     "nonlocal_qm_model",
     "table_model",
-    "induced_distribution",
-    "hidden_joint_form",
-    "xu_conditional",
+    "xu_table",
+    "sampled_xu_table",
+    "chain_table",
     "locality_measure",
     "locality_bound_check",
-    "falsify_leggett",
     "make_locality_report",
     "inplane_grid",
     "model_from_dict",
@@ -59,78 +60,96 @@ __all__ = [
 ]
 
 VECTOR_TOL = 1e-12
-# Constructed models must have well-defined local parts: the shared-variable
-# average of each side's response may depend only on its own setting and
-# local variable.
+# A model table must have well-defined local parts: each side's outcome
+# marginal may depend only on its own setting.
 LOCAL_PART_TOL = 1e-9
 # The hidden-variable marginal must not depend on the chosen setting
 # (settings are drawn independently of the hidden variables).
 MARGINAL_INDEPENDENCE_TOL = 1e-6
+# Most numbers a model document may ask for (80 MB of float64); see
+# :func:`_check_size`.
+MAX_MODEL_ENTRIES = 10_000_000
 
 
 class HiddenVariableModel:
     """Finite model of two-party outcomes driven by hidden variables.
 
-    ``u`` and ``v`` index the per-side local variables (finite alphabets
-    with joint weights ``p_uv``, uniform by default); any additional shared
-    variable has already been averaged into the response ``kernels``: entry
-    ``kernels[a, b, u, v]`` is the joint outcome table P(x, y | a, b, u, v).
-    Kernels follow the table rule (:func:`_normalised`); as with a table,
-    an array that needs no change is kept, not copied, and made read-only.
+    ``u`` and ``v`` index the per-side local variables, weighed by ``p_u``
+    and ``p_v`` (uniform by default), or jointly by ``p_uv`` (then ``p_u``
+    and ``p_v`` are its row and column sums; None for product weights).
+    Any further shared variable is averaged into the responses: per-side
+    ``alice`` (N, n_u, 2), P(x | a, u), and ``bob`` (N, n_v, 2),
+    P(y | b, v), whose product is the outcome table given (a, b, u, v); or
+    one ``table`` (N, N, 2, 2), P(x, y | a, b), which the hidden variables
+    (weighed per side) do not enter.  The other form's attributes are
+    None, so memory grows with N·(n_u + n_v), or N² for a table.  Arrays
+    follow the table rule (:func:`_normalised`) and are made read-only.
+    ``bob`` may be a function that returns his responses, run on first
+    read; his alphabet is then that of ``p_v``.
     """
 
-    __slots__ = ("n_settings", "p_uv", "kernels")
+    __slots__ = ("n_settings", "n_u", "n_v", "p_u", "p_v", "p_uv", "alice", "_bob", "table")
 
-    def __init__(self, n_settings: int, *, p_uv=None, kernels: np.ndarray):
+    def __init__(self, n_settings: int, *, alice=None, bob=None, table=None,
+                 p_u=None, p_v=None, p_uv=None):
         n_settings = int(n_settings)
         if n_settings < 2:
             raise ValueError("chain parameter must be at least 2")
-        kernels = np.asarray(kernels, dtype=float)
-        if kernels.ndim != 6 or kernels.shape[:2] != (n_settings, n_settings) \
-                or kernels.shape[4:] != (2, 2):
-            raise ValueError(
-                f"kernels must have shape (N, N, n_u, n_v, 2, 2), got {kernels.shape}"
-            )
-        kernels = _normalised(kernels, 2)
-        nu, nv = kernels.shape[2:4]
-        if p_uv is None:
-            p_uv = np.full((nu, nv), 1.0 / (nu * nv))
-        p_uv = _weights(p_uv, (nu, nv), "uv_weights")
-        self._check_local_parts(kernels)
-        kernels.setflags(write=False)
-        p_uv.setflags(write=False)
-        object.__setattr__(self, "n_settings", n_settings)
-        object.__setattr__(self, "p_uv", p_uv)
-        object.__setattr__(self, "kernels", kernels)
+        if (table is None) == (alice is None or bob is None):
+            raise ValueError("a model takes per-side responses alice and bob, or one table")
+        if p_uv is not None and (p_u is not None or p_v is not None or table is not None):
+            raise ValueError("joint weights p_uv go with per-side responses alone")
+        if table is None:
+            alice = _responses(alice, n_settings, "alice")
+            bob = bob if callable(bob) else _responses(bob, n_settings, "bob")
+            nu, nv = alice.shape[1], len(p_v) if callable(bob) else bob.shape[1]
+        else:
+            table = np.asarray(table, dtype=float)
+            if table.shape != (n_settings, n_settings, 2, 2):
+                raise ValueError(f"table must have shape (N, N, 2, 2), got {table.shape}")
+            table = _normalised(table, 2)
+            self._check_local_parts(table)
+            nu, nv = (1 if w is None else len(w) for w in (p_u, p_v))
+        if p_uv is not None:
+            p_uv = _weights(p_uv, (nu, nv), "uv_weights")
+            p_uv.setflags(write=False)
+            p_u, p_v = p_uv.sum(axis=1), p_uv.sum(axis=0)
+        else:
+            p_u = _weights(np.full(nu, 1.0 / nu) if p_u is None else p_u, (nu,), "u_weights")
+            p_v = _weights(np.full(nv, 1.0 / nv) if p_v is None else p_v, (nv,), "v_weights")
+        for name, value in (("n_settings", n_settings), ("n_u", nu), ("n_v", nv), ("p_u", p_u),
+                            ("p_v", p_v), ("p_uv", p_uv), ("alice", alice), ("_bob", bob),
+                            ("table", table)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def bob(self):
+        """Bob's responses, or None for the table form.  A Leggett model
+        builds them on first read: ``falsify`` reads only Alice's side."""
+        if callable(self._bob):
+            object.__setattr__(self, "_bob", _responses(self._bob(), self.n_settings, "bob"))
+        return self._bob
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
 
     @staticmethod
-    def _check_local_parts(kernels: np.ndarray) -> None:
-        k00, k01, k10, k11 = (kernels[..., x, y] for x in (0, 1) for y in (0, 1))
-        x0, x1 = k00 + k01, k10 + k11  # Alice's outcome marginal, (N, N, nu, nv)
-        dev_x = float((0.5 * (
-            np.abs(x0 - x0[:, :1, :, :1]) + np.abs(x1 - x1[:, :1, :, :1])
-        )).max())
+    def _check_local_parts(table: np.ndarray) -> None:
+        """The table form's non-signaling check: each side's outcome
+        marginal moves by at most ``LOCAL_PART_TOL`` across the other's settings."""
+        k00, k01, k10, k11 = (table[..., x, y] for x in (0, 1) for y in (0, 1))
+        x0, x1 = k00 + k01, k10 + k11  # Alice's outcome marginal, (N, N)
+        dev_x = float((0.5 * (np.abs(x0 - x0[:, :1]) + np.abs(x1 - x1[:, :1]))).max())
         y0, y1 = k00 + k10, k01 + k11  # Bob's
-        dev_y = float((0.5 * (
-            np.abs(y0 - y0[:1, :, :1, :]) + np.abs(y1 - y1[:1, :, :1, :])
-        )).max())
+        dev_y = float((0.5 * (np.abs(y0 - y0[:1]) + np.abs(y1 - y1[:1]))).max())
         if max(dev_x, dev_y) > LOCAL_PART_TOL:
             raise ValueError(
                 "averaged responses leak across sides: one side's outcome "
                 f"marginal depends on the other side's context (deviation "
                 f"{max(dev_x, dev_y)})"
             )
-
-    @property
-    def n_u(self) -> int:
-        return self.kernels.shape[2]
-
-    @property
-    def n_v(self) -> int:
-        return self.kernels.shape[3]
 
     def __repr__(self) -> str:
         return (
@@ -139,21 +158,15 @@ class HiddenVariableModel:
         )
 
 
-def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Outcome index for each uniform draw ``r``: the first outcome whose
-    cumulative probability exceeds it, or the last outcome when none does
-    (rounding can leave the final cumulative value just under 1).
-
-    ``cdf`` is either one cumulative table of shape (m,) shared by every
-    draw, searched with ``searchsorted``, or one row per draw, shape
-    (k, m), searched by ``argmax`` over the row's ``cdf > r`` flags with
-    the last flag forced true.  A cumulative table never decreases, so both
-    equal the number of entries at or below ``r``, capped at m - 1."""
-    if cdf.ndim == 1:
-        return np.minimum(np.searchsorted(cdf, r, side="right"), cdf.shape[-1] - 1)
-    hit = cdf > r[:, None]
-    hit[:, -1] = True
-    return hit.argmax(axis=1)
+def _responses(resp, n: int, side: str) -> np.ndarray:
+    """One side's responses P(outcome | setting, hidden value), checked to
+    have shape (N, k, 2) and normalised slice by slice."""
+    resp = np.asarray(resp, dtype=float)
+    if resp.ndim != 3 or resp.shape[0] != n or resp.shape[1] < 1 or resp.shape[2] != 2:
+        raise ValueError(f"{side} responses must have shape (N, k, 2), got {resp.shape}")
+    resp = _normalised(resp, 1)
+    resp.setflags(write=False)
+    return resp
 
 
 def _unit_vectors(vectors, name: str) -> np.ndarray:
@@ -162,7 +175,8 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a non-empty (k, 3) array of vectors")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    norms = np.sqrt((arr * arr).sum(axis=1))
+    # Whole-column adds: NumPy reduces a 3-long axis one row at a time.
+    norms = np.sqrt(arr[:, 0] * arr[:, 0] + arr[:, 1] * arr[:, 1] + arr[:, 2] * arr[:, 2])
     if np.abs(norms - 1.0).max() > VECTOR_TOL:
         raise ValueError(f"{name} must contain unit vectors")
     return arr
@@ -170,8 +184,9 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
 
 def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``weights`` checked to have ``shape``, to be finite and non-negative
-    and to sum to 1 within ``NORM_TOL``; returned clipped at 0 and divided
-    by their sum."""
+    and to sum to 1 within ``NORM_TOL``; returned by the table rule
+    (:func:`_normalised`, the whole array one slice): clipped at 0, and
+    divided by their sum only if it is off 1 by more than 1e-12."""
     w = np.asarray(weights, dtype=float)
     if w.shape != shape:
         raise ValueError(f"{name} must have shape {shape}")
@@ -179,20 +194,27 @@ def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     if w.min() < -NORM_TOL:
         raise ValueError(f"{name} must be non-negative")
-    w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"{name} must sum to 1, got {total}")
-    return w / total
+    return _normalised(w, w.ndim)
 
 
-def _malus_p0(angles, vectors: np.ndarray) -> np.ndarray:
-    """P(outcome 0) = (1 + a.u)/2 for every measurement angle and hidden
-    unit vector u at once, shape (len(angles), len(vectors)); ``a`` is the
-    outcome-0 Bloch direction (sin t, 0, cos t) of the measurement at
-    angle t (see the module docstring for why the rule reads this way)."""
+def _malus_responses(angles, vectors: np.ndarray) -> np.ndarray:
+    """Responses (P(0), P(1)) with P(0) = (1 + a.u)/2 for every measurement
+    angle and hidden unit vector u at once, shape (len(angles),
+    len(vectors), 2); ``a`` is the outcome-0 Bloch direction (sin t, 0,
+    cos t) of the measurement at angle t (see the module docstring for why
+    the rule reads this way).  Built in place: a stacked copy of the two
+    planes costs more than the rest."""
     bloch = np.array([(math.sin(t), 0.0, math.cos(t)) for t in angles])
-    return np.clip(0.5 * (1.0 + bloch @ vectors.T), 0.0, 1.0)
+    p0 = bloch @ vectors.T
+    p0 += 1.0
+    p0 *= 0.5
+    resp = np.empty(p0.shape + (2,))
+    np.clip(p0, 0.0, 1.0, out=resp[..., 0])
+    np.subtract(1.0, resp[..., 0], out=resp[..., 1])
+    return resp
 
 
 def inplane_grid(n_points: int = 360) -> np.ndarray:
@@ -204,7 +226,7 @@ def inplane_grid(n_points: int = 360) -> np.ndarray:
 
 
 def leggett_model(
-    n: int, u_vectors, v_vectors=None, uv_weights=None
+    n: int, u_vectors, v_vectors=None, uv_weights=None, u_weights=None, v_weights=None
 ) -> HiddenVariableModel:
     """Leggett-type model bound to the chained layout.
 
@@ -212,26 +234,35 @@ def leggett_model(
     squared-overlap rule at that side's chained angles.  The joint outcome
     table is the product of the two marginals: it exists only to make the
     model executable shot by shot, and deliberately carries no correlations
-    (it does not reproduce quantum statistics).
+    (it does not reproduce quantum statistics).  Bob's grid defaults to
+    Alice's; the weights are joint (``uv_weights``) or per side.
     """
     alice, bob = _chained_angles(n)
     uvecs = _unit_vectors(u_vectors, "u_vectors")
     vvecs = uvecs if v_vectors is None else _unit_vectors(v_vectors, "v_vectors")
-    pa0 = _malus_p0(alice, uvecs)  # (N, nu)
-    pb0 = _malus_p0(bob, vvecs)  # (N, nv)
-    ma = np.stack([pa0, 1.0 - pa0], axis=-1)  # (N, nu, 2)
-    mb = np.stack([pb0, 1.0 - pb0], axis=-1)
-    kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    return HiddenVariableModel(n, p_uv=uv_weights, kernels=kernels)
+    # Bob's responses are built on first read (``falsify`` makes none), or
+    # now with joint weights, whose shape is checked against his grid.
+    bob_responses = functools.partial(_malus_responses, bob, vvecs)
+    if uv_weights is not None:
+        bob_responses = bob_responses()
+    elif v_weights is None:
+        v_weights = np.full(len(vvecs), 1.0 / len(vvecs))
+    elif np.shape(v_weights) != (len(vvecs),):
+        raise ValueError(f"v_weights must have shape {(len(vvecs),)}")
+    return HiddenVariableModel(
+        n, alice=_malus_responses(alice, uvecs), bob=bob_responses,
+        p_u=u_weights, p_v=v_weights, p_uv=uv_weights,
+    )
 
 
 def local_deterministic_model(
-    n: int, alice_tables, bob_tables, uv_weights=None
+    n: int, alice_tables, bob_tables, uv_weights=None, u_weights=None, v_weights=None
 ) -> HiddenVariableModel:
     """Mixture of deterministic local strategies.
 
-    Hidden index u picks Alice's lookup table and v picks Bob's;
-    ``uv_weights`` (default uniform product) may correlate the two.
+    Hidden index u picks Alice's lookup table and v picks Bob's; the
+    weights (default uniform) are per side, or joint (``uv_weights``) to
+    correlate the two.
     """
     # Read as floats and checked before the cast: casting to int would turn
     # 0.5 into the bit 0 and 10**30 into an OverflowError.
@@ -241,12 +272,11 @@ def local_deterministic_model(
         raise ValueError("strategy tables must have shape (k, N)")
     if not (np.isin(at, (0, 1)).all() and np.isin(bt, (0, 1)).all()):
         raise ValueError("strategy outputs must be bits")
-    at, bt = at.astype(np.int64), bt.astype(np.int64)
-    eye = np.eye(2)
-    ma = eye[at].transpose(1, 0, 2)  # (N, nu, 2): one-hot responses
-    mb = eye[bt].transpose(1, 0, 2)
-    kernels = np.einsum("aux,bvy->abuvxy", ma, mb)
-    return HiddenVariableModel(n, p_uv=uv_weights, kernels=kernels)
+    eye = np.eye(2)  # one-hot responses, (N, k, 2)
+    return HiddenVariableModel(
+        n, alice=eye[at.astype(np.int64).T], bob=eye[bt.astype(np.int64).T],
+        p_u=u_weights, p_v=v_weights, p_uv=uv_weights,
+    )
 
 
 def nonlocal_qm_model(
@@ -257,17 +287,15 @@ def nonlocal_qm_model(
 ) -> HiddenVariableModel:
     """Entirely non-local model reproducing the (optionally noisy) quantum
     table: the shared variable carries all outcome correlations, and any
-    declared local variables are uniform dummies the responses ignore."""
+    declared local variables are uniform dummies the table ignores."""
     if n_u < 1 or n_v < 1:
         raise ValueError("n_u and n_v must be at least 1")
     base = qm_chained_distribution(n)
     if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
         base = mix_with_noise(base, visibility)
-    p_uv = np.outer(np.full(n_u, 1.0 / n_u), np.full(n_v, 1.0 / n_v))
-    kernels = np.broadcast_to(
-        base.table[:, :, None, None, :, :], (n, n, n_u, n_v, 2, 2)
-    ).copy()
-    return HiddenVariableModel(n, p_uv=p_uv, kernels=kernels)
+    return HiddenVariableModel(
+        n, table=base.table, p_u=np.full(n_u, 1.0 / n_u), p_v=np.full(n_v, 1.0 / n_v)
+    )
 
 
 def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
@@ -279,88 +307,51 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     n = dist.input_sizes[0]
     if dist.input_sizes != (n, n) or n < 2:
         raise ValueError("expected N >= 2 settings on both sides")
-    return HiddenVariableModel(n, kernels=dist.table[:, :, None, None, :, :])
+    return HiddenVariableModel(n, table=dist.table)
 
 
-def induced_distribution(
-    model: HiddenVariableModel,
-    mode: str = "exact",
-    shots: int | None = None,
-    seed: int | None = None,
-) -> ConditionalDistribution:
-    """Four-party table P(x, y, u, v | a, b) of a model.
-
-    ``mode="exact"`` computes the table as each response kernel times its
-    hidden-variable weight; ``mode="sampled"`` estimates it with ``shots``
-    Monte Carlo draws per setting pair (seed required, reproducible).
-    Parties 2 and 3 carry the hidden indices as outputs and have no inputs.
-    """
-    n, nu, nv = model.n_settings, model.n_u, model.n_v
-    if mode == "exact":
-        t = np.einsum("uv,abuvxy->abxyuv", model.p_uv, model.kernels)
-        return ConditionalDistribution(
-            (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
-        )
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if shots is None or shots < 1 or seed is None:
-        raise ValueError("sampled mode needs shots >= 1 and a seed")
-    rng = np.random.default_rng(seed)
-    shape = (2, 2, nu, nv)
-    table = np.zeros((n, n) + shape)
-    for a in range(n):
-        for b in range(n):
-            # The joint laid out (x, y, u, v): a flat index is a table cell.
-            joint = np.einsum("uv,uvxy->xyuv", model.p_uv, model.kernels[a, b])
-            cells = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(shots))
-            table[a, b] = np.bincount(cells, minlength=joint.size).reshape(shape)
-    table /= float(shots)
-    return ConditionalDistribution(
-        (n, n, 1, 1), (2, 2, nu, nv), table.reshape(n, n, 1, 1, 2, 2, nu, nv)
-    )
+def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
+    """Alice's (outcome, hidden) table P(x, u | a) of a model, the only
+    table the locality cap constrains: parties (setting -> binary outcome)
+    and (none -> hidden index).  Entry (a, x, u) is p_u[u] times her
+    response P(x | a, u), or for the table form p_u[u] times the table's
+    Alice marginal at Bob's first setting (the table is non-signaling)."""
+    n, nu = model.n_settings, model.n_u
+    if model.table is None:
+        planes = (model.alice[:, :, 0], model.alice[:, :, 1])
+    else:
+        t = model.table[:, 0]  # (N, 2, 2)
+        planes = ((t[:, 0, 0] + t[:, 0, 1])[:, None], (t[:, 1, 0] + t[:, 1, 1])[:, None])
+    table = np.empty((n, 1, 2, nu))
+    for x, plane in enumerate(planes):
+        np.multiply(model.p_u, plane, out=table[:, 0, x])
+    return ConditionalDistribution((n, 1), (2, nu), table)
 
 
-def hidden_joint_form(p4: ConditionalDistribution) -> ConditionalDistribution:
-    """Repack a four-party induced table into three parties by merging the
-    two hidden outputs into one joint alphabet (z = u * n_v + v); the
-    merged party keeps a trivial input."""
-    if p4.n_parties != 4 or p4.input_sizes[2:] != (1, 1):
-        raise ValueError("expected a four-party induced table")
-    n_a, n_b = p4.input_sizes[:2]
-    ox, oy, nu, nv = p4.output_sizes
-    table = p4.table.reshape(n_a, n_b, 1, ox, oy, nu * nv)
-    return ConditionalDistribution((n_a, n_b, 1), (ox, oy, nu * nv), table)
+def sampled_xu_table(p_xu: ConditionalDistribution, samples: int, seed) -> ConditionalDistribution:
+    """Monte-Carlo estimate of a per-side table P(x, u | a): each
+    setting's ``samples`` draws counted by one multinomial over its
+    (x, u) cells, then divided by ``samples``.  Reproducible per seed."""
+    shape = p_xu.table.shape
+    rows = p_xu.table.reshape(shape[0], -1)
+    freq = np.random.default_rng(seed).multinomial(samples, rows) / float(samples)
+    return ConditionalDistribution(p_xu.input_sizes, p_xu.output_sizes, freq.reshape(shape))
 
 
-def xu_conditional(
-    p4: ConditionalDistribution,
-    tol: float = MARGINAL_INDEPENDENCE_TOL,
-    average_b: bool = False,
-) -> ConditionalDistribution:
-    """Alice-side view P(x, u | a) of a four-party induced table.
-
-    Sums out Bob's outcome and hidden variable, then checks that nothing
-    left depends on Bob's setting (within ``tol``) and removes that axis.
-    ``average_b`` pools over Bob's settings instead of slicing the first
-    one, which is the right reduction for sampled tables (the exact table
-    is b-independent, so pooling only averages noise).
-    """
-    if p4.n_parties != 4 or p4.input_sizes[2:] != (1, 1):
-        raise ValueError("expected a four-party induced table")
-    n_a, n_b = p4.input_sizes[:2]
-    ox, oy, nu, nv = p4.output_sizes
-    marg = p4.table.sum(axis=(5, 7))  # drop y and v outputs -> (a, b, 1, 1, x, u)
-    if n_b > 1:
-        dev = float(
-            (0.5 * np.abs(marg - marg[:, :1]).sum(axis=(-2, -1))).max()
-        )
-        if dev > tol:
-            raise ValueError(
-                f"Alice-side table depends on Bob's setting (deviation {dev})"
-            )
-    reduced = marg.mean(axis=1) if average_b else marg[:, 0]
-    table = reduced.reshape(n_a, 1, ox, nu)
-    return ConditionalDistribution((n_a, 1), (ox, nu), table)
+def chain_table(model: HiddenVariableModel) -> ConditionalDistribution:
+    """A model's outcome table P(x, y | a, b), hidden variables summed out:
+    its table, the product of the two sides' marginals under product
+    weights, or the two responses contracted through ``p_uv``."""
+    n = model.n_settings
+    if model.table is not None:
+        t = model.table
+    elif model.p_uv is None:
+        pa = np.einsum("u,aux->ax", model.p_u, model.alice)
+        pb = np.einsum("v,bvy->by", model.p_v, model.bob)
+        t = pa[:, None, :, None] * pb[None, :, None, :]
+    else:
+        t = np.einsum("aux,uv,bvy->abxy", model.alice, model.p_uv, model.bob, optimize=True)
+    return ConditionalDistribution((n, n), (2, 2), t)
 
 
 @dataclass(frozen=True)
@@ -409,8 +400,9 @@ def locality_measure(
     live = pu > 0.0
     terms = np.zeros_like(pu)
     cond = np.zeros_like(pu)
+    every = bool(live.all())  # a masked divide costs more than a plain one
     for plane in (x0, x1):
-        np.divide(plane, pu, out=cond, where=live)
+        np.divide(plane, pu, out=cond, where=True if every else live)
         cond -= 0.5
         terms += np.abs(cond, out=cond)
     q = np.multiply(pu, 0.5, out=cond)  # (uniform outcome) x (hidden marginal)
@@ -545,29 +537,6 @@ def make_locality_report(
     )
 
 
-def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
-    """Test a Leggett-type hidden-vector distribution against the locality
-    cap certified by the ideal quantum chain value.
-
-    Builds Alice's (outcome, hidden-vector) table from the squared-overlap
-    rule at the chained angles and compares the worst per-setting distance
-    with half the quantum chain value.  In-plane vector mass forces a
-    distance of about 1/pi per setting, which already exceeds the cap at
-    N = 2; vectors orthogonal to the measurement plane contribute nothing.
-    """
-    vecs = _unit_vectors(vectors, "vectors")
-    k = len(vecs)
-    w = np.full(k, 1.0 / k) if weights is None else _weights(weights, (k,), "weights")
-    p0 = _malus_p0(_chained_angles(n)[0], vecs)  # (N, k)
-    table = np.empty((n, 1, 2, k))
-    table[:, 0, 0, :] = w[None, :] * p0
-    table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
-    p_xu = ConditionalDistribution((n, 1), (2, k), table)
-    lm = locality_measure(p_xu)
-    bound = 0.5 * quantum_chain_closed_form(n)
-    return make_locality_report(lm, bound, 1e-9)
-
-
 # Model document fields that hold numbers or nested lists of numbers.
 _NUMERIC_FIELDS = (
     "n", "grid", "n_u", "n_v", "visibility", "vectors", "v_vectors", "weights",
@@ -596,39 +565,55 @@ def _int_field(data: dict, key: str, default: int | None = None) -> int:
         raise ValueError(f"{key} must be a finite integer") from exc
 
 
-def _leggett_document(data: dict):
-    """Chain length, hidden-vector grids and weights of a ``leggett`` model
-    document.
+def _check_size(kind, data: dict) -> None:
+    """Reject a model document that asks for more than
+    ``MAX_MODEL_ENTRIES`` numbers, before any array or angle list is
+    built, naming the field that asks: ``grid``, a ``nonlocal_qm``
+    alphabet, ``uv_weights`` (n_u·n_v), or ``n`` for the total with the
+    responses N·(n_u + n_v) and a ``nonlocal_qm`` table's 4·N².  A
+    ``custom_table`` is bounded by its own input."""
+    if kind not in ("leggett", "local_deterministic", "nonlocal_qm"):
+        return
+    n = _int_field(data, "n")
+    length = {k: len(v) for k, v in data.items() if type(v) is list}  # others fail later
+    sizes, total = [], 0
+    if kind == "leggett":
+        nu = length.get("vectors", 1) if "vectors" in data else _int_field(data, "grid", 360)
+        sizes += [] if "vectors" in data else [("grid", nu)]
+        nv = length.get("v_vectors", nu)
+    elif kind == "local_deterministic":
+        nu, nv = length.get("alice_tables", 1), length.get("bob_tables", 1)
+    else:
+        nu, nv = _int_field(data, "n_u", 1), _int_field(data, "n_v", 1)
+        sizes, total = [("n_u", nu), ("n_v", nv)], 4 * n * n
+    if "uv_weights" in data:
+        sizes.append(("uv_weights", nu * nv))
+    sizes.append(("n", total + n * (nu + nv) + sum(size for _, size in sizes)))
+    for key, size in sizes:
+        if size > MAX_MODEL_ENTRIES:
+            raise ValueError(f"model document too large: {key} asks for {size} numbers, "
+                             f"above {MAX_MODEL_ENTRIES}")
 
-    Returns ``(n, vectors, v_vectors, uv_weights, alice_weights)``: the
-    document's N, Alice's grid, Bob's grid (None: Alice's), the joint
-    weights and Alice's weights over her grid (None: uniform).
-    ``uv_weights`` takes precedence over ``weights``, which weigh Alice's
-    grid and Bob's too when he has none of his own.
-    """
-    _check_numeric_fields(data, _NUMERIC_FIELDS)
+
+def _leggett_document(data: dict) -> HiddenVariableModel:
+    """The model of a ``leggett`` document: Alice's grid (``vectors``, or
+    ``grid`` points in the measurement plane), Bob's (``v_vectors``;
+    Alice's by default) and the weights.  ``uv_weights`` takes precedence
+    over ``weights``, which weigh Alice's grid and Bob's too when he has
+    none of his own (his own is weighed uniformly)."""
     n = _int_field(data, "n")
     if "vectors" in data:
         vectors = np.asarray(data["vectors"], dtype=float)
     else:
         vectors = inplane_grid(_int_field(data, "grid", 360))
-    v_vectors = (
-        _unit_vectors(data["v_vectors"], "v_vectors") if "v_vectors" in data else None
-    )
-    nv = len(vectors) if v_vectors is None else len(v_vectors)
+    v_vectors = data.get("v_vectors")
     if "uv_weights" in data:
-        uv = np.asarray(data["uv_weights"], dtype=float)
-        # Checked entry by entry, as row sums can be valid weights while an
-        # entry is negative.  The raw entries are returned: the model and
-        # falsify_leggett each divide them by their sum once.
-        _weights(uv, (len(vectors), nv), "uv_weights")
-        return n, vectors, v_vectors, uv, uv.sum(axis=1)
-    weights = data.get("weights")
-    if weights is None:
-        return n, vectors, v_vectors, None, None
-    w = _weights(weights, (len(vectors),), "weights")
-    wv = w if v_vectors is None else np.full(nv, 1.0 / nv)
-    return n, vectors, v_vectors, np.outer(w, wv), weights
+        return leggett_model(n, vectors, v_vectors, uv_weights=data["uv_weights"])
+    w = data.get("weights")
+    if w is not None:
+        w = _weights(w, (len(vectors),), "weights")
+    return leggett_model(n, vectors, v_vectors, u_weights=w,
+                         v_weights=w if v_vectors is None else None)
 
 
 def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
@@ -638,8 +623,9 @@ def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
     (strategy tables and weights), ``nonlocal_qm`` (N and visibility), and
     ``custom_table`` (an inline distribution document).  With ``n`` given
     (the CLI's ``--n``), a model of another chain length is rejected; a
-    document's own ``n`` is compared before any table is built, so that a
-    huge one allocates nothing.
+    document's own ``n`` is compared, and its sizes checked against
+    ``MAX_MODEL_ENTRIES``, before any table is built, so that a huge one
+    allocates nothing.
     """
     try:
         kind = data["type"]
@@ -649,6 +635,7 @@ def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
     if n is not None and kind in ("leggett", "local_deterministic", "nonlocal_qm") \
             and _int_field(data, "n") != n:
         raise ValueError("model chain length does not match --n")
+    _check_size(kind, data)
     model = _model_of_kind(kind, data)
     if n is not None and model.n_settings != n:
         raise ValueError("model chain length does not match --n")
@@ -658,30 +645,24 @@ def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
 def _model_of_kind(kind, data: dict) -> HiddenVariableModel:
     """The model of a document whose ``type`` field reads ``kind``."""
     if kind == "leggett":
-        n, vectors, v_vectors, uv, _ = _leggett_document(data)
-        return leggett_model(n, vectors, v_vectors, uv)
+        return _leggett_document(data)
     if kind == "local_deterministic":
         n = _int_field(data, "n")
-        uv = np.asarray(data["uv_weights"], dtype=float) if "uv_weights" in data else None
-        if uv is None and ("u_weights" in data or "v_weights" in data):
-            missing = "v_weights" if "u_weights" in data else "u_weights"
-            if missing not in data:
-                raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
-            u, v = (np.asarray(data[k], dtype=float) for k in ("u_weights", "v_weights"))
-            # 0 * inf in the product would be NaN, with a RuntimeWarning.
-            for name, w in (("u_weights", u), ("v_weights", v)):
-                if not np.all(np.isfinite(w)):
-                    raise ValueError(f"{name} must be finite")
-            # One weight per strategy; a table field that is not a list
-            # fails the table check instead.
-            sides = (("u_weights", u, "alice_tables"), ("v_weights", v, "bob_tables"))
-            for name, w, side in sides:
-                tables = _field(data, side)
-                if isinstance(tables, list) and w.shape != (len(tables),):
-                    raise ValueError(f"{name} must have length {len(tables)}")
-            uv = np.outer(u, v)
+        tables = _field(data, "alice_tables"), _field(data, "bob_tables")
+        if "uv_weights" in data:
+            return local_deterministic_model(n, *tables, uv_weights=data["uv_weights"])
+        if "u_weights" not in data and "v_weights" not in data:
+            return local_deterministic_model(n, *tables)
+        missing = "v_weights" if "u_weights" in data else "u_weights"
+        if missing not in data:
+            raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
+        # One weight per strategy; a table field that is not a list fails
+        # the table check instead.
+        for name, side in zip(("u_weights", "v_weights"), tables):
+            if isinstance(side, list) and np.shape(data[name]) != (len(side),):
+                raise ValueError(f"{name} must have length {len(side)}")
         return local_deterministic_model(
-            n, _field(data, "alice_tables"), _field(data, "bob_tables"), uv
+            n, *tables, u_weights=data["u_weights"], v_weights=data["v_weights"]
         )
     if kind == "nonlocal_qm":
         return nonlocal_qm_model(

@@ -7,6 +7,12 @@ here so the suites can check them on random tables.  ``Distribution`` and
 ``stat_distance`` are the one-table-at-a-time forms of the distance that
 the library's one-pass ``locality_bound_check`` replaced; its tests
 compare against them.
+
+The model oracles rebuild the dense route that models took before they
+kept per-side responses: the (N, N, n_u, n_v, 2, 2) response array, the
+four-party table P(x, y, u, v | a, b) built from it
+(:func:`induced_distribution`), its three-party and Alice-side views, and
+the direct Leggett test ``falsify_leggett``.
 """
 
 import math
@@ -14,8 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chainedbell import ConditionalDistribution
-from chainedbell.distributions import IDENTITY_TOL
+from chainedbell import ConditionalDistribution, quantum_chain_closed_form
+from chainedbell.distributions import IDENTITY_TOL, _normalised
+from chainedbell.hvm import (
+    MARGINAL_INDEPENDENCE_TOL,
+    _malus_responses,
+    locality_measure,
+    make_locality_report,
+)
+from chainedbell.quantum import _chained_angles
 
 
 class Distribution(ConditionalDistribution):
@@ -167,3 +180,101 @@ def coupling_distance_bound(p_xy: ConditionalDistribution) -> CouplingReport:
     rhs = float(pj.sum() - np.trace(pj))
     return CouplingReport(lhs, rhs, lhs <= rhs + 1e-12)
 
+
+def dense_kernels(model) -> np.ndarray:
+    """The model's responses as one (N, N, n_u, n_v, 2, 2) array
+    P(x, y | a, b, u, v): the product of the two sides' responses, or the
+    table broadcast over the dummy hidden pair, each kernel normalised by
+    the table rule."""
+    n, nu, nv = model.n_settings, model.n_u, model.n_v
+    if model.table is None:
+        raw = np.einsum("aux,bvy->abuvxy", model.alice, model.bob)
+    else:
+        raw = np.broadcast_to(model.table[:, :, None, None], (n, n, nu, nv, 2, 2))
+    return _normalised(raw, 2)
+
+
+def dense_weights(model) -> np.ndarray:
+    """The joint hidden weights as the dense model held them: ``p_uv``, the
+    uniform 1/(n_u n_v) when both sides are uniform (its default), or the
+    outer product of the two sides' weights, always divided by their sum."""
+    nu, nv = model.n_u, model.n_v
+    if model.p_uv is not None:
+        w = model.p_uv
+    elif (model.p_u == 1.0 / nu).all() and (model.p_v == 1.0 / nv).all():
+        w = np.full((nu, nv), 1.0 / (nu * nv))
+    else:
+        w = np.outer(model.p_u, model.p_v)
+    return w / w.sum()
+
+
+def induced_distribution(model) -> ConditionalDistribution:
+    """Four-party table P(x, y, u, v | a, b) of a model, each dense kernel
+    times its hidden-variable weight.  Parties 2 and 3 carry the hidden
+    indices as outputs and have no inputs."""
+    n, nu, nv = model.n_settings, model.n_u, model.n_v
+    t = np.einsum("uv,abuvxy->abxyuv", dense_weights(model), dense_kernels(model))
+    return ConditionalDistribution(
+        (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
+    )
+
+
+def hidden_joint_form(p4: ConditionalDistribution) -> ConditionalDistribution:
+    """Repack a four-party induced table into three parties by merging the
+    two hidden outputs into one joint alphabet (z = u * n_v + v); the
+    merged party keeps a trivial input."""
+    if p4.n_parties != 4 or p4.input_sizes[2:] != (1, 1):
+        raise ValueError("expected a four-party induced table")
+    n_a, n_b = p4.input_sizes[:2]
+    ox, oy, nu, nv = p4.output_sizes
+    table = p4.table.reshape(n_a, n_b, 1, ox, oy, nu * nv)
+    return ConditionalDistribution((n_a, n_b, 1), (ox, oy, nu * nv), table)
+
+
+def xu_conditional(
+    p4: ConditionalDistribution,
+    tol: float = MARGINAL_INDEPENDENCE_TOL,
+    average_b: bool = False,
+) -> ConditionalDistribution:
+    """Alice-side view P(x, u | a) of a four-party induced table.
+
+    Sums out Bob's outcome and hidden variable, then checks that nothing
+    left depends on Bob's setting (within ``tol``) and removes that axis:
+    it keeps Bob's first setting, or with ``average_b`` pools over all.
+    """
+    if p4.n_parties != 4 or p4.input_sizes[2:] != (1, 1):
+        raise ValueError("expected a four-party induced table")
+    n_a, n_b = p4.input_sizes[:2]
+    ox, oy, nu, nv = p4.output_sizes
+    marg = p4.table.sum(axis=(5, 7))  # drop y and v outputs -> (a, b, 1, 1, x, u)
+    if n_b > 1:
+        dev = float((0.5 * np.abs(marg - marg[:, :1]).sum(axis=(-2, -1))).max())
+        if dev > tol:
+            raise ValueError(f"Alice-side table depends on Bob's setting (deviation {dev})")
+    reduced = marg.mean(axis=1) if average_b else marg[:, 0]
+    return ConditionalDistribution((n_a, 1), (ox, nu), reduced.reshape(n_a, 1, ox, nu))
+
+
+def leggett_xu_table(n: int, vectors, weights=None) -> ConditionalDistribution:
+    """Alice's (outcome, hidden-vector) table of a Leggett-type model,
+    straight from the squared-overlap rule: ``w * p0`` and ``w * (1 - p0)``,
+    with given weights divided by their sum (uniform ones are 1/k)."""
+    vecs = np.asarray(vectors, dtype=float)
+    k = len(vecs)
+    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
+    if weights is not None:
+        w = w / w.sum()
+    p0 = _malus_responses(_chained_angles(n)[0], vecs)[..., 0]  # (N, k)
+    table = np.empty((n, 1, 2, k))
+    table[:, 0, 0, :] = w[None, :] * p0
+    table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
+    return ConditionalDistribution((n, 1), (2, k), table)
+
+
+def falsify_leggett(n: int, vectors, weights=None):
+    """Test a Leggett-type hidden-vector distribution against the locality
+    cap certified by the ideal quantum chain value, from
+    :func:`leggett_xu_table`.  In-plane vector mass forces a distance of
+    about 1/pi per setting, which already exceeds the cap at N = 2."""
+    lm = locality_measure(leggett_xu_table(n, vectors, weights))
+    return make_locality_report(lm, 0.5 * quantum_chain_closed_form(n), 1e-9)

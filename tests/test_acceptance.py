@@ -17,24 +17,25 @@ from chainedbell import (
     classical_min_chain_value,
     estimate_chain_value,
     evaluate_chain,
-    falsify_leggett,
-    hidden_joint_form,
-    induced_distribution,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
     locality_bound_check,
+    locality_measure,
     lp_min_chain_given_bias,
     max_locality_bound,
     nonlocal_qm_model,
     qm_chained_distribution,
     quantum_chain_closed_form,
     simulate_shots,
+    xu_table,
 )
 from lemmas import (
     Distribution,
     average_conditional_distance,
     coupling_distance_bound,
+    hidden_joint_form,
+    induced_distribution,
     marginalize,
     stat_distance,
 )
@@ -149,14 +150,14 @@ def test_06_maximum_locality_figure():
 
 def test_07_leggett_falsification():
     def run():
-        report = falsify_leggett(2, inplane_grid(360))
+        # Alice's (outcome, hidden) table is all the locality cap constrains.
+        bound = quantum_chain_closed_form(2) / 2
+        assert bound == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
+        report = locality_measure(xu_table(leggett_model(2, inplane_grid(360))))
         assert abs(report.max_distance - 1 / math.pi) < 1e-4
-        assert report.bound == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
-        assert report.max_distance > report.bound
-        assert report.falsified
-        ortho = falsify_leggett(2, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        assert report.max_distance > bound + 1e-9  # falsified
+        ortho = locality_measure(xu_table(leggett_model(2, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])))
         assert ortho.max_distance < 1e-9
-        assert not ortho.falsified
 
     timed("leggett falsification at N=2", 5.0, run)
 

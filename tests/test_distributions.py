@@ -342,14 +342,21 @@ class TestNormalised:
         d = ConditionalDistribution((2,), (2,), table)
         assert np.array_equal(bits(d.table[0]), bits(table[0] / sums[0]))
         assert np.array_equal(bits(d.table[1]), bits(table[1]))
-        # Model kernels follow the same rule, kernel by kernel.
-        kernels = np.full((2, 2, 1, 1, 2, 2), 0.25)
-        kernels[0, 0, 0, 0, 0, 0] += 5e-12
-        kernels[1, 1, 0, 0, 0, 0] += 1e-13
-        model = HiddenVariableModel(2, kernels=kernels)
-        assert np.array_equal(bits(model.kernels[0, 0]),
-                              bits(kernels[0, 0] / kernels[0, 0].sum()))
-        assert np.array_equal(bits(model.kernels[1, 1]), bits(kernels[1, 1]))
+        # Model tables follow the same rule, slice by slice; so do the
+        # per-side responses, response by response, and the weights.
+        tables = np.full((2, 2, 2, 2), 0.25)
+        tables[0, 0, 0, 0] += 5e-12
+        tables[1, 1, 0, 0] += 1e-13
+        model = HiddenVariableModel(2, table=tables)
+        assert np.array_equal(bits(model.table[0, 0]), bits(tables[0, 0] / tables[0, 0].sum()))
+        assert np.array_equal(bits(model.table[1, 1]), bits(tables[1, 1]))
+        responses = np.broadcast_to(table, (2, 2, 2))
+        model = HiddenVariableModel(2, alice=responses, bob=responses, p_u=table[1])
+        for side in (model.alice, model.bob):
+            assert np.array_equal(bits(side[:, 0]), bits(np.tile(table[0] / sums[0], (2, 1))))
+            assert np.array_equal(bits(side[:, 1]), bits(np.tile(table[1], (2, 1))))
+        assert np.array_equal(bits(model.p_u), bits(table[1]))
+        assert np.array_equal(bits(model.p_v), bits(np.full(2, 0.5)))
 
     @pytest.mark.parametrize(
         "entries, message",

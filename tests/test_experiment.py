@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chainedbell import (
+    ConditionalDistribution,
     DeterministicStrategy,
     EstimateReport,
+    HiddenVariableModel,
     MissingSettingPairError,
     chain_pairs,
+    chain_table,
     estimate_chain_value,
     estimate_from_counts,
     evaluate_chain,
-    induced_distribution,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
@@ -31,8 +33,8 @@ from chainedbell import (
     simulate_shots,
     write_shots_csv,
 )
-from chainedbell.experiment import _fold_counts, _source_cdfs
-from chainedbell.hvm import _inverse_cdf
+from chainedbell.experiment import _fold_counts, _inverse_cdf
+from lemmas import induced_distribution
 
 
 def concat(blocks, width=4):
@@ -93,7 +95,7 @@ class TestSimulateShots:
 
     def test_model_records_carry_hidden_indices(self):
         m = local_deterministic_model(2, [[0, 1], [1, 0]], [[0, 0], [1, 1]])
-        a, b, x, y, u, v = concat(simulate_shots(induced_distribution(m), 2, 200, seed=3), 6).T
+        a, b, x, y, u, v = concat(simulate_shots(m, 2, 200, seed=3), 6).T
         assert np.isin(u, (0, 1)).all() and np.isin(v, (0, 1)).all()
         # Outcomes must follow the sampled strategies exactly:
         # alice table u gives x = u XOR a, bob table v gives y = v.
@@ -105,6 +107,10 @@ class TestSimulateShots:
             list(simulate_shots(object(), 2, 10, seed=0))
         with pytest.raises(ValueError, match="settings"):
             list(simulate_shots(qm_chained_distribution(3), 2, 10, seed=0))
+        with pytest.raises(ValueError, match="settings"):
+            list(simulate_shots(nonlocal_qm_model(3), 2, 10, seed=0))
+        with pytest.raises(ValueError, match="two-party"):  # a model enters as itself
+            list(simulate_shots(induced_distribution(nonlocal_qm_model(2)), 2, 10, seed=0))
         with pytest.raises(ValueError, match="shots"):
             list(simulate_shots(qm_chained_distribution(2), 2, 0, seed=0))
 
@@ -199,7 +205,7 @@ class TestShotCsv:
 
     def test_round_trip_annotated(self, tmp_path):
         m = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-        records = concat(simulate_shots(induced_distribution(m), 2, 100, seed=6), 6)
+        records = concat(simulate_shots(m, 2, 100, seed=6), 6)
         path = tmp_path / "shots.csv"
         write_shots_csv([records], path)
         assert path.read_text().splitlines()[0] == "a,b,x,y,u,v"
@@ -355,10 +361,9 @@ def reference_inverse_cdf(cdf, r):
 
 
 def reference_stream(source, n, shots, seed, chunk=65536):
-    """Shot blocks from fancy-indexed CDF rows, the row-sum inverse CDF and
-    ``column_stack``."""
-    cdfs, shape = _source_cdfs(source, n)
-    chunk = max(1, min(chunk, max(1, 4_000_000 // cdfs.shape[-1])))
+    """Shot blocks of a two-party table from fancy-indexed CDF rows, the
+    row-sum inverse CDF and ``column_stack``."""
+    cdfs = source.table.reshape(n, n, 4).cumsum(axis=-1)
     rng = np.random.default_rng(seed)
     remaining = shots
     while remaining > 0:
@@ -368,7 +373,38 @@ def reference_stream(source, n, shots, seed, chunk=65536):
         b = rng.integers(0, n, size=k)
         r = rng.random(k)
         idx = reference_inverse_cdf(cdfs[a, b], r)
-        yield np.column_stack((a, b, *np.unravel_index(idx, shape)))
+        yield np.column_stack((a, b, *np.unravel_index(idx, (2, 2))))
+
+
+def reference_model_stream(model, n, shots, seed, chunk=65536):
+    """Shot blocks of a model: the hidden pair from the row-sum inverse CDF
+    over each side's weights (or over ``p_uv`` flattened), then each
+    outcome from a fancy-indexed response row (or both from the table's
+    row), and ``column_stack``."""
+    rng = np.random.default_rng(seed)
+
+    def inverse(p, r):
+        return reference_inverse_cdf(np.broadcast_to(np.cumsum(p), (len(r), p.size)), r)
+
+    remaining = shots
+    while remaining > 0:
+        k = min(chunk, remaining)
+        remaining -= k
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        if model.p_uv is None:
+            u = inverse(model.p_u, rng.random(k))
+            v = inverse(model.p_v, rng.random(k))
+        else:
+            u, v = np.unravel_index(inverse(model.p_uv.ravel(), rng.random(k)), model.p_uv.shape)
+        if model.table is None:
+            x = reference_inverse_cdf(model.alice[a, u].cumsum(axis=-1), rng.random(k))
+            y = reference_inverse_cdf(model.bob[b, v].cumsum(axis=-1), rng.random(k))
+        else:
+            xy = reference_inverse_cdf(model.table.reshape(n, n, 4).cumsum(axis=-1)[a, b],
+                                       rng.random(k))
+            x, y = np.unravel_index(xy, (2, 2))
+        yield np.column_stack((a, b, x, y, u, v))
 
 
 def reference_fold(blocks, n):
@@ -446,19 +482,38 @@ class TestInverseCdf:
         assert np.array_equal(_inverse_cdf(shared, r), expected)
 
 
+MODEL_SOURCES = {
+    "nonlocal_qm": (nonlocal_qm_model(2, 0.9, n_u=3, n_v=2), 9_000, 4096),
+    "local_deterministic": (
+        local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]), 5_000, 65536),
+    "leggett_24": (leggett_model(2, inplane_grid(24)), 5_000, 1736),
+    "leggett_weighted": (
+        leggett_model(3, inplane_grid(6), inplane_grid(4),
+                      u_weights=[0.1, 0.0, 0.2, 0.3, 0.15, 0.25], v_weights=[0.4, 0.1, 0.2, 0.3]),
+        20_000, 65536),
+    "leggett_uv": (
+        leggett_model(2, inplane_grid(3), uv_weights=[[0.1, 0.2, 0.0], [0.3, 0.0, 0.1],
+                                                      [0.05, 0.05, 0.2]]),
+        20_000, 7000),
+    "deterministic_uv": (
+        local_deterministic_model(2, [[0, 1], [1, 1], [0, 0]], [[1, 0], [0, 0]],
+                                  uv_weights=[[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]),
+        20_000, 65536),
+    "table_weighted": (
+        HiddenVariableModel(3, table=mix_with_noise(qm_chained_distribution(3), 0.8).table,
+                            p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
+        30_000, 65536),
+}
+
+
 class TestSamplerMatchesReference:
     @pytest.mark.parametrize(
         "source, n, shots, chunk",
         [
             (qm_chained_distribution(3), 3, 20_000, 65536),
             (mix_with_noise(qm_chained_distribution(5), 0.9), 5, 7_000, 1000),
-            (induced_distribution(nonlocal_qm_model(2, 0.9, n_u=3, n_v=2)), 2, 9_000, 4096),
-            (induced_distribution(
-                local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]])), 3, 5_000, 65536),
-            # m = 2304: chunks of 1736
-            (induced_distribution(leggett_model(2, inplane_grid(24))), 2, 5_000, 65536),
         ],
-        ids=["qm", "noisy_qm_small_chunks", "nonlocal_qm", "local_deterministic", "leggett_24"],
+        ids=["qm", "noisy_qm_small_chunks"],
     )
     def test_stream_is_identical(self, source, n, shots, chunk):
         got = list(simulate_shots(source, n, shots, seed=29, chunk=chunk))
@@ -467,6 +522,47 @@ class TestSamplerMatchesReference:
         for mine, theirs in zip(got, ref):
             assert mine.dtype == np.int64 and mine.flags.c_contiguous
             assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("name", list(MODEL_SOURCES))
+    def test_model_stream_is_identical(self, name):
+        model, shots, chunk = MODEL_SOURCES[name]
+        n = model.n_settings
+        got = list(simulate_shots(model, n, shots, seed=31, chunk=chunk))
+        ref = list(reference_model_stream(model, n, shots, seed=31, chunk=chunk))
+        assert [len(block) for block in got] == [len(block) for block in ref]
+        for mine, theirs in zip(got, ref):
+            assert mine.dtype == np.int64 and mine.flags.c_contiguous and mine.shape[1] == 6
+            assert np.array_equal(mine, theirs)
+
+
+class TestModelSamplerMatchesTheTable:
+    @pytest.mark.parametrize("name", list(MODEL_SOURCES))
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_fold_matches_the_exact_table(self, name, seed):
+        # Per setting pair, the folded (x, y, u, v) frequencies against the
+        # four-party table of the dense route, within a Hoeffding radius at
+        # failure 1e-9 per cell (fixed seeds); zero cells are never drawn.
+        model, shots, _ = MODEL_SOURCES[name]
+        n, nu, nv = model.n_settings, model.n_u, model.n_v
+        p4 = induced_distribution(model).table.reshape(n * n, 4 * nu * nv)
+        cells = np.zeros((n * n, 4 * nu * nv), dtype=np.int64)
+        for block in simulate_shots(model, n, shots, seed=seed):
+            a, b, x, y, u, v = block.T
+            cell = ((x * 2 + y) * nu + u) * nv + v
+            np.add.at(cells, (a * n + b, cell), 1)
+        m = cells.sum(axis=1, keepdims=True)
+        assert m.min() > 0
+        radius = np.sqrt(math.log(2 / 1e-9) / (2.0 * m))
+        assert (np.abs(cells / m - p4) <= radius).all()
+        assert (cells[p4 == 0.0] == 0).all()
+
+    @pytest.mark.parametrize("name", list(MODEL_SOURCES))
+    def test_reference_chain_value_is_the_table_chain_value(self, name):
+        model = MODEL_SOURCES[name][0]
+        n = model.n_settings
+        xy = induced_distribution(model).table.sum(axis=(6, 7))[:, :, 0, 0]
+        dense = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy), n).value
+        assert evaluate_chain(chain_table(model), n).value == pytest.approx(dense, abs=1e-14)
 
 
 def shot_blocks(n):

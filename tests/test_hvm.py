@@ -16,10 +16,8 @@ from chainedbell import (
     ConditionalDistribution,
     HiddenVariableModel,
     assert_nonsignaling,
+    chain_table,
     evaluate_chain,
-    falsify_leggett,
-    hidden_joint_form,
-    induced_distribution,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
@@ -30,14 +28,22 @@ from chainedbell import (
     nonlocal_qm_model,
     qm_chained_distribution,
     quantum_chain_closed_form,
+    sampled_xu_table,
     table_model,
-    xu_conditional,
+    xu_table,
 )
 from chainedbell import hvm
 from chainedbell.distributions import _l1_upper_bounds, _max_pairwise_tv
-from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _inverse_cdf, _malus_p0
+from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _malus_responses, make_locality_report
 from chainedbell.quantum import _chained_angles
-from lemmas import per_setting_locality_bound
+from lemmas import (
+    falsify_leggett,
+    hidden_joint_form,
+    induced_distribution,
+    leggett_xu_table,
+    per_setting_locality_bound,
+    xu_conditional,
+)
 
 # The two unit vectors orthogonal to the measurement (x-z) plane.
 ORTHOGONAL = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
@@ -46,6 +52,11 @@ ORTHOGONAL = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
 def bloch(angle):
     """Outcome-0 Bloch direction of the x-z-plane measurement at ``angle``."""
     return np.array([math.sin(angle), 0.0, math.cos(angle)])
+
+
+def _malus_p0(angles, vectors):
+    """P(outcome 0) of the library's Malus responses, (len(angles), len(vectors))."""
+    return _malus_responses(angles, np.asarray(vectors, dtype=float))[..., 0]
 
 
 def leggett_marginal(angle, u_vec):
@@ -110,15 +121,18 @@ class TestModelConstruction:
         m = table_model(qm_chained_distribution(3))
         assert m.n_settings == 3
 
-    def test_non_finite_kernels_and_weights_rejected(self):
+    def test_non_finite_responses_and_weights_rejected(self):
         # NaN compares false against every bound, so it needs its own check.
-        kernels = np.full((2, 2, 1, 1, 2, 2), 0.25)
-        bad = kernels.copy()
-        bad[0, 0, 0, 0, 0] = np.nan
+        table = np.full((2, 2, 2, 2), 0.25)
+        bad = table.copy()
+        bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, p_uv=np.ones((1, 1)), kernels=bad)
+            HiddenVariableModel(2, table=bad)
+        responses = np.full((2, 1, 2), 0.5)
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, p_uv=np.full((1, 1), np.nan), kernels=kernels)
+            HiddenVariableModel(2, alice=bad[0], bob=responses)
+        with pytest.raises(ValueError, match="finite"):
+            HiddenVariableModel(2, table=table, p_u=[np.nan])
         with pytest.raises(ValueError, match="finite"):
             local_deterministic_model(2, [[0, 1], [1, 1]], [[0, 0]], [[np.nan], [1.0]])
 
@@ -126,79 +140,195 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="u_vectors must be finite"):
             leggett_model(2, [[np.nan, 0, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="vectors must be finite"):
-            falsify_leggett(2, [[0, 0, np.inf], [0, 0, 1]])
+            model_from_dict({"type": "leggett", "n": 2, "vectors": [[0, 0, np.inf], [0, 0, 1]]})
         with pytest.raises(ValueError, match="weights must be finite"):
-            falsify_leggett(2, [[1, 0, 0], [0, 0, 1]], [np.nan, 1.0])
+            model_from_dict({"type": "leggett", "n": 2, "vectors": [[1, 0, 0], [0, 0, 1]],
+                             "weights": [np.nan, 1.0]})
         with pytest.raises(ValueError, match="uv_weights must be finite"):
-            HiddenVariableModel(
-                2, p_uv=[[np.nan], [1.0]], kernels=nonlocal_qm_model(2, n_u=2).kernels
-            )
+            HiddenVariableModel(2, alice=np.full((2, 2, 2), 0.5), bob=np.full((2, 1, 2), 0.5),
+                                p_uv=[[np.nan], [1.0]])
 
     @pytest.mark.parametrize("visibility", [float("nan"), 1.5])
     def test_visibility_off_the_unit_interval_rejected(self, visibility):
         with pytest.raises(ValueError, match="visibility"):
             nonlocal_qm_model(2, visibility)
 
+    def test_one_response_form(self):
+        responses = np.full((2, 1, 2), 0.5)
+        with pytest.raises(ValueError, match="alice and bob, or one table"):
+            HiddenVariableModel(2, alice=responses)
+        with pytest.raises(ValueError, match="alice and bob, or one table"):
+            HiddenVariableModel(2, alice=responses, bob=responses,
+                                table=np.full((2, 2, 2, 2), 0.25))
+        for weights in ({"p_u": [1.0]}, {"p_v": [1.0]}):
+            with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
+                HiddenVariableModel(2, alice=responses, bob=responses, p_uv=[[1.0]], **weights)
+        with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
+            HiddenVariableModel(2, table=np.full((2, 2, 2, 2), 0.25), p_uv=[[1.0]])
+        with pytest.raises(ValueError, match=re.escape("(N, k, 2)")):
+            HiddenVariableModel(3, alice=responses, bob=responses)
 
-class TestInducedDistribution:
+
+def random_vector_grid(rng, k):
+    vecs = rng.normal(size=(k, 3))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def product_fixtures():
+    """Models of every kind: Leggett grids with uniform, per-side and joint
+    weights, strategy mixtures, noisy tables with weighted dummies."""
+    rng = np.random.default_rng(5)
+    return {
+        "leggett_360": leggett_model(2, inplane_grid(360)),
+        "leggett_12_n5": leggett_model(5, inplane_grid(12)),
+        "leggett_random": leggett_model(3, random_vector_grid(rng, 7), random_vector_grid(rng, 5)),
+        "leggett_weights": leggett_model(3, random_vector_grid(rng, 4),
+                                         u_weights=[0.1, 0.0, 0.3, 0.6], v_weights=[0.25] * 4),
+        "leggett_uv": leggett_model(3, random_vector_grid(rng, 2),
+                                    uv_weights=[[0.3, 0.2], [0.1, 0.4]]),
+        "deterministic": local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]),
+        "deterministic_weights": local_deterministic_model(
+            3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1], [1, 1, 0]],
+            u_weights=[0.25, 0.75], v_weights=[0.5, 0.5]),
+        "deterministic_uv": local_deterministic_model(
+            2, [[0, 1], [1, 1], [0, 0]], [[1, 0]], uv_weights=[[0.2], [0.3], [0.5]]),
+        "nonlocal": nonlocal_qm_model(4, 0.8, n_u=2, n_v=3),
+        "nonlocal_weighted": HiddenVariableModel(
+            3, table=nonlocal_qm_model(3, 0.9).table, p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
+        "custom": table_model(qm_chained_distribution(3)),
+    }
+
+
+LEGGETT_GRIDS = [(2, inplane_grid(360), None), (50, inplane_grid(3600), None),
+                 (7, np.concatenate([inplane_grid(97), [[0.0, 1.0, 0.0]]]), None),
+                 (4, inplane_grid(5), [0.1, 0.2, 0.3, 0.0, 0.4]),
+                 (3, [[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]], [0.5, 0.5])]
+
+
+class TestPerSideTable:
+    @pytest.mark.parametrize("n, vectors, weights", LEGGETT_GRIDS,
+                             ids=["grid_360", "grid_3600_n50", "grid_97_tilted",
+                                  "weighted", "two_vectors"])
+    def test_leggett_table_is_the_malus_rule_bit_for_bit(self, n, vectors, weights):
+        # The table the direct Leggett test measured, w * p0 and w * (1 - p0).
+        model = leggett_model(n, vectors, u_weights=weights)
+        got = xu_table(model)
+        assert got.table.tobytes() == leggett_xu_table(n, vectors, weights).table.tobytes()
+        assert locality_measure(got).per_setting == tuple(
+            d for _, d in falsify_leggett(n, vectors, weights).per_setting_distance)
+
+    @pytest.mark.parametrize("name", list(product_fixtures()))
+    def test_matches_the_kernel_route(self, name):
+        # The dense route summed P(x, y, u, v | a, b) over (y, v); the per-
+        # side table is within 1e-15 of it, and equal at every b.
+        model = product_fixtures()[name]
+        got = xu_table(model).table
+        p4 = induced_distribution(model)
+        assert np.abs(got - xu_conditional(p4).table).max() <= 1e-15
+        assert np.abs(got - xu_conditional(p4, average_b=True).table).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", list(product_fixtures()))
+    def test_chain_table_matches_the_kernel_route(self, name):
+        model = product_fixtures()[name]
+        n = model.n_settings
+        xy = induced_distribution(model).table.sum(axis=(6, 7))[:, :, 0, 0]
+        got = chain_table(model)
+        assert got.input_sizes == (n, n) and got.output_sizes == (2, 2)
+        assert np.abs(got.table - xy).max() <= 1e-15
+        if model.table is not None:
+            assert got.table.tobytes() == model.table.tobytes()
+
     def test_nonlocal_model_ignores_hidden_variables(self):
         # Dummy local variables: the (x, u) joint factorizes exactly into
         # uniform times the hidden marginal.
-        kernels = nonlocal_qm_model(2, n_u=3).kernels
-        m = HiddenVariableModel(2, p_uv=[[0.2], [0.3], [0.5]], kernels=kernels)
-        p_xu = xu_conditional(induced_distribution(m))
+        m = HiddenVariableModel(2, table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
+        p_xu = xu_table(m)
         lm = locality_measure(p_xu)
         assert lm.max_distance < 1e-12
         pu = p_xu.table.sum(axis=2)[0, 0]
         assert pu == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
 
     def test_leggett_marginals_match_closed_form(self):
-        # Per-(setting, vector) oracle: the induced conditional marginal
-        # must equal the squared-overlap rule.
+        # Per-(setting, vector) oracle: the conditional marginal of the
+        # per-side table must equal the squared-overlap rule.
         n = 3
         vectors = inplane_grid(8)
-        m = leggett_model(n, vectors)
-        p4 = induced_distribution(m)
+        x_given_au = xu_table(leggett_model(n, vectors)).table[:, 0]  # (a, x, u)
         alice, _ = _chained_angles(n)
-        x_given_au = p4.table.sum(axis=(5, 7))[:, 0, 0, 0]  # (a, x, u)
         for a in range(n):
             for u in range(8):
                 cond = x_given_au[a, :, u] / x_given_au[a, :, u].sum()
                 assert cond == pytest.approx(leggett_marginal(alice[a], vectors[u]), abs=1e-12)
 
-    def test_sampled_mode_is_seeded(self):
-        m = leggett_model(2, inplane_grid(4))
-        p1 = induced_distribution(m, mode="sampled", shots=500, seed=3)
-        p2 = induced_distribution(m, mode="sampled", shots=500, seed=3)
-        assert p1 == p2
+    def test_builds_no_array_of_n_squared_hidden_pairs(self):
+        # N = 100 on a grid of 360: the dense kernel would be 41 GB.
+        model = leggett_model(100, inplane_grid(360))
+        p_xu = xu_table(model)
+        assert p_xu.table.shape == (100, 1, 2, 360)
+        assert locality_measure(p_xu).max_distance == pytest.approx(1 / math.pi, abs=1e-4)
+        assert evaluate_chain(chain_table(model), 100).value == pytest.approx(100.0, abs=1e-9)
 
-    def test_sampled_converges_to_exact(self):
-        m = leggett_model(2, inplane_grid(4))
-        exact = induced_distribution(m)
-        shots = 40000
-        sampled = induced_distribution(m, mode="sampled", shots=shots, seed=11)
-        envelope = 3 * math.sqrt(math.log(2 / 1e-3) / (2 * shots))
-        assert np.abs(exact.table - sampled.table).max() < envelope
 
-    def test_sampled_needs_shots_and_seed(self):
-        m = nonlocal_qm_model(2)
-        with pytest.raises(ValueError, match="shots"):
-            induced_distribution(m, mode="sampled")
+class TestSampledXuTable:
+    def test_seeded(self):
+        p_xu = xu_table(leggett_model(2, inplane_grid(4)))
+        first = sampled_xu_table(p_xu, 500, 3)
+        assert first == sampled_xu_table(p_xu, 500, 3)
+        assert first != sampled_xu_table(p_xu, 500, 4)
 
-    def test_xu_conditional_b_average_matches_slice_on_exact_tables(self):
-        m = leggett_model(3, inplane_grid(6))
-        p4 = induced_distribution(m)
-        sliced = xu_conditional(p4)
-        pooled = xu_conditional(p4, average_b=True)
-        assert np.abs(sliced.table - pooled.table).max() < 1e-15
+    def test_counts_are_whole_and_total_the_samples(self):
+        p_xu = xu_table(product_fixtures()["leggett_weights"])
+        counts = sampled_xu_table(p_xu, 7919, 1).table * 7919
+        assert np.array_equal(counts, np.round(counts))
+        assert (counts.sum(axis=(1, 2, 3)) == 7919).all()
+        # A cell of weight 0 is never drawn.
+        assert (counts[:, 0, :, 1] == 0).all()
 
-    def test_xu_conditional_b_average_reduces_sampling_noise(self):
-        m = leggett_model(3, inplane_grid(6))
-        exact = xu_conditional(induced_distribution(m)).table
-        sampled = induced_distribution(m, mode="sampled", shots=4000, seed=21)
-        pooled = xu_conditional(sampled, tol=1.0, average_b=True).table
-        sliced = xu_conditional(sampled, tol=1.0).table
-        assert np.abs(pooled - exact).sum() < np.abs(sliced - exact).sum()
+    @pytest.mark.parametrize("name", ["leggett_random", "leggett_weights", "deterministic_uv",
+                                      "nonlocal_weighted"])
+    def test_counts_follow_the_table_in_distribution(self, name):
+        # Pearson's chi-square of each setting's counts against
+        # P(x, u | a), over 40 fixed seeds: every p-value above 1e-6, and
+        # their mean near 1/2 (the p-values of a right model are uniform).
+        from scipy.stats import chi2
+
+        p_xu = xu_table(product_fixtures()[name])
+        n = p_xu.input_sizes[0]
+        p = p_xu.table.reshape(n, -1)
+        live = p > 0
+        samples = 5000
+        pvalues = []
+        for seed in range(40):
+            counts = sampled_xu_table(p_xu, samples, seed).table.reshape(n, -1) * samples
+            for a in range(n):
+                expected = samples * p[a, live[a]]
+                stat = float((((counts[a, live[a]] - expected) ** 2) / expected).sum())
+                pvalues.append(chi2.sf(stat, live[a].sum() - 1))
+        assert min(pvalues) > 1e-6
+        assert abs(np.mean(pvalues) - 0.5) < 5 * math.sqrt(1 / 12 / len(pvalues))
+
+    def test_pooled_pair_counts_have_the_same_mean_and_spread(self):
+        # Drawing shots per setting pair and summing over Bob's settings
+        # gives a multinomial with the pooled count and the same cells.
+        p_xu = xu_table(leggett_model(3, inplane_grid(6)))
+        n, shots = 3, 2000
+        p = p_xu.table.reshape(n, -1)
+        rng = np.random.default_rng(17)
+        pooled = np.array([sum(rng.multinomial(shots, p[a]) for _ in range(n))
+                           for _ in range(400) for a in range(n)]).reshape(400, n, -1)
+        direct = np.array([sampled_xu_table(p_xu, shots * n, s).table.reshape(n, -1)
+                           for s in range(400)]) * shots * n
+        sigma = np.sqrt(shots * n * p * (1 - p))
+        for draws in (pooled, direct):
+            assert np.abs(draws.mean(axis=0) - shots * n * p).max() < 5 * sigma.max() / 20
+            assert draws.std(axis=0) == pytest.approx(sigma, rel=0.25, abs=1e-3)
+
+    def test_converges_to_exact(self):
+        p_xu = xu_table(leggett_model(2, inplane_grid(4)))
+        samples = 80000
+        sampled = sampled_xu_table(p_xu, samples, 11)
+        envelope = 3 * math.sqrt(math.log(2 / 1e-3) / (2 * samples))
+        assert np.abs(p_xu.table - sampled.table).max() < envelope
 
 
 class TestLocalityMeasure:
@@ -222,9 +352,9 @@ class TestLocalityMeasure:
         # Independent oracle: numerical quadrature of the circle average
         # of |cos(t - phi)| / 2, which equals 1/pi for every t.
         n = 2
-        report = falsify_leggett(n, inplane_grid(360))
+        report = locality_measure(xu_table(leggett_model(n, inplane_grid(360))))
         alice, _ = _chained_angles(n)
-        for a, measured in report.per_setting_distance:
+        for a, measured in enumerate(report.per_setting):
             theta = alice[a]
             oracle, err = quad(
                 lambda phi: abs(math.cos(theta - phi)) / 2 / (2 * math.pi),
@@ -269,8 +399,8 @@ class TestLocalityMeasure:
         assert lm.per_setting == self._loop_per_setting(p_xu)
 
     def test_matches_the_loop_on_a_model_table(self):
-        m = leggett_model(3, inplane_grid(12))
-        p_xu = xu_conditional(induced_distribution(m))
+        m = leggett_model(3, inplane_grid(12), u_weights=np.arange(12) / 66.0)
+        p_xu = xu_table(m)
         assert locality_measure(p_xu).per_setting == self._loop_per_setting(p_xu)
 
     def test_setting_dependent_hidden_marginal_rejected(self):
@@ -289,7 +419,7 @@ class TestLocalityMeasure:
     @pytest.mark.parametrize("shifted", [0, 2, 4])
     def test_cross_check_runs_on_every_setting(self, monkeypatch, shifted):
         n = 5
-        p_xu = xu_conditional(induced_distribution(leggett_model(n, inplane_grid(12))))
+        p_xu = xu_table(leggett_model(n, inplane_grid(12)))
         fsum, calls = math.fsum, []
 
         def shifting_fsum(values):
@@ -481,9 +611,16 @@ class TestLocalityBound:
             assert rep.applicable and rep.passed
 
 
+def leggett_verdict(n, vectors):
+    """The exact ``falsify`` verdict on a Leggett model: Alice's per-side
+    table against half the quantum chain value."""
+    lm = locality_measure(xu_table(leggett_model(n, vectors)))
+    return make_locality_report(lm, 0.5 * quantum_chain_closed_form(n), 1e-9)
+
+
 class TestFalsifyLeggett:
     def test_uniform_inplane_is_falsified_at_n2(self):
-        report = falsify_leggett(2, inplane_grid(360))
+        report = leggett_verdict(2, inplane_grid(360))
         assert report.falsified
         assert report.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
         assert report.bound == pytest.approx((2 - math.sqrt(2)) / 2, abs=1e-12)
@@ -491,7 +628,7 @@ class TestFalsifyLeggett:
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_orthogonal_vectors_never_falsified(self, n):
-        report = falsify_leggett(n, ORTHOGONAL)
+        report = leggett_verdict(n, ORTHOGONAL)
         assert not report.falsified
         assert report.max_distance < 1e-9
 
@@ -500,15 +637,15 @@ class TestFalsifyLeggett:
         # sin(eps)/2 and vanishes as eps -> 0.
         for eps in (1e-2, 1e-4, 1e-6):
             vec = np.array([[math.sin(eps), math.cos(eps), 0.0]])
-            report = falsify_leggett(2, vec)
+            report = leggett_verdict(2, vec)
             assert not report.falsified
             assert report.max_distance <= math.sin(eps) / 2 + 1e-12
-        assert falsify_leggett(2, np.array([[0.0, 1.0, 0.0]])).max_distance == 0.0
+        assert leggett_verdict(2, np.array([[0.0, 1.0, 0.0]])).max_distance == 0.0
 
     def test_uniform_inplane_beats_bound_for_all_small_n(self):
         # 1/pi exceeds half the quantum chain value for every N >= 2.
         for n in range(2, 8):
-            report = falsify_leggett(n, inplane_grid(180))
+            report = leggett_verdict(n, inplane_grid(180))
             assert report.falsified
             assert report.bound == pytest.approx(quantum_chain_closed_form(n) / 2)
 
@@ -521,7 +658,7 @@ class TestModelJson:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         m2 = model_from_json_file(path)
-        assert np.array_equal(m2.kernels, m.kernels)
+        assert np.array_equal(m2.alice, m.alice) and np.array_equal(m2.bob, m.bob)
 
     def test_local_deterministic_document(self):
         m = model_from_dict(
@@ -538,10 +675,7 @@ class TestModelJson:
 
     def test_nonlocal_qm_document(self):
         m = model_from_dict({"type": "nonlocal_qm", "n": 3, "visibility": 0.8})
-        p4 = induced_distribution(m)
-        xy = hidden_joint_form(p4)
-        table = xy.table.sum(axis=-1)[:, :, 0]
-        p = ConditionalDistribution((3, 3), (2, 2), table)
+        p = chain_table(m)
         expected = 0.8 * quantum_chain_closed_form(3) + 0.2 * 3
         assert evaluate_chain(p, 3).value == pytest.approx(expected, abs=1e-9)
 
@@ -555,12 +689,28 @@ class TestModelJson:
         assert np.array_equal(m.p_uv, uv / uv.sum())
 
     def test_model_weights_default_and_shape(self):
-        kernels = nonlocal_qm_model(2, n_u=2, n_v=3).kernels
-        m = HiddenVariableModel(2, kernels=kernels)
-        uniform = np.full((2, 3), 1.0 / 6.0)  # sums to 1 only within rounding
-        assert np.array_equal(m.p_uv, uniform / uniform.sum())
+        # Per-side weights, uniform by default, keep their bits when they
+        # sum to 1 within 1e-12 (1/3 three times does), as table slices do;
+        # no joint n_u x n_v array is formed.
+        alice, bob = np.full((2, 2, 2), 0.5), np.full((2, 3, 2), 0.5)
+        m = HiddenVariableModel(2, alice=alice, bob=bob)
+        assert np.array_equal(m.p_u, np.full(2, 0.5))
+        assert np.array_equal(m.p_v, np.full(3, 1.0 / 3.0))
+        assert m.p_uv is None
         with pytest.raises(ValueError, match=re.escape("uv_weights must have shape (2, 3)")):
-            HiddenVariableModel(2, p_uv=np.full((3, 2), 1.0 / 6.0), kernels=kernels)
+            HiddenVariableModel(2, alice=alice, bob=bob, p_uv=np.full((3, 2), 1.0 / 6.0))
+        with pytest.raises(ValueError, match=re.escape("v_weights must have shape (3,)")):
+            HiddenVariableModel(2, alice=alice, bob=bob, p_v=[0.5, 0.5])
+
+    def test_weights_follow_the_per_slice_rule(self):
+        # Off 1 by 1e-13: kept bit for bit.  Off by 5e-10: divided once.
+        alice = np.full((2, 2, 2), 0.5)
+        kept = np.array([0.25, 0.75 + 1e-13])
+        m = HiddenVariableModel(2, alice=alice, bob=alice, p_u=kept, p_v=[0.5, 0.5])
+        assert m.p_u.tobytes() == kept.tobytes()
+        drift = np.array([0.25, 0.75 + 5e-10])
+        m = HiddenVariableModel(2, alice=alice, bob=alice, p_u=drift, p_v=[0.5, 0.5])
+        assert np.array_equal(m.p_u, drift / drift.sum())
 
     def test_custom_table_document(self):
         doc = {"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict()}
@@ -596,114 +746,95 @@ class TestModelJson:
             model_from_dict({})
 
 
-# Reference forms of the model kernels and the sampled table, written with
-# NumPy reductions over the size-2 outcome axes and an unravel/ravel round
-# trip; the library must agree with them bit for bit.
+# Reference forms of the model responses and tables, written with NumPy
+# reductions over the size-2 outcome axes; the library must agree with them
+# bit for bit.
 
 
-def reference_kernels(raw):
-    """The table rule on each kernel: negative dust clamped, a kernel whose
-    sum is off 1 by more than 1e-12 divided by its sum, and every other
-    kernel left with its bits."""
+def reference_rule(raw, n_out):
+    """The table rule on each slice over the last ``n_out`` axes: negative
+    dust clamped, a slice whose sum is off 1 by more than 1e-12 divided by
+    its sum, and every other slice left with its bits."""
     k = np.clip(np.asarray(raw, dtype=float), 0.0, None)
-    sums = k.sum(axis=(4, 5))[..., None, None]
+    sums = k.sum(axis=tuple(range(-n_out, 0)), keepdims=True)
     return np.where(np.abs(sums - 1.0) > 1e-12, k / sums, k)
 
 
-def reference_local_deviation(kernels):
-    xm = kernels.sum(axis=5)
-    dev_x = float((0.5 * np.abs(xm - xm[:, :1, :, :1, :]).sum(axis=-1)).max())
-    ym = kernels.sum(axis=4)
-    dev_y = float((0.5 * np.abs(ym - ym[:1, :, :1, :, :]).sum(axis=-1)).max())
+def reference_local_deviation(table):
+    xm = table.sum(axis=3)
+    dev_x = float((0.5 * np.abs(xm - xm[:, :1, :]).sum(axis=-1)).max())
+    ym = table.sum(axis=2)
+    dev_y = float((0.5 * np.abs(ym - ym[:1, :, :]).sum(axis=-1)).max())
     return max(dev_x, dev_y)
 
 
-def reference_sampled(model, shots, seed):
-    n, nu, nv = model.n_settings, model.n_u, model.n_v
-    rng = np.random.default_rng(seed)
-    shape = (2, 2, nu, nv)
-    table = np.zeros((n, n) + shape)
-    for a in range(n):
-        for b in range(n):
-            joint = np.moveaxis(model.p_uv[:, :, None, None] * model.kernels[a, b], (0, 1), (2, 3))
-            idx = _inverse_cdf(np.cumsum(joint.reshape(-1)), rng.random(shots))
-            cells = np.ravel_multi_index(np.unravel_index(idx, joint.shape), shape)
-            table[a, b] = np.bincount(cells, minlength=table[a, b].size).reshape(shape)
-    return table / float(shots)
-
-
-def product_kernels(rng, n, nu, nv, jitter=0.0):
-    """Local kernels from random per-side marginals, each entry scaled by
-    up to ``jitter`` so the sums miss 1 by a few ulps or more."""
-    ma = rng.random((n, nu, 1))
-    mb = rng.random((n, nv, 1))
-    ma = np.concatenate([ma, 1.0 - ma], axis=-1)
-    mb = np.concatenate([mb, 1.0 - mb], axis=-1)
-    raw = np.einsum("aux,bvy->abuvxy", ma, mb)
+def random_responses(rng, n, k, jitter=0.0):
+    """Responses (p, 1 - p) of k hidden values at n settings, each entry
+    scaled by up to ``jitter`` so the sums miss 1 by a few ulps or more."""
+    p = rng.random((n, k, 1))
+    raw = np.concatenate([p, 1.0 - p], axis=-1)
     return raw * (1.0 + jitter * rng.uniform(-1.0, 1.0, raw.shape))
 
 
-def random_vector_grid(rng, k):
-    vecs = rng.normal(size=(k, 3))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def product_table(rng, n):
+    """A non-signaling (N, N, 2, 2) table: the product of random marginals."""
+    pa = random_responses(rng, n, 1)[:, 0]
+    pb = random_responses(rng, n, 1)[:, 0]
+    return np.einsum("ax,by->abxy", pa, pb)
 
 
-class TestKernelReferences:
-    def raw_kernel_cases(self):
+class TestResponseReferences:
+    def raw_response_cases(self):
         rng = np.random.default_rng(41)
-        yield leggett_model(2, inplane_grid(360)).kernels
-        yield leggett_model(5, inplane_grid(12)).kernels
-        yield leggett_model(3, random_vector_grid(rng, 7), random_vector_grid(rng, 5)).kernels
-        yield nonlocal_qm_model(4, 0.8, n_u=2, n_v=3).kernels
-        yield local_deterministic_model(3, [[0, 1, 1], [1, 0, 0]], [[0, 0, 1]]).kernels
-        yield qm_chained_distribution(7).table[:, :, None, None, :, :]
-        # At 3e-12 some kernels drift above 1e-12 and are divided, the rest not.
-        for jitter in (0.0, 1e-16, 1e-13, 3e-12, 0.9 * NORM_TOL / 4):
-            yield product_kernels(rng, 3, 4, 2, jitter)
+        for n, vectors in ((2, inplane_grid(360)), (5, inplane_grid(12)),
+                           (3, random_vector_grid(rng, 7))):
+            yield _malus_responses(_chained_angles(n)[0], vectors)
+        yield np.eye(2)[np.array([[0, 1, 1], [1, 0, 0]]).T]
+        # At 3e-12 some responses drift above 1e-12 and are divided, the rest not.
+        for jitter in (0.0, 1e-16, 1e-13, 3e-12, 0.9 * NORM_TOL / 2):
+            yield random_responses(rng, 3, 4, jitter)
 
-    def test_normalised_kernels_are_bit_equal(self):
-        for raw in self.raw_kernel_cases():
-            n, _, nu, nv = raw.shape[:4]
-            model = HiddenVariableModel(n, p_uv=np.full((nu, nv), 1.0 / (nu * nv)), kernels=raw)
-            ref = reference_kernels(raw)
-            assert model.kernels.tobytes() == ref.tobytes()
+    def test_normalised_responses_are_bit_equal(self):
+        for raw in self.raw_response_cases():
+            n = raw.shape[0]
+            bob = np.full((n, 1, 2), 0.5)
+            model = HiddenVariableModel(n, alice=raw, bob=bob)
+            assert model.alice.tobytes() == reference_rule(raw, 1).tobytes()
+            model = HiddenVariableModel(n, alice=bob, bob=raw)
+            assert model.bob.tobytes() == reference_rule(raw, 1).tobytes()
+
+    def test_normalised_tables_are_bit_equal(self):
+        rng = np.random.default_rng(42)
+        for raw in (qm_chained_distribution(7).table,
+                    nonlocal_qm_model(4, 0.8).table,
+                    product_table(rng, 5) * (1.0 + 3e-12 * rng.uniform(-1, 1, (5, 5, 2, 2)))):
+            model = HiddenVariableModel(raw.shape[0], table=raw)
+            assert model.table.tobytes() == reference_rule(raw, 2).tobytes()
 
     @pytest.mark.parametrize("leak", [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-3])
     @pytest.mark.parametrize("side", ["x", "y"])
-    def test_local_part_check_rejects_the_same_kernels(self, leak, side):
+    def test_local_part_check_rejects_the_same_tables(self, leak, side):
         rng = np.random.default_rng(43)
-        kernels = reference_kernels(product_kernels(rng, 3, 2, 2))
+        table = reference_rule(product_table(rng, 3), 2)
         # Move weight between outcome cells of one context so that one
         # side's marginal there depends on the other side's setting.
         cells = ((0, 0), (1, 0)) if side == "x" else ((0, 0), (0, 1))
-        kernels[1, 2, 1, 0][cells[0]] += leak
-        kernels[1, 2, 1, 0][cells[1]] -= leak
-        deviation = reference_local_deviation(kernels)
+        table[1, 2][cells[0]] += leak
+        table[1, 2][cells[1]] -= leak
+        deviation = reference_local_deviation(table)
         if deviation > LOCAL_PART_TOL:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
-                HiddenVariableModel._check_local_parts(kernels)
+                HiddenVariableModel._check_local_parts(table)
+            with pytest.raises(ValueError, match="leak"):
+                HiddenVariableModel(3, table=table)
         else:
-            HiddenVariableModel._check_local_parts(kernels)
+            HiddenVariableModel._check_local_parts(table)
 
-    def test_local_part_deviation_matches_on_leaking_kernels(self):
+    def test_local_part_deviation_matches_on_leaking_tables(self):
         rng = np.random.default_rng(47)
-        for shape in ((2, 2, 1, 1), (3, 4, 2, 3), (5, 5, 3, 1)):
-            kernels = rng.random(shape + (2, 2))
-            kernels /= kernels.sum(axis=(4, 5))[..., None, None]
-            deviation = reference_local_deviation(kernels)
+        for shape in ((2, 2), (3, 4), (5, 5)):
+            table = rng.random(shape + (2, 2))
+            table /= table.sum(axis=(2, 3))[..., None, None]
+            deviation = reference_local_deviation(table)
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
-                HiddenVariableModel._check_local_parts(kernels)
-
-    @pytest.mark.parametrize(
-        "model, shots",
-        [
-            (leggett_model(2, inplane_grid(6), inplane_grid(4)), 3000),
-            (nonlocal_qm_model(3, 0.9, n_u=2, n_v=3), 2000),
-            (local_deterministic_model(2, [[0, 1], [1, 1], [0, 0]], [[1, 0]]), 500),
-        ],
-        ids=["leggett_6x4", "nonlocal_qm", "local_deterministic"],
-    )
-    def test_sampled_table_is_bit_equal(self, model, shots):
-        got = induced_distribution(model, mode="sampled", shots=shots, seed=53)
-        ref = reference_sampled(model, shots, seed=53)
-        assert got.table.tobytes() == ref.reshape(got.table.shape).tobytes()
+                HiddenVariableModel._check_local_parts(table)

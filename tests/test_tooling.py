@@ -1,6 +1,6 @@
 """The benchmark's tracer contract, the README's worked example, the
-suite's warning filters, the package's imports and where its
-normalisation rule lives."""
+suite's warning filters, the package's imports, where its normalisation
+rule lives and its one sampler."""
 
 import ast
 import contextlib
@@ -183,3 +183,53 @@ class TestOneNormalisationRule:
             "y = NORM_TOL\n"
         )
         assert renorm_trigger_readers(source) == ["line 1", "line 3"]
+
+
+def _called_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def inverse_cdf_calls(source: str) -> list[str]:
+    """Lines of a module that call ``_inverse_cdf``, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "_inverse_cdf"]
+
+
+def dense_einsums(source: str) -> list[str]:
+    """Lines of a module whose ``einsum`` subscripts hold ``abuv``: an
+    array over setting pairs (a, b) times hidden pairs (u, v)."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "einsum" and node.args
+            and isinstance(node.args[0], ast.Constant) and "abuv" in str(node.args[0].value)]
+
+
+class TestOneSampler:
+    def modules(self):
+        return sorted((ROOT / "src" / "chainedbell").glob("*.py"))
+
+    def test_only_experiment_draws_through_the_inverse_cdf(self):
+        # Shots are drawn by one sampler; Monte-Carlo falsify counts with a
+        # multinomial and needs no second one.
+        found = {path.name: calls for path in self.modules() if path.name != "experiment.py"
+                 and (calls := inverse_cdf_calls(path.read_text()))}
+        assert found == {}
+        assert inverse_cdf_calls((ROOT / "src" / "chainedbell" / "experiment.py").read_text())
+
+    def test_no_array_over_setting_pairs_and_hidden_pairs(self):
+        found = {path.name: lines for path in self.modules()
+                 if (lines := dense_einsums(path.read_text()))}
+        assert found == {}
+
+    def test_the_checks_see_a_planted_violation(self):
+        source = (
+            "import numpy as np\n"
+            "from .experiment import _inverse_cdf\n"
+            "k = np.einsum('aux,bvy->abuvxy', a, b)\n"
+            "t = np.einsum('uv,abuvxy->abxyuv', w, k)\n"
+            "ok = np.einsum('aux,uv,bvy->abxy', a, w, b)\n"
+            "x = _inverse_cdf(np.cumsum(t.ravel()), r)\n"
+            "y = sampler._inverse_cdf(cdf, r)  # _inverse_cdf(\n"
+        )
+        assert inverse_cdf_calls(source) == ["line 6", "line 7"]
+        assert dense_einsums(source) == ["line 3", "line 4"]
