@@ -40,7 +40,6 @@ from .hvm import (
     HiddenVariableModel,
     LocalityBoundReport,
     LocalityMeasurement,
-    LocalityReport,
     chain_table,
     inplane_grid,
     leggett_model,

@@ -56,15 +56,6 @@ class DeterministicStrategy:
         object.__setattr__(self, "alice_map", alice)
         object.__setattr__(self, "bob_map", bob)
 
-    def distribution(self) -> ConditionalDistribution:
-        """The deterministic table P(x, y | a, b) this strategy produces."""
-        n = len(self.alice_map)
-        table = np.zeros((n, n, 2, 2))
-        for a in range(n):
-            for b in range(n):
-                table[a, b, self.alice_map[a], self.bob_map[b]] = 1.0
-        return ConditionalDistribution((n, n), (2, 2), table)
-
 
 @dataclass(frozen=True)
 class BruteForceResult:

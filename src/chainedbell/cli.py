@@ -47,13 +47,14 @@ from .hvm import (
     chain_table,
     locality_bound_check,
     locality_measure,
-    make_locality_report,
     model_from_dict,
     model_from_json_file,
     sampled_xu_table,
     xu_table,
 )
 from .quantum import mix_with_noise, qm_chained_distribution
+
+_INT64_MAX = 2**63 - 1
 
 
 def _resolve_seed(args) -> int:
@@ -135,11 +136,14 @@ def cmd_falsify(args) -> tuple[dict, int]:
     else:
         if args.shots < 1:
             raise ValueError("shots must be at least 1")
+        # --shots counts shots per setting pair: each of Alice's settings
+        # pools N pairs' shots, drawn at once as one multinomial, whose
+        # count must fit in int64.
+        samples = args.shots * n
+        if samples > _INT64_MAX:
+            raise ValueError(f"--shots must be at most {_INT64_MAX // n} at --n {n}")
         seed = _resolve_seed(args)
         payload["seed"] = seed
-        # --shots counts shots per setting pair: each of Alice's settings
-        # pools N pairs' shots, drawn at once as one multinomial.
-        samples = args.shots * n
         p_xu = sampled_xu_table(p_xu, samples, seed)
         cells = 2 * model.n_u
         radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
@@ -148,9 +152,16 @@ def cmd_falsify(args) -> tuple[dict, int]:
         payload["mode"] = "monte_carlo"
         payload["shots_per_pair"] = args.shots
     bound = 0.5 * quantum_chain_closed_form(n)
-    report = make_locality_report(lm, bound, stat_tol)
-    payload.update(report.to_dict())
-    return payload, (1 if report.falsified else 0)
+    # Falsified: the worst setting exceeds the cap by more than stat_tol.
+    falsified = lm.max_distance > bound + stat_tol
+    payload.update({
+        "per_setting_distance": [[a, d] for a, d in enumerate(lm.per_setting)],
+        "bound": bound,
+        "max_distance": lm.max_distance,
+        "falsified": falsified,
+        "stat_tolerance": stat_tol,
+    })
+    return payload, (1 if falsified else 0)
 
 
 def cmd_scan(args) -> tuple[dict, int]:

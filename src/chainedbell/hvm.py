@@ -43,7 +43,6 @@ __all__ = [
     "HiddenVariableModel",
     "LocalityMeasurement",
     "LocalityBoundReport",
-    "LocalityReport",
     "leggett_model",
     "local_deterministic_model",
     "nonlocal_qm_model",
@@ -53,7 +52,6 @@ __all__ = [
     "chain_table",
     "locality_measure",
     "locality_bound_check",
-    "make_locality_report",
     "inplane_grid",
     "model_from_dict",
     "model_from_json_file",
@@ -363,56 +361,40 @@ class LocalityMeasurement:
     max_distance: float
 
 
-def locality_measure(
-    p_xu: ConditionalDistribution,
-    marginal_tol: float = MARGINAL_INDEPENDENCE_TOL,
-) -> LocalityMeasurement:
-    """Measure how much one side's outcome leans on its hidden variable.
+def _locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[float]:
+    """The one locality-distance kernel: for each row of a C-ordered
+    (rows, 2, k) array of (outcome, hidden) joints that each sum to 1, its
+    distance from (uniform outcome) x (the row's own hidden marginal
+    ``pz``, the sum of the two outcome planes, computed here if not given).
 
-    Input: two-party table with party 0 = (setting -> binary outcome) and
-    party 1 = (no input -> hidden index).  The hidden marginal must not
-    depend on the setting beyond ``marginal_tol``: the gate checks the
-    distance between its entrywise max and min rows, which bounds every
-    pair's, and runs the all-pairs max only when that bound is above the
-    tolerance.  Each setting's distance is the hidden-average of the
-    conditional outcome distances from uniform, all N settings in one pass
-    over the two outcome planes.  On every setting it is cross-checked
-    against the direct joint distance, whose half-L1 and excess forms are
-    cross-checked against each other.
+    Each distance is the hidden-average of the conditional outcome
+    distances from uniform, one ``math.fsum`` per row, all rows in one pass
+    over the two outcome planes.  On every row it is cross-checked against
+    the direct joint distance (``NORM_TOL``), whose half-L1 and excess
+    forms are cross-checked against each other (``IDENTITY_TOL``).
     """
-    if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1 or p_xu.output_sizes[0] != 2:
-        raise ValueError("expected parties (setting -> binary outcome, none -> hidden)")
-    t = p_xu.table[:, 0]  # (N, 2, nu)
-    x0, x1 = t[:, 0], t[:, 1]  # outcome planes, (N, nu)
-    pu = x0 + x1  # hidden marginal per setting
-    if len(pu) > 1:
-        # No pair's distance rounds above the max/min rows' bound.
-        bound = 0.5 * float(_l1_upper_bounds(pu[:, None, :])[0])
-        if bound > marginal_tol:
-            dev = _max_pairwise_tv(pu[:, None, :])
-            if dev > marginal_tol:
-                raise ValueError(
-                    f"hidden-variable marginal depends on the setting (deviation {dev})"
-                )
-    # |P(x | a, u) - 1/2| summed over the outcome planes, then weighted by
-    # P(u)/2.  Where P(u) = 0 the division is skipped; the finite value left
-    # there times P(u)/2 = 0 adds a +0.0 term, which fsum ignores.
-    live = pu > 0.0
-    terms = np.zeros_like(pu)
-    cond = np.zeros_like(pu)
+    x0, x1 = t[:, 0], t[:, 1]  # outcome planes, (rows, k)
+    if pz is None:
+        pz = x0 + x1
+    # |P(x | s, z) - 1/2| summed over the outcome planes, then weighted by
+    # P(z)/2.  Where P(z) = 0 the division is skipped; the finite value left
+    # there times P(z)/2 = 0 adds a +0.0 term, which fsum ignores.
+    live = pz > 0.0
+    terms = np.zeros_like(pz)
+    cond = np.zeros_like(pz)
     every = bool(live.all())  # a masked divide costs more than a plain one
     for plane in (x0, x1):
-        np.divide(plane, pu, out=cond, where=True if every else live)
+        np.divide(plane, pz, out=cond, where=True if every else live)
         cond -= 0.5
         terms += np.abs(cond, out=cond)
-    q = np.multiply(pu, 0.5, out=cond)  # (uniform outcome) x (hidden marginal)
+    q = np.multiply(pz, 0.5, out=cond)  # (uniform outcome) x (hidden marginal)
     terms *= q
     # fsum reads each row's floats through a memoryview, with no list.
     distances = [math.fsum(memoryview(row)) for row in terms]
     # Direct joint distance from q, as half the L1 difference and as the
     # excess sum of max(0, q - p), one outcome plane at a time.
-    half_l1 = np.zeros(len(pu))
-    excess = np.zeros(len(pu))
+    half_l1 = np.zeros(len(pz))
+    excess = np.zeros(len(pz))
     for plane in (x0, x1):
         d = np.subtract(plane, q, out=terms)
         half_l1 += np.abs(d).sum(axis=1)
@@ -425,6 +407,37 @@ def locality_measure(
             raise AssertionError(
                 f"average-form distance {avg} disagrees with joint form {direct}"
             )
+    return distances
+
+
+def locality_measure(
+    p_xu: ConditionalDistribution,
+    marginal_tol: float = MARGINAL_INDEPENDENCE_TOL,
+) -> LocalityMeasurement:
+    """Measure how much one side's outcome leans on its hidden variable.
+
+    Input: two-party table with party 0 = (setting -> binary outcome) and
+    party 1 = (no input -> hidden index).  The hidden marginal must not
+    depend on the setting beyond ``marginal_tol``: the gate checks the
+    distance between its entrywise max and min rows, which bounds every
+    pair's, and runs the all-pairs max only when that bound is above the
+    tolerance.  Each setting's distance then comes from
+    :func:`_locality_distances`, with both cross-checks.
+    """
+    if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1 or p_xu.output_sizes[0] != 2:
+        raise ValueError("expected parties (setting -> binary outcome, none -> hidden)")
+    t = p_xu.table[:, 0]  # (N, 2, nu), a view
+    pu = t[:, 0] + t[:, 1]  # hidden marginal per setting
+    if len(pu) > 1:
+        # No pair's distance rounds above the max/min rows' bound.
+        bound = 0.5 * float(_l1_upper_bounds(pu[:, None, :])[0])
+        if bound > marginal_tol:
+            dev = _max_pairwise_tv(pu[:, None, :])
+            if dev > marginal_tol:
+                raise ValueError(
+                    f"hidden-variable marginal depends on the setting (deviation {dev})"
+                )
+    distances = _locality_distances(t, pu)
     return LocalityMeasurement(tuple(distances), max(distances))
 
 
@@ -452,10 +465,11 @@ def locality_bound_check(
     ``p`` is a three-party table: party 0 is Alice (binary outcome given a
     chain setting), party 1 Bob, party 2 an extra output Z given an input C
     drawn uniformly and independently of the settings.  For every setting
-    a, the statistical distance of P(x, z, c | a) from (uniform x) times
-    the (z, c) marginal must be at most half the chain value of the (x, y)
+    a, the statistical distance of P(x, (c, z) | a) from (uniform x) times
+    its (c, z) marginal must be at most half the chain value of the (x, y)
     table; symmetrically for every b.  All 2N settings are measured in one
-    pass, and each distance is cross-checked against its excess form.
+    pass of :func:`_locality_distances`, as :func:`locality_measure`
+    measures one side.
     """
     if p.n_parties != 3:
         raise ValueError("expected a three-party table")
@@ -465,7 +479,6 @@ def locality_bound_check(
     if p.input_sizes[1] != n or n < 2:
         raise ValueError("chain parties must share N >= 2 settings")
     n_c = p.input_sizes[2]
-    pc = np.full(n_c, 1.0 / n_c)
     ns = assert_nonsignaling(p, tol)
     if not ns.passed:
         return LocalityBoundReport(False, ns.max_violation, (), (), math.nan, None)
@@ -474,66 +487,16 @@ def locality_bound_check(
     bound = 0.5 * evaluate_chain(
         ConditionalDistribution((n, n), (2, 2), xy), n
     ).value
-    # Hidden-side marginal over (c, z); independent of a and b by the
-    # non-signaling check above.
-    p_zc = t[0, 0].sum(axis=(1, 2)) * pc[:, None]  # (n_c, oz)
-    uniform_half = np.repeat(0.5 * p_zc[:, None, :], 2, axis=1)  # (n_c, 2, oz)
-    # One (c, x, z) joint per setting, the other side's outcome summed out:
-    # Alice's settings at Bob's first, then Bob's at Alice's first.
-    joints = np.empty((2, n) + uniform_half.shape)
-    np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0])
-    np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1])
-    joints *= pc[:, None, None]
-    q = _normalised(uniform_half.reshape(1, -1), 1)
-    rows = _normalised(joints.reshape(2 * n, -1), 1)
-    # Each setting's distance from the uniform reference, as half the L1
-    # difference and as the excess sum of max(0, q - p), row by row.
-    half_l1 = 0.5 * np.abs(rows - q).sum(axis=1)
-    excess = np.maximum(q - rows, 0.0).sum(axis=1)
-    lhs = half_l1.tolist()
-    for direct, ex in zip(lhs, excess.tolist()):
-        if abs(direct - ex) > IDENTITY_TOL:
-            raise AssertionError(f"distance identity violated: {direct} vs {ex}")
+    # One (x, (c, z)) joint per setting, the other side's outcome summed
+    # out: Alice's settings at Bob's first, then Bob's at Alice's first.
+    joints = np.empty((2, n, 2, n_c, t.shape[-1]))
+    np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0].transpose(0, 2, 1, 3))
+    np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1].transpose(0, 2, 1, 3))
+    joints *= 1.0 / n_c
+    lhs = _locality_distances(_normalised(joints.reshape(2 * n, 2, -1), 2))
     return LocalityBoundReport(
         True, ns.max_violation, tuple(lhs[:n]), tuple(lhs[n:]), bound,
         max(lhs) <= bound + NORM_TOL,
-    )
-
-
-@dataclass(frozen=True)
-class LocalityReport:
-    """Verdict of a locality falsification run.
-
-    ``per_setting_distance`` pairs each Alice setting with its measured
-    hidden-variable dependence; ``bound`` is the locality cap certified by
-    the chain value; ``falsified`` means the worst setting exceeds the cap
-    by more than ``stat_tolerance``.
-    """
-
-    per_setting_distance: tuple[tuple[int, float], ...]
-    bound: float
-    max_distance: float
-    falsified: bool
-    stat_tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_setting_distance": [[a, d] for a, d in self.per_setting_distance],
-            "bound": self.bound,
-            "max_distance": self.max_distance,
-            "falsified": self.falsified,
-            "stat_tolerance": self.stat_tolerance,
-        }
-
-
-def make_locality_report(
-    lm: LocalityMeasurement, bound: float, stat_tolerance: float
-) -> LocalityReport:
-    """Assemble a verdict from per-setting distances and a locality cap."""
-    per = tuple((a, d) for a, d in enumerate(lm.per_setting))
-    return LocalityReport(
-        per, bound, lm.max_distance, lm.max_distance > bound + stat_tolerance,
-        stat_tolerance,
     )
 
 

@@ -5,14 +5,20 @@ are the textbook lemmas they rest on (marginals never increase distance,
 the conditional-average form of a distance, the coupling bound), kept
 here so the suites can check them on random tables.  ``Distribution`` and
 ``stat_distance`` are the one-table-at-a-time forms of the distance that
-the library's one-pass ``locality_bound_check`` replaced; its tests
-compare against them.
+the library's one-pass ``locality_bound_check`` replaced.  Built from
+them, ``per_setting_locality_bound`` measures every setting against the
+common hidden marginal at (a, b) = (0, 0); the library measures each
+setting against its own, through ``locality_measure``'s kernel, and stays
+within ``IDENTITY_TOL`` of this looser reference.
+``strategy_distribution`` is the table a ``DeterministicStrategy``
+produces.
 
 The model oracles rebuild the dense route that models took before they
 kept per-side responses: the (N, N, n_u, n_v, 2, 2) response array, the
 four-party table P(x, y, u, v | a, b) built from it
 (:func:`induced_distribution`), its three-party and Alice-side views, and
-the direct Leggett test ``falsify_leggett``.
+the direct Leggett test ``falsify_leggett``, which returns the
+measurement and the cap.
 """
 
 import math
@@ -25,8 +31,8 @@ from chainedbell.distributions import IDENTITY_TOL, _normalised
 from chainedbell.hvm import (
     MARGINAL_INDEPENDENCE_TOL,
     _malus_responses,
+    LocalityMeasurement,
     locality_measure,
-    make_locality_report,
 )
 from chainedbell.quantum import _chained_angles
 
@@ -93,9 +99,10 @@ def stat_distance(p: ConditionalDistribution, q: ConditionalDistribution) -> flo
 
 def per_setting_locality_bound(p: ConditionalDistribution):
     """``(lhs_x, lhs_y)`` of ``locality_bound_check`` on a three-party
-    table, one setting at a time: each setting's (c, x, z) joint and the
-    uniform reference built as two distributions, and their distance taken
-    with :func:`stat_distance`."""
+    table, within ``IDENTITY_TOL``, one setting at a time: each setting's
+    (c, x, z) joint and the uniform reference on the (0, 0) hidden
+    marginal built as two distributions, and their distance taken with
+    :func:`stat_distance`."""
     t = p.table  # (N, N, n_c, 2, 2, oz)
     n, n_c, oz = p.input_sizes[0], p.input_sizes[2], p.output_sizes[2]
     pc = np.full(n_c, 1.0 / n_c)
@@ -112,6 +119,17 @@ def per_setting_locality_bound(p: ConditionalDistribution):
         for b in range(n)
     )
     return lhs_x, lhs_y
+
+
+def strategy_distribution(strategy) -> ConditionalDistribution:
+    """The deterministic table P(x, y | a, b) a ``DeterministicStrategy``
+    produces."""
+    n = len(strategy.alice_map)
+    table = np.zeros((n, n, 2, 2))
+    for a in range(n):
+        for b in range(n):
+            table[a, b, strategy.alice_map[a], strategy.bob_map[b]] = 1.0
+    return ConditionalDistribution((n, n), (2, 2), table)
 
 
 def as_distribution(p: ConditionalDistribution) -> Distribution:
@@ -271,10 +289,11 @@ def leggett_xu_table(n: int, vectors, weights=None) -> ConditionalDistribution:
     return ConditionalDistribution((n, 1), (2, k), table)
 
 
-def falsify_leggett(n: int, vectors, weights=None):
-    """Test a Leggett-type hidden-vector distribution against the locality
-    cap certified by the ideal quantum chain value, from
-    :func:`leggett_xu_table`.  In-plane vector mass forces a distance of
-    about 1/pi per setting, which already exceeds the cap at N = 2."""
+def falsify_leggett(n: int, vectors, weights=None) -> tuple[LocalityMeasurement, float]:
+    """The measurement of a Leggett-type hidden-vector distribution, from
+    :func:`leggett_xu_table`, and the locality cap certified by the ideal
+    quantum chain value, half of it.  In-plane vector mass forces a
+    distance of about 1/pi per setting, which already exceeds the cap at
+    N = 2."""
     lm = locality_measure(leggett_xu_table(n, vectors, weights))
-    return make_locality_report(lm, 0.5 * quantum_chain_closed_form(n), 1e-9)
+    return lm, 0.5 * quantum_chain_closed_form(n)

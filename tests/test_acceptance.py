@@ -38,6 +38,7 @@ from lemmas import (
     induced_distribution,
     marginalize,
     stat_distance,
+    strategy_distribution,
 )
 
 CHSH_VALUE = 2 - math.sqrt(2)
@@ -76,7 +77,7 @@ def test_03_classical_bound():
         for n in (2, 3, 4, 5):
             result = classical_min_chain_value(n)
             assert result.min_value == 1.0
-            assert evaluate_chain(result.witness.distribution(), n).value == 1.0
+            assert evaluate_chain(strategy_distribution(result.witness), n).value == 1.0
 
     timed("classical minimum N=2..5", 30.0, run)
 

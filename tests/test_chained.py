@@ -24,6 +24,7 @@ from chainedbell import (
 )
 from chainedbell.chained import _certified_value, _chain_pair_lp, _strategy_scores
 from chainedbell.distributions import IDENTITY_TOL
+from lemmas import strategy_distribution
 
 
 def full_table_lp(n, delta, branch_x):
@@ -115,7 +116,7 @@ class TestEvaluateChain:
         # All outputs zero: adjacent terms vanish, only the wrap term fires.
         for n in (2, 3, 5):
             strat = DeterministicStrategy((0,) * n, (0,) * n)
-            assert evaluate_chain(strat.distribution(), n).value == 1.0
+            assert evaluate_chain(strategy_distribution(strat), n).value == 1.0
 
     def test_chsh_value(self):
         score = evaluate_chain(qm_chained_distribution(2), 2)
@@ -145,7 +146,7 @@ class TestEvaluateChain:
     def test_affine_in_the_table(self):
         n = 3
         p = qm_chained_distribution(n)
-        q = DeterministicStrategy((0,) * n, (1,) * n).distribution()
+        q = strategy_distribution(DeterministicStrategy((0,) * n, (1,) * n))
         for lam in (0.25, 0.5, 0.9):
             mixed = ConditionalDistribution(
                 (n, n), (2, 2), lam * p.table + (1 - lam) * q.table
@@ -204,7 +205,7 @@ class TestClassicalMinimum:
 
     def test_witness_achieves_the_minimum(self):
         result = classical_min_chain_value(5)
-        value = evaluate_chain(result.witness.distribution(), 5).value
+        value = evaluate_chain(strategy_distribution(result.witness), 5).value
         assert value == result.min_value == 1.0
 
     def test_range_enforced(self):
@@ -223,7 +224,7 @@ class TestClassicalMinimum:
         ]
         weights = rng.random(len(strategies))
         weights /= weights.sum()
-        table = sum(w * s.distribution().table for w, s in zip(weights, strategies))
+        table = sum(w * strategy_distribution(s).table for w, s in zip(weights, strategies))
         p = ConditionalDistribution((n, n), (2, 2), table)
         assert evaluate_chain(p, n).value >= 1.0 - 1e-12
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,9 +127,11 @@ class TestCheck:
     def test_locality_bound_on_deterministic_export(self, capsys, tmp_path):
         # A local deterministic table with an appended trivial hidden party
         # satisfies the bound: marginal distances 1/2 against chain value 1.
+        from lemmas import strategy_distribution
+
         from chainedbell import DeterministicStrategy
 
-        dist = DeterministicStrategy((0, 0), (0, 0)).distribution()
+        dist = strategy_distribution(DeterministicStrategy((0, 0), (0, 0)))
         path = tmp_path / "det.json"
         path.write_text(json.dumps(dist.to_dict()))
         code, payload = run_cli(capsys, "check", str(path), "--locality-bound")
@@ -193,6 +196,28 @@ class TestFalsify:
         code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
         assert code == 1
         assert payload["max_distance"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n, shots", [(2, 2**62), (8, 2**60), (2, 2**63 - 1)])
+    def test_shot_count_beyond_int64_is_usage_error(self, capsys, tmp_path, n, shots):
+        # shots * N counts one setting's draws, which must fit in int64;
+        # beyond it the multinomial once failed with exit 3.
+        path = tmp_path / "leggett.json"
+        path.write_text(json.dumps({"type": "leggett", "n": n, "grid": 8}))
+        code, payload = run_cli(
+            capsys, "falsify", str(path), "--n", str(n), "--shots", str(shots), "--seed", "1"
+        )
+        assert code == 2
+        assert payload == {"error": f"--shots must be at most {(2**63 - 1) // n} at --n {n}"}
+
+    def test_largest_shot_count_is_drawn(self, capsys, tmp_path):
+        path = tmp_path / "leggett.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 2, "grid": 8}))
+        shots = (2**63 - 1) // 2
+        code, payload = run_cli(
+            capsys, "falsify", str(path), "--n", "2", "--shots", str(shots), "--seed", "1"
+        )
+        assert code in (0, 1)
+        assert payload["shots_per_pair"] == shots
 
     def test_monte_carlo_mode_reports_seed(self, capsys, tmp_path):
         path = tmp_path / "det.json"
@@ -1198,12 +1223,19 @@ class TestGoldenCheck:
     context pair and summed its marginals with ``table.sum``, and the
     locality bound built two distributions per setting.  Pruning the pairs,
     adding output planes and measuring every setting in one pass must keep
-    every byte: ``max_violation``, ``lhs_x`` and ``lhs_y`` included."""
+    every byte: ``max_violation``, ``lhs_x`` and ``lhs_y`` included.
+
+    The ``--locality-bound`` hashes marked "was" were re-pinned when both
+    sides came to be measured by ``locality_measure``'s kernel, each
+    setting against its own hidden marginal rather than the (0, 0) one:
+    qm entries that read a rounding residue (5.6e-17 to 2.2e-16) read 0.0,
+    and four Leggett entries moved by one ulp.  Exit codes, ``passed``,
+    ``bound`` and ``ns_violation`` kept their bits."""
 
     @staticmethod
     def write_table(name, path):
         """Write the named input table to ``path``."""
-        from lemmas import hidden_joint_form, induced_distribution
+        from lemmas import hidden_joint_form, induced_distribution, strategy_distribution
 
         from chainedbell import DeterministicStrategy, inplane_grid, leggett_model
 
@@ -1215,7 +1247,7 @@ class TestGoldenCheck:
             assert main(argv) == 0
             return
         if name == "deterministic":
-            dist = DeterministicStrategy((0, 0), (0, 0)).distribution()
+            dist = strategy_distribution(DeterministicStrategy((0, 0), (0, 0)))
         elif name == "signaling":  # Alice's output copies Bob's input
             table = np.zeros((2, 2, 2, 2))
             for b in range(2):
@@ -1236,36 +1268,44 @@ class TestGoldenCheck:
         [
             ("qm_2", False, 0,
              "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
+            # was 7a6fcd284e72911a8b0149a72d7485c3f0f03bb004dc7f7695d9af3382c4ebbf
             ("qm_2", True, 0,
-             "7a6fcd284e72911a8b0149a72d7485c3f0f03bb004dc7f7695d9af3382c4ebbf"),
+             "f17b8dcbac8b0e06115497e3a2a36ee0fe3ea335d3e2e214f07dba245fbae34c"),
             ("qm_2_v09", False, 0,
              "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
+            # was 83e55ac1033c0b3980c746e2f01f88da6bc732dc804a95907dd4084d44b1aff6
             ("qm_2_v09", True, 0,
-             "83e55ac1033c0b3980c746e2f01f88da6bc732dc804a95907dd4084d44b1aff6"),
+             "10491f704dcec2a695f4044e6d17a1b5fd962ddb54ad33b90943014f03d32540"),
             ("qm_3", False, 0,
              "6169a647fefd5dc7afdcbbab9f8560865e138b0df174217cb2edd53f6a9ffdae"),
+            # was 023eed0ed4cc3c46eb8a0455f7809c1208c7fc55b79efc74bd50a043be95d9e0
             ("qm_3", True, 0,
-             "023eed0ed4cc3c46eb8a0455f7809c1208c7fc55b79efc74bd50a043be95d9e0"),
+             "185bc4fdcfc934ad63debc66cecbc13ddb650f6ab3ca4c7b11e9e123503e72bf"),
             ("qm_3_v09", False, 0,
              "f8958588ee65c1cee66e701c43a418ff0741029a3fe779e34530c3ea2f49325b"),
+            # was 6eee4d244318e6d115718907ea5919f9cd5d7406423cd3c959ea13e458f3b9d5
             ("qm_3_v09", True, 0,
-             "6eee4d244318e6d115718907ea5919f9cd5d7406423cd3c959ea13e458f3b9d5"),
+             "edcbacfc84473c0f21c4608cd2fd57b18ab17f7b83d7c12898dc5e9095d4712b"),
             ("qm_24", False, 0,
              "ac0c6bcef9049b4fb9560b49db4d112c63888d2a0ea52730846b67895afca52f"),
+            # was a865ce49579b4aa63bda80ece9f6d566ef0d11a25d7ff6defa586f8bc1fc2494
             ("qm_24", True, 0,
-             "a865ce49579b4aa63bda80ece9f6d566ef0d11a25d7ff6defa586f8bc1fc2494"),
+             "58cfe1b9f1eef5f3c3e4a3d518052013eb10335c4560b163f12d3f722444a6e0"),
             ("qm_24_v09", False, 0,
              "ac0c6bcef9049b4fb9560b49db4d112c63888d2a0ea52730846b67895afca52f"),
+            # was 113760cf2c8ae003d0470b72204255ffc9c65d17215b70e006f134de2be29c87
             ("qm_24_v09", True, 0,
-             "113760cf2c8ae003d0470b72204255ffc9c65d17215b70e006f134de2be29c87"),
+             "a7c0d9074f7e9d47ad27f1fcabd0c484579e48d7f226c24ee35527ac4a2213e4"),
             ("qm_100", False, 0,
              "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
+            # was e44d13f64ab031cd3a805e3ac43d1490082ca43d9f8f552aba032d88a3a2245b
             ("qm_100", True, 0,
-             "e44d13f64ab031cd3a805e3ac43d1490082ca43d9f8f552aba032d88a3a2245b"),
+             "172a9b12a380c66fe79a1ff2790c0a14f1131d13e4a823c1b28ad56218fd58f5"),
             ("qm_100_v09", False, 0,
              "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
+            # was 8c24984b6f523481bfd7406f8398147fe9f9d1773d5a59826bc959dfa08e0c11
             ("qm_100_v09", True, 0,
-             "8c24984b6f523481bfd7406f8398147fe9f9d1773d5a59826bc959dfa08e0c11"),
+             "344126ddf486b12dcd9f829b3974180fc0f40dd38d71aefb60e31d8cf5cccb6d"),
             ("qm_200_v09", False, 0,
              "fa645876070bf29f9a964c69cc3963ae46a7d7a3cc662734f42f7f69767585d7"),
             ("deterministic", False, 0,
@@ -1278,16 +1318,18 @@ class TestGoldenCheck:
              "3207be2d5804ec71945a697516f625be2239e794272ac1ab75cf91a6a9c03577"),
             ("leggett3_wide", False, 0,
              "62c3f5c7c2f07de74754581c5b18c494fe37a8a735af1dbc00f259fa034db12c"),
+            # was bde803c21d4f36ac91621bd2c5002771e0693ca3f9b92fc4253173185915575e
             ("leggett3_wide", True, 0,
-             "bde803c21d4f36ac91621bd2c5002771e0693ca3f9b92fc4253173185915575e"),
+             "311fbf9bab05ae6cce41b245582618b50322e79c7e4ce45def88b54be9b70ec8"),
             # Re-pinned when model kernels took the table's per-slice rule:
             # a kernel is divided by its sum only when it drifts above 1e-12.
             # max_violation 5.551115123125783e-17 -> 1.1102230246251565e-16,
             # lhs_y[0] 0.31962266107498316 -> 0.3196226610749831.
             ("leggett3_grid", False, 0,
              "62c3f5c7c2f07de74754581c5b18c494fe37a8a735af1dbc00f259fa034db12c"),
+            # was e65d259c0650d67c77c1d0290db6f066a8348188a6036f5528897e15eeb83604
             ("leggett3_grid", True, 0,
-             "e65d259c0650d67c77c1d0290db6f066a8348188a6036f5528897e15eeb83604"),
+             "33b52391f8ae47f8f960570cd82fadd7191610a648a26715ec1becb45272c062"),
             ("signaling", False, 1,
              "5b57618b40851c7d3c5d64e8df118071a1956fa7ca94d469f99b8d04d85e71da"),
             ("signaling", True, 1,
@@ -1480,10 +1522,11 @@ class TestCertificateFailure:
 
 
 class TestCrossCheckFailure:
-    """A per-setting locality distance whose two forms disagree (average
-    and joint in ``falsify``, half-L1 and excess in ``check
-    --locality-bound``) is a numerical failure, whichever setting it is
-    on: exit 3 and one JSON error, with no traceback."""
+    """A per-setting locality distance whose two forms disagree (the
+    average form and the joint form, or the joint form's half-L1 and
+    excess sums) is a numerical failure in ``falsify`` and in ``check
+    --locality-bound`` alike, whichever setting it is on: exit 3 and one
+    JSON error, with no traceback."""
 
     @pytest.mark.parametrize("shifted", [0, 3])
     def test_failed_cross_check_is_numerical_failure(self, capsys, tmp_path, monkeypatch,
@@ -1521,6 +1564,31 @@ class TestCrossCheckFailure:
         payload = one_document(captured.out)
         assert list(payload) == ["error"]
         assert payload["error"].startswith("distance identity violated: ")
+
+    @pytest.mark.parametrize("shifted", [0, 4])
+    def test_failed_locality_bound_average_form_is_numerical_failure(
+            self, capsys, tmp_path, monkeypatch, shifted):
+        # One of the six settings (Alice's three, then Bob's) has its
+        # average form pushed 1e-6 off its joint form; hvm's fsum alone,
+        # as the chain value sums with fsum too.
+        path = tmp_path / "qm.json"
+        assert main(["qm", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def shifting_fsum(values):
+            calls.append(None)
+            return math.fsum(values) + (1e-6 if len(calls) - 1 == shifted else 0.0)
+
+        monkeypatch.setattr(hvm, "math", SimpleNamespace(**{**vars(math), "fsum": shifting_fsum}))
+        code = main(["check", str(path), "--locality-bound"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        payload = one_document(captured.out)
+        assert list(payload) == ["error"]
+        assert payload["error"].startswith("average-form distance ")
+        assert len(calls) == 6
 
 
 # -- exit 1 is a verdict ---------------------------------------------------

@@ -34,7 +34,7 @@ from chainedbell import (
     write_shots_csv,
 )
 from chainedbell.experiment import _fold_counts, _inverse_cdf
-from lemmas import induced_distribution
+from lemmas import induced_distribution, strategy_distribution
 
 
 def concat(blocks, width=4):
@@ -53,7 +53,7 @@ class TestChainPairs:
 
 class TestSimulateShots:
     def test_deterministic_table_gives_constant_records(self):
-        table = DeterministicStrategy((0, 0), (0, 0)).distribution()
+        table = strategy_distribution(DeterministicStrategy((0, 0), (0, 0)))
         for block in simulate_shots(table, 2, 500, seed=0):
             assert block.dtype == np.int64
             assert (block[:, 2] == 0).all() and (block[:, 3] == 0).all()

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,8 +34,8 @@ from chainedbell import (
     xu_table,
 )
 from chainedbell import hvm
-from chainedbell.distributions import _l1_upper_bounds, _max_pairwise_tv
-from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _malus_responses, make_locality_report
+from chainedbell.distributions import IDENTITY_TOL, _l1_upper_bounds, _max_pairwise_tv
+from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _malus_responses
 from chainedbell.quantum import _chained_angles
 from lemmas import (
     falsify_leggett,
@@ -214,8 +215,8 @@ class TestPerSideTable:
         model = leggett_model(n, vectors, u_weights=weights)
         got = xu_table(model)
         assert got.table.tobytes() == leggett_xu_table(n, vectors, weights).table.tobytes()
-        assert locality_measure(got).per_setting == tuple(
-            d for _, d in falsify_leggett(n, vectors, weights).per_setting_distance)
+        lm, _ = falsify_leggett(n, vectors, weights)
+        assert locality_measure(got).per_setting == lm.per_setting
 
     @pytest.mark.parametrize("name", list(product_fixtures()))
     def test_matches_the_kernel_route(self, name):
@@ -514,31 +515,70 @@ def local_three_party_tables(draw):
     return ConditionalDistribution((n, n, n_c), (2, 2, oz), table)
 
 
+def side_measurements(p3):
+    """``locality_measure`` of each side of a three-party table: Alice's
+    (x, (c, z)) rows at Bob's first setting, then Bob's (y, (c, z)) rows at
+    Alice's first, each with C weighed uniformly."""
+    t = p3.table  # (N, N, n_c, 2, 2, oz)
+    n, n_c, oz = p3.input_sizes[0], p3.input_sizes[2], p3.output_sizes[2]
+    sides = (t[:, 0].sum(axis=3), t[0].sum(axis=2))  # (N, n_c, outcome, oz)
+    return tuple(
+        locality_measure(ConditionalDistribution(
+            (n, 1), (2, n_c * oz),
+            np.moveaxis(side * (1.0 / n_c), 2, 1).reshape(n, 1, 2, n_c * oz),
+        ))
+        for side in sides
+    )
+
+
 class TestLocalityBound:
     @settings(max_examples=200, deadline=None)
     @given(local_three_party_tables())
     def test_equals_the_per_setting_distances_bit_for_bit(self, p3):
+        # Both sides are measured as locality_measure measures one, against
+        # each setting's own hidden marginal; the per-setting reference
+        # against the common (a, b) = (0, 0) marginal stays within
+        # IDENTITY_TOL.
         rep = locality_bound_check(p3)
         assert rep.applicable and rep.passed
-        assert (rep.lhs_x, rep.lhs_y) == per_setting_locality_bound(p3)
+        alice, bob = side_measurements(p3)
+        assert (rep.lhs_x, rep.lhs_y) == (alice.per_setting, bob.per_setting)
+        ref_x, ref_y = per_setting_locality_bound(p3)
+        gap = np.abs(np.subtract(rep.lhs_x + rep.lhs_y, ref_x + ref_y))
+        assert gap.max() <= IDENTITY_TOL
 
-    @pytest.mark.parametrize("setting", [0, 2, 5])
-    def test_cross_check_fails_on_any_setting(self, setting):
-        # An excess sum pushed 1e-9 off on one of the six settings (Alice's
-        # three, then Bob's) must fail the identity cross-check.
+    @pytest.mark.parametrize("row", [0, 2, 3, 5])
+    @pytest.mark.parametrize("check", ["average", "identity"])
+    def test_cross_check_fails_on_any_setting(self, check, row):
+        # Either cross-check of the kernel pushed off on one of the six rows
+        # (Alice's three settings, then Bob's) must fail: the average form
+        # 1e-6 off its joint form, or the excess sum 1e-9 off the half-L1.
         p = qm_chained_distribution(3)
         p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), p.table.reshape(3, 3, 1, 2, 2, 1))
-        maximum = np.maximum
+        calls = []
+        if check == "average":
+            def shifted(values):
+                calls.append(None)
+                return math.fsum(values) + (1e-6 if len(calls) - 1 == row else 0.0)
 
-        def shifted(a, b):
-            out = maximum(a, b)
-            if out.ndim == 2 and out.shape[0] == 6:
-                out[setting, 0] += 1e-9
-            return out
+            # hvm's own fsum only: the chain value sums with fsum too.
+            own_math = SimpleNamespace(**{**vars(math), "fsum": shifted})
+            patch = mock.patch.object(hvm, "math", own_math)
+            match = "average-form distance .* disagrees"
+        else:
+            minimum = np.minimum
 
-        with mock.patch.object(np, "maximum", shifted):
-            with pytest.raises(AssertionError, match="distance identity violated"):
-                locality_bound_check(p3)
+            def shifted(a, b, out=None):
+                calls.append(None)
+                out = minimum(a, b, out=out)
+                out[row] -= 1e-9
+                return out
+
+            patch = mock.patch.object(np, "minimum", shifted)
+            match = "distance identity violated"
+        with patch, pytest.raises(AssertionError, match=match):
+            locality_bound_check(p3)
+        assert len(calls) == (6 if check == "average" else 2)  # rows, or outcome planes
         locality_bound_check(p3)  # and passes unshifted
 
     def test_quantum_with_trivial_hidden_parties(self):
@@ -611,43 +651,48 @@ class TestLocalityBound:
             assert rep.applicable and rep.passed
 
 
+# The exact ``falsify`` tolerance: a model is falsified when its worst
+# setting exceeds the cap by more than this.
+EXACT_TOL = 1e-9
+
+
 def leggett_verdict(n, vectors):
-    """The exact ``falsify`` verdict on a Leggett model: Alice's per-side
-    table against half the quantum chain value."""
+    """The exact ``falsify`` measurement of a Leggett model, Alice's per-
+    side table, and its cap, half the quantum chain value."""
     lm = locality_measure(xu_table(leggett_model(n, vectors)))
-    return make_locality_report(lm, 0.5 * quantum_chain_closed_form(n), 1e-9)
+    return lm, 0.5 * quantum_chain_closed_form(n)
 
 
 class TestFalsifyLeggett:
     def test_uniform_inplane_is_falsified_at_n2(self):
-        report = leggett_verdict(2, inplane_grid(360))
-        assert report.falsified
-        assert report.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
-        assert report.bound == pytest.approx((2 - math.sqrt(2)) / 2, abs=1e-12)
-        assert report.max_distance > report.bound
+        lm, bound = leggett_verdict(2, inplane_grid(360))
+        assert lm.max_distance > bound + EXACT_TOL
+        assert lm.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
+        assert bound == pytest.approx((2 - math.sqrt(2)) / 2, abs=1e-12)
+        assert lm.max_distance > bound
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_orthogonal_vectors_never_falsified(self, n):
-        report = leggett_verdict(n, ORTHOGONAL)
-        assert not report.falsified
-        assert report.max_distance < 1e-9
+        lm, bound = leggett_verdict(n, ORTHOGONAL)
+        assert not lm.max_distance > bound + EXACT_TOL
+        assert lm.max_distance < 1e-9
 
     def test_near_orthogonal_vector_continuity(self):
         # A single vector tilted by eps into the plane contributes at most
         # sin(eps)/2 and vanishes as eps -> 0.
         for eps in (1e-2, 1e-4, 1e-6):
             vec = np.array([[math.sin(eps), math.cos(eps), 0.0]])
-            report = leggett_verdict(2, vec)
-            assert not report.falsified
-            assert report.max_distance <= math.sin(eps) / 2 + 1e-12
-        assert leggett_verdict(2, np.array([[0.0, 1.0, 0.0]])).max_distance == 0.0
+            lm, bound = leggett_verdict(2, vec)
+            assert not lm.max_distance > bound + EXACT_TOL
+            assert lm.max_distance <= math.sin(eps) / 2 + 1e-12
+        assert leggett_verdict(2, np.array([[0.0, 1.0, 0.0]]))[0].max_distance == 0.0
 
     def test_uniform_inplane_beats_bound_for_all_small_n(self):
         # 1/pi exceeds half the quantum chain value for every N >= 2.
         for n in range(2, 8):
-            report = leggett_verdict(n, inplane_grid(180))
-            assert report.falsified
-            assert report.bound == pytest.approx(quantum_chain_closed_form(n) / 2)
+            lm, bound = leggett_verdict(n, inplane_grid(180))
+            assert lm.max_distance > bound + EXACT_TOL
+            assert bound == pytest.approx(quantum_chain_closed_form(n) / 2)
 
 
 class TestModelJson:

@@ -1,6 +1,6 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
-rule lives and its one sampler."""
+rule lives, its one sampler and its one locality kernel."""
 
 import ast
 import contextlib
@@ -233,3 +233,81 @@ class TestOneSampler:
         )
         assert inverse_cdf_calls(source) == ["line 6", "line 7"]
         assert dense_einsums(source) == ["line 3", "line 4"]
+
+
+# The two identity cross-checks of a locality distance, by the start of
+# their error messages.
+CROSS_CHECKS = ("distance identity violated", "average-form distance")
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function's body, less those of functions nested in it."""
+    pending = list(ast.iter_child_nodes(func))
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            pending += ast.iter_child_nodes(node)
+
+
+def _functions(source: str):
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def cross_check_raisers(source: str) -> dict[str, list[str]]:
+    """For each cross-check message, the functions of a module that raise
+    an error whose text holds it (an f-string's literal parts included)."""
+    found = {message: [] for message in CROSS_CHECKS}
+    for func in _functions(source):
+        texts = [const.value for node in _own_nodes(func) if isinstance(node, ast.Raise)
+                 for const in ast.walk(node)
+                 if isinstance(const, ast.Constant) and isinstance(const.value, str)]
+        for message in CROSS_CHECKS:
+            if any(message in text for text in texts):
+                found[message].append(func.name)
+    return found
+
+
+def callers_of(source: str, callee: str) -> list[str]:
+    """The functions of a module that call ``callee``."""
+    return [func.name for func in _functions(source)
+            if any(isinstance(node, ast.Call) and _called_name(node) == callee
+                   for node in _own_nodes(func))]
+
+
+class TestOneLocalityKernel:
+    def test_each_cross_check_is_raised_by_one_function(self):
+        # One kernel measures every locality distance, for falsify and for
+        # check --locality-bound; a second function raising either
+        # cross-check would be a second measurement.
+        found = {message: [] for message in CROSS_CHECKS}
+        for path in sorted((ROOT / "src" / "chainedbell").glob("*.py")):
+            for message, funcs in cross_check_raisers(path.read_text()).items():
+                found[message] += [f"{path.name}:{name}" for name in funcs]
+        assert found == {message: ["hvm.py:_locality_distances"] for message in CROSS_CHECKS}
+
+    def test_both_commands_measure_through_the_kernel(self):
+        source = (ROOT / "src" / "chainedbell" / "hvm.py").read_text()
+        assert sorted(callers_of(source, "_locality_distances")) == [
+            "locality_bound_check", "locality_measure"]
+
+    def test_the_checks_see_a_planted_copy(self):
+        source = (
+            "def _locality_distances(t):\n"
+            "    if bad:\n"
+            "        raise AssertionError(f'distance identity violated: {a} vs {b}')\n"
+            "    raise AssertionError(f'average-form distance {a} disagrees')\n"
+            "def locality_measure(p):\n"
+            "    return _locality_distances(p.table[:, 0])\n"
+            "def locality_bound_check(p):\n"
+            "    '''No distance identity violated here: a docstring is no raise.'''\n"
+            "    def half_l1(rows):\n"
+            "        raise AssertionError('distance identity violated')\n"
+            "    return half_l1(p)\n"
+        )
+        assert cross_check_raisers(source) == {
+            "distance identity violated": ["_locality_distances", "half_l1"],
+            "average-form distance": ["_locality_distances"],
+        }
+        assert callers_of(source, "_locality_distances") == ["locality_measure"]
