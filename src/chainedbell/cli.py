@@ -121,13 +121,11 @@ def cmd_check(args) -> tuple[dict, int]:
 
 def cmd_falsify(args) -> tuple[dict, int]:
     raw = _load_json(args.model)
-    if not isinstance(raw, dict):
-        raise ValueError("model document must be a JSON object")
     n = args.n
     if n < 2:
         raise ValueError("n must be at least 2")
-    payload: dict = {"n": n, "model_type": raw.get("type")}
     model = model_from_dict(raw, n)
+    payload: dict = {"n": n, "model_type": raw["type"]}
     p_xu = xu_table(model)
     if args.shots is None:
         lm = locality_measure(p_xu)

@@ -65,7 +65,7 @@ LOCAL_PART_TOL = 1e-9
 # (settings are drawn independently of the hidden variables).
 MARGINAL_INDEPENDENCE_TOL = 1e-6
 # Most numbers a model document may ask for (80 MB of float64); see
-# :func:`_check_size`.
+# :func:`_model_of_kind`.
 MAX_MODEL_ENTRIES = 10_000_000
 
 
@@ -298,14 +298,10 @@ def nonlocal_qm_model(
 
 def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     """Wrap an explicit two-party binary table as an entirely non-local
-    model (trivial local variables).  Rejects signaling tables, whose
+    model (trivial local variables).  The model rejects a table of another
+    shape than (N, N, 2, 2) with N >= 2, and a signaling one, whose
     outcome marginals cannot come from a well-defined local part."""
-    if dist.n_parties != 2 or dist.output_sizes != (2, 2):
-        raise ValueError("expected a two-party binary table")
-    n = dist.input_sizes[0]
-    if dist.input_sizes != (n, n) or n < 2:
-        raise ValueError("expected N >= 2 settings on both sides")
-    return HiddenVariableModel(n, table=dist.table)
+    return HiddenVariableModel(dist.input_sizes[0], table=dist.table)
 
 
 def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
@@ -528,16 +524,56 @@ def _int_field(data: dict, key: str, default: int | None = None) -> int:
         raise ValueError(f"{key} must be a finite integer") from exc
 
 
-def _check_size(kind, data: dict) -> None:
-    """Reject a model document that asks for more than
-    ``MAX_MODEL_ENTRIES`` numbers, before any array or angle list is
-    built, naming the field that asks: ``grid``, a ``nonlocal_qm``
-    alphabet, ``uv_weights`` (n_u·n_v), or ``n`` for the total with the
-    responses N·(n_u + n_v) and a ``nonlocal_qm`` table's 4·N².  A
-    ``custom_table`` is bounded by its own input."""
-    if kind not in ("leggett", "local_deterministic", "nonlocal_qm"):
-        return
-    n = _int_field(data, "n")
+def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
+    """Build a model from its JSON description, a JSON object.
+
+    Types: ``leggett`` (vector grids and weights), ``local_deterministic``
+    (strategy tables and weights), ``nonlocal_qm`` (N, visibility and
+    hidden alphabets), and ``custom_table`` (an inline distribution
+    document, and optionally its N).  With ``n`` given (the CLI's
+    ``--n``), a model of another chain length is rejected: a document's
+    own ``n`` is read once, here, and compared before
+    :func:`_model_of_kind` builds anything.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("model document must be a JSON object")
+    try:
+        kind = data["type"]
+    except KeyError as exc:
+        raise ValueError("model document needs a 'type' field") from exc
+    _check_numeric_fields(data, _NUMERIC_FIELDS)
+    sized = kind in ("leggett", "local_deterministic", "nonlocal_qm")
+    own_n = _int_field(data, "n") if sized or (kind == "custom_table" and "n" in data) else None
+    if n is not None and own_n not in (None, n):
+        raise ValueError("model chain length does not match --n")
+    model = _model_of_kind(kind, data, own_n)
+    if n is not None and model.n_settings != n:
+        raise ValueError("model chain length does not match --n")
+    return model
+
+
+def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
+    """The model of a document whose ``type`` field reads ``kind`` and
+    whose ``n`` field reads ``n`` (None for a ``custom_table`` without one).
+
+    Each side's hidden alphabet is read once: ``vectors`` or ``grid`` (360
+    in-plane points by default) and ``v_vectors`` (Alice's grid by
+    default), the strategy table counts, or ``n_u`` and ``n_v``.  Before
+    any array or angle list is built, a document that asks for more than
+    ``MAX_MODEL_ENTRIES`` numbers is rejected, naming the field that asks:
+    ``grid``, a ``nonlocal_qm`` alphabet, ``uv_weights`` (n_u·n_v), or
+    ``n`` for the total with the responses N·(n_u + n_v) and a
+    ``nonlocal_qm`` table's 4·N².  The model is built from those values;
+    Leggett ``uv_weights`` take precedence over ``weights``, which weigh
+    Bob's grid too when he has none of his own.  A ``custom_table`` is
+    bounded by its own input.
+    """
+    if kind == "custom_table":
+        model = table_model(ConditionalDistribution.from_dict(_field(data, "distribution")))
+        if n is not None and model.n_settings != n:
+            raise ValueError(f"distribution has {model.n_settings} settings per side, "
+                             f"but the model document's n is {n}")
+        return model
     length = {k: len(v) for k, v in data.items() if type(v) is list}  # others fail later
     sizes, total = [], 0
     if kind == "leggett":
@@ -546,9 +582,11 @@ def _check_size(kind, data: dict) -> None:
         nv = length.get("v_vectors", nu)
     elif kind == "local_deterministic":
         nu, nv = length.get("alice_tables", 1), length.get("bob_tables", 1)
-    else:
+    elif kind == "nonlocal_qm":
         nu, nv = _int_field(data, "n_u", 1), _int_field(data, "n_v", 1)
         sizes, total = [("n_u", nu), ("n_v", nv)], 4 * n * n
+    else:
+        raise ValueError(f"unknown model type {kind!r}")
     if "uv_weights" in data:
         sizes.append(("uv_weights", nu * nv))
     sizes.append(("n", total + n * (nu + nv) + sum(size for _, size in sizes)))
@@ -556,88 +594,30 @@ def _check_size(kind, data: dict) -> None:
         if size > MAX_MODEL_ENTRIES:
             raise ValueError(f"model document too large: {key} asks for {size} numbers, "
                              f"above {MAX_MODEL_ENTRIES}")
-
-
-def _leggett_document(data: dict) -> HiddenVariableModel:
-    """The model of a ``leggett`` document: Alice's grid (``vectors``, or
-    ``grid`` points in the measurement plane), Bob's (``v_vectors``;
-    Alice's by default) and the weights.  ``uv_weights`` takes precedence
-    over ``weights``, which weigh Alice's grid and Bob's too when he has
-    none of his own (his own is weighed uniformly)."""
-    n = _int_field(data, "n")
-    if "vectors" in data:
-        vectors = np.asarray(data["vectors"], dtype=float)
-    else:
-        vectors = inplane_grid(_int_field(data, "grid", 360))
-    v_vectors = data.get("v_vectors")
-    if "uv_weights" in data:
-        return leggett_model(n, vectors, v_vectors, uv_weights=data["uv_weights"])
-    w = data.get("weights")
-    if w is not None:
-        w = _weights(w, (len(vectors),), "weights")
-    return leggett_model(n, vectors, v_vectors, u_weights=w,
-                         v_weights=w if v_vectors is None else None)
-
-
-def model_from_dict(data: dict, n: int | None = None) -> HiddenVariableModel:
-    """Build a model from its JSON description.
-
-    Types: ``leggett`` (vector grids and weights), ``local_deterministic``
-    (strategy tables and weights), ``nonlocal_qm`` (N and visibility), and
-    ``custom_table`` (an inline distribution document).  With ``n`` given
-    (the CLI's ``--n``), a model of another chain length is rejected; a
-    document's own ``n`` is compared, and its sizes checked against
-    ``MAX_MODEL_ENTRIES``, before any table is built, so that a huge one
-    allocates nothing.
-    """
-    try:
-        kind = data["type"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("model document needs a 'type' field") from exc
-    _check_numeric_fields(data, _NUMERIC_FIELDS)
-    if n is not None and kind in ("leggett", "local_deterministic", "nonlocal_qm") \
-            and _int_field(data, "n") != n:
-        raise ValueError("model chain length does not match --n")
-    _check_size(kind, data)
-    model = _model_of_kind(kind, data)
-    if n is not None and model.n_settings != n:
-        raise ValueError("model chain length does not match --n")
-    return model
-
-
-def _model_of_kind(kind, data: dict) -> HiddenVariableModel:
-    """The model of a document whose ``type`` field reads ``kind``."""
-    if kind == "leggett":
-        return _leggett_document(data)
-    if kind == "local_deterministic":
-        n = _int_field(data, "n")
-        tables = _field(data, "alice_tables"), _field(data, "bob_tables")
-        if "uv_weights" in data:
-            return local_deterministic_model(n, *tables, uv_weights=data["uv_weights"])
-        if "u_weights" not in data and "v_weights" not in data:
-            return local_deterministic_model(n, *tables)
-        missing = "v_weights" if "u_weights" in data else "u_weights"
-        if missing not in data:
-            raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
-        # One weight per strategy; a table field that is not a list fails
-        # the table check instead.
-        for name, side in zip(("u_weights", "v_weights"), tables):
-            if isinstance(side, list) and np.shape(data[name]) != (len(side),):
-                raise ValueError(f"{name} must have length {len(side)}")
-        return local_deterministic_model(
-            n, *tables, u_weights=data["u_weights"], v_weights=data["v_weights"]
-        )
     if kind == "nonlocal_qm":
-        return nonlocal_qm_model(
-            _int_field(data, "n"),
-            float(data.get("visibility", 1.0)),
-            _int_field(data, "n_u", 1),
-            _int_field(data, "n_v", 1),
-        )
-    if kind == "custom_table":
-        dist = ConditionalDistribution.from_dict(_field(data, "distribution"))
-        return table_model(dist)
-    raise ValueError(f"unknown model type {kind!r}")
+        return nonlocal_qm_model(n, float(data.get("visibility", 1.0)), nu, nv)
+    if kind == "leggett":
+        vectors = (np.asarray(data["vectors"], dtype=float) if "vectors" in data
+                   else inplane_grid(nu))
+        v_vectors = data.get("v_vectors")
+        if "uv_weights" in data:
+            return leggett_model(n, vectors, v_vectors, uv_weights=data["uv_weights"])
+        w = data.get("weights")
+        w = None if w is None else _weights(w, (len(vectors),), "weights")
+        return leggett_model(n, vectors, v_vectors, u_weights=w,
+                             v_weights=w if v_vectors is None else None)
+    tables = _field(data, "alice_tables"), _field(data, "bob_tables")
+    if "uv_weights" in data or ("u_weights" not in data and "v_weights" not in data):
+        return local_deterministic_model(n, *tables, uv_weights=data.get("uv_weights"))
+    missing = "v_weights" if "u_weights" in data else "u_weights"
+    if missing not in data:
+        raise ValueError(f"{missing} is missing: u_weights and v_weights go together")
+    # One weight per strategy; a table that is not a list fails its own check.
+    for name, side, size in zip(("u_weights", "v_weights"), tables, (nu, nv)):
+        if type(side) is list and np.shape(data[name]) != (size,):
+            raise ValueError(f"{name} must have length {size}")
+    return local_deterministic_model(n, *tables, u_weights=data["u_weights"],
+                                     v_weights=data["v_weights"])
 
 
 def model_from_json_file(path: str | Path, n: int | None = None) -> HiddenVariableModel:

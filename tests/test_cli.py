@@ -301,14 +301,23 @@ class TestFalsify:
         assert code == 2
         assert "non-negative" in payload["error"]
 
-    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("falsify", "{}", "--n", "2"),
+            ("falsify", "{}", "--n", "2", "--shots", "100", "--seed", "1"),
+            ("experiment", "--source", "{}", "--n", "2", "--shots", "10", "--seed", "1"),
+        ],
+        ids=["falsify", "falsify_shots", "experiment"],
+    )
     @pytest.mark.parametrize("document", [[1, 2], "leggett", 3, None])
-    def test_non_object_document_is_usage_error(self, capsys, tmp_path, document, shots):
+    def test_non_object_document_is_usage_error(self, capsys, tmp_path, document, argv):
+        # experiment --source once said the document "needs a 'type' field".
         path = tmp_path / "m.json"
         path.write_text(json.dumps(document))
-        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", *shots)
+        code, payload = run_cli(capsys, *(arg.format(path) for arg in argv))
         assert code == 2
-        assert "JSON object" in payload["error"]
+        assert payload == {"error": "model document must be a JSON object"}
 
 
 class TestHostileDocuments:
@@ -496,6 +505,108 @@ class TestHostileDocuments:
         code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
         assert code == 1 and payload["mode"] == "exact"
 
+    # Documents at a small budget, and the numbers they ask for in all:
+    # N * (n_u + n_v), plus grid, uv_weights (n_u * n_v), n_u and n_v, and
+    # a nonlocal_qm table's 4 * N**2.
+    AT_BUDGET = {
+        "leggett_grid": ({"type": "leggett", "n": 3, "grid": 7}, 3 * 14 + 7),
+        "leggett_uv_weights": ({"type": "leggett", "n": 2, "vectors": [[0, 0, 1]] * 2,
+                                "v_vectors": [[1, 0, 0]] * 3, "uv_weights": [[1 / 6] * 3] * 2},
+                               2 * 5 + 6),
+        "local_deterministic": ({"type": "local_deterministic", "n": 3,
+                                 "alice_tables": [[0, 1, 1], [1, 0, 0]],
+                                 "bob_tables": [[0, 0, 0], [1, 1, 0], [0, 1, 0]]}, 3 * 5),
+        "nonlocal_qm": ({"type": "nonlocal_qm", "n": 3, "n_u": 2, "n_v": 5},
+                        4 * 9 + 3 * 7 + 7),
+    }
+
+    def run_at_budget(self, capsys, tmp_path, monkeypatch, mode, document, budget):
+        monkeypatch.setattr(hvm, "MAX_MODEL_ENTRIES", budget)
+        path = tmp_path / "sized.json"
+        path.write_text(json.dumps(document))
+        argv = [arg.format(path) for arg in self.MODES[mode]]
+        argv[argv.index("--n") + 1] = str(document["n"])
+        return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("name", list(AT_BUDGET))
+    def test_model_exactly_at_the_budget_is_built(self, capsys, tmp_path, monkeypatch, mode,
+                                                  name):
+        document, total = self.AT_BUDGET[name]
+        code, payload = self.run_at_budget(capsys, tmp_path, monkeypatch, mode, document, total)
+        assert code in (0, 1) and "error" not in payload
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("name", list(AT_BUDGET))
+    def test_model_one_entry_over_the_budget_is_rejected(self, capsys, tmp_path, monkeypatch,
+                                                         mode, name):
+        document, total = self.AT_BUDGET[name]
+        code, payload = self.run_at_budget(capsys, tmp_path, monkeypatch, mode, document,
+                                           total - 1)
+        assert code == 2
+        assert payload == {"error": f"model document too large: n asks for {total} numbers, "
+                                    f"above {total - 1}"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "name, field, size, then",
+        [("leggett_grid", "grid", 7, ("n", 49)),
+         ("leggett_uv_weights", "uv_weights", 6, ("n", 16)),
+         ("nonlocal_qm", "n_u", 2, ("n_v", 5)), ("nonlocal_qm", "n_v", 5, ("n", 64))],
+    )
+    def test_each_size_field_is_held_to_the_budget(self, capsys, tmp_path, monkeypatch, mode,
+                                                   name, field, size, then):
+        # One entry over, the field is named; at the budget it passes, and
+        # the next field in the order checked, ``then``, is named instead.
+        document, _ = self.AT_BUDGET[name]
+        for budget, (named, asked) in ((size - 1, (field, size)), (size, then)):
+            code, payload = self.run_at_budget(capsys, tmp_path, monkeypatch, mode, document,
+                                               budget)
+            assert code == 2
+            assert payload == {"error": f"model document too large: {named} asks for "
+                                        f"{asked} numbers, above {budget}"}
+
+    # A table the model cannot take: 3 parties, unequal inputs, one setting.
+    BAD_TABLES = {
+        "three_parties": ({"parties": 3, "outputs": [2, 2, 2], "inputs": [2, 2, 2],
+                           "table": [0.125] * 64},
+                          "table must have shape (N, N, 2, 2), got (2, 2, 2, 2, 2, 2)"),
+        "inputs_2_3": ({"parties": 2, "outputs": [2, 2], "inputs": [2, 3],
+                        "table": [0.25] * 24},
+                       "table must have shape (N, N, 2, 2), got (2, 3, 2, 2)"),
+        "inputs_1_1": ({"parties": 2, "outputs": [2, 2], "inputs": [1, 1],
+                        "table": [0.25] * 4}, "chain parameter must be at least 2"),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("name", list(BAD_TABLES))
+    def test_custom_table_of_another_shape_is_usage_error(self, capsys, tmp_path, mode, name):
+        table, error = self.BAD_TABLES[name]
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps({"type": "custom_table", "distribution": table}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": error}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "n, error",
+        [(2, "model chain length does not match --n"),
+         (3, "distribution has 2 settings per side, but the model document's n is 3")],
+        ids=["n_2", "n_3"],
+    )
+    def test_custom_table_reads_its_own_n(self, capsys, tmp_path, mode, n, error):
+        # The document's n was ignored: --n 2 got a verdict, and --n 3, the
+        # length the document states, was the one rejected.
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({"type": "custom_table", "n": 3,
+                                    "distribution": qm_chained_distribution(2).to_dict()}))
+        argv = [arg.format(path) for arg in self.MODES[mode]]
+        argv[argv.index("--n") + 1] = str(n)
+        code, payload = run_cli(capsys, *argv)
+        assert code == 2
+        assert payload == {"error": error}
+
     @pytest.mark.parametrize("mode", [*MODES, "check"])
     @pytest.mark.parametrize("opener", ["[", '{"a": '])
     def test_deep_nesting_is_usage_error(self, capsys, tmp_path, mode, opener):
@@ -607,8 +718,10 @@ class TestHostileDocuments:
             ({"type": "leggett", "n": 2, "grid": 12.5}, "grid"),
             ({"type": "nonlocal_qm", "n": 2, "n_u": 1.5}, "n_u"),
             ({"type": "nonlocal_qm", "n": 2, "n_v": 2.5}, "n_v"),
+            ({"type": "custom_table", "n": 2.5,
+              "distribution": qm_chained_distribution(2).to_dict()}, "n"),
         ],
-        ids=["n", "n_local_deterministic", "grid", "n_u", "n_v"],
+        ids=["n", "n_local_deterministic", "grid", "n_u", "n_v", "n_custom_table"],
     )
     def test_fractional_size_is_usage_error(self, capsys, tmp_path, mode, document, field):
         # int() truncated these: "n": 2.7 was analysed as N = 2 (exit 0).

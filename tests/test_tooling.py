@@ -1,6 +1,7 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
-rule lives, its one sampler and its one locality kernel."""
+rule lives, its one sampler, its one locality kernel and its one model
+document reader."""
 
 import ast
 import contextlib
@@ -311,3 +312,81 @@ class TestOneLocalityKernel:
             "average-form distance": ["_locality_distances"],
         }
         assert callers_of(source, "_locality_distances") == ["locality_measure"]
+
+
+# The model kinds whose document states N and the hidden alphabets.
+SIZED_KINDS = ("leggett", "local_deterministic", "nonlocal_qm")
+
+
+def owners(source: str, match) -> list[str]:
+    """The functions of a module that hold a node ``match`` accepts, by
+    name, or "<module>" for code outside every function; docstrings are
+    skipped, and a nested function holds its own nodes."""
+    found = set()
+    pending = [(ast.parse(source), "<module>")]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            children.remove(node.body[0])
+        if match(node):
+            found.add(owner)
+        pending += [(child, owner) for child in children]
+    return sorted(found)
+
+
+def raises_too_large(node: ast.AST) -> bool:
+    return isinstance(node, ast.Raise) and any(
+        isinstance(c, ast.Constant) and isinstance(c.value, str)
+        and "model document too large" in c.value for c in ast.walk(node))
+
+
+def reads_budget(node: ast.AST) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name == "MAX_MODEL_ENTRIES" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+
+def names_a_sized_kind(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value in SIZED_KINDS
+
+
+class TestOneDocumentReader:
+    """A model document's N and hidden alphabets are read, checked against
+    the size budget and built from in one pass: a second function that
+    reads the budget or lists the kinds would be a second reader."""
+
+    def found(self, match) -> list[str]:
+        return sorted(f"{path.name}:{name}"
+                      for path in sorted((ROOT / "src" / "chainedbell").glob("*.py"))
+                      for name in owners(path.read_text(), match))
+
+    def test_one_function_checks_the_size_budget(self):
+        assert self.found(raises_too_large) == ["hvm.py:_model_of_kind"]
+        assert self.found(reads_budget) == ["hvm.py:_model_of_kind"]
+
+    def test_only_the_reader_names_the_sized_kinds(self):
+        assert self.found(names_a_sized_kind) == ["hvm.py:_model_of_kind",
+                                                  "hvm.py:model_from_dict"]
+
+    def test_the_checks_see_a_planted_reader(self):
+        source = (
+            "'nonlocal_qm'\n"
+            "LIMIT = MAX_MODEL_ENTRIES\n"
+            "MAX_MODEL_ENTRIES = 10\n"
+            "def model_from_dict(data):\n"
+            "    'leggett'\n"
+            "    return _model_of_kind(data['type'], data)\n"
+            "def _check_size(kind, data):\n"
+            "    if kind in ('leggett', 'nonlocal_qm'):\n"
+            "        raise ValueError(f'model document too large: {hvm.MAX_MODEL_ENTRIES}')\n"
+            "def _model_of_kind(kind, data):\n"
+            "    def size():\n"
+            "        return kind == 'local_deterministic'\n"
+            "    raise ValueError('model document too large')\n"
+        )
+        assert owners(source, raises_too_large) == ["_check_size", "_model_of_kind"]
+        assert owners(source, reads_budget) == ["<module>", "_check_size"]
+        assert owners(source, names_a_sized_kind) == ["_check_size", "size"]
