@@ -33,6 +33,7 @@ from .experiment import (
     estimate_from_counts,
     max_locality_bound,
     read_shots_csv,
+    sample_counts,
     simulate_shots,
     write_shots_csv,
 )

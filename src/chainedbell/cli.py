@@ -38,8 +38,10 @@ from .distributions import (
 from .experiment import (
     MissingSettingPairError,
     estimate_chain_value,
+    estimate_from_counts,
     max_locality_bound,
     read_shots_csv,
+    sample_counts,
     simulate_shots,
     write_shots_csv,
 )
@@ -184,26 +186,32 @@ def cmd_experiment(args) -> tuple[dict, int]:
         raise ValueError("n must be at least 2")
     if args.shots < 1:
         raise ValueError("shots must be at least 1")
+    if args.shots > _INT64_MAX:
+        raise ValueError(f"--shots must be at most {_INT64_MAX}")
     if not 0.0 < args.confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     seed = _resolve_seed(args)
     if args.source == "qm":
-        source = qm_chained_distribution(args.n)
+        table = qm_chained_distribution(args.n)
         if args.visibility is not None:
-            source = mix_with_noise(source, args.visibility)
-        reference = evaluate_chain(source, args.n).value
+            table = mix_with_noise(table, args.visibility)
+        source = table
     else:
         if args.visibility is not None:
             raise ValueError("--visibility applies only to the qm source")
-        # The model is sampled, and its outcome table's chain value is the
-        # reference.
+        # The model is sampled through its outcome table, whose chain value
+        # is the reference.
         source = model_from_json_file(args.source, args.n)
-        reference = evaluate_chain(chain_table(source), args.n).value
-    blocks = simulate_shots(source, args.n, args.shots, seed)
+        table = chain_table(source)
+    reference = evaluate_chain(table, args.n).value
     if args.out:
-        write_shots_csv(blocks, args.out)
-        blocks = read_shots_csv(args.out)
-    report = estimate_chain_value(blocks, args.n, args.confidence)
+        # The stream draws the same counts as sample_counts, then orders
+        # them into shots; the estimate reads them back from the file.
+        write_shots_csv(simulate_shots(source, args.n, args.shots, seed), args.out)
+        report = estimate_chain_value(read_shots_csv(args.out), args.n, args.confidence)
+    else:
+        counts, mismatches = sample_counts(table, args.n, args.shots, seed)
+        report = estimate_from_counts(counts, mismatches, args.n, args.confidence)
     payload = {
         "seed": seed,
         "source": str(args.source),

@@ -1,5 +1,6 @@
-"""Finite-statistics front end: simulate shots, estimate the chain value
-with an upper confidence bound, and derive the locality cap.
+"""Finite-statistics front end: draw the counts of a simulated run, stream
+them as shots, estimate the chain value with an upper confidence bound,
+and derive the locality cap.
 
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
@@ -18,11 +19,12 @@ import numpy as np
 
 from .chained import chain_pairs
 from .distributions import ConditionalDistribution
-from .hvm import HiddenVariableModel
+from .hvm import HiddenVariableModel, chain_table
 
 __all__ = [
     "MissingSettingPairError",
     "EstimateReport",
+    "sample_counts",
     "simulate_shots",
     "estimate_chain_value",
     "estimate_from_counts",
@@ -35,6 +37,11 @@ __all__ = [
 _COLUMNS = ("a", "b", "x", "y", "u", "v")
 _CHUNK_ROWS = 65536
 _WRITE_ROWS = 4096
+# NumPy's multivariate hypergeometric draw takes fewer than 1e9 items in
+# all.  A block holds at most 2**29 rows, so that the thinned population
+# a block is drawn from (see _without_replacement) stays below that.
+_HYPERGEOMETRIC_ITEMS = 10**9
+_MAX_BLOCK_ROWS = 2**29
 
 
 class MissingSettingPairError(RuntimeError):
@@ -59,20 +66,138 @@ class EstimateReport:
 
 
 def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Outcome index for each uniform draw ``r``: the first outcome whose
-    cumulative probability exceeds it, or the last outcome when none does
-    (rounding can leave the final cumulative value just under 1).
+    """Outcome index for each uniform draw ``r`` against one cumulative
+    table ``cdf`` shared by every draw: the number of entries at or below
+    the draw, capped at the last outcome (rounding can leave the final
+    cumulative value just under 1)."""
+    return np.minimum(np.searchsorted(cdf, r, side="right"), len(cdf) - 1)
 
-    ``cdf`` is either one cumulative table of shape (m,) shared by every
-    draw, searched with ``searchsorted``, or one row per draw, shape
-    (k, m), searched by ``argmax`` over the row's ``cdf > r`` flags with
-    the last flag forced true.  A cumulative table never decreases, so both
-    equal the number of entries at or below ``r``, capped at m - 1."""
-    if cdf.ndim == 1:
-        return np.minimum(np.searchsorted(cdf, r, side="right"), cdf.shape[-1] - 1)
-    hit = cdf > r[:, None]
-    hit[:, -1] = True
-    return hit.argmax(axis=1)
+
+def _check_run(table: ConditionalDistribution, n: int, shots: int) -> None:
+    """Reject a run of no shots, or of a table that is not two-party binary
+    with ``n`` settings per side."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if table.input_sizes != (n, n) or table.output_sizes != (2, 2):
+        raise ValueError("expected a two-party binary table with n settings per side")
+
+
+def _draw_cells(rng, table: ConditionalDistribution, shots: int) -> np.ndarray:
+    """Counts of the 4N² cells ``((a*N + b)*2 + x)*2 + y`` of ``shots``
+    shots with uniform settings, flat: the setting-pair counts as one
+    multinomial, then every pair's (x, y) counts as one multinomial over
+    its table row, all pairs in one broadcast call."""
+    pairs = table.input_sizes[0] ** 2
+    per_pair = rng.multinomial(shots, np.full(pairs, 1.0 / pairs))
+    return rng.multinomial(per_pair, table.table.reshape(pairs, 4)).ravel()
+
+
+def _pair_totals(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair shot and mismatch counts, each (n, n), of flat cell counts."""
+    by_pair = cells.reshape(n, n, 4)
+    c00, c01, c10, c11 = (by_pair[..., j] for j in range(4))
+    return ((c00 + c01) + c10) + c11, c01 + c10
+
+
+def sample_counts(
+    table: ConditionalDistribution, n: int, shots: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair shot and mismatch counts, each of shape (n, n), of
+    ``shots`` shots of a two-party binary table with uniform settings.
+
+    These are the counts that :func:`simulate_shots` streams from the same
+    seed, for this table or for a model whose :func:`chain_table` it is;
+    drawn as counts, they cost O(N²) whatever the shot count.
+    """
+    _check_run(table, n, shots)
+    return _pair_totals(_draw_cells(np.random.default_rng(seed), table, shots), n)
+
+
+def _without_replacement(rng, counts: np.ndarray, total: int, k: int) -> np.ndarray:
+    """How many of ``k`` items drawn without replacement from ``counts``
+    (``total`` items in all) fall in each cell.
+
+    NumPy draws this directly below 1e9 items.  Above, every item gets an
+    independent uniform key, and the items whose key lies below a
+    threshold are counted cell by cell, each count binomial.  Given their
+    number, they are a uniformly random subset of the items, so once they
+    are at least ``k`` and fewer than 1e9, ``k`` of them drawn without
+    replacement are a uniformly random ``k``-subset of all the items: the
+    same law.  The threshold puts k + 8·sqrt(k) + 8 items below it on
+    average, so a try rarely falls short; one that does is drawn again."""
+    if total < _HYPERGEOMETRIC_ITEMS:
+        return rng.multivariate_hypergeometric(counts, k)
+    threshold = (k + 8.0 * math.sqrt(k) + 8.0) / total
+    while True:
+        below = rng.binomial(counts, threshold)
+        if k <= below.sum() < _HYPERGEOMETRIC_ITEMS:
+            return rng.multivariate_hypergeometric(below, k)
+
+
+def _grouped_draws(rng, key: np.ndarray, weights_of) -> np.ndarray:
+    """One index per row, drawn from the weights ``weights_of(g)`` of the
+    row's group ``g = key[row]``.  One uniform per row is drawn at once;
+    group by group, in increasing ``g``, the group's rows (in row order)
+    read the next uniforms against the group's one cumulative table."""
+    # A stable sort of keys of 16 bits or fewer is a radix sort.
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")
+    grouped = key[order]
+    r = rng.random(len(key))
+    out = np.empty(len(key), dtype=np.int64)
+    edges = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+    for start, stop in zip([0, *edges], [*edges, len(key)]):
+        cdf = np.cumsum(weights_of(int(grouped[start])))
+        cdf /= cdf[-1]
+        out[order[start:stop]] = _inverse_cdf(cdf, r[start:stop])
+    return out
+
+
+def _hidden_pair(rng, model: HiddenVariableModel, a, b, x, y) -> list[np.ndarray]:
+    """Each row's hidden pair (u, v), drawn from P(u, v | a, b, x, y).
+
+    A table does not depend on the hidden pair, so its posterior is the
+    prior: one cumulative table per side.  Per-side responses A (Alice's)
+    and B (Bob's) under product weights give u from p_u·A[a, :, x] and v
+    from p_v·B[b, :, y]; under joint weights u comes from
+    A[a, :, x]·(p_uv @ B[b, :, y]), then v from p_uv[u, :]·B[b, :, y].
+    """
+    if model.table is not None:
+        return [_inverse_cdf(np.cumsum(w), rng.random(len(a))) for w in (model.p_u, model.p_v)]
+    alice, bob = model.alice, model.bob
+    if model.p_uv is None:
+        return [
+            _grouped_draws(rng, a * 2 + x, lambda g: model.p_u * alice[g >> 1, :, g & 1]),
+            _grouped_draws(rng, b * 2 + y, lambda g: model.p_v * bob[g >> 1, :, g & 1]),
+        ]
+    n, n_u, p_uv = model.n_settings, model.n_u, model.p_uv
+    bob_side = bob.transpose(0, 2, 1) @ p_uv.T  # p_uv @ B[b, :, y], (N, 2, n_u)
+
+    def u_weights(g):
+        pair, xy = divmod(g, 4)
+        return alice[pair // n, :, xy >> 1] * bob_side[pair % n, xy & 1]
+
+    def v_weights(g):
+        side, u = divmod(g, n_u)
+        return p_uv[u] * bob[side >> 1, :, side & 1]
+
+    u = _grouped_draws(rng, ((a * n + b) * 2 + x) * 2 + y, u_weights)
+    return [u, _grouped_draws(rng, (b * 2 + y) * n_u + u, v_weights)]
+
+
+def _block(rng, cells: np.ndarray, n: int, model) -> np.ndarray:
+    """One shot block from the cell index of each of its rows, which it
+    shuffles in place; in a call of its own, so that none of its arrays
+    outlives the block."""
+    rng.shuffle(cells)
+    pair = cells >> 2
+    a = pair // n
+    cols = [a, pair - a * n, (cells >> 1) & 1, cells & 1]
+    if model is not None:
+        cols += _hidden_pair(rng, model, *cols)
+    block = np.empty((len(cells), len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        block[:, j] = col
+    return block
 
 
 def simulate_shots(
@@ -85,58 +210,44 @@ def simulate_shots(
     """Generate a reproducible stream of shot blocks, at most ``chunk``
     shots each, with settings drawn uniformly and independently per shot.
 
-    A two-party binary table gives both outcomes from its row.  A
-    :class:`HiddenVariableModel` first draws the hidden pair (u, v), the
-    columns ``u, v``, from the cumulative weights of each side or of
-    ``p_uv``; an outcome of a per-side response is then 1 exactly when its
-    uniform draw reaches P(0 | setting, hidden value), and a model table
-    gives both outcomes from its row.  The same seed yields the same stream.
+    The source is a two-party binary table or a
+    :class:`HiddenVariableModel`, whose :func:`chain_table` gives the
+    outcomes.  The counts of every cell (a, b, x, y) are drawn first, as
+    :func:`sample_counts` draws them from the same seed.  Each block's
+    make-up is then drawn without replacement from the counts not yet
+    streamed, and its rows are put in a uniformly random order: counts
+    drawn as a multinomial, in a uniformly random order, have the law of
+    independent shots.  A model then draws each row's hidden pair, the
+    columns ``u, v``, from its posterior given the row's settings and
+    outcomes (:func:`_hidden_pair`), which restores the joint law of
+    (a, b, x, y, u, v).  The same seed yields the same stream; memory
+    grows with the block, not with the shot count.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
     model = source if isinstance(source, HiddenVariableModel) else None
     if model is not None:
         if model.n_settings != n:
             raise ValueError(f"the model has {model.n_settings} settings per side, not {n}")
-        table = model.table
-        # One cumulative table per side, or one over p_uv (flat u * n_v + v).
-        cdfs = [np.cumsum(w) for w in ((model.p_u, model.p_v) if model.p_uv is None
-                                       else (model.p_uv,))]
+        table = chain_table(model)
     elif isinstance(source, ConditionalDistribution):
-        if source.input_sizes != (n, n) or source.output_sizes != (2, 2):
-            raise ValueError("expected a two-party binary table with n settings per side")
-        table = source.table
+        table = source
     else:
         raise TypeError("source must be a two-party table or a hidden-variable model")
-    rows = None if table is None else table.reshape(n * n, 4).cumsum(axis=1)
-
-    def draw(rng, k: int) -> np.ndarray:
-        """One block of ``k`` shots, in a call of its own, so that none of
-        its arrays outlives the block."""
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        cols = [a, b]
-        if model is not None:
-            hidden = [_inverse_cdf(cdf, rng.random(k)) for cdf in cdfs]
-            u, v = hidden if len(hidden) == 2 else np.divmod(hidden[0], model.n_v)
-        if rows is None:
-            cols += [rng.random(k) >= model.alice[a, u, 0], rng.random(k) >= model.bob[b, v, 0]]
-        else:
-            idx = _inverse_cdf(rows.take(a * n + b, axis=0), rng.random(k))
-            cols += [idx >> 1, idx & 1]
-        if model is not None:
-            cols += [u, v]
-        block = np.empty((k, len(cols)), dtype=np.int64)
-        for j, col in enumerate(cols):
-            block[:, j] = col
-        return block
-
+    _check_run(table, n, shots)
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     rng = np.random.default_rng(seed)
-    remaining = shots
-    while remaining > 0:
-        k = min(chunk, remaining)
-        remaining -= k
-        yield draw(rng, k)
+    remaining = _draw_cells(rng, table, shots)
+    cells = np.arange(remaining.size)
+    left = shots
+    while left:
+        k = min(chunk, left, _MAX_BLOCK_ROWS)
+        if k < left:
+            part = _without_replacement(rng, remaining, left, k)
+            remaining -= part
+        else:
+            part = remaining
+        left -= k
+        yield _block(rng, np.repeat(cells, part), n, model)
 
 
 def _check_block(block) -> np.ndarray:
@@ -212,9 +323,7 @@ def _fold_counts(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.n
         if min(x.min(), y.min()) < 0 or max(x.max(), y.max()) > 1:
             raise ValueError("shot outcome outside {0, 1}")
         cells += np.bincount(((a * n + b) * 2 + x) * 2 + y, minlength=cells.size)
-    by_pair = cells.reshape(n, n, 4)
-    c00, c01, c10, c11 = (by_pair[..., j] for j in range(4))
-    return ((c00 + c01) + c10) + c11, c01 + c10
+    return _pair_totals(cells, n)
 
 
 def estimate_chain_value(

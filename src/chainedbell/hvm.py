@@ -501,6 +501,12 @@ _NUMERIC_FIELDS = (
     "n", "grid", "n_u", "n_v", "visibility", "vectors", "v_vectors", "weights",
     "uv_weights", "u_weights", "v_weights", "alice_tables", "bob_tables",
 )
+# The fields each model type reads; any other field is a usage error.
+_LEGGETT_FIELDS = ("type", "n", "vectors", "grid", "v_vectors", "weights", "uv_weights")
+_DETERMINISTIC_FIELDS = ("type", "n", "alice_tables", "bob_tables", "u_weights", "v_weights",
+                         "uv_weights")
+_NONLOCAL_QM_FIELDS = ("type", "n", "visibility", "n_u", "n_v")
+_CUSTOM_TABLE_FIELDS = ("type", "n", "distribution")
 
 
 def _field(data: dict, key: str):
@@ -566,8 +572,17 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
     ``nonlocal_qm`` table's 4·N².  The model is built from those values;
     Leggett ``uv_weights`` take precedence over ``weights``, which weigh
     Bob's grid too when he has none of his own.  A ``custom_table`` is
-    bounded by its own input.
+    bounded by its own input.  A field that the type does not read is
+    rejected, by name.
     """
+    fields = {"leggett": _LEGGETT_FIELDS, "local_deterministic": _DETERMINISTIC_FIELDS,
+              "nonlocal_qm": _NONLOCAL_QM_FIELDS, "custom_table": _CUSTOM_TABLE_FIELDS}
+    allowed = fields.get(kind) if isinstance(kind, str) else None  # a list is unhashable
+    if allowed is None:
+        raise ValueError(f"unknown model type {kind!r}")
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{key} is not a field of a {kind} model document")
     if kind == "custom_table":
         model = table_model(ConditionalDistribution.from_dict(_field(data, "distribution")))
         if n is not None and model.n_settings != n:
@@ -582,11 +597,9 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
         nv = length.get("v_vectors", nu)
     elif kind == "local_deterministic":
         nu, nv = length.get("alice_tables", 1), length.get("bob_tables", 1)
-    elif kind == "nonlocal_qm":
+    else:
         nu, nv = _int_field(data, "n_u", 1), _int_field(data, "n_v", 1)
         sizes, total = [("n_u", nu), ("n_v", nv)], 4 * n * n
-    else:
-        raise ValueError(f"unknown model type {kind!r}")
     if "uv_weights" in data:
         sizes.append(("uv_weights", nu * nv))
     sizes.append(("n", total + n * (nu + nv) + sum(size for _, size in sizes)))
@@ -603,7 +616,7 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
         if "uv_weights" in data:
             return leggett_model(n, vectors, v_vectors, uv_weights=data["uv_weights"])
         w = data.get("weights")
-        w = None if w is None else _weights(w, (len(vectors),), "weights")
+        w = None if w is None else _weights(w, (nu,), "weights")
         return leggett_model(n, vectors, v_vectors, u_weights=w,
                              v_weights=w if v_vectors is None else None)
     tables = _field(data, "alice_tables"), _field(data, "bob_tables")

@@ -696,6 +696,42 @@ class TestHostileDocuments:
         assert code == 2
         assert payload == {"error": f"{field} is missing from the model document"}
 
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"type": "leggett", "n": 2, "grid": 360, "weigths": [1]}, "weigths"),
+            ({"type": "nonlocal_qm", "n": 2, "n_u": 2, "u_weights": [1, 0]}, "u_weights"),
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 0]],
+              "bob_tables": [[0, 0]], "weights": [1]}, "weights"),
+            ({"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict(),
+              "visibility": 0.5}, "visibility"),
+        ],
+        ids=["leggett_misspelt", "nonlocal_qm_weights", "local_deterministic", "custom_table"],
+    )
+    def test_unread_field_is_named(self, capsys, tmp_path, mode, document, field):
+        # The type does not read these: the misspelt Leggett weights were
+        # taken as uniform (exit 1) and the nonlocal_qm document got a
+        # verdict (exit 0).
+        path = tmp_path / "unread.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {
+            "error": f"{field} is not a field of a {document['type']} model document"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("vectors", [5, None], ids=["number", "null"])
+    def test_unsized_vectors_with_weights_are_named(self, capsys, tmp_path, mode, vectors):
+        # The weights were shaped by len() of the vectors: "len() of
+        # unsized object".
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 2, "vectors": vectors,
+                                    "weights": [1]}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": "u_vectors must be a non-empty (k, 3) array of vectors"}
+
     def test_both_side_weights_are_read(self, capsys, tmp_path):
         # Bob always plays table [0, 0]: every chain term but the wrap one
         # is 0, so the chain value is 1 (uniform over both tables: 2).
@@ -969,6 +1005,26 @@ class TestExperiment:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("out", [False, True], ids=["in_memory", "out"])
+    def test_shot_count_beyond_int64_is_usage_error(self, capsys, tmp_path, out):
+        # The per-shot sampler once ran on until it was killed.
+        extra = ("--out", str(tmp_path / "shots.csv")) if out else ()
+        code, payload = run_cli(capsys, "experiment", "--source", "qm", "--n", "2",
+                                "--shots", str(2**63), "--seed", "1", *extra)
+        assert code == 2
+        assert payload == {"error": f"--shots must be at most {2**63 - 1}"}
+        assert not (tmp_path / "shots.csv").exists()
+
+    def test_largest_shot_count_is_drawn(self, capsys):
+        code, payload = run_cli(capsys, "experiment", "--source", "qm", "--n", "3",
+                                "--shots", str(2**63 - 1), "--seed", "1")
+        assert code == 0
+        report = payload["report"]
+        assert payload["shots"] == 2**63 - 1
+        assert report["upper_bound"] >= report["point_estimate"]
+        assert report["point_estimate"] == pytest.approx(payload["reference_chain_value"],
+                                                         abs=1e-6)
+
     def test_missing_pair_is_numerical_failure(self, capsys):
         code, payload = run_cli(
             capsys, "experiment", "--source", "qm", "--n", "6", "--shots", "4", "--seed", "1"
@@ -1013,10 +1069,35 @@ class TestExperiment:
 
 
 class TestGoldenStreams:
-    """Values recorded from the per-shot implementation; the same seed must
-    keep giving the same shots, estimates and CSV bytes."""
+    """Values recorded from the counts sampler; the same seed must keep
+    giving the same counts, estimates and CSV bytes, with and without
+    ``--out``."""
 
     NONLOCAL_QM = {"type": "nonlocal_qm", "n": 2, "visibility": 0.9, "n_u": 3, "n_v": 3}
+    # One document for each kind of model the sampler tells apart, after
+    # test_experiment.MODEL_SOURCES; a custom table stands in for a table
+    # with weighted hidden alphabets, which no document describes.
+    MODEL_KINDS = {
+        "nonlocal_qm": NONLOCAL_QM,
+        "local_deterministic": {"type": "local_deterministic", "n": 3,
+                                "alice_tables": [[0, 1, 1], [1, 0, 0]],
+                                "bob_tables": [[0, 0, 1]]},
+        "leggett_24": {"type": "leggett", "n": 2, "grid": 24},
+        "leggett_weighted": {"type": "leggett", "n": 3,
+                             "vectors": [[1, 0, 0], [0, 0, 1], [0, 1, 0], [-1, 0, 0],
+                                         [0, 0, -1], [0, -1, 0]],
+                             "v_vectors": [[0, 0, 1], [1, 0, 0], [0, 0, -1], [0, 1, 0]],
+                             "weights": [0.1, 0.0, 0.2, 0.3, 0.15, 0.25]},
+        "leggett_uv": {"type": "leggett", "n": 2,
+                       "vectors": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                       "uv_weights": [[0.1, 0.2, 0.0], [0.3, 0.0, 0.1], [0.05, 0.05, 0.2]]},
+        "deterministic_uv": {"type": "local_deterministic", "n": 2,
+                             "alice_tables": [[0, 1], [1, 1], [0, 0]],
+                             "bob_tables": [[1, 0], [0, 0]],
+                             "uv_weights": [[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]},
+        "custom_table": {"type": "custom_table", "distribution": mix_with_noise(
+            qm_chained_distribution(3), 0.8).to_dict()},
+    }
 
     @pytest.mark.parametrize(
         "source, args, report, csv_sha256",
@@ -1024,25 +1105,64 @@ class TestGoldenStreams:
             (
                 "qm",
                 ("--n", "3", "--shots", "100000", "--seed", "7", "--visibility", "0.9"),
-                (0.6630852727871007, 0.7702566760968744, 10972),
-                "1b260744fca4ddc4ce109b08985e2f10b231827db53bc1454cefafaa523aa568",
+                # was (0.6630852727871007, 0.7702566760968744, 10972),
+                # CSV 1b260744fca4ddc4...
+                (0.6575521528605375, 0.7647077587240324, 10956),
+                "295a43e86d17e07182960f384e8a98ec637ebc6ca1e647281c6c952f40d2c35e",
             ),
             (
-                "model",
+                "nonlocal_qm",
                 ("--n", "2", "--shots", "100000", "--seed", "11"),
-                # Re-pinned when models were sampled through their hidden
-                # pair and table rows: (0.7224179087868057,
-                # 0.7686685497244454, 24909), CSV 794a90bd35874e2b...
-                (0.7309188277430609, 0.7771693238007212, 24901),
-                "632c50e32b3b95378d651d87b6a24e42fa6a6b6befcf5d59442ae679d9fec754",
+                # was (0.7309188277430609, 0.7771693238007212, 24901),
+                # CSV 632c50e32b3b9537...
+                (0.7397904925304086, 0.7860416420664926, 24748),
+                "b9c7633f9a9617cea9d5fdbab7b4e2637a49e69818cc667c63665d91190d8e3c",
+            ),
+            (
+                "local_deterministic",
+                ("--n", "3", "--shots", "30000", "--seed", "13"),
+                (3.013067586467985, 3.2087030889193766, 3289),
+                "95f8cfd00f1fe9c93e986a0200f2097daedf063166bc8392609b8e29123c8a15",
+            ),
+            (
+                "leggett_24",
+                ("--n", "2", "--shots", "20000", "--seed", "17"),
+                (1.9892274832210572, 2.0926473094953812, 4969),
+                "b2dc31e3a5c101b244517e6d5ad398a13ef4a0991641b22e624bb417af9aa215",
+            ),
+            (
+                "leggett_weighted",
+                ("--n", "3", "--shots", "30000", "--seed", "19"),
+                (3.062241054074728, 3.258483936868974, 3283),
+                "93b7c90d13f0a152d656a66e1c18249c00f8299f76025ad55d5c4c123c6b0e6b",
+            ),
+            (
+                "leggett_uv",
+                ("--n", "2", "--shots", "20000", "--seed", "23"),
+                (1.9113229076122198, 2.014742105304106, 4982),
+                "0e1ea35d795e568add7724b1c0c7852179c13ee09859bfea5697c28538b7dfe0",
+            ),
+            (
+                "deterministic_uv",
+                ("--n", "2", "--shots", "20000", "--seed", "29"),
+                (2.6747338401552776, 2.778155818877432, 4943),
+                "e08576c643f4ad047fd32897aaba905a7ee6d2b1d7f5509133383d5af0ac62e4",
+            ),
+            (
+                "custom_table",
+                ("--n", "3", "--shots", "30000", "--seed", "31"),
+                (0.9585664144755583, 1.1541634776586525, 3200),
+                "7be34d3f7d6e93f6b36c659d3a074c81fe08070357a6653db5136457fc3142b2",
             ),
         ],
-        ids=["qm", "nonlocal_qm"],
+        ids=["qm", "nonlocal_qm", "local_deterministic", "leggett_24", "leggett_weighted",
+             "leggett_uv", "deterministic_uv", "custom_table"],
     )
     def test_experiment(self, capsys, tmp_path, source, args, report, csv_sha256):
-        if source == "model":
-            source = tmp_path / "model.json"
-            source.write_text(json.dumps(self.NONLOCAL_QM))
+        if source != "qm":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(self.MODEL_KINDS[source]))
+            source = path
         out = tmp_path / "shots.csv"
         payloads = []
         for extra in ((), ("--out", str(out))):
@@ -1105,18 +1225,18 @@ class TestGoldenStreams:
                     "u_weights": [0.1, 0.2, 0.3, 0.4], "v_weights": [0.5, 0.25, 0.25],
                 },
                 ("--n", "3", "--shots", "50000", "--seed", "13"),
-                # Re-pinned with the model sampler: (3.0840746681988076,
-                # 3.235518589752653, 5509, 3.100000000000001), CSV 242f8f73...
-                (3.0914685867852656, 3.242912508339111, 5509, 3.1),
-                "0b0b64b5e315f35affd9333dafcb7fc61f5d5526e2068b3c3fafda652fbdc558",
+                # was (3.0914685867852656, 3.242912508339111, 5509, 3.1),
+                # CSV 0b0b64b5e315f35a...
+                (3.120860866960469, 3.2724022069437604, 5495, 3.1),
+                "06a02647f0a732f86a420fd00308866a9bb2656292d3ff4a61df88016f99f3d1",
             ),
             (
-                # Re-pinned with the model sampler: (1.9952584651570247,
-                # 2.1415190966524595, 2479, 1.9999999999999993), CSV e1c68886...
                 {"type": "leggett", "n": 2, "grid": 24},
                 ("--n", "2", "--shots", "10000", "--seed", "17"),
-                (1.9901921921188255, 2.1364918384501315, 2407, 2.0),
-                "72b6708da10ceb651f0421045f51a31f143707e72f90324208421e99f7d5320e",
+                # was (1.9901921921188255, 2.1364918384501315, 2407, 2.0),
+                # CSV 72b6708da10ceb65...
+                (2.009281273248054, 2.1555408830598384, 2480, 2.0),
+                "6e6a96d3ad3f570fc9df4382dc6b9a85991d5012f586627bfaf5ace7b3bf276a",
             ),
         ],
         ids=["local_deterministic", "leggett_grid_24"],

@@ -30,10 +30,12 @@ from chainedbell import (
     nonlocal_qm_model,
     qm_chained_distribution,
     read_shots_csv,
+    sample_counts,
     simulate_shots,
     write_shots_csv,
 )
-from chainedbell.experiment import _fold_counts, _inverse_cdf
+from chainedbell import experiment
+from chainedbell.experiment import _fold_counts, _inverse_cdf, _without_replacement
 from lemmas import induced_distribution, strategy_distribution
 
 
@@ -350,8 +352,8 @@ class TestBlockProperties:
         assert np.array_equal(back, whole)
 
 
-# Reference forms of the shot kernels, written with row sums, fancy indexing
-# and axis-0 reductions; the library must agree with them exactly.
+# Reference forms of the shot kernels, written with loops, row sums and
+# fancy indexing; the library must agree with them exactly.
 
 
 def reference_inverse_cdf(cdf, r):
@@ -360,51 +362,69 @@ def reference_inverse_cdf(cdf, r):
     return np.minimum((r[:, None] >= cdf).sum(axis=1), cdf.shape[-1] - 1)
 
 
+def reference_posterior(rng, groups, weights_of):
+    """One index per row: one uniform per row drawn at once, then, group
+    by group in increasing order of the group tuple, the group's rows in
+    row order take the next uniforms against the group's weights."""
+    r = rng.random(len(groups))
+    out = np.zeros(len(groups), dtype=np.int64)
+    used = 0
+    for group in sorted(set(groups)):
+        rows = [i for i, g in enumerate(groups) if g == group]
+        cdf = np.cumsum(weights_of(*group))
+        cdf = cdf / cdf[-1]
+        out[rows] = reference_inverse_cdf(cdf, r[used:used + len(rows)])
+        used += len(rows)
+    return out
+
+
+def reference_hidden_pair(rng, model, a, b, x, y):
+    """P(u, v | a, b, x, y): the prior for a table; p_u·A[a, :, x] and
+    p_v·B[b, :, y] for product weights; for joint weights u from
+    A[a, :, x]·(p_uv @ B[b, :, y]), then v from p_uv[u, :]·B[b, :, y]."""
+    rows = list(zip(a.tolist(), b.tolist(), x.tolist(), y.tolist()))
+    if model.table is not None:
+        return [reference_posterior(rng, [()] * len(rows), lambda: w) for w in (model.p_u, model.p_v)]
+    A, B = model.alice, model.bob
+    if model.p_uv is None:
+        u = reference_posterior(rng, [(a_, x_) for a_, _, x_, _ in rows],
+                                lambda a_, x_: model.p_u * A[a_, :, x_])
+        v = reference_posterior(rng, [(b_, y_) for _, b_, _, y_ in rows],
+                                lambda b_, y_: model.p_v * B[b_, :, y_])
+        return [u, v]
+    u = reference_posterior(rng, rows, lambda a_, b_, x_, y_:
+                            A[a_, :, x_] * (model.p_uv @ B[b_, :, y_]))
+    v = reference_posterior(rng, [(b_, y_, u_) for (_, b_, _, y_), u_ in zip(rows, u.tolist())],
+                            lambda b_, y_, u_: model.p_uv[u_] * B[b_, :, y_])
+    return [u, v]
+
+
 def reference_stream(source, n, shots, seed, chunk=65536):
-    """Shot blocks of a two-party table from fancy-indexed CDF rows, the
-    row-sum inverse CDF and ``column_stack``."""
-    cdfs = source.table.reshape(n, n, 4).cumsum(axis=-1)
+    """The shot stream, written out: the setting-pair counts as one
+    multinomial and each pair's (x, y) counts as one multinomial of its
+    own; then per block its make-up drawn without replacement from the
+    counts left (the last block takes them all), its rows laid out cell
+    by cell and shuffled, the settings and outcomes read off each row's
+    cell (a, b, x, y), and for a model each row's hidden pair."""
+    model = source if isinstance(source, HiddenVariableModel) else None
+    rows = (source.table if model is None else chain_table(model).table).reshape(n * n, 4)
     rng = np.random.default_rng(seed)
-    remaining = shots
-    while remaining > 0:
-        k = min(chunk, remaining)
-        remaining -= k
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        r = rng.random(k)
-        idx = reference_inverse_cdf(cdfs[a, b], r)
-        yield np.column_stack((a, b, *np.unravel_index(idx, (2, 2))))
-
-
-def reference_model_stream(model, n, shots, seed, chunk=65536):
-    """Shot blocks of a model: the hidden pair from the row-sum inverse CDF
-    over each side's weights (or over ``p_uv`` flattened), then each
-    outcome from a fancy-indexed response row (or both from the table's
-    row), and ``column_stack``."""
-    rng = np.random.default_rng(seed)
-
-    def inverse(p, r):
-        return reference_inverse_cdf(np.broadcast_to(np.cumsum(p), (len(r), p.size)), r)
-
-    remaining = shots
-    while remaining > 0:
-        k = min(chunk, remaining)
-        remaining -= k
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        if model.p_uv is None:
-            u = inverse(model.p_u, rng.random(k))
-            v = inverse(model.p_v, rng.random(k))
-        else:
-            u, v = np.unravel_index(inverse(model.p_uv.ravel(), rng.random(k)), model.p_uv.shape)
-        if model.table is None:
-            x = reference_inverse_cdf(model.alice[a, u].cumsum(axis=-1), rng.random(k))
-            y = reference_inverse_cdf(model.bob[b, v].cumsum(axis=-1), rng.random(k))
-        else:
-            xy = reference_inverse_cdf(model.table.reshape(n, n, 4).cumsum(axis=-1)[a, b],
-                                       rng.random(k))
-            x, y = np.unravel_index(xy, (2, 2))
-        yield np.column_stack((a, b, x, y, u, v))
+    per_pair = rng.multinomial(shots, [1.0 / (n * n)] * (n * n))
+    remaining = np.concatenate([rng.multinomial(m, row) for m, row in zip(per_pair, rows)])
+    cells = [(a, b, x, y) for a in range(n) for b in range(n) for x in (0, 1) for y in (0, 1)]
+    left = shots
+    while left > 0:
+        k = min(chunk, left)
+        part = remaining.copy() if k == left else rng.multivariate_hypergeometric(remaining, k)
+        remaining -= part
+        left -= k
+        order = np.array([c for c, m in enumerate(part) for _ in range(m)], dtype=np.int64)
+        rng.shuffle(order)
+        a, b, x, y = np.array([cells[c] for c in order]).T
+        columns = [a, b, x, y]
+        if model is not None:
+            columns += reference_hidden_pair(rng, model, a, b, x, y)
+        yield np.column_stack(columns)
 
 
 def reference_fold(blocks, n):
@@ -462,16 +482,6 @@ FINAL_UNDER_ONE = (
 
 
 class TestInverseCdf:
-    @settings(max_examples=300, deadline=None)
-    @given(cdf_rows_and_draws())
-    @example(FINAL_UNDER_ONE)
-    def test_per_draw_rows_match_the_row_sum(self, case):
-        cdf, r = case
-        before = cdf.copy()
-        got = _inverse_cdf(cdf, r)
-        assert np.array_equal(got, reference_inverse_cdf(cdf, r))
-        assert np.array_equal(cdf, before)
-
     @settings(max_examples=100, deadline=None)
     @given(cdf_rows_and_draws())
     @example(FINAL_UNDER_ONE)
@@ -506,33 +516,88 @@ MODEL_SOURCES = {
 }
 
 
+SOURCES = {
+    "qm": (qm_chained_distribution(3), 20_000, 65536),
+    "noisy_qm_small_chunks": (mix_with_noise(qm_chained_distribution(5), 0.9), 7_000, 1000),
+    **MODEL_SOURCES,
+}
+
+
 class TestSamplerMatchesReference:
-    @pytest.mark.parametrize(
-        "source, n, shots, chunk",
-        [
-            (qm_chained_distribution(3), 3, 20_000, 65536),
-            (mix_with_noise(qm_chained_distribution(5), 0.9), 5, 7_000, 1000),
-        ],
-        ids=["qm", "noisy_qm_small_chunks"],
-    )
-    def test_stream_is_identical(self, source, n, shots, chunk):
-        got = list(simulate_shots(source, n, shots, seed=29, chunk=chunk))
-        ref = list(reference_stream(source, n, shots, seed=29, chunk=chunk))
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_stream_is_identical(self, name):
+        source, shots, chunk = SOURCES[name]
+        n = source.input_sizes[0] if isinstance(source, ConditionalDistribution) \
+            else source.n_settings
+        got = list(simulate_shots(source, n, shots, seed=31, chunk=chunk))
+        ref = list(reference_stream(source, n, shots, seed=31, chunk=chunk))
         assert [len(block) for block in got] == [len(block) for block in ref]
         for mine, theirs in zip(got, ref):
             assert mine.dtype == np.int64 and mine.flags.c_contiguous
+            assert mine.shape[1] == (4 if isinstance(source, ConditionalDistribution) else 6)
             assert np.array_equal(mine, theirs)
 
-    @pytest.mark.parametrize("name", list(MODEL_SOURCES))
-    def test_model_stream_is_identical(self, name):
-        model, shots, chunk = MODEL_SOURCES[name]
-        n = model.n_settings
-        got = list(simulate_shots(model, n, shots, seed=31, chunk=chunk))
-        ref = list(reference_model_stream(model, n, shots, seed=31, chunk=chunk))
-        assert [len(block) for block in got] == [len(block) for block in ref]
-        for mine, theirs in zip(got, ref):
-            assert mine.dtype == np.int64 and mine.flags.c_contiguous and mine.shape[1] == 6
-            assert np.array_equal(mine, theirs)
+
+class TestStreamCarriesTheCounts:
+    """The stream orders the counts that ``sample_counts`` draws from the
+    same seed: its fold equals them exactly, block sizes and the route of
+    the without-replacement draw notwithstanding."""
+
+    @pytest.mark.parametrize("name", list(SOURCES))
+    @pytest.mark.parametrize("chunk", [65536, 777])
+    def test_fold_equals_the_drawn_counts(self, name, chunk):
+        source, shots, _ = SOURCES[name]
+        table = source if isinstance(source, ConditionalDistribution) else chain_table(source)
+        n = table.input_sizes[0]
+        blocks = list(simulate_shots(source, n, shots, seed=37, chunk=chunk))
+        assert [len(block) for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        for got, drawn in zip(_fold_counts(blocks, n), sample_counts(table, n, shots, seed=37)):
+            assert drawn.dtype == np.int64
+            assert np.array_equal(got, drawn)
+
+    def test_thinned_draws_keep_the_counts(self, monkeypatch):
+        # Above NumPy's item limit each block is drawn from a thinned
+        # population; a lowered limit sends every block of this run there.
+        monkeypatch.setattr(experiment, "_HYPERGEOMETRIC_ITEMS", 1000)
+        model, shots, _ = MODEL_SOURCES["leggett_uv"]
+        blocks = list(simulate_shots(model, 2, shots, seed=41, chunk=50))
+        counts, mism = sample_counts(chain_table(model), 2, shots, seed=41)
+        got_counts, got_mism = _fold_counts(blocks, 2)
+        assert np.array_equal(got_counts, counts) and np.array_equal(got_mism, mism)
+
+    def test_thinned_draw_is_hypergeometric(self, monkeypatch):
+        # The first colour's count among 50 items drawn without replacement
+        # from (1000, 2500, 0, 1500), through thinning, against the exact
+        # hypergeometric CDF: Dvoretzky-Kiefer-Wolfowitz radius at failure
+        # 1e-9 (fixed seed).
+        from scipy.stats import hypergeom
+
+        monkeypatch.setattr(experiment, "_HYPERGEOMETRIC_ITEMS", 1000)
+        counts = np.array([1000, 2500, 0, 1500])
+        rng = np.random.default_rng(43)
+        reps = 4000
+        parts = np.array([_without_replacement(rng, counts, 5000, 50) for _ in range(reps)])
+        assert (parts.sum(axis=1) == 50).all() and (parts[:, 2] == 0).all()
+        assert (parts <= counts).all()
+        support = np.arange(51)
+        ecdf = (parts[:, :1] <= support).mean(axis=0)
+        radius = math.sqrt(math.log(2 / 1e-9) / (2 * reps))
+        assert np.abs(ecdf - hypergeom(5000, 1000, 50).cdf(support)).max() <= radius
+
+    @pytest.mark.parametrize("shots", [10**15, 2**63 - 1])
+    def test_counts_at_any_shot_count(self, shots):
+        # O(N²) whatever the shot count, up to the int64 limit.
+        counts, mism = sample_counts(qm_chained_distribution(3), 3, shots, seed=47)
+        assert counts.sum() == shots and (mism <= counts).all()
+
+    def test_bad_runs_rejected(self):
+        table = qm_chained_distribution(2)
+        with pytest.raises(ValueError, match="shots"):
+            sample_counts(table, 2, 0, seed=0)
+        with pytest.raises(ValueError, match="settings"):
+            sample_counts(table, 3, 10, seed=0)
+        with pytest.raises(ValueError, match="chunk"):
+            list(simulate_shots(table, 2, 10, seed=0, chunk=0))
 
 
 class TestModelSamplerMatchesTheTable:

@@ -8,13 +8,14 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import chainedbell
-from chainedbell import cli
+from chainedbell import cli, experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -216,6 +217,23 @@ class TestOneSampler:
                  and (calls := inverse_cdf_calls(path.read_text()))}
         assert found == {}
         assert inverse_cdf_calls((ROOT / "src" / "chainedbell" / "experiment.py").read_text())
+
+    def test_experiment_without_out_draws_counts_not_shots(self, monkeypatch):
+        # Without --out the estimate reads drawn counts: neither the shot
+        # stream nor the fold runs, so 1e15 shots cost what 1e3 do.
+        def refuse(*args, **kwargs):
+            raise AssertionError("shots were streamed or folded")
+
+        for owner in (cli, experiment):
+            monkeypatch.setattr(owner, "simulate_shots", refuse)
+        monkeypatch.setattr(experiment, "_fold_counts", refuse)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["experiment", "--source", "qm", "--n", "4",
+                             "--shots", "1000000000000000", "--seed", "3"])
+        report = json.loads(out.getvalue())["report"]
+        assert code == 0
+        assert report["upper_bound"] >= report["point_estimate"]
 
     def test_no_array_over_setting_pairs_and_hidden_pairs(self):
         found = {path.name: lines for path in self.modules()
