@@ -37,10 +37,8 @@ from .distributions import (
 )
 from .experiment import (
     MissingSettingPairError,
-    estimate_chain_value,
     estimate_from_counts,
     max_locality_bound,
-    read_shots_csv,
     sample_counts,
     simulate_shots,
     write_shots_csv,
@@ -204,14 +202,8 @@ def cmd_experiment(args) -> tuple[dict, int]:
         source = model_from_json_file(args.source, args.n)
         table = chain_table(source)
     reference = evaluate_chain(table, args.n).value
-    if args.out:
-        # The stream draws the same counts as sample_counts, then orders
-        # them into shots; the estimate reads them back from the file.
-        write_shots_csv(simulate_shots(source, args.n, args.shots, seed), args.out)
-        report = estimate_chain_value(read_shots_csv(args.out), args.n, args.confidence)
-    else:
-        counts, mismatches = sample_counts(table, args.n, args.shots, seed)
-        report = estimate_from_counts(counts, mismatches, args.n, args.confidence)
+    counts, mismatches = sample_counts(table, args.n, args.shots, seed)
+    report = estimate_from_counts(counts, mismatches, args.n, args.confidence)
     payload = {
         "seed": seed,
         "source": str(args.source),
@@ -221,6 +213,10 @@ def cmd_experiment(args) -> tuple[dict, int]:
         "reference_chain_value": reference,
     }
     if args.out:
+        # The stream draws the same counts from the same seed and orders
+        # them into shots.  It is written after the estimate, so that a
+        # run that fails leaves no file.
+        write_shots_csv(simulate_shots(source, args.n, args.shots, seed), args.out)
         payload["out"] = str(args.out)
     return payload, 0
 

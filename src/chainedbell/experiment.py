@@ -35,13 +35,13 @@ __all__ = [
 
 
 _COLUMNS = ("a", "b", "x", "y", "u", "v")
+# Rows per shot block, streamed and read back alike.
 _CHUNK_ROWS = 65536
 _WRITE_ROWS = 4096
 # NumPy's multivariate hypergeometric draw takes fewer than 1e9 items in
-# all.  A block holds at most 2**29 rows, so that the thinned population
-# a block is drawn from (see _without_replacement) stays below that.
+# all.  A block's rows are far fewer, so the thinned population a block
+# is drawn from (see _without_replacement) stays below that.
 _HYPERGEOMETRIC_ITEMS = 10**9
-_MAX_BLOCK_ROWS = 2**29
 
 
 class MissingSettingPairError(RuntimeError):
@@ -200,15 +200,10 @@ def _block(rng, cells: np.ndarray, n: int, model) -> np.ndarray:
     return block
 
 
-def simulate_shots(
-    source,
-    n: int,
-    shots: int,
-    seed: int,
-    chunk: int = _CHUNK_ROWS,
-) -> Iterator[np.ndarray]:
-    """Generate a reproducible stream of shot blocks, at most ``chunk``
-    shots each, with settings drawn uniformly and independently per shot.
+def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray]:
+    """Generate a reproducible stream of shot blocks, at most 65 536 shots
+    each (``_CHUNK_ROWS``), with settings drawn uniformly and independently
+    per shot.
 
     The source is a two-party binary table or a
     :class:`HiddenVariableModel`, whose :func:`chain_table` gives the
@@ -233,14 +228,12 @@ def simulate_shots(
     else:
         raise TypeError("source must be a two-party table or a hidden-variable model")
     _check_run(table, n, shots)
-    if chunk < 1:
-        raise ValueError("chunk must be at least 1")
     rng = np.random.default_rng(seed)
     remaining = _draw_cells(rng, table, shots)
     cells = np.arange(remaining.size)
     left = shots
     while left:
-        k = min(chunk, left, _MAX_BLOCK_ROWS)
+        k = min(_CHUNK_ROWS, left)
         if k < left:
             part = _without_replacement(rng, remaining, left, k)
             remaining -= part

@@ -36,8 +36,6 @@ from .distributions import (
 from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
 
 __all__ = [
-    "VECTOR_TOL",
-    "LOCAL_PART_TOL",
     "MARGINAL_INDEPENDENCE_TOL",
     "MAX_MODEL_ENTRIES",
     "HiddenVariableModel",
@@ -57,10 +55,6 @@ __all__ = [
     "model_from_json_file",
 ]
 
-VECTOR_TOL = 1e-12
-# A model table must have well-defined local parts: each side's outcome
-# marginal may depend only on its own setting.
-LOCAL_PART_TOL = 1e-9
 # The hidden-variable marginal must not depend on the chosen setting
 # (settings are drawn independently of the hidden variables).
 MARGINAL_INDEPENDENCE_TOL = 1e-6
@@ -136,13 +130,14 @@ class HiddenVariableModel:
     @staticmethod
     def _check_local_parts(table: np.ndarray) -> None:
         """The table form's non-signaling check: each side's outcome
-        marginal moves by at most ``LOCAL_PART_TOL`` across the other's settings."""
+        marginal moves by at most ``NORM_TOL`` across the other's settings,
+        so that the table has well-defined local parts."""
         k00, k01, k10, k11 = (table[..., x, y] for x in (0, 1) for y in (0, 1))
         x0, x1 = k00 + k01, k10 + k11  # Alice's outcome marginal, (N, N)
         dev_x = float((0.5 * (np.abs(x0 - x0[:, :1]) + np.abs(x1 - x1[:, :1]))).max())
         y0, y1 = k00 + k10, k01 + k11  # Bob's
         dev_y = float((0.5 * (np.abs(y0 - y0[:1]) + np.abs(y1 - y1[:1]))).max())
-        if max(dev_x, dev_y) > LOCAL_PART_TOL:
+        if max(dev_x, dev_y) > NORM_TOL:
             raise ValueError(
                 "averaged responses leak across sides: one side's outcome "
                 f"marginal depends on the other side's context (deviation "
@@ -175,7 +170,7 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     # Whole-column adds: NumPy reduces a 3-long axis one row at a time.
     norms = np.sqrt(arr[:, 0] * arr[:, 0] + arr[:, 1] * arr[:, 1] + arr[:, 2] * arr[:, 2])
-    if np.abs(norms - 1.0).max() > VECTOR_TOL:
+    if np.abs(norms - 1.0).max() > IDENTITY_TOL:
         raise ValueError(f"{name} must contain unit vectors")
     return arr
 

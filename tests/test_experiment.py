@@ -292,6 +292,19 @@ class TestFoldChecks:
         with pytest.raises(ValueError, match="outside"):
             estimate_chain_value([block], 3, 0.99)
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["2,0,0,1\r\n", "0,0,1,1\r\n-1,1,0,1\r\n", "0,1,0,1\r\n0,0.5,0,1\r\n"],
+        ids=["a_equals_n", "negative_a", "non_integer_cell"],
+    )
+    def test_malformed_csv_row_rejected(self, tmp_path, rows):
+        # The reader rejects a non-integer cell, the fold a setting
+        # outside [0, N).
+        path = tmp_path / "shots.csv"
+        path.write_text("a,b,x,y\r\n" + rows, newline="")
+        with pytest.raises(ValueError):
+            estimate_chain_value(read_shots_csv(path), 2, 0.99)
+
     def test_non_shot_blocks_rejected(self, tmp_path):
         for block in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.zeros((2, 4))):
@@ -525,11 +538,12 @@ SOURCES = {
 
 class TestSamplerMatchesReference:
     @pytest.mark.parametrize("name", list(SOURCES))
-    def test_stream_is_identical(self, name):
+    def test_stream_is_identical(self, name, monkeypatch):
         source, shots, chunk = SOURCES[name]
         n = source.input_sizes[0] if isinstance(source, ConditionalDistribution) \
             else source.n_settings
-        got = list(simulate_shots(source, n, shots, seed=31, chunk=chunk))
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", chunk)
+        got = list(simulate_shots(source, n, shots, seed=31))
         ref = list(reference_stream(source, n, shots, seed=31, chunk=chunk))
         assert [len(block) for block in got] == [len(block) for block in ref]
         for mine, theirs in zip(got, ref):
@@ -545,11 +559,12 @@ class TestStreamCarriesTheCounts:
 
     @pytest.mark.parametrize("name", list(SOURCES))
     @pytest.mark.parametrize("chunk", [65536, 777])
-    def test_fold_equals_the_drawn_counts(self, name, chunk):
+    def test_fold_equals_the_drawn_counts(self, name, chunk, monkeypatch):
         source, shots, _ = SOURCES[name]
         table = source if isinstance(source, ConditionalDistribution) else chain_table(source)
         n = table.input_sizes[0]
-        blocks = list(simulate_shots(source, n, shots, seed=37, chunk=chunk))
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", chunk)
+        blocks = list(simulate_shots(source, n, shots, seed=37))
         assert [len(block) for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
         for got, drawn in zip(_fold_counts(blocks, n), sample_counts(table, n, shots, seed=37)):
             assert drawn.dtype == np.int64
@@ -559,8 +574,9 @@ class TestStreamCarriesTheCounts:
         # Above NumPy's item limit each block is drawn from a thinned
         # population; a lowered limit sends every block of this run there.
         monkeypatch.setattr(experiment, "_HYPERGEOMETRIC_ITEMS", 1000)
+        monkeypatch.setattr(experiment, "_CHUNK_ROWS", 50)
         model, shots, _ = MODEL_SOURCES["leggett_uv"]
-        blocks = list(simulate_shots(model, 2, shots, seed=41, chunk=50))
+        blocks = list(simulate_shots(model, 2, shots, seed=41))
         counts, mism = sample_counts(chain_table(model), 2, shots, seed=41)
         got_counts, got_mism = _fold_counts(blocks, 2)
         assert np.array_equal(got_counts, counts) and np.array_equal(got_mism, mism)
@@ -596,8 +612,6 @@ class TestStreamCarriesTheCounts:
             sample_counts(table, 2, 0, seed=0)
         with pytest.raises(ValueError, match="settings"):
             sample_counts(table, 3, 10, seed=0)
-        with pytest.raises(ValueError, match="chunk"):
-            list(simulate_shots(table, 2, 10, seed=0, chunk=0))
 
 
 class TestModelSamplerMatchesTheTable:

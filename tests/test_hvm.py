@@ -35,7 +35,7 @@ from chainedbell import (
 )
 from chainedbell import hvm
 from chainedbell.distributions import IDENTITY_TOL, _l1_upper_bounds, _max_pairwise_tv
-from chainedbell.hvm import LOCAL_PART_TOL, NORM_TOL, _malus_responses
+from chainedbell.hvm import NORM_TOL, _malus_responses
 from chainedbell.quantum import _chained_angles
 from lemmas import (
     falsify_leggett,
@@ -867,7 +867,7 @@ class TestResponseReferences:
         table[1, 2][cells[0]] += leak
         table[1, 2][cells[1]] -= leak
         deviation = reference_local_deviation(table)
-        if deviation > LOCAL_PART_TOL:
+        if deviation > NORM_TOL:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
                 HiddenVariableModel._check_local_parts(table)
             with pytest.raises(ValueError, match="leak"):

@@ -235,6 +235,30 @@ class TestOneSampler:
         assert code == 0
         assert report["upper_bound"] >= report["point_estimate"]
 
+    def test_experiment_with_out_reports_the_drawn_counts(self, monkeypatch, tmp_path):
+        # With --out the report still reads the drawn counts: the CSV is
+        # only written, never read back or folded.
+        def run(*extra):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["experiment", "--source", "qm", "--n", "3",
+                                 "--shots", "20000", "--seed", "3", *extra])
+            assert code == 0
+            return json.loads(out.getvalue())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shot CSV was read back or folded")
+
+        without = run()
+        for owner in (cli, experiment):
+            monkeypatch.setattr(owner, "read_shots_csv", refuse, raising=False)
+        monkeypatch.setattr(experiment, "_fold_counts", refuse)
+        path = tmp_path / "shots.csv"
+        with_out = run("--out", str(path))
+        assert with_out.pop("out") == str(path)
+        assert with_out == without
+        assert path.stat().st_size > 0
+
     def test_no_array_over_setting_pairs_and_hidden_pairs(self):
         found = {path.name: lines for path in self.modules()
                  if (lines := dense_einsums(path.read_text()))}
