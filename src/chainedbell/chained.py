@@ -1,5 +1,6 @@
-"""Chain score evaluation, its quantum closed form, the classical
-brute-force minimum, and the biased-marginal linear program."""
+"""Chain score evaluation, its quantum closed form, the classical minimum
+(a parity proof with a checked witness), and the biased-marginal linear
+program."""
 
 from __future__ import annotations
 
@@ -85,9 +86,10 @@ class BiasedChainLP:
 # Outcome cells (x, y) that each kind of chain term counts.
 _TERM_CELLS = {"differ": ((0, 1), (1, 0)), "match": ((0, 0), (1, 1))}
 
-# Largest chain length the biased-marginal LP accepts: its argmin is a
+# Largest chain length that the two certificate-checked minima, the
+# classical one and the biased-marginal LP, accept: the LP's argmin is a
 # dense table of 4N^2 entries that goes to stdout (40 000 at N = 100).
-_LP_MAX_N = 100
+_MAX_N = 100
 
 
 def chain_pairs(n: int) -> list[tuple[int, int, str]]:
@@ -142,55 +144,34 @@ def noisy_chain_closed_form(n: int, visibility: float) -> float:
     return visibility * quantum_chain_closed_form(n) + (1.0 - visibility) * n
 
 
-def _strategy_scores(n: int) -> np.ndarray:
-    """Chain values of all 4^N deterministic strategy pairs, as a
-    ``(2^N, 2^N)`` array indexed by (Alice index, Bob index).
-
-    Each score is ``popcount(s ^ t) + popcount(r ^ t)``, where ``r`` is
-    ``s`` rotated left by one within N bits with bit 0 flipped; see
-    :func:`classical_min_chain_value` for the terms this counts."""
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint16)
-    pop = np.zeros(size, dtype=np.uint8)
-    for k in range(n):
-        pop[1 << k : 2 << k] = pop[: 1 << k] + 1
-    r = (((idx << 1) | (idx >> (n - 1))) & (size - 1)) ^ 1
-    scores = np.take(pop, np.bitwise_xor.outer(idx, idx))
-    scores += np.take(pop, np.bitwise_xor.outer(r, idx))
-    return scores
-
-
 def classical_min_chain_value(n: int) -> BruteForceResult:
-    """Exhaustively minimize the chain value over the 4^N deterministic
-    local strategy pairs.
+    """Minimize the chain value over local strategies, in closed form: the
+    local bound of the chained inequality (Braunstein & Caves, Ann. Phys.
+    202, 22 (1990)).
 
     The chain value is linear in the table, so its minimum over shared-
-    randomness mixtures is attained at a deterministic pair; ties break to
-    the smallest (alice, bob) assignment index.
+    randomness mixtures is attained at a deterministic pair: Alice's bits
+    ``f`` and Bob's bits ``g``.  Each setting's bit appears in exactly two
+    of the 2N chain terms, so the XORs ``f[a] ^ g[b]`` over the 2N terms
+    sum to 0 mod 2.  Each ``differ`` term scores its XOR and the wrap
+    ``match`` term scores ``1 ^ XOR``, so the scores sum to 1 mod 2: every
+    deterministic pair scores an odd integer, which is at least 1.
 
-    Strategy index ``s`` (row-major ``itertools.product`` order) maps
-    setting ``i`` to bit ``(s >> (N-1-i)) & 1``.  The pair ``(s, t)``
-    (Alice ``f``, Bob ``g``) then scores three popcount terms:
-
-    - ``popcount(s ^ t)``: the N terms ``f[i] != g[i]``;
-    - ``popcount(((s << 1) ^ t) & (2^N - 2))``: the N-1 terms
-      ``f[i+1] != g[i]``;
-    - ``1 - (((s >> (N-1)) ^ t) & 1)``: the wrap term ``f[0] == g[N-1]``.
-
-    The last two read bits 1..N-1 and bit 0 of one word, ``s`` rotated left
-    by one with bit 0 flipped, so every pair costs two XORs and two table
-    lookups.  Every pair is scored.
+    The all-zeros pair scores only on the wrap term, so it attains 1.
+    With strategy index ``s`` mapping setting ``i`` to bit
+    ``(s >> (N-1-i)) & 1``, it is index 0 on both sides: the first minimum
+    in row-major (Alice index, Bob index) order.  No search runs.  The
+    witness is scored term by term over :func:`chain_pairs`, and a score
+    other than 1 raises ArithmeticError.
     """
-    if not 2 <= n <= 10:
-        raise ValueError("brute force supports 2 <= N <= 10")
-    scores = _strategy_scores(n)
-    flat = int(np.argmin(scores))  # first minimum in row-major order
-    s, t = divmod(flat, scores.shape[1])
-    witness = DeterministicStrategy(
-        tuple((s >> (n - 1 - i)) & 1 for i in range(n)),
-        tuple((t >> (n - 1 - i)) & 1 for i in range(n)),
-    )
-    return BruteForceResult(float(scores[s, t]), witness)
+    if not 2 <= n <= _MAX_N:
+        raise ValueError(f"classical minimum supports 2 <= N <= {_MAX_N}")
+    witness = DeterministicStrategy((0,) * n, (0,) * n)
+    f, g = witness.alice_map, witness.bob_map
+    score = sum((f[a], g[b]) in _TERM_CELLS[kind] for a, b, kind in chain_pairs(n))
+    if score != 1:
+        raise ArithmeticError(f"classical minimum: the all-zeros witness scores {score}, not 1")
+    return BruteForceResult(float(score), witness)
 
 
 def _chain_pair_lp(n: int, delta: float, branch_x: int):
@@ -315,8 +296,8 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     builds (see :func:`_certified_value`).  A failed check raises
     ArithmeticError; nothing falls back to an iterative solver.
     """
-    if not 2 <= n <= _LP_MAX_N:
-        raise ValueError(f"LP probe supports 2 <= N <= {_LP_MAX_N}")
+    if not 2 <= n <= _MAX_N:
+        raise ValueError(f"LP probe supports 2 <= N <= {_MAX_N}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError("delta must lie in [0, 1/2]")
     values: list[float] = []

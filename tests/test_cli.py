@@ -1238,11 +1238,17 @@ class TestGoldenStreams:
 
 
 class TestBruteforceAndLp:
-    def test_bruteforce(self, capsys):
-        code, payload = run_cli(capsys, "bruteforce", "--n", "3")
+    @pytest.mark.parametrize("n", [3, 11, 100])
+    def test_bruteforce(self, capsys, n):
+        code, payload = run_cli(capsys, "bruteforce", "--n", str(n))
         assert code == 0
         assert payload["min_value"] == 1.0
-        assert len(payload["witness"]["alice_map"]) == 3
+        assert payload["witness"] == {"alice_map": [0] * n, "bob_map": [0] * n}
+
+    def test_bruteforce_domain_error(self, capsys):
+        code, payload = run_cli(capsys, "bruteforce", "--n", "101")
+        assert code == 2
+        assert "2 <= N <= 100" in payload["error"]
 
     def test_lp_respects_lower_bound(self, capsys, tmp_path):
         out = tmp_path / "argmin.json"
@@ -1734,6 +1740,21 @@ class TestCertificateFailure:
         assert code == 3
         assert captured.err == ""
         assert json.loads(captured.out) == {"error": error}
+
+    def test_failed_witness_check_is_numerical_failure(self, capsys, monkeypatch):
+        # With the two kinds of chain term swapped, the all-zeros witness
+        # scores on every differ term instead of on the wrap term.
+        cells = chained._TERM_CELLS
+        monkeypatch.setattr(
+            chained, "_TERM_CELLS", {"differ": cells["match"], "match": cells["differ"]}
+        )
+        code = main(["bruteforce", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": "classical minimum: the all-zeros witness scores 5, not 1"
+        }
 
 
 class TestCrossCheckFailure:
