@@ -61,6 +61,8 @@ def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = secrets.randbits(32)
+    if seed < 0:  # NumPy's own message names no flag
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     return int(seed)
 
 

@@ -14,7 +14,6 @@ orthogonal vectors deterministic, which is not the intended physics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,15 +71,14 @@ class HiddenVariableModel:
     Any further shared variable is averaged into the responses: per-side
     ``alice`` (N, n_u, 2), P(x | a, u), and ``bob`` (N, n_v, 2),
     P(y | b, v), whose product is the outcome table given (a, b, u, v); or
-    one ``table`` (N, N, 2, 2), P(x, y | a, b), which the hidden variables
-    (weighed per side) do not enter.  The other form's attributes are
-    None, so memory grows with N·(n_u + n_v), or N² for a table.  Arrays
-    follow the table rule (:func:`_normalised`) and are made read-only.
-    ``bob`` may be a function that returns his responses, run on first
-    read; his alphabet is then that of ``p_v``.
+    one ``table``, the ConditionalDistribution P(x, y | a, b) of shape
+    (N, N, 2, 2), which the hidden variables (weighed per side) do not
+    enter.  The other form's attributes are None, so memory grows with
+    N·(n_u + n_v), or N² for a table.  Arrays follow the table rule
+    (:func:`_normalised`) and are made read-only.
     """
 
-    __slots__ = ("n_settings", "n_u", "n_v", "p_u", "p_v", "p_uv", "alice", "_bob", "table")
+    __slots__ = ("n_settings", "n_u", "n_v", "p_u", "p_v", "p_uv", "alice", "bob", "table")
 
     def __init__(self, n_settings: int, *, alice=None, bob=None, table=None,
                  p_u=None, p_v=None, p_uv=None):
@@ -93,14 +91,12 @@ class HiddenVariableModel:
             raise ValueError("joint weights p_uv go with per-side responses alone")
         if table is None:
             alice = _responses(alice, n_settings, "alice")
-            bob = bob if callable(bob) else _responses(bob, n_settings, "bob")
-            nu, nv = alice.shape[1], len(p_v) if callable(bob) else bob.shape[1]
+            bob = _responses(bob, n_settings, "bob")
+            nu, nv = alice.shape[1], bob.shape[1]
         else:
-            table = np.asarray(table, dtype=float)
-            if table.shape != (n_settings, n_settings, 2, 2):
-                raise ValueError(f"table must have shape (N, N, 2, 2), got {table.shape}")
-            table = _normalised(table, 2)
-            self._check_local_parts(table)
+            if table.table.shape != (n_settings, n_settings, 2, 2):
+                raise ValueError(f"table must have shape (N, N, 2, 2), got {table.table.shape}")
+            self._check_local_parts(table.table)
             nu, nv = (1 if w is None else len(w) for w in (p_u, p_v))
         if p_uv is not None:
             p_uv = _weights(p_uv, (nu, nv), "uv_weights")
@@ -110,19 +106,11 @@ class HiddenVariableModel:
             p_u = _weights(np.full(nu, 1.0 / nu) if p_u is None else p_u, (nu,), "u_weights")
             p_v = _weights(np.full(nv, 1.0 / nv) if p_v is None else p_v, (nv,), "v_weights")
         for name, value in (("n_settings", n_settings), ("n_u", nu), ("n_v", nv), ("p_u", p_u),
-                            ("p_v", p_v), ("p_uv", p_uv), ("alice", alice), ("_bob", bob),
+                            ("p_v", p_v), ("p_uv", p_uv), ("alice", alice), ("bob", bob),
                             ("table", table)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @property
-    def bob(self):
-        """Bob's responses, or None for the table form.  A Leggett model
-        builds them on first read: ``falsify`` reads only Alice's side."""
-        if callable(self._bob):
-            object.__setattr__(self, "_bob", _responses(self._bob(), self.n_settings, "bob"))
-        return self._bob
 
     def __setattr__(self, name, value):
         raise AttributeError("HiddenVariableModel is immutable")
@@ -233,17 +221,8 @@ def leggett_model(
     alice, bob = _chained_angles(n)
     uvecs = _unit_vectors(u_vectors, "u_vectors")
     vvecs = uvecs if v_vectors is None else _unit_vectors(v_vectors, "v_vectors")
-    # Bob's responses are built on first read (``falsify`` makes none), or
-    # now with joint weights, whose shape is checked against his grid.
-    bob_responses = functools.partial(_malus_responses, bob, vvecs)
-    if uv_weights is not None:
-        bob_responses = bob_responses()
-    elif v_weights is None:
-        v_weights = np.full(len(vvecs), 1.0 / len(vvecs))
-    elif np.shape(v_weights) != (len(vvecs),):
-        raise ValueError(f"v_weights must have shape {(len(vvecs),)}")
     return HiddenVariableModel(
-        n, alice=_malus_responses(alice, uvecs), bob=bob_responses,
+        n, alice=_malus_responses(alice, uvecs), bob=_malus_responses(bob, vvecs),
         p_u=u_weights, p_v=v_weights, p_uv=uv_weights,
     )
 
@@ -287,7 +266,7 @@ def nonlocal_qm_model(
     if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
         base = mix_with_noise(base, visibility)
     return HiddenVariableModel(
-        n, table=base.table, p_u=np.full(n_u, 1.0 / n_u), p_v=np.full(n_v, 1.0 / n_v)
+        n, table=base, p_u=np.full(n_u, 1.0 / n_u), p_v=np.full(n_v, 1.0 / n_v)
     )
 
 
@@ -296,7 +275,7 @@ def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
     model (trivial local variables).  The model rejects a table of another
     shape than (N, N, 2, 2) with N >= 2, and a signaling one, whose
     outcome marginals cannot come from a well-defined local part."""
-    return HiddenVariableModel(dist.input_sizes[0], table=dist.table)
+    return HiddenVariableModel(dist.input_sizes[0], table=dist)
 
 
 def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
@@ -309,7 +288,7 @@ def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
     if model.table is None:
         planes = (model.alice[:, :, 0], model.alice[:, :, 1])
     else:
-        t = model.table[:, 0]  # (N, 2, 2)
+        t = model.table.table[:, 0]  # (N, 2, 2)
         planes = ((t[:, 0, 0] + t[:, 0, 1])[:, None], (t[:, 1, 0] + t[:, 1, 1])[:, None])
     table = np.empty((n, 1, 2, nu))
     for x, plane in enumerate(planes):
@@ -329,12 +308,12 @@ def sampled_xu_table(p_xu: ConditionalDistribution, samples: int, seed) -> Condi
 
 def chain_table(model: HiddenVariableModel) -> ConditionalDistribution:
     """A model's outcome table P(x, y | a, b), hidden variables summed out:
-    its table, the product of the two sides' marginals under product
+    its own table, the product of the two sides' marginals under product
     weights, or the two responses contracted through ``p_uv``."""
-    n = model.n_settings
     if model.table is not None:
-        t = model.table
-    elif model.p_uv is None:
+        return model.table
+    n = model.n_settings
+    if model.p_uv is None:
         pa = np.einsum("u,aux->ax", model.p_u, model.alice)
         pb = np.einsum("v,bvy->by", model.p_v, model.bob)
         t = pa[:, None, :, None] * pb[None, :, None, :]
@@ -565,10 +544,10 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
     ``grid``, a ``nonlocal_qm`` alphabet, ``uv_weights`` (n_u·n_v), or
     ``n`` for the total with the responses N·(n_u + n_v) and a
     ``nonlocal_qm`` table's 4·N².  The model is built from those values;
-    Leggett ``uv_weights`` take precedence over ``weights``, which weigh
-    Bob's grid too when he has none of his own.  A ``custom_table`` is
-    bounded by its own input.  A field that the type does not read is
-    rejected, by name.
+    Leggett ``weights`` weigh Bob's grid too when he has none of his own.
+    A ``custom_table`` is bounded by its own input.  A field that the type
+    does not read is rejected, by name, and so is a weight field next to
+    ``uv_weights``, which weigh both sides.
     """
     fields = {"leggett": _LEGGETT_FIELDS, "local_deterministic": _DETERMINISTIC_FIELDS,
               "nonlocal_qm": _NONLOCAL_QM_FIELDS, "custom_table": _CUSTOM_TABLE_FIELDS}
@@ -578,6 +557,8 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
     for key in data:
         if key not in allowed:
             raise ValueError(f"{key} is not a field of a {kind} model document")
+        if key in ("weights", "u_weights", "v_weights") and "uv_weights" in data:
+            raise ValueError(f"{key} cannot go with uv_weights, which weigh both sides")
     if kind == "custom_table":
         model = table_model(ConditionalDistribution.from_dict(_field(data, "distribution")))
         if n is not None and model.n_settings != n:
@@ -608,14 +589,12 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
         vectors = (np.asarray(data["vectors"], dtype=float) if "vectors" in data
                    else inplane_grid(nu))
         v_vectors = data.get("v_vectors")
-        if "uv_weights" in data:
-            return leggett_model(n, vectors, v_vectors, uv_weights=data["uv_weights"])
         w = data.get("weights")
         w = None if w is None else _weights(w, (nu,), "weights")
-        return leggett_model(n, vectors, v_vectors, u_weights=w,
-                             v_weights=w if v_vectors is None else None)
+        return leggett_model(n, vectors, v_vectors, uv_weights=data.get("uv_weights"),
+                             u_weights=w, v_weights=w if v_vectors is None else None)
     tables = _field(data, "alice_tables"), _field(data, "bob_tables")
-    if "uv_weights" in data or ("u_weights" not in data and "v_weights" not in data):
+    if "u_weights" not in data and "v_weights" not in data:
         return local_deterministic_model(n, *tables, uv_weights=data.get("uv_weights"))
     missing = "v_weights" if "u_weights" in data else "u_weights"
     if missing not in data:

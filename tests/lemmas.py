@@ -208,7 +208,7 @@ def dense_kernels(model) -> np.ndarray:
     if model.table is None:
         raw = np.einsum("aux,bvy->abuvxy", model.alice, model.bob)
     else:
-        raw = np.broadcast_to(model.table[:, :, None, None], (n, n, nu, nv, 2, 2))
+        raw = np.broadcast_to(model.table.table[:, :, None, None], (n, n, nu, nv, 2, 2))
     return _normalised(raw, 2)
 
 

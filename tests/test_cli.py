@@ -640,6 +640,30 @@ class TestHostileDocuments:
 
     @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"type": "leggett", "n": 2, "grid": 2, "uv_weights": [[0.5, 0], [0, 0.5]],
+              "weights": [-7]}, "weights"),
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 0]],
+              "bob_tables": [[0, 0]], "uv_weights": [[1]], "u_weights": [-3, 9]}, "u_weights"),
+            ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 0]],
+              "bob_tables": [[0, 0]], "uv_weights": [[1]], "u_weights": [1],
+              "v_weights": [1]}, "u_weights"),
+        ],
+        ids=["leggett_weights", "lone_u_weights", "both_side_weights"],
+    )
+    def test_weights_next_to_uv_weights_are_usage_error(self, capsys, tmp_path, mode,
+                                                        document, field):
+        # uv_weights weigh both sides, so another weight field was ignored,
+        # however malformed; a lone u_weights also slipped past its rule.
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": f"{field} cannot go with uv_weights, which weigh both sides"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize(
         "given, missing", [("u_weights", "v_weights"), ("v_weights", "u_weights")]
     )
     def test_one_side_weights_alone_is_usage_error(self, capsys, tmp_path, mode, given, missing):
@@ -1651,8 +1675,9 @@ class TestHarness:
 
 
 class TestUsageErrorsAreJson:
-    """An argument the parser rejects prints one JSON error on stdout and
-    nothing on stderr, and exits 2, like every other usage error."""
+    """An argument the parser rejects, or a negative ``--seed``, prints one
+    JSON error on stdout, naming the argument, and nothing on stderr, and
+    exits 2, like every other usage error."""
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -1673,6 +1698,19 @@ class TestUsageErrorsAreJson:
         out, err = capsys.readouterr()
         assert code == 2
         assert one_document(out) == {"error": error}
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["falsify", "experiment"])
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path, command):
+        # NumPy's own text, "expected non-negative integer", names no flag.
+        model = tmp_path / "m.json"
+        model.write_text('{"type": "leggett", "n": 2, "grid": 4}')
+        argv = {"falsify": ["falsify", str(model), "--n", "2", "--shots", "10"],
+                "experiment": ["experiment", "--source", "qm", "--n", "2", "--shots", "10"]}
+        code = main(argv[command] + ["--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert one_document(out) == {"error": "--seed must be a non-negative integer, got -1"}
         assert err == ""
 
     def test_unknown_subcommand(self, capsys):

@@ -347,9 +347,10 @@ class TestNormalised:
         tables = np.full((2, 2, 2, 2), 0.25)
         tables[0, 0, 0, 0] += 5e-12
         tables[1, 1, 0, 0] += 1e-13
-        model = HiddenVariableModel(2, table=tables)
-        assert np.array_equal(bits(model.table[0, 0]), bits(tables[0, 0] / tables[0, 0].sum()))
-        assert np.array_equal(bits(model.table[1, 1]), bits(tables[1, 1]))
+        model = HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), tables))
+        t = model.table.table
+        assert np.array_equal(bits(t[0, 0]), bits(tables[0, 0] / tables[0, 0].sum()))
+        assert np.array_equal(bits(t[1, 1]), bits(tables[1, 1]))
         responses = np.broadcast_to(table, (2, 2, 2))
         model = HiddenVariableModel(2, alice=responses, bob=responses, p_u=table[1])
         for side in (model.alice, model.bob):

@@ -523,7 +523,7 @@ MODEL_SOURCES = {
                                   uv_weights=[[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]),
         20_000, 65536),
     "table_weighted": (
-        HiddenVariableModel(3, table=mix_with_noise(qm_chained_distribution(3), 0.8).table,
+        HiddenVariableModel(3, table=mix_with_noise(qm_chained_distribution(3), 0.8),
                             p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
         30_000, 65536),
 }

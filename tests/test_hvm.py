@@ -119,8 +119,20 @@ class TestModelConstruction:
             table_model(dist)
 
     def test_nonsignaling_table_accepted(self):
-        m = table_model(qm_chained_distribution(3))
-        assert m.n_settings == 3
+        # The model holds the distribution it was built from, unwrapped.
+        dist = qm_chained_distribution(3)
+        m = table_model(dist)
+        assert m.n_settings == 3 and m.table is dist
+
+    def test_leggett_bob_is_built_with_the_model(self):
+        # A plain read-only array from the start, by the Malus rule at
+        # Bob's angles, not a function run on first read.
+        m = leggett_model(3, inplane_grid(5), inplane_grid(4))
+        assert type(m.bob) is np.ndarray and not m.bob.flags.writeable
+        expected = _malus_responses(_chained_angles(3)[1], inplane_grid(4))
+        assert m.bob.tobytes() == expected.tobytes()
+        with pytest.raises(AttributeError, match="immutable"):
+            m.bob = expected
 
     def test_non_finite_responses_and_weights_rejected(self):
         # NaN compares false against every bound, so it needs its own check.
@@ -128,12 +140,13 @@ class TestModelConstruction:
         bad = table.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, table=bad)
+            HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), bad))
         responses = np.full((2, 1, 2), 0.5)
         with pytest.raises(ValueError, match="finite"):
             HiddenVariableModel(2, alice=bad[0], bob=responses)
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, table=table, p_u=[np.nan])
+            HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), table),
+                                p_u=[np.nan])
         with pytest.raises(ValueError, match="finite"):
             local_deterministic_model(2, [[0, 1], [1, 1]], [[0, 0]], [[np.nan], [1.0]])
 
@@ -156,16 +169,16 @@ class TestModelConstruction:
 
     def test_one_response_form(self):
         responses = np.full((2, 1, 2), 0.5)
+        table = ConditionalDistribution((2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="alice and bob, or one table"):
             HiddenVariableModel(2, alice=responses)
         with pytest.raises(ValueError, match="alice and bob, or one table"):
-            HiddenVariableModel(2, alice=responses, bob=responses,
-                                table=np.full((2, 2, 2, 2), 0.25))
+            HiddenVariableModel(2, alice=responses, bob=responses, table=table)
         for weights in ({"p_u": [1.0]}, {"p_v": [1.0]}):
             with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
                 HiddenVariableModel(2, alice=responses, bob=responses, p_uv=[[1.0]], **weights)
         with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
-            HiddenVariableModel(2, table=np.full((2, 2, 2, 2), 0.25), p_uv=[[1.0]])
+            HiddenVariableModel(2, table=table, p_uv=[[1.0]])
         with pytest.raises(ValueError, match=re.escape("(N, k, 2)")):
             HiddenVariableModel(3, alice=responses, bob=responses)
 
@@ -237,7 +250,7 @@ class TestPerSideTable:
         assert got.input_sizes == (n, n) and got.output_sizes == (2, 2)
         assert np.abs(got.table - xy).max() <= 1e-15
         if model.table is not None:
-            assert got.table.tobytes() == model.table.tobytes()
+            assert got is model.table
 
     def test_nonlocal_model_ignores_hidden_variables(self):
         # Dummy local variables: the (x, u) joint factorizes exactly into
@@ -746,6 +759,9 @@ class TestModelJson:
             HiddenVariableModel(2, alice=alice, bob=bob, p_uv=np.full((3, 2), 1.0 / 6.0))
         with pytest.raises(ValueError, match=re.escape("v_weights must have shape (3,)")):
             HiddenVariableModel(2, alice=alice, bob=bob, p_v=[0.5, 0.5])
+        # A Leggett model's weights meet the same check.
+        with pytest.raises(ValueError, match=re.escape("v_weights must have shape (3,)")):
+            leggett_model(2, inplane_grid(3), v_weights=[0.5, 0.5])
 
     def test_weights_follow_the_per_slice_rule(self):
         # Off 1 by 1e-13: kept bit for bit.  Off by 5e-10: divided once.
@@ -851,10 +867,11 @@ class TestResponseReferences:
     def test_normalised_tables_are_bit_equal(self):
         rng = np.random.default_rng(42)
         for raw in (qm_chained_distribution(7).table,
-                    nonlocal_qm_model(4, 0.8).table,
+                    nonlocal_qm_model(4, 0.8).table.table,
                     product_table(rng, 5) * (1.0 + 3e-12 * rng.uniform(-1, 1, (5, 5, 2, 2)))):
-            model = HiddenVariableModel(raw.shape[0], table=raw)
-            assert model.table.tobytes() == reference_rule(raw, 2).tobytes()
+            n = raw.shape[0]
+            model = HiddenVariableModel(n, table=ConditionalDistribution((n, n), (2, 2), raw))
+            assert model.table.table.tobytes() == reference_rule(raw, 2).tobytes()
 
     @pytest.mark.parametrize("leak", [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-3])
     @pytest.mark.parametrize("side", ["x", "y"])
@@ -871,7 +888,7 @@ class TestResponseReferences:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
                 HiddenVariableModel._check_local_parts(table)
             with pytest.raises(ValueError, match="leak"):
-                HiddenVariableModel(3, table=table)
+                HiddenVariableModel(3, table=ConditionalDistribution((3, 3), (2, 2), table))
         else:
             HiddenVariableModel._check_local_parts(table)
 

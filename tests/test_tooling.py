@@ -1,7 +1,7 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
-rule lives, its one sampler, its one locality kernel and its one model
-document reader."""
+rule lives, its one sampler, its one locality kernel, its one model
+document reader and its plain model record."""
 
 import ast
 import contextlib
@@ -432,3 +432,66 @@ class TestOneDocumentReader:
         assert owners(source, raises_too_large) == ["_check_size", "_model_of_kind"]
         assert owners(source, reads_budget) == ["<module>", "_check_size"]
         assert owners(source, names_a_sized_kind) == ["_check_size", "size"]
+
+
+def model_properties(source: str) -> list[str]:
+    """Members of a module's ``HiddenVariableModel`` that are computed on
+    read: decorated with a ``property`` or ``cached_property``, or bound
+    to a call of one."""
+    def is_property(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return name.endswith("property")
+
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "HiddenVariableModel"):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(map(is_property, node.decorator_list)):
+                found.append(node.name)
+            elif isinstance(node, ast.Assign) and is_property(node.value):
+                found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def callable_calls(source: str) -> list[str]:
+    """Lines of a module that call ``callable``, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "callable"]
+
+
+class TestPlainModelRecord:
+    """A model is a plain record: every attribute, Bob's responses
+    included, is built with the model, and a table-form model holds its
+    ConditionalDistribution.  A property or a callable argument would be
+    a second, lazy path."""
+
+    def test_the_model_computes_nothing_on_read(self):
+        source = (ROOT / "src" / "chainedbell" / "hvm.py").read_text()
+        assert model_properties(source) == []
+        assert callable_calls(source) == []
+
+    def test_the_checks_see_a_planted_lazy_path(self):
+        source = (
+            "class HiddenVariableModel:\n"
+            "    @property\n"
+            "    def bob(self):\n"
+            "        if callable(self._bob):\n"
+            "            self._bob = self._bob()\n"
+            "        return self._bob\n"
+            "    @functools.cached_property\n"
+            "    def alice(self):\n"
+            "        return 1\n"
+            "    table = property(lambda self: self._table)\n"
+            "    def n(self):\n"
+            "        'No property here: a docstring is no decorator.'\n"
+            "        return callable\n"
+            "class Other:\n"
+            "    @property\n"
+            "    def x(self):\n"
+            "        return 1\n"
+        )
+        assert model_properties(source) == ["bob", "alice", "table"]
+        assert callable_calls(source) == ["line 4"]
