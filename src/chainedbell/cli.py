@@ -30,6 +30,7 @@ from .chained import (
 )
 from .distributions import (
     ConditionalDistribution,
+    _json_float_list,
     _load_json,
     assert_nonsignaling,
     read_json_file,
@@ -55,6 +56,7 @@ from .hvm import (
 from .quantum import mix_with_noise, qm_chained_distribution
 
 _INT64_MAX = 2**63 - 1
+_TABLE_MARK = "<table>"  # no payload that holds a table holds a string
 
 
 def _resolve_seed(args) -> int:
@@ -91,7 +93,7 @@ def cmd_qm(args) -> tuple[dict, int]:
         write_json_file(dist, args.out)
         payload["out"] = str(args.out)
     else:
-        payload["distribution"] = dist.to_dict()
+        payload["distribution"] = dist
     return payload, 0
 
 
@@ -122,6 +124,8 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_falsify(args) -> tuple[dict, int]:
+    if args.shots is None and args.seed is not None:
+        raise ValueError("--seed applies only with --shots")
     raw = _load_json(args.model)
     n = args.n
     if n < 2:
@@ -171,11 +175,10 @@ def cmd_scan(args) -> tuple[dict, int]:
     # Build every row before opening --out, so a bad argument leaves no file.
     # A float repr holds no comma, quote or newline, so no field needs CSV
     # quoting; lines end in "\r\n", as the csv module's writer ends them.
-    rows = ["n,chain_value,locality_bound,qm_asymptote\r\n"]
-    for n in range(2, args.n_max + 1):
-        value = noisy_chain_closed_form(n, v)
-        rows.append("%d,%r,%r,%r\r\n" % (n, value, 0.5 * value, math.pi**2 / (8.0 * n)))
-    text = "".join(rows)
+    ns = range(2, args.n_max + 1)
+    text = "n,chain_value,locality_bound,qm_asymptote\r\n" + "".join([
+        f"{n},{value!r},{0.5 * value!r},{math.pi**2 / (8.0 * n)!r}\r\n"
+        for n, value in zip(ns, map(noisy_chain_closed_form, ns, [v] * len(ns)))])
     with open(args.out, "w", newline="") as fh:
         fh.write(text)
     return {"rows": args.n_max - 1, "visibility": v, "out": str(args.out)}, 0
@@ -247,7 +250,7 @@ def cmd_lp(args) -> tuple[dict, int]:
         write_json_file(result.argmin, args.out)
         payload["out"] = str(args.out)
     else:
-        payload["argmin"] = result.argmin.to_dict()
+        payload["argmin"] = result.argmin
     return payload, 0
 
 
@@ -318,6 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _payload_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, where a top-level table stands for
+    its ``to_dict()``.  The indented encoder formats floats one by one, so
+    the table is dumped as a marker, then its ``_json_float_list`` text is
+    spliced in at json's indent."""
+    for key, value in payload.items():
+        if isinstance(value, ConditionalDistribution):
+            doc = {**value._size_fields(), "table": _TABLE_MARK}
+            text = json.dumps({**payload, key: doc}, indent=2)
+            table = _json_float_list(value.table.ravel(), ",\n      ")
+            return text.replace(f'"{_TABLE_MARK}"', f"[\n      {table}\n    ]", 1)
+    return json.dumps(payload, indent=2)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -332,7 +349,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         text, code = json.dumps({"error": str(exc)}), 2
     else:
-        text = json.dumps(payload, indent=2)
+        text = _payload_text(payload)
     try:
         print(text)
         sys.stdout.flush()

@@ -411,9 +411,9 @@ def assert_nonsignaling(
     return NonSignalingReport(worst, worst <= tol, tol)
 
 
-def _json_float_list(flat: np.ndarray) -> str:
+def _json_float_list(flat: np.ndarray, sep: str = ", ") -> str:
     """``json.dumps(flat.tolist())`` for a 1-d float64 array, without the
-    brackets, formatting each distinct value once.
+    brackets and joined by ``sep``, formatting each distinct value once.
 
     Values are keyed by their bits, so ``0.0`` and ``-0.0`` keep their own
     text.  Table entries are finite by construction (the table constructor
@@ -422,7 +422,7 @@ def _json_float_list(flat: np.ndarray) -> str:
     """
     keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
     text = np.fromiter(map(repr, keys.view(np.float64).tolist()), object, len(keys))
-    return ", ".join(text[inverse].tolist())
+    return sep.join(text[inverse].tolist())
 
 
 def write_json_file(p: ConditionalDistribution, path: str | Path) -> None:
@@ -430,7 +430,8 @@ def write_json_file(p: ConditionalDistribution, path: str | Path) -> None:
 
     A chained table holds few distinct values (an N=200 quantum table has
     1 607 among 160 000 entries), so the table is formatted by
-    :func:`_json_float_list` and spliced after the size fields.
+    :func:`_json_float_list` and spliced after the size fields, in the
+    layout that :func:`read_json_file` reads fast.
     """
     head = json.dumps(p._size_fields())[:-1]  # drop the closing brace
     table = _json_float_list(p.table.ravel())
@@ -446,5 +447,48 @@ def _load_json(path: str | Path):
         raise ValueError(f"{path}: JSON document nested too deeply") from exc
 
 
+def _written_layout(data: bytes) -> dict:
+    """The document in ``data`` if its last field is the table as the writer
+    writes it (``, "table": [``, ``", "``-separated tokens, ``]}\\n``) and
+    the text before it is ASCII; ValueError otherwise.  Each 64 KiB chunk's
+    new distinct tokens are parsed by one ``json.loads``, which must find
+    one float per token, so the document is what ``json.loads`` reads.  A
+    chunk of mostly new tokens gives up: all-distinct tables cost one chunk.
+    """
+    key = b', "table": ['
+    start = data.find(key)
+    if start < 0 or not data.endswith(b"]}\n") or not data[:start].isascii():
+        raise ValueError("not the written layout")
+    doc = json.loads(data[:start].decode() + "}")
+    values = {}  # token -> value
+
+    def chunks(pos, end):
+        # Each chunk's values, once its new distinct tokens are parsed.
+        while pos <= end:
+            cut = data.find(b", ", min(pos + (1 << 16), end), end)
+            cut = end if cut < 0 else cut
+            tokens = data[pos:cut].split(b", ")
+            new = list(set(tokens).difference(values))
+            if 2 * len(new) > len(tokens):
+                raise ValueError("mostly distinct tokens")
+            parsed = json.loads("[" + b", ".join(new).decode() + "]")
+            if len(parsed) != len(new) or not set(map(type, parsed)) <= {float}:
+                raise ValueError("not one float per token")
+            values.update(zip(new, parsed))
+            yield map(values.__getitem__, tokens)
+            pos = cut + 2
+
+    chunked = itertools.chain.from_iterable(chunks(start + len(key), len(data) - 3))
+    return {**doc, "table": np.fromiter(chunked, float)}
+
+
 def read_json_file(path: str | Path) -> ConditionalDistribution:
-    return ConditionalDistribution.from_dict(_load_json(path))
+    """Read a distribution document.  A file in the layout that
+    :func:`write_json_file` writes parses each distinct table value once;
+    any other JSON document is read again and parsed whole by
+    ``json.loads``.  Both routes give the same bits and the same errors."""
+    try:
+        doc = _written_layout(Path(path).read_bytes())
+    except (ValueError, RecursionError):
+        doc = None  # parsed below, once the bytes and the error are gone
+    return ConditionalDistribution.from_dict(_load_json(path) if doc is None else doc)

@@ -19,9 +19,15 @@ four-party table P(x, y, u, v | a, b) built from it
 (:func:`induced_distribution`), its three-party and Alice-side views, and
 the direct Leggett test ``falsify_leggett``, which returns the
 measurement and the cap.
+
+``plain_read_json_file`` is the distribution reader before its route for
+the writer's own layout: the whole file through ``json.loads``, then
+``from_dict``.  ``read_json_file`` must give its bits and its errors.
 """
 
+import json
 import math
+from pathlib import Path
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,3 +303,13 @@ def falsify_leggett(n: int, vectors, weights=None) -> tuple[LocalityMeasurement,
     N = 2."""
     lm = locality_measure(leggett_xu_table(n, vectors, weights))
     return lm, 0.5 * quantum_chain_closed_form(n)
+
+
+def plain_read_json_file(path) -> ConditionalDistribution:
+    """A distribution file parsed whole by ``json.loads``, one nested too
+    deeply for the parser being a ValueError, then read by ``from_dict``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON document nested too deeply") from exc
+    return ConditionalDistribution.from_dict(doc)

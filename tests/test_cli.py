@@ -76,6 +76,48 @@ class TestQm:
         assert read_json_file(out) == qm_chained_distribution(3)
 
 
+class TestStdoutTable:
+    """``qm`` and ``lp`` without ``--out`` splice the table text of
+    ``_json_float_list`` into the dumped payload; stdout stays
+    ``json.dumps(payload, indent=2)`` of the payload with the table as a
+    list, byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qm", "2"], ["qm", "3", "--visibility", "0"], ["qm", "10", "--visibility", "0.93"],
+        ["qm", "30"], ["qm", "100", "--visibility", "0.5"],
+        ["lp", "--n", "2", "--delta", "0"], ["lp", "--n", "3", "--delta", "0.2"],
+        ["lp", "--n", "10", "--delta", "0.5"],
+    ])
+    def test_stdout_is_indented_json_dumps(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("n, visibility", [(2, None), (7, 0.93), (30, 0.0)])
+    def test_qm_payload(self, n, visibility):
+        payload, _ = cli.cmd_qm(SimpleNamespace(n=n, visibility=visibility, out=None))
+        table = payload["distribution"]
+        reference = {**payload, "distribution": table.to_dict()}
+        assert cli._payload_text(payload) == json.dumps(reference, indent=2)
+
+    @pytest.mark.parametrize("n, delta", [(2, 0.0), (3, 0.2), (10, 0.5)])
+    def test_lp_payload_with_zeros(self, n, delta):
+        payload, _ = cli.cmd_lp(SimpleNamespace(n=n, delta=delta, out=None))
+        table = payload["argmin"]
+        assert (table.table == 0.0).any()
+        reference = {**payload, "argmin": table.to_dict()}
+        assert cli._payload_text(payload) == json.dumps(reference, indent=2)
+
+    def test_signed_zeros_keep_their_text(self):
+        table = ConditionalDistribution(
+            (1, 2), (2, 2), np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.0]).reshape(1, 2, 2, 2))
+        payload = {"n": 2, "argmin": table, "after": [0.0, -0.0]}
+        text = cli._payload_text(payload)
+        assert text == json.dumps({**payload, "argmin": table.to_dict()}, indent=2)
+        assert '"table": [\n      1.0,\n      0.0,\n      -0.0,' in text
+
+
 class TestCheck:
     def test_quantum_export_passes(self, capsys, tmp_path):
         out = tmp_path / "qm.json"
@@ -858,6 +900,21 @@ class TestScan:
     def test_small_n_max_is_usage_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "scan", "--n-max", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("n_max", [2, 5000])
+    @pytest.mark.parametrize("visibility", ["0", "0.5", "1"])
+    def test_rows_are_the_percent_r_rows(self, capsys, tmp_path, n_max, visibility):
+        # The rows as "%d,%r,%r,%r" formatted them, one row at a time.
+        out = tmp_path / "scan.csv"
+        code, _ = run_cli(capsys, "scan", "--n-max", str(n_max), "--visibility", visibility,
+                          "--out", str(out))
+        assert code == 0
+        v = float(visibility)
+        rows = ["n,chain_value,locality_bound,qm_asymptote\r\n"]
+        for n in range(2, n_max + 1):
+            value = chained.noisy_chain_closed_form(n, v)
+            rows.append("%d,%r,%r,%r\r\n" % (n, value, 0.5 * value, math.pi**2 / (8.0 * n)))
+        assert out.read_bytes() == "".join(rows).encode()
 
 
 class TestGoldenScan:
@@ -1698,6 +1755,18 @@ class TestUsageErrorsAreJson:
         out, err = capsys.readouterr()
         assert code == 2
         assert one_document(out) == {"error": error}
+        assert err == ""
+
+    @pytest.mark.parametrize("seed", ["1", "-1"])
+    def test_exact_falsify_rejects_a_seed(self, capsys, tmp_path, seed):
+        # Exact mode draws nothing, so a seed there is a usage error, not
+        # an ignored flag.
+        model = tmp_path / "m.json"
+        model.write_text('{"type": "leggett", "n": 2, "grid": 4}')
+        code = main(["falsify", str(model), "--n", "2", "--seed", seed])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert one_document(out) == {"error": "--seed applies only with --shots"}
         assert err == ""
 
     @pytest.mark.parametrize("command", ["falsify", "experiment"])

@@ -1,5 +1,7 @@
 """Distribution table invariants and the distance toolbox."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -12,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainedbell import distributions
+from chainedbell import cli, distributions
 from chainedbell.distributions import NORM_TOL
 from chainedbell import (
     ConditionalDistribution,
     HiddenVariableModel,
     assert_nonsignaling,
     locality_bound_check,
+    mix_with_noise,
     qm_chained_distribution,
     read_json_file,
     write_json_file,
@@ -30,6 +33,7 @@ from lemmas import (
     conditional,
     coupling_distance_bound,
     marginalize,
+    plain_read_json_file,
     stat_distance,
     uniform_distribution,
 )
@@ -625,3 +629,190 @@ class TestJsonWriter:
         write_json_file(p, tmp_path / "t.json")
         assert len(calls) == 6
         assert (tmp_path / "t.json").read_text() == json.dumps(p.to_dict()) + "\n"
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: the sizes and the table's bits, or
+    the error's type and text."""
+    try:
+        p = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return p.input_sizes, p.output_sizes, p.table.tobytes()
+
+
+def check_outcome(path, *extra):
+    """``check``'s exit code and stdout on a file, with the library reader
+    and with the plain ``json.loads`` one."""
+    runs = []
+    for reader in (cli.read_json_file, plain_read_json_file):
+        out = io.StringIO()
+        with mock.patch.object(cli, "read_json_file", reader), contextlib.redirect_stdout(out):
+            code = cli.main(["check", str(path), *extra])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
+def written_parts(p):
+    """The text the writer puts before a table's entries, and the entries'
+    tokens."""
+    head, rest = (json.dumps(p.to_dict()) + "\n").split(', "table": [')
+    return head, rest[:-3].split(", ")
+
+
+def layout_text(head, tokens, sep=", ", tail="]}\n"):
+    return f'{head}, "table": [{sep.join(tokens)}{tail}'
+
+
+# Entries that replace one table token: JSON numbers that are not the
+# writer's spelling, and values that are not numbers at all.
+_ODD_TOKENS = ["1", "0", "-0", "-0.0", "0.0", "1E5", "5e-324", "1e400", "NaN", "Infinity",
+               "-Infinity", '"0.25"', "true", "null", "[0.25]", "[]", "{}", "00.5", ".5",
+               "0.25 0.75", "0.5,0.5", "]", "[", "", "\x000.25", "0.2\u00e95"]
+
+
+@st.composite
+def perturbed_documents(draw):
+    """A table's file as the writer writes it, then changed in one of the
+    ways a hand-edited or foreign file differs from it."""
+    p = draw(st.one_of(table_slices(), st.builds(
+        lambda n, v: mix_with_noise(qm_chained_distribution(n), v),
+        st.integers(2, 12), st.sampled_from([1.0, 0.93, 0.5]))))
+    head, tokens = written_parts(p)
+    i = draw(st.integers(0, len(tokens) - 1))
+    kind = draw(st.sampled_from([
+        "none", "token_space", "separator_space", "head_space", "odd_token", "dup_table_end",
+        "dup_table_head", "marker_in_head", "marker_as_key", "truncate", "no_newline",
+        "crlf", "nul_first", "drop_entry", "extra_entry",
+    ]))
+    sep, tail = ", ", "]}\n"
+    if kind == "token_space":
+        tokens[i] = draw(st.sampled_from([" ", "\n", "\t", "\r"])) + tokens[i] \
+            + draw(st.sampled_from(["", " ", "\n"]))
+    elif kind == "separator_space":
+        sep = draw(st.sampled_from([",", ",  ", " , ", ",\n"]))
+    elif kind == "head_space":
+        head = head.replace(": ", ":", 1)
+    elif kind == "odd_token":
+        tokens[i] = draw(st.sampled_from(_ODD_TOKENS))
+    elif kind == "dup_table_end":
+        tail = ']' + ', "table": [' + ", ".join(tokens) + tail
+    elif kind == "dup_table_head":
+        head += ', "table": [0.5]'
+    elif kind == "marker_in_head":
+        head += ', "note": ", \\"table\\": ["'
+    elif kind == "marker_as_key":
+        head = '{", \\"table\\": [": 1, ' + head[1:]
+    elif kind == "drop_entry" and len(tokens) > 1:
+        del tokens[i]
+    elif kind == "extra_entry":
+        tokens.insert(i, tokens[i])
+    text = layout_text(head, tokens, sep, tail)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "no_newline":
+        text = text[:-1]
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "nul_first":
+        text = "\x00" + text
+    return text
+
+
+class TestWrittenLayoutReader:
+    """``read_json_file`` reads the writer's own layout by parsing each
+    distinct token once, and everything else through ``json.loads``: both
+    give the plain reader's bits, or its error, and ``check`` prints the
+    same bytes with either reader."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_documents())
+    def test_same_bits_or_same_error_as_json_loads(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("reader") / "dist.json"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_json_file, path) == read_outcome(plain_read_json_file, path)
+        (ours, plain) = check_outcome(path)
+        assert ours == plain
+
+    @pytest.mark.parametrize("head, sep", [
+        (None, ", "), (None, ",  "), (None, ", \n"),
+        ('{"parties":2,"outputs":[2,2],"inputs":[8,8]', ", "),
+        ('{"inputs": [8, 8], "outputs": [2, 2], "parties": 2', ", "),
+        ('{"table": [1.0], "note": "x", "parties": 2, "outputs": [2, 2], "inputs": [8, 8]', ", "),
+    ])
+    def test_writer_layout_takes_the_fast_route(self, tmp_path, head, sep):
+        # The writer's layout, with other spacing or other fields before
+        # the table (a table key there is overwritten, as json.loads does).
+        p = mix_with_noise(qm_chained_distribution(8), 0.93)
+        written, tokens = written_parts(p)
+        path = tmp_path / "t.json"
+        path.write_text(layout_text(head or written, tokens, sep))
+        doc = distributions._written_layout(path.read_bytes())
+        assert doc["table"].tobytes() == p.table.tobytes()
+        assert read_outcome(read_json_file, path) == read_outcome(plain_read_json_file, path)
+
+    @pytest.mark.parametrize("where", [None, 20_000, -1])
+    def test_table_of_many_chunks(self, tmp_path, where):
+        # 40 000 entries, some 0.9 MB: a dozen chunks, each with a few new
+        # values, and one odd entry in a late chunk.
+        p = mix_with_noise(qm_chained_distribution(100), 0.93)
+        head, tokens = written_parts(p)
+        if where is not None:
+            tokens[where] = "true"
+        path = tmp_path / "t.json"
+        path.write_text(layout_text(head, tokens))
+        if where is None:
+            doc = distributions._written_layout(path.read_bytes())
+            assert doc["table"].tobytes() == p.table.tobytes()
+        else:
+            with pytest.raises(ValueError, match="one float per token"):
+                distributions._written_layout(path.read_bytes())
+        assert read_outcome(read_json_file, path) == read_outcome(plain_read_json_file, path)
+
+    def test_text_before_the_table_must_be_ascii(self):
+        # Other text is decoded by the locale, as the json.loads route
+        # reads it.
+        text = '{"note": "\u00e9", "parties": 1, "outputs": [2], "inputs": [1], "table": [0.5, 0.5]}\n'
+        assert distributions._written_layout(text.replace("\u00e9", "e").encode())
+        with pytest.raises(ValueError, match="not the written layout"):
+            distributions._written_layout(text.encode())
+
+    @pytest.mark.parametrize("token", _ODD_TOKENS)
+    @pytest.mark.parametrize("where", [0, 100, -1])
+    def test_each_odd_entry_in_a_fast_route_table(self, tmp_path, token, where):
+        p = mix_with_noise(qm_chained_distribution(8), 0.93)
+        head, tokens = written_parts(p)
+        tokens[where] = token
+        path = tmp_path / "t.json"
+        path.write_text(layout_text(head, tokens))
+        assert read_outcome(read_json_file, path) == read_outcome(plain_read_json_file, path)
+        (ours, plain) = check_outcome(path)
+        assert ours == plain
+
+    def test_all_distinct_table_goes_to_json_loads(self, tmp_path):
+        # The worst case: 160 000 distinct entries.  The first chunk is
+        # all new, so the route gives up before the rest is split.
+        rng = np.random.default_rng(23)
+        pa = rng.random((200, 2)) + 0.01
+        pb = rng.random((200, 2)) + 0.01
+        pa /= pa.sum(axis=1, keepdims=True)
+        pb /= pb.sum(axis=1, keepdims=True)
+        p = ConditionalDistribution(
+            (200, 200), (2, 2), pa[:, None, :, None] * pb[None, :, None, :])
+        assert len(np.unique(p.table)) == p.table.size
+        path = tmp_path / "distinct.json"
+        write_json_file(p, path)
+        with pytest.raises(ValueError, match="mostly distinct"):
+            distributions._written_layout(path.read_bytes())
+        assert read_json_file(path) == p
+        (ours, plain) = check_outcome(path)
+        assert ours == plain and ours[0] == 0
+
+    @pytest.mark.parametrize("n, delta", [(2, 0.0), (3, 0.2), (10, 0.45)])
+    def test_lp_argmin_table(self, tmp_path, n, delta):
+        path = tmp_path / "argmin.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["lp", "--n", str(n), "--delta", repr(delta), "--out", str(path)]) == 0
+        assert read_outcome(read_json_file, path) == read_outcome(plain_read_json_file, path)
+        (ours, plain) = check_outcome(path, "--locality-bound")
+        assert ours == plain

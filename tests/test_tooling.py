@@ -1,7 +1,8 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
-document reader and its plain model record."""
+document reader, its plain model record and its one table float
+formatter."""
 
 import ast
 import contextlib
@@ -495,3 +496,60 @@ class TestPlainModelRecord:
         )
         assert model_properties(source) == ["bob", "alice", "table"]
         assert callable_calls(source) == ["line 4"]
+
+
+def table_list_builders(source: str) -> list[str]:
+    """Lines of a module that call ``to_dict`` or ``tolist``, the ways to
+    turn a table into a list of floats, as "line N"."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called_name(node) in ("to_dict", "tolist"))]
+
+
+class TestOneFloatFormatter:
+    """Table floats become text through ``_json_float_list``, which formats
+    each distinct value once, both in a file and on stdout.  A payload that
+    handed ``json.dumps`` a table list would format them one by one."""
+
+    def test_writer_and_stdout_format_tables_through_it(self):
+        package = ROOT / "src" / "chainedbell"
+        assert callers_of((package / "distributions.py").read_text(),
+                          "_json_float_list") == ["write_json_file"]
+        cli_source = (package / "cli.py").read_text()
+        assert callers_of(cli_source, "_json_float_list") == ["_payload_text"]
+        assert table_list_builders(cli_source) == []
+
+    def test_no_dumps_receives_a_table_list(self, monkeypatch, tmp_path):
+        dumps, payloads = json.dumps, []
+
+        def checked_dumps(obj, **kwargs):
+            pending = [obj]
+            while pending:
+                value = pending.pop()
+                if isinstance(value, dict):
+                    assert not isinstance(value.get("table"), list)
+                    pending += value.values()
+                elif isinstance(value, list):
+                    pending += value
+            payloads.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", checked_dumps)
+        path = tmp_path / "t.json"
+        for argv in (["qm", "5"], ["lp", "--n", "3", "--delta", "0.2"],
+                     ["qm", "4", "--out", str(path)], ["check", str(path)]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        assert len(payloads) >= 4
+
+    def test_the_checks_see_a_planted_violation(self):
+        source = (
+            "def write_json_file(p, path):\n"
+            "    text = ', '.join(map(repr, p.table.ravel().tolist()))\n"
+            "def _payload_text(payload):\n"
+            "    return _json_float_list(payload['distribution'].table.ravel(), ',')\n"
+            "def cmd_qm(args):\n"
+            "    payload = {'distribution': dist.to_dict()}\n"
+        )
+        assert callers_of(source, "_json_float_list") == ["_payload_text"]
+        assert table_list_builders(source) == ["line 2", "line 6"]
