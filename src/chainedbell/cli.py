@@ -29,6 +29,7 @@ from .chained import (
     quantum_chain_closed_form,
 )
 from .distributions import (
+    NORM_TOL,
     ConditionalDistribution,
     _json_float_list,
     _load_json,
@@ -45,6 +46,7 @@ from .experiment import (
     write_shots_csv,
 )
 from .hvm import (
+    MARGINAL_INDEPENDENCE_TOL,
     chain_table,
     locality_bound_check,
     locality_measure,
@@ -77,8 +79,6 @@ def _score_dict(score) -> dict:
 
 
 def cmd_qm(args) -> tuple[dict, int]:
-    if args.n < 2:
-        raise ValueError("n must be at least 2")
     dist = qm_chained_distribution(args.n)
     if args.visibility is not None:
         dist = mix_with_noise(dist, args.visibility)
@@ -106,17 +106,7 @@ def cmd_check(args) -> tuple[dict, int]:
     payload: dict = {"nonsignaling": asdict(report)}
     code = 0 if report.passed else 1
     if args.locality_bound:
-        if dist.n_parties == 2:
-            # Append a trivial hidden party so the bound applies as-is.
-            table = dist.table.reshape(dist.input_sizes + (1,) + dist.output_sizes + (1,))
-            dist3 = ConditionalDistribution(
-                dist.input_sizes + (1,), dist.output_sizes + (1,), table
-            )
-        elif dist.n_parties == 3:
-            dist3 = dist
-        else:
-            raise ValueError("locality bound needs a 2- or 3-party table")
-        bound = locality_bound_check(dist3, args.tol)
+        bound = locality_bound_check(dist, args.tol)
         payload["locality_bound"] = asdict(bound)
         if bound.passed is not True:
             code = 1
@@ -128,14 +118,12 @@ def cmd_falsify(args) -> tuple[dict, int]:
         raise ValueError("--seed applies only with --shots")
     raw = _load_json(args.model)
     n = args.n
-    if n < 2:
-        raise ValueError("n must be at least 2")
     model = model_from_dict(raw, n)
     payload: dict = {"n": n, "model_type": raw["type"]}
     p_xu = xu_table(model)
     if args.shots is None:
         lm = locality_measure(p_xu)
-        stat_tol = 1e-9
+        stat_tol = NORM_TOL
         payload["mode"] = "exact"
     else:
         if args.shots < 1:
@@ -152,7 +140,7 @@ def cmd_falsify(args) -> tuple[dict, int]:
         cells = 2 * model.n_u
         radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
         stat_tol = 0.5 * cells * radius
-        lm = locality_measure(p_xu, marginal_tol=max(1e-6, cells * radius))
+        lm = locality_measure(p_xu, marginal_tol=max(MARGINAL_INDEPENDENCE_TOL, cells * radius))
         payload["mode"] = "monte_carlo"
         payload["shots_per_pair"] = args.shots
     bound = 0.5 * quantum_chain_closed_form(n)
@@ -185,8 +173,6 @@ def cmd_scan(args) -> tuple[dict, int]:
 
 
 def cmd_experiment(args) -> tuple[dict, int]:
-    if args.n < 2:
-        raise ValueError("n must be at least 2")
     if args.shots < 1:
         raise ValueError("shots must be at least 1")
     if args.shots > _INT64_MAX:
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="non-signaling (and locality bound) check")
     p.add_argument("distribution", type=Path)
     p.add_argument("--locality-bound", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=NORM_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("falsify", help="test a hidden-variable model's local part")

@@ -132,12 +132,6 @@ class ConditionalDistribution:
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(inputs={self.input_sizes}, "
-            f"outputs={self.output_sizes})"
-        )
-
 
 def _slice_sums(flat: np.ndarray) -> np.ndarray:
     """``flat.sum(axis=1)`` of a C-ordered (k, run) array, bit for bit, and
@@ -387,7 +381,9 @@ def assert_nonsignaling(
     For every non-empty subset S and every fixed input tuple for S, the
     output marginal on S must not depend on the remaining parties' inputs;
     the report carries the largest statistical distance found across all
-    subsets and input pairs.
+    subsets and input pairs.  A subset whose parties all have one output
+    is skipped: its marginal is each slice's sum, which the table rule
+    (:func:`_normalised`) already holds to 1.
     """
     n = p.n_parties
     if n > MAX_PARTIES:
@@ -396,7 +392,8 @@ def assert_nonsignaling(
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
             comp = tuple(i for i in range(n) if i not in subset)
-            if not comp or all(p.input_sizes[i] == 1 for i in comp):
+            if (not comp or all(p.input_sizes[i] == 1 for i in comp)
+                    or all(p.output_sizes[i] == 1 for i in subset)):
                 continue
             marg = _output_marginal(p.table, tuple(n + i for i in comp))
             # Remaining axes: all n inputs, then the kept outputs in

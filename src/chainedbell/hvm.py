@@ -132,12 +132,6 @@ class HiddenVariableModel:
                 f"{max(dev_x, dev_y)})"
             )
 
-    def __repr__(self) -> str:
-        return (
-            f"HiddenVariableModel(N={self.n_settings}, "
-            f"n_u={self.n_u}, n_v={self.n_v})"
-        )
-
 
 def _responses(resp, n: int, side: str) -> np.ndarray:
     """One side's responses P(outcome | setting, hidden value), checked to
@@ -413,17 +407,18 @@ def locality_measure(
 
 @dataclass(frozen=True)
 class LocalityBoundReport:
-    """Result of the non-signaling locality bound on a three-party table.
+    """Result of the non-signaling locality bound on a two- or three-party
+    table.
 
-    ``passed`` is None when the input signals (the bound's hypothesis
-    fails, so the check is inapplicable rather than failed).
+    ``bound`` and ``passed`` are None when the input signals (the bound's
+    hypothesis fails, so the check is inapplicable rather than failed).
     """
 
     applicable: bool
     ns_violation: float
     lhs_x: tuple[float, ...]
     lhs_y: tuple[float, ...]
-    bound: float
+    bound: float | None
     passed: bool | None
 
 
@@ -432,27 +427,28 @@ def locality_bound_check(
 ) -> LocalityBoundReport:
     """Check that hidden-side information stays within half the chain value.
 
-    ``p`` is a three-party table: party 0 is Alice (binary outcome given a
-    chain setting), party 1 Bob, party 2 an extra output Z given an input C
-    drawn uniformly and independently of the settings.  For every setting
-    a, the statistical distance of P(x, (c, z) | a) from (uniform x) times
-    its (c, z) marginal must be at most half the chain value of the (x, y)
-    table; symmetrically for every b.  All 2N settings are measured in one
-    pass of :func:`_locality_distances`, as :func:`locality_measure`
-    measures one side.
+    ``p`` is a two- or three-party table: party 0 is Alice (binary outcome
+    given a chain setting), party 1 Bob, and party 2, if present, an extra
+    output Z given an input C drawn uniformly and independently of the
+    settings.  A two-party table is read as one with a one-valued C and Z.
+    For every setting a, the statistical distance of P(x, (c, z) | a) from
+    (uniform x) times its (c, z) marginal must be at most half the chain
+    value of the (x, y) table; symmetrically for every b.  All 2N settings
+    are measured in one pass of :func:`_locality_distances`, as
+    :func:`locality_measure` measures one side.
     """
-    if p.n_parties != 3:
-        raise ValueError("expected a three-party table")
+    if p.n_parties not in (2, 3):
+        raise ValueError("locality bound needs a 2- or 3-party table")
     if p.output_sizes[0] != 2 or p.output_sizes[1] != 2:
         raise ValueError("chain parties must have binary outcomes")
     n = p.input_sizes[0]
     if p.input_sizes[1] != n or n < 2:
         raise ValueError("chain parties must share N >= 2 settings")
-    n_c = p.input_sizes[2]
     ns = assert_nonsignaling(p, tol)
     if not ns.passed:
-        return LocalityBoundReport(False, ns.max_violation, (), (), math.nan, None)
-    t = p.table  # (N, N, n_c, 2, 2, oz)
+        return LocalityBoundReport(False, ns.max_violation, (), (), None, None)
+    t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]  # (N, N, n_c, 2, 2, oz)
+    n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)  # chain table at the first C value
     bound = 0.5 * evaluate_chain(
         ConditionalDistribution((n, n), (2, 2), xy), n

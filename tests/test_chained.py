@@ -206,6 +206,23 @@ class TestClassicalMinimum:
             with pytest.raises(ValueError):
                 classical_min_chain_value(n)
 
+    @pytest.mark.parametrize("alice, bob, error", [
+        ((0, 0), (0,), "strategy tables must cover the same N >= 2 settings"),
+        ((0,), (0,), "strategy tables must cover the same N >= 2 settings"),
+        ((0, 2), (0, 0), "strategy outputs must be bits"),
+        ((0, 0), (-1, 1), "strategy outputs must be bits"),
+    ])
+    def test_witness_tables_are_checked(self, alice, bob, error):
+        with pytest.raises(ValueError) as info:
+            DeterministicStrategy(alice, bob)
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_chain_pairs_need_two_settings(self, n):
+        with pytest.raises(ValueError) as info:
+            chain_pairs(n)
+        assert str(info.value) == "chain parameter must be at least 2"
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_every_deterministic_pair_scores_odd(self, data):

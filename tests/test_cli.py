@@ -37,10 +37,19 @@ def module_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout holds {name}, which strict (RFC 8259) JSON does not allow")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    payload = json.loads(out) if out.strip() else None
+    payload = strict_loads(out) if out.strip() else None
     return code, payload
 
 
@@ -64,10 +73,11 @@ class TestQm:
         assert code == 0
         assert payload["chain_value"] == pytest.approx(2.0, abs=1e-12)
 
-    def test_small_n_is_usage_error(self, capsys):
-        code, payload = run_cli(capsys, "qm", "1")
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_small_n_is_usage_error(self, capsys, n):
+        code, payload = run_cli(capsys, "qm", n)
         assert code == 2
-        assert "error" in payload
+        assert payload == {"error": "chain parameter must be at least 2"}
 
     def test_out_file_round_trips(self, capsys, tmp_path):
         out = tmp_path / "qm.json"
@@ -92,7 +102,7 @@ class TestStdoutTable:
         code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == json.dumps(strict_loads(out), indent=2) + "\n"
 
     @pytest.mark.parametrize("n, visibility", [(2, None), (7, 0.93), (30, 0.0)])
     def test_qm_payload(self, n, visibility):
@@ -138,6 +148,13 @@ class TestCheck:
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 1
         assert payload["nonsignaling"]["max_violation"] == pytest.approx(1.0)
+        # The bound does not apply; it once printed a bare NaN, which
+        # strict JSON does not allow.
+        code, payload = run_cli(capsys, "check", str(path), "--locality-bound")
+        assert code == 1
+        assert payload["locality_bound"] == {"applicable": False, "ns_violation": 1.0,
+                                             "lhs_x": [], "lhs_y": [], "bound": None,
+                                             "passed": None}
 
     @pytest.mark.parametrize("locality", [[], ["--locality-bound"]])
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
@@ -167,8 +184,8 @@ class TestCheck:
         assert code == 2
 
     def test_locality_bound_on_deterministic_export(self, capsys, tmp_path):
-        # A local deterministic table with an appended trivial hidden party
-        # satisfies the bound: marginal distances 1/2 against chain value 1.
+        # A local deterministic table, read as one with a trivial hidden
+        # party, satisfies the bound: marginal distances 1/2 against chain value 1.
         from lemmas import strategy_distribution
 
         from chainedbell import DeterministicStrategy
@@ -194,6 +211,69 @@ class TestCheck:
         assert code == 0
         assert payload["locality_bound"]["passed"] is True
         assert len(payload["locality_bound"]["lhs_x"]) == 2
+
+    @pytest.mark.parametrize("parties", [2, 3])
+    def test_product_table_gets_one_verdict_at_zero_tolerance(self, capsys, tmp_path, parties):
+        # P(x|a)·P(y|b) with each row built as (p, 1 - p): some slices sum
+        # to 1 only up to rounding.  A one-valued hidden party, appended to
+        # a two-party table or given in a three-party one, once carried
+        # that rounding into the non-signaling check: --locality-bound
+        # exited 1 (ns_violation 1.1e-16) where the plain check passed.
+        ma = np.array([(p, 1 - p) for p in (0.4, 0.8)])
+        mb = np.array([(p, 1 - p) for p in (0.3, 0.3)])
+        table = ma[:, None, :, None] * mb[None, :, None, :]
+        if parties == 3:
+            table = table[:, :, None, :, :, None]
+        trivial = [1] * (parties - 2)
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps({"parties": parties, "outputs": [2, 2] + trivial,
+                                    "inputs": [2, 2] + trivial, "table": table.ravel().tolist()}))
+        for locality in ([], ["--locality-bound"]):
+            code, payload = run_cli(capsys, "check", str(path), "--tol", "0", *locality)
+            assert code == 0
+            assert payload["nonsignaling"] == {"max_violation": 0.0, "passed": True, "tol": 0.0}
+        bound = payload["locality_bound"]
+        assert bound["applicable"] is bound["passed"] is True
+        assert bound["ns_violation"] == payload["nonsignaling"]["max_violation"]
+
+    @pytest.mark.parametrize("document, error", [
+        ({"parties": 1, "outputs": [2], "inputs": [2], "table": [0.5] * 4},
+         "locality bound needs a 2- or 3-party table"),
+        ({"parties": 4, "outputs": [2, 2, 1, 1], "inputs": [2, 2, 1, 1], "table": [0.25] * 16},
+         "locality bound needs a 2- or 3-party table"),
+        ({"parties": 2, "outputs": [3, 2], "inputs": [2, 2], "table": [1 / 6] * 24},
+         "chain parties must have binary outcomes"),
+        ({"parties": 2, "outputs": [2, 2], "inputs": [2, 3], "table": [0.25] * 24},
+         "chain parties must share N >= 2 settings"),
+        ({"parties": 3, "outputs": [2, 2, 1], "inputs": [1, 1, 2], "table": [0.25] * 8},
+         "chain parties must share N >= 2 settings"),
+    ], ids=["one_party", "four_parties", "ternary_outcome", "inputs_2_3", "inputs_1_1"])
+    def test_table_the_bound_cannot_read_is_usage_error(self, capsys, tmp_path, document,
+                                                        error):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 0  # the non-signaling check reads any table
+        code, payload = run_cli(capsys, "check", str(path), "--locality-bound")
+        assert code == 2
+        assert payload == {"error": error}
+
+    @pytest.mark.parametrize("document, error", [
+        ({"parties": 0, "outputs": [], "inputs": [], "table": [1.0]},
+         "need one input and one output alphabet per party"),
+        ({"parties": 2, "outputs": [2, 0], "inputs": [2, 2], "table": []},
+         "alphabet sizes must be >= 1"),
+        ({"parties": 3, "outputs": [2, 2], "inputs": [2, 2], "table": [0.25] * 16},
+         "party count does not match the size lists"),
+    ], ids=["no_party", "empty_alphabet", "party_count"])
+    @pytest.mark.parametrize("locality", [[], ["--locality-bound"]])
+    def test_malformed_document_is_usage_error(self, capsys, tmp_path, document, error,
+                                               locality):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "check", str(path), *locality)
+        assert code == 2
+        assert payload == {"error": error}
 
 
 class TestFalsify:
@@ -279,6 +359,35 @@ class TestFalsify:
         assert payload["mode"] == "monte_carlo"
         assert payload["seed"] == 9
         assert payload["max_distance"] == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_non_positive_shot_count_is_usage_error(self, capsys, tmp_path, shots):
+        path = tmp_path / "leggett.json"
+        path.write_text(json.dumps({"type": "leggett", "n": 2, "grid": 8}))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2", "--shots", shots,
+                                "--seed", "1")
+        assert code == 2
+        assert payload == {"error": "shots must be at least 1"}
+
+    @pytest.mark.parametrize("document, error", [
+        ({"type": "leggett", "n": 2, "grid": 8}, "model chain length does not match --n"),
+        ({"type": "leggett", "n": 1, "grid": 8}, "chain parameter must be at least 2"),
+        ({"type": "nonlocal_qm", "n": 1}, "chain parameter must be at least 2"),
+        ({"type": "local_deterministic", "n": 1, "alice_tables": [[0]], "bob_tables": [[1]]},
+         "chain parameter must be at least 2"),
+        ({"type": "custom_table", "distribution": {
+            "parties": 2, "outputs": [2, 2], "inputs": [1, 1], "table": [0.25] * 4}},
+         "chain parameter must be at least 2"),
+    ], ids=["leggett_n_2", "leggett_n_1", "nonlocal_qm", "local_deterministic", "custom_table"])
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
+    def test_chain_length_one_is_usage_error(self, capsys, tmp_path, document, error, shots):
+        # The model reader checks the chain length; the CLI checks it no
+        # second time.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "1", *shots)
+        assert code == 2
+        assert payload == {"error": error}
 
     @pytest.mark.parametrize("field", ["n_u", "n_v"])
     @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
@@ -626,6 +735,30 @@ class TestHostileDocuments:
         table, error = self.BAD_TABLES[name]
         path = tmp_path / "shape.json"
         path.write_text(json.dumps({"type": "custom_table", "distribution": table}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": error}
+
+    # Documents that a model constructor rejects after the reader has sized them.
+    BAD_MODELS = {
+        "weights_sum": ({"type": "leggett", "n": 2, "vectors": [[1, 0, 0], [0, 0, 1]],
+                         "weights": [0.2, 0.2]}, "weights must sum to 1, got 0.4"),
+        "grid_0": ({"type": "leggett", "n": 2, "grid": 0}, "need at least one grid point"),
+        "grid_negative": ({"type": "leggett", "n": 2, "grid": -3},
+                          "need at least one grid point"),
+        "strategy_length": ({"type": "local_deterministic", "n": 2, "alice_tables": [[0, 1, 0]],
+                             "bob_tables": [[0, 0]]}, "strategy tables must have shape (k, N)"),
+        "custom_table_without_n": ({"type": "custom_table",
+                                    "distribution": qm_chained_distribution(3).to_dict()},
+                                   "model chain length does not match --n"),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("name", list(BAD_MODELS))
+    def test_model_a_constructor_rejects_is_usage_error(self, capsys, tmp_path, mode, name):
+        document, error = self.BAD_MODELS[name]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
         code, payload = self.run_mode(capsys, mode, path)
         assert code == 2
         assert payload == {"error": error}
@@ -1086,6 +1219,36 @@ class TestExperiment:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "-0.5", "nan"])
+    def test_confidence_off_the_open_unit_interval_is_usage_error(self, capsys, confidence):
+        code, payload = run_cli(capsys, "experiment", "--source", "qm", "--n", "2",
+                                "--shots", "100", "--seed", "1", "--confidence", confidence)
+        assert code == 2
+        assert payload == {"error": "confidence must lie in (0, 1)"}
+
+    def test_visibility_with_a_model_source_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"type": "nonlocal_qm", "n": 2}))
+        code, payload = run_cli(capsys, "experiment", "--source", str(path), "--n", "2",
+                                "--shots", "100", "--seed", "1", "--visibility", "0.9")
+        assert code == 2
+        assert payload == {"error": "--visibility applies only to the qm source"}
+
+    @pytest.mark.parametrize("document, error", [
+        (None, "chain parameter must be at least 2"),
+        ({"type": "nonlocal_qm", "n": 2}, "model chain length does not match --n"),
+        ({"type": "nonlocal_qm", "n": 1}, "chain parameter must be at least 2"),
+    ], ids=["qm", "model_n_2", "model_n_1"])
+    def test_chain_length_one_is_usage_error(self, capsys, tmp_path, document, error):
+        source = "qm"
+        if document is not None:
+            source = str(tmp_path / "model.json")
+            Path(source).write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "experiment", "--source", source, "--n", "1",
+                                "--shots", "100", "--seed", "1")
+        assert code == 2
+        assert payload == {"error": error}
+
     @pytest.mark.parametrize("out", [False, True], ids=["in_memory", "out"])
     def test_shot_count_beyond_int64_is_usage_error(self, capsys, tmp_path, out):
         # The per-shot sampler once ran on until it was killed.
@@ -1373,7 +1536,7 @@ class TestGoldenBruteforce:
         code = main(["bruteforce", "--n", str(n)])
         out = capsys.readouterr().out
         assert code == 0
-        assert json.loads(out) == {
+        assert strict_loads(out) == {
             "n": n,
             "min_value": 1.0,
             "witness": {"alice_map": [0] * n, "bob_map": [0] * n},
@@ -1532,7 +1695,15 @@ class TestGoldenCheck:
     setting against its own hidden marginal rather than the (0, 0) one:
     qm entries that read a rounding residue (5.6e-17 to 2.2e-16) read 0.0,
     and four Leggett entries moved by one ulp.  Exit codes, ``passed``,
-    ``bound`` and ``ns_violation`` kept their bits."""
+    ``bound`` and ``ns_violation`` kept their bits.
+
+    The other four "was" hashes were re-pinned when ``check
+    --locality-bound`` came to measure a two-party table as given, with
+    no one-valued hidden party appended.  In ``qm_2``, ``qm_100`` and
+    ``qm_100_v09`` only ``ns_violation`` moved, to ``max_violation``
+    (1.1e-16 -> 5.6e-17, 6.7e-16 -> 5.0e-16, 5.6e-16 -> 5.0e-16); in
+    ``signaling`` the inapplicable ``bound`` reads null, not NaN, which
+    strict JSON does not allow."""
 
     @staticmethod
     def write_table(name, path):
@@ -1570,9 +1741,9 @@ class TestGoldenCheck:
         [
             ("qm_2", False, 0,
              "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
-            # was 7a6fcd284e72911a8b0149a72d7485c3f0f03bb004dc7f7695d9af3382c4ebbf
+            # was f17b8dcbac8b0e06115497e3a2a36ee0fe3ea335d3e2e214f07dba245fbae34c
             ("qm_2", True, 0,
-             "f17b8dcbac8b0e06115497e3a2a36ee0fe3ea335d3e2e214f07dba245fbae34c"),
+             "4e8a71a24e01136570f59dcf0275ec8f425e123abbb0e5b713ea230aeec6c8e5"),
             ("qm_2_v09", False, 0,
              "f61e1e2662fad5193a3cbc4bfb4d92b3d9209b0a3e55513460e64da4fc5dcb54"),
             # was 83e55ac1033c0b3980c746e2f01f88da6bc732dc804a95907dd4084d44b1aff6
@@ -1600,14 +1771,14 @@ class TestGoldenCheck:
              "a7c0d9074f7e9d47ad27f1fcabd0c484579e48d7f226c24ee35527ac4a2213e4"),
             ("qm_100", False, 0,
              "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
-            # was e44d13f64ab031cd3a805e3ac43d1490082ca43d9f8f552aba032d88a3a2245b
+            # was 172a9b12a380c66fe79a1ff2790c0a14f1131d13e4a823c1b28ad56218fd58f5
             ("qm_100", True, 0,
-             "172a9b12a380c66fe79a1ff2790c0a14f1131d13e4a823c1b28ad56218fd58f5"),
+             "c0af30ebb64f8ad29cb6800a5896001fa2e1560e349cb7c0908f81505d7f3a3a"),
             ("qm_100_v09", False, 0,
              "bf3bf5b7173c4b9e9388c78e7c47027a09270031a0a98b4f8afd0144d1da271d"),
-            # was 8c24984b6f523481bfd7406f8398147fe9f9d1773d5a59826bc959dfa08e0c11
+            # was 344126ddf486b12dcd9f829b3974180fc0f40dd38d71aefb60e31d8cf5cccb6d
             ("qm_100_v09", True, 0,
-             "344126ddf486b12dcd9f829b3974180fc0f40dd38d71aefb60e31d8cf5cccb6d"),
+             "f395390160c636b789bf53a9a4f9b57ef63f887e568399787769b0990f3ffd6e"),
             ("qm_200_v09", False, 0,
              "fa645876070bf29f9a964c69cc3963ae46a7d7a3cc662734f42f7f69767585d7"),
             ("deterministic", False, 0,
@@ -1634,8 +1805,9 @@ class TestGoldenCheck:
              "33b52391f8ae47f8f960570cd82fadd7191610a648a26715ec1becb45272c062"),
             ("signaling", False, 1,
              "5b57618b40851c7d3c5d64e8df118071a1956fa7ca94d469f99b8d04d85e71da"),
+            # was a3fbd4c5a829c8584996f1fd07486c0f4ceb84eb30a79b52510befd8bdfea4bf
             ("signaling", True, 1,
-             "a3fbd4c5a829c8584996f1fd07486c0f4ceb84eb30a79b52510befd8bdfea4bf"),
+             "672e1044d8d0fb054e26e5209ec6b90c2e6e7f48faafb1adba16e00a398347c7"),
         ],
     )
     def test_stdout(self, capsys, tmp_path, name, locality, code, stdout_sha256):
@@ -1719,6 +1891,30 @@ class TestHarness:
         assert proc.returncode == 2
         assert stderr == b""
 
+    def test_closed_stdout_points_the_descriptor_at_devnull(self, monkeypatch, tmp_path):
+        # The path of the test above, run in process: the print raises
+        # BrokenPipeError, and main points the stdout descriptor at
+        # devnull, so that the exit flush cannot raise again.
+        with open(tmp_path / "stdout", "w") as held:
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return held.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["bruteforce", "--n", "2"]) == 2
+            assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+
+    def test_strict_loads_rejects_every_non_standard_constant(self):
+        for text in ('{"bound": NaN}', "[Infinity]", "-Infinity"):
+            with pytest.raises(ValueError, match="strict"):
+                strict_loads(text)
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "chainedbell", "qm", "2"],
@@ -1727,7 +1923,7 @@ class TestHarness:
             env=module_env(),
         )
         assert proc.returncode == 0
-        payload = json.loads(proc.stdout)
+        payload = strict_loads(proc.stdout)
         assert payload["chain_value"] == pytest.approx(2 - math.sqrt(2), abs=1e-9)
 
 
@@ -1846,7 +2042,7 @@ class TestCertificateFailure:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == ""
-        assert json.loads(captured.out) == {"error": error}
+        assert strict_loads(captured.out) == {"error": error}
 
     def test_failed_witness_check_is_numerical_failure(self, capsys, monkeypatch):
         # With the two kinds of chain term swapped, the all-zeros witness
@@ -1859,7 +2055,7 @@ class TestCertificateFailure:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == ""
-        assert json.loads(captured.out) == {
+        assert strict_loads(captured.out) == {
             "error": "classical minimum: the all-zeros witness scores 5, not 1"
         }
 
@@ -2079,9 +2275,10 @@ def run_in_process(argv):
 
 
 def one_document(stdout):
-    """The single JSON document a run printed (json.loads rejects a second)."""
+    """The single strict JSON document a run printed (json.loads rejects a
+    second, and ``strict_loads`` a NaN or an infinity)."""
     assert stdout.endswith("\n")
-    payload = json.loads(stdout)
+    payload = strict_loads(stdout)
     assert isinstance(payload, dict)
     return payload
 
@@ -2134,11 +2331,13 @@ class TestExitCodeMeansVerdict:
         assert list(one_document(stdout)) == ["error"]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 3).flatmap(distribution_documents), st.booleans())
-    def test_check(self, tmp_path_factory, doc, locality_bound):
+    @given(st.integers(2, 3).flatmap(distribution_documents), st.booleans(), st.booleans())
+    def test_check(self, tmp_path_factory, doc, locality_bound, exact):
+        # At --tol 0 too: the bound's non-signaling check is the plain one.
         path = tmp_path_factory.mktemp("check") / "dist.json"
         path.write_text(json.dumps(doc))
         argv = ["check", str(path)] + (["--locality-bound"] if locality_bound else [])
+        argv += ["--tol", "0"] if exact else []
         code, stdout = run_in_process(argv)
         payload = one_document(stdout)
         assert code in (0, 1, 2, 3)
@@ -2149,4 +2348,6 @@ class TestExitCodeMeansVerdict:
         if locality_bound:
             failed |= payload["locality_bound"]["passed"] is False
             assert payload["locality_bound"]["applicable"] == payload["nonsignaling"]["passed"]
+            assert (payload["locality_bound"]["ns_violation"]
+                    == payload["nonsignaling"]["max_violation"])
         assert (code == 1) == failed

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainedbell import cli, distributions
-from chainedbell.distributions import NORM_TOL
+from chainedbell.distributions import NORM_TOL, NonSignalingReport
 from chainedbell import (
     ConditionalDistribution,
     HiddenVariableModel,
@@ -189,6 +189,20 @@ class TestNonSignaling:
         p = uniform_distribution((2,) * 5)
         with pytest.raises(ValueError, match="at most"):
             assert_nonsignaling(p)
+
+    @pytest.mark.parametrize("n_c", [1, 3])
+    def test_one_output_party_adds_no_rounding(self, n_c):
+        # A product table whose rows are built as (p, 1 - p): some slices
+        # sum to 1 only up to rounding.  A one-output party's marginal is
+        # that sum, which the table rule already holds to 1; it once read
+        # 1.1e-16 as a signal.
+        ma = np.array([(p, 1 - p) for p in (0.4, 0.8)])
+        mb = np.array([(p, 1 - p) for p in (0.3, 0.3)])
+        xy = ma[:, None, :, None] * mb[None, :, None, :]
+        table = np.broadcast_to(xy[:, :, None, :, :, None], (2, 2, n_c, 2, 2, 1))
+        p3 = ConditionalDistribution((2, 2, n_c), (2, 2, 1), table)
+        assert assert_nonsignaling(p3, 0.0) == NonSignalingReport(0.0, True, 0.0)
+        assert assert_nonsignaling(ConditionalDistribution((2, 2), (2, 2), xy), 0.0).passed
 
 
 def broadcast_max_tv(arr):

@@ -24,6 +24,7 @@ from chainedbell import (
     local_deterministic_model,
     locality_bound_check,
     locality_measure,
+    mix_with_noise,
     model_from_dict,
     model_from_json_file,
     nonlocal_qm_model,
@@ -528,6 +529,30 @@ def local_three_party_tables(draw):
     return ConditionalDistribution((n, n, n_c), (2, 2, oz), table)
 
 
+@st.composite
+def two_party_chain_tables(draw):
+    """Non-signaling (N, N, 2, 2) tables: quantum ones with noise, products
+    of random or of (p, 1 - p) rows, and mixtures of deterministic local
+    strategies."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["quantum", "product", "rows", "deterministic"]))
+    if form == "quantum":
+        return mix_with_noise(qm_chained_distribution(n), draw(st.sampled_from([1.0, 0.9, 0.3])))
+    if form == "deterministic":
+        k = draw(st.integers(1, 4))
+        return chain_table(local_deterministic_model(
+            n, rng.integers(0, 2, (k, n)), rng.integers(0, 2, (k, n))))
+    if form == "rows":
+        pa, pb = rng.random(n), rng.random(n)
+        ma, mb = np.stack([pa, 1 - pa], axis=1), np.stack([pb, 1 - pb], axis=1)
+    else:
+        ma, mb = rng.random((n, 2)), rng.random((n, 2))
+        ma /= ma.sum(axis=1, keepdims=True)
+        mb /= mb.sum(axis=1, keepdims=True)
+    return ConditionalDistribution((n, n), (2, 2), ma[:, None, :, None] * mb[None, :, None, :])
+
+
 def side_measurements(p3):
     """``locality_measure`` of each side of a three-party table: Alice's
     (x, (c, z)) rows at Bob's first setting, then Bob's (y, (c, z)) rows at
@@ -635,8 +660,26 @@ class TestLocalityBound:
         p3 = ConditionalDistribution((2, 2, 1), (2, 2, 1), table)
         rep = locality_bound_check(p3)
         assert not rep.applicable
-        assert rep.passed is None
+        assert rep.bound is rep.passed is None
         assert rep.ns_violation == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_party_chain_tables())
+    def test_two_party_table_reads_as_its_promoted_copy(self, p):
+        # A two-party table is read through a view with a one-valued C and
+        # Z: the bound gets the bits of the three-party copy that the CLI
+        # once built, and its non-signaling check is the table's own.
+        n = p.input_sizes[0]
+        promoted = ConditionalDistribution((n, n, 1), (2, 2, 1), p.table.reshape(n, n, 1, 2, 2, 1))
+        rep, ref = locality_bound_check(p), locality_bound_check(promoted)
+        assert rep.ns_violation == assert_nonsignaling(p).max_violation
+        assert rep.applicable is ref.applicable is True
+        assert rep.passed is ref.passed
+
+        def bits(report):
+            return [v.hex() for v in (*report.lhs_x, *report.lhs_y, report.bound)]
+
+        assert bits(rep) == bits(ref)
 
     def test_random_models_never_violate(self):
         # Non-signaling models of all three families must satisfy the

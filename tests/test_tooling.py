@@ -1,8 +1,8 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
-document reader, its plain model record and its one table float
-formatter."""
+document reader, its plain model record, its one table float formatter
+and its one tolerance ledger."""
 
 import ast
 import contextlib
@@ -553,3 +553,49 @@ class TestOneFloatFormatter:
         )
         assert callers_of(source, "_json_float_list") == ["_payload_text"]
         assert table_list_builders(source) == ["line 2", "line 6"]
+
+
+# The tolerance ledger: every tolerance the library defines by name.
+LEDGER = {"NORM_TOL": chainedbell.distributions.NORM_TOL,
+          "IDENTITY_TOL": chainedbell.distributions.IDENTITY_TOL,
+          "MARGINAL_INDEPENDENCE_TOL": chainedbell.hvm.MARGINAL_INDEPENDENCE_TOL}
+
+
+def ledger_literals(source: str) -> list[str]:
+    """Float literals of a module that equal a ledger constant, as
+    "line N: NAME"."""
+    return [f"line {line}: {name}" for line, name in sorted(
+        (node.lineno, name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        for name, value in LEDGER.items() if node.value == value)]
+
+
+def table_constructions(source: str) -> list[str]:
+    """Lines of a module that call ``ConditionalDistribution``, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "ConditionalDistribution"]
+
+
+class TestOneToleranceLedger:
+    """The CLI names every tolerance it shares with the library, and it
+    measures the tables it reads: it builds none of its own."""
+
+    def test_cli_spells_no_ledger_value(self):
+        assert ledger_literals((ROOT / "src" / "chainedbell" / "cli.py").read_text()) == []
+
+    def test_cli_constructs_no_table(self):
+        assert table_constructions((ROOT / "src" / "chainedbell" / "cli.py").read_text()) == []
+
+    def test_the_checks_see_a_planted_violation(self):
+        source = (
+            "from .distributions import ConditionalDistribution, NORM_TOL\n"
+            "stat_tol = 1e-9\n"
+            "floor = max(1e-6, cells * radius)\n"
+            "close = abs(a - b) <= 1e-12 and n == 1 and c > 1e-3\n"
+            "ok = NORM_TOL\n"
+            "dist3 = ConditionalDistribution((2, 1), (2, 1), table)\n"
+            "same = isinstance(dist3, ConditionalDistribution)\n"
+        )
+        assert ledger_literals(source) == [
+            "line 2: NORM_TOL", "line 3: MARGINAL_INDEPENDENCE_TOL", "line 4: IDENTITY_TOL"]
+        assert table_constructions(source) == ["line 6"]
