@@ -340,17 +340,16 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
     """Stream shot blocks to CSV: integer columns ``a,b,x,y``, plus ``u,v``
     when the blocks carry them, and CRLF line ends.  Returns the row
     count."""
-    it = iter(blocks)
+    it = map(_check_block, blocks)
     first = next(it, None)
     if first is None:
         raise ValueError("no records to write")
-    width = _check_block(first).shape[1]
+    width = first.shape[1]
     row = ",".join(["%d"] * width) + "\r\n"
     rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_COLUMNS[:width]) + "\r\n")
         for block in itertools.chain([first], it):
-            block = _check_block(block)
             if block.shape[1] != width:
                 raise ValueError("shot blocks of one stream must share their columns")
             # Format a few thousand rows per write to bound the transient

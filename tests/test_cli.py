@@ -236,6 +236,62 @@ class TestCheck:
         assert bound["applicable"] is bound["passed"] is True
         assert bound["ns_violation"] == payload["nonsignaling"]["max_violation"]
 
+    @pytest.mark.parametrize("kind", ["two_party", "three_party", "signaling"])
+    def test_one_nonsignaling_pass_per_check(self, capsys, tmp_path, monkeypatch, kind):
+        # --locality-bound reads its non-signaling report from the bound's
+        # own test: one pass over the table, with or without the flag, and
+        # the same report either way.
+        from lemmas import hidden_joint_form, induced_distribution
+
+        from chainedbell import assert_nonsignaling, leggett_model
+
+        if kind == "two_party":
+            dist = mix_with_noise(qm_chained_distribution(3), 0.93)
+        elif kind == "three_party":
+            dist = hidden_joint_form(induced_distribution(leggett_model(2, [[0, 0, 1], [1, 0, 0]])))
+        else:
+            table = np.zeros((2, 2, 2, 2))
+            for a in range(2):
+                for b in range(2):
+                    table[a, b, b, 0] = 1.0
+            dist = ConditionalDistribution((2, 2), (2, 2), table)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(dist.to_dict()))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assert_nonsignaling(*args, **kwargs)
+
+        for module in (cli, hvm):
+            monkeypatch.setattr(module, "assert_nonsignaling", counted)
+        reports = []
+        for locality in ([], ["--locality-bound"]):
+            calls.clear()
+            code, payload = run_cli(capsys, "check", str(path), *locality)
+            assert len(calls) == 1
+            assert code == (1 if kind == "signaling" else 0)
+            reports.append(payload["nonsignaling"])
+        assert reports[0] == reports[1]
+        bound = payload["locality_bound"]
+        assert bound["ns_violation"] == reports[0]["max_violation"]
+        assert bound["applicable"] is (kind != "signaling")
+        if kind == "signaling":
+            assert bound["bound"] is None and bound["passed"] is None
+
+    def test_five_party_table_names_the_bound_it_cannot_read(self, capsys, tmp_path):
+        # With the flag, the locality bound reads the table first, so its
+        # party rule is the one reported.
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"parties": 5, "outputs": [2] * 5, "inputs": [1] * 5,
+                                    "table": [1 / 32] * 32}))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert payload == {"error": "non-signaling check supports at most 4 parties"}
+        code, payload = run_cli(capsys, "check", str(path), "--locality-bound")
+        assert code == 2
+        assert payload == {"error": "locality bound needs a 2- or 3-party table"}
+
     @pytest.mark.parametrize("document, error", [
         ({"parties": 1, "outputs": [2], "inputs": [2], "table": [0.5] * 4},
          "locality bound needs a 2- or 3-party table"),
@@ -1213,11 +1269,35 @@ class TestExperiment:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    def test_zero_shots_is_usage_error(self, capsys):
-        code, _ = run_cli(
-            capsys, "experiment", "--source", "qm", "--n", "2", "--shots", "0", "--seed", "1"
-        )
+    def test_zero_shots_is_usage_error(self, capsys, tmp_path):
+        # The library raises this error before the stream is written.
+        out = tmp_path / "shots.csv"
+        code, payload = run_cli(capsys, "experiment", "--source", "qm", "--n", "2",
+                                "--shots", "0", "--seed", "1", "--out", str(out))
         assert code == 2
+        assert payload == {"error": "shots must be at least 1"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots, model", [("-5", False), ("0", True), ("-5", True)],
+                             ids=["qm_negative", "model_zero", "model_negative"])
+    def test_non_positive_shots_write_no_file(self, capsys, tmp_path, shots, model):
+        source = "qm"
+        if model:
+            source = str(tmp_path / "model.json")
+            Path(source).write_text(json.dumps({"type": "nonlocal_qm", "n": 2}))
+        out = tmp_path / "shots.csv"
+        code, payload = run_cli(capsys, "experiment", "--source", source, "--n", "2",
+                                "--shots", shots, "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert payload == {"error": "shots must be at least 1"}
+        assert not out.exists()
+
+    def test_first_bad_argument_the_library_meets_is_reported(self, capsys):
+        # The table is built before the shot count is checked.
+        code, payload = run_cli(capsys, "experiment", "--source", "qm", "--n", "1",
+                                "--shots", "0", "--seed", "1")
+        assert code == 2
+        assert payload == {"error": "chain parameter must be at least 2"}
 
     @pytest.mark.parametrize("confidence", ["0", "1", "1.5", "-0.5", "nan"])
     def test_confidence_off_the_open_unit_interval_is_usage_error(self, capsys, confidence):
@@ -1909,6 +1989,13 @@ class TestHarness:
             monkeypatch.setattr(sys, "stdout", ClosedPipe())
             assert main(["bruteforce", "--n", "2"]) == 2
             assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+            # Each call closes the devnull descriptor it opened.
+            if not os.path.isdir("/proc/self/fd"):
+                pytest.skip("no /proc/self/fd to count open descriptors")
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(5):
+                assert main(["bruteforce", "--n", "2"]) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
 
     def test_strict_loads_rejects_every_non_standard_constant(self):
         for text in ('{"bound": NaN}', "[Infinity]", "-Infinity"):

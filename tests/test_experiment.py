@@ -314,6 +314,29 @@ class TestFoldChecks:
                 write_shots_csv([block], tmp_path / "shots.csv")
             assert not (tmp_path / "shots.csv").exists()
 
+    def test_each_block_is_checked_once(self, tmp_path, monkeypatch):
+        # A malformed first block raises before the file is created, a
+        # malformed later block as the stream reaches it.
+        good = np.zeros((2, 4), dtype=np.int64)
+        bad = np.zeros((2, 5), dtype=np.int64)
+        path = tmp_path / "shots.csv"
+        with pytest.raises(ValueError, match="shot block"):
+            write_shots_csv([bad, good], path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="shot block"):
+            write_shots_csv([good, good, bad], path)
+        assert path.read_bytes() == b"a,b,x,y\r\n" + b"0,0,0,0\r\n" * 4
+        checked = []
+
+        def counted(block):
+            checked.append(block)
+            return check_block(block)
+
+        check_block = experiment._check_block
+        monkeypatch.setattr(experiment, "_check_block", counted)
+        assert write_shots_csv([good, good, good], path) == 6
+        assert len(checked) == 3
+
     def test_mixed_widths_rejected(self, tmp_path):
         blocks = [np.zeros((1, 4), dtype=np.int64), np.zeros((1, 6), dtype=np.int64)]
         with pytest.raises(ValueError, match="share their columns"):

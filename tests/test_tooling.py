@@ -1,8 +1,8 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
-document reader, its plain model record, its one table float formatter
-and its one tolerance ledger."""
+document reader, its plain model record, its one table float formatter,
+its one tolerance ledger and the one owner of each argument check."""
 
 import ast
 import contextlib
@@ -599,3 +599,66 @@ class TestOneToleranceLedger:
         assert ledger_literals(source) == [
             "line 2: NORM_TOL", "line 3: MARGINAL_INDEPENDENCE_TOL", "line 4: IDENTITY_TOL"]
         assert table_constructions(source) == ["line 6"]
+
+
+def _message(node: ast.Raise) -> str | None:
+    """The text of a raised error's first argument, ``{}`` standing for each
+    f-string field; None when it is no string literal."""
+    if not (isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    arg = node.exc.args[0]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+    return None
+
+
+def raised_messages(source: str, function: str | None = None) -> list[tuple[int, str]]:
+    """(line, message) of every error a module raises, or one of its
+    functions raises itself."""
+    if function is None:
+        nodes = ast.walk(ast.parse(source))
+    else:
+        nodes = _own_nodes(next(f for f in _functions(source) if f.name == function))
+    return sorted((node.lineno, message) for node in nodes if isinstance(node, ast.Raise)
+                  and (message := _message(node)) is not None)
+
+
+def repeated_checks(cli_source: str, library_source: str) -> list[str]:
+    """Errors that ``cmd_experiment`` raises and the library module raises
+    too, as "line N: message"."""
+    library = {message for _, message in raised_messages(library_source)}
+    return [f"line {line}: {message}"
+            for line, message in raised_messages(cli_source, "cmd_experiment")
+            if message in library]
+
+
+class TestOneCheckOwner:
+    """``experiment`` leaves to the library every argument check the
+    library makes: the same error, raised before any file is written."""
+
+    def test_cmd_experiment_repeats_no_library_check(self):
+        src = ROOT / "src" / "chainedbell"
+        assert repeated_checks((src / "cli.py").read_text(),
+                               (src / "experiment.py").read_text()) == []
+
+    def test_the_check_sees_a_planted_violation(self):
+        cli_source = (
+            "def cmd_falsify(args):\n"
+            "    raise ValueError('shots must be at least 1')\n"
+            "def cmd_experiment(args):\n"
+            "    if args.shots < 1:\n"
+            "        raise ValueError('shots must be at least 1')\n"
+            "    raise ValueError(f'--shots must be at most {_INT64_MAX}')\n"
+            "    raise ValueError(f'the model has {m} settings per side, not {n}')\n"
+        )
+        library_source = (
+            "def _check_run(table, n, shots):\n"
+            "    raise ValueError('shots must be at least 1')\n"
+            "def simulate_shots(source, n, shots, seed):\n"
+            "    raise ValueError(f'the model has {model.n_settings} settings per side, not {n}')\n"
+        )
+        assert repeated_checks(cli_source, library_source) == [
+            "line 5: shots must be at least 1",
+            "line 7: the model has {} settings per side, not {}"]
