@@ -5,7 +5,8 @@ and derive the locality cap.
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
 plus ``u, v`` (hidden-variable indices) for a model source, in the order
-of the shot CSV header."""
+of the shot CSV header.  The CSV writer formats each distinct row of a
+block once when the block's key space is small, else row by row."""
 
 from __future__ import annotations
 
@@ -37,7 +38,10 @@ __all__ = [
 _COLUMNS = ("a", "b", "x", "y", "u", "v")
 # Rows per shot block, streamed and read back alike.
 _CHUNK_ROWS = 65536
+# Lines per CSV write on either route, so that no string written at once
+# outgrows a few thousand lines.
 _WRITE_ROWS = 4096
+_ROWS_PER_KEY = 4  # fewest rows per key for the distinct-row route
 # NumPy's multivariate hypergeometric draw takes fewer than 1e9 items in
 # all.  A block's rows are far fewer, so the thinned population a block
 # is drawn from (see _without_replacement) stays below that.
@@ -352,13 +356,35 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
         for block in itertools.chain([first], it):
             if block.shape[1] != width:
                 raise ValueError("shot blocks of one stream must share their columns")
-            # Format a few thousand rows per write to bound the transient
-            # strings and tuples.
-            for start in range(0, len(block), _WRITE_ROWS):
-                part = block[start:start + _WRITE_ROWS]
-                fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            fh.writelines(_block_text(block, row))
             rows += len(block)
     return rows
+
+
+def _block_text(block: np.ndarray, row: str) -> Iterator[str]:
+    """The CSV lines of a checked block, at most ``_WRITE_ROWS`` per string.
+    If the key space (the product of the column ranges) is at most a
+    quarter of the rows, the rows that occur, found by a mixed-radix key
+    that cannot wrap in int64, are formatted once and gathered by key;
+    other blocks (empty, short or wide) row by row, to the same text."""
+    lows = [int(col.min()) for col in block.T] if len(block) else []
+    spans = [int(col.max()) - lo + 1 for lo, col in zip(lows, block.T)]
+    space = math.prod(spans)
+    cuts = range(_WRITE_ROWS, len(block), _WRITE_ROWS)
+    if space * _ROWS_PER_KEY > len(block):
+        for part in np.split(block, cuts):
+            yield row * len(part) % tuple(part.ravel().tolist())
+        return
+    key = np.zeros(len(block), dtype=np.int64)
+    for lo, span, col in zip(lows, spans, block.T):
+        key *= span
+        key += col - lo
+    present = np.flatnonzero(np.bincount(key, minlength=space))
+    distinct = np.stack(np.unravel_index(present, spans), axis=1) + lows
+    lines = np.empty(space, dtype=object)
+    lines[present] = (row * len(present) % tuple(distinct.ravel().tolist())).splitlines(True)
+    for part in np.split(key, cuts):
+        yield "".join(lines[part].tolist())
 
 
 def read_shots_csv(path: str | Path) -> Iterator[np.ndarray]:

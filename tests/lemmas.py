@@ -23,8 +23,13 @@ measurement and the cap.
 ``plain_read_json_file`` is the distribution reader before its route for
 the writer's own layout: the whole file through ``json.loads``, then
 ``from_dict``.  ``read_json_file`` must give its bits and its errors.
+
+``plain_write_shots_csv`` is the shot CSV writer before it formatted each
+distinct row of a block once: every block row by row, a few thousand
+rows per write.  ``write_shots_csv`` must write its bytes.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -34,6 +39,7 @@ import numpy as np
 
 from chainedbell import ConditionalDistribution, quantum_chain_closed_form
 from chainedbell.distributions import IDENTITY_TOL, _normalised
+from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
     MARGINAL_INDEPENDENCE_TOL,
     _malus_responses,
@@ -313,3 +319,25 @@ def plain_read_json_file(path) -> ConditionalDistribution:
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON document nested too deeply") from exc
     return ConditionalDistribution.from_dict(doc)
+
+
+def plain_write_shots_csv(blocks, path) -> int:
+    """Shot blocks written to CSV row by row, 4096 rows per write, after
+    the same block checks as ``write_shots_csv``; returns the row count."""
+    it = map(_check_block, blocks)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("no records to write")
+    width = first.shape[1]
+    row = ",".join(["%d"] * width) + "\r\n"
+    rows = 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_COLUMNS[:width]) + "\r\n")
+        for block in itertools.chain([first], it):
+            if block.shape[1] != width:
+                raise ValueError("shot blocks of one stream must share their columns")
+            for start in range(0, len(block), 4096):
+                part = block[start:start + 4096]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            rows += len(block)
+    return rows

@@ -24,9 +24,11 @@ from chainedbell import (
     mix_with_noise,
     qm_chained_distribution,
     read_json_file,
+    simulate_shots,
 )
 from chainedbell import chained, cli, hvm
 from chainedbell.cli import main
+from lemmas import plain_write_shots_csv
 
 
 def module_env():
@@ -1404,6 +1406,26 @@ class TestGoldenStreams:
         "custom_table": {"type": "custom_table", "distribution": mix_with_noise(
             qm_chained_distribution(3), 0.8).to_dict()},
     }
+
+    @pytest.mark.parametrize("kind", ["qm", "nonlocal_qm_4", "deterministic_uv", "leggett_24",
+                                      "custom_table"])
+    def test_two_block_csv_is_the_reference_bytes(self, capsys, tmp_path, kind):
+        # 70 000 shots stream as a full block and a 4464-row tail block.
+        n, shots, seed = (3 if kind == "custom_table" else 2), 70_000, 41
+        if kind == "qm":
+            source, extra = "qm", ("--visibility", "0.9")
+            drawn = mix_with_noise(qm_chained_distribution(n), 0.9)
+        else:
+            doc = self.MODEL_KINDS.get(kind, {**self.NONLOCAL_QM, "n_u": 4, "n_v": 4})
+            source, extra = tmp_path / "model.json", ()
+            source.write_text(json.dumps(doc))
+            drawn = hvm.model_from_json_file(source, n)
+        out, ref = tmp_path / "shots.csv", tmp_path / "reference.csv"
+        code, _ = run_cli(capsys, "experiment", "--source", str(source), "--n", str(n),
+                          "--shots", str(shots), "--seed", str(seed), *extra, "--out", str(out))
+        assert code == 0
+        assert plain_write_shots_csv(simulate_shots(drawn, n, shots, seed), ref) == shots
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
         "source, args, report, csv_sha256",

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from chainedbell import (
 )
 from chainedbell import experiment
 from chainedbell.experiment import _fold_counts, _inverse_cdf, _without_replacement
-from lemmas import induced_distribution, strategy_distribution
+from lemmas import induced_distribution, plain_write_shots_csv, strategy_distribution
 
 
 def concat(blocks, width=4):
@@ -381,11 +382,87 @@ class TestBlockProperties:
         width = whole.shape[1]
         pieces = cut(data.draw, whole)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "shots.csv"
+            path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
             assert write_shots_csv(pieces, path) == len(whole)
+            plain_write_shots_csv(pieces, ref)
+            assert path.read_bytes() == ref.read_bytes()
             back = concat(read_shots_csv(path), width)
         assert back.dtype == np.int64
         assert np.array_equal(back, whole)
+
+
+# Row counts around the writer's line chunks, and cut points at and
+# beside their ends.
+WRITE_ROWS = experiment._WRITE_ROWS
+CHUNK_EDGES = [WRITE_ROWS * m + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@st.composite
+def small_range_streams(draw):
+    """A stream of shot blocks, 4 or 6 columns of uint8, int16 or int64,
+    whose columns span 1 to 3 values above a low end anywhere in the
+    dtype's range, negative ones too.  The whole has up to 40 rows, a row
+    count about a chunk end, or one at the distinct-row route limit (4
+    rows per key) or just past it; it is cut at random rows, at chunk ends
+    or at single rows, which gives empty and 1-row blocks."""
+    width = draw(st.sampled_from([4, 6]))
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64]))
+    info = np.iinfo(dtype)
+    spans = draw(st.lists(st.integers(1, 3), min_size=width, max_size=width))
+    lows = [draw(st.integers(int(info.min), int(info.max) - span + 1)) for span in spans]
+    space = math.prod(spans)
+    rows = draw(st.one_of(st.integers(0, 40), st.sampled_from(CHUNK_EDGES),
+                          st.sampled_from([space * experiment._ROWS_PER_KEY - d for d in (0, 1)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    whole = (rng.integers(0, spans, size=(rows, width)) + lows).astype(dtype)
+    points = st.one_of(st.integers(0, rows), st.sampled_from([0, 1, rows - 1, *CHUNK_EDGES]))
+    cuts = sorted(c for c in draw(st.lists(points, max_size=5)) if 0 <= c <= rows)
+    return np.split(whole, cuts)
+
+
+class TestDistinctRowWriter:
+    """``write_shots_csv`` writes the bytes of the row-by-row reference
+    ``plain_write_shots_csv`` on either of its routes (full-range int64
+    blocks: ``test_csv_round_trip_returns_the_concatenated_block``)."""
+
+    @staticmethod
+    def both_bytes(blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
+            assert write_shots_csv(blocks, path) == plain_write_shots_csv(blocks, ref)
+            return path.read_bytes(), ref.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_range_streams())
+    def test_small_ranges_write_the_reference_bytes(self, blocks):
+        got, ref = self.both_bytes(blocks)
+        assert got == ref
+
+    @pytest.mark.parametrize("extra", [0, -1], ids=["at_limit", "past_limit"])
+    def test_route_limit(self, extra):
+        # 4 rows per key of a 3·2·4·2 key space: every key occurs at the
+        # limit, and one block row short of it the block goes row by row.
+        spans = [3, 2, 4, 2]
+        keys = np.arange(math.prod(spans) * experiment._ROWS_PER_KEY + extra) % math.prod(spans)
+        block = np.stack(np.unravel_index(keys, spans), axis=1) - [5, -7, 0, 2**40]
+        got, ref = self.both_bytes([block[::-1], block])
+        assert got == ref
+
+    @pytest.mark.parametrize("n", [2, 50, 200])
+    def test_peak_memory_grows_with_the_block(self, tmp_path, n):
+        # One 65 536-row qm block: the key space is 4N² (16, 10 000 and
+        # 160 000), so N = 2 and 50 take the distinct-row route and N = 200
+        # the row-by-row one.  The distinct-row route holds a key per row
+        # and at most one line per four rows, so its peak stays within 8
+        # times the reference's, which formats 4096 rows at a time.
+        block = next(simulate_shots(qm_chained_distribution(n), n, 65536, seed=5))
+        peaks = []
+        for writer in (plain_write_shots_csv, write_shots_csv):
+            tracemalloc.start()
+            writer([block], tmp_path / "shots.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 8 * peaks[0]
 
 
 # Reference forms of the shot kernels, written with loops, row sums and
