@@ -35,6 +35,7 @@ from .experiment import (
     read_shots_csv,
     sample_counts,
     simulate_shots,
+    simulate_shots_csv,
     write_shots_csv,
 )
 from .hvm import (

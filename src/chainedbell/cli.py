@@ -42,8 +42,7 @@ from .experiment import (
     estimate_from_counts,
     max_locality_bound,
     sample_counts,
-    simulate_shots,
-    write_shots_csv,
+    simulate_shots_csv,
 )
 from .hvm import (
     MARGINAL_INDEPENDENCE_TOL,
@@ -202,7 +201,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         # The stream draws the same counts from the same seed and orders
         # them into shots.  It is written after the estimate, so that a
         # run that fails leaves no file.
-        write_shots_csv(simulate_shots(source, args.n, args.shots, seed), args.out)
+        simulate_shots_csv(source, args.n, args.shots, seed, args.out)
         payload["out"] = str(args.out)
     return payload, 0
 

@@ -5,8 +5,13 @@ and derive the locality cap.
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
 plus ``u, v`` (hidden-variable indices) for a model source, in the order
-of the shot CSV header.  The CSV writer formats each distinct row of a
-block once when the block's key space is small, else row by row."""
+of the shot CSV header.  Underneath, one generator draws every stream:
+each block's shuffled cells ``((a*N + b)*2 + x)*2 + y`` and, for a model,
+its hidden pair.  :func:`simulate_shots` builds blocks from those draws;
+:func:`simulate_shots_csv` writes the same stream's CSV straight from them,
+formatting each cell (with its hidden pair) once per stream.
+:func:`write_shots_csv` writes any blocks, each distinct row of a block
+once when the block's key space is small, else row by row."""
 
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ __all__ = [
     "EstimateReport",
     "sample_counts",
     "simulate_shots",
+    "simulate_shots_csv",
     "estimate_chain_value",
     "estimate_from_counts",
     "max_locality_bound",
@@ -42,6 +48,9 @@ _CHUNK_ROWS = 65536
 # outgrows a few thousand lines.
 _WRITE_ROWS = 4096
 _ROWS_PER_KEY = 4  # fewest rows per key for the distinct-row route
+# Widest key space, in full blocks, for which simulate_shots_csv keeps one
+# line per key for the whole stream: 4N² cells of qm tables up to N = 256.
+_KEY_SPACE_BLOCKS = 4
 # NumPy's multivariate hypergeometric draw takes fewer than 1e9 items in
 # all.  A block's rows are far fewer, so the thinned population a block
 # is drawn from (see _without_replacement) stays below that.
@@ -156,8 +165,23 @@ def _grouped_draws(rng, key: np.ndarray, weights_of) -> np.ndarray:
     return out
 
 
-def _hidden_pair(rng, model: HiddenVariableModel, a, b, x, y) -> list[np.ndarray]:
-    """Each row's hidden pair (u, v), drawn from P(u, v | a, b, x, y).
+def _cell_rows(n: int) -> np.ndarray:
+    """The (a, b, x, y) row of each of the 4N² cells ``((a*N + b)*2 + x)*2 + y``,
+    as a C-ordered int64 (4N², 4) table."""
+    return np.indices((n, n, 2, 2), dtype=np.int64).reshape(4, -1).T.copy()
+
+
+def _side_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's key ``a*2 + x`` and Bob's key ``b*2 + y`` of each of the 4N² cells."""
+    a, b, x, y = _cell_rows(n).T
+    return a * 2 + x, b * 2 + y
+
+
+def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray,
+                 sides: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """Each row's hidden pair (u, v), drawn from P(u, v | a, b, x, y) given
+    the row's cell and the stream's per-cell side keys ``sides``
+    (:func:`_side_keys`).
 
     A table does not depend on the hidden pair, so its posterior is the
     prior: one cumulative table per side.  Per-side responses A (Alice's)
@@ -166,12 +190,14 @@ def _hidden_pair(rng, model: HiddenVariableModel, a, b, x, y) -> list[np.ndarray
     A[a, :, x]·(p_uv @ B[b, :, y]), then v from p_uv[u, :]·B[b, :, y].
     """
     if model.table is not None:
-        return [_inverse_cdf(np.cumsum(w), rng.random(len(a))) for w in (model.p_u, model.p_v)]
+        return [_inverse_cdf(np.cumsum(w), rng.random(len(cells))) for w in (model.p_u, model.p_v)]
     alice, bob = model.alice, model.bob
+    bob_key = sides[1][cells]
     if model.p_uv is None:
         return [
-            _grouped_draws(rng, a * 2 + x, lambda g: model.p_u * alice[g >> 1, :, g & 1]),
-            _grouped_draws(rng, b * 2 + y, lambda g: model.p_v * bob[g >> 1, :, g & 1]),
+            _grouped_draws(rng, sides[0][cells],
+                           lambda g: model.p_u * alice[g >> 1, :, g & 1]),
+            _grouped_draws(rng, bob_key, lambda g: model.p_v * bob[g >> 1, :, g & 1]),
         ]
     n, n_u, p_uv = model.n_settings, model.n_u, model.p_uv
     bob_side = bob.transpose(0, 2, 1) @ p_uv.T  # p_uv @ B[b, :, y], (N, 2, n_u)
@@ -184,24 +210,54 @@ def _hidden_pair(rng, model: HiddenVariableModel, a, b, x, y) -> list[np.ndarray
         side, u = divmod(g, n_u)
         return p_uv[u] * bob[side >> 1, :, side & 1]
 
-    u = _grouped_draws(rng, ((a * n + b) * 2 + x) * 2 + y, u_weights)
-    return [u, _grouped_draws(rng, (b * 2 + y) * n_u + u, v_weights)]
+    u = _grouped_draws(rng, cells, u_weights)
+    return [u, _grouped_draws(rng, bob_key * n_u + u, v_weights)]
 
 
-def _block(rng, cells: np.ndarray, n: int, model) -> np.ndarray:
-    """One shot block from the cell index of each of its rows, which it
-    shuffles in place; in a call of its own, so that none of its arrays
-    outlives the block."""
-    rng.shuffle(cells)
-    pair = cells >> 2
-    a = pair // n
-    cols = [a, pair - a * n, (cells >> 1) & 1, cells & 1]
+def _stream_source(source, n: int, shots: int) -> tuple[HiddenVariableModel | None,
+                                                        ConditionalDistribution]:
+    """The model (None for a table) and the outcome table of a shot run,
+    after the run's checks."""
+    model = source if isinstance(source, HiddenVariableModel) else None
     if model is not None:
-        cols += _hidden_pair(rng, model, *cols)
-    block = np.empty((len(cells), len(cols)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        block[:, j] = col
-    return block
+        if model.n_settings != n:
+            raise ValueError(f"the model has {model.n_settings} settings per side, not {n}")
+        table = chain_table(model)
+    elif isinstance(source, ConditionalDistribution):
+        table = source
+    else:
+        raise TypeError("source must be a two-party table or a hidden-variable model")
+    _check_run(table, n, shots)
+    return model, table
+
+
+def _draws(model, table: ConditionalDistribution, shots: int,
+           seed: int) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The draws of a checked run, block by block: each block's cells in
+    shuffled order, and for a model its rows' hidden pair (u, v), else no
+    column.  The only user of the stream's random generator."""
+    rng = np.random.default_rng(seed)
+    sides = None if model is None else _side_keys(model.n_settings)
+    remaining = _draw_cells(rng, table, shots)
+    cells = np.arange(remaining.size)
+    left = shots
+    while left:
+        k = min(_CHUNK_ROWS, left)
+        if k < left:
+            part = _without_replacement(rng, remaining, left, k)
+            remaining -= part
+        else:
+            part = remaining
+        left -= k
+        drawn = np.repeat(cells, part)
+        rng.shuffle(drawn)
+        yield drawn, ([] if model is None else _hidden_pair(rng, model, drawn, sides))
+
+
+def _block(rows: np.ndarray, cells: np.ndarray, hidden: list[np.ndarray]) -> np.ndarray:
+    """One shot block: the cell rows of its cells, then its hidden pair."""
+    block = rows.take(cells, axis=0)
+    return np.column_stack([block, *hidden]) if hidden else block
 
 
 def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray]:
@@ -222,29 +278,10 @@ def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray
     (a, b, x, y, u, v).  The same seed yields the same stream; memory
     grows with the block, not with the shot count.
     """
-    model = source if isinstance(source, HiddenVariableModel) else None
-    if model is not None:
-        if model.n_settings != n:
-            raise ValueError(f"the model has {model.n_settings} settings per side, not {n}")
-        table = chain_table(model)
-    elif isinstance(source, ConditionalDistribution):
-        table = source
-    else:
-        raise TypeError("source must be a two-party table or a hidden-variable model")
-    _check_run(table, n, shots)
-    rng = np.random.default_rng(seed)
-    remaining = _draw_cells(rng, table, shots)
-    cells = np.arange(remaining.size)
-    left = shots
-    while left:
-        k = min(_CHUNK_ROWS, left)
-        if k < left:
-            part = _without_replacement(rng, remaining, left, k)
-            remaining -= part
-        else:
-            part = remaining
-        left -= k
-        yield _block(rng, np.repeat(cells, part), n, model)
+    model, table = _stream_source(source, n, shots)
+    rows = _cell_rows(n)
+    for cells, hidden in _draws(model, table, shots, seed):
+        yield _block(rows, cells, hidden)
 
 
 def _check_block(block) -> np.ndarray:
@@ -340,6 +377,24 @@ def max_locality_bound(report: EstimateReport) -> float:
     return 0.5 * report.upper_bound
 
 
+def _start_csv(fh, width: int) -> str:
+    """Write the header of a shot CSV of ``width`` columns; returns the
+    %-format of one of its lines."""
+    fh.write(",".join(_COLUMNS[:width]) + "\r\n")
+    return ",".join(["%d"] * width) + "\r\n"
+
+
+def _lines(row: str, values: np.ndarray) -> list[str]:
+    """The CSV line of each row of ``values``, formatted in one call."""
+    return (row * len(values) % tuple(values.ravel().tolist())).splitlines(True)
+
+
+def _gathered(lines: np.ndarray, key: np.ndarray) -> Iterator[str]:
+    """The lines ``lines[key]`` joined, at most ``_WRITE_ROWS`` per string."""
+    for start in range(0, len(key), _WRITE_ROWS):
+        yield "".join(lines[key[start:start + _WRITE_ROWS]].tolist())
+
+
 def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
     """Stream shot blocks to CSV: integer columns ``a,b,x,y``, plus ``u,v``
     when the blocks carry them, and CRLF line ends.  Returns the row
@@ -349,10 +404,9 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
     if first is None:
         raise ValueError("no records to write")
     width = first.shape[1]
-    row = ",".join(["%d"] * width) + "\r\n"
     rows = 0
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_COLUMNS[:width]) + "\r\n")
+        row = _start_csv(fh, width)
         for block in itertools.chain([first], it):
             if block.shape[1] != width:
                 raise ValueError("shot blocks of one stream must share their columns")
@@ -370,9 +424,9 @@ def _block_text(block: np.ndarray, row: str) -> Iterator[str]:
     lows = [int(col.min()) for col in block.T] if len(block) else []
     spans = [int(col.max()) - lo + 1 for lo, col in zip(lows, block.T)]
     space = math.prod(spans)
-    cuts = range(_WRITE_ROWS, len(block), _WRITE_ROWS)
     if space * _ROWS_PER_KEY > len(block):
-        for part in np.split(block, cuts):
+        for start in range(0, len(block), _WRITE_ROWS):
+            part = block[start:start + _WRITE_ROWS]
             yield row * len(part) % tuple(part.ravel().tolist())
         return
     key = np.zeros(len(block), dtype=np.int64)
@@ -380,11 +434,45 @@ def _block_text(block: np.ndarray, row: str) -> Iterator[str]:
         key *= span
         key += col - lo
     present = np.flatnonzero(np.bincount(key, minlength=space))
-    distinct = np.stack(np.unravel_index(present, spans), axis=1) + lows
     lines = np.empty(space, dtype=object)
-    lines[present] = (row * len(present) % tuple(distinct.ravel().tolist())).splitlines(True)
-    for part in np.split(key, cuts):
-        yield "".join(lines[part].tolist())
+    lines[present] = _lines(row, np.stack(np.unravel_index(present, spans), axis=1) + lows)
+    yield from _gathered(lines, key)
+
+
+def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) -> int:
+    """Write the stream that ``simulate_shots(source, n, shots, seed)``
+    yields to CSV, the bytes :func:`write_shots_csv` writes for it, without
+    building its blocks.  Returns the row count, ``shots``.
+
+    Each row is keyed by its cell ``((a*N + b)*2 + x)*2 + y``, or for a
+    model by ``(cell*n_u + u)*n_v + v``.  While that key space is at most
+    ``_KEY_SPACE_BLOCKS`` full blocks (every qm table up to N = 256), a
+    key's line is formatted once per stream, when it first occurs, and
+    each block is gathered by key.  A wider stream (a model with large
+    hidden alphabets) hands its built blocks to :func:`write_shots_csv`."""
+    model, table = _stream_source(source, n, shots)
+    rows = _cell_rows(n)
+    sizes = (len(rows),) if model is None else (len(rows), model.n_u, model.n_v)
+    space = math.prod(sizes)
+    draws = _draws(model, table, shots, seed)
+    if space > _KEY_SPACE_BLOCKS * _CHUNK_ROWS:
+        return write_shots_csv((_block(rows, cells, hidden) for cells, hidden in draws), path)
+    with open(path, "w", newline="") as fh:
+        row = _start_csv(fh, 4 if model is None else 6)
+        lines = np.empty(space, dtype=object)
+        seen = np.zeros(space, dtype=bool)
+        for cells, hidden in draws:
+            key = cells
+            for size, col in zip(sizes[1:], hidden):
+                key = key * size + col
+            occur = np.zeros(space, dtype=bool)
+            occur[key] = True
+            new = np.flatnonzero(occur & ~seen)
+            seen |= occur
+            cell, *pair = np.unravel_index(new, sizes)
+            lines[new] = _lines(row, np.column_stack([rows[cell], *pair]))
+            fh.writelines(_gathered(lines, key))
+    return shots
 
 
 def read_shots_csv(path: str | Path) -> Iterator[np.ndarray]:

@@ -25,6 +25,8 @@ from chainedbell import (
     qm_chained_distribution,
     read_json_file,
     simulate_shots,
+    simulate_shots_csv,
+    write_shots_csv,
 )
 from chainedbell import chained, cli, hvm
 from chainedbell.cli import main
@@ -1411,6 +1413,8 @@ class TestGoldenStreams:
                                       "custom_table"])
     def test_two_block_csv_is_the_reference_bytes(self, capsys, tmp_path, kind):
         # 70 000 shots stream as a full block and a 4464-row tail block.
+        # The CLI, simulate_shots_csv and write_shots_csv of the stream all
+        # write the row-by-row reference's bytes.
         n, shots, seed = (3 if kind == "custom_table" else 2), 70_000, 41
         if kind == "qm":
             source, extra = "qm", ("--visibility", "0.9")
@@ -1426,6 +1430,10 @@ class TestGoldenStreams:
         assert code == 0
         assert plain_write_shots_csv(simulate_shots(drawn, n, shots, seed), ref) == shots
         assert out.read_bytes() == ref.read_bytes()
+        direct, blocks = tmp_path / "direct.csv", tmp_path / "blocks.csv"
+        assert simulate_shots_csv(drawn, n, shots, seed, direct) == shots
+        assert write_shots_csv(simulate_shots(drawn, n, shots, seed), blocks) == shots
+        assert direct.read_bytes() == blocks.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
         "source, args, report, csv_sha256",

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from chainedbell import (
     read_shots_csv,
     sample_counts,
     simulate_shots,
+    simulate_shots_csv,
     write_shots_csv,
 )
 from chainedbell import experiment
@@ -650,6 +652,108 @@ class TestSamplerMatchesReference:
             assert mine.dtype == np.int64 and mine.flags.c_contiguous
             assert mine.shape[1] == (4 if isinstance(source, ConditionalDistribution) else 6)
             assert np.array_equal(mine, theirs)
+
+
+def settings_of(source) -> int:
+    """Settings per side of a table or model source."""
+    return source.input_sizes[0] if isinstance(source, ConditionalDistribution) \
+        else source.n_settings
+
+
+def peak_bytes(write) -> int:
+    """The tracemalloc peak of one call of ``write``."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One source of each kind the direct writer keys apart: tables, table-form
+# models, product-weight models and joint-weight (uv_weights) models.
+CSV_SOURCES = ["qm", "noisy_qm_small_chunks", "nonlocal_qm", "table_weighted",
+               "local_deterministic", "leggett_weighted", "leggett_uv", "deterministic_uv"]
+
+
+class TestSimulatedCsv:
+    """``simulate_shots_csv`` writes the bytes of the row-by-row reference
+    ``plain_write_shots_csv`` of ``simulate_shots``'s stream, whether it
+    keeps one line per key for the stream or writes built blocks."""
+
+    @staticmethod
+    def both_bytes(source, n, shots, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
+            assert simulate_shots_csv(source, n, shots, seed, path) == shots
+            assert plain_write_shots_csv(simulate_shots(source, n, shots, seed), ref) == shots
+            return path.read_bytes(), ref.read_bytes()
+
+    @pytest.mark.parametrize("name", CSV_SOURCES)
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from([65_535, 65_536, 65_537, 131_073]), st.integers(0, 2**32 - 1),
+           st.booleans())
+    @example(131_073, 0, False)
+    @example(65_537, 1, True)
+    def test_writes_the_reference_bytes(self, name, shots, seed, blocks):
+        # One row short of a full block, a full block, one row more, and
+        # two full blocks and a row; with ``blocks`` a key-space limit of 0
+        # sends the stream through the block routes.
+        source = SOURCES[name][0]
+        limit = 0 if blocks else experiment._KEY_SPACE_BLOCKS
+        with mock.patch.object(experiment, "_KEY_SPACE_BLOCKS", limit):
+            got, ref = self.both_bytes(source, settings_of(source), shots, seed)
+        assert got == ref
+
+    @pytest.mark.parametrize("source, n, table_route", [
+        (qm_chained_distribution(65), 65, True),
+        (qm_chained_distribution(100), 100, True),
+        (leggett_model(2, inplane_grid(360)), 2, False),
+    ], ids=["qm_65", "qm_100", "leggett_grid_360"])
+    def test_large_alphabets(self, source, n, table_route):
+        # qm at N = 65 and 100 keeps a line per cell for the stream (16 900
+        # and 40 000 keys); a grid-360 Leggett model has 16·360² keys and
+        # writes its built blocks.
+        space = 4 * n * n * getattr(source, "n_u", 1) * getattr(source, "n_v", 1)
+        assert (space <= experiment._KEY_SPACE_BLOCKS * experiment._CHUNK_ROWS) == table_route
+        got, ref = self.both_bytes(source, n, 140_000, seed=53)
+        assert got == ref
+
+    def test_checks_come_before_the_file(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        with pytest.raises(ValueError, match="shots"):
+            simulate_shots_csv(qm_chained_distribution(2), 2, 0, 1, path)
+        with pytest.raises(ValueError, match="settings per side"):
+            simulate_shots_csv(nonlocal_qm_model(2), 3, 10, 1, path)
+        with pytest.raises(TypeError):
+            simulate_shots_csv(np.ones((2, 2, 2, 2)) / 4, 2, 10, 1, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n, factor", [(10, 1.0), (200, 2.0)])
+    def test_peak_memory_of_the_line_table(self, tmp_path, n, factor):
+        # At N = 10 a stream's 400 lines cost less than the block writer's
+        # block; at N = 200 its 160 000 lines stay within twice that.  The
+        # block writer's memory is O(block), so its peak over two full
+        # blocks is its peak over any longer stream.  The line table is
+        # bounded by the key space: doubling the stream adds under 10 %.
+        table, path = qm_chained_distribution(n), tmp_path / "shots.csv"
+        simulate_shots_csv(table, n, 1000, 1, path)  # first-call allocations
+        base = peak_bytes(lambda: write_shots_csv(simulate_shots(table, n, 2 * 65536, 1), path))
+        one, two = (peak_bytes(lambda: simulate_shots_csv(table, n, shots, 1, path))
+                    for shots in (10**6, 2 * 10**6))
+        assert one <= factor * base
+        assert two <= 1.1 * one
+
+    def test_peak_memory_of_the_block_route(self, tmp_path):
+        # A grid-360 Leggett stream writes built blocks, one at a time,
+        # with no more memory than the block writer; two full blocks show
+        # each one's peak.  Repeated calls of either writer spread their
+        # peaks (about 10 MB) by a few hundred bytes of interpreter objects,
+        # hence the one-page allowance.
+        model, path = leggett_model(2, inplane_grid(360)), tmp_path / "shots.csv"
+        simulate_shots_csv(model, 2, 1000, 1, path)
+        base = peak_bytes(lambda: write_shots_csv(simulate_shots(model, 2, 2 * 65536, 1), path))
+        assert peak_bytes(lambda: simulate_shots_csv(model, 2, 2 * 65536, 1, path)) <= base + 4096
 
 
 class TestStreamCarriesTheCounts:

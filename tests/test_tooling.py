@@ -222,12 +222,15 @@ class TestOneSampler:
     def test_experiment_without_out_draws_counts_not_shots(self, monkeypatch):
         # Without --out the estimate reads drawn counts: neither the shot
         # stream nor the fold runs, so 1e15 shots cost what 1e3 do.
+        # Every shot stream is drawn by experiment._draws, whichever entry
+        # point streams it.
         def refuse(*args, **kwargs):
             raise AssertionError("shots were streamed or folded")
 
         for owner in (cli, experiment):
-            monkeypatch.setattr(owner, "simulate_shots", refuse)
-        monkeypatch.setattr(experiment, "_fold_counts", refuse)
+            monkeypatch.setattr(owner, "simulate_shots_csv", refuse)
+        for name in ("simulate_shots", "_draws", "_fold_counts"):
+            monkeypatch.setattr(experiment, name, refuse)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["experiment", "--source", "qm", "--n", "4",
@@ -260,6 +263,15 @@ class TestOneSampler:
         assert with_out == without
         assert path.stat().st_size > 0
 
+    def test_only_the_draw_generator_orders_shots(self):
+        # One generator draws each block's make-up and shuffles it, for
+        # simulate_shots and simulate_shots_csv alike.
+        found = {(path.name, callee): callers for path in self.modules()
+                 for callee in ("_without_replacement", "shuffle")
+                 if (callers := callers_of(path.read_text(), callee))}
+        assert found == {("experiment.py", "_without_replacement"): ["_draws"],
+                         ("experiment.py", "shuffle"): ["_draws"]}
+
     def test_no_array_over_setting_pairs_and_hidden_pairs(self):
         found = {path.name: lines for path in self.modules()
                  if (lines := dense_einsums(path.read_text()))}
@@ -277,6 +289,19 @@ class TestOneSampler:
         )
         assert inverse_cdf_calls(source) == ["line 6", "line 7"]
         assert dense_einsums(source) == ["line 3", "line 4"]
+
+    def test_the_draw_check_sees_a_planted_violation(self):
+        source = (
+            "def _draws(rng, remaining, k):\n"
+            "    part = _without_replacement(rng, remaining, remaining.sum(), k)\n"
+            "    rng.shuffle(part)\n"
+            "def simulate_shots(rng, cells):\n"
+            "    np.random.default_rng(1).shuffle(cells)\n"
+            "    def again():\n"
+            "        return experiment._without_replacement(rng, cells, 9, 3)\n"
+        )
+        assert callers_of(source, "_without_replacement") == ["_draws", "again"]
+        assert callers_of(source, "shuffle") == ["_draws", "simulate_shots"]
 
 
 # The two identity cross-checks of a locality distance, by the start of
