@@ -12,13 +12,13 @@ JSON object ``{"error": ...}``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import secrets
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .chained import (
@@ -44,6 +44,7 @@ from .experiment import (
     sample_counts,
     simulate_shots_csv,
 )
+from . import hvm
 from .hvm import (
     MARGINAL_INDEPENDENCE_TOL,
     chain_table,
@@ -69,16 +70,22 @@ def _resolve_seed(args) -> int:
     return int(seed)
 
 
-def _score_dict(score) -> dict:
-    return {
-        "n": score.n_settings,
-        "chain_value": score.value,
-        "terms": [[a, b, c] for a, b, c in score.terms],
-    }
+def _fields(record) -> dict:
+    """A flat record's fields in order, uncopied (``asdict`` deep-copies)."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _qm_table(n: int, arg: str) -> ConditionalDistribution:
+    """The qm table, refused before anything is built when its 4·N² entries
+    exceed the model budget ``MAX_MODEL_ENTRIES``; the error names ``arg``."""
+    if n >= 2 and 4 * n * n > hvm.MAX_MODEL_ENTRIES:
+        raise ValueError(f"quantum table too large: {arg} {n} asks for {4 * n * n} numbers, "
+                         f"above {hvm.MAX_MODEL_ENTRIES}")
+    return qm_chained_distribution(n)
 
 
 def cmd_qm(args) -> tuple[dict, int]:
-    dist = qm_chained_distribution(args.n)
+    dist = _qm_table(args.n, "n")
     if args.visibility is not None:
         dist = mix_with_noise(dist, args.visibility)
     score = evaluate_chain(dist, args.n)
@@ -86,7 +93,8 @@ def cmd_qm(args) -> tuple[dict, int]:
         "n": args.n,
         "visibility": 1.0 if args.visibility is None else args.visibility,
         "ideal_closed_form": quantum_chain_closed_form(args.n),
-        **_score_dict(score),
+        "chain_value": score.value,
+        "terms": [[a, b, c] for a, b, c in score.terms],
     }
     if args.out:
         write_json_file(dist, args.out)
@@ -103,11 +111,11 @@ def cmd_check(args) -> tuple[dict, int]:
     dist = read_json_file(args.distribution)
     if not args.locality_bound:
         report = assert_nonsignaling(dist, args.tol)
-        return {"nonsignaling": asdict(report)}, (0 if report.passed else 1)
+        return {"nonsignaling": _fields(report)}, (0 if report.passed else 1)
     # The bound's own non-signaling test is the check's report.
     bound = locality_bound_check(dist, args.tol)
     ns = {"max_violation": bound.ns_violation, "passed": bound.applicable, "tol": args.tol}
-    return {"nonsignaling": ns, "locality_bound": asdict(bound)}, (0 if bound.passed else 1)
+    return {"nonsignaling": ns, "locality_bound": _fields(bound)}, (0 if bound.passed else 1)
 
 
 def cmd_falsify(args) -> tuple[dict, int]:
@@ -175,7 +183,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         raise ValueError(f"--shots must be at most {_INT64_MAX}")
     seed = _resolve_seed(args)
     if args.source == "qm":
-        table = qm_chained_distribution(args.n)
+        table = _qm_table(args.n, "--n")
         if args.visibility is not None:
             table = mix_with_noise(table, args.visibility)
         source = table
@@ -193,7 +201,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         "seed": seed,
         "source": str(args.source),
         "shots": args.shots,
-        "report": asdict(report),
+        "report": _fields(report),
         "max_locality_bound": max_locality_bound(report),
         "reference_chain_value": reference,
     }
@@ -211,7 +219,7 @@ def cmd_bruteforce(args) -> tuple[dict, int]:
     return {
         "n": args.n,
         "min_value": result.min_value,
-        "witness": asdict(result.witness),
+        "witness": _fields(result.witness),
     }, 0
 
 
@@ -244,10 +252,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared after it: each
-    ``add_argument`` sets up a help formatter, which costs more than a
-    whole ``parse_args``, and parsing leaves the parser unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's parser by name, built once and
+    shared: an ``add_argument`` costs more than a parse, which changes no
+    parser."""
     parser = _Parser(
         prog="chainedbell",
         description="Chained Bell experiment simulator and hidden-variable model tester",
@@ -298,7 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--out", type=Path, default=None, help="write the argmin table here")
     p.set_defaults(func=cmd_lp)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` at half the cost: the rest of an
+    argv that starts with a subcommand goes straight to its parser, which
+    the full parser's own pass would only hand it on to."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, an unknown command, or -h before it
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _payload_text(payload: dict) -> str:
@@ -317,7 +344,7 @@ def _payload_text(payload: dict) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         payload, code = args.func(args)
     except SystemExit:  # --help printed its text
         return 0

@@ -44,10 +44,9 @@ __all__ = [
 _COLUMNS = ("a", "b", "x", "y", "u", "v")
 # Rows per shot block, streamed and read back alike.
 _CHUNK_ROWS = 65536
-# Lines per CSV write on either route, so that no string written at once
-# outgrows a few thousand lines.
+# Lines per CSV write, so that no string written at once outgrows a few
+# thousand lines.
 _WRITE_ROWS = 4096
-_ROWS_PER_KEY = 4  # fewest rows per key for the distinct-row route
 # Widest key space, in full blocks, for which simulate_shots_csv keeps one
 # line per key for the whole stream: 4N² cells of qm tables up to N = 256.
 _KEY_SPACE_BLOCKS = 4
@@ -384,17 +383,6 @@ def _start_csv(fh, width: int) -> str:
     return ",".join(["%d"] * width) + "\r\n"
 
 
-def _lines(row: str, values: np.ndarray) -> list[str]:
-    """The CSV line of each row of ``values``, formatted in one call."""
-    return (row * len(values) % tuple(values.ravel().tolist())).splitlines(True)
-
-
-def _gathered(lines: np.ndarray, key: np.ndarray) -> Iterator[str]:
-    """The lines ``lines[key]`` joined, at most ``_WRITE_ROWS`` per string."""
-    for start in range(0, len(key), _WRITE_ROWS):
-        yield "".join(lines[key[start:start + _WRITE_ROWS]].tolist())
-
-
 def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
     """Stream shot blocks to CSV: integer columns ``a,b,x,y``, plus ``u,v``
     when the blocks carry them, and CRLF line ends.  Returns the row
@@ -410,33 +398,11 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
         for block in itertools.chain([first], it):
             if block.shape[1] != width:
                 raise ValueError("shot blocks of one stream must share their columns")
-            fh.writelines(_block_text(block, row))
+            for start in range(0, len(block), _WRITE_ROWS):
+                part = block[start:start + _WRITE_ROWS]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
             rows += len(block)
     return rows
-
-
-def _block_text(block: np.ndarray, row: str) -> Iterator[str]:
-    """The CSV lines of a checked block, at most ``_WRITE_ROWS`` per string.
-    If the key space (the product of the column ranges) is at most a
-    quarter of the rows, the rows that occur, found by a mixed-radix key
-    that cannot wrap in int64, are formatted once and gathered by key;
-    other blocks (empty, short or wide) row by row, to the same text."""
-    lows = [int(col.min()) for col in block.T] if len(block) else []
-    spans = [int(col.max()) - lo + 1 for lo, col in zip(lows, block.T)]
-    space = math.prod(spans)
-    if space * _ROWS_PER_KEY > len(block):
-        for start in range(0, len(block), _WRITE_ROWS):
-            part = block[start:start + _WRITE_ROWS]
-            yield row * len(part) % tuple(part.ravel().tolist())
-        return
-    key = np.zeros(len(block), dtype=np.int64)
-    for lo, span, col in zip(lows, spans, block.T):
-        key *= span
-        key += col - lo
-    present = np.flatnonzero(np.bincount(key, minlength=space))
-    lines = np.empty(space, dtype=object)
-    lines[present] = _lines(row, np.stack(np.unravel_index(present, spans), axis=1) + lows)
-    yield from _gathered(lines, key)
 
 
 def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) -> int:
@@ -470,8 +436,10 @@ def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) 
             new = np.flatnonzero(occur & ~seen)
             seen |= occur
             cell, *pair = np.unravel_index(new, sizes)
-            lines[new] = _lines(row, np.column_stack([rows[cell], *pair]))
-            fh.writelines(_gathered(lines, key))
+            values = np.column_stack([rows[cell], *pair])
+            lines[new] = (row * len(new) % tuple(values.ravel().tolist())).splitlines(True)
+            for start in range(0, len(key), _WRITE_ROWS):
+                fh.write("".join(lines[key[start:start + _WRITE_ROWS]].tolist()))
     return shots
 
 

@@ -27,6 +27,11 @@ the writer's own layout: the whole file through ``json.loads``, then
 ``plain_write_shots_csv`` is the shot CSV writer before it formatted each
 distinct row of a block once: every block row by row, a few thousand
 rows per write.  ``write_shots_csv`` must write its bytes.
+
+``full_parse`` is the CLI's parse before it handed the rest of an argv
+that starts with a subcommand straight to that subcommand's parser: the
+whole argv through the full parser.  ``main`` must print the same bytes
+and exit with the same code on either route.
 """
 
 import itertools
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chainedbell import ConditionalDistribution, quantum_chain_closed_form
+from chainedbell import ConditionalDistribution, cli, quantum_chain_closed_form
 from chainedbell.distributions import IDENTITY_TOL, _normalised
 from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
@@ -341,3 +346,8 @@ def plain_write_shots_csv(blocks, path) -> int:
                 fh.write(row * len(part) % tuple(part.ravel().tolist()))
             rows += len(block)
     return rows
+
+
+def full_parse(argv):
+    """``argv`` read by the full CLI parser alone."""
+    return cli.build_parser().parse_args(argv)

@@ -26,11 +26,12 @@ from chainedbell import (
     read_json_file,
     simulate_shots,
     simulate_shots_csv,
+    write_json_file,
     write_shots_csv,
 )
 from chainedbell import chained, cli, hvm
 from chainedbell.cli import main
-from lemmas import plain_write_shots_csv
+from lemmas import full_parse, plain_write_shots_csv
 
 
 def module_env():
@@ -88,6 +89,52 @@ class TestQm:
         code, payload = run_cli(capsys, "qm", "3", "--out", str(out))
         assert code == 0
         assert read_json_file(out) == qm_chained_distribution(3)
+
+
+class TestQmTableBudget:
+    """``qm N`` and ``experiment --source qm --n N`` refuse a table of more
+    than ``MAX_MODEL_ENTRIES`` numbers (4·N²), the budget a ``nonlocal_qm``
+    document's table is held to, before the table is built or a file is
+    written, and name the argument that gave N."""
+
+    ARGV = {
+        "qm": (["qm", "{n}", "--out", "{out}"], "n"),
+        "experiment": (["experiment", "--source", "qm", "--n", "{n}", "--shots", "100",
+                        "--seed", "1", "--out", "{out}"], "--n"),
+    }
+
+    def run(self, capsys, tmp_path, monkeypatch, command, n, budget):
+        monkeypatch.setattr(hvm, "MAX_MODEL_ENTRIES", budget)
+        argv, _ = self.ARGV[command]
+        out = tmp_path / "out"
+        return run_cli(capsys, *[arg.format(n=n, out=out) for arg in argv]), out
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_over_the_budget_is_a_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "qm_chained_distribution", refuse)
+        (code, payload), out = self.run(capsys, tmp_path, monkeypatch, command, 5, 99)
+        arg = self.ARGV[command][1]
+        assert code == 2
+        assert payload == {"error": f"quantum table too large: {arg} 5 asks for 100 numbers, "
+                                    "above 99"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_at_the_budget_is_built(self, capsys, tmp_path, monkeypatch, command):
+        (code, payload), out = self.run(capsys, tmp_path, monkeypatch, command, 5, 100)
+        assert code == 0 and payload["out"] == str(out)
+        assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_a_chain_too_short_keeps_its_error(self, capsys, tmp_path, monkeypatch, command):
+        # 4·N² of a large negative N is over the budget too, but no table
+        # of that N exists to be too large.
+        (code, payload), out = self.run(capsys, tmp_path, monkeypatch, command, -10**8, 99)
+        assert (code, payload) == (2, {"error": "chain parameter must be at least 2"})
+        assert not out.exists()
 
 
 class TestStdoutTable:
@@ -1934,15 +1981,26 @@ class TestHarness:
         assert main(["qm"]) == 2  # missing argument
         capsys.readouterr()
 
-    def test_parser_is_built_once(self, capsys):
-        main(["qm", "2"])
-        before = cli.build_parser.cache_info()
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # The full parser and each subcommand's parser are built on the
+        # first call and shared by every later one, on either route.
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._parsers.cache_clear()
         for _ in range(10):
             assert main(["bruteforce", "--n", "2"]) == 0
-        after = cli.build_parser.cache_info()
+            assert main(["qm", "2"]) == 0
+            assert main(["--help"]) == 0
+            assert cli.build_parser() is cli._parsers()[0]
         capsys.readouterr()
-        assert after.misses == before.misses == 1
-        assert after.hits == before.hits + 10
+        commands = ["qm", "check", "falsify", "scan", "experiment", "bruteforce", "lp"]
+        assert built == ["chainedbell"] + [f"chainedbell {c}" for c in commands]
 
     def test_shared_parser_keeps_no_option_between_calls(self, capsys):
         code, payload = run_cli(capsys, "qm", "3", "--visibility", "0.5")
@@ -2119,6 +2177,108 @@ class TestUsageErrorsAreJson:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert "--n" in one_document(proc.stdout)["error"]
+
+
+COMMANDS = ["qm", "check", "falsify", "scan", "experiment", "bruteforce", "lp"]
+# Tokens for drawn command lines: every command and option, abbreviations,
+# the separator, help, numbers good and bad, and the input files.
+ARGV_TOKENS = COMMANDS + [
+    "2", "3", "0.5", "-1", "x", "--n", "--n=2", "--shots", "--seed", "--delta",
+    "--visibility", "--vis", "--source", "--n-max", "--tol", "--locality-bound",
+    "--confidence", "--out", "out.json", "model.json", "table.json", "--", "-h",
+    "--help", "--bogus", "-",
+]
+
+
+def run_on_route(parse, argv, workdir):
+    """Exit code, stdout and the bytes of every file in a fresh ``workdir``
+    (input files included) after ``main(argv)`` runs there, with ``parse``
+    as the CLI's parse and seed 7 as the one a run without ``--seed``
+    draws."""
+    workdir.mkdir()
+    (workdir / "model.json").write_text('{"type": "leggett", "n": 2, "grid": 4}')
+    write_json_file(qm_chained_distribution(2), workdir / "table.json")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse", parse)
+        mp.setattr(cli.secrets, "randbits", lambda bits: 7)
+        mp.chdir(workdir)
+        code, out = run_in_process(argv)
+    return code, out, {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+
+
+def both_routes(argv, root):
+    """``run_on_route`` on the dispatch, then on the full parser alone."""
+    return [run_on_route(parse, argv, root / name)
+            for name, parse in (("dispatch", cli._parse), ("full", full_parse))]
+
+
+class TestDispatch:
+    """``main`` hands the rest of an argv that starts with a subcommand to
+    that subcommand's parser.  On every command line it exits with the code
+    and prints the bytes that the full parser alone gives, and writes the
+    same files."""
+
+    VALID = [
+        ["qm", "3"],
+        ["qm", "2", "--visibility", "0.5", "--out", "qm.json"],
+        ["qm", "--out=qm.json", "2"],
+        ["check", "table.json"],
+        ["check", "table.json", "--locality-bound", "--tol", "0"],
+        ["falsify", "model.json", "--n", "2"],
+        ["falsify", "model.json", "--n", "2", "--shots", "100", "--seed", "3"],
+        ["scan", "--n-max", "5", "--visibility", "0.9", "--out", "scan.csv"],
+        ["experiment", "--source", "qm", "--n", "3", "--shots", "1000", "--seed", "3",
+         "--confidence", "0.9", "--visibility", "0.8"],
+        ["experiment", "--source", "model.json", "--n", "2", "--shots", "1000",
+         "--out", "shots.csv"],
+        ["bruteforce", "--n", "4"],
+        ["lp", "--n", "2", "--delta", "0.1"],
+        ["lp", "--n", "3", "--delta", "0.2", "--out", "argmin.json"],
+    ]
+    REJECTED = {
+        "missing_argument": [["qm"], ["falsify", "model.json"], ["lp", "--n", "2"],
+                             ["scan", "--n-max", "3"],
+                             ["experiment", "--source", "qm", "--n", "2"]],
+        "unknown_option": [["qm", "2", "--bogus"], ["bruteforce", "--n", "2", "--x=1"],
+                           ["check", "-z", "table.json"]],
+        "extra_positional": [["qm", "2", "3"], ["check", "table.json", "extra"],
+                             ["bruteforce", "--n", "2", "a", "b"]],
+        "bad_number": [["qm", "two"], ["lp", "--n", "2", "--delta", "x"],
+                       ["experiment", "--source", "qm", "--n", "2.5", "--shots", "10"],
+                       ["check", "table.json", "--tol", "1e"]],
+        "separator": [["qm", "--", "2"], ["qm", "2", "--", "3"], ["check", "--", "table.json"],
+                      ["qm", "--visibility", "0.5", "--", "3"],
+                      ["lp", "--n", "2", "--", "--delta", "0.1"]],
+        "abbreviation": [["qm", "2", "--vis", "0.5"], ["qm", "2", "--vis=0.5"],
+                         ["experiment", "--so", "qm", "--n", "2", "--sh", "10", "--se", "1"],
+                         ["experiment", "--s", "qm", "--n", "2", "--shots", "10"]],
+        "help": [["-h"], ["--help"], ["qm", "-h"], ["lp", "--help"], ["-h", "qm"],
+                 ["--help", "lp"], ["qm", "2", "--help"], ["experiment", "--source", "qm", "-h"]],
+        "no_command": [[], ["bogus"], ["QM"], ["q"], ["--bogus"], ["-x", "qm"],
+                       ["--", "qm", "2"]],
+    }
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_valid_forms(self, tmp_path, argv):
+        dispatch, full = both_routes(argv, tmp_path)
+        assert dispatch == full
+        assert dispatch[0] in (0, 1)
+
+    @pytest.mark.parametrize("argv", [argv for group in REJECTED.values() for argv in group],
+                             ids=" ".join)
+    def test_rejected_and_help_forms(self, tmp_path, argv):
+        dispatch, full = both_routes(argv, tmp_path)
+        assert dispatch == full
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+        st.builds(lambda head, rest: [head, *rest], st.sampled_from(COMMANDS),
+                  st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)),
+    ))
+    def test_drawn_command_lines(self, tmp_path_factory, argv):
+        dispatch, full = both_routes(argv, tmp_path_factory.mktemp("routes"))
+        assert dispatch == full
 
 
 class TestCertificateFailure:

@@ -2,7 +2,8 @@
 suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
 document reader, its plain model record, its one table float formatter,
-its one tolerance ledger and the one owner of each argument check."""
+its one tolerance ledger, the one owner of each argument check and its
+one command-line parse."""
 
 import ast
 import contextlib
@@ -432,8 +433,10 @@ class TestOneDocumentReader:
                       for name in owners(path.read_text(), match))
 
     def test_one_function_checks_the_size_budget(self):
+        # The qm commands hold their 4·N² table to the same budget; they
+        # read no document.
         assert self.found(raises_too_large) == ["hvm.py:_model_of_kind"]
-        assert self.found(reads_budget) == ["hvm.py:_model_of_kind"]
+        assert self.found(reads_budget) == ["cli.py:_qm_table", "hvm.py:_model_of_kind"]
 
     def test_only_the_reader_names_the_sized_kinds(self):
         assert self.found(names_a_sized_kind) == ["hvm.py:_model_of_kind",
@@ -687,3 +690,63 @@ class TestOneCheckOwner:
         assert repeated_checks(cli_source, library_source) == [
             "line 5: shots must be at least 1",
             "line 7: the model has {} settings per side, not {}"]
+
+
+PARSE_CALLS = ("parse_args", "parse_known_args")
+
+
+def parse_callers(source: str) -> list[str]:
+    """The functions of a module that call ``parse_args`` or
+    ``parse_known_args``, "<module>" for a call outside every function."""
+    return owners(source, lambda node: isinstance(node, ast.Call)
+                  and _called_name(node) in PARSE_CALLS)
+
+
+def asdict_imports(source: str) -> list[str]:
+    """Lines of a module that import ``asdict`` from ``dataclasses`` or read
+    it off the module, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and any(alias.name in ("asdict", "*") for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "asdict"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"]
+
+
+class TestOneParse:
+    """One function reads a command line: it hands the rest of an argv that
+    starts with a subcommand to that subcommand's parser, and every other
+    argv to the full parser.  Report records become dicts field by field,
+    never through ``asdict``, which deep-copies every value."""
+
+    def modules(self):
+        return sorted((ROOT / "src" / "chainedbell").glob("*.py"))
+
+    def test_only_the_dispatch_parses(self):
+        found = [f"{path.name}:{name}" for path in self.modules()
+                 for name in parse_callers(path.read_text())]
+        assert found == ["cli.py:_parse"]
+
+    def test_no_module_imports_asdict(self):
+        found = {path.name: lines for path in self.modules()
+                 if (lines := asdict_imports(path.read_text()))}
+        assert found == {}
+
+    def test_the_checks_see_a_planted_violation(self):
+        source = (
+            "import dataclasses\n"
+            "from dataclasses import asdict, fields\n"
+            "from dataclasses import *\n"
+            "args = build_parser().parse_args()\n"
+            "def _parse(argv):\n"
+            "    args, extras = command.parse_known_args(argv[1:])\n"
+            "    return parser.parse_args(argv)\n"
+            "def cmd_check(args):\n"
+            "    \"\"\"Not parse_args(argv): a docstring is no call.\"\"\"\n"
+            "    return {'report': dataclasses.asdict(report)}\n"
+            "def main(argv):\n"
+            "    def again():\n"
+            "        return _parsers()[1]['qm'].parse_args(argv)\n"
+            "    return dataclasses.fields(report)\n"
+        )
+        assert parse_callers(source) == ["<module>", "_parse", "again"]
+        assert asdict_imports(source) == ["line 2", "line 3", "line 10"]
