@@ -58,11 +58,12 @@ from .hvm import (
 from .quantum import mix_with_noise, qm_chained_distribution
 
 _INT64_MAX = 2**63 - 1
+_SCAN_ROWS = 65536  # rows per scan CSV write
 _TABLE_MARK = "<table>"  # no payload that holds a table holds a string
 
 
 def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is None:
         seed = secrets.randbits(32)
     if seed < 0:  # NumPy's own message names no flag
@@ -75,19 +76,19 @@ def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def _qm_table(n: int, arg: str) -> ConditionalDistribution:
-    """The qm table, refused before anything is built when its 4·N² entries
-    exceed the model budget ``MAX_MODEL_ENTRIES``; the error names ``arg``."""
+def _qm_table(n: int, visibility: float | None, arg: str) -> ConditionalDistribution:
+    """The qm table, mixed with noise at ``visibility`` unless it is None,
+    refused before anything is built when its 4·N² entries exceed the model
+    budget ``MAX_MODEL_ENTRIES``; the error names ``arg``."""
     if n >= 2 and 4 * n * n > hvm.MAX_MODEL_ENTRIES:
         raise ValueError(f"quantum table too large: {arg} {n} asks for {4 * n * n} numbers, "
                          f"above {hvm.MAX_MODEL_ENTRIES}")
-    return qm_chained_distribution(n)
+    table = qm_chained_distribution(n)
+    return table if visibility is None else mix_with_noise(table, visibility)
 
 
 def cmd_qm(args) -> tuple[dict, int]:
-    dist = _qm_table(args.n, "n")
-    if args.visibility is not None:
-        dist = mix_with_noise(dist, args.visibility)
+    dist = _qm_table(args.n, args.visibility, "n")
     score = evaluate_chain(dist, args.n)
     payload = {
         "n": args.n,
@@ -165,15 +166,16 @@ def cmd_scan(args) -> tuple[dict, int]:
     if args.n_max < 2:
         raise ValueError("--n-max must be at least 2")
     v = 1.0 if args.visibility is None else args.visibility
-    # Build every row before opening --out, so a bad argument leaves no file.
+    noisy_chain_closed_form(2, v)  # checks v before --out is opened
     # A float repr holds no comma, quote or newline, so no field needs CSV
     # quoting; lines end in "\r\n", as the csv module's writer ends them.
-    ns = range(2, args.n_max + 1)
-    text = "n,chain_value,locality_bound,qm_asymptote\r\n" + "".join([
-        f"{n},{value!r},{0.5 * value!r},{math.pi**2 / (8.0 * n)!r}\r\n"
-        for n, value in zip(ns, map(noisy_chain_closed_form, ns, [v] * len(ns)))])
     with open(args.out, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("n,chain_value,locality_bound,qm_asymptote\r\n")
+        for start in range(2, args.n_max + 1, _SCAN_ROWS):
+            ns = range(start, min(start + _SCAN_ROWS, args.n_max + 1))
+            fh.write("".join([
+                f"{n},{value!r},{0.5 * value!r},{math.pi**2 / (8.0 * n)!r}\r\n"
+                for n, value in zip(ns, map(noisy_chain_closed_form, ns, [v] * len(ns)))]))
     return {"rows": args.n_max - 1, "visibility": v, "out": str(args.out)}, 0
 
 
@@ -183,10 +185,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         raise ValueError(f"--shots must be at most {_INT64_MAX}")
     seed = _resolve_seed(args)
     if args.source == "qm":
-        table = _qm_table(args.n, "--n")
-        if args.visibility is not None:
-            table = mix_with_noise(table, args.visibility)
-        source = table
+        source = table = _qm_table(args.n, args.visibility, "--n")
     else:
         if args.visibility is not None:
             raise ValueError("--visibility applies only to the qm source")
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
         text, code = json.dumps({"error": str(exc)}), 3
     except MemoryError as exc:
         text, code = json.dumps({"error": f"out of memory: {exc}"}), 3
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         text, code = json.dumps({"error": str(exc)}), 2
     else:
         text = _payload_text(payload)

@@ -7,11 +7,10 @@ Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 plus ``u, v`` (hidden-variable indices) for a model source, in the order
 of the shot CSV header.  Underneath, one generator draws every stream:
 each block's shuffled cells ``((a*N + b)*2 + x)*2 + y`` and, for a model,
-its hidden pair.  :func:`simulate_shots` builds blocks from those draws;
-:func:`simulate_shots_csv` writes the same stream's CSV straight from them,
-formatting each cell (with its hidden pair) once per stream.
-:func:`write_shots_csv` writes any blocks, each distinct row of a block
-once when the block's key space is small, else row by row."""
+its hidden pair.  :func:`simulate_shots` builds blocks from those draws,
+and :func:`write_shots_csv` writes any blocks row by row.
+:func:`simulate_shots_csv` writes the same bytes for a stream, formatting
+each cell (with its hidden pair) once per stream while its key space is small."""
 
 from __future__ import annotations
 
@@ -170,17 +169,11 @@ def _cell_rows(n: int) -> np.ndarray:
     return np.indices((n, n, 2, 2), dtype=np.int64).reshape(4, -1).T.copy()
 
 
-def _side_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's key ``a*2 + x`` and Bob's key ``b*2 + y`` of each of the 4N² cells."""
-    a, b, x, y = _cell_rows(n).T
-    return a * 2 + x, b * 2 + y
-
-
 def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray,
                  sides: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
     """Each row's hidden pair (u, v), drawn from P(u, v | a, b, x, y) given
-    the row's cell and the stream's per-cell side keys ``sides``
-    (:func:`_side_keys`).
+    the row's cell and the stream's per-cell side keys ``sides``: Alice's
+    ``a*2 + x`` and Bob's ``b*2 + y``.
 
     A table does not depend on the hidden pair, so its posterior is the
     prior: one cumulative table per side.  Per-side responses A (Alice's)
@@ -236,9 +229,12 @@ def _draws(model, table: ConditionalDistribution, shots: int,
     shuffled order, and for a model its rows' hidden pair (u, v), else no
     column.  The only user of the stream's random generator."""
     rng = np.random.default_rng(seed)
-    sides = None if model is None else _side_keys(model.n_settings)
     remaining = _draw_cells(rng, table, shots)
     cells = np.arange(remaining.size)
+    # A model's side keys a*2 + x and b*2 + y of each cell 4*(a*N + b) + 2*x + y.
+    n4 = 4 * table.input_sizes[0]
+    sides = None if model is None else (cells // n4 * 2 + (cells >> 1 & 1),
+                                         cells % n4 // 4 * 2 + (cells & 1))
     left = shots
     while left:
         k = min(_CHUNK_ROWS, left)
@@ -251,12 +247,6 @@ def _draws(model, table: ConditionalDistribution, shots: int,
         drawn = np.repeat(cells, part)
         rng.shuffle(drawn)
         yield drawn, ([] if model is None else _hidden_pair(rng, model, drawn, sides))
-
-
-def _block(rows: np.ndarray, cells: np.ndarray, hidden: list[np.ndarray]) -> np.ndarray:
-    """One shot block: the cell rows of its cells, then its hidden pair."""
-    block = rows.take(cells, axis=0)
-    return np.column_stack([block, *hidden]) if hidden else block
 
 
 def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray]:
@@ -280,7 +270,8 @@ def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray
     model, table = _stream_source(source, n, shots)
     rows = _cell_rows(n)
     for cells, hidden in _draws(model, table, shots, seed):
-        yield _block(rows, cells, hidden)
+        block = rows.take(cells, axis=0)
+        yield np.column_stack([block, *hidden]) if hidden else block
 
 
 def _check_block(block) -> np.ndarray:
@@ -313,8 +304,7 @@ def estimate_from_counts(
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    counts = np.asarray(counts, dtype=float)
-    mismatches = np.asarray(mismatches, dtype=float)
+    counts, mismatches = np.asarray(counts), np.asarray(mismatches)
     pairs = chain_pairs(n)
     alpha = 1.0 - confidence
     log_term = math.log(2.0 * len(pairs) / alpha)
@@ -322,12 +312,12 @@ def estimate_from_counts(
     radii = []
     per_pair = []
     for a, b, kind in pairs:
-        m = float(counts[a][b])
+        m = float(counts[a, b])
         if m < 1.0:
             raise MissingSettingPairError(
                 f"setting pair ({a}, {b}) was never sampled"
             )
-        frac = float(mismatches[a][b]) / m
+        frac = float(mismatches[a, b]) / m
         freqs.append(frac if kind == "differ" else 1.0 - frac)
         radii.append(math.sqrt(log_term / (2.0 * m)))
         per_pair.append(m)
@@ -415,19 +405,18 @@ def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) 
     ``_KEY_SPACE_BLOCKS`` full blocks (every qm table up to N = 256), a
     key's line is formatted once per stream, when it first occurs, and
     each block is gathered by key.  A wider stream (a model with large
-    hidden alphabets) hands its built blocks to :func:`write_shots_csv`."""
+    hidden alphabets) is written as ``write_shots_csv(simulate_shots(...))``."""
     model, table = _stream_source(source, n, shots)
-    rows = _cell_rows(n)
-    sizes = (len(rows),) if model is None else (len(rows), model.n_u, model.n_v)
+    sizes = (4 * n * n,) if model is None else (4 * n * n, model.n_u, model.n_v)
     space = math.prod(sizes)
-    draws = _draws(model, table, shots, seed)
     if space > _KEY_SPACE_BLOCKS * _CHUNK_ROWS:
-        return write_shots_csv((_block(rows, cells, hidden) for cells, hidden in draws), path)
+        return write_shots_csv(simulate_shots(source, n, shots, seed), path)
+    rows = _cell_rows(n)
     with open(path, "w", newline="") as fh:
         row = _start_csv(fh, 4 if model is None else 6)
         lines = np.empty(space, dtype=object)
         seen = np.zeros(space, dtype=bool)
-        for cells, hidden in draws:
+        for cells, hidden in _draws(model, table, shots, seed):
             key = cells
             for size, col in zip(sizes[1:], hidden):
                 key = key * size + col

@@ -100,7 +100,6 @@ class HiddenVariableModel:
             nu, nv = (1 if w is None else len(w) for w in (p_u, p_v))
         if p_uv is not None:
             p_uv = _weights(p_uv, (nu, nv), "uv_weights")
-            p_uv.setflags(write=False)
             p_u, p_v = p_uv.sum(axis=1), p_uv.sum(axis=0)
         else:
             p_u = _weights(np.full(nu, 1.0 / nu) if p_u is None else p_u, (nu,), "u_weights")
@@ -139,9 +138,7 @@ def _responses(resp, n: int, side: str) -> np.ndarray:
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 3 or resp.shape[0] != n or resp.shape[1] < 1 or resp.shape[2] != 2:
         raise ValueError(f"{side} responses must have shape (N, k, 2), got {resp.shape}")
-    resp = _normalised(resp, 1)
-    resp.setflags(write=False)
-    return resp
+    return _normalised(resp, 1)
 
 
 def _unit_vectors(vectors, name: str) -> np.ndarray:

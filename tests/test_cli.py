@@ -1143,8 +1143,12 @@ class TestScan:
 
     @pytest.mark.parametrize("n_max", [2, 5000])
     @pytest.mark.parametrize("visibility", ["0", "0.5", "1"])
-    def test_rows_are_the_percent_r_rows(self, capsys, tmp_path, n_max, visibility):
-        # The rows as "%d,%r,%r,%r" formatted them, one row at a time.
+    @pytest.mark.parametrize("block", [65536, 999])
+    def test_rows_are_the_percent_r_rows(self, capsys, tmp_path, monkeypatch, n_max, visibility,
+                                         block):
+        # The rows as "%d,%r,%r,%r" formatted them, one row at a time,
+        # whether written in one block or in blocks of 999 rows.
+        monkeypatch.setattr(cli, "_SCAN_ROWS", block)
         out = tmp_path / "scan.csv"
         code, _ = run_cli(capsys, "scan", "--n-max", str(n_max), "--visibility", visibility,
                           "--out", str(out))
@@ -1155,6 +1159,24 @@ class TestScan:
             value = chained.noisy_chain_closed_form(n, v)
             rows.append("%d,%r,%r,%r\r\n" % (n, value, 0.5 * value, math.pi**2 / (8.0 * n)))
         assert out.read_bytes() == "".join(rows).encode()
+
+    def test_peak_memory_does_not_grow_with_n_max(self, capsys, tmp_path, monkeypatch):
+        # Rows are written a block at a time: with 1000-row blocks, ten
+        # times the rows cost less than half as much again.
+        monkeypatch.setattr(cli, "_SCAN_ROWS", 1000)
+        out = tmp_path / "scan.csv"
+
+        def peak(n_max):
+            tracemalloc.start()
+            try:
+                assert main(["scan", "--n-max", str(n_max), "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(5000)  # first-call allocations
+        assert peak(50_000) <= 1.5 * peak(5000)
 
 
 class TestGoldenScan:

@@ -168,6 +168,21 @@ class TestEstimator:
                 simulate_shots(qm_chained_distribution(5), 5, 3, seed=0), 5, 0.9
             )
 
+    @pytest.mark.parametrize("n", [2, 5, 12, 100])
+    def test_integer_counts_give_the_float_counts_report(self, n):
+        counts, mism = sample_counts(mix_with_noise(qm_chained_distribution(n), 0.9),
+                                     n, 40 * n * n, seed=n)
+        assert estimate_from_counts(counts, mism, n, 0.99) == \
+            estimate_from_counts(counts.astype(float), mism.astype(float), n, 0.99)
+
+    def test_peak_memory_is_of_the_chain_pairs(self):
+        # The 2N chain pairs are read in place; two float copies of the
+        # N×N counts would take 1.4 MB at N = 300.
+        n = 300
+        counts, mism = sample_counts(qm_chained_distribution(n), n, 10**7, seed=3)
+        estimate_from_counts(counts, mism, n, 0.99)
+        assert peak_bytes(lambda: estimate_from_counts(counts, mism, n, 0.99)) < 256 * 1024
+
     def test_confidence_domain(self):
         counts = np.ones((2, 2))
         with pytest.raises(ValueError, match="confidence"):
@@ -703,6 +718,21 @@ class TestSimulatedCsv:
         assert (space <= experiment._KEY_SPACE_BLOCKS * experiment._CHUNK_ROWS) == table_route
         got, ref = self.both_bytes(source, n, 140_000, seed=53)
         assert got == ref
+
+    @pytest.mark.parametrize("source, n, wide", [
+        (leggett_model(2, inplane_grid(360)), 2, True),
+        (qm_chained_distribution(3), 3, False),
+        (leggett_model(3, inplane_grid(6), inplane_grid(4)), 3, False),
+    ], ids=["leggett_grid_360", "qm_3", "leggett_6x4"])
+    def test_only_a_wide_stream_builds_blocks(self, source, n, wide):
+        # A stream wider than _KEY_SPACE_BLOCKS full blocks of keys is
+        # written as write_shots_csv(simulate_shots(...)); a narrower one
+        # never builds a block.
+        built = mock.Mock(wraps=experiment.simulate_shots)
+        with mock.patch.object(experiment, "simulate_shots", built):
+            got, ref = self.both_bytes(source, n, 70_000, seed=19)
+        assert got == ref
+        assert built.call_args_list == ([mock.call(source, n, 70_000, 19)] if wide else [])
 
     def test_checks_come_before_the_file(self, tmp_path):
         path = tmp_path / "shots.csv"

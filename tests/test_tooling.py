@@ -2,8 +2,8 @@
 suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
 document reader, its plain model record, its one table float formatter,
-its one tolerance ledger, the one owner of each argument check and its
-one command-line parse."""
+its one tolerance ledger, the one owner of each argument check, its
+one command-line parse and no private helper left uncalled."""
 
 import ast
 import contextlib
@@ -303,6 +303,56 @@ class TestOneSampler:
         )
         assert callers_of(source, "_without_replacement") == ["_draws", "again"]
         assert callers_of(source, "shuffle") == ["_draws", "simulate_shots"]
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """The top-level ``_``-prefixed functions of a package's modules, given
+    as file name -> source, that no module references by name, attribute
+    or import, as "file:function"."""
+    defined, referenced = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{name}:{func}" for name, func in defined if func not in referenced]
+
+
+class TestNoDeadHelper:
+    """A private helper that nothing calls any more is deleted, not kept."""
+
+    def test_every_private_function_is_referenced(self):
+        package = ROOT / "src" / "chainedbell"
+        sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+        assert dead_private_functions(sources) == []
+
+    def test_the_check_sees_a_planted_dead_helper(self):
+        sources = {
+            "a.py": (
+                "def _called():\n"
+                "    \"\"\"_dead is named only in a docstring.\"\"\"\n"
+                "def _dead():\n"
+                "    return '_dead'\n"
+                "def _imported(): pass\n"
+                "def _read_as_attribute(): pass\n"
+                "def _recursive(k):\n"
+                "    return _recursive(k - 1)\n"
+                "def public():\n"
+                "    def _nested(): pass\n"
+                "    return _called()\n"
+                "class C:\n"
+                "    def _method(self): pass\n"
+            ),
+            "b.py": "from .a import _imported\nfrom . import a\nf = a._read_as_attribute\n",
+        }
+        assert dead_private_functions(sources) == ["a.py:_dead"]
 
 
 # The two identity cross-checks of a locality distance, by the start of
