@@ -59,7 +59,6 @@ from .quantum import mix_with_noise, qm_chained_distribution
 
 _INT64_MAX = 2**63 - 1
 _SCAN_ROWS = 65536  # rows per scan CSV write
-_TABLE_MARK = "<table>"  # no payload that holds a table holds a string
 
 
 def _resolve_seed(args) -> int:
@@ -327,18 +326,42 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+class _Raw(str):
+    """Text that :func:`_json_text` writes as it stands."""
+
+
+# The JSON text of each scalar type, as json writes it (NaN as ``NaN``).
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, _Raw: str,
+            float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, each line after the first indented
+    by ``pad[1:]``: the walk of json's pure-Python encoder, which ``indent``
+    selects, without its generators.  Dict keys must be strings."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_SCALARS[str](k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if items else "{}"
+    return json.dumps(value)  # a scalar type's subclass (NumPy's float64), or a TypeError
+
+
 def _payload_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2)``, where a top-level table stands for
-    its ``to_dict()``.  The indented encoder formats floats one by one, so
-    the table is dumped as a marker, then its ``_json_float_list`` text is
-    spliced in at json's indent."""
+    its ``to_dict()``: its entries are formatted by ``_json_float_list``."""
     for key, value in payload.items():
         if isinstance(value, ConditionalDistribution):
-            doc = {**value._size_fields(), "table": _TABLE_MARK}
-            text = json.dumps({**payload, key: doc}, indent=2)
             table = _json_float_list(value.table.ravel(), ",\n      ")
-            return text.replace(f'"{_TABLE_MARK}"', f"[\n      {table}\n    ]", 1)
-    return json.dumps(payload, indent=2)
+            doc = {**value._size_fields(), "table": _Raw(f"[\n      {table}\n    ]")}
+            payload = {**payload, key: doc}
+    return _json_text(payload)
 
 
 def main(argv=None) -> int:

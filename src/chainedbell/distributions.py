@@ -46,6 +46,7 @@ MAX_PARTIES = 4
 # Scratch budget, in float64 elements, for one block of pairwise slice
 # differences in :func:`_max_pairwise_tv` (2 MiB).
 _PAIRWISE_BLOCK_ELEMS = 1 << 18
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
 
 class ConditionalDistribution:
@@ -69,8 +70,8 @@ class ConditionalDistribution:
         output_sizes: Sequence[int],
         table: np.ndarray,
     ):
-        input_sizes = tuple(int(s) for s in input_sizes)
-        output_sizes = tuple(int(s) for s in output_sizes)
+        input_sizes = tuple(map(int, input_sizes))
+        output_sizes = tuple(map(int, output_sizes))
         if not input_sizes or len(input_sizes) != len(output_sizes):
             raise ValueError("need one input and one output alphabet per party")
         if min(input_sizes + output_sizes) < 1:
@@ -118,7 +119,7 @@ class ConditionalDistribution:
         if len(outputs) != n or len(inputs) != n:
             raise ValueError("party count does not match the size lists")
         shape = tuple(inputs) + tuple(outputs)
-        if flat.size != int(np.prod(shape)):
+        if flat.size != math.prod(shape):  # np.prod wraps past int64
             raise ValueError("flat table length does not match the sizes")
         return cls(tuple(inputs), tuple(outputs), flat.reshape(shape))
 
@@ -144,14 +145,14 @@ def _slice_sums(flat: np.ndarray) -> np.ndarray:
     """
     run = flat.shape[1]
     if run >= 8:
-        return flat.sum(axis=1)
+        return np.add.reduce(flat, 1)
     sums = flat[:, 0] + 0.0
     for q in range(1, run):
         sums += flat[:, q]
     return sums
 
 
-def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
+def _normalised(table: np.ndarray, n_out: int, lo=None, sums=None) -> np.ndarray:
     """The one check-clamp-normalise rule for tables, model kernels and
     per-setting rows, applied to the slices over the last ``n_out`` axes of
     a float array, which is never written.
@@ -161,20 +162,23 @@ def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
     by more than ``NORM_TOL`` is rejected, and one off by more than
     ``_RENORM_TRIGGER`` is divided by its sum; every other slice keeps its
     bits.  The result is C-ordered: ``table`` itself when nothing changed.
-    """
-    # NaN propagates through min and max, and an infinity ends up in one.
-    lo, hi = float(table.min()), float(table.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("table entries must be finite")
-    if lo < -NORM_TOL:
-        raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
+    A caller that checked the entries passes their minimum ``lo`` (and the
+    slice sums of a C-ordered ``table``, used if ``lo >= 0``)."""
+    if lo is None:
+        # NaN propagates through min and max, and an infinity ends up in one;
+        # the ufuncs' own reduce skips ndarray.min's Python wrappers.
+        lo, hi = float(_MIN(table, None)), float(_MAX(table, None))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("table entries must be finite")
+        if lo < -NORM_TOL:
+            raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
     if lo < 0.0:
-        table = np.clip(table, 0.0, None)
+        table, sums = np.clip(table, 0.0, None), None
     table = np.ascontiguousarray(table)
     flat = table.reshape(-1, math.prod(table.shape[table.ndim - n_out:]))
-    sums = _slice_sums(flat)
+    sums = _slice_sums(flat) if sums is None else sums
     # The largest |sum - 1| bit for bit (rounding is monotone), unallocated.
-    worst = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
+    worst = max(float(_MAX(sums)) - 1.0, 1.0 - float(_MIN(sums)))
     if worst > NORM_TOL:
         raise ValueError(f"conditional slices must sum to 1 (off by {worst})")
     if worst > _RENORM_TRIGGER:
@@ -400,9 +404,9 @@ def assert_nonsignaling(
             # ascending party order.
             perm = comp + subset + tuple(range(n, n + len(subset)))
             arr = marg.transpose(perm)
-            c_size = int(np.prod([p.input_sizes[i] for i in comp]))
-            s_size = int(np.prod([p.input_sizes[i] for i in subset]))
-            o_size = int(np.prod([p.output_sizes[i] for i in subset]))
+            c_size = math.prod([p.input_sizes[i] for i in comp])
+            s_size = math.prod([p.input_sizes[i] for i in subset])
+            o_size = math.prod([p.output_sizes[i] for i in subset])
             arr = arr.reshape(c_size, s_size, o_size)
             worst = max(worst, _max_pairwise_tv(arr))
     return NonSignalingReport(worst, worst <= tol, tol)
@@ -437,9 +441,11 @@ def write_json_file(p: ConditionalDistribution, path: str | Path) -> None:
 
 def _load_json(path: str | Path):
     """Parse a JSON file.  A document nested too deeply for the parser is a
-    malformed input (ValueError), not a crash."""
+    malformed input (ValueError), not a crash.  A string goes through
+    ``Path``, so that an error names the path as ``Path`` spells it."""
     try:
-        return json.loads(Path(path).read_text())
+        with open(path if isinstance(path, Path) else Path(path)) as fh:
+            return json.loads(fh.read())
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON document nested too deeply") from exc
 

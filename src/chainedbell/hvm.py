@@ -30,6 +30,7 @@ from .distributions import (
     _load_json,
     _max_pairwise_tv,
     _normalised,
+    _slice_sums,
     assert_nonsignaling,
 )
 from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
@@ -119,16 +120,15 @@ class HiddenVariableModel:
         """The table form's non-signaling check: each side's outcome
         marginal moves by at most ``NORM_TOL`` across the other's settings,
         so that the table has well-defined local parts."""
-        k00, k01, k10, k11 = (table[..., x, y] for x in (0, 1) for y in (0, 1))
-        x0, x1 = k00 + k01, k10 + k11  # Alice's outcome marginal, (N, N)
-        dev_x = float((0.5 * (np.abs(x0 - x0[:, :1]) + np.abs(x1 - x1[:, :1]))).max())
-        y0, y1 = k00 + k10, k01 + k11  # Bob's
-        dev_y = float((0.5 * (np.abs(y0 - y0[:1]) + np.abs(y1 - y1[:1]))).max())
-        if max(dev_x, dev_y) > NORM_TOL:
+        # Alice's outcome marginal [a, b, x] and Bob's [a, b, y], each off
+        # its first context; rounding is monotone, so the max can be halved.
+        x, y = table[..., 0] + table[..., 1], table[:, :, 0] + table[:, :, 1]
+        dev = max(0.5 * float(np.maximum.reduce(d[..., 0] + d[..., 1], None))
+                  for d in (np.abs(x - x[:, :1]), np.abs(y - y[:1])))
+        if dev > NORM_TOL:
             raise ValueError(
                 "averaged responses leak across sides: one side's outcome "
-                f"marginal depends on the other side's context (deviation "
-                f"{max(dev_x, dev_y)})"
+                f"marginal depends on the other side's context (deviation {dev})"
             )
 
 
@@ -157,19 +157,22 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
 def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``weights`` checked to have ``shape``, to be finite and non-negative
     and to sum to 1 within ``NORM_TOL``; returned by the table rule
-    (:func:`_normalised`, the whole array one slice): clipped at 0, and
-    divided by their sum only if it is off 1 by more than 1e-12."""
+    (:func:`_normalised`, the whole array one slice, given the reductions
+    made here; a C-ordered array's slice sum is ``w.sum()``): clipped at 0,
+    and divided by their sum only if it is off 1 by more than 1e-12."""
     w = np.asarray(weights, dtype=float)
     if w.shape != shape:
         raise ValueError(f"{name} must have shape {shape}")
-    if not np.all(np.isfinite(w)):
+    lo, hi = float(np.minimum.reduce(w, None)), float(np.maximum.reduce(w, None))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
-    if w.min() < -NORM_TOL:
+    if lo < -NORM_TOL:
         raise ValueError(f"{name} must be non-negative")
-    total = float(w.sum())
+    sums = _slice_sums(w.reshape(1, -1)) if w.flags.c_contiguous else None
+    total = float(np.add.reduce(w, None) if sums is None else sums[0])
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"{name} must sum to 1, got {total}")
-    return _normalised(w, w.ndim)
+    return _normalised(w, w.ndim, lo, sums)
 
 
 def _malus_responses(angles, vectors: np.ndarray) -> np.ndarray:
@@ -485,11 +488,12 @@ def _field(data: dict, key: str):
 
 
 def _int_field(data: dict, key: str, default: int | None = None) -> int:
-    """Integer field of a model document.  A fractional number is a usage
-    error, not truncated (``int(2.7)`` is 2); so is an infinite one, on
-    which ``int`` raises OverflowError (``1e400`` parses as one)."""
+    """Integer field of a model document.  A fractional number, NaN, null, a
+    list or an object is a usage error, not truncated (``int(2.7)`` is 2); so
+    is an infinite one, on which ``int`` raises OverflowError (``1e400``)."""
     value = _field(data, key) if default is None else data.get(key, default)
-    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+    if not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not (value.is_integer() or math.isinf(value))):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -577,7 +581,10 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
             raise ValueError(f"model document too large: {key} asks for {size} numbers, "
                              f"above {MAX_MODEL_ENTRIES}")
     if kind == "nonlocal_qm":
-        return nonlocal_qm_model(n, float(data.get("visibility", 1.0)), nu, nv)
+        v = data.get("visibility", 1.0)
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"visibility must be a number, got {v!r}")
+        return nonlocal_qm_model(n, v, nu, nv)  # float(10**400) overflows; the mix rejects it
     if kind == "leggett":
         vectors = (np.asarray(data["vectors"], dtype=float) if "vectors" in data
                    else inplane_grid(nu))

@@ -14,6 +14,8 @@ __all__ = [
     "mix_with_noise",
 ]
 
+_PSI = np.eye(2) / math.sqrt(2.0)  # the state's amplitudes, [alice_bit, bob_bit]
+
 
 def _chained_angles(n: int) -> tuple[list[float], list[float]]:
     """Measurement angles of the chained layout in the x-z plane of the
@@ -29,11 +31,11 @@ def _outcome_states(angles) -> np.ndarray:
     """(k, 2, 2) array: row x of entry k is the state the outcome-x
     projector at angle t projects onto, cos(t/2)|0> + sin(t/2)|1> for
     outcome 0 and sin(t/2)|0> - cos(t/2)|1> for outcome 1."""
-    states = []
+    states = []  # flat: NumPy reads a flat list faster than a nested one
     for t in angles:
-        h = 0.5 * t
-        states.append([[math.cos(h), math.sin(h)], [math.sin(h), -math.cos(h)]])
-    return np.array(states)
+        c, s = math.cos(0.5 * t), math.sin(0.5 * t)
+        states += (c, s, s, -c)
+    return np.array(states).reshape(-1, 2, 2)
 
 
 def qm_chained_distribution(n: int) -> ConditionalDistribution:
@@ -42,11 +44,10 @@ def qm_chained_distribution(n: int) -> ConditionalDistribution:
     alice, bob = _chained_angles(n)
     av = _outcome_states(alice)  # (N, x, i)
     # Bob's settings contiguous: einsum's inner loop then runs along them
-    # rather than along the two amplitudes.  psi has two nonzero entries,
+    # rather than along the two amplitudes.  _PSI has two nonzero entries,
     # so every order of summation gives the same bits.
     bv = np.asfortranarray(_outcome_states(bob))  # (N, y, j)
-    psi = np.eye(2) / math.sqrt(2.0)  # amplitudes indexed [alice_bit, bob_bit]
-    amps = np.einsum("axi,byj,ij->abxy", av, bv, psi)
+    amps = np.einsum("axi,byj,ij->abxy", av, bv, _PSI)
     return ConditionalDistribution((n, n), (2, 2), amps * amps)
 
 
@@ -62,6 +63,6 @@ def mix_with_noise(
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    u = 1.0 / float(np.prod(p.output_sizes))
-    table = visibility * p.table + (1.0 - visibility) * u
+    table = visibility * p.table
+    table += (1.0 - visibility) * (1.0 / math.prod(p.output_sizes))
     return ConditionalDistribution(p.input_sizes, p.output_sizes, table)

@@ -32,6 +32,13 @@ rows per write.  ``write_shots_csv`` must write its bytes.
 that starts with a subcommand straight to that subcommand's parser: the
 whole argv through the full parser.  ``main`` must print the same bytes
 and exit with the same code on either route.
+
+``reference_normalised``, ``reference_weights``,
+``reference_check_local_parts``, ``reference_mix_with_noise`` and
+``reference_qm_table`` are the table rule, the model checks, the noise mix
+and the einsum Born-table build as they were written with NumPy's method
+wrappers and per-call constants.  The library's leaner forms must give
+their result bits, their exception types and their messages.
 """
 
 import itertools
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chainedbell import ConditionalDistribution, cli, quantum_chain_closed_form
-from chainedbell.distributions import IDENTITY_TOL, _normalised
+from chainedbell.distributions import IDENTITY_TOL, NORM_TOL, _normalised
 from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
     MARGINAL_INDEPENDENCE_TOL,
@@ -351,3 +358,94 @@ def plain_write_shots_csv(blocks, path) -> int:
 def full_parse(argv):
     """``argv`` read by the full CLI parser alone."""
     return cli.build_parser().parse_args(argv)
+
+
+def _reference_slice_sums(flat: np.ndarray) -> np.ndarray:
+    run = flat.shape[1]
+    if run >= 8:
+        return flat.sum(axis=1)
+    sums = flat[:, 0] + 0.0
+    for q in range(1, run):
+        sums += flat[:, q]
+    return sums
+
+
+def reference_normalised(table: np.ndarray, n_out: int) -> np.ndarray:
+    """The table rule: finite entries, dust down to -NORM_TOL clamped,
+    slices off 1 by more than NORM_TOL rejected and by more than 1e-12
+    divided by their sum."""
+    lo, hi = float(table.min()), float(table.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("table entries must be finite")
+    if lo < -NORM_TOL:
+        raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
+    if lo < 0.0:
+        table = np.clip(table, 0.0, None)
+    table = np.ascontiguousarray(table)
+    flat = table.reshape(-1, math.prod(table.shape[table.ndim - n_out:]))
+    sums = _reference_slice_sums(flat)
+    worst = max(float(sums.max()) - 1.0, 1.0 - float(sums.min()))
+    if worst > NORM_TOL:
+        raise ValueError(f"conditional slices must sum to 1 (off by {worst})")
+    if worst > 1e-12:
+        far = np.abs(sums - 1.0) > 1e-12
+        flat = flat.copy()
+        flat[far] /= sums[far, None]
+        table = flat.reshape(table.shape)
+    return table
+
+
+def reference_weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Model weights: the shape, finite, non-negative and summing to 1
+    checks, then the table rule over the whole array."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
+    if w.min() < -NORM_TOL:
+        raise ValueError(f"{name} must be non-negative")
+    total = float(w.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"{name} must sum to 1, got {total}")
+    return reference_normalised(w, w.ndim)
+
+
+def reference_check_local_parts(table: np.ndarray) -> None:
+    """A table model's non-signaling check on its (N, N, 2, 2) array."""
+    k00, k01, k10, k11 = (table[..., x, y] for x in (0, 1) for y in (0, 1))
+    x0, x1 = k00 + k01, k10 + k11
+    dev_x = float((0.5 * (np.abs(x0 - x0[:, :1]) + np.abs(x1 - x1[:, :1]))).max())
+    y0, y1 = k00 + k10, k01 + k11
+    dev_y = float((0.5 * (np.abs(y0 - y0[:1]) + np.abs(y1 - y1[:1]))).max())
+    if max(dev_x, dev_y) > NORM_TOL:
+        raise ValueError(
+            "averaged responses leak across sides: one side's outcome "
+            f"marginal depends on the other side's context (deviation "
+            f"{max(dev_x, dev_y)})"
+        )
+
+
+def reference_mix_with_noise(p: ConditionalDistribution, visibility: float):
+    """v*P + (1-v)*U, U uniform over the output tuples."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    u = 1.0 / float(np.prod(p.output_sizes))
+    table = visibility * p.table + (1.0 - visibility) * u
+    return ConditionalDistribution(p.input_sizes, p.output_sizes, table)
+
+
+def reference_qm_table(n: int, visibility: float | None = None) -> ConditionalDistribution:
+    """The chained Born table by one einsum over both sides' outcome
+    states and the state's amplitudes, mixed with noise unless
+    ``visibility`` is None."""
+    alice, bob = _chained_angles(n)
+
+    def states(angles):
+        return np.array([[[math.cos(0.5 * t), math.sin(0.5 * t)],
+                          [math.sin(0.5 * t), -math.cos(0.5 * t)]] for t in angles])
+
+    psi = np.eye(2) / math.sqrt(2.0)
+    amps = np.einsum("axi,byj,ij->abxy", states(alice), np.asfortranarray(states(bob)), psi)
+    table = ConditionalDistribution((n, n), (2, 2), amps * amps)
+    return table if visibility is None else reference_mix_with_noise(table, visibility)

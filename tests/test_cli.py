@@ -138,10 +138,10 @@ class TestQmTableBudget:
 
 
 class TestStdoutTable:
-    """``qm`` and ``lp`` without ``--out`` splice the table text of
-    ``_json_float_list`` into the dumped payload; stdout stays
-    ``json.dumps(payload, indent=2)`` of the payload with the table as a
-    list, byte for byte."""
+    """Stdout is rendered by ``_payload_text``; ``qm`` and ``lp`` without
+    ``--out`` take a top-level table's entries from ``_json_float_list``.
+    Stdout stays ``json.dumps(payload, indent=2)`` of the payload with the
+    table as a list, byte for byte."""
 
     @pytest.mark.parametrize("argv", [
         ["qm", "2"], ["qm", "3", "--visibility", "0"], ["qm", "10", "--visibility", "0.93"],
@@ -177,6 +177,68 @@ class TestStdoutTable:
         text = cli._payload_text(payload)
         assert text == json.dumps({**payload, "argmin": table.to_dict()}, indent=2)
         assert '"table": [\n      1.0,\n      0.0,\n      -0.0,' in text
+
+
+JSON_SCALARS = st.one_of(
+    st.booleans(), st.none(), st.integers(-(2**80), 2**80),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf,
+                     np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf)]),
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\n\t']),
+)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+), max_leaves=24)
+
+
+class TestRenderer:
+    """``_json_text`` and ``_payload_text`` write ``json.dumps(value,
+    indent=2)`` byte for byte: bools before ints, big ints, every float
+    spelling json uses (NumPy's floats too), escaped strings, tuples as
+    lists and empty containers."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_value_text_is_indented_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5))
+    def test_payload_text_is_indented_json_dumps(self, payload):
+        assert cli._payload_text(payload) == json.dumps(payload, indent=2)
+
+    def test_what_json_cannot_write_is_a_type_error(self):
+        for value in ({(1,): 2}, [np.int64(1)], {"a": object()}, np.bool_(True)):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+
+    def test_every_subcommand_payload(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"type": "nonlocal_qm", "n": 3, "visibility": 0.9, "n_u": 2}))
+        table = tmp_path / "table.json"
+        main(["qm", "3", "--out", str(table)])
+        argvs = [
+            ["qm", "4", "--visibility", "0.93"], ["lp", "--n", "3", "--delta", "0.2"],
+            ["check", str(table)], ["check", str(table), "--locality-bound"],
+            ["falsify", str(model), "--n", "3"],
+            ["falsify", str(model), "--n", "3", "--shots", "100", "--seed", "1"],
+            ["scan", "--n-max", "5", "--out", str(tmp_path / "scan.csv")],
+            ["experiment", "--source", "qm", "--n", "3", "--shots", "500", "--seed", "2"],
+            ["experiment", "--source", str(model), "--n", "3", "--shots", "500", "--seed", "2"],
+            ["bruteforce", "--n", "3"],
+        ]
+        tables = 0
+        for argv in argvs:
+            args = cli._parse(argv)
+            payload, _ = args.func(args)
+            listed = {k: v.to_dict() if isinstance(v, ConditionalDistribution) else v
+                      for k, v in payload.items()}
+            tables += listed != payload
+            assert cli._payload_text(payload) == json.dumps(listed, indent=2), argv
+        assert tables == 2  # qm's and lp's, at the top level
 
 
 class TestCheck:
@@ -372,7 +434,10 @@ class TestCheck:
          "alphabet sizes must be >= 1"),
         ({"parties": 3, "outputs": [2, 2], "inputs": [2, 2], "table": [0.25] * 16},
          "party count does not match the size lists"),
-    ], ids=["no_party", "empty_alphabet", "party_count"])
+        # 2**66 entries, which int64 arithmetic wraps to 0.
+        ({"parties": 2, "outputs": [2, 2], "inputs": [2**32, 2**32], "table": []},
+         "flat table length does not match the sizes"),
+    ], ids=["no_party", "empty_alphabet", "party_count", "sizes_past_int64"])
     @pytest.mark.parametrize("locality", [[], ["--locality-bound"]])
     def test_malformed_document_is_usage_error(self, capsys, tmp_path, document, error,
                                                locality):
@@ -1072,6 +1137,41 @@ class TestHostileDocuments:
         code, payload = self.run_mode(capsys, mode, path)
         assert code == 2
         assert payload == {"error": f"{field} must be an integer, got {document[field]!r}"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("value", [None, [2], {"n": 2}, NAN],
+                             ids=["null", "list", "object", "nan"])
+    @pytest.mark.parametrize("document, field", [
+        ({"type": "nonlocal_qm"}, "n"),
+        ({"type": "custom_table", "distribution": qm_chained_distribution(2).to_dict()}, "n"),
+        ({"type": "leggett", "n": 2}, "grid"),
+        ({"type": "nonlocal_qm", "n": 2}, "n_u"),
+        ({"type": "nonlocal_qm", "n": 2}, "n_v"),
+        ({"type": "nonlocal_qm", "n": 2}, "visibility"),
+    ], ids=["n", "n_custom_table", "grid", "n_u", "n_v", "visibility"])
+    def test_non_number_field_is_named(self, capsys, tmp_path, mode, value, document, field):
+        # int() and float() named no field: "int() argument must be a
+        # string, a bytes-like object or a real number, not 'NoneType'".
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({**document, field: value}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        if field != "visibility":
+            assert payload == {"error": f"{field} must be an integer, got {value!r}"}
+        elif value is self.NAN:  # a number, off the unit interval
+            assert payload == {"error": "visibility must lie in [0, 1]"}
+        else:
+            assert payload == {"error": f"visibility must be a number, got {value!r}"}
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_integer_visibility_too_large_for_a_float_is_usage_error(self, capsys, tmp_path,
+                                                                      mode):
+        # float() raised OverflowError, an exit-3 numerical failure.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"type": "nonlocal_qm", "n": 2, "visibility": 10**400}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": "visibility must lie in [0, 1]"}
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_integral_float_size_is_read(self, capsys, tmp_path, mode):

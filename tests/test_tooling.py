@@ -587,7 +587,8 @@ def table_list_builders(source: str) -> list[str]:
 class TestOneFloatFormatter:
     """Table floats become text through ``_json_float_list``, which formats
     each distinct value once, both in a file and on stdout.  A payload that
-    handed ``json.dumps`` a table list would format them one by one."""
+    handed ``json.dumps`` or the stdout renderer ``_json_text`` a table list
+    would format them one by one."""
 
     def test_writer_and_stdout_format_tables_through_it(self):
         package = ROOT / "src" / "chainedbell"
@@ -598,21 +599,28 @@ class TestOneFloatFormatter:
         assert table_list_builders(cli_source) == []
 
     def test_no_dumps_receives_a_table_list(self, monkeypatch, tmp_path):
-        dumps, payloads = json.dumps, []
+        payloads = []
 
-        def checked_dumps(obj, **kwargs):
-            pending = [obj]
-            while pending:
-                value = pending.pop()
-                if isinstance(value, dict):
-                    assert not isinstance(value.get("table"), list)
-                    pending += value.values()
-                elif isinstance(value, list):
-                    pending += value
-            payloads.append(obj)
-            return dumps(obj, **kwargs)
+        def checked(formatter, record=False):
+            def wrapped(obj, *args, **kwargs):
+                pending = [obj]
+                while pending:
+                    value = pending.pop()
+                    if isinstance(value, dict):
+                        assert not isinstance(value.get("table"), list)
+                        pending += value.values()
+                    elif isinstance(value, list):
+                        pending += value
+                if record:
+                    payloads.append(obj)
+                return formatter(obj, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(cli.json, "dumps", checked_dumps)
+        # Every formatter: json's, the renderer (each of its recursive
+        # calls too) and the stdout payload's, which records the payloads.
+        monkeypatch.setattr(cli.json, "dumps", checked(json.dumps, record=True))
+        monkeypatch.setattr(cli, "_json_text", checked(cli._json_text))
+        monkeypatch.setattr(cli, "_payload_text", checked(cli._payload_text, record=True))
         path = tmp_path / "t.json"
         for argv in (["qm", "5"], ["lp", "--n", "3", "--delta", "0.2"],
                      ["qm", "4", "--out", str(path)], ["check", str(path)]):
