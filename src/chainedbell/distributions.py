@@ -190,11 +190,11 @@ def _normalised(table: np.ndarray, n_out: int, lo=None, sums=None) -> np.ndarray
 
 
 def _check_numeric_fields(data: dict, fields: Sequence[str]) -> None:
-    """Reject a JSON string or boolean in the numeric ``fields`` of a
-    document, naming the field: ``int``, ``float`` and NumPy would read
-    ``"2"``, ``" 4 "`` and ``true`` as numbers."""
-    for key in fields:
-        pending = [data.get(key)]
+    """Reject a JSON string or boolean in the numeric ``fields`` that a
+    document has, walked in that order and naming the first bad one: ``int``,
+    ``float`` and NumPy would read ``"2"``, ``" 4 "`` and ``true`` as numbers."""
+    for key in filter(data.__contains__, fields):
+        pending = [data[key]]
         while pending:
             value = pending.pop()
             if type(value) is list:

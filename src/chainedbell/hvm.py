@@ -61,6 +61,11 @@ MARGINAL_INDEPENDENCE_TOL = 1e-6
 # Most numbers a model document may ask for (80 MB of float64); see
 # :func:`_model_of_kind`.
 MAX_MODEL_ENTRIES = 10_000_000
+# Entries per pass of the locality kernel, and the fewest for which
+# :func:`_row_sums` sums in long double: one math.fsum per row costs less
+# below.  The flag is np.finfo(np.longdouble).nmant >= 63, without finfo.
+_BLOCK_ENTRIES, _TREE_MIN_ENTRIES = 1 << 14, 2048
+_LONG_DOUBLE_SUMS = bool(np.longdouble(1.0) + 2.0 ** -63 > 1.0)
 
 
 class HiddenVariableModel:
@@ -332,37 +337,38 @@ def _locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[flo
     ``pz``, the sum of the two outcome planes, computed here if not given).
 
     Each distance is the hidden-average of the conditional outcome
-    distances from uniform, one ``math.fsum`` per row, all rows in one pass
-    over the two outcome planes.  On every row it is cross-checked against
-    the direct joint distance (``NORM_TOL``), whose half-L1 and excess
-    forms are cross-checked against each other (``IDENTITY_TOL``).
+    distances from uniform, summed as ``math.fsum`` sums (:func:`_row_sums`).
+    On every row it is cross-checked against the direct joint distance
+    (``NORM_TOL``), whose half-L1 and excess forms are cross-checked
+    against each other (``IDENTITY_TOL``).  Rows go ``_BLOCK_ENTRIES``
+    entries at a time, so the scratch stays a few hundred KiB.
     """
-    x0, x1 = t[:, 0], t[:, 1]  # outcome planes, (rows, k)
+    rows, k = t.shape[0], t.shape[2]
     if pz is None:
-        pz = x0 + x1
-    # |P(x | s, z) - 1/2| summed over the outcome planes, then weighted by
-    # P(z)/2.  Where P(z) = 0 the division is skipped; the finite value left
-    # there times P(z)/2 = 0 adds a +0.0 term, which fsum ignores.
-    live = pz > 0.0
-    terms = np.zeros_like(pz)
-    cond = np.zeros_like(pz)
-    every = bool(live.all())  # a masked divide costs more than a plain one
-    for plane in (x0, x1):
-        np.divide(plane, pz, out=cond, where=True if every else live)
-        cond -= 0.5
-        terms += np.abs(cond, out=cond)
-    q = np.multiply(pz, 0.5, out=cond)  # (uniform outcome) x (hidden marginal)
-    terms *= q
-    # fsum reads each row's floats through a memoryview, with no list.
-    distances = [math.fsum(memoryview(row)) for row in terms]
-    # Direct joint distance from q, as half the L1 difference and as the
-    # excess sum of max(0, q - p), one outcome plane at a time.
-    half_l1 = np.zeros(len(pz))
-    excess = np.zeros(len(pz))
-    for plane in (x0, x1):
-        d = np.subtract(plane, q, out=terms)
-        half_l1 += np.abs(d).sum(axis=1)
-        excess -= np.minimum(d, 0.0, out=d).sum(axis=1)
+        pz = t[:, 0] + t[:, 1]
+    every = bool((pz > 0.0).all())  # a masked divide costs more than a plain one
+    step = max(1, _BLOCK_ENTRIES // k)
+    cond = np.zeros((min(step, rows), 2, k))
+    distances, half_l1, excess = [], np.zeros(rows), np.zeros(rows)
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        joint, bz = t[block], pz[block]
+        c = cond[:len(bz)]
+        # |P(x | s, z) - 1/2| summed over the outcome planes, then weighted
+        # by P(z)/2.  Where P(z) = 0 the division is skipped; the finite
+        # value left there times P(z)/2 = 0 adds a +0.0 term.
+        np.divide(joint, bz[:, None], out=c, where=True if every else (bz > 0.0)[:, None])
+        c -= 0.5
+        np.abs(c, out=c)
+        q = bz * 0.5  # (uniform outcome) x (hidden marginal)
+        terms = (c[:, 0] + c[:, 1]) * q
+        distances += _row_sums(terms)
+        # Direct joint distance from q, as half the L1 difference and as the
+        # excess sum of max(0, q - p), one outcome plane at a time.
+        for x in (0, 1):
+            d = np.subtract(joint[:, x], q, out=c[:, x])
+            half_l1[block] += np.abs(d).sum(axis=1)
+            excess[block] -= np.minimum(d, 0.0, out=d).sum(axis=1)
     half_l1 *= 0.5
     for avg, direct, ex in zip(distances, half_l1.tolist(), excess.tolist()):
         if abs(direct - ex) > IDENTITY_TOL:
@@ -372,6 +378,44 @@ def _locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[flo
                 f"average-form distance {avg} disagrees with joint form {direct}"
             )
     return distances
+
+
+def _row_sums(terms: np.ndarray) -> list[float]:
+    """``[math.fsum(row) for row in terms]`` of a (rows, k) float64 array,
+    bit for bit.  From ``_TREE_MIN_ENTRIES`` entries on, with a long double
+    of 64 or more significant bits, a row's sum s is first taken in long
+    double by halving adds, a binary tree of depth D = ceil(log2 k).  On
+    non-negative terms s is off the exact sum S by at most γ_D·S (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., §4.2), well
+    inside E = s·(D + 4)·2^-63, which also covers the test's roundings.  So
+    if s ± E lies strictly between the midpoints that flank d =
+    float64(s), d is S correctly rounded: fsum's result.  Other rows (near
+    a midpoint, or with a NaN, an infinity, a negative entry or a zero sum,
+    whose sign is fsum's) take ``math.fsum``.
+    """
+    if terms.size < _TREE_MIN_ENTRIES or not _LONG_DOUBLE_SUMS:
+        # fsum reads each row's floats through a memoryview, with no list.
+        return [math.fsum(memoryview(row)) for row in terms]
+    k = terms.shape[1]
+    # One column per row, so that the halves of each add are disjoint blocks.
+    cols, w = terms.T, (k + 1) >> 1
+    x = np.empty((w, len(terms)), np.longdouble)
+    with np.errstate(all="ignore"):  # rows with a NaN or an infinity take fsum
+        np.add(cols[:k - w], cols[w:], out=x[:k - w], dtype=np.longdouble)
+        x[k - w:] = cols[k - w:w]  # the middle term of an odd row
+        while w > 1:
+            x[:w >> 1] += x[(w + 1) >> 1:w]
+            w = (w + 1) >> 1
+        s, d = x[0], x[0].astype(np.float64)
+        # The midpoints between d and its float64 neighbours, exact in long double.
+        mids = (np.nextafter(d, ((-np.inf,), (np.inf,))).astype(np.longdouble) + d) * 0.5
+        err = s * (((k - 1).bit_length() + 4) * 2.0 ** -63)
+        sure = (mids[0] < s - err) & (s + err < mids[1]) & (mids[1] < np.inf) & (s > 0.0)
+    sure &= np.minimum.reduce(terms, axis=1) >= 0.0
+    sums = d.tolist()
+    for i in np.flatnonzero(~sure).tolist():
+        sums[i] = math.fsum(memoryview(terms[i]))
+    return sums
 
 
 def locality_measure(

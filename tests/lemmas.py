@@ -39,6 +39,11 @@ and exit with the same code on either route.
 and the einsum Born-table build as they were written with NumPy's method
 wrappers and per-call constants.  The library's leaner forms must give
 their result bits, their exception types and their messages.
+
+``reference_locality_distances`` is the locality kernel as it was before
+it ran in row blocks with certified long-double row sums: all rows in one
+pass and one ``math.fsum`` per row.  ``_locality_distances`` must give its
+per-setting distances bit for bit.
 """
 
 import itertools
@@ -449,3 +454,23 @@ def reference_qm_table(n: int, visibility: float | None = None) -> ConditionalDi
     amps = np.einsum("axi,byj,ij->abxy", states(alice), np.asfortranarray(states(bob)), psi)
     table = ConditionalDistribution((n, n), (2, 2), amps * amps)
     return table if visibility is None else reference_mix_with_noise(table, visibility)
+
+
+def reference_locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[float]:
+    """Per-row distance of a C-ordered (rows, 2, k) array of (outcome,
+    hidden) joints from (uniform outcome) x (the row's hidden marginal):
+    the hidden-average of the conditional distances, one ``math.fsum`` per
+    row, with no cross-check."""
+    x0, x1 = t[:, 0], t[:, 1]
+    if pz is None:
+        pz = x0 + x1
+    live = pz > 0.0
+    terms = np.zeros_like(pz)
+    cond = np.zeros_like(pz)
+    every = bool(live.all())
+    for plane in (x0, x1):
+        np.divide(plane, pz, out=cond, where=True if every else live)
+        cond -= 0.5
+        terms += np.abs(cond, out=cond)
+    terms *= np.multiply(pz, 0.5, out=cond)
+    return [math.fsum(memoryview(row)) for row in terms]

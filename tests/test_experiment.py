@@ -434,7 +434,7 @@ def small_range_streams(draw):
     return np.split(whole, cuts)
 
 
-class TestDistinctRowWriter:
+class TestRowByRowWriter:
     """``write_shots_csv`` writes the bytes of the row-by-row reference
     ``plain_write_shots_csv`` (full-range int64 blocks:
     ``test_csv_round_trip_returns_the_concatenated_block``)."""

@@ -4,12 +4,13 @@ import itertools
 import json
 import math
 import re
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -44,6 +45,7 @@ from lemmas import (
     induced_distribution,
     leggett_xu_table,
     per_setting_locality_bound,
+    reference_locality_distances,
     xu_conditional,
 )
 
@@ -447,6 +449,181 @@ class TestLocalityMeasure:
         assert len(calls) == n
 
 
+# The in-plane Leggett grids (N, grid) of the benchmark's exact falsify
+# jobs: kernels of 36 000 to 180 000 entries, every one above the size from
+# which rows are summed in long double.
+LEGGETT_SHAPES = [(50, 3600), (50, 720), (30, 1200), (20, 1800), (15, 2400), (12, 3000),
+                  (10, 3600)]
+# Row widths around powers of two, where the halving tree changes depth.
+ROW_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024,
+              1025, 4095, 4096, 4097]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def fsum_rows(rows):
+    return hexes(math.fsum(row) for row in rows)
+
+
+def tie_row(rng, k, nudge):
+    """1.0 and k - 1 exact multiples of 2^-73 that sum to 2^-53, so the row
+    sums to the midpoint 1 + 2^-53 between 1 and its upper neighbour, or to
+    one ulp of 2^-53 above (nudge 1) or below (nudge -1) it."""
+    counts = rng.multinomial(2 ** 20, np.full(k - 1, 1.0 / (k - 1)))
+    pieces = counts * 2.0 ** -73
+    big = int(np.argmax(counts))
+    pieces[big] += {0: 0.0, 1: 2.0 ** -105, -1: -(2.0 ** -106)}[nudge]
+    return np.concatenate([[1.0], pieces])
+
+
+@st.composite
+def sum_rows(draw):
+    """(rows, k) float64 arrays: non-negative rows with magnitudes from
+    1e-300 to 1, exact zeros and subnormals, and now and then a NaN, an
+    infinity or a negative entry (-0.0 among them)."""
+    k = draw(st.sampled_from(ROW_WIDTHS))
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = draw(st.sampled_from([-997, -60, -1]))  # binary exponent floor
+    arr = rng.random((rows, k)) * np.exp2(rng.integers(low, 1, (rows, k)))
+    arr[rng.random((rows, k)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    small = rng.random((rows, k)) < draw(st.sampled_from([0.0, 0.05]))
+    arr[small] = rng.integers(1, 2 ** 52, small.sum()) * 5e-324  # subnormals
+    for row in range(rows):
+        special = draw(st.sampled_from([None, None, np.nan, np.inf, -np.inf, -1e-3, -0.0]))
+        if special is not None:
+            arr[row, draw(st.integers(0, k - 1))] = special
+    return arr
+
+
+class TestRowSums:
+    """``hvm._row_sums`` returns ``math.fsum`` of every row, bit for bit,
+    whether the long-double certificate settles a row or it falls back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arr=sum_rows())
+    @example(arr=np.array([[-0.0]]))  # zero sums: their sign is fsum's
+    @example(arr=np.array([[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]]))
+    @example(arr=np.array([[1e20, -1e20, 5.0, 0.25]]))  # the tree reads 8.0 here
+    def test_bit_identical_to_fsum(self, arr):
+        expected = fsum_rows(arr)
+        with mock.patch.object(hvm, "_TREE_MIN_ENTRIES", 0):
+            assert hexes(hvm._row_sums(arr)) == expected
+            with mock.patch.object(hvm, "_LONG_DOUBLE_SUMS", False):
+                assert hexes(hvm._row_sums(arr)) == expected
+        assert hexes(hvm._row_sums(arr)) == expected  # at the real threshold
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([w for w in ROW_WIDTHS if w > 1]),
+           nudge=st.sampled_from([0, 1, -1]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ties_and_their_neighbours_reach_fsum(self, k, nudge, seed):
+        rng = np.random.default_rng(seed)
+        arr = np.stack([tie_row(rng, k, nudge) for _ in range(3)])
+        assert math.fsum(arr[0]) == (1.0 if nudge < 1 else 1.0 + 2.0 ** -52)
+        calls = []
+
+        def counted(values):
+            calls.append(None)
+            return math.fsum(values)
+
+        own_math = SimpleNamespace(**{**vars(math), "fsum": counted})
+        with mock.patch.object(hvm, "math", own_math), \
+                mock.patch.object(hvm, "_TREE_MIN_ENTRIES", 0):
+            assert hexes(hvm._row_sums(arr)) == fsum_rows(arr)
+        assert len(calls) == 3
+
+    def test_the_margin_grows_with_the_tree_depth(self):
+        # One row of 4096: 1.0 meets, in turn, q and then eleven terms just
+        # under half a long-double ulp, each of which its add drops.  The
+        # tree reads 5 long-double ulps below the midpoint 1 + 2^-53; the
+        # exact sum is 2^-105 above it, so fsum rounds up.  A margin without
+        # the depth term would certify the tree's 1.0.
+        k, small = 4096, 2.0 ** -64 - 2.0 ** -74
+        row = np.zeros(k)
+        row[0] = 1.0
+        row[k // 2] = 2.0 ** -53 - 11 * small + 2.0 ** -105  # exact in float64
+        row[[k >> j for j in range(2, 13)]] = small
+        assert math.fsum(row) == 1.0 + 2.0 ** -52
+        calls = []
+
+        def counted(values):
+            calls.append(None)
+            return math.fsum(values)
+
+        own_math = SimpleNamespace(**{**vars(math), "fsum": counted})
+        with mock.patch.object(hvm, "math", own_math), \
+                mock.patch.object(hvm, "_TREE_MIN_ENTRIES", 0):
+            assert hexes(hvm._row_sums(row[None])) == fsum_rows(row[None])
+        assert len(calls) == 1
+
+    def test_a_sum_past_the_largest_float_overflows_as_in_fsum(self):
+        # The same row scaled to the largest float64: the tree reads just
+        # below the midpoint to the next power of two, whose float64
+        # neighbour is infinite; the exact sum lies above it, where fsum
+        # raises OverflowError.
+        k, small = 4096, 2.0 ** 959 - 2.0 ** 949
+        row = np.zeros(k)
+        row[0] = sys.float_info.max
+        row[k // 2] = 2.0 ** 970 - 11 * small + 2.0 ** 918  # exact in float64
+        row[[k >> j for j in range(2, 13)]] = small
+        with mock.patch.object(hvm, "_TREE_MIN_ENTRIES", 0):
+            for sums in (math.fsum, lambda r: hvm._row_sums(r[None])):
+                with pytest.raises(OverflowError):
+                    sums(row)
+
+    def test_the_tree_settles_most_rows_of_a_leggett_kernel(self):
+        p_xu = xu_table(leggett_model(12, inplane_grid(3000)))
+        calls = []
+
+        def counted(values):
+            calls.append(None)
+            return math.fsum(values)
+
+        with mock.patch.object(hvm, "math", SimpleNamespace(**{**vars(math), "fsum": counted})):
+            locality_measure(p_xu)
+        assert len(calls) <= 2  # of 12 rows
+
+    @pytest.mark.parametrize("n, grid", LEGGETT_SHAPES)
+    def test_kernel_matches_the_one_pass_fsum_kernel(self, n, grid):
+        t = xu_table(leggett_model(n, inplane_grid(grid))).table[:, 0]
+        pu = t[:, 0] + t[:, 1]
+        assert hexes(hvm._locality_distances(t, pu)) == hexes(
+            reference_locality_distances(t, pu))
+
+    def test_kernel_matches_with_zero_weights_across_blocks(self):
+        # Hidden values of weight 0 take the masked divide, block after block,
+        # and the computed-here marginal (pz not given) is the same one.
+        weights = np.random.default_rng(3).random(3000)
+        weights[::7] = 0.0
+        t = xu_table(leggett_model(12, inplane_grid(3000), u_weights=weights / weights.sum()))
+        t = t.table[:, 0]
+        expected = hexes(reference_locality_distances(t))
+        assert hexes(hvm._locality_distances(t)) == expected
+        assert hexes(hvm._locality_distances(t, t[:, 0] + t[:, 1])) == expected
+
+    @pytest.mark.parametrize("shifted", [0, 6, 11])
+    def test_cross_check_fails_on_any_row_above_the_threshold(self, shifted):
+        # 12 rows of 3000 in blocks of 5, 5 and 2 rows: the first, a middle
+        # and the last row's sum pushed 1e-6 off through the helper.
+        p_xu = xu_table(leggett_model(12, inplane_grid(3000)))
+        row_sums, seen = hvm._row_sums, []
+
+        def shifting(terms):
+            assert terms.size >= hvm._TREE_MIN_ENTRIES
+            sums = row_sums(terms)
+            rows = range(len(seen), len(seen) + len(sums))
+            seen.extend(rows)
+            return [v + (1e-6 if r == shifted else 0.0) for r, v in zip(rows, sums)]
+
+        with mock.patch.object(hvm, "_row_sums", shifting), \
+                pytest.raises(AssertionError, match="average-form distance .* disagrees"):
+            locality_measure(p_xu)
+        assert seen == list(range(12))
+        locality_measure(p_xu)  # and passes unshifted
+
+
 def envelope_tv(arr):
     """Distance between the entrywise max and min rows of a (c, s, o) array,
     from the pairwise kernel's per-slice bound: the bound the hidden-marginal
@@ -835,6 +1012,21 @@ class TestModelJson:
     def test_infinite_integer_field_is_value_error(self, doc):
         # 1e400 parses as infinity; int() raises OverflowError on it.
         with pytest.raises(ValueError, match="finite integer"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"type": "leggett", "grid": "4", "n": "2"}, "n"),
+            ({"type": "local_deterministic", "bob_tables": [[True]], "n": 1,
+              "alice_tables": [["0"]]}, "alice_tables"),
+        ],
+        ids=["n_before_grid", "alice_before_bob"],
+    )
+    def test_first_bad_numeric_field_in_field_order_is_named(self, doc, field):
+        # Two bad fields in the document's order: the one named is the
+        # first in the fixed field order, not the first the document lists.
+        with pytest.raises(ValueError, match=f"^{field} must be numeric, got "):
             model_from_dict(doc)
 
     def test_deeply_nested_file_is_value_error(self, tmp_path):
