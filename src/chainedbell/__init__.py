@@ -59,6 +59,5 @@ from .quantum import (
     mix_with_noise,
     qm_chained_distribution,
 )
-from .simplex import InfeasibleError, SimplexError, UnboundedError, solve_equality_lp
 
 __version__ = "0.1.0"

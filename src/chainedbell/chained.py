@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import IDENTITY_TOL, ConditionalDistribution
+from .distributions import ConditionalDistribution
+from .simplex import certified_value
 
 __all__ = [
     "ChainScore",
@@ -258,30 +259,6 @@ def _chain_pair_dual(n: int, branch_x: int) -> np.ndarray:
     return y
 
 
-def _certified_value(c, A, b, x: np.ndarray, y: np.ndarray) -> float:
-    """``c . x`` once ``x`` and ``y`` are checked to be an optimal
-    primal-dual pair of min ``c . x`` subject to ``A x = b``, ``x >= 0``.
-
-    Checks: ``x >= 0``, ``|A x - b| <= IDENTITY_TOL``, ``A^T y <= c``
-    (exact for an integer ``y``) and ``|c . x - b . y| <= IDENTITY_TOL``.
-    Weak duality then puts the optimum in ``[b . y, c . x]``.  A failed
-    check raises ArithmeticError."""
-    value = float(c @ x)
-    residual = float(np.abs(A @ x - b).max())
-    if x.min() < 0.0 or residual > IDENTITY_TOL:
-        raise ArithmeticError(
-            f"LP certificate: primal point infeasible "
-            f"(least entry {x.min():.3g}, residual {residual:.3g})"
-        )
-    excess = float((A.T @ y - c).max())
-    if excess > 0.0:
-        raise ArithmeticError(f"LP certificate: dual point infeasible (A^T y - c = {excess:.3g})")
-    gap = value - float(b @ y)
-    if abs(gap) > IDENTITY_TOL:
-        raise ArithmeticError(f"LP certificate: duality gap {gap:.3g} above {IDENTITY_TOL}")
-    return value
-
-
 def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     """Minimize the chain value over non-signaling two-party binary tables
     whose Alice marginal at setting 0 is biased away from uniform by at
@@ -293,7 +270,7 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     solved.  No solver runs: each branch's optimum, ``2*delta``, is
     written in closed form as a primal point and an integer dual point,
     and the pair is checked against the program :func:`_chain_pair_lp`
-    builds (see :func:`_certified_value`).  A failed check raises
+    builds (see :func:`simplex.certified_value`).  A failed check raises
     ArithmeticError; nothing falls back to an iterative solver.
     """
     if not 2 <= n <= _MAX_N:
@@ -306,7 +283,7 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
         c, A, b = _chain_pair_lp(n, delta, branch_x)
         x = _chain_pair_primal(n, delta, branch_x)
         y = _chain_pair_dual(n, branch_x)
-        values.append(_certified_value(c, A, b, x, y))
+        values.append(certified_value(c, A, b, x, y))
         duals.append(tuple(y.tolist()))
         if branch_x == 0:
             joints = x[:-1].reshape(-1, 2, 2)

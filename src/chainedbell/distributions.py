@@ -106,8 +106,9 @@ class ConditionalDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConditionalDistribution":
-        if isinstance(data, dict):
-            _check_numeric_fields(data, ("parties", "outputs", "inputs", "table"))
+        if not isinstance(data, dict):
+            raise ValueError("distribution document must be a JSON object")
+        _check_numeric_fields(data, ("parties", "outputs", "inputs", "table"))
         try:
             n = int(data["parties"])
             outputs = [int(s) for s in data["outputs"]]

@@ -22,8 +22,9 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
 )
-from chainedbell.chained import _certified_value, _chain_pair_lp
+from chainedbell.chained import _chain_pair_lp
 from chainedbell.distributions import IDENTITY_TOL
+from chainedbell.simplex import certified_value
 from lemmas import strategy_distribution
 
 
@@ -341,7 +342,7 @@ def check_closed_form_optimum(n, delta):
     x = np.array([table[a, b] for a, b, _ in chain_pairs(n)]).ravel()
     c, A, b = _chain_pair_lp(n, delta, 0)
     y = np.array(result.dual_certificate[0])
-    assert _certified_value(c, A, b, np.append(x, 0.0), y) == 2.0 * delta
+    assert certified_value(c, A, b, np.append(x, 0.0), y) == 2.0 * delta
     argmin = result.argmin
     assert assert_nonsignaling(argmin, 1e-12).passed
     assert table[0, 0, 0, :].sum() - 0.5 >= delta - 1e-12

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from chainedbell import (
     ConditionalDistribution,
+    HiddenVariableModel,
     evaluate_chain,
     mix_with_noise,
     qm_chained_distribution,
+    quantum_chain_closed_form,
     read_json_file,
     simulate_shots,
     simulate_shots_csv,
@@ -296,6 +298,23 @@ class TestCheck:
         code, payload = run_cli(capsys, "check", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("document", [[1, 2], "x", None, 3])
+    def test_non_object_document_is_usage_error(self, capsys, tmp_path, document):
+        # A list or a string once reached the field reads and printed
+        # Python's own indexing error.
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert payload == {"error": "distribution document must be a JSON object"}
+
+    def test_non_object_inline_distribution_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"type": "custom_table", "distribution": [1, 2]}))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
+        assert code == 2
+        assert payload == {"error": "distribution document must be a JSON object"}
+
     def test_locality_bound_on_deterministic_export(self, capsys, tmp_path):
         # A local deterministic table, read as one with a trivial hidden
         # party, satisfies the bound: marginal distances 1/2 against chain value 1.
@@ -490,6 +509,25 @@ class TestFalsify:
         code, payload = run_cli(capsys, "falsify", str(path), "--n", "2")
         assert code == 1
         assert payload["max_distance"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_verdict_at_the_edge_of_the_cap(self, capsys, tmp_path, monkeypatch, n, side):
+        # Weight W on a deterministic response and 1 - W on a uniform one
+        # puts Alice's distance at W/2; W = I_N (1 +- 1e-6) sits just
+        # below or above the cap I_N/2, by more than the 1e-9 tolerance.
+        w = quantum_chain_closed_form(n) * (1.0 + side * 1e-6)
+        r = np.empty((n, 2, 2))
+        r[:, 0] = [1.0, 0.0]
+        r[:, 1] = 0.5
+        model = HiddenVariableModel(n, alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])
+        monkeypatch.setattr(cli, "model_from_dict", lambda raw, n: model)
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"type": "per_side"}))
+        code, payload = run_cli(capsys, "falsify", str(path), "--n", str(n))
+        assert payload["max_distance"] == w / 2
+        assert payload["falsified"] is (side > 0)
+        assert code == (1 if side > 0 else 0)
 
     @pytest.mark.parametrize("n, shots", [(2, 2**62), (8, 2**60), (2, 2**63 - 1)])
     def test_shot_count_beyond_int64_is_usage_error(self, capsys, tmp_path, n, shots):

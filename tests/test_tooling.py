@@ -3,7 +3,8 @@ suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one model
 document reader, its plain model record, its one table float formatter,
 its one tolerance ledger, the one owner of each argument check, its
-one command-line parse and no private helper left uncalled."""
+one command-line parse and no private helper or public function left
+uncalled."""
 
 import ast
 import contextlib
@@ -305,33 +306,71 @@ class TestOneSampler:
         assert callers_of(source, "shuffle") == ["_draws", "simulate_shots"]
 
 
-def dead_private_functions(sources: dict[str, str]) -> list[str]:
-    """The top-level ``_``-prefixed functions of a package's modules, given
-    as file name -> source, that no module references by name, attribute
-    or import, as "file:function"."""
-    defined, referenced = [], set()
-    for name, source in sources.items():
-        tree = ast.parse(source)
-        defined += [(name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")]
-        for node in ast.walk(tree):
+def referenced_names(sources: dict[str, str]) -> set[str]:
+    """Every name a package's modules, given as file name -> source,
+    reference by name, attribute or import."""
+    referenced = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def dead_private_functions(sources: dict[str, str]) -> list[str]:
+    """The top-level ``_``-prefixed functions of a package's modules, given
+    as file name -> source, that no module references by name, attribute
+    or import, as "file:function"."""
+    defined = [(name, node.name) for name, source in sources.items()
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")]
+    referenced = referenced_names(sources)
     return [f"{name}:{func}" for name, func in defined if func not in referenced]
 
 
+def uncalled_public_functions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions that a module lists in ``__all__`` and that
+    no module of ``sources`` references by name, attribute or import, as
+    "file:function".  A listing in ``__all__`` is a string, not a
+    reference."""
+    defined = []
+    for name, source in sources.items():
+        body = ast.parse(source).body
+        listed = {entry for node in body if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "__all__"
+                  for entry in ast.literal_eval(node.value)}
+        defined += [(name, node.name) for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in listed]
+    referenced = referenced_names(sources)
+    return [f"{name}:{func}" for name, func in defined if func not in referenced]
+
+
+# Public functions with no caller in the package, kept for ROADMAP item 3,
+# which reads a shot CSV back into a certified cap.
+UNCALLED_BY_DESIGN = ["experiment.py:estimate_chain_value", "experiment.py:read_shots_csv"]
+
+
 class TestNoDeadHelper:
-    """A private helper that nothing calls any more is deleted, not kept."""
+    """A private helper that nothing calls any more is deleted, not kept,
+    and so is a public function that nothing in the package calls."""
 
     def test_every_private_function_is_referenced(self):
         package = ROOT / "src" / "chainedbell"
         sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
         assert dead_private_functions(sources) == []
+
+    def test_every_public_function_has_a_caller(self):
+        # __init__ names every public function only to re-export it.
+        package = ROOT / "src" / "chainedbell"
+        sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))
+                   if path.name != "__init__.py"}
+        assert uncalled_public_functions(sources) == UNCALLED_BY_DESIGN
 
     def test_the_check_sees_a_planted_dead_helper(self):
         sources = {
@@ -353,6 +392,25 @@ class TestNoDeadHelper:
             "b.py": "from .a import _imported\nfrom . import a\nf = a._read_as_attribute\n",
         }
         assert dead_private_functions(sources) == ["a.py:_dead"]
+
+    def test_the_check_sees_a_planted_uncalled_function(self):
+        sources = {
+            "a.py": (
+                "__all__ = ['Record', 'imported', 'listed_only', 'read_as_attribute', 'used']\n"
+                "class Record: pass\n"
+                "def used(): pass\n"
+                "def listed_only():\n"
+                "    \"\"\"listed_only is named only in a docstring.\"\"\"\n"
+                "    return 'listed_only'\n"
+                "def imported(): pass\n"
+                "def read_as_attribute(): pass\n"
+                "def not_listed(): pass\n"
+                "def caller():\n"
+                "    return used()\n"
+            ),
+            "b.py": "from .a import imported\nfrom . import a\nf = a.read_as_attribute\n",
+        }
+        assert uncalled_public_functions(sources) == ["a.py:listed_only"]
 
 
 # The two identity cross-checks of a locality distance, by the start of
@@ -663,11 +721,16 @@ def table_constructions(source: str) -> list[str]:
 
 
 class TestOneToleranceLedger:
-    """The CLI names every tolerance it shares with the library, and it
-    measures the tables it reads: it builds none of its own."""
+    """Only the two modules that define the ledger spell its values; every
+    other module names them.  The CLI measures the tables it reads: it
+    builds none of its own."""
 
-    def test_cli_spells_no_ledger_value(self):
-        assert ledger_literals((ROOT / "src" / "chainedbell" / "cli.py").read_text()) == []
+    def test_only_the_ledger_modules_spell_a_ledger_value(self):
+        package = ROOT / "src" / "chainedbell"
+        found = {path.name: literals for path in sorted(package.glob("*.py"))
+                 if path.name not in ("distributions.py", "hvm.py")
+                 and (literals := ledger_literals(path.read_text()))}
+        assert found == {}
 
     def test_cli_constructs_no_table(self):
         assert table_constructions((ROOT / "src" / "chainedbell" / "cli.py").read_text()) == []
