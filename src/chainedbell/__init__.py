@@ -31,7 +31,6 @@ from .experiment import (
     MissingSettingPairError,
     estimate_chain_value,
     estimate_from_counts,
-    max_locality_bound,
     read_shots_csv,
     sample_counts,
     simulate_shots,
@@ -40,13 +39,13 @@ from .experiment import (
 )
 from .hvm import (
     HiddenVariableModel,
-    LocalityBoundReport,
-    LocalityMeasurement,
+    LocalityReport,
     chain_table,
     inplane_grid,
     leggett_model,
     local_deterministic_model,
     locality_bound_check,
+    locality_cap,
     locality_measure,
     model_from_dict,
     model_from_json_file,

@@ -40,7 +40,6 @@ from .distributions import (
 from .experiment import (
     MissingSettingPairError,
     estimate_from_counts,
-    max_locality_bound,
     sample_counts,
     simulate_shots_csv,
 )
@@ -49,6 +48,7 @@ from .hvm import (
     MARGINAL_INDEPENDENCE_TOL,
     chain_table,
     locality_bound_check,
+    locality_cap,
     locality_measure,
     model_from_dict,
     model_from_json_file,
@@ -112,10 +112,13 @@ def cmd_check(args) -> tuple[dict, int]:
     if not args.locality_bound:
         report = assert_nonsignaling(dist, args.tol)
         return {"nonsignaling": _fields(report)}, (0 if report.passed else 1)
-    # The bound's own non-signaling test is the check's report.
-    bound = locality_bound_check(dist, args.tol)
-    ns = {"max_violation": bound.ns_violation, "passed": bound.applicable, "tol": args.tol}
-    return {"nonsignaling": ns, "locality_bound": _fields(bound)}, (0 if bound.passed else 1)
+    # The bound's own non-signaling test is the check's report.  A table
+    # that signals gets no record: the bound is inapplicable, not failed.
+    ns, rec = locality_bound_check(dist, args.tol)
+    n, lhs = dist.input_sizes[0], () if rec is None else rec.per_setting
+    bound = {"applicable": ns.passed, "ns_violation": ns.max_violation, "lhs_x": lhs[:n],
+             "lhs_y": lhs[n:], "bound": rec and rec.cap, "passed": rec and rec.passed}
+    return {"nonsignaling": _fields(ns), "locality_bound": bound}, (0 if bound["passed"] else 1)
 
 
 def cmd_falsify(args) -> tuple[dict, int]:
@@ -126,9 +129,9 @@ def cmd_falsify(args) -> tuple[dict, int]:
     model = model_from_dict(raw, n)
     payload: dict = {"n": n, "model_type": raw["type"]}
     p_xu = xu_table(model)
+    chain_value = quantum_chain_closed_form(n)
     if args.shots is None:
-        lm = locality_measure(p_xu)
-        stat_tol = NORM_TOL
+        record = locality_measure(p_xu, chain_value)
         payload["mode"] = "exact"
     else:
         if args.shots < 1:
@@ -144,21 +147,19 @@ def cmd_falsify(args) -> tuple[dict, int]:
         p_xu = sampled_xu_table(p_xu, samples, seed)
         cells = 2 * model.n_u
         radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
-        stat_tol = 0.5 * cells * radius
-        lm = locality_measure(p_xu, marginal_tol=max(MARGINAL_INDEPENDENCE_TOL, cells * radius))
+        record = locality_measure(p_xu, chain_value, 0.5 * cells * radius,
+                                  marginal_tol=max(MARGINAL_INDEPENDENCE_TOL, cells * radius))
         payload["mode"] = "monte_carlo"
         payload["shots_per_pair"] = args.shots
-    bound = 0.5 * quantum_chain_closed_form(n)
-    # Falsified: the worst setting exceeds the cap by more than stat_tol.
-    falsified = lm.max_distance > bound + stat_tol
+    # Falsified: the worst setting exceeds the cap by more than the tolerance.
     payload.update({
-        "per_setting_distance": [[a, d] for a, d in enumerate(lm.per_setting)],
-        "bound": bound,
-        "max_distance": lm.max_distance,
-        "falsified": falsified,
-        "stat_tolerance": stat_tol,
+        "per_setting_distance": [[a, d] for a, d in enumerate(record.per_setting)],
+        "bound": record.cap,
+        "max_distance": record.max_distance,
+        "falsified": not record.passed,
+        "stat_tolerance": record.tolerance,
     })
-    return payload, (1 if falsified else 0)
+    return payload, (0 if record.passed else 1)
 
 
 def cmd_scan(args) -> tuple[dict, int]:
@@ -173,7 +174,7 @@ def cmd_scan(args) -> tuple[dict, int]:
         for start in range(2, args.n_max + 1, _SCAN_ROWS):
             ns = range(start, min(start + _SCAN_ROWS, args.n_max + 1))
             fh.write("".join([
-                f"{n},{value!r},{0.5 * value!r},{math.pi**2 / (8.0 * n)!r}\r\n"
+                f"{n},{value!r},{locality_cap(value)!r},{math.pi**2 / (8.0 * n)!r}\r\n"
                 for n, value in zip(ns, map(noisy_chain_closed_form, ns, [v] * len(ns)))]))
     return {"rows": args.n_max - 1, "visibility": v, "out": str(args.out)}, 0
 
@@ -200,7 +201,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         "source": str(args.source),
         "shots": args.shots,
         "report": _fields(report),
-        "max_locality_bound": max_locality_bound(report),
+        "max_locality_bound": locality_cap(report.upper_bound),
         "reference_chain_value": reference,
     }
     if args.out:

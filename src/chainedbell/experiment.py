@@ -1,6 +1,6 @@
 """Finite-statistics front end: draw the counts of a simulated run, stream
-them as shots, estimate the chain value with an upper confidence bound,
-and derive the locality cap.
+them as shots, and estimate the chain value with an upper confidence
+bound, whose :func:`~chainedbell.hvm.locality_cap` is the certified cap.
 
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
@@ -34,7 +34,6 @@ __all__ = [
     "simulate_shots_csv",
     "estimate_chain_value",
     "estimate_from_counts",
-    "max_locality_bound",
     "write_shots_csv",
     "read_shots_csv",
 ]
@@ -358,12 +357,6 @@ def estimate_chain_value(
     ``ValueError``."""
     counts, mism = _fold_counts(blocks, n)
     return estimate_from_counts(counts, mism, n, confidence)
-
-
-def max_locality_bound(report: EstimateReport) -> float:
-    """Certified cap on any hidden-variable model's local part: half the
-    chain-value upper bound."""
-    return 0.5 * report.upper_bound
 
 
 def _start_csv(fh, width: int) -> str:

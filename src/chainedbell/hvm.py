@@ -25,6 +25,7 @@ from .distributions import (
     IDENTITY_TOL,
     NORM_TOL,
     ConditionalDistribution,
+    NonSignalingReport,
     _check_numeric_fields,
     _l1_upper_bounds,
     _load_json,
@@ -39,8 +40,7 @@ __all__ = [
     "MARGINAL_INDEPENDENCE_TOL",
     "MAX_MODEL_ENTRIES",
     "HiddenVariableModel",
-    "LocalityMeasurement",
-    "LocalityBoundReport",
+    "LocalityReport",
     "leggett_model",
     "local_deterministic_model",
     "nonlocal_qm_model",
@@ -48,6 +48,7 @@ __all__ = [
     "xu_table",
     "sampled_xu_table",
     "chain_table",
+    "locality_cap",
     "locality_measure",
     "locality_bound_check",
     "inplane_grid",
@@ -321,20 +322,31 @@ def chain_table(model: HiddenVariableModel) -> ConditionalDistribution:
     return ConditionalDistribution((n, n), (2, 2), t)
 
 
+def locality_cap(chain_value: float) -> float:
+    """The paper's cap on any hidden-variable model's local part: half the
+    chain value."""
+    return 0.5 * chain_value
+
+
 @dataclass(frozen=True)
-class LocalityMeasurement:
-    """Per-setting locality of one side: distance of the (outcome, hidden)
-    joint from (uniform outcome) x (hidden marginal)."""
+class LocalityReport:
+    """Locality measured against the cap: each setting's distance of its
+    (outcome, hidden) joint from (uniform outcome) x (its hidden marginal),
+    in the order measured, their max, the cap, the tolerance, and the
+    verdict ``max_distance <= cap + tolerance``."""
 
     per_setting: tuple[float, ...]
     max_distance: float
+    cap: float
+    tolerance: float
+    passed: bool
 
 
-def _locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[float]:
+def _locality_distances(t: np.ndarray, pz: np.ndarray) -> list[float]:
     """The one locality-distance kernel: for each row of a C-ordered
     (rows, 2, k) array of (outcome, hidden) joints that each sum to 1, its
     distance from (uniform outcome) x (the row's own hidden marginal
-    ``pz``, the sum of the two outcome planes, computed here if not given).
+    ``pz``, the sum of the two outcome planes).
 
     Each distance is the hidden-average of the conditional outcome
     distances from uniform, summed as ``math.fsum`` sums (:func:`_row_sums`).
@@ -344,8 +356,6 @@ def _locality_distances(t: np.ndarray, pz: np.ndarray | None = None) -> list[flo
     entries at a time, so the scratch stays a few hundred KiB.
     """
     rows, k = t.shape[0], t.shape[2]
-    if pz is None:
-        pz = t[:, 0] + t[:, 1]
     every = bool((pz > 0.0).all())  # a masked divide costs more than a plain one
     step = max(1, _BLOCK_ENTRIES // k)
     cond = np.zeros((min(step, rows), 2, k))
@@ -420,9 +430,12 @@ def _row_sums(terms: np.ndarray) -> list[float]:
 
 def locality_measure(
     p_xu: ConditionalDistribution,
+    chain_value: float,
+    tolerance: float = NORM_TOL,
     marginal_tol: float = MARGINAL_INDEPENDENCE_TOL,
-) -> LocalityMeasurement:
-    """Measure how much one side's outcome leans on its hidden variable.
+) -> LocalityReport:
+    """Measure how much the outcome leans on the hidden variable, against
+    the cap that ``chain_value`` certifies (:func:`locality_cap`).
 
     Input: two-party table with party 0 = (setting -> binary outcome) and
     party 1 = (no input -> hidden index).  The hidden marginal must not
@@ -430,7 +443,8 @@ def locality_measure(
     distance between its entrywise max and min rows, which bounds every
     pair's, and runs the all-pairs max only when that bound is above the
     tolerance.  Each setting's distance then comes from
-    :func:`_locality_distances`, with both cross-checks.
+    :func:`_locality_distances`, with both cross-checks.  The report
+    passes when no distance exceeds the cap by more than ``tolerance``.
     """
     if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1 or p_xu.output_sizes[0] != 2:
         raise ValueError("expected parties (setting -> binary outcome, none -> hidden)")
@@ -446,29 +460,13 @@ def locality_measure(
                     f"hidden-variable marginal depends on the setting (deviation {dev})"
                 )
     distances = _locality_distances(t, pu)
-    return LocalityMeasurement(tuple(distances), max(distances))
-
-
-@dataclass(frozen=True)
-class LocalityBoundReport:
-    """Result of the non-signaling locality bound on a two- or three-party
-    table.
-
-    ``bound`` and ``passed`` are None when the input signals (the bound's
-    hypothesis fails, so the check is inapplicable rather than failed).
-    """
-
-    applicable: bool
-    ns_violation: float
-    lhs_x: tuple[float, ...]
-    lhs_y: tuple[float, ...]
-    bound: float | None
-    passed: bool | None
+    worst, cap = max(distances), locality_cap(chain_value)
+    return LocalityReport(tuple(distances), worst, cap, tolerance, worst <= cap + tolerance)
 
 
 def locality_bound_check(
     p: ConditionalDistribution, tol: float = NORM_TOL
-) -> LocalityBoundReport:
+) -> tuple[NonSignalingReport, LocalityReport | None]:
     """Check that hidden-side information stays within half the chain value.
 
     ``p`` is a two- or three-party table: party 0 is Alice (binary outcome
@@ -477,9 +475,13 @@ def locality_bound_check(
     settings.  A two-party table is read as one with a one-valued C and Z.
     For every setting a, the statistical distance of P(x, (c, z) | a) from
     (uniform x) times its (c, z) marginal must be at most half the chain
-    value of the (x, y) table; symmetrically for every b.  All 2N settings
-    are measured in one pass of :func:`_locality_distances`, as
-    :func:`locality_measure` measures one side.
+    value of the (x, y) table; symmetrically for every b.
+
+    Returns the non-signaling report at ``tol`` and the
+    :func:`locality_measure` record of all 2N settings as one table,
+    Alice's N then Bob's N, or None when the table signals (the bound's
+    hypothesis fails: inapplicable, not failed).  That check already holds
+    the hidden marginal, so the measurement does not gate it again.
     """
     if p.n_parties not in (2, 3):
         raise ValueError("locality bound needs a 2- or 3-party table")
@@ -490,24 +492,20 @@ def locality_bound_check(
         raise ValueError("chain parties must share N >= 2 settings")
     ns = assert_nonsignaling(p, tol)
     if not ns.passed:
-        return LocalityBoundReport(False, ns.max_violation, (), (), None, None)
+        return ns, None
     t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]  # (N, N, n_c, 2, 2, oz)
     n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)  # chain table at the first C value
-    bound = 0.5 * evaluate_chain(
-        ConditionalDistribution((n, n), (2, 2), xy), n
-    ).value
+    chain_value = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy), n).value
     # One (x, (c, z)) joint per setting, the other side's outcome summed
     # out: Alice's settings at Bob's first, then Bob's at Alice's first.
     joints = np.empty((2, n, 2, n_c, t.shape[-1]))
     np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0].transpose(0, 2, 1, 3))
     np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1].transpose(0, 2, 1, 3))
     joints *= 1.0 / n_c
-    lhs = _locality_distances(_normalised(joints.reshape(2 * n, 2, -1), 2))
-    return LocalityBoundReport(
-        True, ns.max_violation, tuple(lhs[:n]), tuple(lhs[n:]), bound,
-        max(lhs) <= bound + NORM_TOL,
-    )
+    rows = ConditionalDistribution((2 * n, 1), (2, n_c * t.shape[-1]),
+                                   joints.reshape(2 * n, 1, 2, -1))
+    return ns, locality_measure(rows, chain_value, marginal_tol=math.inf)
 
 
 # Model document fields that hold numbers or nested lists of numbers.

@@ -18,7 +18,7 @@ kept per-side responses: the (N, N, n_u, n_v, 2, 2) response array, the
 four-party table P(x, y, u, v | a, b) built from it
 (:func:`induced_distribution`), its three-party and Alice-side views, and
 the direct Leggett test ``falsify_leggett``, which returns the
-measurement and the cap.
+locality record against half the ideal quantum chain value.
 
 ``plain_read_json_file`` is the distribution reader before its route for
 the writer's own layout: the whole file through ``json.loads``, then
@@ -60,7 +60,7 @@ from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
     MARGINAL_INDEPENDENCE_TOL,
     _malus_responses,
-    LocalityMeasurement,
+    LocalityReport,
     locality_measure,
 )
 from chainedbell.quantum import _chained_angles
@@ -318,14 +318,12 @@ def leggett_xu_table(n: int, vectors, weights=None) -> ConditionalDistribution:
     return ConditionalDistribution((n, 1), (2, k), table)
 
 
-def falsify_leggett(n: int, vectors, weights=None) -> tuple[LocalityMeasurement, float]:
-    """The measurement of a Leggett-type hidden-vector distribution, from
-    :func:`leggett_xu_table`, and the locality cap certified by the ideal
-    quantum chain value, half of it.  In-plane vector mass forces a
-    distance of about 1/pi per setting, which already exceeds the cap at
-    N = 2."""
-    lm = locality_measure(leggett_xu_table(n, vectors, weights))
-    return lm, 0.5 * quantum_chain_closed_form(n)
+def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
+    """The locality record of a Leggett-type hidden-vector distribution,
+    from :func:`leggett_xu_table`, against the cap that the ideal quantum
+    chain value certifies.  In-plane vector mass forces a distance of
+    about 1/pi per setting, which already exceeds the cap at N = 2."""
+    return locality_measure(leggett_xu_table(n, vectors, weights), quantum_chain_closed_form(n))
 
 
 def plain_read_json_file(path) -> ConditionalDistribution:

@@ -21,9 +21,9 @@ from chainedbell import (
     leggett_model,
     local_deterministic_model,
     locality_bound_check,
+    locality_cap,
     locality_measure,
     lp_min_chain_given_bias,
-    max_locality_bound,
     nonlocal_qm_model,
     qm_chained_distribution,
     quantum_chain_closed_form,
@@ -126,8 +126,8 @@ def test_05_locality_bound_model_sweep():
                 )
             p4 = induced_distribution(model)
             assert assert_nonsignaling(p4, 1e-9).passed
-            rep = locality_bound_check(hidden_joint_form(p4))
-            assert rep.applicable
+            ns, rep = locality_bound_check(hidden_joint_form(p4))
+            assert ns.passed
             assert rep.passed, f"bound violated on trial {trial}: {rep}"
 
     timed("locality bound over 200 random models", 60.0, run)
@@ -142,7 +142,7 @@ def test_06_maximum_locality_figure():
             confidence_level=0.99,
             shots_per_pair=1,
         )
-        cap = max_locality_bound(report)
+        cap = locality_cap(report.upper_bound)
         assert abs(cap - (1 - 1 / math.sqrt(2))) < 1e-12
         assert abs(cap - 0.3) < 0.01
 
@@ -152,13 +152,15 @@ def test_06_maximum_locality_figure():
 def test_07_leggett_falsification():
     def run():
         # Alice's (outcome, hidden) table is all the locality cap constrains.
-        bound = quantum_chain_closed_form(2) / 2
-        assert bound == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
-        report = locality_measure(xu_table(leggett_model(2, inplane_grid(360))))
+        chain_value = quantum_chain_closed_form(2)
+        report = locality_measure(xu_table(leggett_model(2, inplane_grid(360))), chain_value)
+        assert report.cap == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
         assert abs(report.max_distance - 1 / math.pi) < 1e-4
-        assert report.max_distance > bound + 1e-9  # falsified
-        ortho = locality_measure(xu_table(leggett_model(2, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])))
-        assert ortho.max_distance < 1e-9
+        assert report.max_distance > report.cap + 1e-9  # falsified
+        assert not report.passed
+        ortho = locality_measure(
+            xu_table(leggett_model(2, [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])), chain_value)
+        assert ortho.max_distance < 1e-9 and ortho.passed
 
     timed("leggett falsification at N=2", 5.0, run)
 

@@ -528,6 +528,9 @@ class TestFalsify:
         assert payload["max_distance"] == w / 2
         assert payload["falsified"] is (side > 0)
         assert code == (1 if side > 0 else 0)
+        # The record the verdict reads flips at the same edge.
+        record = hvm.locality_measure(hvm.xu_table(model), quantum_chain_closed_form(n))
+        assert record.passed is (side < 0)
 
     @pytest.mark.parametrize("n, shots", [(2, 2**62), (8, 2**60), (2, 2**63 - 1)])
     def test_shot_count_beyond_int64_is_usage_error(self, capsys, tmp_path, n, shots):

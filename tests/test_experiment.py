@@ -27,7 +27,7 @@ from chainedbell import (
     inplane_grid,
     leggett_model,
     local_deterministic_model,
-    max_locality_bound,
+    locality_cap,
     mix_with_noise,
     nonlocal_qm_model,
     qm_chained_distribution,
@@ -207,11 +207,11 @@ class TestLocalityCap:
     def test_cap_values(self):
         base = dict(n_settings=2, confidence_level=0.99, shots_per_pair=1, method="x")
         chsh = EstimateReport(point_estimate=0.5, upper_bound=2 - math.sqrt(2), **base)
-        assert max_locality_bound(chsh) == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
+        assert locality_cap(chsh.upper_bound) == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
         zero = EstimateReport(point_estimate=0.0, upper_bound=0.0, **base)
-        assert max_locality_bound(zero) == 0.0
+        assert locality_cap(zero.upper_bound) == 0.0
         one = EstimateReport(point_estimate=0.9, upper_bound=1.0, **base)
-        assert max_locality_bound(one) == 0.5
+        assert locality_cap(one.upper_bound) == 0.5
 
 
 class TestShotCsv:

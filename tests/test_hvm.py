@@ -51,6 +51,9 @@ from lemmas import (
 
 # The two unit vectors orthogonal to the measurement (x-z) plane.
 ORTHOGONAL = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+# The classical chain value, whose cap (1/2) every local model meets;
+# tests that read only distances measure against it.
+CLASSICAL = 1.0
 
 
 def bloch(angle):
@@ -231,8 +234,8 @@ class TestPerSideTable:
         model = leggett_model(n, vectors, u_weights=weights)
         got = xu_table(model)
         assert got.table.tobytes() == leggett_xu_table(n, vectors, weights).table.tobytes()
-        lm, _ = falsify_leggett(n, vectors, weights)
-        assert locality_measure(got).per_setting == lm.per_setting
+        lm = falsify_leggett(n, vectors, weights)
+        assert locality_measure(got, CLASSICAL).per_setting == lm.per_setting
 
     @pytest.mark.parametrize("name", list(product_fixtures()))
     def test_matches_the_kernel_route(self, name):
@@ -260,7 +263,7 @@ class TestPerSideTable:
         # uniform times the hidden marginal.
         m = HiddenVariableModel(2, table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
         p_xu = xu_table(m)
-        lm = locality_measure(p_xu)
+        lm = locality_measure(p_xu, CLASSICAL)
         assert lm.max_distance < 1e-12
         pu = p_xu.table.sum(axis=2)[0, 0]
         assert pu == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
@@ -282,7 +285,8 @@ class TestPerSideTable:
         model = leggett_model(100, inplane_grid(360))
         p_xu = xu_table(model)
         assert p_xu.table.shape == (100, 1, 2, 360)
-        assert locality_measure(p_xu).max_distance == pytest.approx(1 / math.pi, abs=1e-4)
+        lm = locality_measure(p_xu, CLASSICAL)
+        assert lm.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
         assert evaluate_chain(chain_table(model), 100).value == pytest.approx(100.0, abs=1e-9)
 
 
@@ -352,7 +356,7 @@ class TestLocalityMeasure:
     def test_uniform_outcomes_have_zero_locality(self):
         table = np.full((3, 1, 2, 4), 1.0 / 8)
         p = ConditionalDistribution((3, 1), (2, 4), table)
-        lm = locality_measure(p)
+        lm = locality_measure(p, CLASSICAL)
         assert lm.max_distance == 0.0
 
     def test_outcome_copies_hidden_bit(self):
@@ -362,14 +366,14 @@ class TestLocalityMeasure:
         for u in (0, 1):
             table[:, 0, u, u] = 0.5
         p = ConditionalDistribution((2, 1), (2, 2), table)
-        lm = locality_measure(p)
+        lm = locality_measure(p, CLASSICAL)
         assert lm.per_setting == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_leggett_uniform_inplane_quadrature(self):
         # Independent oracle: numerical quadrature of the circle average
         # of |cos(t - phi)| / 2, which equals 1/pi for every t.
         n = 2
-        report = locality_measure(xu_table(leggett_model(n, inplane_grid(360))))
+        report = locality_measure(xu_table(leggett_model(n, inplane_grid(360))), CLASSICAL)
         alice, _ = _chained_angles(n)
         for a, measured in enumerate(report.per_setting):
             theta = alice[a]
@@ -412,13 +416,13 @@ class TestLocalityMeasure:
         p0 = np.clip(0.5 * (1.0 + directions @ vectors.T), 0.0, 1.0)  # (N, k)
         table = np.stack([weights * p0, weights * (1.0 - p0)], axis=1)
         p_xu = ConditionalDistribution((n, 1), (2, len(vectors)), table[:, None])
-        lm = locality_measure(p_xu)
+        lm = locality_measure(p_xu, CLASSICAL)
         assert lm.per_setting == self._loop_per_setting(p_xu)
 
     def test_matches_the_loop_on_a_model_table(self):
         m = leggett_model(3, inplane_grid(12), u_weights=np.arange(12) / 66.0)
         p_xu = xu_table(m)
-        assert locality_measure(p_xu).per_setting == self._loop_per_setting(p_xu)
+        assert locality_measure(p_xu, CLASSICAL).per_setting == self._loop_per_setting(p_xu)
 
     def test_setting_dependent_hidden_marginal_rejected(self):
         table = np.zeros((2, 1, 2, 2))
@@ -426,12 +430,12 @@ class TestLocalityMeasure:
         table[1, 0, :, 1] = 0.5  # u pinned to 1 under setting 1
         p = ConditionalDistribution((2, 1), (2, 2), table)
         with pytest.raises(ValueError, match="marginal depends"):
-            locality_measure(p)
+            locality_measure(p, CLASSICAL)
 
     def test_non_binary_outcomes_rejected(self):
         p = ConditionalDistribution((2, 1), (3, 2), np.full((2, 1, 3, 2), 1.0 / 6))
         with pytest.raises(ValueError, match="binary outcome"):
-            locality_measure(p)
+            locality_measure(p, CLASSICAL)
 
     @pytest.mark.parametrize("shifted", [0, 2, 4])
     def test_cross_check_runs_on_every_setting(self, monkeypatch, shifted):
@@ -445,7 +449,7 @@ class TestLocalityMeasure:
 
         monkeypatch.setattr(hvm.math, "fsum", shifting_fsum)
         with pytest.raises(AssertionError, match="average-form distance .* disagrees"):
-            locality_measure(p_xu)
+            locality_measure(p_xu, CLASSICAL)
         assert len(calls) == n
 
 
@@ -582,7 +586,7 @@ class TestRowSums:
             return math.fsum(values)
 
         with mock.patch.object(hvm, "math", SimpleNamespace(**{**vars(math), "fsum": counted})):
-            locality_measure(p_xu)
+            locality_measure(p_xu, CLASSICAL)
         assert len(calls) <= 2  # of 12 rows
 
     @pytest.mark.parametrize("n, grid", LEGGETT_SHAPES)
@@ -593,14 +597,12 @@ class TestRowSums:
             reference_locality_distances(t, pu))
 
     def test_kernel_matches_with_zero_weights_across_blocks(self):
-        # Hidden values of weight 0 take the masked divide, block after block,
-        # and the computed-here marginal (pz not given) is the same one.
+        # Hidden values of weight 0 take the masked divide, block after block.
         weights = np.random.default_rng(3).random(3000)
         weights[::7] = 0.0
         t = xu_table(leggett_model(12, inplane_grid(3000), u_weights=weights / weights.sum()))
         t = t.table[:, 0]
         expected = hexes(reference_locality_distances(t))
-        assert hexes(hvm._locality_distances(t)) == expected
         assert hexes(hvm._locality_distances(t, t[:, 0] + t[:, 1])) == expected
 
     @pytest.mark.parametrize("shifted", [0, 6, 11])
@@ -619,9 +621,9 @@ class TestRowSums:
 
         with mock.patch.object(hvm, "_row_sums", shifting), \
                 pytest.raises(AssertionError, match="average-form distance .* disagrees"):
-            locality_measure(p_xu)
+            locality_measure(p_xu, CLASSICAL)
         assert seen == list(range(12))
-        locality_measure(p_xu)  # and passes unshifted
+        locality_measure(p_xu, CLASSICAL)  # and passes unshifted
 
 
 def envelope_tv(arr):
@@ -676,9 +678,9 @@ class TestMarginalGate:
         ]))
         if dev > tol:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {dev})")):
-                locality_measure(p_xu, marginal_tol=tol)
+                locality_measure(p_xu, CLASSICAL, marginal_tol=tol)
         else:
-            locality_measure(p_xu, marginal_tol=tol)
+            locality_measure(p_xu, CLASSICAL, marginal_tol=tol)
 
 
 @st.composite
@@ -741,7 +743,7 @@ def side_measurements(p3):
         locality_measure(ConditionalDistribution(
             (n, 1), (2, n_c * oz),
             np.moveaxis(side * (1.0 / n_c), 2, 1).reshape(n, 1, 2, n_c * oz),
-        ))
+        ), CLASSICAL)
         for side in sides
     )
 
@@ -754,12 +756,12 @@ class TestLocalityBound:
         # each setting's own hidden marginal; the per-setting reference
         # against the common (a, b) = (0, 0) marginal stays within
         # IDENTITY_TOL.
-        rep = locality_bound_check(p3)
-        assert rep.applicable and rep.passed
+        ns, rep = locality_bound_check(p3)
+        assert ns.passed and rep.passed
         alice, bob = side_measurements(p3)
-        assert (rep.lhs_x, rep.lhs_y) == (alice.per_setting, bob.per_setting)
+        assert rep.per_setting == alice.per_setting + bob.per_setting
         ref_x, ref_y = per_setting_locality_bound(p3)
-        gap = np.abs(np.subtract(rep.lhs_x + rep.lhs_y, ref_x + ref_y))
+        gap = np.abs(np.subtract(rep.per_setting, ref_x + ref_y))
         assert gap.max() <= IDENTITY_TOL
 
     @pytest.mark.parametrize("row", [0, 2, 3, 5])
@@ -800,9 +802,9 @@ class TestLocalityBound:
         p = qm_chained_distribution(3)
         table = p.table.reshape(3, 3, 1, 2, 2, 1)
         p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), table)
-        rep = locality_bound_check(p3)
-        assert rep.applicable and rep.passed
-        assert max(rep.lhs_x + rep.lhs_y) < 1e-12
+        ns, rep = locality_bound_check(p3)
+        assert ns.passed and rep.passed
+        assert rep.max_distance < 1e-12
 
     def test_all_deterministic_strategies_at_n2(self):
         # Exhaustive: every single-strategy local model saturates locality
@@ -811,10 +813,10 @@ class TestLocalityBound:
             for g in itertools.product((0, 1), repeat=2):
                 m = local_deterministic_model(2, [list(f)], [list(g)])
                 p3 = hidden_joint_form(induced_distribution(m))
-                rep = locality_bound_check(p3)
-                assert rep.applicable and rep.passed
-                assert rep.lhs_x == pytest.approx((0.5, 0.5), abs=1e-12)
-                assert rep.bound >= 0.5 - 1e-12
+                ns, rep = locality_bound_check(p3)
+                assert ns.passed and rep.passed
+                assert rep.per_setting[:2] == pytest.approx((0.5, 0.5), abs=1e-12)
+                assert rep.cap >= 0.5 - 1e-12
 
     def test_nontrivial_extra_input(self):
         # Third party outputs a copy of its own input: non-signaling, and
@@ -825,9 +827,9 @@ class TestLocalityBound:
         for c in range(2):
             table[:, :, c, :, :, c] = base.table
         p3 = ConditionalDistribution((n, n, 2), (2, 2, 2), table)
-        rep = locality_bound_check(p3)
-        assert rep.applicable and rep.passed
-        assert max(rep.lhs_x + rep.lhs_y) < 1e-12
+        ns, rep = locality_bound_check(p3)
+        assert ns.passed and rep.passed
+        assert rep.max_distance < 1e-12
 
     def test_signaling_input_flagged_inapplicable(self):
         table = np.zeros((2, 2, 1, 2, 2, 1))
@@ -835,10 +837,10 @@ class TestLocalityBound:
             for b in range(2):
                 table[a, b, 0, b, 0, 0] = 1.0
         p3 = ConditionalDistribution((2, 2, 1), (2, 2, 1), table)
-        rep = locality_bound_check(p3)
-        assert not rep.applicable
-        assert rep.bound is rep.passed is None
-        assert rep.ns_violation == pytest.approx(1.0, abs=1e-12)
+        ns, rep = locality_bound_check(p3)
+        assert not ns.passed
+        assert rep is None
+        assert ns.max_violation == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(two_party_chain_tables())
@@ -848,13 +850,13 @@ class TestLocalityBound:
         # once built, and its non-signaling check is the table's own.
         n = p.input_sizes[0]
         promoted = ConditionalDistribution((n, n, 1), (2, 2, 1), p.table.reshape(n, n, 1, 2, 2, 1))
-        rep, ref = locality_bound_check(p), locality_bound_check(promoted)
-        assert rep.ns_violation == assert_nonsignaling(p).max_violation
-        assert rep.applicable is ref.applicable is True
+        (ns, rep), (ref_ns, ref) = locality_bound_check(p), locality_bound_check(promoted)
+        assert ns.max_violation == assert_nonsignaling(p).max_violation
+        assert ns.passed is ref_ns.passed is True
         assert rep.passed is ref.passed
 
         def bits(report):
-            return [v.hex() for v in (*report.lhs_x, *report.lhs_y, report.bound)]
+            return [v.hex() for v in (*report.per_setting, report.cap)]
 
         assert bits(rep) == bits(ref)
 
@@ -880,8 +882,8 @@ class TestLocalityBound:
                 m = nonlocal_qm_model(n, visibility=float(rng.uniform(0.5, 1.0)))
             p4 = induced_distribution(m)
             assert assert_nonsignaling(p4, 1e-9).passed
-            rep = locality_bound_check(hidden_joint_form(p4))
-            assert rep.applicable and rep.passed
+            ns, rep = locality_bound_check(hidden_joint_form(p4))
+            assert ns.passed and rep.passed
 
 
 # The exact ``falsify`` tolerance: a model is falsified when its worst
@@ -890,42 +892,40 @@ EXACT_TOL = 1e-9
 
 
 def leggett_verdict(n, vectors):
-    """The exact ``falsify`` measurement of a Leggett model, Alice's per-
-    side table, and its cap, half the quantum chain value."""
-    lm = locality_measure(xu_table(leggett_model(n, vectors)))
-    return lm, 0.5 * quantum_chain_closed_form(n)
+    """The exact ``falsify`` record of a Leggett model: Alice's per-side
+    table against half the quantum chain value."""
+    return locality_measure(xu_table(leggett_model(n, vectors)), quantum_chain_closed_form(n))
 
 
 class TestFalsifyLeggett:
     def test_uniform_inplane_is_falsified_at_n2(self):
-        lm, bound = leggett_verdict(2, inplane_grid(360))
-        assert lm.max_distance > bound + EXACT_TOL
-        assert lm.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
-        assert bound == pytest.approx((2 - math.sqrt(2)) / 2, abs=1e-12)
-        assert lm.max_distance > bound
+        rec = leggett_verdict(2, inplane_grid(360))
+        assert not rec.passed and rec.tolerance == EXACT_TOL
+        assert rec.max_distance > rec.cap + EXACT_TOL
+        assert rec.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
+        assert rec.cap == pytest.approx((2 - math.sqrt(2)) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_orthogonal_vectors_never_falsified(self, n):
-        lm, bound = leggett_verdict(n, ORTHOGONAL)
-        assert not lm.max_distance > bound + EXACT_TOL
-        assert lm.max_distance < 1e-9
+        rec = leggett_verdict(n, ORTHOGONAL)
+        assert rec.passed
+        assert rec.max_distance < 1e-9
 
     def test_near_orthogonal_vector_continuity(self):
         # A single vector tilted by eps into the plane contributes at most
         # sin(eps)/2 and vanishes as eps -> 0.
         for eps in (1e-2, 1e-4, 1e-6):
-            vec = np.array([[math.sin(eps), math.cos(eps), 0.0]])
-            lm, bound = leggett_verdict(2, vec)
-            assert not lm.max_distance > bound + EXACT_TOL
-            assert lm.max_distance <= math.sin(eps) / 2 + 1e-12
-        assert leggett_verdict(2, np.array([[0.0, 1.0, 0.0]]))[0].max_distance == 0.0
+            rec = leggett_verdict(2, np.array([[math.sin(eps), math.cos(eps), 0.0]]))
+            assert rec.passed
+            assert rec.max_distance <= math.sin(eps) / 2 + 1e-12
+        assert leggett_verdict(2, np.array([[0.0, 1.0, 0.0]])).max_distance == 0.0
 
     def test_uniform_inplane_beats_bound_for_all_small_n(self):
         # 1/pi exceeds half the quantum chain value for every N >= 2.
         for n in range(2, 8):
-            lm, bound = leggett_verdict(n, inplane_grid(180))
-            assert lm.max_distance > bound + EXACT_TOL
-            assert bound == pytest.approx(quantum_chain_closed_form(n) / 2)
+            rec = leggett_verdict(n, inplane_grid(180))
+            assert not rec.passed
+            assert rec.cap == pytest.approx(quantum_chain_closed_form(n) / 2)
 
 
 class TestModelJson:

@@ -1,13 +1,14 @@
 """The benchmark's tracer contract, the README's worked example, the
 suite's warning filters, the package's imports, where its normalisation
-rule lives, its one sampler, its one locality kernel, its one model
-document reader, its plain model record, its one table float formatter,
-its one tolerance ledger, the one owner of each argument check, its
-one command-line parse and no private helper or public function left
-uncalled."""
+rule lives, its one sampler, its one locality kernel, its one cap rule,
+its one model document reader, its plain model record, its one table
+float formatter, its one tolerance ledger, the one owner of each
+argument check, its one command-line parse and no private helper or
+public function left uncalled."""
 
 import ast
 import contextlib
+import csv
 import importlib.util
 import inspect
 import io
@@ -16,6 +17,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import chainedbell
 from chainedbell import cli, experiment
@@ -466,9 +469,11 @@ class TestOneLocalityKernel:
         assert found == {message: ["hvm.py:_locality_distances"] for message in CROSS_CHECKS}
 
     def test_both_commands_measure_through_the_kernel(self):
+        # locality_measure is the kernel's one entry, and the bound check
+        # measures its 2N settings through it.
         source = (ROOT / "src" / "chainedbell" / "hvm.py").read_text()
-        assert sorted(callers_of(source, "_locality_distances")) == [
-            "locality_bound_check", "locality_measure"]
+        assert callers_of(source, "_locality_distances") == ["locality_measure"]
+        assert callers_of(source, "locality_measure") == ["locality_bound_check"]
 
     def test_the_checks_see_a_planted_copy(self):
         source = (
@@ -489,6 +494,49 @@ class TestOneLocalityKernel:
             "average-form distance": ["_locality_distances"],
         }
         assert callers_of(source, "_locality_distances") == ["locality_measure"]
+
+
+def run_main(*argv: str) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+class TestOneCapRule:
+    """Every locality cap the CLI reports comes from ``hvm.locality_cap``:
+    with the rule swapped, wherever chainedbell binds it, for a marked one,
+    every cap field carries the mark."""
+
+    @staticmethod
+    def marked(chain_value):
+        return chain_value + 1000.0
+
+    @pytest.fixture
+    def marked_rule(self, monkeypatch):
+        rule = chainedbell.hvm.locality_cap
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "chainedbell"]:
+            if vars(module).get("locality_cap") is rule:
+                monkeypatch.setattr(module, "locality_cap", self.marked)
+
+    def test_every_cap_field_carries_the_mark(self, tmp_path, marked_rule):
+        table, model = tmp_path / "qm.json", tmp_path / "leggett.json"
+        model.write_text(json.dumps({"type": "leggett", "n": 3, "grid": 12}))
+        _, qm = run_main("qm", "3", "--out", str(table))
+        code, check = run_main("check", str(table), "--locality-bound")
+        assert code == 0
+        assert check["locality_bound"]["bound"] == self.marked(qm["chain_value"])
+        ideal = self.marked(chainedbell.quantum_chain_closed_form(3))
+        for shots in ([], ["--shots", "1000", "--seed", "1"]):
+            code, falsify = run_main("falsify", str(model), "--n", "3", *shots)
+            assert (code, falsify["bound"], falsify["falsified"]) == (0, ideal, False)
+        _, exp = run_main("experiment", "--source", "qm", "--n", "3", "--shots", "1000",
+                          "--seed", "1")
+        assert exp["max_locality_bound"] == self.marked(exp["report"]["upper_bound"])
+        run_main("scan", "--n-max", "6", "--out", str(tmp_path / "scan.csv"))
+        rows = list(csv.DictReader((tmp_path / "scan.csv").open(newline="")))
+        assert [float(r["locality_bound"]) for r in rows] == [
+            self.marked(float(r["chain_value"])) for r in rows]
 
 
 # The model kinds whose document states N and the hidden alphabets.
