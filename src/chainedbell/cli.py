@@ -45,7 +45,6 @@ from .experiment import (
 )
 from . import hvm
 from .hvm import (
-    MARGINAL_INDEPENDENCE_TOL,
     chain_table,
     locality_bound_check,
     locality_cap,
@@ -147,8 +146,7 @@ def cmd_falsify(args) -> tuple[dict, int]:
         p_xu = sampled_xu_table(p_xu, samples, seed)
         cells = 2 * model.n_u
         radius = math.sqrt(math.log(2.0 * cells * n / 1e-3) / (2.0 * samples))
-        record = locality_measure(p_xu, chain_value, 0.5 * cells * radius,
-                                  marginal_tol=max(MARGINAL_INDEPENDENCE_TOL, cells * radius))
+        record = locality_measure(p_xu, chain_value, 0.5 * cells * radius)
         payload["mode"] = "monte_carlo"
         payload["shots_per_pair"] = args.shots
     # Falsified: the worst setting exceeds the cap by more than the tolerance.

@@ -27,9 +27,7 @@ from .distributions import (
     ConditionalDistribution,
     NonSignalingReport,
     _check_numeric_fields,
-    _l1_upper_bounds,
     _load_json,
-    _max_pairwise_tv,
     _normalised,
     _slice_sums,
     assert_nonsignaling,
@@ -37,7 +35,6 @@ from .distributions import (
 from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
 
 __all__ = [
-    "MARGINAL_INDEPENDENCE_TOL",
     "MAX_MODEL_ENTRIES",
     "HiddenVariableModel",
     "LocalityReport",
@@ -56,9 +53,6 @@ __all__ = [
     "model_from_json_file",
 ]
 
-# The hidden-variable marginal must not depend on the chosen setting
-# (settings are drawn independently of the hidden variables).
-MARGINAL_INDEPENDENCE_TOL = 1e-6
 # Most numbers a model document may ask for (80 MB of float64); see
 # :func:`_model_of_kind`.
 MAX_MODEL_ENTRIES = 10_000_000
@@ -428,38 +422,25 @@ def _row_sums(terms: np.ndarray) -> list[float]:
     return sums
 
 
-def locality_measure(
-    p_xu: ConditionalDistribution,
-    chain_value: float,
-    tolerance: float = NORM_TOL,
-    marginal_tol: float = MARGINAL_INDEPENDENCE_TOL,
-) -> LocalityReport:
+def locality_measure(p_xu: ConditionalDistribution, chain_value: float,
+                     tolerance: float = NORM_TOL) -> LocalityReport:
     """Measure how much the outcome leans on the hidden variable, against
     the cap that ``chain_value`` certifies (:func:`locality_cap`).
 
     Input: two-party table with party 0 = (setting -> binary outcome) and
-    party 1 = (no input -> hidden index).  The hidden marginal must not
-    depend on the setting beyond ``marginal_tol``: the gate checks the
-    distance between its entrywise max and min rows, which bounds every
-    pair's, and runs the all-pairs max only when that bound is above the
-    tolerance.  Each setting's distance then comes from
+    party 1 = (no input -> hidden index).  The cap holds for hidden
+    variables drawn independently of the settings, which the callers
+    establish, not this function: a model's one ``p_u`` weighs every
+    setting of its :func:`xu_table`, and :func:`locality_bound_check`
+    measures only a table that passes its non-signaling test.  Each
+    setting is measured against its own hidden marginal by
     :func:`_locality_distances`, with both cross-checks.  The report
     passes when no distance exceeds the cap by more than ``tolerance``.
     """
     if p_xu.n_parties != 2 or p_xu.input_sizes[1] != 1 or p_xu.output_sizes[0] != 2:
         raise ValueError("expected parties (setting -> binary outcome, none -> hidden)")
     t = p_xu.table[:, 0]  # (N, 2, nu), a view
-    pu = t[:, 0] + t[:, 1]  # hidden marginal per setting
-    if len(pu) > 1:
-        # No pair's distance rounds above the max/min rows' bound.
-        bound = 0.5 * float(_l1_upper_bounds(pu[:, None, :])[0])
-        if bound > marginal_tol:
-            dev = _max_pairwise_tv(pu[:, None, :])
-            if dev > marginal_tol:
-                raise ValueError(
-                    f"hidden-variable marginal depends on the setting (deviation {dev})"
-                )
-    distances = _locality_distances(t, pu)
+    distances = _locality_distances(t, t[:, 0] + t[:, 1])
     worst, cap = max(distances), locality_cap(chain_value)
     return LocalityReport(tuple(distances), worst, cap, tolerance, worst <= cap + tolerance)
 
@@ -480,8 +461,8 @@ def locality_bound_check(
     Returns the non-signaling report at ``tol`` and the
     :func:`locality_measure` record of all 2N settings as one table,
     Alice's N then Bob's N, or None when the table signals (the bound's
-    hypothesis fails: inapplicable, not failed).  That check already holds
-    the hidden marginal, so the measurement does not gate it again.
+    hypothesis fails: inapplicable, not failed).  That test is where the
+    cap's hypothesis, a (c, z) marginal free of the settings, comes from.
     """
     if p.n_parties not in (2, 3):
         raise ValueError("locality bound needs a 2- or 3-party table")
@@ -505,7 +486,7 @@ def locality_bound_check(
     joints *= 1.0 / n_c
     rows = ConditionalDistribution((2 * n, 1), (2, n_c * t.shape[-1]),
                                    joints.reshape(2 * n, 1, 2, -1))
-    return ns, locality_measure(rows, chain_value, marginal_tol=math.inf)
+    return ns, locality_measure(rows, chain_value)
 
 
 # Model document fields that hold numbers or nested lists of numbers.

@@ -58,7 +58,6 @@ from chainedbell import ConditionalDistribution, cli, quantum_chain_closed_form
 from chainedbell.distributions import IDENTITY_TOL, NORM_TOL, _normalised
 from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
-    MARGINAL_INDEPENDENCE_TOL,
     _malus_responses,
     LocalityReport,
     locality_measure,
@@ -280,7 +279,7 @@ def hidden_joint_form(p4: ConditionalDistribution) -> ConditionalDistribution:
 
 def xu_conditional(
     p4: ConditionalDistribution,
-    tol: float = MARGINAL_INDEPENDENCE_TOL,
+    tol: float = 1e-6,
     average_b: bool = False,
 ) -> ConditionalDistribution:
     """Alice-side view P(x, u | a) of a four-party induced table.

@@ -250,6 +250,35 @@ def tied_arrays(draw):
     return arr
 
 
+def envelope_tv(arr):
+    """Distance between the entrywise max and min rows of a (c, s, o) array,
+    from the pairwise kernel's per-slice bound: the bound on which
+    ``_max_pairwise_tv`` settles a slice without its all-pairs sweep."""
+    return 0.5 * float(distributions._l1_upper_bounds(arr).max())
+
+
+@st.composite
+def marginal_rows(draw):
+    """(c, 1, o) arrays of normalized rows, with duplicated rows and rows
+    one ulp away from another now and then."""
+    c = draw(st.integers(2, 60))
+    o = draw(st.sampled_from([1, 2, 3, 8, 9, 500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random(o) + 0.01
+    base /= base.sum()
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.3]))
+    rows = np.abs(base + spread * rng.standard_normal((c, o)))
+    rows /= rows.sum(axis=1, keepdims=True)
+    for i in range(1, c):
+        kind = draw(st.sampled_from(["own", "own", "duplicate", "ulp"]))
+        if kind != "own":
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+        if kind == "ulp":
+            j = draw(st.integers(0, o - 1))
+            rows[i, j] = np.nextafter(rows[i, j], draw(st.sampled_from([0.0, 1.0])))
+    return rows[:, None, :]
+
+
 @st.composite
 def signed_tables(draw):
     """Tables of 2 to 4 parties with inputs of 1 to 3 values and outputs of
@@ -411,6 +440,15 @@ class TestMaxPairwiseTV:
     @given(tied_arrays())
     def test_ties_duplicates_and_survivors_equal_the_broadcast(self, arr):
         assert distributions._max_pairwise_tv(arr) == broadcast_max_tv(arr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(marginal_rows())
+    def test_envelope_bounds_every_pair(self, arr):
+        """Guards the pruning in ``assert_nonsignaling``:
+        ``_max_pairwise_tv`` skips the all-pairs sweep of a slice whose
+        envelope is no larger than a pair already found, which is exact
+        only if no pair's distance rounds above its slice's envelope."""
+        assert envelope_tv(arr) >= distributions._max_pairwise_tv(arr)
 
     def test_a_slice_that_survives_the_bounds_is_swept(self):
         # The contexts with the largest and the smallest first outcome are

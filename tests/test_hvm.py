@@ -36,7 +36,7 @@ from chainedbell import (
     xu_table,
 )
 from chainedbell import hvm
-from chainedbell.distributions import IDENTITY_TOL, _l1_upper_bounds, _max_pairwise_tv
+from chainedbell.distributions import IDENTITY_TOL
 from chainedbell.hvm import NORM_TOL, _malus_responses
 from chainedbell.quantum import _chained_angles
 from lemmas import (
@@ -265,8 +265,15 @@ class TestPerSideTable:
         p_xu = xu_table(m)
         lm = locality_measure(p_xu, CLASSICAL)
         assert lm.max_distance < 1e-12
-        pu = p_xu.table.sum(axis=2)[0, 0]
-        assert pu == pytest.approx([0.2, 0.3, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("name", [*product_fixtures(), "nonlocal_dummies"])
+    def test_hidden_marginal_is_p_u_at_every_setting(self, name):
+        # The cap's hypothesis, held by construction: one p_u weighs every
+        # setting of Alice's table, so no setting moves the hidden marginal.
+        model = (HiddenVariableModel(2, table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
+                 if name == "nonlocal_dummies" else product_fixtures()[name])
+        t = xu_table(model).table[:, 0]
+        assert np.abs(t[:, 0] + t[:, 1] - model.p_u).max() <= IDENTITY_TOL
 
     def test_leggett_marginals_match_closed_form(self):
         # Per-(setting, vector) oracle: the conditional marginal of the
@@ -424,13 +431,15 @@ class TestLocalityMeasure:
         p_xu = xu_table(m)
         assert locality_measure(p_xu, CLASSICAL).per_setting == self._loop_per_setting(p_xu)
 
-    def test_setting_dependent_hidden_marginal_rejected(self):
+    def test_each_setting_is_measured_against_its_own_hidden_marginal(self):
+        # u pinned to 0 under setting 0 and to 1 under setting 1, the
+        # outcome uniform under both: each setting's (x, u) joint is
+        # uniform outcome times its own hidden marginal, distance 0.
         table = np.zeros((2, 1, 2, 2))
-        table[0, 0, :, 0] = 0.5  # u pinned to 0 under setting 0
-        table[1, 0, :, 1] = 0.5  # u pinned to 1 under setting 1
+        table[0, 0, :, 0] = 0.5
+        table[1, 0, :, 1] = 0.5
         p = ConditionalDistribution((2, 1), (2, 2), table)
-        with pytest.raises(ValueError, match="marginal depends"):
-            locality_measure(p, CLASSICAL)
+        assert locality_measure(p, CLASSICAL).per_setting == (0.0, 0.0)
 
     def test_non_binary_outcomes_rejected(self):
         p = ConditionalDistribution((2, 1), (3, 2), np.full((2, 1, 3, 2), 1.0 / 6))
@@ -624,63 +633,6 @@ class TestRowSums:
             locality_measure(p_xu, CLASSICAL)
         assert seen == list(range(12))
         locality_measure(p_xu, CLASSICAL)  # and passes unshifted
-
-
-def envelope_tv(arr):
-    """Distance between the entrywise max and min rows of a (c, s, o) array,
-    from the pairwise kernel's per-slice bound: the bound the hidden-marginal
-    gate checks before it runs the all-pairs max."""
-    return 0.5 * float(_l1_upper_bounds(arr).max())
-
-
-@st.composite
-def marginal_rows(draw):
-    """(c, 1, o) arrays of normalized rows, with duplicated rows and rows
-    one ulp away from another now and then."""
-    c = draw(st.integers(2, 60))
-    o = draw(st.sampled_from([1, 2, 3, 8, 9, 500]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = rng.random(o) + 0.01
-    base /= base.sum()
-    spread = draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.3]))
-    rows = np.abs(base + spread * rng.standard_normal((c, o)))
-    rows /= rows.sum(axis=1, keepdims=True)
-    for i in range(1, c):
-        kind = draw(st.sampled_from(["own", "own", "duplicate", "ulp"]))
-        if kind != "own":
-            rows[i] = rows[draw(st.integers(0, i - 1))]
-        if kind == "ulp":
-            j = draw(st.integers(0, o - 1))
-            rows[i, j] = np.nextafter(rows[i, j], draw(st.sampled_from([0.0, 1.0])))
-    return rows[:, None, :]
-
-
-class TestMarginalGate:
-    @settings(max_examples=300, deadline=None)
-    @given(marginal_rows())
-    def test_envelope_bounds_every_pair(self, arr):
-        assert envelope_tv(arr) >= _max_pairwise_tv(arr)
-
-    @settings(max_examples=300, deadline=None)
-    @given(marginal_rows(), st.data())
-    def test_gate_decides_as_the_all_pairs_max(self, arr, data):
-        # Split each hidden weight over the two outcomes; the gate sees the
-        # planes' sum, as the reference below does.
-        split = np.random.default_rng(arr.shape[0]).random(arr.shape)
-        table = np.stack([arr * split, arr * (1.0 - split)], axis=2)  # (c, 1, 2, o)
-        p_xu = ConditionalDistribution((arr.shape[0], 1), (2, arr.shape[2]), table)
-        pu = p_xu.table[:, 0, 0] + p_xu.table[:, 0, 1]
-        dev = _max_pairwise_tv(pu[:, None, :])
-        bound = envelope_tv(pu[:, None, :])
-        tol = data.draw(st.sampled_from([
-            dev, np.nextafter(dev, 0.0), np.nextafter(dev, 1.0), 0.5 * (dev + bound),
-            bound, np.nextafter(bound, 0.0), 0.999 * dev, 1.001 * bound, 0.0,
-        ]))
-        if dev > tol:
-            with pytest.raises(ValueError, match=re.escape(f"(deviation {dev})")):
-                locality_measure(p_xu, CLASSICAL, marginal_tol=tol)
-        else:
-            locality_measure(p_xu, CLASSICAL, marginal_tol=tol)
 
 
 @st.composite
