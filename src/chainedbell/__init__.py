@@ -51,7 +51,6 @@ from .hvm import (
     model_from_json_file,
     nonlocal_qm_model,
     sampled_xu_table,
-    table_model,
     xu_table,
 )
 from .quantum import (

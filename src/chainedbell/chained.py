@@ -105,23 +105,22 @@ def chain_pairs(n: int) -> list[tuple[int, int, str]]:
     return pairs
 
 
-def evaluate_chain(p: ConditionalDistribution, n: int) -> ChainScore:
-    """Sum the 2N chained probabilities of a two-party binary table.
+def evaluate_chain(p: ConditionalDistribution) -> ChainScore:
+    """Sum the 2N chained probabilities of a two-party binary table of N
+    settings per side.
 
     Setting indices are 0-based per side.  Adjacency pairs Alice i with
     Bob i and Alice i+1 with Bob i (2N-1 unequal-outcome terms), and the
     wrap term pairs Alice 0 with Bob N-1 using the equal-outcome
     probability.
     """
-    pairs = chain_pairs(n)
+    n = p.input_sizes[0]
     if p.input_sizes != (n, n) or p.output_sizes != (2, 2):
-        raise ValueError(
-            f"expected a 2-party binary table with {n} settings per side, "
-            f"got inputs {p.input_sizes} and outputs {p.output_sizes}"
-        )
+        raise ValueError("expected a 2-party binary table with N settings per side, "
+                         f"got inputs {p.input_sizes} and outputs {p.output_sizes}")
     t = p.table
     terms = []
-    for a, b, kind in pairs:
+    for a, b, kind in chain_pairs(n):
         (x0, y0), (x1, y1) = _TERM_CELLS[kind]
         terms.append((2 * a, 2 * b + 1, float(t[a, b, x0, y0] + t[a, b, x1, y1])))
     value = math.fsum(c for _, _, c in terms)

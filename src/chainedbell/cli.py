@@ -87,7 +87,7 @@ def _qm_table(n: int, visibility: float | None, arg: str) -> ConditionalDistribu
 
 def cmd_qm(args) -> tuple[dict, int]:
     dist = _qm_table(args.n, args.visibility, "n")
-    score = evaluate_chain(dist, args.n)
+    score = evaluate_chain(dist)
     payload = {
         "n": args.n,
         "visibility": 1.0 if args.visibility is None else args.visibility,
@@ -191,9 +191,9 @@ def cmd_experiment(args) -> tuple[dict, int]:
         # is the reference.
         source = model_from_json_file(args.source, args.n)
         table = chain_table(source)
-    reference = evaluate_chain(table, args.n).value
-    counts, mismatches = sample_counts(table, args.n, args.shots, seed)
-    report = estimate_from_counts(counts, mismatches, args.n, args.confidence)
+    reference = evaluate_chain(table).value
+    counts, mismatches = sample_counts(table, args.shots, seed)
+    report = estimate_from_counts(counts, mismatches, args.confidence)
     payload = {
         "seed": seed,
         "source": str(args.source),
@@ -206,7 +206,7 @@ def cmd_experiment(args) -> tuple[dict, int]:
         # The stream draws the same counts from the same seed and orders
         # them into shots.  It is written after the estimate, so that a
         # run that fails leaves no file.
-        simulate_shots_csv(source, args.n, args.shots, seed, args.out)
+        simulate_shots_csv(source, args.shots, seed, args.out)
         payload["out"] = str(args.out)
     return payload, 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -110,9 +111,9 @@ class ConditionalDistribution:
             raise ValueError("distribution document must be a JSON object")
         _check_numeric_fields(data, ("parties", "outputs", "inputs", "table"))
         try:
-            n = int(data["parties"])
-            outputs = [int(s) for s in data["outputs"]]
-            inputs = [int(s) for s in data["inputs"]]
+            n = _as_int(data["parties"], "parties")
+            outputs = [_as_int(s, "outputs") for s in data["outputs"]]
+            inputs = [_as_int(s, "inputs") for s in data["inputs"]]
             flat = np.asarray(data["table"], dtype=float)
         except (KeyError, TypeError, OverflowError) as exc:
             # OverflowError: a size of 1e400 parses as infinity.
@@ -207,6 +208,14 @@ def _check_numeric_fields(data: dict, fields: Sequence[str]) -> None:
                     value = next(v for v in value if type(v) in (str, bool))
             if type(value) in (str, bool):
                 raise ValueError(f"{key} must be numeric, got {value!r}")
+
+
+def _as_int(value, key: str) -> int:
+    """``int(value)`` of the integer field ``key``, never truncated: a fraction,
+    NaN, null, a list or an object raises ValueError, infinity OverflowError."""
+    if not isinstance(value, numbers.Real) or value % 1 and not math.isinf(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Finite-statistics front end: draw the counts of a simulated run, stream
 them as shots, and estimate the chain value with an upper confidence
 bound, whose :func:`~chainedbell.hvm.locality_cap` is the certified cap.
+N is read from the table, model or counts given; blocks do not carry it.
 
 Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 ``(k, 6)`` whose columns are ``a, b, x, y`` (settings, then outcome bits)
@@ -83,13 +84,14 @@ def _inverse_cdf(cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, r, side="right"), len(cdf) - 1)
 
 
-def _check_run(table: ConditionalDistribution, n: int, shots: int) -> None:
+def _check_run(table: ConditionalDistribution, shots: int) -> None:
     """Reject a run of no shots, or of a table that is not two-party binary
-    with ``n`` settings per side."""
+    with N settings per side."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    n = table.input_sizes[0]
     if table.input_sizes != (n, n) or table.output_sizes != (2, 2):
-        raise ValueError("expected a two-party binary table with n settings per side")
+        raise ValueError("expected a two-party binary table with N settings per side")
 
 
 def _draw_cells(rng, table: ConditionalDistribution, shots: int) -> np.ndarray:
@@ -109,18 +111,18 @@ def _pair_totals(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ((c00 + c01) + c10) + c11, c01 + c10
 
 
-def sample_counts(
-    table: ConditionalDistribution, n: int, shots: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair shot and mismatch counts, each of shape (n, n), of
+def sample_counts(table: ConditionalDistribution, shots: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair shot and mismatch counts, each of shape (N, N), of
     ``shots`` shots of a two-party binary table with uniform settings.
 
     These are the counts that :func:`simulate_shots` streams from the same
     seed, for this table or for a model whose :func:`chain_table` it is;
     drawn as counts, they cost O(N²) whatever the shot count.
     """
-    _check_run(table, n, shots)
-    return _pair_totals(_draw_cells(np.random.default_rng(seed), table, shots), n)
+    _check_run(table, shots)
+    cells = _draw_cells(np.random.default_rng(seed), table, shots)
+    return _pair_totals(cells, table.input_sizes[0])
 
 
 def _without_replacement(rng, counts: np.ndarray, total: int, k: int) -> np.ndarray:
@@ -205,20 +207,15 @@ def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray,
     return [u, _grouped_draws(rng, bob_key * n_u + u, v_weights)]
 
 
-def _stream_source(source, n: int, shots: int) -> tuple[HiddenVariableModel | None,
-                                                        ConditionalDistribution]:
+def _stream_source(source, shots: int) -> tuple[HiddenVariableModel | None,
+                                                ConditionalDistribution]:
     """The model (None for a table) and the outcome table of a shot run,
     after the run's checks."""
     model = source if isinstance(source, HiddenVariableModel) else None
-    if model is not None:
-        if model.n_settings != n:
-            raise ValueError(f"the model has {model.n_settings} settings per side, not {n}")
-        table = chain_table(model)
-    elif isinstance(source, ConditionalDistribution):
-        table = source
-    else:
+    table = source if model is None else chain_table(model)
+    if not isinstance(table, ConditionalDistribution):
         raise TypeError("source must be a two-party table or a hidden-variable model")
-    _check_run(table, n, shots)
+    _check_run(table, shots)
     return model, table
 
 
@@ -248,7 +245,7 @@ def _draws(model, table: ConditionalDistribution, shots: int,
         yield drawn, ([] if model is None else _hidden_pair(rng, model, drawn, sides))
 
 
-def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray]:
+def simulate_shots(source, shots: int, seed: int) -> Iterator[np.ndarray]:
     """Generate a reproducible stream of shot blocks, at most 65 536 shots
     each (``_CHUNK_ROWS``), with settings drawn uniformly and independently
     per shot.
@@ -266,8 +263,8 @@ def simulate_shots(source, n: int, shots: int, seed: int) -> Iterator[np.ndarray
     (a, b, x, y, u, v).  The same seed yields the same stream; memory
     grows with the block, not with the shot count.
     """
-    model, table = _stream_source(source, n, shots)
-    rows = _cell_rows(n)
+    model, table = _stream_source(source, shots)
+    rows = _cell_rows(table.input_sizes[0])
     for cells, hidden in _draws(model, table, shots, seed):
         block = rows.take(cells, axis=0)
         yield np.column_stack([block, *hidden]) if hidden else block
@@ -290,13 +287,12 @@ def _check_block(block) -> np.ndarray:
     return block.astype(np.int64, copy=False)
 
 
-def estimate_from_counts(
-    counts, mismatches, n: int, confidence: float
-) -> EstimateReport:
+def estimate_from_counts(counts, mismatches, confidence: float) -> EstimateReport:
     """Estimator core over per-pair totals.
 
     ``counts[a, b]`` trials were observed for the pair, ``mismatches[a, b]``
-    of them with unequal outcomes.  The point estimate sums the 2N term
+    of them with unequal outcomes; both are (N, N), and other shapes raise
+    ``ValueError``.  The point estimate sums the 2N term
     frequencies; the upper bound adds one two-sided Hoeffding radius per
     term with the failure budget split evenly across terms, so it holds
     with probability at least ``confidence``.
@@ -304,6 +300,10 @@ def estimate_from_counts(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     counts, mismatches = np.asarray(counts), np.asarray(mismatches)
+    n = counts.shape[0] if counts.ndim else 0
+    if counts.shape != (n, n) or mismatches.shape != (n, n):
+        raise ValueError("counts and mismatches must be (N, N) arrays, "
+                         f"got {counts.shape} and {mismatches.shape}")
     pairs = chain_pairs(n)
     alpha = 1.0 - confidence
     log_term = math.log(2.0 * len(pairs) / alpha)
@@ -356,7 +356,7 @@ def estimate_chain_value(
     outside ``[0, n)`` or an outcome outside ``{0, 1}`` raises
     ``ValueError``."""
     counts, mism = _fold_counts(blocks, n)
-    return estimate_from_counts(counts, mism, n, confidence)
+    return estimate_from_counts(counts, mism, confidence)
 
 
 def _start_csv(fh, width: int) -> str:
@@ -388,8 +388,8 @@ def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
     return rows
 
 
-def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) -> int:
-    """Write the stream that ``simulate_shots(source, n, shots, seed)``
+def simulate_shots_csv(source, shots: int, seed: int, path: str | Path) -> int:
+    """Write the stream that ``simulate_shots(source, shots, seed)``
     yields to CSV, the bytes :func:`write_shots_csv` writes for it, without
     building its blocks.  Returns the row count, ``shots``.
 
@@ -399,11 +399,12 @@ def simulate_shots_csv(source, n: int, shots: int, seed: int, path: str | Path) 
     key's line is formatted once per stream, when it first occurs, and
     each block is gathered by key.  A wider stream (a model with large
     hidden alphabets) is written as ``write_shots_csv(simulate_shots(...))``."""
-    model, table = _stream_source(source, n, shots)
+    model, table = _stream_source(source, shots)
+    n = table.input_sizes[0]
     sizes = (4 * n * n,) if model is None else (4 * n * n, model.n_u, model.n_v)
     space = math.prod(sizes)
     if space > _KEY_SPACE_BLOCKS * _CHUNK_ROWS:
-        return write_shots_csv(simulate_shots(source, n, shots, seed), path)
+        return write_shots_csv(simulate_shots(source, shots, seed), path)
     rows = _cell_rows(n)
     with open(path, "w", newline="") as fh:
         row = _start_csv(fh, 4 if model is None else 6)

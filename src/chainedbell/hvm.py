@@ -26,6 +26,7 @@ from .distributions import (
     NORM_TOL,
     ConditionalDistribution,
     NonSignalingReport,
+    _as_int,
     _check_numeric_fields,
     _load_json,
     _normalised,
@@ -41,7 +42,6 @@ __all__ = [
     "leggett_model",
     "local_deterministic_model",
     "nonlocal_qm_model",
-    "table_model",
     "xu_table",
     "sampled_xu_table",
     "chain_table",
@@ -61,6 +61,8 @@ MAX_MODEL_ENTRIES = 10_000_000
 # below.  The flag is np.finfo(np.longdouble).nmant >= 63, without finfo.
 _BLOCK_ENTRIES, _TREE_MIN_ENTRIES = 1 << 14, 2048
 _LONG_DOUBLE_SUMS = bool(np.longdouble(1.0) + 2.0 ** -63 > 1.0)
+# In-plane Leggett grid points of a model document without vectors or grid.
+_DEFAULT_GRID = 360
 
 
 class HiddenVariableModel:
@@ -75,24 +77,24 @@ class HiddenVariableModel:
     one ``table``, the ConditionalDistribution P(x, y | a, b) of shape
     (N, N, 2, 2), which the hidden variables (weighed per side) do not
     enter.  The other form's attributes are None, so memory grows with
-    N·(n_u + n_v), or N² for a table.  Arrays follow the table rule
-    (:func:`_normalised`) and are made read-only.
+    N·(n_u + n_v), or N² for a table.  N is read from ``alice`` or the
+    table.  Arrays follow the table rule (:func:`_normalised`) and are made
+    read-only.
     """
 
     __slots__ = ("n_settings", "n_u", "n_v", "p_u", "p_v", "p_uv", "alice", "bob", "table")
 
-    def __init__(self, n_settings: int, *, alice=None, bob=None, table=None,
-                 p_u=None, p_v=None, p_uv=None):
-        n_settings = int(n_settings)
-        if n_settings < 2:
-            raise ValueError("chain parameter must be at least 2")
+    def __init__(self, *, alice=None, bob=None, table=None, p_u=None, p_v=None, p_uv=None):
         if (table is None) == (alice is None or bob is None):
             raise ValueError("a model takes per-side responses alice and bob, or one table")
         if p_uv is not None and (p_u is not None or p_v is not None or table is not None):
             raise ValueError("joint weights p_uv go with per-side responses alone")
+        alice = _responses(alice, "alice") if table is None else alice
+        n_settings = len(alice) if table is None else table.input_sizes[0]
+        if n_settings < 2:
+            raise ValueError("chain parameter must be at least 2")
         if table is None:
-            alice = _responses(alice, n_settings, "alice")
-            bob = _responses(bob, n_settings, "bob")
+            bob = _responses(bob, "bob", n_settings)
             nu, nv = alice.shape[1], bob.shape[1]
         else:
             if table.table.shape != (n_settings, n_settings, 2, 2):
@@ -132,11 +134,11 @@ class HiddenVariableModel:
             )
 
 
-def _responses(resp, n: int, side: str) -> np.ndarray:
+def _responses(resp, side: str, n: int | None = None) -> np.ndarray:
     """One side's responses P(outcome | setting, hidden value), checked to
-    have shape (N, k, 2) and normalised slice by slice."""
+    have shape (N, k, 2), N = ``n`` if given, and normalised slice by slice."""
     resp = np.asarray(resp, dtype=float)
-    if resp.ndim != 3 or resp.shape[0] != n or resp.shape[1] < 1 or resp.shape[2] != 2:
+    if resp.ndim != 3 or n not in (None, len(resp)) or resp.shape[1] < 1 or resp.shape[2] != 2:
         raise ValueError(f"{side} responses must have shape (N, k, 2), got {resp.shape}")
     return _normalised(resp, 1)
 
@@ -192,7 +194,7 @@ def _malus_responses(angles, vectors: np.ndarray) -> np.ndarray:
     return resp
 
 
-def inplane_grid(n_points: int = 360) -> np.ndarray:
+def inplane_grid(n_points: int = _DEFAULT_GRID) -> np.ndarray:
     """Unit vectors evenly spaced in the measurement (x-z) plane."""
     if n_points < 1:
         raise ValueError("need at least one grid point")
@@ -216,7 +218,7 @@ def leggett_model(
     uvecs = _unit_vectors(u_vectors, "u_vectors")
     vvecs = uvecs if v_vectors is None else _unit_vectors(v_vectors, "v_vectors")
     return HiddenVariableModel(
-        n, alice=_malus_responses(alice, uvecs), bob=_malus_responses(bob, vvecs),
+        alice=_malus_responses(alice, uvecs), bob=_malus_responses(bob, vvecs),
         p_u=u_weights, p_v=v_weights, p_uv=uv_weights,
     )
 
@@ -240,7 +242,7 @@ def local_deterministic_model(
         raise ValueError("strategy outputs must be bits")
     eye = np.eye(2)  # one-hot responses, (N, k, 2)
     return HiddenVariableModel(
-        n, alice=eye[at.astype(np.int64).T], bob=eye[bt.astype(np.int64).T],
+        alice=eye[at.astype(np.int64).T], bob=eye[bt.astype(np.int64).T],
         p_u=u_weights, p_v=v_weights, p_uv=uv_weights,
     )
 
@@ -259,17 +261,8 @@ def nonlocal_qm_model(
     base = qm_chained_distribution(n)
     if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
         base = mix_with_noise(base, visibility)
-    return HiddenVariableModel(
-        n, table=base, p_u=np.full(n_u, 1.0 / n_u), p_v=np.full(n_v, 1.0 / n_v)
-    )
-
-
-def table_model(dist: ConditionalDistribution) -> HiddenVariableModel:
-    """Wrap an explicit two-party binary table as an entirely non-local
-    model (trivial local variables).  The model rejects a table of another
-    shape than (N, N, 2, 2) with N >= 2, and a signaling one, whose
-    outcome marginals cannot come from a well-defined local part."""
-    return HiddenVariableModel(dist.input_sizes[0], table=dist)
+    return HiddenVariableModel(table=base, p_u=np.full(n_u, 1.0 / n_u),
+                               p_v=np.full(n_v, 1.0 / n_v))
 
 
 def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
@@ -477,7 +470,7 @@ def locality_bound_check(
     t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]  # (N, N, n_c, 2, 2, oz)
     n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)  # chain table at the first C value
-    chain_value = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy), n).value
+    chain_value = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
     # One (x, (c, z)) joint per setting, the other side's outcome summed
     # out: Alice's settings at Bob's first, then Bob's at Alice's first.
     joints = np.empty((2, n, 2, n_c, t.shape[-1]))
@@ -511,15 +504,11 @@ def _field(data: dict, key: str):
 
 
 def _int_field(data: dict, key: str, default: int | None = None) -> int:
-    """Integer field of a model document.  A fractional number, NaN, null, a
-    list or an object is a usage error, not truncated (``int(2.7)`` is 2); so
-    is an infinite one, on which ``int`` raises OverflowError (``1e400``)."""
+    """Integer field of a model document, read by :func:`_as_int`; infinity
+    is a usage error too."""
     value = _field(data, key) if default is None else data.get(key, default)
-    if not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not (value.is_integer() or math.isinf(value))):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
     try:
-        return int(value)
+        return _as_int(value, key)
     except OverflowError as exc:
         raise ValueError(f"{key} must be a finite integer") from exc
 
@@ -580,7 +569,8 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
         if key in ("weights", "u_weights", "v_weights") and "uv_weights" in data:
             raise ValueError(f"{key} cannot go with uv_weights, which weigh both sides")
     if kind == "custom_table":
-        model = table_model(ConditionalDistribution.from_dict(_field(data, "distribution")))
+        model = HiddenVariableModel(
+            table=ConditionalDistribution.from_dict(_field(data, "distribution")))
         if n is not None and model.n_settings != n:
             raise ValueError(f"distribution has {model.n_settings} settings per side, "
                              f"but the model document's n is {n}")
@@ -588,8 +578,9 @@ def _model_of_kind(kind, data: dict, n: int | None) -> HiddenVariableModel:
     length = {k: len(v) for k, v in data.items() if type(v) is list}  # others fail later
     sizes, total = [], 0
     if kind == "leggett":
-        nu = length.get("vectors", 1) if "vectors" in data else _int_field(data, "grid", 360)
-        sizes += [] if "vectors" in data else [("grid", nu)]
+        grid = "vectors" not in data
+        nu = _int_field(data, "grid", _DEFAULT_GRID) if grid else length.get("vectors", 1)
+        sizes += [("grid", nu)] if grid else []
         nv = length.get("v_vectors", nu)
     elif kind == "local_deterministic":
         nu, nv = length.get("alice_tables", 1), length.get("bob_tables", 1)

@@ -54,7 +54,7 @@ def timed(name, limit_s, fn):
 
 def test_01_chsh_value():
     def run():
-        score = evaluate_chain(qm_chained_distribution(2), 2)
+        score = evaluate_chain(qm_chained_distribution(2))
         assert abs(score.value - CHSH_VALUE) < 1e-9
 
     timed("chsh value", 1.0, run)
@@ -64,7 +64,7 @@ def test_02_closed_form_and_asymptote():
     def run():
         limit = math.pi**2 / 8
         for n in range(2, 201):
-            value = evaluate_chain(qm_chained_distribution(n), n).value
+            value = evaluate_chain(qm_chained_distribution(n)).value
             assert abs(value - quantum_chain_closed_form(n)) < 1e-9
             if n >= 100:
                 assert abs(n * value - limit) < 0.01 * limit
@@ -77,7 +77,7 @@ def test_03_classical_bound():
         for n in (2, 3, 4, 5):
             result = classical_min_chain_value(n)
             assert result.min_value == 1.0
-            assert evaluate_chain(strategy_distribution(result.witness), n).value == 1.0
+            assert evaluate_chain(strategy_distribution(result.witness)).value == 1.0
 
     timed("classical minimum N=2..5", 30.0, run)
 
@@ -181,7 +181,7 @@ def test_09_finite_statistics():
         table = qm_chained_distribution(n)
         shots = 10**6
         report = estimate_chain_value(
-            simulate_shots(table, n, shots, seed=20240), n, 0.99
+            simulate_shots(table, shots, seed=20240), n, 0.99
         )
         # Binomial error of the point estimate: each of the 2N terms is a
         # frequency over about shots / N^2 samples.
@@ -194,7 +194,7 @@ def test_09_finite_statistics():
         reps = 1000
         for i in range(reps):
             rep_i = estimate_chain_value(
-                simulate_shots(table, n, 10**4, seed=31_000 + i), n, 0.99
+                simulate_shots(table, 10**4, seed=31_000 + i), n, 0.99
             )
             hits += rep_i.upper_bound >= CHSH_VALUE
         assert hits >= 0.99 * reps, f"coverage {hits}/{reps}"

@@ -117,20 +117,20 @@ class TestEvaluateChain:
         # All outputs zero: adjacent terms vanish, only the wrap term fires.
         for n in (2, 3, 5):
             strat = DeterministicStrategy((0,) * n, (0,) * n)
-            assert evaluate_chain(strategy_distribution(strat), n).value == 1.0
+            assert evaluate_chain(strategy_distribution(strat)).value == 1.0
 
     def test_chsh_value(self):
-        score = evaluate_chain(qm_chained_distribution(2), 2)
+        score = evaluate_chain(qm_chained_distribution(2))
         assert score.value == pytest.approx(2 - math.sqrt(2), abs=1e-9)
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_quantum_matches_closed_form(self, n):
-        score = evaluate_chain(qm_chained_distribution(n), n)
+        score = evaluate_chain(qm_chained_distribution(n))
         assert score.value == pytest.approx(quantum_chain_closed_form(n), abs=1e-9)
 
     def test_term_breakdown_structure(self):
         n = 4
-        score = evaluate_chain(qm_chained_distribution(n), n)
+        score = evaluate_chain(qm_chained_distribution(n))
         assert len(score.terms) == 2 * n
         adjacent = [(a, b) for a, b, _ in score.terms[:-1]]
         assert all(abs(a - b) == 1 for a, b in adjacent)
@@ -140,9 +140,9 @@ class TestEvaluateChain:
         assert math.fsum(c for _, _, c in score.terms) == pytest.approx(score.value)
 
     def test_shape_mismatch_rejected(self):
-        p = qm_chained_distribution(3)
+        p = ConditionalDistribution((3, 2), (2, 2), np.full((3, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="settings"):
-            evaluate_chain(p, 4)
+            evaluate_chain(p)
 
     def test_affine_in_the_table(self):
         n = 3
@@ -152,8 +152,8 @@ class TestEvaluateChain:
             mixed = ConditionalDistribution(
                 (n, n), (2, 2), lam * p.table + (1 - lam) * q.table
             )
-            expected = lam * evaluate_chain(p, n).value + (1 - lam) * evaluate_chain(q, n).value
-            assert evaluate_chain(mixed, n).value == pytest.approx(expected, abs=1e-12)
+            expected = lam * evaluate_chain(p).value + (1 - lam) * evaluate_chain(q).value
+            assert evaluate_chain(mixed).value == pytest.approx(expected, abs=1e-12)
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(0)
@@ -161,7 +161,7 @@ class TestEvaluateChain:
             t = rng.random((3, 3, 2, 2))
             t /= t.sum(axis=(2, 3), keepdims=True)
             p = ConditionalDistribution((3, 3), (2, 2), t)
-            assert evaluate_chain(p, 3).value >= 0.0
+            assert evaluate_chain(p).value >= 0.0
 
 
 class TestClosedForm:
@@ -199,7 +199,7 @@ class TestClassicalMinimum:
 
     def test_witness_achieves_the_minimum(self):
         result = classical_min_chain_value(5)
-        value = evaluate_chain(strategy_distribution(result.witness), 5).value
+        value = evaluate_chain(strategy_distribution(result.witness)).value
         assert value == result.min_value == 1.0
 
     def test_range_enforced(self):
@@ -232,7 +232,7 @@ class TestClassicalMinimum:
         n = data.draw(st.integers(2, 100))
         bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
         strategy = DeterministicStrategy(data.draw(bits), data.draw(bits))
-        value = evaluate_chain(strategy_distribution(strategy), n).value
+        value = evaluate_chain(strategy_distribution(strategy)).value
         assert value == int(value) and int(value) % 2 == 1
 
     def test_random_local_mixtures_respect_the_bound(self):
@@ -248,7 +248,7 @@ class TestClassicalMinimum:
         weights /= weights.sum()
         table = sum(w * strategy_distribution(s).table for w, s in zip(weights, strategies))
         p = ConditionalDistribution((n, n), (2, 2), table)
-        assert evaluate_chain(p, n).value >= 1.0 - 1e-12
+        assert evaluate_chain(p).value >= 1.0 - 1e-12
 
 
 class TestBiasedLP:
@@ -263,7 +263,7 @@ class TestBiasedLP:
         assert result.min_value == pytest.approx(0.0, abs=1e-9)
         argmin = result.argmin
         assert assert_nonsignaling(argmin, 1e-7).passed
-        assert evaluate_chain(argmin, 2).value == pytest.approx(0.0, abs=1e-7)
+        assert evaluate_chain(argmin).value == pytest.approx(0.0, abs=1e-7)
 
     def test_full_bias_costs_at_least_one(self):
         result = lp_min_chain_given_bias(2, 0.5)
@@ -275,7 +275,7 @@ class TestBiasedLP:
         assert assert_nonsignaling(argmin, 1e-7).passed
         bias = argmin.table[0, 0, 0, :].sum() - 0.5
         assert bias >= 0.3 - 1e-7
-        assert evaluate_chain(argmin, 2).value == pytest.approx(result.min_value, abs=1e-7)
+        assert evaluate_chain(argmin).value == pytest.approx(result.min_value, abs=1e-7)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_scipy(self, n):
@@ -308,7 +308,7 @@ class TestBiasedLP:
         argmin = result.argmin
         assert assert_nonsignaling(argmin, 1e-12).passed
         assert argmin.table[0, 0, 0, :].sum() - 0.5 >= delta - 1e-12
-        assert evaluate_chain(argmin, n).value == pytest.approx(result.min_value, abs=1e-12)
+        assert evaluate_chain(argmin).value == pytest.approx(result.min_value, abs=1e-12)
 
     def test_tight_at_n_100(self):
         result = lp_min_chain_given_bias(100, 0.3)
@@ -346,7 +346,7 @@ def check_closed_form_optimum(n, delta):
     argmin = result.argmin
     assert assert_nonsignaling(argmin, 1e-12).passed
     assert table[0, 0, 0, :].sum() - 0.5 >= delta - 1e-12
-    assert evaluate_chain(argmin, n).value == pytest.approx(result.min_value, abs=1e-12)
+    assert evaluate_chain(argmin).value == pytest.approx(result.min_value, abs=1e-12)
 
 
 class TestClosedFormOptimum:
@@ -365,5 +365,5 @@ class TestNoiseScan:
     def test_closed_form_matches_direct_evaluation(self):
         for v in (1.0, 0.9, 0.4):
             for n in (2, 5):
-                direct = evaluate_chain(mix_with_noise(qm_chained_distribution(n), v), n).value
+                direct = evaluate_chain(mix_with_noise(qm_chained_distribution(n), v)).value
                 assert noisy_chain_closed_form(n, v) == pytest.approx(direct, abs=1e-9)

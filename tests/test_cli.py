@@ -466,6 +466,29 @@ class TestCheck:
         assert code == 2
         assert payload == {"error": error}
 
+    @pytest.mark.parametrize("document, error", [
+        ({"parties": 2.7, "outputs": [2.9, 2], "inputs": [1.5, 1], "table": [0.25] * 4},
+         "parties must be an integer, got 2.7"),
+        ({"parties": 2, "outputs": [2.9, 2], "inputs": [1, 1], "table": [0.25] * 4},
+         "outputs must be an integer, got 2.9"),
+        ({"parties": 2, "outputs": [2, 2], "inputs": [1, 1.5], "table": [0.25] * 4},
+         "inputs must be an integer, got 1.5"),
+    ], ids=["parties", "outputs", "inputs"])
+    def test_fractional_size_is_usage_error(self, capsys, tmp_path, document, error):
+        # int() truncated these, and the first document passed (exit 0).
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(document))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert payload == {"error": error}
+
+    def test_integral_float_size_is_read(self, capsys, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps({"parties": 2.0, "outputs": [2.0, 2], "inputs": [1, 1.0],
+                                    "table": [0.25] * 4}))
+        code, payload = run_cli(capsys, "check", str(path))
+        assert code == 0 and payload["nonsignaling"]["passed"] is True
+
 
 class TestFalsify:
     def test_uniform_inplane_leggett_falsified(self, capsys, tmp_path):
@@ -520,7 +543,7 @@ class TestFalsify:
         r = np.empty((n, 2, 2))
         r[:, 0] = [1.0, 0.0]
         r[:, 1] = 0.5
-        model = HiddenVariableModel(n, alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])
+        model = HiddenVariableModel(alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])
         monkeypatch.setattr(cli, "model_from_dict", lambda raw, n: model)
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({"type": "per_side"}))
@@ -1180,6 +1203,21 @@ class TestHostileDocuments:
         assert payload == {"error": f"{field} must be an integer, got {document[field]!r}"}
 
     @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("sizes, error", [
+        ({"inputs": [2.5, 2]}, "inputs must be an integer, got 2.5"),
+        ({"outputs": [2, 2.9]}, "outputs must be an integer, got 2.9"),
+        ({"parties": 2.7}, "parties must be an integer, got 2.7"),
+    ], ids=["inputs", "outputs", "parties"])
+    def test_fractional_table_size_is_usage_error(self, capsys, tmp_path, mode, sizes, error):
+        # int() truncated these: inputs [2.5, 2] were analysed as N = 2 (exit 0).
+        path = tmp_path / "frac.json"
+        distribution = {**qm_chained_distribution(2).to_dict(), **sizes}
+        path.write_text(json.dumps({"type": "custom_table", "distribution": distribution}))
+        code, payload = self.run_mode(capsys, mode, path)
+        assert code == 2
+        assert payload == {"error": error}
+
+    @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("value", [None, [2], {"n": 2}, NAN],
                              ids=["null", "list", "object", "nan"])
     @pytest.mark.parametrize("document, field", [
@@ -1409,7 +1447,7 @@ class TestExperiment:
         table = qm_chained_distribution(n)
         if visibility != 1.0:
             table = mix_with_noise(table, visibility)
-        assert payload["reference_chain_value"] == evaluate_chain(table, n).value
+        assert payload["reference_chain_value"] == evaluate_chain(table).value
 
     @pytest.mark.parametrize(
         "argv, limit_mb",
@@ -1638,11 +1676,11 @@ class TestGoldenStreams:
         code, _ = run_cli(capsys, "experiment", "--source", str(source), "--n", str(n),
                           "--shots", str(shots), "--seed", str(seed), *extra, "--out", str(out))
         assert code == 0
-        assert plain_write_shots_csv(simulate_shots(drawn, n, shots, seed), ref) == shots
+        assert plain_write_shots_csv(simulate_shots(drawn, shots, seed), ref) == shots
         assert out.read_bytes() == ref.read_bytes()
         direct, blocks = tmp_path / "direct.csv", tmp_path / "blocks.csv"
-        assert simulate_shots_csv(drawn, n, shots, seed, direct) == shots
-        assert write_shots_csv(simulate_shots(drawn, n, shots, seed), blocks) == shots
+        assert simulate_shots_csv(drawn, shots, seed, direct) == shots
+        assert write_shots_csv(simulate_shots(drawn, shots, seed), blocks) == shots
         assert direct.read_bytes() == blocks.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(

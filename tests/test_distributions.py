@@ -394,12 +394,12 @@ class TestNormalised:
         tables = np.full((2, 2, 2, 2), 0.25)
         tables[0, 0, 0, 0] += 5e-12
         tables[1, 1, 0, 0] += 1e-13
-        model = HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), tables))
+        model = HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), tables))
         t = model.table.table
         assert np.array_equal(bits(t[0, 0]), bits(tables[0, 0] / tables[0, 0].sum()))
         assert np.array_equal(bits(t[1, 1]), bits(tables[1, 1]))
         responses = np.broadcast_to(table, (2, 2, 2))
-        model = HiddenVariableModel(2, alice=responses, bob=responses, p_u=table[1])
+        model = HiddenVariableModel(alice=responses, bob=responses, p_u=table[1])
         for side in (model.alice, model.bob):
             assert np.array_equal(bits(side[:, 0]), bits(np.tile(table[0] / sums[0], (2, 1))))
             assert np.array_equal(bits(side[:, 1]), bits(np.tile(table[1], (2, 1))))
@@ -607,6 +607,14 @@ class TestJsonRoundTrip:
             ConditionalDistribution.from_dict(
                 {"parties": 2, "outputs": [2, 2], "inputs": [1e400, 2], "table": []}
             )
+
+    def test_integral_sizes_of_any_number_type_are_read(self):
+        # Sizes are read, not truncated: 2.0 and NumPy's integers pass, 2.5 fails.
+        doc = {**uniform_distribution((2, 2)).to_dict(), "parties": np.int64(2),
+               "outputs": [2.0, np.int32(2)], "inputs": [np.float32(1.0), 1]}
+        assert ConditionalDistribution.from_dict(doc) == uniform_distribution((2, 2))
+        with pytest.raises(ValueError, match="inputs must be an integer, got 2.5"):
+            ConditionalDistribution.from_dict({**doc, "inputs": [2.5, 1]})
 
     def test_deeply_nested_file_is_value_error(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -59,22 +59,22 @@ class TestChainPairs:
 class TestSimulateShots:
     def test_deterministic_table_gives_constant_records(self):
         table = strategy_distribution(DeterministicStrategy((0, 0), (0, 0)))
-        for block in simulate_shots(table, 2, 500, seed=0):
+        for block in simulate_shots(table, 500, seed=0):
             assert block.dtype == np.int64
             assert (block[:, 2] == 0).all() and (block[:, 3] == 0).all()
             assert block.shape[1] == 4  # no hidden-variable columns
 
     def test_fixed_seed_reproduces_the_stream(self):
         table = qm_chained_distribution(2)
-        first = concat(simulate_shots(table, 2, 2000, seed=42))
-        second = concat(simulate_shots(table, 2, 2000, seed=42))
+        first = concat(simulate_shots(table, 2000, seed=42))
+        second = concat(simulate_shots(table, 2000, seed=42))
         assert np.array_equal(first, second)
 
     def test_settings_uniform_within_sampling_error(self):
         table = qm_chained_distribution(2)
         counts = np.zeros((2, 2))
         shots = 40000
-        for block in simulate_shots(table, 2, shots, seed=1):
+        for block in simulate_shots(table, shots, seed=1):
             np.add.at(counts, (block[:, 0], block[:, 1]), 1)
         # 5 sigma on a fair four-way split.
         sigma = math.sqrt(shots * 0.25 * 0.75)
@@ -86,7 +86,7 @@ class TestSimulateShots:
         shots = 10**5
         seen = np.zeros((n, n))
         mism = np.zeros((n, n))
-        for block in simulate_shots(table, n, shots, seed=2):
+        for block in simulate_shots(table, shots, seed=2):
             a, b, x, y = block.T
             np.add.at(seen, (a, b), 1)
             np.add.at(mism, (a, b), x != y)
@@ -100,7 +100,7 @@ class TestSimulateShots:
 
     def test_model_records_carry_hidden_indices(self):
         m = local_deterministic_model(2, [[0, 1], [1, 0]], [[0, 0], [1, 1]])
-        a, b, x, y, u, v = concat(simulate_shots(m, 2, 200, seed=3), 6).T
+        a, b, x, y, u, v = concat(simulate_shots(m, 200, seed=3), 6).T
         assert np.isin(u, (0, 1)).all() and np.isin(v, (0, 1)).all()
         # Outcomes must follow the sampled strategies exactly:
         # alice table u gives x = u XOR a, bob table v gives y = v.
@@ -109,15 +109,14 @@ class TestSimulateShots:
 
     def test_invalid_sources_rejected(self):
         with pytest.raises(TypeError):
-            list(simulate_shots(object(), 2, 10, seed=0))
+            list(simulate_shots(object(), 10, seed=0))
+        unequal = ConditionalDistribution((2, 3), (2, 2), np.full((2, 3, 2, 2), 0.25))
         with pytest.raises(ValueError, match="settings"):
-            list(simulate_shots(qm_chained_distribution(3), 2, 10, seed=0))
-        with pytest.raises(ValueError, match="settings"):
-            list(simulate_shots(nonlocal_qm_model(3), 2, 10, seed=0))
+            list(simulate_shots(unequal, 10, seed=0))
         with pytest.raises(ValueError, match="two-party"):  # a model enters as itself
-            list(simulate_shots(induced_distribution(nonlocal_qm_model(2)), 2, 10, seed=0))
+            list(simulate_shots(induced_distribution(nonlocal_qm_model(2)), 10, seed=0))
         with pytest.raises(ValueError, match="shots"):
-            list(simulate_shots(qm_chained_distribution(2), 2, 0, seed=0))
+            list(simulate_shots(qm_chained_distribution(2), 0, seed=0))
 
 
 class TestEstimator:
@@ -128,9 +127,9 @@ class TestEstimator:
         table = qm_chained_distribution(n)
         counts = np.ones((n, n))
         mism = table.table[:, :, 0, 1] + table.table[:, :, 1, 0]
-        report = estimate_from_counts(counts, mism, n, 0.95)
+        report = estimate_from_counts(counts, mism, 0.95)
         assert report.point_estimate == pytest.approx(
-            evaluate_chain(table, n).value, abs=1e-12
+            evaluate_chain(table).value, abs=1e-12
         )
 
     def test_upper_bound_arithmetic(self):
@@ -139,7 +138,7 @@ class TestEstimator:
         counts = np.full((n, n), 250_000)
         mism = np.full((n, n), 36_612)
         confidence = 0.99
-        report = estimate_from_counts(counts, mism, n, confidence)
+        report = estimate_from_counts(counts, mism, confidence)
         radius = math.sqrt(math.log(2 * 2 * n / (1 - confidence)) / (2 * 250_000))
         expected_point = 3 * (36_612 / 250_000) + (1 - 36_612 / 250_000)
         assert report.point_estimate == pytest.approx(expected_point, abs=1e-12)
@@ -152,10 +151,10 @@ class TestEstimator:
     def test_point_estimate_converges(self):
         n = 2
         table = qm_chained_distribution(n)
-        truth = evaluate_chain(table, n).value
+        truth = evaluate_chain(table).value
         errors = []
         for shots in (10**4, 10**5, 10**6):
-            records = simulate_shots(table, n, shots, seed=17)
+            records = simulate_shots(table, shots, seed=17)
             report = estimate_chain_value(records, n, 0.99)
             errors.append(abs(report.point_estimate - truth))
             assert report.upper_bound >= report.point_estimate
@@ -165,39 +164,39 @@ class TestEstimator:
     def test_missing_pair_raises(self):
         with pytest.raises(MissingSettingPairError):
             estimate_chain_value(
-                simulate_shots(qm_chained_distribution(5), 5, 3, seed=0), 5, 0.9
+                simulate_shots(qm_chained_distribution(5), 3, seed=0), 5, 0.9
             )
 
     @pytest.mark.parametrize("n", [2, 5, 12, 100])
     def test_integer_counts_give_the_float_counts_report(self, n):
         counts, mism = sample_counts(mix_with_noise(qm_chained_distribution(n), 0.9),
-                                     n, 40 * n * n, seed=n)
-        assert estimate_from_counts(counts, mism, n, 0.99) == \
-            estimate_from_counts(counts.astype(float), mism.astype(float), n, 0.99)
+                                     40 * n * n, seed=n)
+        assert estimate_from_counts(counts, mism, 0.99) == \
+            estimate_from_counts(counts.astype(float), mism.astype(float), 0.99)
 
     def test_peak_memory_is_of_the_chain_pairs(self):
         # The 2N chain pairs are read in place; two float copies of the
         # N×N counts would take 1.4 MB at N = 300.
         n = 300
-        counts, mism = sample_counts(qm_chained_distribution(n), n, 10**7, seed=3)
-        estimate_from_counts(counts, mism, n, 0.99)
-        assert peak_bytes(lambda: estimate_from_counts(counts, mism, n, 0.99)) < 256 * 1024
+        counts, mism = sample_counts(qm_chained_distribution(n), 10**7, seed=3)
+        estimate_from_counts(counts, mism, 0.99)
+        assert peak_bytes(lambda: estimate_from_counts(counts, mism, 0.99)) < 256 * 1024
 
     def test_confidence_domain(self):
         counts = np.ones((2, 2))
         with pytest.raises(ValueError, match="confidence"):
-            estimate_from_counts(counts, counts * 0, 2, 1.0)
+            estimate_from_counts(counts, counts * 0, 1.0)
 
     def test_coverage_over_replications(self):
         # The union-bounded construction is conservative, so coverage at
         # 99% nominal should be essentially total.
         n = 2
         table = qm_chained_distribution(n)
-        truth = evaluate_chain(table, n).value
+        truth = evaluate_chain(table).value
         hits = 0
         reps = 120
         for i in range(reps):
-            records = simulate_shots(table, n, 5000, seed=1000 + i)
+            records = simulate_shots(table, 5000, seed=1000 + i)
             report = estimate_chain_value(records, n, 0.99)
             hits += report.upper_bound >= truth
         assert hits / reps >= 0.99
@@ -217,7 +216,7 @@ class TestLocalityCap:
 class TestShotCsv:
     def test_round_trip_plain(self, tmp_path):
         table = qm_chained_distribution(2)
-        records = concat(simulate_shots(table, 2, 300, seed=5))
+        records = concat(simulate_shots(table, 300, seed=5))
         path = tmp_path / "shots.csv"
         assert write_shots_csv([records], path) == 300
         assert path.read_text().splitlines()[0] == "a,b,x,y"
@@ -225,7 +224,7 @@ class TestShotCsv:
 
     def test_round_trip_annotated(self, tmp_path):
         m = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-        records = concat(simulate_shots(m, 2, 100, seed=6), 6)
+        records = concat(simulate_shots(m, 100, seed=6), 6)
         path = tmp_path / "shots.csv"
         write_shots_csv([records], path)
         assert path.read_text().splitlines()[0] == "a,b,x,y,u,v"
@@ -241,12 +240,12 @@ class TestShotCsv:
         n = 3
         table = qm_chained_distribution(n)
         path = tmp_path / "shots.csv"
-        assert write_shots_csv(simulate_shots(table, n, shots, seed=8), path) == shots
+        assert write_shots_csv(simulate_shots(table, shots, seed=8), path) == shots
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             blocks = list(read_shots_csv(path))
         assert len(blocks) == 2
-        in_memory = _fold_counts(simulate_shots(table, n, shots, seed=8), n)
+        in_memory = _fold_counts(simulate_shots(table, shots, seed=8), n)
         read_back = _fold_counts(blocks, n)
         assert np.array_equal(read_back[0], in_memory[0])
         assert np.array_equal(read_back[1], in_memory[1])
@@ -457,7 +456,7 @@ class TestRowByRowWriter:
         # One 65 536-row qm block, of key space 4N² (16, 10 000 and
         # 160 000).  The writer formats 4096 rows at a time, as the
         # reference does, so its peak stays within 8 times the reference's.
-        block = next(simulate_shots(qm_chained_distribution(n), n, 65536, seed=5))
+        block = next(simulate_shots(qm_chained_distribution(n), 65536, seed=5))
         peaks = []
         for writer in (plain_write_shots_csv, write_shots_csv):
             tracemalloc.start()
@@ -625,7 +624,7 @@ MODEL_SOURCES = {
                                   uv_weights=[[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]),
         20_000, 65536),
     "table_weighted": (
-        HiddenVariableModel(3, table=mix_with_noise(qm_chained_distribution(3), 0.8),
+        HiddenVariableModel(table=mix_with_noise(qm_chained_distribution(3), 0.8),
                             p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
         30_000, 65536),
 }
@@ -645,19 +644,13 @@ class TestSamplerMatchesReference:
         n = source.input_sizes[0] if isinstance(source, ConditionalDistribution) \
             else source.n_settings
         monkeypatch.setattr(experiment, "_CHUNK_ROWS", chunk)
-        got = list(simulate_shots(source, n, shots, seed=31))
+        got = list(simulate_shots(source, shots, seed=31))
         ref = list(reference_stream(source, n, shots, seed=31, chunk=chunk))
         assert [len(block) for block in got] == [len(block) for block in ref]
         for mine, theirs in zip(got, ref):
             assert mine.dtype == np.int64 and mine.flags.c_contiguous
             assert mine.shape[1] == (4 if isinstance(source, ConditionalDistribution) else 6)
             assert np.array_equal(mine, theirs)
-
-
-def settings_of(source) -> int:
-    """Settings per side of a table or model source."""
-    return source.input_sizes[0] if isinstance(source, ConditionalDistribution) \
-        else source.n_settings
 
 
 def peak_bytes(write) -> int:
@@ -682,11 +675,11 @@ class TestSimulatedCsv:
     keeps one line per key for the stream or writes built blocks."""
 
     @staticmethod
-    def both_bytes(source, n, shots, seed):
+    def both_bytes(source, shots, seed):
         with tempfile.TemporaryDirectory() as tmp:
             path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
-            assert simulate_shots_csv(source, n, shots, seed, path) == shots
-            assert plain_write_shots_csv(simulate_shots(source, n, shots, seed), ref) == shots
+            assert simulate_shots_csv(source, shots, seed, path) == shots
+            assert plain_write_shots_csv(simulate_shots(source, shots, seed), ref) == shots
             return path.read_bytes(), ref.read_bytes()
 
     @pytest.mark.parametrize("name", CSV_SOURCES)
@@ -702,7 +695,7 @@ class TestSimulatedCsv:
         source = SOURCES[name][0]
         limit = 0 if blocks else experiment._KEY_SPACE_BLOCKS
         with mock.patch.object(experiment, "_KEY_SPACE_BLOCKS", limit):
-            got, ref = self.both_bytes(source, settings_of(source), shots, seed)
+            got, ref = self.both_bytes(source, shots, seed)
         assert got == ref
 
     @pytest.mark.parametrize("source, n, table_route", [
@@ -716,32 +709,30 @@ class TestSimulatedCsv:
         # writes its built blocks.
         space = 4 * n * n * getattr(source, "n_u", 1) * getattr(source, "n_v", 1)
         assert (space <= experiment._KEY_SPACE_BLOCKS * experiment._CHUNK_ROWS) == table_route
-        got, ref = self.both_bytes(source, n, 140_000, seed=53)
+        got, ref = self.both_bytes(source, 140_000, seed=53)
         assert got == ref
 
-    @pytest.mark.parametrize("source, n, wide", [
-        (leggett_model(2, inplane_grid(360)), 2, True),
-        (qm_chained_distribution(3), 3, False),
-        (leggett_model(3, inplane_grid(6), inplane_grid(4)), 3, False),
+    @pytest.mark.parametrize("source, wide", [
+        (leggett_model(2, inplane_grid(360)), True),
+        (qm_chained_distribution(3), False),
+        (leggett_model(3, inplane_grid(6), inplane_grid(4)), False),
     ], ids=["leggett_grid_360", "qm_3", "leggett_6x4"])
-    def test_only_a_wide_stream_builds_blocks(self, source, n, wide):
+    def test_only_a_wide_stream_builds_blocks(self, source, wide):
         # A stream wider than _KEY_SPACE_BLOCKS full blocks of keys is
         # written as write_shots_csv(simulate_shots(...)); a narrower one
         # never builds a block.
         built = mock.Mock(wraps=experiment.simulate_shots)
         with mock.patch.object(experiment, "simulate_shots", built):
-            got, ref = self.both_bytes(source, n, 70_000, seed=19)
+            got, ref = self.both_bytes(source, 70_000, seed=19)
         assert got == ref
-        assert built.call_args_list == ([mock.call(source, n, 70_000, 19)] if wide else [])
+        assert built.call_args_list == ([mock.call(source, 70_000, 19)] if wide else [])
 
     def test_checks_come_before_the_file(self, tmp_path):
         path = tmp_path / "shots.csv"
         with pytest.raises(ValueError, match="shots"):
-            simulate_shots_csv(qm_chained_distribution(2), 2, 0, 1, path)
-        with pytest.raises(ValueError, match="settings per side"):
-            simulate_shots_csv(nonlocal_qm_model(2), 3, 10, 1, path)
+            simulate_shots_csv(qm_chained_distribution(2), 0, 1, path)
         with pytest.raises(TypeError):
-            simulate_shots_csv(np.ones((2, 2, 2, 2)) / 4, 2, 10, 1, path)
+            simulate_shots_csv(np.ones((2, 2, 2, 2)) / 4, 10, 1, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("n, factor", [(10, 1.0), (200, 2.0)])
@@ -752,9 +743,9 @@ class TestSimulatedCsv:
         # blocks is its peak over any longer stream.  The line table is
         # bounded by the key space: doubling the stream adds under 10 %.
         table, path = qm_chained_distribution(n), tmp_path / "shots.csv"
-        simulate_shots_csv(table, n, 1000, 1, path)  # first-call allocations
-        base = peak_bytes(lambda: write_shots_csv(simulate_shots(table, n, 2 * 65536, 1), path))
-        one, two = (peak_bytes(lambda: simulate_shots_csv(table, n, shots, 1, path))
+        simulate_shots_csv(table, 1000, 1, path)  # first-call allocations
+        base = peak_bytes(lambda: write_shots_csv(simulate_shots(table, 2 * 65536, 1), path))
+        one, two = (peak_bytes(lambda: simulate_shots_csv(table, shots, 1, path))
                     for shots in (10**6, 2 * 10**6))
         assert one <= factor * base
         assert two <= 1.1 * one
@@ -766,9 +757,9 @@ class TestSimulatedCsv:
         # peaks (about 10 MB) by a few hundred bytes of interpreter objects,
         # hence the one-page allowance.
         model, path = leggett_model(2, inplane_grid(360)), tmp_path / "shots.csv"
-        simulate_shots_csv(model, 2, 1000, 1, path)
-        base = peak_bytes(lambda: write_shots_csv(simulate_shots(model, 2, 2 * 65536, 1), path))
-        assert peak_bytes(lambda: simulate_shots_csv(model, 2, 2 * 65536, 1, path)) <= base + 4096
+        simulate_shots_csv(model, 1000, 1, path)
+        base = peak_bytes(lambda: write_shots_csv(simulate_shots(model, 2 * 65536, 1), path))
+        assert peak_bytes(lambda: simulate_shots_csv(model, 2 * 65536, 1, path)) <= base + 4096
 
 
 class TestStreamCarriesTheCounts:
@@ -783,9 +774,9 @@ class TestStreamCarriesTheCounts:
         table = source if isinstance(source, ConditionalDistribution) else chain_table(source)
         n = table.input_sizes[0]
         monkeypatch.setattr(experiment, "_CHUNK_ROWS", chunk)
-        blocks = list(simulate_shots(source, n, shots, seed=37))
+        blocks = list(simulate_shots(source, shots, seed=37))
         assert [len(block) for block in blocks[:-1]] == [chunk] * (len(blocks) - 1)
-        for got, drawn in zip(_fold_counts(blocks, n), sample_counts(table, n, shots, seed=37)):
+        for got, drawn in zip(_fold_counts(blocks, n), sample_counts(table, shots, seed=37)):
             assert drawn.dtype == np.int64
             assert np.array_equal(got, drawn)
 
@@ -795,8 +786,8 @@ class TestStreamCarriesTheCounts:
         monkeypatch.setattr(experiment, "_HYPERGEOMETRIC_ITEMS", 1000)
         monkeypatch.setattr(experiment, "_CHUNK_ROWS", 50)
         model, shots, _ = MODEL_SOURCES["leggett_uv"]
-        blocks = list(simulate_shots(model, 2, shots, seed=41))
-        counts, mism = sample_counts(chain_table(model), 2, shots, seed=41)
+        blocks = list(simulate_shots(model, shots, seed=41))
+        counts, mism = sample_counts(chain_table(model), shots, seed=41)
         got_counts, got_mism = _fold_counts(blocks, 2)
         assert np.array_equal(got_counts, counts) and np.array_equal(got_mism, mism)
 
@@ -822,15 +813,13 @@ class TestStreamCarriesTheCounts:
     @pytest.mark.parametrize("shots", [10**15, 2**63 - 1])
     def test_counts_at_any_shot_count(self, shots):
         # O(N²) whatever the shot count, up to the int64 limit.
-        counts, mism = sample_counts(qm_chained_distribution(3), 3, shots, seed=47)
+        counts, mism = sample_counts(qm_chained_distribution(3), shots, seed=47)
         assert counts.sum() == shots and (mism <= counts).all()
 
     def test_bad_runs_rejected(self):
         table = qm_chained_distribution(2)
         with pytest.raises(ValueError, match="shots"):
-            sample_counts(table, 2, 0, seed=0)
-        with pytest.raises(ValueError, match="settings"):
-            sample_counts(table, 3, 10, seed=0)
+            sample_counts(table, 0, seed=0)
 
 
 class TestModelSamplerMatchesTheTable:
@@ -844,7 +833,7 @@ class TestModelSamplerMatchesTheTable:
         n, nu, nv = model.n_settings, model.n_u, model.n_v
         p4 = induced_distribution(model).table.reshape(n * n, 4 * nu * nv)
         cells = np.zeros((n * n, 4 * nu * nv), dtype=np.int64)
-        for block in simulate_shots(model, n, shots, seed=seed):
+        for block in simulate_shots(model, shots, seed=seed):
             a, b, x, y, u, v = block.T
             cell = ((x * 2 + y) * nu + u) * nv + v
             np.add.at(cells, (a * n + b, cell), 1)
@@ -859,8 +848,8 @@ class TestModelSamplerMatchesTheTable:
         model = MODEL_SOURCES[name][0]
         n = model.n_settings
         xy = induced_distribution(model).table.sum(axis=(6, 7))[:, :, 0, 0]
-        dense = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy), n).value
-        assert evaluate_chain(chain_table(model), n).value == pytest.approx(dense, abs=1e-14)
+        dense = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
+        assert evaluate_chain(chain_table(model)).value == pytest.approx(dense, abs=1e-14)
 
 
 def shot_blocks(n):

@@ -205,7 +205,7 @@ def frozen_locality_bound_check(p, tol=NORM_TOL) -> FrozenBoundReport:
     t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]
     n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)
-    bound = 0.5 * evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy), n).value
+    bound = 0.5 * evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
     joints = np.empty((2, n, 2, n_c, t.shape[-1]))
     np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0].transpose(0, 2, 1, 3))
     np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1].transpose(0, 2, 1, 3))
@@ -406,7 +406,7 @@ class TestLocalityVerdicts:
             r = np.eye(2)[rng.integers(0, 2, (n, n_u))]
         w = rng.random(n_u) * (rng.random(n_u) < 0.8)
         w = np.full(n_u, 1.0 / n_u) if w.sum() == 0 else w / w.sum()
-        model = HiddenVariableModel(n, alice=r, bob=r[::-1], p_u=w, p_v=w)
+        model = HiddenVariableModel(alice=r, bob=r[::-1], p_u=w, p_v=w)
         args = SimpleNamespace(model="m.json", n=n, shots=shots,
                                seed=seed if seeded or shots is not None else None)
         assert falsify_outcome(new_falsify, args, model) == falsify_outcome(
@@ -420,7 +420,7 @@ class TestLocalityVerdicts:
         w = quantum_chain_closed_form(n) * (1.0 + side * 1e-6)
         r = np.empty((n, 2, 2))
         r[:, 0], r[:, 1] = [1.0, 0.0], 0.5
-        model = HiddenVariableModel(n, alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])
+        model = HiddenVariableModel(alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])
         args = SimpleNamespace(model="m.json", n=n, shots=None, seed=None)
         got = falsify_outcome(new_falsify, args, model)
         assert got == falsify_outcome(frozen_falsify, args, model)

@@ -32,7 +32,6 @@ from chainedbell import (
     qm_chained_distribution,
     quantum_chain_closed_form,
     sampled_xu_table,
-    table_model,
     xu_table,
 )
 from chainedbell import hvm
@@ -122,12 +121,12 @@ class TestModelConstruction:
                 table[a, b, b, 0] = 1.0  # Alice's outcome copies Bob's setting
         dist = ConditionalDistribution((2, 2), (2, 2), table)
         with pytest.raises(ValueError, match="leak"):
-            table_model(dist)
+            HiddenVariableModel(table=dist)
 
     def test_nonsignaling_table_accepted(self):
         # The model holds the distribution it was built from, unwrapped.
         dist = qm_chained_distribution(3)
-        m = table_model(dist)
+        m = HiddenVariableModel(table=dist)
         assert m.n_settings == 3 and m.table is dist
 
     def test_leggett_bob_is_built_with_the_model(self):
@@ -146,12 +145,12 @@ class TestModelConstruction:
         bad = table.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), bad))
+            HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), bad))
         responses = np.full((2, 1, 2), 0.5)
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, alice=bad[0], bob=responses)
+            HiddenVariableModel(alice=bad[0], bob=responses)
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(2, table=ConditionalDistribution((2, 2), (2, 2), table),
+            HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), table),
                                 p_u=[np.nan])
         with pytest.raises(ValueError, match="finite"):
             local_deterministic_model(2, [[0, 1], [1, 1]], [[0, 0]], [[np.nan], [1.0]])
@@ -165,7 +164,7 @@ class TestModelConstruction:
             model_from_dict({"type": "leggett", "n": 2, "vectors": [[1, 0, 0], [0, 0, 1]],
                              "weights": [np.nan, 1.0]})
         with pytest.raises(ValueError, match="uv_weights must be finite"):
-            HiddenVariableModel(2, alice=np.full((2, 2, 2), 0.5), bob=np.full((2, 1, 2), 0.5),
+            HiddenVariableModel(alice=np.full((2, 2, 2), 0.5), bob=np.full((2, 1, 2), 0.5),
                                 p_uv=[[np.nan], [1.0]])
 
     @pytest.mark.parametrize("visibility", [float("nan"), 1.5])
@@ -177,16 +176,16 @@ class TestModelConstruction:
         responses = np.full((2, 1, 2), 0.5)
         table = ConditionalDistribution((2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="alice and bob, or one table"):
-            HiddenVariableModel(2, alice=responses)
+            HiddenVariableModel(alice=responses)
         with pytest.raises(ValueError, match="alice and bob, or one table"):
-            HiddenVariableModel(2, alice=responses, bob=responses, table=table)
+            HiddenVariableModel(alice=responses, bob=responses, table=table)
         for weights in ({"p_u": [1.0]}, {"p_v": [1.0]}):
             with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
-                HiddenVariableModel(2, alice=responses, bob=responses, p_uv=[[1.0]], **weights)
+                HiddenVariableModel(alice=responses, bob=responses, p_uv=[[1.0]], **weights)
         with pytest.raises(ValueError, match="joint weights p_uv go with per-side"):
-            HiddenVariableModel(2, table=table, p_uv=[[1.0]])
+            HiddenVariableModel(table=table, p_uv=[[1.0]])
         with pytest.raises(ValueError, match=re.escape("(N, k, 2)")):
-            HiddenVariableModel(3, alice=responses, bob=responses)
+            HiddenVariableModel(alice=responses, bob=np.full((3, 1, 2), 0.5))
 
 
 def random_vector_grid(rng, k):
@@ -214,8 +213,8 @@ def product_fixtures():
             2, [[0, 1], [1, 1], [0, 0]], [[1, 0]], uv_weights=[[0.2], [0.3], [0.5]]),
         "nonlocal": nonlocal_qm_model(4, 0.8, n_u=2, n_v=3),
         "nonlocal_weighted": HiddenVariableModel(
-            3, table=nonlocal_qm_model(3, 0.9).table, p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
-        "custom": table_model(qm_chained_distribution(3)),
+            table=nonlocal_qm_model(3, 0.9).table, p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
+        "custom": HiddenVariableModel(table=qm_chained_distribution(3)),
     }
 
 
@@ -261,7 +260,7 @@ class TestPerSideTable:
     def test_nonlocal_model_ignores_hidden_variables(self):
         # Dummy local variables: the (x, u) joint factorizes exactly into
         # uniform times the hidden marginal.
-        m = HiddenVariableModel(2, table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
+        m = HiddenVariableModel(table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
         p_xu = xu_table(m)
         lm = locality_measure(p_xu, CLASSICAL)
         assert lm.max_distance < 1e-12
@@ -270,7 +269,7 @@ class TestPerSideTable:
     def test_hidden_marginal_is_p_u_at_every_setting(self, name):
         # The cap's hypothesis, held by construction: one p_u weighs every
         # setting of Alice's table, so no setting moves the hidden marginal.
-        model = (HiddenVariableModel(2, table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
+        model = (HiddenVariableModel(table=nonlocal_qm_model(2).table, p_u=[0.2, 0.3, 0.5])
                  if name == "nonlocal_dummies" else product_fixtures()[name])
         t = xu_table(model).table[:, 0]
         assert np.abs(t[:, 0] + t[:, 1] - model.p_u).max() <= IDENTITY_TOL
@@ -294,7 +293,7 @@ class TestPerSideTable:
         assert p_xu.table.shape == (100, 1, 2, 360)
         lm = locality_measure(p_xu, CLASSICAL)
         assert lm.max_distance == pytest.approx(1 / math.pi, abs=1e-4)
-        assert evaluate_chain(chain_table(model), 100).value == pytest.approx(100.0, abs=1e-9)
+        assert evaluate_chain(chain_table(model)).value == pytest.approx(100.0, abs=1e-9)
 
 
 class TestSampledXuTable:
@@ -907,7 +906,7 @@ class TestModelJson:
         m = model_from_dict({"type": "nonlocal_qm", "n": 3, "visibility": 0.8})
         p = chain_table(m)
         expected = 0.8 * quantum_chain_closed_form(3) + 0.2 * 3
-        assert evaluate_chain(p, 3).value == pytest.approx(expected, abs=1e-9)
+        assert evaluate_chain(p).value == pytest.approx(expected, abs=1e-9)
 
     def test_leggett_uv_weights_are_divided_once(self):
         # A total 5e-10 off 1 is within NORM_TOL and divided out exactly
@@ -923,14 +922,14 @@ class TestModelJson:
         # sum to 1 within 1e-12 (1/3 three times does), as table slices do;
         # no joint n_u x n_v array is formed.
         alice, bob = np.full((2, 2, 2), 0.5), np.full((2, 3, 2), 0.5)
-        m = HiddenVariableModel(2, alice=alice, bob=bob)
+        m = HiddenVariableModel(alice=alice, bob=bob)
         assert np.array_equal(m.p_u, np.full(2, 0.5))
         assert np.array_equal(m.p_v, np.full(3, 1.0 / 3.0))
         assert m.p_uv is None
         with pytest.raises(ValueError, match=re.escape("uv_weights must have shape (2, 3)")):
-            HiddenVariableModel(2, alice=alice, bob=bob, p_uv=np.full((3, 2), 1.0 / 6.0))
+            HiddenVariableModel(alice=alice, bob=bob, p_uv=np.full((3, 2), 1.0 / 6.0))
         with pytest.raises(ValueError, match=re.escape("v_weights must have shape (3,)")):
-            HiddenVariableModel(2, alice=alice, bob=bob, p_v=[0.5, 0.5])
+            HiddenVariableModel(alice=alice, bob=bob, p_v=[0.5, 0.5])
         # A Leggett model's weights meet the same check.
         with pytest.raises(ValueError, match=re.escape("v_weights must have shape (3,)")):
             leggett_model(2, inplane_grid(3), v_weights=[0.5, 0.5])
@@ -939,10 +938,10 @@ class TestModelJson:
         # Off 1 by 1e-13: kept bit for bit.  Off by 5e-10: divided once.
         alice = np.full((2, 2, 2), 0.5)
         kept = np.array([0.25, 0.75 + 1e-13])
-        m = HiddenVariableModel(2, alice=alice, bob=alice, p_u=kept, p_v=[0.5, 0.5])
+        m = HiddenVariableModel(alice=alice, bob=alice, p_u=kept, p_v=[0.5, 0.5])
         assert m.p_u.tobytes() == kept.tobytes()
         drift = np.array([0.25, 0.75 + 5e-10])
-        m = HiddenVariableModel(2, alice=alice, bob=alice, p_u=drift, p_v=[0.5, 0.5])
+        m = HiddenVariableModel(alice=alice, bob=alice, p_u=drift, p_v=[0.5, 0.5])
         assert np.array_equal(m.p_u, drift / drift.sum())
 
     def test_custom_table_document(self):
@@ -1046,9 +1045,9 @@ class TestResponseReferences:
         for raw in self.raw_response_cases():
             n = raw.shape[0]
             bob = np.full((n, 1, 2), 0.5)
-            model = HiddenVariableModel(n, alice=raw, bob=bob)
+            model = HiddenVariableModel(alice=raw, bob=bob)
             assert model.alice.tobytes() == reference_rule(raw, 1).tobytes()
-            model = HiddenVariableModel(n, alice=bob, bob=raw)
+            model = HiddenVariableModel(alice=bob, bob=raw)
             assert model.bob.tobytes() == reference_rule(raw, 1).tobytes()
 
     def test_normalised_tables_are_bit_equal(self):
@@ -1057,7 +1056,7 @@ class TestResponseReferences:
                     nonlocal_qm_model(4, 0.8).table.table,
                     product_table(rng, 5) * (1.0 + 3e-12 * rng.uniform(-1, 1, (5, 5, 2, 2)))):
             n = raw.shape[0]
-            model = HiddenVariableModel(n, table=ConditionalDistribution((n, n), (2, 2), raw))
+            model = HiddenVariableModel(table=ConditionalDistribution((n, n), (2, 2), raw))
             assert model.table.table.tobytes() == reference_rule(raw, 2).tobytes()
 
     @pytest.mark.parametrize("leak", [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-3])
@@ -1075,7 +1074,7 @@ class TestResponseReferences:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
                 HiddenVariableModel._check_local_parts(table)
             with pytest.raises(ValueError, match="leak"):
-                HiddenVariableModel(3, table=ConditionalDistribution((3, 3), (2, 2), table))
+                HiddenVariableModel(table=ConditionalDistribution((3, 3), (2, 2), table))
         else:
             HiddenVariableModel._check_local_parts(table)
 

@@ -115,11 +115,11 @@ class TestChainedDistribution:
         assert np.abs(y_marg - 0.5).max() < 1e-12
 
     def test_chsh_instance(self):
-        score = evaluate_chain(qm_chained_distribution(2), 2)
+        score = evaluate_chain(qm_chained_distribution(2))
         assert score.value == pytest.approx(2 - math.sqrt(2), abs=1e-9)
 
     def test_three_setting_instance(self):
-        score = evaluate_chain(qm_chained_distribution(3), 3)
+        score = evaluate_chain(qm_chained_distribution(3))
         assert score.value == pytest.approx(6 * math.sin(math.pi / 12) ** 2, abs=1e-9)
 
     def test_rejects_small_n(self):
@@ -148,11 +148,11 @@ class TestNoise:
         # v*value + (1-v)*N.
         n = 2
         p = qm_chained_distribution(n)
-        uniform_value = evaluate_chain(mix_with_noise(p, 0.0), n).value
+        uniform_value = evaluate_chain(mix_with_noise(p, 0.0)).value
         assert uniform_value == pytest.approx(float(n), abs=1e-12)
         for v in (0.9, 0.5, 0.25):
-            mixed = evaluate_chain(mix_with_noise(p, v), n).value
-            expected = v * evaluate_chain(p, n).value + (1 - v) * uniform_value
+            mixed = evaluate_chain(mix_with_noise(p, v)).value
+            expected = v * evaluate_chain(p).value + (1 - v) * uniform_value
             assert mixed == pytest.approx(expected, abs=1e-12)
 
     def test_preserves_nonsignaling(self):

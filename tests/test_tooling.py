@@ -3,8 +3,8 @@ suite's warning filters, the package's imports, where its normalisation
 rule lives, its one sampler, its one locality kernel, its one cap rule,
 its one model document reader, its plain model record, its one table
 float formatter, its one tolerance ledger, the one owner of each
-argument check, its one command-line parse and no private helper or
-public function left uncalled."""
+argument check, its one command-line parse, no private helper or
+public function left uncalled, and N read from the data it comes with."""
 
 import ast
 import contextlib
@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chainedbell
@@ -935,3 +936,27 @@ class TestOneParse:
         )
         assert parse_callers(source) == ["<module>", "_parse", "again"]
         assert asdict_imports(source) == ["line 2", "line 3", "line 10"]
+
+
+class TestNFromTheData:
+    """Entry points that are given a table, a model's responses or count
+    arrays read N from them; none takes N beside them."""
+
+    ENTRY_POINTS = (chainedbell.evaluate_chain, chainedbell.sample_counts,
+                    chainedbell.simulate_shots, chainedbell.simulate_shots_csv,
+                    chainedbell.estimate_from_counts, chainedbell.HiddenVariableModel)
+
+    def test_no_entry_point_takes_n(self):
+        found = {fn.__name__: name for fn in self.ENTRY_POINTS
+                 for name in inspect.signature(fn).parameters if name in ("n", "n_settings")}
+        assert found == {}
+
+    def test_the_package_exports_no_table_model(self):
+        assert not hasattr(chainedbell, "table_model")
+
+    def test_counts_and_mismatches_of_other_shapes_are_rejected(self):
+        counts = np.full((4, 4), 10)
+        with pytest.raises(ValueError, match="must be \\(N, N\\) arrays"):
+            experiment.estimate_from_counts(counts, np.zeros((3, 3), dtype=int), 0.99)
+        with pytest.raises(ValueError, match="must be \\(N, N\\) arrays"):
+            experiment.estimate_from_counts(counts[:3], counts[:3] * 0, 0.99)
