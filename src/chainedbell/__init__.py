@@ -17,7 +17,6 @@ from .chained import (
     evaluate_chain,
     lp_min_chain_given_bias,
     noisy_chain_closed_form,
-    quantum_chain_closed_form,
 )
 from .distributions import (
     ConditionalDistribution,
@@ -53,9 +52,6 @@ from .hvm import (
     sampled_xu_table,
     xu_table,
 )
-from .quantum import (
-    mix_with_noise,
-    qm_chained_distribution,
-)
+from .quantum import qm_chained_distribution
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ __all__ = [
     "BiasedChainLP",
     "chain_pairs",
     "evaluate_chain",
-    "quantum_chain_closed_form",
     "noisy_chain_closed_form",
     "classical_min_chain_value",
     "lp_min_chain_given_bias",
@@ -127,21 +126,16 @@ def evaluate_chain(p: ConditionalDistribution) -> ChainScore:
     return ChainScore(n, value, tuple(terms))
 
 
-def quantum_chain_closed_form(n: int) -> float:
-    """Ideal quantum chain value 2N sin^2(pi/4N), decreasing in N with
-    large-N behaviour pi^2 / (8N)."""
+def noisy_chain_closed_form(n: int, visibility: float) -> float:
+    """Chain value of the visibility-v quantum table,
+    v * 2N sin^2(pi/4N) + (1 - v) * N; the ideal value 2N sin^2(pi/4N)
+    (v = 1) decreases in N with large-N behaviour pi^2 / (8N)."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
     if n < 2:
         raise ValueError("chain parameter must be at least 2")
     s = math.sin(math.pi / (4.0 * n))
-    return 2.0 * n * s * s
-
-
-def noisy_chain_closed_form(n: int, visibility: float) -> float:
-    """Chain value of the visibility-mixed quantum table:
-    v * 2N sin^2(pi/4N) + (1 - v) * N."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    return visibility * quantum_chain_closed_form(n) + (1.0 - visibility) * n
+    return visibility * (2.0 * n * s * s) + (1.0 - visibility) * n
 
 
 def classical_min_chain_value(n: int) -> BruteForceResult:

@@ -26,7 +26,6 @@ from .chained import (
     evaluate_chain,
     lp_min_chain_given_bias,
     noisy_chain_closed_form,
-    quantum_chain_closed_form,
 )
 from .distributions import (
     NORM_TOL,
@@ -54,7 +53,7 @@ from .hvm import (
     sampled_xu_table,
     xu_table,
 )
-from .quantum import mix_with_noise, qm_chained_distribution
+from .quantum import qm_chained_distribution
 
 _INT64_MAX = 2**63 - 1
 _SCAN_ROWS = 65536  # rows per scan CSV write
@@ -75,14 +74,13 @@ def _fields(record) -> dict:
 
 
 def _qm_table(n: int, visibility: float | None, arg: str) -> ConditionalDistribution:
-    """The qm table, mixed with noise at ``visibility`` unless it is None,
-    refused before anything is built when its 4·N² entries exceed the model
-    budget ``MAX_MODEL_ENTRIES``; the error names ``arg``."""
+    """The qm table at ``visibility`` (1 when it is None), refused before
+    anything is built when its 4·N² entries exceed the model budget
+    ``MAX_MODEL_ENTRIES``; the error names ``arg``."""
     if n >= 2 and 4 * n * n > hvm.MAX_MODEL_ENTRIES:
         raise ValueError(f"quantum table too large: {arg} {n} asks for {4 * n * n} numbers, "
                          f"above {hvm.MAX_MODEL_ENTRIES}")
-    table = qm_chained_distribution(n)
-    return table if visibility is None else mix_with_noise(table, visibility)
+    return qm_chained_distribution(n, 1.0 if visibility is None else visibility)
 
 
 def cmd_qm(args) -> tuple[dict, int]:
@@ -91,7 +89,7 @@ def cmd_qm(args) -> tuple[dict, int]:
     payload = {
         "n": args.n,
         "visibility": 1.0 if args.visibility is None else args.visibility,
-        "ideal_closed_form": quantum_chain_closed_form(args.n),
+        "ideal_closed_form": noisy_chain_closed_form(args.n, 1.0),
         "chain_value": score.value,
         "terms": [[a, b, c] for a, b, c in score.terms],
     }
@@ -128,7 +126,7 @@ def cmd_falsify(args) -> tuple[dict, int]:
     model = model_from_dict(raw, n)
     payload: dict = {"n": n, "model_type": raw["type"]}
     p_xu = xu_table(model)
-    chain_value = quantum_chain_closed_form(n)
+    chain_value = noisy_chain_closed_form(n, 1.0)
     if args.shots is None:
         record = locality_measure(p_xu, chain_value)
         payload["mode"] = "exact"

@@ -33,7 +33,7 @@ from .distributions import (
     _slice_sums,
     assert_nonsignaling,
 )
-from .quantum import _chained_angles, mix_with_noise, qm_chained_distribution
+from .quantum import _chained_angles, qm_chained_distribution
 
 __all__ = [
     "MAX_MODEL_ENTRIES",
@@ -85,7 +85,7 @@ class HiddenVariableModel:
     __slots__ = ("n_settings", "n_u", "n_v", "p_u", "p_v", "p_uv", "alice", "bob", "table")
 
     def __init__(self, *, alice=None, bob=None, table=None, p_u=None, p_v=None, p_uv=None):
-        if (table is None) == (alice is None or bob is None):
+        if not (alice is None) == (bob is None) == (table is not None):
             raise ValueError("a model takes per-side responses alice and bob, or one table")
         if p_uv is not None and (p_u is not None or p_v is not None or table is not None):
             raise ValueError("joint weights p_uv go with per-side responses alone")
@@ -258,11 +258,9 @@ def nonlocal_qm_model(
     declared local variables are uniform dummies the table ignores."""
     if n_u < 1 or n_v < 1:
         raise ValueError("n_u and n_v must be at least 1")
-    base = qm_chained_distribution(n)
-    if visibility != 1.0:  # mix_with_noise rejects NaN and values off [0, 1]
-        base = mix_with_noise(base, visibility)
-    return HiddenVariableModel(table=base, p_u=np.full(n_u, 1.0 / n_u),
-                               p_v=np.full(n_v, 1.0 / n_v))
+    # qm_chained_distribution rejects NaN and a visibility off [0, 1].
+    return HiddenVariableModel(table=qm_chained_distribution(n, visibility),
+                               p_u=np.full(n_u, 1.0 / n_u), p_v=np.full(n_v, 1.0 / n_v))
 
 
 def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:

@@ -9,10 +9,7 @@ import numpy as np
 
 from .distributions import ConditionalDistribution
 
-__all__ = [
-    "qm_chained_distribution",
-    "mix_with_noise",
-]
+__all__ = ["qm_chained_distribution"]
 
 _PSI = np.eye(2) / math.sqrt(2.0)  # the state's amplitudes, [alice_bit, bob_bit]
 
@@ -38,31 +35,27 @@ def _outcome_states(angles) -> np.ndarray:
     return np.array(states).reshape(-1, 2, 2)
 
 
-def qm_chained_distribution(n: int) -> ConditionalDistribution:
+def qm_chained_distribution(n: int, visibility: float = 1.0) -> ConditionalDistribution:
     """Chained-layout table P(x, y | a, b): N settings per side, binary
-    outcomes, every entry given by the Born rule for that setting pair."""
-    alice, bob = _chained_angles(n)
-    av = _outcome_states(alice)  # (N, x, i)
-    # Bob's settings contiguous: einsum's inner loop then runs along them
-    # rather than along the two amplitudes.  _PSI has two nonzero entries,
-    # so every order of summation gives the same bits.
-    bv = np.asfortranarray(_outcome_states(bob))  # (N, y, j)
-    amps = np.einsum("axi,byj,ij->abxy", av, bv, _PSI)
-    return ConditionalDistribution((n, n), (2, 2), amps * amps)
-
-
-def mix_with_noise(
-    p: ConditionalDistribution, visibility: float
-) -> ConditionalDistribution:
-    """Blend a table with uniform output noise: v*P + (1-v)*U.
+    outcomes, every entry given by the Born rule for that setting pair,
+    blended with uniform output noise at ``visibility`` v: v*P + (1-v)*U.
 
     U assigns every output tuple equal weight for every input, so the mix
     preserves non-signaling.  Note the chain value of U is N (each of the
     2N chain terms equals 1/2), so chain values mix affinely to
     v*value + (1-v)*N.
     """
+    alice, bob = _chained_angles(n)
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    table = visibility * p.table
-    table += (1.0 - visibility) * (1.0 / math.prod(p.output_sizes))
-    return ConditionalDistribution(p.input_sizes, p.output_sizes, table)
+    av = _outcome_states(alice)  # (N, x, i)
+    # Bob's settings contiguous: einsum's inner loop then runs along them
+    # rather than along the two amplitudes.  _PSI has two nonzero entries,
+    # so every order of summation gives the same bits.
+    bv = np.asfortranarray(_outcome_states(bob))  # (N, y, j)
+    amps = np.einsum("axi,byj,ij->abxy", av, bv, _PSI)
+    table = amps * amps
+    if visibility != 1.0:
+        table *= visibility
+        table += (1.0 - visibility) * 0.25
+    return ConditionalDistribution((n, n), (2, 2), table)

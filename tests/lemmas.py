@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chainedbell import ConditionalDistribution, cli, quantum_chain_closed_form
+from chainedbell import ConditionalDistribution, cli, noisy_chain_closed_form
 from chainedbell.distributions import IDENTITY_TOL, NORM_TOL, _normalised
 from chainedbell.experiment import _COLUMNS, _check_block
 from chainedbell.hvm import (
@@ -322,7 +322,7 @@ def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
     from :func:`leggett_xu_table`, against the cap that the ideal quantum
     chain value certifies.  In-plane vector mass forces a distance of
     about 1/pi per setting, which already exceeds the cap at N = 2."""
-    return locality_measure(leggett_xu_table(n, vectors, weights), quantum_chain_closed_form(n))
+    return locality_measure(leggett_xu_table(n, vectors, weights), noisy_chain_closed_form(n, 1.0))
 
 
 def plain_read_json_file(path) -> ConditionalDistribution:

@@ -24,9 +24,9 @@ from chainedbell import (
     locality_cap,
     locality_measure,
     lp_min_chain_given_bias,
+    noisy_chain_closed_form,
     nonlocal_qm_model,
     qm_chained_distribution,
-    quantum_chain_closed_form,
     simulate_shots,
     xu_table,
 )
@@ -65,7 +65,7 @@ def test_02_closed_form_and_asymptote():
         limit = math.pi**2 / 8
         for n in range(2, 201):
             value = evaluate_chain(qm_chained_distribution(n)).value
-            assert abs(value - quantum_chain_closed_form(n)) < 1e-9
+            assert abs(value - noisy_chain_closed_form(n, 1.0)) < 1e-9
             if n >= 100:
                 assert abs(n * value - limit) < 0.01 * limit
 
@@ -152,7 +152,7 @@ def test_06_maximum_locality_figure():
 def test_07_leggett_falsification():
     def run():
         # Alice's (outcome, hidden) table is all the locality cap constrains.
-        chain_value = quantum_chain_closed_form(2)
+        chain_value = noisy_chain_closed_form(2, 1.0)
         report = locality_measure(xu_table(leggett_model(2, inplane_grid(360))), chain_value)
         assert report.cap == pytest.approx(CHSH_VALUE / 2, abs=1e-12)
         assert abs(report.max_distance - 1 / math.pi) < 1e-4

@@ -17,10 +17,8 @@ from chainedbell import (
     classical_min_chain_value,
     evaluate_chain,
     lp_min_chain_given_bias,
-    mix_with_noise,
     noisy_chain_closed_form,
     qm_chained_distribution,
-    quantum_chain_closed_form,
 )
 from chainedbell.chained import _chain_pair_lp
 from chainedbell.distributions import IDENTITY_TOL
@@ -126,7 +124,7 @@ class TestEvaluateChain:
     @pytest.mark.parametrize("n", range(2, 51))
     def test_quantum_matches_closed_form(self, n):
         score = evaluate_chain(qm_chained_distribution(n))
-        assert score.value == pytest.approx(quantum_chain_closed_form(n), abs=1e-9)
+        assert score.value == pytest.approx(noisy_chain_closed_form(n, 1.0), abs=1e-9)
 
     def test_term_breakdown_structure(self):
         n = 4
@@ -166,16 +164,19 @@ class TestEvaluateChain:
 
 class TestClosedForm:
     def test_chsh_closed_form(self):
-        assert quantum_chain_closed_form(2) == pytest.approx(2 - math.sqrt(2), abs=1e-15)
+        assert noisy_chain_closed_form(2, 1.0) == pytest.approx(2 - math.sqrt(2), abs=1e-15)
 
     def test_large_n_asymptote(self):
         limit = math.pi**2 / 8
         for n in (100, 1000, 10000):
-            assert n * quantum_chain_closed_form(n) == pytest.approx(limit, rel=1e-3)
+            assert n * noisy_chain_closed_form(n, 1.0) == pytest.approx(limit, rel=1e-3)
 
     def test_domain_bound(self):
-        with pytest.raises(ValueError):
-            quantum_chain_closed_form(1)
+        with pytest.raises(ValueError, match="chain parameter must be at least 2"):
+            noisy_chain_closed_form(1, 1.0)
+        # The visibility is checked first.
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
+            noisy_chain_closed_form(1, 2.0)
 
 
 class TestClassicalMinimum:
@@ -365,5 +366,5 @@ class TestNoiseScan:
     def test_closed_form_matches_direct_evaluation(self):
         for v in (1.0, 0.9, 0.4):
             for n in (2, 5):
-                direct = evaluate_chain(mix_with_noise(qm_chained_distribution(n), v)).value
+                direct = evaluate_chain(qm_chained_distribution(n, v)).value
                 assert noisy_chain_closed_form(n, v) == pytest.approx(direct, abs=1e-9)

@@ -22,9 +22,8 @@ from chainedbell import (
     ConditionalDistribution,
     HiddenVariableModel,
     evaluate_chain,
-    mix_with_noise,
+    noisy_chain_closed_form,
     qm_chained_distribution,
-    quantum_chain_closed_form,
     read_json_file,
     simulate_shots,
     simulate_shots_csv,
@@ -378,7 +377,7 @@ class TestCheck:
         from chainedbell import assert_nonsignaling, leggett_model
 
         if kind == "two_party":
-            dist = mix_with_noise(qm_chained_distribution(3), 0.93)
+            dist = qm_chained_distribution(3, 0.93)
         elif kind == "three_party":
             dist = hidden_joint_form(induced_distribution(leggett_model(2, [[0, 0, 1], [1, 0, 0]])))
         else:
@@ -539,7 +538,7 @@ class TestFalsify:
         # Weight W on a deterministic response and 1 - W on a uniform one
         # puts Alice's distance at W/2; W = I_N (1 +- 1e-6) sits just
         # below or above the cap I_N/2, by more than the 1e-9 tolerance.
-        w = quantum_chain_closed_form(n) * (1.0 + side * 1e-6)
+        w = noisy_chain_closed_form(n, 1.0) * (1.0 + side * 1e-6)
         r = np.empty((n, 2, 2))
         r[:, 0] = [1.0, 0.0]
         r[:, 1] = 0.5
@@ -552,7 +551,7 @@ class TestFalsify:
         assert payload["falsified"] is (side > 0)
         assert code == (1 if side > 0 else 0)
         # The record the verdict reads flips at the same edge.
-        record = hvm.locality_measure(hvm.xu_table(model), quantum_chain_closed_form(n))
+        record = hvm.locality_measure(hvm.xu_table(model), noisy_chain_closed_form(n, 1.0))
         assert record.passed is (side < 0)
 
     @pytest.mark.parametrize("n, shots", [(2, 2**62), (8, 2**60), (2, 2**63 - 1)])
@@ -1444,9 +1443,7 @@ class TestExperiment:
             "--seed", "1",
         )
         assert code == 0
-        table = qm_chained_distribution(n)
-        if visibility != 1.0:
-            table = mix_with_noise(table, visibility)
+        table = qm_chained_distribution(n, visibility)
         assert payload["reference_chain_value"] == evaluate_chain(table).value
 
     @pytest.mark.parametrize(
@@ -1653,8 +1650,8 @@ class TestGoldenStreams:
                              "alice_tables": [[0, 1], [1, 1], [0, 0]],
                              "bob_tables": [[1, 0], [0, 0]],
                              "uv_weights": [[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]},
-        "custom_table": {"type": "custom_table", "distribution": mix_with_noise(
-            qm_chained_distribution(3), 0.8).to_dict()},
+        "custom_table": {"type": "custom_table",
+                         "distribution": qm_chained_distribution(3, 0.8).to_dict()},
     }
 
     @pytest.mark.parametrize("kind", ["qm", "nonlocal_qm_4", "deterministic_uv", "leggett_24",
@@ -1666,7 +1663,7 @@ class TestGoldenStreams:
         n, shots, seed = (3 if kind == "custom_table" else 2), 70_000, 41
         if kind == "qm":
             source, extra = "qm", ("--visibility", "0.9")
-            drawn = mix_with_noise(qm_chained_distribution(n), 0.9)
+            drawn = qm_chained_distribution(n, 0.9)
         else:
             doc = self.MODEL_KINDS.get(kind, {**self.NONLOCAL_QM, "n_u": 4, "n_v": 4})
             source, extra = tmp_path / "model.json", ()

@@ -21,7 +21,6 @@ from chainedbell import (
     HiddenVariableModel,
     assert_nonsignaling,
     locality_bound_check,
-    mix_with_noise,
     qm_chained_distribution,
     read_json_file,
     write_json_file,
@@ -737,7 +736,7 @@ def perturbed_documents(draw):
     """A table's file as the writer writes it, then changed in one of the
     ways a hand-edited or foreign file differs from it."""
     p = draw(st.one_of(table_slices(), st.builds(
-        lambda n, v: mix_with_noise(qm_chained_distribution(n), v),
+        qm_chained_distribution,
         st.integers(2, 12), st.sampled_from([1.0, 0.93, 0.5]))))
     head, tokens = written_parts(p)
     i = draw(st.integers(0, len(tokens) - 1))
@@ -804,7 +803,7 @@ class TestWrittenLayoutReader:
     def test_writer_layout_takes_the_fast_route(self, tmp_path, head, sep):
         # The writer's layout, with other spacing or other fields before
         # the table (a table key there is overwritten, as json.loads does).
-        p = mix_with_noise(qm_chained_distribution(8), 0.93)
+        p = qm_chained_distribution(8, 0.93)
         written, tokens = written_parts(p)
         path = tmp_path / "t.json"
         path.write_text(layout_text(head or written, tokens, sep))
@@ -816,7 +815,7 @@ class TestWrittenLayoutReader:
     def test_table_of_many_chunks(self, tmp_path, where):
         # 40 000 entries, some 0.9 MB: a dozen chunks, each with a few new
         # values, and one odd entry in a late chunk.
-        p = mix_with_noise(qm_chained_distribution(100), 0.93)
+        p = qm_chained_distribution(100, 0.93)
         head, tokens = written_parts(p)
         if where is not None:
             tokens[where] = "true"
@@ -841,7 +840,7 @@ class TestWrittenLayoutReader:
     @pytest.mark.parametrize("token", _ODD_TOKENS)
     @pytest.mark.parametrize("where", [0, 100, -1])
     def test_each_odd_entry_in_a_fast_route_table(self, tmp_path, token, where):
-        p = mix_with_noise(qm_chained_distribution(8), 0.93)
+        p = qm_chained_distribution(8, 0.93)
         head, tokens = written_parts(p)
         tokens[where] = token
         path = tmp_path / "t.json"

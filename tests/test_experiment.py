@@ -28,7 +28,6 @@ from chainedbell import (
     leggett_model,
     local_deterministic_model,
     locality_cap,
-    mix_with_noise,
     nonlocal_qm_model,
     qm_chained_distribution,
     read_shots_csv,
@@ -169,7 +168,7 @@ class TestEstimator:
 
     @pytest.mark.parametrize("n", [2, 5, 12, 100])
     def test_integer_counts_give_the_float_counts_report(self, n):
-        counts, mism = sample_counts(mix_with_noise(qm_chained_distribution(n), 0.9),
+        counts, mism = sample_counts(qm_chained_distribution(n, 0.9),
                                      40 * n * n, seed=n)
         assert estimate_from_counts(counts, mism, 0.99) == \
             estimate_from_counts(counts.astype(float), mism.astype(float), 0.99)
@@ -624,7 +623,7 @@ MODEL_SOURCES = {
                                   uv_weights=[[0.2, 0.1], [0.0, 0.3], [0.25, 0.15]]),
         20_000, 65536),
     "table_weighted": (
-        HiddenVariableModel(table=mix_with_noise(qm_chained_distribution(3), 0.8),
+        HiddenVariableModel(table=qm_chained_distribution(3, 0.8),
                             p_u=[0.3, 0.7], p_v=[0.1, 0.5, 0.4]),
         30_000, 65536),
 }
@@ -632,7 +631,7 @@ MODEL_SOURCES = {
 
 SOURCES = {
     "qm": (qm_chained_distribution(3), 20_000, 65536),
-    "noisy_qm_small_chunks": (mix_with_noise(qm_chained_distribution(5), 0.9), 7_000, 1000),
+    "noisy_qm_small_chunks": (qm_chained_distribution(5, 0.9), 7_000, 1000),
     **MODEL_SOURCES,
 }
 

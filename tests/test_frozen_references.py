@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainedbell import ConditionalDistribution, cli, qm_chained_distribution
-from chainedbell.chained import evaluate_chain, quantum_chain_closed_form
+from chainedbell.chained import evaluate_chain, noisy_chain_closed_form
 from chainedbell.distributions import (
     NORM_TOL,
     _l1_upper_bounds,
@@ -36,7 +36,6 @@ from chainedbell.hvm import (
     sampled_xu_table,
     xu_table,
 )
-from chainedbell.quantum import mix_with_noise
 from lemmas import (
     reference_check_local_parts,
     reference_locality_distances,
@@ -148,21 +147,6 @@ class TestModelChecks:
 
 
 class TestNoiseAndBornTable:
-    @settings(max_examples=200, deadline=None)
-    @given(rule_arrays(ndims=(2, 4)),
-           st.one_of(st.sampled_from([0.0, 0.93, 1.0, np.nan, -0.1, 1.5]),
-                     st.floats(0.0, 1.0)))
-    def test_mix_matches_its_reference(self, drawn, visibility):
-        table, n_out = drawn
-        ndim = table.ndim
-        try:
-            dist = ConditionalDistribution(table.shape[:ndim - n_out], table.shape[ndim - n_out:],
-                                           table)
-        except ValueError:
-            return  # only tables that pass the rule are mixed
-        assert outcome(mix_with_noise, dist, visibility) == outcome(
-            reference_mix_with_noise, dist, visibility)
-
     @pytest.mark.parametrize("visibility", [None, 0.0, 0.93, 1.0])
     def test_qm_table_bits(self, visibility):
         for n in [*range(2, 65), 100, 200]:
@@ -263,7 +247,7 @@ def frozen_falsify(args, model) -> tuple[dict, int]:
             p_xu, marginal_tol=max(1e-6, cells * radius))
         payload["mode"] = "monte_carlo"
         payload["shots_per_pair"] = args.shots
-    bound = 0.5 * quantum_chain_closed_form(n)
+    bound = 0.5 * noisy_chain_closed_form(n, 1.0)
     falsified = max_distance > bound + stat_tol
     payload.update({
         "per_setting_distance": [[a, d] for a, d in enumerate(per_setting)],
@@ -417,7 +401,7 @@ class TestLocalityVerdicts:
     def test_falsify_at_the_edge_of_the_cap(self, n, side):
         # Alice's distance W/2 at W = I_N (1 +- 1e-6): just below or above
         # the cap, where the two comparisons must agree.
-        w = quantum_chain_closed_form(n) * (1.0 + side * 1e-6)
+        w = noisy_chain_closed_form(n, 1.0) * (1.0 + side * 1e-6)
         r = np.empty((n, 2, 2))
         r[:, 0], r[:, 1] = [1.0, 0.0], 0.5
         model = HiddenVariableModel(alice=r, bob=r, p_u=[w, 1.0 - w], p_v=[w, 1.0 - w])

@@ -25,12 +25,11 @@ from chainedbell import (
     local_deterministic_model,
     locality_bound_check,
     locality_measure,
-    mix_with_noise,
     model_from_dict,
     model_from_json_file,
+    noisy_chain_closed_form,
     nonlocal_qm_model,
     qm_chained_distribution,
-    quantum_chain_closed_form,
     sampled_xu_table,
     xu_table,
 )
@@ -186,6 +185,14 @@ class TestModelConstruction:
             HiddenVariableModel(table=table, p_uv=[[1.0]])
         with pytest.raises(ValueError, match=re.escape("(N, k, 2)")):
             HiddenVariableModel(alice=responses, bob=np.full((3, 1, 2), 0.5))
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_a_table_with_one_stray_response_is_rejected(self, side):
+        # A table model keeps None for both responses; a stray one is an
+        # error, not an attribute kept unchecked.
+        table = qm_chained_distribution(2)
+        with pytest.raises(ValueError, match="alice and bob, or one table"):
+            HiddenVariableModel(table=table, **{side: [[1, 2, 3]]})
 
 
 def random_vector_grid(rng, k):
@@ -668,7 +675,7 @@ def two_party_chain_tables(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     form = draw(st.sampled_from(["quantum", "product", "rows", "deterministic"]))
     if form == "quantum":
-        return mix_with_noise(qm_chained_distribution(n), draw(st.sampled_from([1.0, 0.9, 0.3])))
+        return qm_chained_distribution(n, draw(st.sampled_from([1.0, 0.9, 0.3])))
     if form == "deterministic":
         k = draw(st.integers(1, 4))
         return chain_table(local_deterministic_model(
@@ -845,7 +852,7 @@ EXACT_TOL = 1e-9
 def leggett_verdict(n, vectors):
     """The exact ``falsify`` record of a Leggett model: Alice's per-side
     table against half the quantum chain value."""
-    return locality_measure(xu_table(leggett_model(n, vectors)), quantum_chain_closed_form(n))
+    return locality_measure(xu_table(leggett_model(n, vectors)), noisy_chain_closed_form(n, 1.0))
 
 
 class TestFalsifyLeggett:
@@ -876,7 +883,7 @@ class TestFalsifyLeggett:
         for n in range(2, 8):
             rec = leggett_verdict(n, inplane_grid(180))
             assert not rec.passed
-            assert rec.cap == pytest.approx(quantum_chain_closed_form(n) / 2)
+            assert rec.cap == pytest.approx(noisy_chain_closed_form(n, 1.0) / 2)
 
 
 class TestModelJson:
@@ -905,7 +912,7 @@ class TestModelJson:
     def test_nonlocal_qm_document(self):
         m = model_from_dict({"type": "nonlocal_qm", "n": 3, "visibility": 0.8})
         p = chain_table(m)
-        expected = 0.8 * quantum_chain_closed_form(3) + 0.2 * 3
+        expected = 0.8 * noisy_chain_closed_form(3, 1.0) + 0.2 * 3
         assert evaluate_chain(p).value == pytest.approx(expected, abs=1e-9)
 
     def test_leggett_uv_weights_are_divided_once(self):

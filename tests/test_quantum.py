@@ -8,7 +8,6 @@ import pytest
 from chainedbell import (
     assert_nonsignaling,
     evaluate_chain,
-    mix_with_noise,
     qm_chained_distribution,
 )
 from chainedbell.quantum import _chained_angles, _outcome_states
@@ -128,33 +127,35 @@ class TestChainedDistribution:
 
 
 class TestNoise:
-    def test_full_visibility_is_identity(self):
-        p = qm_chained_distribution(2)
-        assert mix_with_noise(p, 1.0) == p
+    def test_full_visibility_is_the_ideal_table(self):
+        assert qm_chained_distribution(2, 1.0) == qm_chained_distribution(2)
 
     def test_zero_visibility_is_uniform(self):
-        p = mix_with_noise(qm_chained_distribution(2), 0.0)
+        p = qm_chained_distribution(2, 0.0)
         assert np.abs(p.table - 0.25).max() < 1e-15
 
-    def test_visibility_out_of_range(self):
-        p = qm_chained_distribution(2)
-        for v in (-0.1, 1.1):
-            with pytest.raises(ValueError, match="visibility"):
-                mix_with_noise(p, v)
+    @pytest.mark.parametrize("v", [float("nan"), -0.1, 1.5])
+    def test_visibility_off_the_unit_interval(self, v):
+        with pytest.raises(ValueError, match=r"^visibility must lie in \[0, 1\]$"):
+            qm_chained_distribution(2, v)
+
+    def test_chain_length_is_checked_before_visibility(self):
+        with pytest.raises(ValueError, match="chain parameter must be at least 2"):
+            qm_chained_distribution(1, 2.0)
 
     def test_chain_value_is_affine_in_the_table(self):
         # Direct evaluation is the oracle for the mixing arithmetic: the
         # uniform table's chain value is N, so the mix lands at
         # v*value + (1-v)*N.
         n = 2
-        p = qm_chained_distribution(n)
-        uniform_value = evaluate_chain(mix_with_noise(p, 0.0)).value
+        ideal = evaluate_chain(qm_chained_distribution(n)).value
+        uniform_value = evaluate_chain(qm_chained_distribution(n, 0.0)).value
         assert uniform_value == pytest.approx(float(n), abs=1e-12)
         for v in (0.9, 0.5, 0.25):
-            mixed = evaluate_chain(mix_with_noise(p, v)).value
-            expected = v * evaluate_chain(p).value + (1 - v) * uniform_value
+            mixed = evaluate_chain(qm_chained_distribution(n, v)).value
+            expected = v * ideal + (1 - v) * uniform_value
             assert mixed == pytest.approx(expected, abs=1e-12)
 
     def test_preserves_nonsignaling(self):
-        p = mix_with_noise(qm_chained_distribution(3), 0.7)
+        p = qm_chained_distribution(3, 0.7)
         assert assert_nonsignaling(p, 1e-12).passed

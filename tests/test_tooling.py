@@ -4,7 +4,8 @@ rule lives, its one sampler, its one locality kernel, its one cap rule,
 its one model document reader, its plain model record, its one table
 float formatter, its one tolerance ledger, the one owner of each
 argument check, its one command-line parse, no private helper or
-public function left uncalled, and N read from the data it comes with."""
+public function left uncalled, N read from the data it comes with, and
+its one visibility-v quantum source."""
 
 import ast
 import contextlib
@@ -527,7 +528,7 @@ class TestOneCapRule:
         code, check = run_main("check", str(table), "--locality-bound")
         assert code == 0
         assert check["locality_bound"]["bound"] == self.marked(qm["chain_value"])
-        ideal = self.marked(chainedbell.quantum_chain_closed_form(3))
+        ideal = self.marked(chainedbell.noisy_chain_closed_form(3, 1.0))
         for shots in ([], ["--shots", "1000", "--seed", "1"]):
             code, falsify = run_main("falsify", str(model), "--n", "3", *shots)
             assert (code, falsify["bound"], falsify["falsified"]) == (0, ideal, False)
@@ -960,3 +961,55 @@ class TestNFromTheData:
             experiment.estimate_from_counts(counts, np.zeros((3, 3), dtype=int), 0.99)
         with pytest.raises(ValueError, match="must be \\(N, N\\) arrays"):
             experiment.estimate_from_counts(counts[:3], counts[:3] * 0, 0.99)
+
+
+def _named_visibility(node: ast.AST) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name == "visibility"
+
+
+def mixes_visibility(node: ast.AST) -> bool:
+    """An arithmetic node with an operand named ``visibility``, bare or as
+    an attribute."""
+    if isinstance(node, ast.BinOp):
+        return _named_visibility(node.left) or _named_visibility(node.right)
+    if isinstance(node, ast.AugAssign):
+        return _named_visibility(node.target) or _named_visibility(node.value)
+    return False
+
+
+class TestOneQuantumSource:
+    """The visibility-v quantum table is built by one function and its
+    chain value has one closed form: no other function of ``src/`` does
+    arithmetic on a visibility."""
+
+    def test_the_package_exports_no_second_source(self):
+        for name in ("mix_with_noise", "quantum_chain_closed_form"):
+            assert not hasattr(chainedbell, name), name
+
+    def test_only_the_builder_and_the_closed_form_mix(self):
+        found = sorted(f"{path.name}:{name}"
+                       for path in sorted((ROOT / "src" / "chainedbell").glob("*.py"))
+                       for name in owners(path.read_text(), mixes_visibility))
+        assert found == ["chained.py:noisy_chain_closed_form",
+                         "quantum.py:qm_chained_distribution"]
+
+    def test_the_check_sees_a_planted_violation(self):
+        source = (
+            "def qm_chained_distribution(n, visibility=1.0):\n"
+            "    table *= visibility\n"
+            "def mix_with_noise(p, visibility):\n"
+            "    '''visibility * p.table, in a docstring, is no arithmetic.'''\n"
+            "    return visibility * p.table + (1.0 - visibility) * 0.25\n"
+            "def cmd_qm(args):\n"
+            "    v = 1.0 if args.visibility is None else args.visibility\n"
+            "    return [v] * 3\n"
+            "def cmd_scan(args):\n"
+            "    return args.visibility * 2.0\n"
+            "def scale(table, visibility):\n"
+            "    def inner():\n"
+            "        table[0] -= visibility\n"
+            "    return inner\n"
+        )
+        assert owners(source, mixes_visibility) == ["cmd_scan", "inner", "mix_with_noise",
+                                                    "qm_chained_distribution"]
