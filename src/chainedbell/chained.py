@@ -291,7 +291,7 @@ def lp_min_chain_given_bias(n: int, delta: float) -> BiasedChainLP:
     table = pa[:, None, :, None] * pb[None, :, None, :]
     a_idx, b_idx, _ = zip(*pairs)
     table[a_idx, b_idx] = joints
-    argmin = ConditionalDistribution((n, n), (2, 2), table)
+    argmin = ConditionalDistribution(table)
     return BiasedChainLP(
         values[0], values[0] - 2.0 * delta, argmin, (values[0], values[1]), (duals[0], duals[1])
     )

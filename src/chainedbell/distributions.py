@@ -53,10 +53,12 @@ _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 class ConditionalDistribution:
     """A table P(x_1 .. x_n | a_1 .. a_n) over finite per-party alphabets.
 
-    Party ``i`` owns input ``a_i`` (``input_sizes[i]`` values; size 1 means
-    "no input") and output ``x_i`` (``output_sizes[i]`` values).  ``table``
-    is indexed ``[a_1, ..., a_n, x_1, ..., x_n]`` in row-major order and
-    every conditional slice sums to 1 within ``NORM_TOL``.
+    ``table`` is indexed ``[a_1, ..., a_n, x_1, ..., x_n]`` in row-major
+    order, and the sizes are read from its shape: the party count n is half
+    its rank, party i's input is axis i and its output axis n + i (counting
+    from 0).  So ``input_sizes`` is the first half of ``table.shape`` (size
+    1 means "no input") and ``output_sizes`` the second.  Every conditional
+    slice sums to 1 within ``NORM_TOL``.
 
     Construction checks, clamps and normalises the table by the rule of
     :func:`_normalised`, which model kernels follow too.  A C-ordered float
@@ -65,26 +67,17 @@ class ConditionalDistribution:
 
     __slots__ = ("input_sizes", "output_sizes", "table")
 
-    def __init__(
-        self,
-        input_sizes: Sequence[int],
-        output_sizes: Sequence[int],
-        table: np.ndarray,
-    ):
-        input_sizes = tuple(map(int, input_sizes))
-        output_sizes = tuple(map(int, output_sizes))
-        if not input_sizes or len(input_sizes) != len(output_sizes):
-            raise ValueError("need one input and one output alphabet per party")
-        if min(input_sizes + output_sizes) < 1:
-            raise ValueError("alphabet sizes must be >= 1")
+    def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
-        expected = input_sizes + output_sizes
-        if table.shape != expected:
-            raise ValueError(f"table shape {table.shape} does not match {expected}")
-        table = _normalised(table, len(output_sizes))
+        n = table.ndim // 2
+        if not n or table.ndim % 2:
+            raise ValueError("need one input and one output alphabet per party")
+        if not table.size:
+            raise ValueError("alphabet sizes must be >= 1")
+        table = _normalised(table, n)
         table.setflags(write=False)
-        object.__setattr__(self, "input_sizes", input_sizes)
-        object.__setattr__(self, "output_sizes", output_sizes)
+        object.__setattr__(self, "input_sizes", table.shape[:n])
+        object.__setattr__(self, "output_sizes", table.shape[n:])
         object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
@@ -123,15 +116,11 @@ class ConditionalDistribution:
         shape = tuple(inputs) + tuple(outputs)
         if flat.size != math.prod(shape):  # np.prod wraps past int64
             raise ValueError("flat table length does not match the sizes")
-        return cls(tuple(inputs), tuple(outputs), flat.reshape(shape))
+        return cls(flat.reshape(shape))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConditionalDistribution)
-            and self.input_sizes == other.input_sizes
-            and self.output_sizes == other.output_sizes
-            and np.array_equal(self.table, other.table)
-        )
+        return (isinstance(other, ConditionalDistribution)
+                and np.array_equal(self.table, other.table))
 
     __hash__ = None
 
@@ -154,31 +143,28 @@ def _slice_sums(flat: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _normalised(table: np.ndarray, n_out: int, lo=None, sums=None) -> np.ndarray:
-    """The one check-clamp-normalise rule for tables, model kernels and
-    per-setting rows, applied to the slices over the last ``n_out`` axes of
-    a float array, which is never written.
+def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
+    """The one check-clamp-normalise rule for tables, model kernels,
+    per-setting rows and weights, applied to the slices over the last
+    ``n_out`` axes of a float array, which is never written.
 
     Entries must be finite; negative dust down to ``-NORM_TOL`` (as LP
     solvers and float subtraction leave it) is clamped to 0.  A slice off 1
     by more than ``NORM_TOL`` is rejected, and one off by more than
     ``_RENORM_TRIGGER`` is divided by its sum; every other slice keeps its
-    bits.  The result is C-ordered: ``table`` itself when nothing changed.
-    A caller that checked the entries passes their minimum ``lo`` (and the
-    slice sums of a C-ordered ``table``, used if ``lo >= 0``)."""
-    if lo is None:
-        # NaN propagates through min and max, and an infinity ends up in one;
-        # the ufuncs' own reduce skips ndarray.min's Python wrappers.
-        lo, hi = float(_MIN(table, None)), float(_MAX(table, None))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("table entries must be finite")
-        if lo < -NORM_TOL:
-            raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
+    bits.  The result is C-ordered: ``table`` itself when nothing changed."""
+    # NaN propagates through min and max, and an infinity ends up in one;
+    # the ufuncs' own reduce skips ndarray.min's Python wrappers.
+    lo, hi = float(_MIN(table, None)), float(_MAX(table, None))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("table entries must be finite")
+    if lo < -NORM_TOL:
+        raise ValueError(f"negative entry {lo} below -{NORM_TOL}")
     if lo < 0.0:
-        table, sums = np.clip(table, 0.0, None), None
+        table = np.clip(table, 0.0, None)
     table = np.ascontiguousarray(table)
     flat = table.reshape(-1, math.prod(table.shape[table.ndim - n_out:]))
-    sums = _slice_sums(flat) if sums is None else sums
+    sums = _slice_sums(flat)
     # The largest |sum - 1| bit for bit (rounding is monotone), unallocated.
     worst = max(float(_MAX(sums)) - 1.0, 1.0 - float(_MIN(sums)))
     if worst > NORM_TOL:

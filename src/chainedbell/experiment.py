@@ -170,10 +170,9 @@ def _cell_rows(n: int) -> np.ndarray:
     return np.indices((n, n, 2, 2), dtype=np.int64).reshape(4, -1).T.copy()
 
 
-def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray,
-                 sides: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray) -> list[np.ndarray]:
     """Each row's hidden pair (u, v), drawn from P(u, v | a, b, x, y) given
-    the row's cell and the stream's per-cell side keys ``sides``: Alice's
+    the row's cell 4*(a*N + b) + 2*x + y, read as the side keys Alice's
     ``a*2 + x`` and Bob's ``b*2 + y``.
 
     A table does not depend on the hidden pair, so its posterior is the
@@ -185,10 +184,11 @@ def _hidden_pair(rng, model: HiddenVariableModel, cells: np.ndarray,
     if model.table is not None:
         return [_inverse_cdf(np.cumsum(w), rng.random(len(cells))) for w in (model.p_u, model.p_v)]
     alice, bob = model.alice, model.bob
-    bob_key = sides[1][cells]
+    n4 = 4 * model.n_settings
+    bob_key = cells % n4 // 4 * 2 + (cells & 1)
     if model.p_uv is None:
         return [
-            _grouped_draws(rng, sides[0][cells],
+            _grouped_draws(rng, cells // n4 * 2 + (cells >> 1 & 1),
                            lambda g: model.p_u * alice[g >> 1, :, g & 1]),
             _grouped_draws(rng, bob_key, lambda g: model.p_v * bob[g >> 1, :, g & 1]),
         ]
@@ -227,10 +227,6 @@ def _draws(model, table: ConditionalDistribution, shots: int,
     rng = np.random.default_rng(seed)
     remaining = _draw_cells(rng, table, shots)
     cells = np.arange(remaining.size)
-    # A model's side keys a*2 + x and b*2 + y of each cell 4*(a*N + b) + 2*x + y.
-    n4 = 4 * table.input_sizes[0]
-    sides = None if model is None else (cells // n4 * 2 + (cells >> 1 & 1),
-                                         cells % n4 // 4 * 2 + (cells & 1))
     left = shots
     while left:
         k = min(_CHUNK_ROWS, left)
@@ -242,7 +238,7 @@ def _draws(model, table: ConditionalDistribution, shots: int,
         left -= k
         drawn = np.repeat(cells, part)
         rng.shuffle(drawn)
-        yield drawn, ([] if model is None else _hidden_pair(rng, model, drawn, sides))
+        yield drawn, ([] if model is None else _hidden_pair(rng, model, drawn))
 
 
 def simulate_shots(source, shots: int, seed: int) -> Iterator[np.ndarray]:

@@ -30,7 +30,6 @@ from .distributions import (
     _check_numeric_fields,
     _load_json,
     _normalised,
-    _slice_sums,
     assert_nonsignaling,
 )
 from .quantum import _chained_angles, qm_chained_distribution
@@ -158,10 +157,10 @@ def _unit_vectors(vectors, name: str) -> np.ndarray:
 
 def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``weights`` checked to have ``shape``, to be finite and non-negative
-    and to sum to 1 within ``NORM_TOL``; returned by the table rule
-    (:func:`_normalised`, the whole array one slice, given the reductions
-    made here; a C-ordered array's slice sum is ``w.sum()``): clipped at 0,
-    and divided by their sum only if it is off 1 by more than 1e-12."""
+    and to sum to 1 within ``NORM_TOL``, each check with its own message;
+    returned by the table rule (:func:`_normalised`, the whole array one
+    slice): clipped at 0, and divided by their sum only if it is off 1 by
+    more than 1e-12."""
     w = np.asarray(weights, dtype=float)
     if w.shape != shape:
         raise ValueError(f"{name} must have shape {shape}")
@@ -170,11 +169,10 @@ def _weights(weights, shape: tuple[int, ...], name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     if lo < -NORM_TOL:
         raise ValueError(f"{name} must be non-negative")
-    sums = _slice_sums(w.reshape(1, -1)) if w.flags.c_contiguous else None
-    total = float(np.add.reduce(w, None) if sums is None else sums[0])
+    total = float(np.add.reduce(w, None))
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"{name} must sum to 1, got {total}")
-    return _normalised(w, w.ndim, lo, sums)
+    return _normalised(w, w.ndim)
 
 
 def _malus_responses(angles, vectors: np.ndarray) -> np.ndarray:
@@ -278,7 +276,7 @@ def xu_table(model: HiddenVariableModel) -> ConditionalDistribution:
     table = np.empty((n, 1, 2, nu))
     for x, plane in enumerate(planes):
         np.multiply(model.p_u, plane, out=table[:, 0, x])
-    return ConditionalDistribution((n, 1), (2, nu), table)
+    return ConditionalDistribution(table)
 
 
 def sampled_xu_table(p_xu: ConditionalDistribution, samples: int, seed) -> ConditionalDistribution:
@@ -288,7 +286,7 @@ def sampled_xu_table(p_xu: ConditionalDistribution, samples: int, seed) -> Condi
     shape = p_xu.table.shape
     rows = p_xu.table.reshape(shape[0], -1)
     freq = np.random.default_rng(seed).multinomial(samples, rows) / float(samples)
-    return ConditionalDistribution(p_xu.input_sizes, p_xu.output_sizes, freq.reshape(shape))
+    return ConditionalDistribution(freq.reshape(shape))
 
 
 def chain_table(model: HiddenVariableModel) -> ConditionalDistribution:
@@ -297,14 +295,13 @@ def chain_table(model: HiddenVariableModel) -> ConditionalDistribution:
     weights, or the two responses contracted through ``p_uv``."""
     if model.table is not None:
         return model.table
-    n = model.n_settings
     if model.p_uv is None:
         pa = np.einsum("u,aux->ax", model.p_u, model.alice)
         pb = np.einsum("v,bvy->by", model.p_v, model.bob)
         t = pa[:, None, :, None] * pb[None, :, None, :]
     else:
         t = np.einsum("aux,uv,bvy->abxy", model.alice, model.p_uv, model.bob, optimize=True)
-    return ConditionalDistribution((n, n), (2, 2), t)
+    return ConditionalDistribution(t)
 
 
 def locality_cap(chain_value: float) -> float:
@@ -468,15 +465,14 @@ def locality_bound_check(
     t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]  # (N, N, n_c, 2, 2, oz)
     n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)  # chain table at the first C value
-    chain_value = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
+    chain_value = evaluate_chain(ConditionalDistribution(xy)).value
     # One (x, (c, z)) joint per setting, the other side's outcome summed
     # out: Alice's settings at Bob's first, then Bob's at Alice's first.
     joints = np.empty((2, n, 2, n_c, t.shape[-1]))
     np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0].transpose(0, 2, 1, 3))
     np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1].transpose(0, 2, 1, 3))
     joints *= 1.0 / n_c
-    rows = ConditionalDistribution((2 * n, 1), (2, n_c * t.shape[-1]),
-                                   joints.reshape(2 * n, 1, 2, -1))
+    rows = ConditionalDistribution(joints.reshape(2 * n, 1, 2, -1))
     return ns, locality_measure(rows, chain_value)
 
 

@@ -58,4 +58,4 @@ def qm_chained_distribution(n: int, visibility: float = 1.0) -> ConditionalDistr
     if visibility != 1.0:
         table *= visibility
         table += (1.0 - visibility) * 0.25
-    return ConditionalDistribution((n, n), (2, 2), table)
+    return ConditionalDistribution(table)

@@ -75,9 +75,7 @@ class Distribution(ConditionalDistribution):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim == 0:
             raise ValueError("a distribution needs at least one component")
-        super().__init__(
-            (1,) * probs.ndim, probs.shape, probs.reshape((1,) * probs.ndim + probs.shape)
-        )
+        super().__init__(probs.reshape((1,) * probs.ndim + probs.shape))
 
     @property
     def probs(self) -> np.ndarray:
@@ -157,7 +155,7 @@ def strategy_distribution(strategy) -> ConditionalDistribution:
     for a in range(n):
         for b in range(n):
             table[a, b, strategy.alice_map[a], strategy.bob_map[b]] = 1.0
-    return ConditionalDistribution((n, n), (2, 2), table)
+    return ConditionalDistribution(table)
 
 
 def as_distribution(p: ConditionalDistribution) -> Distribution:
@@ -191,8 +189,7 @@ def marginalize(p: ConditionalDistribution, keep_outputs) -> ConditionalDistribu
     if not drop:
         return p
     table = p.table.sum(axis=tuple(p.n_parties + i for i in drop), keepdims=True)
-    outputs = tuple(1 if i in drop else s for i, s in enumerate(p.output_sizes))
-    return ConditionalDistribution(p.input_sizes, outputs, table)
+    return ConditionalDistribution(table)
 
 
 def average_conditional_distance(
@@ -260,9 +257,7 @@ def induced_distribution(model) -> ConditionalDistribution:
     indices as outputs and have no inputs."""
     n, nu, nv = model.n_settings, model.n_u, model.n_v
     t = np.einsum("uv,abuvxy->abxyuv", dense_weights(model), dense_kernels(model))
-    return ConditionalDistribution(
-        (n, n, 1, 1), (2, 2, nu, nv), t.reshape(n, n, 1, 1, 2, 2, nu, nv)
-    )
+    return ConditionalDistribution(t.reshape(n, n, 1, 1, 2, 2, nu, nv))
 
 
 def hidden_joint_form(p4: ConditionalDistribution) -> ConditionalDistribution:
@@ -274,7 +269,7 @@ def hidden_joint_form(p4: ConditionalDistribution) -> ConditionalDistribution:
     n_a, n_b = p4.input_sizes[:2]
     ox, oy, nu, nv = p4.output_sizes
     table = p4.table.reshape(n_a, n_b, 1, ox, oy, nu * nv)
-    return ConditionalDistribution((n_a, n_b, 1), (ox, oy, nu * nv), table)
+    return ConditionalDistribution(table)
 
 
 def xu_conditional(
@@ -298,7 +293,7 @@ def xu_conditional(
         if dev > tol:
             raise ValueError(f"Alice-side table depends on Bob's setting (deviation {dev})")
     reduced = marg.mean(axis=1) if average_b else marg[:, 0]
-    return ConditionalDistribution((n_a, 1), (ox, nu), reduced.reshape(n_a, 1, ox, nu))
+    return ConditionalDistribution(reduced.reshape(n_a, 1, ox, nu))
 
 
 def leggett_xu_table(n: int, vectors, weights=None) -> ConditionalDistribution:
@@ -314,7 +309,7 @@ def leggett_xu_table(n: int, vectors, weights=None) -> ConditionalDistribution:
     table = np.empty((n, 1, 2, k))
     table[:, 0, 0, :] = w[None, :] * p0
     table[:, 0, 1, :] = w[None, :] * (1.0 - p0)
-    return ConditionalDistribution((n, 1), (2, k), table)
+    return ConditionalDistribution(table)
 
 
 def falsify_leggett(n: int, vectors, weights=None) -> LocalityReport:
@@ -434,7 +429,7 @@ def reference_mix_with_noise(p: ConditionalDistribution, visibility: float):
         raise ValueError("visibility must lie in [0, 1]")
     u = 1.0 / float(np.prod(p.output_sizes))
     table = visibility * p.table + (1.0 - visibility) * u
-    return ConditionalDistribution(p.input_sizes, p.output_sizes, table)
+    return ConditionalDistribution(table)
 
 
 def reference_qm_table(n: int, visibility: float | None = None) -> ConditionalDistribution:
@@ -449,7 +444,7 @@ def reference_qm_table(n: int, visibility: float | None = None) -> ConditionalDi
 
     psi = np.eye(2) / math.sqrt(2.0)
     amps = np.einsum("axi,byj,ij->abxy", states(alice), np.asfortranarray(states(bob)), psi)
-    table = ConditionalDistribution((n, n), (2, 2), amps * amps)
+    table = ConditionalDistribution(amps * amps)
     return table if visibility is None else reference_mix_with_noise(table, visibility)
 
 

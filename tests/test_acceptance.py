@@ -91,7 +91,7 @@ def test_04_nonsignaling():
         for a in range(2):
             for b in range(2):
                 table[a, b, b, 0] = 1.0
-        rep = assert_nonsignaling(ConditionalDistribution((2, 2), (2, 2), table))
+        rep = assert_nonsignaling(ConditionalDistribution(table))
         assert not rep.passed
         assert abs(rep.max_violation - 1.0) < 1e-12
 

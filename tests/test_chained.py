@@ -138,7 +138,7 @@ class TestEvaluateChain:
         assert math.fsum(c for _, _, c in score.terms) == pytest.approx(score.value)
 
     def test_shape_mismatch_rejected(self):
-        p = ConditionalDistribution((3, 2), (2, 2), np.full((3, 2, 2, 2), 0.25))
+        p = ConditionalDistribution(np.full((3, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="settings"):
             evaluate_chain(p)
 
@@ -147,9 +147,7 @@ class TestEvaluateChain:
         p = qm_chained_distribution(n)
         q = strategy_distribution(DeterministicStrategy((0,) * n, (1,) * n))
         for lam in (0.25, 0.5, 0.9):
-            mixed = ConditionalDistribution(
-                (n, n), (2, 2), lam * p.table + (1 - lam) * q.table
-            )
+            mixed = ConditionalDistribution(lam * p.table + (1 - lam) * q.table)
             expected = lam * evaluate_chain(p).value + (1 - lam) * evaluate_chain(q).value
             assert evaluate_chain(mixed).value == pytest.approx(expected, abs=1e-12)
 
@@ -158,7 +156,7 @@ class TestEvaluateChain:
         for _ in range(50):
             t = rng.random((3, 3, 2, 2))
             t /= t.sum(axis=(2, 3), keepdims=True)
-            p = ConditionalDistribution((3, 3), (2, 2), t)
+            p = ConditionalDistribution(t)
             assert evaluate_chain(p).value >= 0.0
 
 
@@ -248,7 +246,7 @@ class TestClassicalMinimum:
         weights = rng.random(len(strategies))
         weights /= weights.sum()
         table = sum(w * strategy_distribution(s).table for w, s in zip(weights, strategies))
-        p = ConditionalDistribution((n, n), (2, 2), table)
+        p = ConditionalDistribution(table)
         assert evaluate_chain(p).value >= 1.0 - 1e-12
 
 

@@ -173,7 +173,7 @@ class TestStdoutTable:
 
     def test_signed_zeros_keep_their_text(self):
         table = ConditionalDistribution(
-            (1, 2), (2, 2), np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.0]).reshape(1, 2, 2, 2))
+            np.array([1.0, 0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.0]).reshape(1, 2, 2, 2))
         payload = {"n": 2, "argmin": table, "after": [0.0, -0.0]}
         text = cli._payload_text(payload)
         assert text == json.dumps({**payload, "argmin": table.to_dict()}, indent=2)
@@ -256,7 +256,7 @@ class TestCheck:
         for a in range(2):
             for b in range(2):
                 table[a, b, b, 0] = 1.0
-        dist = ConditionalDistribution((2, 2), (2, 2), table)
+        dist = ConditionalDistribution(table)
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(dist.to_dict()))
         code, payload = run_cli(capsys, "check", str(path))
@@ -286,7 +286,7 @@ class TestCheck:
         out = tmp_path / "det.json"
         table = np.zeros((2, 2, 2, 2))
         table[:, :, 0, 0] = 1.0  # both sides always answer 0: exactly non-signaling
-        out.write_text(json.dumps(ConditionalDistribution((2, 2), (2, 2), table).to_dict()))
+        out.write_text(json.dumps(ConditionalDistribution(table).to_dict()))
         code, payload = run_cli(capsys, "check", str(out), "--tol", "0", *locality)
         assert code == 0
         assert payload["nonsignaling"] == {"max_violation": 0.0, "passed": True, "tol": 0.0}
@@ -385,7 +385,7 @@ class TestCheck:
             for a in range(2):
                 for b in range(2):
                     table[a, b, b, 0] = 1.0
-            dist = ConditionalDistribution((2, 2), (2, 2), table)
+            dist = ConditionalDistribution(table)
         path = tmp_path / "table.json"
         path.write_text(json.dumps(dist.to_dict()))
         calls = []
@@ -2080,7 +2080,7 @@ class TestGoldenCheck:
             table = np.zeros((2, 2, 2, 2))
             for b in range(2):
                 table[:, b, b, 0] = 1.0
-            dist = ConditionalDistribution((2, 2), (2, 2), table)
+            dist = ConditionalDistribution(table)
         else:  # three-party Leggett exports; the hidden output has 4, 9 or 100 values
             vectors = {
                 "leggett3": [[0, 0, 1], [1, 0, 0]],

@@ -48,7 +48,7 @@ def random_conditional(rng, input_sizes, output_sizes):
     t = rng.random(shape)
     axes = tuple(range(len(input_sizes), len(shape)))
     t = t / t.sum(axis=axes, keepdims=True)
-    return ConditionalDistribution(input_sizes, output_sizes, t)
+    return ConditionalDistribution(t)
 
 
 class TestConstruction:
@@ -65,9 +65,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sum to 1"):
             Distribution([0.6, 0.6])
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            ConditionalDistribution((2,), (2,), np.ones((2, 3)) / 3)
+    @pytest.mark.parametrize("table, message", [
+        (np.array(1.0), "need one input and one output alphabet per party"),
+        (np.full((1, 2, 2), 0.25), "need one input and one output alphabet per party"),
+        (np.ones((2, 0)), "alphabet sizes must be >= 1"),
+    ], ids=["0-d", "rank-3", "zero-length-axis"])
+    def test_sizes_read_from_the_shape_rejected(self, table, message):
+        # The sizes are the two halves of the shape, so only the shape can be wrong.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConditionalDistribution(table)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -168,7 +174,7 @@ class TestNonSignaling:
         pa = random_conditional(rng, (3,), (2,))
         pb = random_conditional(rng, (4,), (3,))
         table = np.einsum("ax,by->abxy", pa.table, pb.table)
-        p = ConditionalDistribution((3, 4), (2, 3), table)
+        p = ConditionalDistribution(table)
         rep = assert_nonsignaling(p)
         assert rep.passed
         assert rep.max_violation < 1e-12
@@ -179,7 +185,7 @@ class TestNonSignaling:
         for a in range(2):
             for b in range(2):
                 table[a, b, b, 0] = 1.0
-        p = ConditionalDistribution((2, 2), (2, 2), table)
+        p = ConditionalDistribution(table)
         rep = assert_nonsignaling(p)
         assert not rep.passed
         assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
@@ -199,9 +205,9 @@ class TestNonSignaling:
         mb = np.array([(p, 1 - p) for p in (0.3, 0.3)])
         xy = ma[:, None, :, None] * mb[None, :, None, :]
         table = np.broadcast_to(xy[:, :, None, :, :, None], (2, 2, n_c, 2, 2, 1))
-        p3 = ConditionalDistribution((2, 2, n_c), (2, 2, 1), table)
+        p3 = ConditionalDistribution(table)
         assert assert_nonsignaling(p3, 0.0) == NonSignalingReport(0.0, True, 0.0)
-        assert assert_nonsignaling(ConditionalDistribution((2, 2), (2, 2), xy), 0.0).passed
+        assert assert_nonsignaling(ConditionalDistribution(xy), 0.0).passed
 
 
 def broadcast_max_tv(arr):
@@ -385,7 +391,7 @@ class TestNormalised:
         table = np.array([[0.5, 0.5 + 5e-12], [0.25, 0.75 + 1e-13]])
         sums = table.sum(axis=1)
         assert abs(sums[0] - 1.0) > 1e-12 and 0.0 < abs(sums[1] - 1.0) < 1e-12
-        d = ConditionalDistribution((2,), (2,), table)
+        d = ConditionalDistribution(table)
         assert np.array_equal(bits(d.table[0]), bits(table[0] / sums[0]))
         assert np.array_equal(bits(d.table[1]), bits(table[1]))
         # Model tables follow the same rule, slice by slice; so do the
@@ -393,7 +399,7 @@ class TestNormalised:
         tables = np.full((2, 2, 2, 2), 0.25)
         tables[0, 0, 0, 0] += 5e-12
         tables[1, 1, 0, 0] += 1e-13
-        model = HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), tables))
+        model = HiddenVariableModel(table=ConditionalDistribution(tables))
         t = model.table.table
         assert np.array_equal(bits(t[0, 0]), bits(tables[0, 0] / tables[0, 0].sum()))
         assert np.array_equal(bits(t[1, 1]), bits(tables[1, 1]))
@@ -417,7 +423,7 @@ class TestNormalised:
     )
     def test_error_messages(self, entries, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ConditionalDistribution((1,), (2,), np.array([entries]))
+            ConditionalDistribution(np.array([entries]))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             distributions._normalised(np.array([entries]), 1)
 
@@ -495,7 +501,7 @@ class TestMaxPairwiseTV:
         # broadcast would have needed about 130 GB.
         n = 300
         table = qm_chained_distribution(n).table.reshape(n, n, 1, 2, 2, 1)
-        p3 = ConditionalDistribution((n, n, 1), (2, 2, 1), table)
+        p3 = ConditionalDistribution(table)
         rep, peak, elapsed = self._peak_bytes(
             lambda: locality_bound_check(p3)
         )
@@ -664,7 +670,7 @@ def table_slices(draw):
             row = np.array(mass + [_TINY[k] for k in rng.integers(len(_TINY), size=o - len(mass))])
             rng.shuffle(row)
         slices.append(row)
-    return ConditionalDistribution(inputs, outputs, np.array(slices).reshape(inputs + outputs))
+    return ConditionalDistribution(np.array(slices).reshape(inputs + outputs))
 
 
 class TestJsonWriter:
@@ -683,7 +689,7 @@ class TestJsonWriter:
             [1.0, 0.0, -0.0, 0.0], [0.5, 0.5, 0.0, -0.0], [0.25, 0.25, 0.25, 0.25],
             [5e-324, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, -0.0], [0.5, 0.0, 0.5, -0.0],
         ])
-        p = ConditionalDistribution((6,), (4,), table)
+        p = ConditionalDistribution(table)
         calls = []
         monkeypatch.setattr(distributions, "repr", lambda x: calls.append(x) or repr(x), raising=False)
         write_json_file(p, tmp_path / "t.json")
@@ -857,8 +863,7 @@ class TestWrittenLayoutReader:
         pb = rng.random((200, 2)) + 0.01
         pa /= pa.sum(axis=1, keepdims=True)
         pb /= pb.sum(axis=1, keepdims=True)
-        p = ConditionalDistribution(
-            (200, 200), (2, 2), pa[:, None, :, None] * pb[None, :, None, :])
+        p = ConditionalDistribution(pa[:, None, :, None] * pb[None, :, None, :])
         assert len(np.unique(p.table)) == p.table.size
         path = tmp_path / "distinct.json"
         write_json_file(p, path)

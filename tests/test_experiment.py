@@ -109,7 +109,7 @@ class TestSimulateShots:
     def test_invalid_sources_rejected(self):
         with pytest.raises(TypeError):
             list(simulate_shots(object(), 10, seed=0))
-        unequal = ConditionalDistribution((2, 3), (2, 2), np.full((2, 3, 2, 2), 0.25))
+        unequal = ConditionalDistribution(np.full((2, 3, 2, 2), 0.25))
         with pytest.raises(ValueError, match="settings"):
             list(simulate_shots(unequal, 10, seed=0))
         with pytest.raises(ValueError, match="two-party"):  # a model enters as itself
@@ -847,7 +847,7 @@ class TestModelSamplerMatchesTheTable:
         model = MODEL_SOURCES[name][0]
         n = model.n_settings
         xy = induced_distribution(model).table.sum(axis=(6, 7))[:, :, 0, 0]
-        dense = evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
+        dense = evaluate_chain(ConditionalDistribution(xy)).value
         assert evaluate_chain(chain_table(model)).value == pytest.approx(dense, abs=1e-14)
 
 

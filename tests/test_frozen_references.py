@@ -189,7 +189,7 @@ def frozen_locality_bound_check(p, tol=NORM_TOL) -> FrozenBoundReport:
     t = p.table if p.n_parties == 3 else p.table[:, :, None, :, :, None]
     n_c = t.shape[2]
     xy = t[:, :, 0].sum(axis=-1)
-    bound = 0.5 * evaluate_chain(ConditionalDistribution((n, n), (2, 2), xy)).value
+    bound = 0.5 * evaluate_chain(ConditionalDistribution(xy)).value
     joints = np.empty((2, n, 2, n_c, t.shape[-1]))
     np.add(t[:, 0, :, :, 0], t[:, 0, :, :, 1], out=joints[0].transpose(0, 2, 1, 3))
     np.add(t[0, :, :, 0], t[0, :, :, 1], out=joints[1].transpose(0, 2, 1, 3))
@@ -325,8 +325,8 @@ def bound_tables(draw):
         n, n_c, oz, draw(st.integers(1, 4)), rng, draw(st.booleans()),
         draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.sampled_from([0.0, 2e-6, 5e-4, 2e-3])))
     if three:
-        return ConditionalDistribution((n, n, n_c), (2, 2, oz), table)
-    return ConditionalDistribution((n, n), (2, 2), table[:, :, 0, :, :, 0])
+        return ConditionalDistribution(table)
+    return ConditionalDistribution(table[:, :, 0, :, :, 0])
 
 
 def falsify_outcome(route, args, model):
@@ -357,12 +357,12 @@ class TestLocalityVerdicts:
         # it pass, and each setting is measured against its own marginal.
         rng = np.random.default_rng(5)
         table = three_party_table(4, 2, 3, 3, rng, False, 0.5, 5e-4)
-        p = ConditionalDistribution((4, 4, 2), (2, 2, 3), table)
+        p = ConditionalDistribution(table)
         ns, rec = locality_bound_check(p, 1e-3)
         assert 1e-6 < ns.max_violation <= 1e-3 and rec.passed
         assert bound_verdict(p, 1e-3) == frozen_bound_verdict(p, 1e-3)
         t = p.table[:, 0].sum(axis=3)  # Alice's (c, x, z) rows at Bob's first setting
-        rows = ConditionalDistribution((4, 1), (2, 6), np.moveaxis(t / 2, 2, 1).reshape(4, 1, 2, 6))
+        rows = ConditionalDistribution(np.moveaxis(t / 2, 2, 1).reshape(4, 1, 2, 6))
         got = locality_measure(rows, 1.0).per_setting
         expected = reference_locality_distances(rows.table[:, 0])
         assert [d.hex() for d in got] == [d.hex() for d in expected]
@@ -372,7 +372,7 @@ class TestLocalityVerdicts:
         ((2, 3), (2, 2)), ((1, 1), (2, 2)), ((3, 3, 2), (2, 2, 1))])
     def test_bound_check_errors_match(self, inputs, outputs):
         table = np.full(inputs + outputs, 1.0 / math.prod(outputs))
-        p = ConditionalDistribution(inputs, outputs, table)
+        p = ConditionalDistribution(table)
         for tol in (1e-9, 1e-3):
             assert bound_verdict(p, tol) == frozen_bound_verdict(p, tol)
 

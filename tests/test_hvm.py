@@ -118,7 +118,7 @@ class TestModelConstruction:
         for a in range(2):
             for b in range(2):
                 table[a, b, b, 0] = 1.0  # Alice's outcome copies Bob's setting
-        dist = ConditionalDistribution((2, 2), (2, 2), table)
+        dist = ConditionalDistribution(table)
         with pytest.raises(ValueError, match="leak"):
             HiddenVariableModel(table=dist)
 
@@ -144,12 +144,12 @@ class TestModelConstruction:
         bad = table.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), bad))
+            HiddenVariableModel(table=ConditionalDistribution(bad))
         responses = np.full((2, 1, 2), 0.5)
         with pytest.raises(ValueError, match="finite"):
             HiddenVariableModel(alice=bad[0], bob=responses)
         with pytest.raises(ValueError, match="finite"):
-            HiddenVariableModel(table=ConditionalDistribution((2, 2), (2, 2), table),
+            HiddenVariableModel(table=ConditionalDistribution(table),
                                 p_u=[np.nan])
         with pytest.raises(ValueError, match="finite"):
             local_deterministic_model(2, [[0, 1], [1, 1]], [[0, 0]], [[np.nan], [1.0]])
@@ -173,7 +173,7 @@ class TestModelConstruction:
 
     def test_one_response_form(self):
         responses = np.full((2, 1, 2), 0.5)
-        table = ConditionalDistribution((2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
+        table = ConditionalDistribution(np.full((2, 2, 2, 2), 0.25))
         with pytest.raises(ValueError, match="alice and bob, or one table"):
             HiddenVariableModel(alice=responses)
         with pytest.raises(ValueError, match="alice and bob, or one table"):
@@ -368,7 +368,7 @@ class TestSampledXuTable:
 class TestLocalityMeasure:
     def test_uniform_outcomes_have_zero_locality(self):
         table = np.full((3, 1, 2, 4), 1.0 / 8)
-        p = ConditionalDistribution((3, 1), (2, 4), table)
+        p = ConditionalDistribution(table)
         lm = locality_measure(p, CLASSICAL)
         assert lm.max_distance == 0.0
 
@@ -378,7 +378,7 @@ class TestLocalityMeasure:
         table = np.zeros((2, 1, 2, 2))
         for u in (0, 1):
             table[:, 0, u, u] = 0.5
-        p = ConditionalDistribution((2, 1), (2, 2), table)
+        p = ConditionalDistribution(table)
         lm = locality_measure(p, CLASSICAL)
         assert lm.per_setting == pytest.approx((0.5, 0.5), abs=1e-15)
 
@@ -428,7 +428,7 @@ class TestLocalityMeasure:
         directions = np.array([bloch(t) for t in _chained_angles(n)[0]])
         p0 = np.clip(0.5 * (1.0 + directions @ vectors.T), 0.0, 1.0)  # (N, k)
         table = np.stack([weights * p0, weights * (1.0 - p0)], axis=1)
-        p_xu = ConditionalDistribution((n, 1), (2, len(vectors)), table[:, None])
+        p_xu = ConditionalDistribution(table[:, None])
         lm = locality_measure(p_xu, CLASSICAL)
         assert lm.per_setting == self._loop_per_setting(p_xu)
 
@@ -444,11 +444,11 @@ class TestLocalityMeasure:
         table = np.zeros((2, 1, 2, 2))
         table[0, 0, :, 0] = 0.5
         table[1, 0, :, 1] = 0.5
-        p = ConditionalDistribution((2, 1), (2, 2), table)
+        p = ConditionalDistribution(table)
         assert locality_measure(p, CLASSICAL).per_setting == (0.0, 0.0)
 
     def test_non_binary_outcomes_rejected(self):
-        p = ConditionalDistribution((2, 1), (3, 2), np.full((2, 1, 3, 2), 1.0 / 6))
+        p = ConditionalDistribution(np.full((2, 1, 3, 2), 1.0 / 6))
         with pytest.raises(ValueError, match="binary outcome"):
             locality_measure(p, CLASSICAL)
 
@@ -663,7 +663,7 @@ def local_three_party_tables(draw):
     w = rng.random(k)
     table = np.einsum("l,alx,bly,clz->abcxyz", w / w.sum(), responses(n, 2),
                       responses(n, 2), responses(n_c, oz))
-    return ConditionalDistribution((n, n, n_c), (2, 2, oz), table)
+    return ConditionalDistribution(table)
 
 
 @st.composite
@@ -687,7 +687,7 @@ def two_party_chain_tables(draw):
         ma, mb = rng.random((n, 2)), rng.random((n, 2))
         ma /= ma.sum(axis=1, keepdims=True)
         mb /= mb.sum(axis=1, keepdims=True)
-    return ConditionalDistribution((n, n), (2, 2), ma[:, None, :, None] * mb[None, :, None, :])
+    return ConditionalDistribution(ma[:, None, :, None] * mb[None, :, None, :])
 
 
 def side_measurements(p3):
@@ -699,9 +699,7 @@ def side_measurements(p3):
     sides = (t[:, 0].sum(axis=3), t[0].sum(axis=2))  # (N, n_c, outcome, oz)
     return tuple(
         locality_measure(ConditionalDistribution(
-            (n, 1), (2, n_c * oz),
-            np.moveaxis(side * (1.0 / n_c), 2, 1).reshape(n, 1, 2, n_c * oz),
-        ), CLASSICAL)
+            np.moveaxis(side * (1.0 / n_c), 2, 1).reshape(n, 1, 2, n_c * oz)), CLASSICAL)
         for side in sides
     )
 
@@ -729,7 +727,7 @@ class TestLocalityBound:
         # (Alice's three settings, then Bob's) must fail: the average form
         # 1e-6 off its joint form, or the excess sum 1e-9 off the half-L1.
         p = qm_chained_distribution(3)
-        p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), p.table.reshape(3, 3, 1, 2, 2, 1))
+        p3 = ConditionalDistribution(p.table.reshape(3, 3, 1, 2, 2, 1))
         calls = []
         if check == "average":
             def shifted(values):
@@ -759,7 +757,7 @@ class TestLocalityBound:
     def test_quantum_with_trivial_hidden_parties(self):
         p = qm_chained_distribution(3)
         table = p.table.reshape(3, 3, 1, 2, 2, 1)
-        p3 = ConditionalDistribution((3, 3, 1), (2, 2, 1), table)
+        p3 = ConditionalDistribution(table)
         ns, rep = locality_bound_check(p3)
         assert ns.passed and rep.passed
         assert rep.max_distance < 1e-12
@@ -784,7 +782,7 @@ class TestLocalityBound:
         table = np.zeros((n, n, 2, 2, 2, 2))
         for c in range(2):
             table[:, :, c, :, :, c] = base.table
-        p3 = ConditionalDistribution((n, n, 2), (2, 2, 2), table)
+        p3 = ConditionalDistribution(table)
         ns, rep = locality_bound_check(p3)
         assert ns.passed and rep.passed
         assert rep.max_distance < 1e-12
@@ -794,7 +792,7 @@ class TestLocalityBound:
         for a in range(2):
             for b in range(2):
                 table[a, b, 0, b, 0, 0] = 1.0
-        p3 = ConditionalDistribution((2, 2, 1), (2, 2, 1), table)
+        p3 = ConditionalDistribution(table)
         ns, rep = locality_bound_check(p3)
         assert not ns.passed
         assert rep is None
@@ -807,7 +805,7 @@ class TestLocalityBound:
         # Z: the bound gets the bits of the three-party copy that the CLI
         # once built, and its non-signaling check is the table's own.
         n = p.input_sizes[0]
-        promoted = ConditionalDistribution((n, n, 1), (2, 2, 1), p.table.reshape(n, n, 1, 2, 2, 1))
+        promoted = ConditionalDistribution(p.table.reshape(n, n, 1, 2, 2, 1))
         (ns, rep), (ref_ns, ref) = locality_bound_check(p), locality_bound_check(promoted)
         assert ns.max_violation == assert_nonsignaling(p).max_violation
         assert ns.passed is ref_ns.passed is True
@@ -1063,7 +1061,7 @@ class TestResponseReferences:
                     nonlocal_qm_model(4, 0.8).table.table,
                     product_table(rng, 5) * (1.0 + 3e-12 * rng.uniform(-1, 1, (5, 5, 2, 2)))):
             n = raw.shape[0]
-            model = HiddenVariableModel(table=ConditionalDistribution((n, n), (2, 2), raw))
+            model = HiddenVariableModel(table=ConditionalDistribution(raw))
             assert model.table.table.tobytes() == reference_rule(raw, 2).tobytes()
 
     @pytest.mark.parametrize("leak", [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-3])
@@ -1081,7 +1079,7 @@ class TestResponseReferences:
             with pytest.raises(ValueError, match=re.escape(f"(deviation {deviation})")):
                 HiddenVariableModel._check_local_parts(table)
             with pytest.raises(ValueError, match="leak"):
-                HiddenVariableModel(table=ConditionalDistribution((3, 3), (2, 2), table))
+                HiddenVariableModel(table=ConditionalDistribution(table))
         else:
             HiddenVariableModel._check_local_parts(table)
 

@@ -4,8 +4,9 @@ rule lives, its one sampler, its one locality kernel, its one cap rule,
 its one model document reader, its plain model record, its one table
 float formatter, its one tolerance ledger, the one owner of each
 argument check, its one command-line parse, no private helper or
-public function left uncalled, N read from the data it comes with, and
-its one visibility-v quantum source."""
+public function left uncalled, N read from the data it comes with, its
+one visibility-v quantum source, and a table that carries its own
+sizes."""
 
 import ast
 import contextlib
@@ -806,7 +807,7 @@ class TestOneToleranceLedger:
             "floor = max(1e-6, cells * radius)\n"
             "close = abs(a - b) <= 1e-12 and n == 1 and c > 1e-3\n"
             "ok = NORM_TOL\n"
-            "dist3 = ConditionalDistribution((2, 1), (2, 1), table)\n"
+            "dist3 = ConditionalDistribution(table)\n"
             "same = isinstance(dist3, ConditionalDistribution)\n"
         )
         assert ledger_literals(source) == ["line 2: NORM_TOL", "line 4: IDENTITY_TOL"]
@@ -1013,3 +1014,37 @@ class TestOneQuantumSource:
         )
         assert owners(source, mixes_visibility) == ["cmd_scan", "inner", "mix_with_noise",
                                                     "qm_chained_distribution"]
+
+
+def sized_table_constructions(source: str) -> list[str]:
+    """Lines of a module that pass ``ConditionalDistribution`` anything but
+    the one table, as "line N"."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "ConditionalDistribution"
+            and (len(node.args) != 1 or node.keywords or isinstance(node.args[0], ast.Starred))]
+
+
+class TestTableCarriesItsSizes:
+    """A table's party count and alphabets are its array's shape: the
+    constructor takes the table alone, and no caller passes it sizes."""
+
+    def test_the_constructor_takes_only_the_table(self):
+        assert list(inspect.signature(chainedbell.ConditionalDistribution).parameters) == ["table"]
+
+    def test_no_call_passes_sizes(self):
+        found = {f"{path.parent.name}/{path.name}": lines
+                 for path in sorted([*(ROOT / "src" / "chainedbell").glob("*.py"),
+                                     *(ROOT / "tests").glob("*.py")])
+                 if (lines := sized_table_constructions(path.read_text()))}
+        assert found == {}
+
+    def test_the_check_sees_a_planted_violation(self):
+        source = (
+            "from .distributions import ConditionalDistribution\n"
+            "p = ConditionalDistribution(table)\n"
+            "q = ConditionalDistribution(inputs, outputs, table)\n"
+            "r = distributions.ConditionalDistribution(table, copy=False)\n"
+            "s = ConditionalDistribution(*parts)\n"
+            "t = isinstance(p, ConditionalDistribution)\n"
+        )
+        assert sized_table_constructions(source) == ["line 3", "line 4", "line 5"]
