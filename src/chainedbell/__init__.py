@@ -34,7 +34,6 @@ from .experiment import (
     sample_counts,
     simulate_shots,
     simulate_shots_csv,
-    write_shots_csv,
 )
 from .hvm import (
     HiddenVariableModel,

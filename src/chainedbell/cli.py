@@ -304,13 +304,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full CLI parser."""
-    return _parsers()[0]
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` at half the cost: the rest of an
+    """The full parser's ``parse_args(argv)`` at half the cost: the rest of an
     argv that starts with a subcommand goes straight to its parser, which
     the full parser's own pass would only hand it on to."""
     parser, commands = _parsers()

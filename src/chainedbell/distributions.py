@@ -180,18 +180,27 @@ def _normalised(table: np.ndarray, n_out: int) -> np.ndarray:
 def _check_numeric_fields(data: dict, fields: Sequence[str]) -> None:
     """Reject a JSON string or boolean in the numeric ``fields`` that a
     document has, walked in that order and naming the first bad one: ``int``,
-    ``float`` and NumPy would read ``"2"``, ``" 4 "`` and ``true`` as numbers."""
+    ``float`` and NumPy would read ``"2"``, ``" 4 "`` and ``true`` as numbers.
+    A ragged field, which NumPy rejects without naming it, is named too:
+    the lists at each depth must agree in length, and hold only lists or
+    no list at all."""
     for key in filter(data.__contains__, fields):
-        pending = [data[key]]
+        pending = [(data[key], 0)]
+        shape = {}  # depth -> (length, holds lists) of every list there
         while pending:
-            value = pending.pop()
+            value, depth = pending.pop()
             if type(value) is list:
                 # One set of entry types per list: a table row is one pass.
                 kinds = set(map(type, value))
-                if list in kinds:
-                    pending += [v for v in value if type(v) is list]
                 if str in kinds or bool in kinds:
                     value = next(v for v in value if type(v) in (str, bool))
+                else:
+                    nested = list in kinds
+                    sig = (len(value), nested)
+                    if nested and len(kinds) > 1 or shape.setdefault(depth, sig) != sig:
+                        raise ValueError(f"{key} must be a rectangular array of numbers")
+                    if nested:
+                        pending += zip(value, itertools.repeat(depth + 1))
             if type(value) in (str, bool):
                 raise ValueError(f"{key} must be numeric, got {value!r}")
 

@@ -8,10 +8,10 @@ Shots travel between stages as blocks: int64 arrays of shape ``(k, 4)`` or
 plus ``u, v`` (hidden-variable indices) for a model source, in the order
 of the shot CSV header.  Underneath, one generator draws every stream:
 each block's shuffled cells ``((a*N + b)*2 + x)*2 + y`` and, for a model,
-its hidden pair.  :func:`simulate_shots` builds blocks from those draws,
-and :func:`write_shots_csv` writes any blocks row by row.
-:func:`simulate_shots_csv` writes the same bytes for a stream, formatting
-each cell (with its hidden pair) once per stream while its key space is small."""
+its hidden pair.  :func:`simulate_shots` builds blocks from those draws;
+:func:`simulate_shots_csv` writes a stream's rows as CSV, formatting each
+cell (with its hidden pair) once per stream while its key space is small,
+and row by row from :func:`simulate_shots`'s blocks when it is wide."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ __all__ = [
     "simulate_shots_csv",
     "estimate_chain_value",
     "estimate_from_counts",
-    "write_shots_csv",
     "read_shots_csv",
 ]
 
@@ -355,55 +354,34 @@ def estimate_chain_value(
     return estimate_from_counts(counts, mism, confidence)
 
 
-def _start_csv(fh, width: int) -> str:
-    """Write the header of a shot CSV of ``width`` columns; returns the
-    %-format of one of its lines."""
-    fh.write(",".join(_COLUMNS[:width]) + "\r\n")
-    return ",".join(["%d"] * width) + "\r\n"
-
-
-def write_shots_csv(blocks: Iterable[np.ndarray], path: str | Path) -> int:
-    """Stream shot blocks to CSV: integer columns ``a,b,x,y``, plus ``u,v``
-    when the blocks carry them, and CRLF line ends.  Returns the row
-    count."""
-    it = map(_check_block, blocks)
-    first = next(it, None)
-    if first is None:
-        raise ValueError("no records to write")
-    width = first.shape[1]
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        row = _start_csv(fh, width)
-        for block in itertools.chain([first], it):
-            if block.shape[1] != width:
-                raise ValueError("shot blocks of one stream must share their columns")
-            for start in range(0, len(block), _WRITE_ROWS):
-                part = block[start:start + _WRITE_ROWS]
-                fh.write(row * len(part) % tuple(part.ravel().tolist()))
-            rows += len(block)
-    return rows
-
-
 def simulate_shots_csv(source, shots: int, seed: int, path: str | Path) -> int:
     """Write the stream that ``simulate_shots(source, shots, seed)``
-    yields to CSV, the bytes :func:`write_shots_csv` writes for it, without
-    building its blocks.  Returns the row count, ``shots``.
+    yields to CSV: integer columns ``a,b,x,y``, plus ``u,v`` for a model,
+    and CRLF line ends.  Returns the row count, ``shots``.
 
     Each row is keyed by its cell ``((a*N + b)*2 + x)*2 + y``, or for a
     model by ``(cell*n_u + u)*n_v + v``.  While that key space is at most
     ``_KEY_SPACE_BLOCKS`` full blocks (every qm table up to N = 256), a
     key's line is formatted once per stream, when it first occurs, and
-    each block is gathered by key.  A wider stream (a model with large
-    hidden alphabets) is written as ``write_shots_csv(simulate_shots(...))``."""
+    each block is gathered by key, without being built.  A wider stream (a
+    model with large hidden alphabets) writes the blocks of
+    ``simulate_shots(source, shots, seed)`` row by row.  Either way at
+    most ``_WRITE_ROWS`` lines go out per write."""
     model, table = _stream_source(source, shots)
     n = table.input_sizes[0]
     sizes = (4 * n * n,) if model is None else (4 * n * n, model.n_u, model.n_v)
     space = math.prod(sizes)
-    if space > _KEY_SPACE_BLOCKS * _CHUNK_ROWS:
-        return write_shots_csv(simulate_shots(source, shots, seed), path)
-    rows = _cell_rows(n)
+    width = 4 if model is None else 6
+    row = ",".join(["%d"] * width) + "\r\n"
     with open(path, "w", newline="") as fh:
-        row = _start_csv(fh, 4 if model is None else 6)
+        fh.write(",".join(_COLUMNS[:width]) + "\r\n")
+        if space > _KEY_SPACE_BLOCKS * _CHUNK_ROWS:
+            for block in simulate_shots(source, shots, seed):
+                for start in range(0, len(block), _WRITE_ROWS):
+                    part = block[start:start + _WRITE_ROWS]
+                    fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            return shots
+        rows = _cell_rows(n)
         lines = np.empty(space, dtype=object)
         seen = np.zeros(space, dtype=bool)
         for cells, hidden in _draws(model, table, shots, seed):
@@ -423,7 +401,8 @@ def simulate_shots_csv(source, shots: int, seed: int, path: str | Path) -> int:
 
 
 def read_shots_csv(path: str | Path) -> Iterator[np.ndarray]:
-    """Stream shot blocks back from a CSV written by :func:`write_shots_csv`,
+    """Stream shot blocks back from a CSV written by
+    :func:`simulate_shots_csv` (or any CSV of its header and integer rows),
     at most 65 536 rows at a time.  Empty lines are skipped; a malformed
     row raises ``ValueError``."""
     with open(path, newline="") as fh:

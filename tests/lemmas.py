@@ -24,9 +24,9 @@ locality record against half the ideal quantum chain value.
 the writer's own layout: the whole file through ``json.loads``, then
 ``from_dict``.  ``read_json_file`` must give its bits and its errors.
 
-``plain_write_shots_csv`` is the shot CSV writer before it formatted each
-distinct row of a block once: every block row by row, a few thousand
-rows per write.  ``write_shots_csv`` must write its bytes.
+``plain_write_shots_csv`` is the shot CSV writer of any block stream: every
+block row by row, a few thousand rows per write.  ``simulate_shots_csv``
+must write its bytes for ``simulate_shots``'s stream, on either route.
 
 ``full_parse`` is the CLI's parse before it handed the rest of an argv
 that starts with a subcommand straight to that subcommand's parser: the
@@ -332,7 +332,7 @@ def plain_read_json_file(path) -> ConditionalDistribution:
 
 def plain_write_shots_csv(blocks, path) -> int:
     """Shot blocks written to CSV row by row, 4096 rows per write, after
-    the same block checks as ``write_shots_csv``; returns the row count."""
+    the library's block check (``_check_block``); returns the row count."""
     it = map(_check_block, blocks)
     first = next(it, None)
     if first is None:
@@ -354,7 +354,7 @@ def plain_write_shots_csv(blocks, path) -> int:
 
 def full_parse(argv):
     """``argv`` read by the full CLI parser alone."""
-    return cli.build_parser().parse_args(argv)
+    return cli._parsers()[0].parse_args(argv)
 
 
 def _reference_slice_sums(flat: np.ndarray) -> np.ndarray:

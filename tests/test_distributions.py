@@ -641,6 +641,34 @@ class TestJsonRoundTrip:
             )
 
 
+@st.composite
+def nested_lists(draw):
+    """Nested lists of numbers and null: free ones, most of them ragged, or
+    rectangular ones of a drawn shape, zero-length axes included."""
+    leaf = st.one_of(st.none(), st.integers(-3, 3), st.floats(-2, 2))
+    if draw(st.booleans()):
+        return draw(st.recursive(leaf, lambda kids: st.lists(kids, max_size=3), max_leaves=12))
+
+    def fill(dims):
+        return [fill(dims[1:]) for _ in range(dims[0])] if dims else draw(leaf)
+
+    return fill(draw(st.lists(st.integers(0, 3), max_size=4)))
+
+
+class TestRaggedFields:
+    @settings(max_examples=400, deadline=None)
+    @given(nested_lists())
+    def test_ragged_exactly_when_numpy_finds_an_inhomogeneous_shape(self, value):
+        try:
+            np.asarray(value, dtype=float)
+        except ValueError as exc:
+            assert "inhomogeneous shape" in str(exc)
+            with pytest.raises(ValueError, match="^table must be a rectangular array of numbers$"):
+                distributions._check_numeric_fields({"table": value}, ("table",))
+        else:
+            distributions._check_numeric_fields({"table": value}, ("table",))
+
+
 # Values whose text a value-keyed memo could get wrong: both zeros (equal
 # as floats, different text) and subnormals, down to the smallest one.
 _TINY = [0.0, -0.0, 5e-324, 1e-320, 2.225073858507201e-308]

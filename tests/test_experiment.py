@@ -34,7 +34,6 @@ from chainedbell import (
     sample_counts,
     simulate_shots,
     simulate_shots_csv,
-    write_shots_csv,
 )
 from chainedbell import experiment
 from chainedbell.experiment import _fold_counts, _inverse_cdf, _without_replacement
@@ -215,40 +214,30 @@ class TestLocalityCap:
 class TestShotCsv:
     def test_round_trip_plain(self, tmp_path):
         table = qm_chained_distribution(2)
-        records = concat(simulate_shots(table, 300, seed=5))
         path = tmp_path / "shots.csv"
-        assert write_shots_csv([records], path) == 300
+        assert simulate_shots_csv(table, 300, 5, path) == 300
         assert path.read_text().splitlines()[0] == "a,b,x,y"
-        assert np.array_equal(concat(read_shots_csv(path)), records)
+        assert np.array_equal(concat(read_shots_csv(path)), concat(simulate_shots(table, 300, 5)))
 
     def test_round_trip_annotated(self, tmp_path):
         m = local_deterministic_model(2, [[0, 1]], [[1, 0]])
-        records = concat(simulate_shots(m, 100, seed=6), 6)
         path = tmp_path / "shots.csv"
-        write_shots_csv([records], path)
+        assert simulate_shots_csv(m, 100, 6, path) == 100
         assert path.read_text().splitlines()[0] == "a,b,x,y,u,v"
-        assert np.array_equal(concat(read_shots_csv(path), 6), records)
-
-    def test_empty_stream_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no records"):
-            write_shots_csv([], tmp_path / "shots.csv")
+        assert np.array_equal(concat(read_shots_csv(path), 6), concat(simulate_shots(m, 100, 6), 6))
 
     @pytest.mark.parametrize("shots", [70_000, 2 * 65536])
     def test_round_trip_spans_several_chunks(self, tmp_path, shots):
         # 2 * 65536 rows end exactly on a reader chunk boundary.
-        n = 3
-        table = qm_chained_distribution(n)
+        table = qm_chained_distribution(3)
         path = tmp_path / "shots.csv"
-        assert write_shots_csv(simulate_shots(table, shots, seed=8), path) == shots
+        assert simulate_shots_csv(table, shots, 8, path) == shots
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             blocks = list(read_shots_csv(path))
-        assert len(blocks) == 2
-        in_memory = _fold_counts(simulate_shots(table, shots, seed=8), n)
-        read_back = _fold_counts(blocks, n)
-        assert np.array_equal(read_back[0], in_memory[0])
-        assert np.array_equal(read_back[1], in_memory[1])
-        assert read_back[0].sum() == shots
+        in_memory = list(simulate_shots(table, shots, 8))
+        assert len(blocks) == len(in_memory) == 2
+        assert all(map(np.array_equal, blocks, in_memory))
 
 
 # Pieces of shot CSV text, well-formed and not: digits, signs, separators,
@@ -321,27 +310,14 @@ class TestFoldChecks:
         with pytest.raises(ValueError):
             estimate_chain_value(read_shots_csv(path), 2, 0.99)
 
-    def test_non_shot_blocks_rejected(self, tmp_path):
+    def test_non_shot_blocks_rejected(self):
         for block in (np.zeros((2, 5), dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.zeros((2, 4))):
             with pytest.raises(ValueError, match="shot block"):
                 estimate_chain_value([block], 2, 0.99)
-            with pytest.raises(ValueError, match="shot block"):
-                write_shots_csv([block], tmp_path / "shots.csv")
-            assert not (tmp_path / "shots.csv").exists()
 
-    def test_each_block_is_checked_once(self, tmp_path, monkeypatch):
-        # A malformed first block raises before the file is created, a
-        # malformed later block as the stream reaches it.
+    def test_each_block_is_checked_once(self, monkeypatch):
         good = np.zeros((2, 4), dtype=np.int64)
-        bad = np.zeros((2, 5), dtype=np.int64)
-        path = tmp_path / "shots.csv"
-        with pytest.raises(ValueError, match="shot block"):
-            write_shots_csv([bad, good], path)
-        assert not path.exists()
-        with pytest.raises(ValueError, match="shot block"):
-            write_shots_csv([good, good, bad], path)
-        assert path.read_bytes() == b"a,b,x,y\r\n" + b"0,0,0,0\r\n" * 4
         checked = []
 
         def counted(block):
@@ -350,13 +326,8 @@ class TestFoldChecks:
 
         check_block = experiment._check_block
         monkeypatch.setattr(experiment, "_check_block", counted)
-        assert write_shots_csv([good, good, good], path) == 6
+        assert _fold_counts([good, good, good], 2)[0].sum() == 6
         assert len(checked) == 3
-
-    def test_mixed_widths_rejected(self, tmp_path):
-        blocks = [np.zeros((1, 4), dtype=np.int64), np.zeros((1, 6), dtype=np.int64)]
-        with pytest.raises(ValueError, match="share their columns"):
-            write_shots_csv(blocks, tmp_path / "shots.csv")
 
 
 def cut(draw, block):
@@ -397,72 +368,11 @@ class TestBlockProperties:
         width = whole.shape[1]
         pieces = cut(data.draw, whole)
         with tempfile.TemporaryDirectory() as tmp:
-            path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
-            assert write_shots_csv(pieces, path) == len(whole)
-            plain_write_shots_csv(pieces, ref)
-            assert path.read_bytes() == ref.read_bytes()
+            path = Path(tmp) / "shots.csv"
+            assert plain_write_shots_csv(pieces, path) == len(whole)
             back = concat(read_shots_csv(path), width)
         assert back.dtype == np.int64
         assert np.array_equal(back, whole)
-
-
-# Row counts around the writer's line chunks, and cut points at and
-# beside their ends.
-WRITE_ROWS = experiment._WRITE_ROWS
-CHUNK_EDGES = [WRITE_ROWS * m + d for m in (1, 2, 3) for d in (-1, 0, 1)]
-
-
-@st.composite
-def small_range_streams(draw):
-    """A stream of shot blocks, 4 or 6 columns of uint8, int16 or int64,
-    whose columns span 1 to 3 values above a low end anywhere in the
-    dtype's range, negative ones too.  The whole has up to 40 rows or a
-    row count about a chunk end; it is cut at random rows, at chunk ends
-    or at single rows, which gives empty and 1-row blocks."""
-    width = draw(st.sampled_from([4, 6]))
-    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64]))
-    info = np.iinfo(dtype)
-    spans = draw(st.lists(st.integers(1, 3), min_size=width, max_size=width))
-    lows = [draw(st.integers(int(info.min), int(info.max) - span + 1)) for span in spans]
-    rows = draw(st.one_of(st.integers(0, 40), st.sampled_from(CHUNK_EDGES)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    whole = (rng.integers(0, spans, size=(rows, width)) + lows).astype(dtype)
-    points = st.one_of(st.integers(0, rows), st.sampled_from([0, 1, rows - 1, *CHUNK_EDGES]))
-    cuts = sorted(c for c in draw(st.lists(points, max_size=5)) if 0 <= c <= rows)
-    return np.split(whole, cuts)
-
-
-class TestRowByRowWriter:
-    """``write_shots_csv`` writes the bytes of the row-by-row reference
-    ``plain_write_shots_csv`` (full-range int64 blocks:
-    ``test_csv_round_trip_returns_the_concatenated_block``)."""
-
-    @staticmethod
-    def both_bytes(blocks):
-        with tempfile.TemporaryDirectory() as tmp:
-            path, ref = Path(tmp) / "shots.csv", Path(tmp) / "reference.csv"
-            assert write_shots_csv(blocks, path) == plain_write_shots_csv(blocks, ref)
-            return path.read_bytes(), ref.read_bytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(small_range_streams())
-    def test_small_ranges_write_the_reference_bytes(self, blocks):
-        got, ref = self.both_bytes(blocks)
-        assert got == ref
-
-    @pytest.mark.parametrize("n", [2, 50, 200])
-    def test_peak_memory_grows_with_the_block(self, tmp_path, n):
-        # One 65 536-row qm block, of key space 4N² (16, 10 000 and
-        # 160 000).  The writer formats 4096 rows at a time, as the
-        # reference does, so its peak stays within 8 times the reference's.
-        block = next(simulate_shots(qm_chained_distribution(n), 65536, seed=5))
-        peaks = []
-        for writer in (plain_write_shots_csv, write_shots_csv):
-            tracemalloc.start()
-            writer([block], tmp_path / "shots.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert peaks[1] <= 8 * peaks[0]
 
 
 # Reference forms of the shot kernels, written with loops, row sums and
@@ -690,7 +600,7 @@ class TestSimulatedCsv:
     def test_writes_the_reference_bytes(self, name, shots, seed, blocks):
         # One row short of a full block, a full block, one row more, and
         # two full blocks and a row; with ``blocks`` a key-space limit of 0
-        # sends the stream through the block routes.
+        # sends the stream through the block route.
         source = SOURCES[name][0]
         limit = 0 if blocks else experiment._KEY_SPACE_BLOCKS
         with mock.patch.object(experiment, "_KEY_SPACE_BLOCKS", limit):
@@ -718,7 +628,7 @@ class TestSimulatedCsv:
     ], ids=["leggett_grid_360", "qm_3", "leggett_6x4"])
     def test_only_a_wide_stream_builds_blocks(self, source, wide):
         # A stream wider than _KEY_SPACE_BLOCKS full blocks of keys is
-        # written as write_shots_csv(simulate_shots(...)); a narrower one
+        # written row by row from simulate_shots's blocks; a narrower one
         # never builds a block.
         built = mock.Mock(wraps=experiment.simulate_shots)
         with mock.patch.object(experiment, "simulate_shots", built):
@@ -743,7 +653,7 @@ class TestSimulatedCsv:
         # bounded by the key space: doubling the stream adds under 10 %.
         table, path = qm_chained_distribution(n), tmp_path / "shots.csv"
         simulate_shots_csv(table, 1000, 1, path)  # first-call allocations
-        base = peak_bytes(lambda: write_shots_csv(simulate_shots(table, 2 * 65536, 1), path))
+        base = peak_bytes(lambda: plain_write_shots_csv(simulate_shots(table, 2 * 65536, 1), path))
         one, two = (peak_bytes(lambda: simulate_shots_csv(table, shots, 1, path))
                     for shots in (10**6, 2 * 10**6))
         assert one <= factor * base
@@ -757,7 +667,7 @@ class TestSimulatedCsv:
         # hence the one-page allowance.
         model, path = leggett_model(2, inplane_grid(360)), tmp_path / "shots.csv"
         simulate_shots_csv(model, 1000, 1, path)
-        base = peak_bytes(lambda: write_shots_csv(simulate_shots(model, 2 * 65536, 1), path))
+        base = peak_bytes(lambda: plain_write_shots_csv(simulate_shots(model, 2 * 65536, 1), path))
         assert peak_bytes(lambda: simulate_shots_csv(model, 2 * 65536, 1, path)) <= base + 4096
 
 
@@ -932,17 +842,15 @@ class TestNarrowIntegerBlocks:
         assert counts[200, 200] == 1 and counts[200, 199] == 1 and counts[3, 4] == 1
         assert mism[200, 199] == 1 and mism.sum() == 1
 
-    def test_uint64_beyond_int64_is_rejected(self, tmp_path):
+    def test_uint64_beyond_int64_is_rejected(self):
         block = np.array([[0, 0, 0, 1], [2**64 - 1, 0, 0, 0]], dtype=np.uint64)
         with pytest.raises(ValueError, match="int64"):
             _fold_counts([block], 2)
-        with pytest.raises(ValueError, match="int64"):
-            write_shots_csv([block], tmp_path / "shots.csv")
         ok = np.array([[1, 0, 0, 1]], dtype=np.uint64)
         assert _fold_counts([ok], 2)[0][1, 0] == 1
 
     def test_narrow_blocks_write_the_same_csv(self, tmp_path):
         block = np.array([[1, 2, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
-        write_shots_csv([block], tmp_path / "wide.csv")
-        write_shots_csv([block.astype(np.uint8)], tmp_path / "narrow.csv")
+        plain_write_shots_csv([block], tmp_path / "wide.csv")
+        plain_write_shots_csv([block.astype(np.uint8)], tmp_path / "narrow.csv")
         assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "narrow.csv").read_bytes()

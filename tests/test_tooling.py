@@ -5,8 +5,8 @@ its one model document reader, its plain model record, its one table
 float formatter, its one tolerance ledger, the one owner of each
 argument check, its one command-line parse, no private helper or
 public function left uncalled, N read from the data it comes with, its
-one visibility-v quantum source, and a table that carries its own
-sizes."""
+one visibility-v quantum source, a table that carries its own sizes,
+and its one shot CSV writer."""
 
 import ast
 import contextlib
@@ -1048,3 +1048,68 @@ class TestTableCarriesItsSizes:
             "t = isinstance(p, ConditionalDistribution)\n"
         )
         assert sized_table_constructions(source) == ["line 3", "line 4", "line 5"]
+
+
+def opens_to_write(node: ast.AST) -> bool:
+    """A call of ``open`` (a path's too) whose mode writes, a mode that is
+    not a literal counting as one, or of ``write_text`` or ``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if _called_name(node) in ("write_text", "write_bytes"):
+        return True
+    at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+    return _called_name(node) == "open" and any(
+        not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def reads_columns(node: ast.AST) -> bool:
+    """A read of the shot CSV header ``_COLUMNS``, by name or off a module."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name == "_COLUMNS" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+
+class TestOneShotWriter:
+    """One function writes shot CSVs: ``simulate_shots_csv`` writes every
+    stream, a wide one row by row from ``simulate_shots``'s blocks, and the
+    CSV header is read only where a shot CSV is written or read."""
+
+    def source(self):
+        return (ROOT / "src" / "chainedbell" / "experiment.py").read_text()
+
+    def test_only_simulate_shots_csv_opens_a_file_to_write(self):
+        assert owners(self.source(), opens_to_write) == ["simulate_shots_csv"]
+
+    def test_only_the_writer_and_the_reader_read_the_header(self):
+        assert owners(self.source(), reads_columns) == ["read_shots_csv", "simulate_shots_csv"]
+
+    def test_no_block_stream_writer_is_exported(self):
+        assert not hasattr(chainedbell, "write_shots_csv")
+        assert not hasattr(experiment, "write_shots_csv")
+
+    def test_the_checks_see_a_planted_violation(self):
+        source = (
+            "_COLUMNS = ('a', 'b', 'x', 'y')\n"
+            "def simulate_shots_csv(path):\n"
+            "    with open(path, 'w', newline='') as fh:\n"
+            "        fh.write(','.join(_COLUMNS))\n"
+            "def read_shots_csv(path):\n"
+            "    \"\"\"Not open(path, 'w'), nor _COLUMNS: a docstring is no code.\"\"\"\n"
+            "    with open(path, newline='') as fh:\n"
+            "        return experiment._COLUMNS\n"
+            "def _start_csv(fh, width):\n"
+            "    fh.write(','.join(_COLUMNS[:width]))\n"
+            "def write_shots_csv(blocks, path):\n"
+            "    with open(path, mode='a') as fh:\n"
+            "        return blocks\n"
+            "def dump(path, mode):\n"
+            "    return path.open(mode)\n"
+            "def save(path):\n"
+            "    path.write_text('')\n"
+            "def load(path):\n"
+            "    return path.open('rb'), open(path, 'r')\n"
+        )
+        assert owners(source, opens_to_write) == ["dump", "save", "simulate_shots_csv",
+                                                  "write_shots_csv"]
+        assert owners(source, reads_columns) == ["_start_csv", "read_shots_csv",
+                                                 "simulate_shots_csv"]
